@@ -58,3 +58,49 @@ func TestSessionChurnAllocs(t *testing.T) {
 		t.Errorf("attach churn allocates %.1f objects per cycle, want 0", avg)
 	}
 }
+
+// TestForkChurnAllocs gates the fork-based session shape under every
+// organization: a warm template attached to two shared segments, one of
+// whose pages sits in a live derived group (a diverged child restricted
+// it), is forked, the child touches a shared page, and dies. Under the
+// page-group model each cycle copies the template's group set, joins the
+// child to the derived group and removes it again — all on reused
+// vectors.
+func TestForkChurnAllocs(t *testing.T) {
+	for _, model := range []kernel.Model{
+		kernel.ModelDomainPage, kernel.ModelPageGroup,
+		kernel.ModelConventional, kernel.ModelFlush,
+	} {
+		t.Run(model.String(), func(t *testing.T) {
+			k := kernel.New(kernel.DefaultConfig(model))
+			template := k.CreateDomain()
+			var segs [2]*kernel.Segment
+			for i := range segs {
+				segs[i] = k.CreateSegment(8, kernel.SegmentOptions{Name: "shared"})
+				k.Attach(template, segs[i], addr.RW)
+			}
+			diverged, err := k.ForkDomain(template)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := k.SetPageRights(diverged, segs[0].PageVA(1), addr.Read); err != nil {
+				t.Fatal(err)
+			}
+			cycle := func() {
+				d, err := k.ForkDomain(template)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := k.Touch(d, segs[1].PageVA(2), addr.Store); err != nil {
+					t.Fatal(err)
+				}
+				if err := k.DestroyDomain(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if avg := measureChurn(t, cycle, cycle); avg > 0 {
+				t.Errorf("fork/touch/destroy allocates %.1f objects per cycle, want 0", avg)
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package kernel
 import (
 	"repro/internal/addr"
 	"repro/internal/smp"
+	"repro/internal/stats"
 )
 
 // convEngine drives the conventional (multiple address space) machine
@@ -13,6 +14,16 @@ import (
 // page, and translation changes must hunt down every space's duplicate.
 type convEngine struct {
 	k *Kernel
+
+	hSlotsAllocated, hSlotsFreed, hPerPageOps stats.Handle
+}
+
+func newConvEngine(k *Kernel) *convEngine {
+	return &convEngine{k: k,
+		hSlotsAllocated: k.ctrs.Handle("conv.pte_slots_allocated"),
+		hSlotsFreed:     k.ctrs.Handle("conv.pte_slots_freed"),
+		hPerPageOps:     k.ctrs.Handle("conv.per_page_rights_ops"),
+	}
 }
 
 func (e *convEngine) onCreateSegment(*Segment) error { return nil }
@@ -21,7 +32,7 @@ func (e *convEngine) onCreateSegment(*Segment) error { return nil }
 // kernel also accounts the per-space page-table slots the attachment
 // consumes (the linear-table space waste of Section 3.1).
 func (e *convEngine) onAttach(d *Domain, s *Segment, r addr.Rights) {
-	e.k.ctrs.Add("conv.pte_slots_allocated", s.NumPages())
+	e.hSlotsAllocated.Add(s.NumPages())
 }
 
 // onDetach invalidates the domain's TLB entries across the segment, one
@@ -31,7 +42,7 @@ func (e *convEngine) onDetach(d *Domain, s *Segment) {
 		e.k.convm.InvalidateEntry(addr.ASID(d.ID), s.PageVPN(i))
 		e.k.shootDomain(d, smp.Request{Kind: smp.InvalRights, VPN: s.PageVPN(i)})
 	}
-	e.k.ctrs.Add("conv.pte_slots_freed", s.NumPages())
+	e.hSlotsFreed.Add(s.NumPages())
 }
 
 // setPageRights updates the one resident (ASID, page) entry.
@@ -48,7 +59,7 @@ func (e *convEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) erro
 		e.k.convm.SetRights(addr.ASID(d.ID), s.PageVPN(i), r)
 		e.k.shootDomain(d, smp.Request{Kind: smp.UpdateRights, VPN: s.PageVPN(i), Rights: r})
 	}
-	e.k.ctrs.Add("conv.per_page_rights_ops", s.NumPages())
+	e.hPerPageOps.Add(s.NumPages())
 	return nil
 }
 
@@ -78,14 +89,8 @@ func (e *convEngine) onDestroyDomain(d *Domain) {
 		d.cpus.Remove(e.k.cur)
 	}
 	e.k.shootDomain(d, smp.Request{Kind: smp.DomainPurge})
-	var slots uint64
-	for sid := range d.attached {
-		if s, ok := e.k.segments[sid]; ok {
-			slots += s.NumPages()
-		}
-	}
-	if slots > 0 {
-		e.k.ctrs.Add("conv.pte_slots_freed", slots)
+	if slots := e.attachedSlots(d); slots > 0 {
+		e.hSlotsFreed.Add(slots)
 	}
 }
 
@@ -94,13 +99,17 @@ func (e *convEngine) onDestroyDomain(d *Domain) {
 // protection state is shared copy-on-write (the Section 3.1 space
 // overhead the single-space models avoid).
 func (e *convEngine) onFork(parent, child *Domain) {
-	var slots uint64
-	for sid := range child.attached {
+	if slots := e.attachedSlots(child); slots > 0 {
+		e.hSlotsAllocated.Add(slots)
+	}
+}
+
+// attachedSlots counts the linear page-table slots d's attachments hold.
+func (e *convEngine) attachedSlots(d *Domain) (slots uint64) {
+	for sid := range d.attached {
 		if s, ok := e.k.segments[sid]; ok {
 			slots += s.NumPages()
 		}
 	}
-	if slots > 0 {
-		e.k.ctrs.Add("conv.pte_slots_allocated", slots)
-	}
+	return slots
 }

@@ -1,12 +1,13 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/smp"
+	"repro/internal/stats"
 )
 
 // engine is the per-model protection policy: it translates the kernel's
@@ -50,7 +51,7 @@ func (k *Kernel) SetPageRights(d *Domain, va addr.VA, r addr.Rights) error {
 		return ErrNoAuthority
 	}
 	k.overridesRW(d).Set(vpn, r)
-	k.ctrs.Inc("kernel.set_page_rights")
+	k.hSetPageRights.Inc()
 	k.bumpDomainEpoch(d)
 	err := k.engine.setPageRights(d, vpn, r)
 	k.flushIPIs()
@@ -70,7 +71,7 @@ func (k *Kernel) ClearPageRights(d *Domain, va addr.VA) error {
 	}
 	k.overridesRW(d).Clear(vpn)
 	r := d.attached[s.ID]
-	k.ctrs.Inc("kernel.clear_page_rights")
+	k.hClearPageRights.Inc()
 	k.bumpDomainEpoch(d)
 	err := k.engine.setPageRights(d, vpn, r)
 	k.flushIPIs()
@@ -89,7 +90,7 @@ func (k *Kernel) SetSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
 	if d.overrides.Len() > 0 {
 		k.overridesRW(d).ClearRange(k.geo.PageNumber(s.Range.Start), s.NumPages())
 	}
-	k.ctrs.Inc("kernel.set_segment_rights")
+	k.hSetSegmentRights.Inc()
 	k.bumpDomainEpoch(d)
 	err := k.engine.setSegmentRights(d, s, r)
 	k.flushIPIs()
@@ -161,9 +162,7 @@ func (e *dpEngine) onUnmap(vpn addr.VPN) {
 // range (stale entries of long-detached domains cannot exist — detach
 // purged them — but execution-keyed entries might).
 func (e *dpEngine) onDestroySegment(s *Segment) {
-	inspected := e.k.plbm.PLB().Len()
 	e.k.plbm.PLB().PurgeRangeAll(s.Range.Start, s.Range.Length)
-	_ = inspected
 	e.k.shootRange(s.Range, smp.Request{Kind: smp.RangePurge, Range: s.Range})
 }
 
@@ -190,41 +189,104 @@ func (e *dpEngine) onFork(*Domain, *Domain) {}
 // page-group; per-domain, per-page rights changes move pages into derived
 // groups whose membership (and write-disable bits) encode the desired
 // per-domain rights vector — the group-juggling of Section 4.1.2.
+//
+// The bookkeeping is dense and sorted, so fork and destroy (the session
+// churn path) neither hash, sort nor allocate: group records are indexed
+// by GroupID, and member vectors and domain group sets are sorted by ID.
 type pgEngine struct {
-	k *Kernel
-	// sigIndex maps (segment, membership signature) to an existing
-	// derived group, so pages with identical sharing reuse one group.
-	sigIndex map[string]addr.GroupID
-	// derived records each derived group's current membership for
-	// signature validation and detach cleanup.
-	derived map[addr.GroupID]map[addr.DomainID]bool // value: write-disable
-	// derivedSeg maps derived groups to their segment.
-	derivedSeg map[addr.GroupID]addr.SegmentID
-	// derivedPages counts the pages currently parked in each derived
-	// group. When the count drops to zero the group is garbage: its
-	// memberships are revoked and the number returns to the free list
-	// (freeDerived). Without this, a long-lived shared segment leaks one
-	// group per retired sharing pattern — and every long-lived domain's
-	// group set (and so every fork and destroy walking it) grows without
-	// bound under session churn.
-	derivedPages map[addr.GroupID]int
-	// derivedSig caches the signature each group was indexed under at
-	// creation. Membership changes (a member dying, a fork joining)
-	// mean the group can never match a seeker's signature again, so the
-	// change simply un-indexes it via this cache in O(1) — recomputing
-	// and reindexing signatures on every membership change would make
-	// each destroy and fork O(groups × members) in string building.
-	derivedSig map[addr.GroupID]string
+	k      *Kernel
+	groups []pgGroup // indexed by GroupID
+	// sigIndex maps a derived group's signature (segment plus member
+	// vector, hashed) to the group, so pages with identical sharing reuse
+	// it. membersMatch confirms each hit: a collision costs a fresh group.
+	sigIndex map[uint64]addr.GroupID
+	// Scratch vectors reused across calls (a kernel is single-threaded).
+	ids     []addr.DomainID
+	vpns    []addr.VPN
+	want    []pgWant
+	members []groupMember
+
+	hRecycled, hCreated, hGrants, hRevokes stats.Handle
+	hClamps, hMoves, hGCed, hForkCopies    stats.Handle
 }
 
-func (e *pgEngine) init() {
-	if e.sigIndex == nil {
-		e.sigIndex = make(map[string]addr.GroupID)
-		e.derived = make(map[addr.GroupID]map[addr.DomainID]bool)
-		e.derivedSeg = make(map[addr.GroupID]addr.SegmentID)
-		e.derivedPages = make(map[addr.GroupID]int)
-		e.derivedSig = make(map[addr.GroupID]string)
+// pgGroup is the engine's record of one group number. Only live derived
+// groups carry state; primary groups and free numbers are zero records
+// (which keep their member vector's capacity for the number's next life).
+type pgGroup struct {
+	derived bool
+	// indexed: sigIndex may name the group under sig. A membership change
+	// (a member dying, a fork joining) un-indexes it in O(1) instead of
+	// rehashing: it can never match a seeker's signature again.
+	indexed bool
+	seg     addr.SegmentID
+	sig     uint64
+	// pages counts the pages parked in the group; at zero the group is
+	// freed (freeDerived). Otherwise a long-lived shared segment leaks a
+	// group per retired sharing pattern, and every long-lived domain's
+	// group set — walked by every fork and destroy — grows without bound.
+	pages   int
+	members []groupMember // ascending by id
+}
+
+// wdEntry is one element of an ID vector kept sorted by id, carrying a
+// write-disable bit: a domain's group set is a []groupRef, a derived
+// group's membership a []groupMember.
+type wdEntry[K addr.GroupID | addr.DomainID] struct {
+	id K
+	wd bool
+}
+
+type (
+	groupRef    = wdEntry[addr.GroupID]
+	groupMember = wdEntry[addr.DomainID]
+)
+
+// find binary-searches a sorted vector for id, returning its index (or
+// insertion point) and whether it is present.
+func find[K addr.GroupID | addr.DomainID](v []wdEntry[K], id K) (int, bool) {
+	lo, hi := 0, len(v)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if v[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
+	return lo, lo < len(v) && v[lo].id == id
+}
+
+// pgWant is one attached domain's entry in a page's desired rights
+// vector: its attachment rights and the rights it should hold on the
+// page (None when it may not access it).
+type pgWant struct {
+	id           addr.DomainID
+	attach, want addr.Rights
+}
+
+func newPGEngine(k *Kernel) *pgEngine {
+	c := &k.ctrs
+	return &pgEngine{
+		k:           k,
+		sigIndex:    make(map[uint64]addr.GroupID),
+		hRecycled:   c.Handle("pg.groups_recycled"),
+		hCreated:    c.Handle("pg.groups_created"),
+		hGrants:     c.Handle("pg.grants"),
+		hRevokes:    c.Handle("pg.revokes"),
+		hClamps:     c.Handle("pg.unrepresentable_clamps"),
+		hMoves:      c.Handle("pg.page_moves"),
+		hGCed:       c.Handle("pg.derived_groups_gced"),
+		hForkCopies: c.Handle("pg.fork_group_copies"),
+	}
+}
+
+// derivedRec returns g's record if g is a live derived group, else nil.
+func (e *pgEngine) derivedRec(g addr.GroupID) *pgGroup {
+	if int(g) < len(e.groups) && e.groups[g].derived {
+		return &e.groups[g]
+	}
+	return nil
 }
 
 // unindex drops derived group g from the signature index. Called when
@@ -233,14 +295,13 @@ func (e *pgEngine) init() {
 // reuse candidate (seekers mint a fresh group; the page-count GC
 // reclaims this one when its last page leaves).
 func (e *pgEngine) unindex(g addr.GroupID) {
-	sig, ok := e.derivedSig[g]
-	if !ok {
-		return
+	r := &e.groups[g]
+	if r.indexed {
+		if e.sigIndex[r.sig] == g {
+			delete(e.sigIndex, r.sig)
+		}
+		r.indexed = false
 	}
-	if e.sigIndex[sig] == g {
-		delete(e.sigIndex, sig)
-	}
-	delete(e.derivedSig, g)
 }
 
 // newGroup hands out a page-group number, preferring recycled numbers
@@ -253,7 +314,7 @@ func (e *pgEngine) newGroup() (addr.GroupID, error) {
 	if n := len(e.k.freeGroups); n > 0 {
 		g := e.k.freeGroups[n-1]
 		e.k.freeGroups = e.k.freeGroups[:n-1]
-		e.k.ctrs.Inc("pg.groups_recycled")
+		e.hRecycled.Inc()
 		return g, nil
 	}
 	if e.k.nextGroup == 0 || (e.k.maxGroup != 0 && e.k.nextGroup > e.k.maxGroup) {
@@ -261,12 +322,14 @@ func (e *pgEngine) newGroup() (addr.GroupID, error) {
 	}
 	g := e.k.nextGroup
 	e.k.nextGroup++
-	e.k.ctrs.Inc("pg.groups_created")
+	for int(g) >= len(e.groups) {
+		e.groups = append(e.groups, pgGroup{})
+	}
+	e.hCreated.Inc()
 	return g, nil
 }
 
 func (e *pgEngine) onCreateSegment(s *Segment) error {
-	e.init()
 	g, err := e.newGroup()
 	if err != nil {
 		return err
@@ -279,22 +342,34 @@ func (e *pgEngine) onCreateSegment(s *Segment) error {
 // grant adds g to d's group set with the given write-disable bit, syncing
 // the machine's checker if d is executing.
 func (e *pgEngine) grant(d *Domain, g addr.GroupID, wd bool) {
-	if cur, ok := d.groups[g]; ok && cur == wd {
+	i, ok := find(d.groups, g)
+	switch {
+	case !ok:
+		d.groups = slices.Insert(d.groups, i, groupRef{id: g, wd: wd})
+	case d.groups[i].wd == wd:
 		return
+	default:
+		d.groups[i].wd = wd
 	}
-	d.ensureGroups()[g] = wd
-	e.k.ctrs.Inc("pg.grants")
+	e.hGrants.Inc()
 	e.k.pgm.AttachGroup(d.ID, g, wd)
 	e.k.shootExecuting(d, smp.Request{Kind: smp.GroupLoad, Group: g, WD: wd})
 }
 
 // revoke removes g from d's group set.
 func (e *pgEngine) revoke(d *Domain, g addr.GroupID) {
-	if _, ok := d.groups[g]; !ok {
+	i, ok := find(d.groups, g)
+	if !ok {
 		return
 	}
-	delete(d.groups, g)
-	e.k.ctrs.Inc("pg.revokes")
+	d.groups = slices.Delete(d.groups, i, i+1)
+	e.withdraw(d, g)
+}
+
+// withdraw counts a revocation of g from d and purges g from every
+// checker holding it on d's behalf (d's group set is already updated).
+func (e *pgEngine) withdraw(d *Domain, g addr.GroupID) {
+	e.hRevokes.Inc()
 	e.k.pgm.DetachGroup(d.ID, g)
 	e.k.shootExecuting(d, smp.Request{Kind: smp.GroupRevoke, Group: g})
 }
@@ -305,13 +380,12 @@ func (e *pgEngine) revoke(d *Domain, g addr.GroupID) {
 // (Table 1 "Restrict Access": "mark the page-group read-only to the
 // application") and never requires touching the per-page TLB entries.
 func (e *pgEngine) recomputePrimary(s *Segment) {
-	e.init()
 	union := addr.None
 	for _, r := range s.attached {
 		union |= r
 	}
 	field := s.groupRights | union
-	for _, did := range sortedAttached(s) {
+	for _, did := range e.sortedAttached(s) {
 		r := s.attached[did]
 		d := e.k.doms.get(did)
 		if d == nil {
@@ -330,7 +404,7 @@ func (e *pgEngine) recomputePrimary(s *Segment) {
 		case field.WithoutWrite():
 			wd = field&addr.Write != 0
 		default:
-			e.k.ctrs.Inc("pg.unrepresentable_clamps")
+			e.hClamps.Inc()
 			wd = field&addr.Write != 0 && r&addr.Write == 0
 		}
 		e.grant(d, s.group, wd)
@@ -353,30 +427,33 @@ func (e *pgEngine) recomputePrimary(s *Segment) {
 
 // sortedAttached returns the segment's attached domain IDs ascending —
 // shootdown-enqueueing loops iterate it instead of the map so IPI order
-// (and with it chaos fault injection) is deterministic.
-func sortedAttached(s *Segment) []addr.DomainID {
-	ids := make([]addr.DomainID, 0, len(s.attached))
+// (and with it chaos fault injection) is deterministic. The slice is
+// engine scratch, valid until the next call.
+func (e *pgEngine) sortedAttached(s *Segment) []addr.DomainID {
+	ids := e.ids[:0]
 	for did := range s.attached {
 		ids = append(ids, did)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	e.ids = ids
 	return ids
 }
 
 // segPages returns the VPNs of the segment's touched pages ascending
-// (pageRecs replaces the old scan over every page record in the kernel,
-// which cost O(all pages) per segment resync).
+// (pageRecs keeps the scan proportional to the segment, not to every
+// page record in the kernel). The slice is engine scratch, valid until
+// the next call.
 func (e *pgEngine) segPages(s *Segment) []addr.VPN {
-	vpns := make([]addr.VPN, 0, len(s.pageRecs))
+	vpns := e.vpns[:0]
 	for vpn := range s.pageRecs {
 		vpns = append(vpns, vpn)
 	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
+	slices.Sort(vpns)
+	e.vpns = vpns
 	return vpns
 }
 
 func (e *pgEngine) onAttach(d *Domain, s *Segment, r addr.Rights) {
-	e.init()
 	// Representability: r must be the (new) union or the union without
 	// write; otherwise the page-group model clamps the odd domain (the
 	// model's expressiveness limit, Section 4.1.2).
@@ -385,13 +462,12 @@ func (e *pgEngine) onAttach(d *Domain, s *Segment, r addr.Rights) {
 		union |= rr
 	}
 	if r != addr.None && r != union && r != union.WithoutWrite() {
-		e.k.ctrs.Inc("pg.unrepresentable_clamps")
+		e.hClamps.Inc()
 	}
 	e.resyncSegment(s)
 }
 
 func (e *pgEngine) onDetach(d *Domain, s *Segment) {
-	e.init()
 	// Remove the primary group from the domain's set and purge it from
 	// the checker: one operation, no scan (Table 1, row 2).
 	e.revoke(d, s.group)
@@ -412,78 +488,81 @@ func (e *pgEngine) resyncSegment(s *Segment) {
 				// Unrepresentable vector (or a group namespace drained to
 				// empty) during a void-returning resync: clamp by leaving
 				// the page where it is and counting.
-				e.k.ctrs.Inc("pg.unrepresentable_clamps")
+				e.hClamps.Inc()
 			}
 		}
 	}
 }
 
 // desiredVector computes, for every domain attached to the page's
-// segment, the rights the kernel wants it to have on the page.
-func (e *pgEngine) desiredVector(p *page, vpn addr.VPN) map[addr.DomainID]addr.Rights {
-	out := make(map[addr.DomainID]addr.Rights)
-	for did, attachR := range p.seg.attached {
-		d := e.k.doms.get(did)
-		if d == nil {
-			continue
-		}
-		r := attachR
-		if or, ok := d.overrides.Get(vpn); ok {
-			r = or
-		}
-		if r != addr.None {
-			out[did] = r
+// segment (ascending ID), the rights the kernel wants it to have on the
+// page. The slice is engine scratch, valid until the next call.
+func (e *pgEngine) desiredVector(p *page, vpn addr.VPN) []pgWant {
+	want := e.want[:0]
+	for did, r := range p.seg.attached {
+		want = append(want, pgWant{id: did, attach: r})
+	}
+	slices.SortFunc(want, func(a, b pgWant) int { return cmp.Compare(a.id, b.id) })
+	for i := range want {
+		w := &want[i]
+		if d := e.k.doms.get(w.id); d != nil {
+			w.want = w.attach
+			if or, ok := d.overrides.Get(vpn); ok {
+				w.want = or
+			}
 		}
 	}
-	return out
+	e.want = want
+	return want
 }
 
 // regroup moves the page into a group realizing the desired rights
 // vector: group membership = domains with access; rights field = union;
 // write-disable for members that may not write (Section 4.1.2).
 func (e *pgEngine) regroup(vpn addr.VPN, p *page) error {
-	e.init()
-	desired := e.desiredVector(p, vpn)
+	want := e.desiredVector(p, vpn)
+	union := addr.None
+	for _, w := range want {
+		union |= w.want
+	}
 
 	// No domain may access the page: park it in a fresh memberless group.
-	if len(desired) == 0 {
+	if union == addr.None {
 		g, err := e.newGroup()
 		if err != nil {
 			return err
 		}
-		e.derived[g] = map[addr.DomainID]bool{}
-		e.derivedSeg[g] = p.seg.ID
+		r := &e.groups[g]
+		*r = pgGroup{derived: true, seg: p.seg.ID, members: r.members[:0]}
 		e.movePage(vpn, p, g, addr.None)
 		return nil
 	}
 
-	union := addr.None
-	for _, r := range desired {
-		union |= r
-	}
 	// Representability check: every desired value must be the union or
 	// the union minus write.
-	wd := make(map[addr.DomainID]bool, len(desired))
-	for did, r := range desired {
-		switch r {
+	members := e.members[:0]
+	for _, w := range want {
+		switch w.want {
+		case addr.None:
 		case union:
-			wd[did] = false
+			members = append(members, groupMember{id: w.id})
 		case union.WithoutWrite():
-			wd[did] = true
+			members = append(members, groupMember{id: w.id, wd: true})
 		default:
 			return fmt.Errorf("%w: page %#x domain %d wants %v, union %v",
-				ErrUnrepresentable, uint64(vpn), did, r, union)
+				ErrUnrepresentable, uint64(vpn), w.id, w.want, union)
 		}
 	}
+	e.members = members
 
 	// If the desired vector is exactly the primary group's, return home.
-	if e.matchesPrimary(p.seg, desired) {
+	if e.matchesPrimary(p.seg, want) {
 		e.movePage(vpn, p, p.seg.group, p.seg.groupRights)
 		return nil
 	}
 
-	sig := e.signature(p.seg.ID, wd)
-	if g, ok := e.sigIndex[sig]; ok && e.membersMatch(g, wd) {
+	sig := signature(p.seg.ID, members)
+	if g, ok := e.sigIndex[sig]; ok && e.membersMatch(g, p.seg.ID, members) {
 		e.movePage(vpn, p, g, union)
 		return nil
 	}
@@ -493,21 +572,13 @@ func (e *pgEngine) regroup(vpn addr.VPN, p *page) error {
 	if err != nil {
 		return err
 	}
-	mids := make([]addr.DomainID, 0, len(wd))
-	for did := range wd {
-		mids = append(mids, did)
+	for _, m := range members {
+		e.grant(e.k.doms.get(m.id), g, m.wd)
 	}
-	sort.Slice(mids, func(i, j int) bool { return mids[i] < mids[j] })
-	members := make(map[addr.DomainID]bool, len(wd))
-	for _, did := range mids {
-		w := wd[did]
-		members[did] = w
-		e.grant(e.k.doms.get(did), g, w)
-	}
-	e.derived[g] = members
-	e.derivedSeg[g] = p.seg.ID
+	r := &e.groups[g]
+	*r = pgGroup{derived: true, indexed: true, seg: p.seg.ID, sig: sig,
+		members: append(r.members[:0], members...)}
 	e.sigIndex[sig] = g
-	e.derivedSig[g] = sig
 	e.movePage(vpn, p, g, union)
 	return nil
 }
@@ -527,52 +598,43 @@ func (e *pgEngine) primaryEffective(s *Segment, r addr.Rights) addr.Rights {
 }
 
 // matchesPrimary reports whether the desired vector equals what the
-// primary group grants its members.
-func (e *pgEngine) matchesPrimary(s *Segment, desired map[addr.DomainID]addr.Rights) bool {
-	count := 0
-	for did, r := range s.attached {
-		if r == addr.None {
-			continue
-		}
-		count++
-		dr, ok := desired[did]
-		if !ok || dr != e.primaryEffective(s, r) {
-			return false
-		}
-	}
-	return count == len(desired)
-}
-
-func (e *pgEngine) membersMatch(g addr.GroupID, wd map[addr.DomainID]bool) bool {
-	members, ok := e.derived[g]
-	if !ok || len(members) != len(wd) {
-		return false
-	}
-	for did, w := range wd {
-		mw, ok := members[did]
-		if !ok || mw != w {
+// primary group grants its members: exactly the domains attached with
+// some rights get access, each at its primary-group effective rights.
+func (e *pgEngine) matchesPrimary(s *Segment, want []pgWant) bool {
+	for _, w := range want {
+		if w.attach == addr.None {
+			if w.want != addr.None {
+				return false
+			}
+		} else if w.want == addr.None || w.want != e.primaryEffective(s, w.attach) {
 			return false
 		}
 	}
 	return true
 }
 
-func (e *pgEngine) signature(seg addr.SegmentID, wd map[addr.DomainID]bool) string {
-	ids := make([]addr.DomainID, 0, len(wd))
-	for did := range wd {
-		ids = append(ids, did)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var b strings.Builder
-	fmt.Fprintf(&b, "s%d:", seg)
-	for _, did := range ids {
-		fmt.Fprintf(&b, "%d", did)
-		if wd[did] {
-			b.WriteByte('w')
+// membersMatch reports whether g is a live derived group of segment seg
+// with exactly the given membership — the check behind every signature
+// index hit.
+func (e *pgEngine) membersMatch(g addr.GroupID, seg addr.SegmentID, members []groupMember) bool {
+	r := e.derivedRec(g)
+	return r != nil && r.seg == seg && slices.Equal(r.members, members)
+}
+
+// signature hashes a derived group's defining vector — its segment and
+// its (member, write-disable) pairs in ascending member order — with
+// word-wise FNV-1a.
+func signature(seg addr.SegmentID, members []groupMember) uint64 {
+	const prime = 1099511628211
+	h := (14695981039346656037 ^ uint64(seg)) * prime
+	for _, m := range members {
+		x := uint64(m.id) << 1
+		if m.wd {
+			x |= 1
 		}
-		b.WriteByte(',')
+		h = (h ^ x) * prime
 	}
-	return b.String()
+	return h
 }
 
 // movePage updates the kernel's page record and the resident TLB entry.
@@ -582,9 +644,9 @@ func (e *pgEngine) movePage(vpn addr.VPN, p *page, g addr.GroupID, rights addr.R
 	}
 	old := p.group
 	if old != g {
-		e.k.ctrs.Inc("pg.page_moves")
-		if _, ok := e.derived[g]; ok {
-			e.derivedPages[g]++
+		e.hMoves.Inc()
+		if r := e.derivedRec(g); r != nil {
+			r.pages++
 		}
 	}
 	p.group = g
@@ -594,44 +656,39 @@ func (e *pgEngine) movePage(vpn addr.VPN, p *page, g addr.GroupID, rights addr.R
 	// Collect the vacated group after the page is re-homed, so the
 	// revocation shootdowns queue behind this page's update.
 	if old != g {
-		if n, ok := e.derivedPages[old]; ok {
-			if n <= 1 {
+		if r := e.derivedRec(old); r != nil {
+			if r.pages <= 1 {
 				e.freeDerived(old)
 			} else {
-				e.derivedPages[old] = n - 1
+				r.pages--
 			}
 		}
 	}
 }
 
-// freeDerived retires a derived group that no longer holds any page:
-// every remaining membership is revoked (so the number cannot match in
-// any checker once recycled) and the number returns to the free list.
-// This is the group-number garbage collection that keeps a long-lived
-// segment's group population proportional to its parked pages, not to
-// its history of sharing patterns.
+// freeDerived retires a derived group that no longer holds any page and
+// returns its number to the free list. This is the group-number garbage
+// collection that keeps a long-lived segment's group population
+// proportional to its parked pages, not to its history of sharing
+// patterns.
 func (e *pgEngine) freeDerived(g addr.GroupID) {
-	members, ok := e.derived[g]
-	if !ok {
-		return
-	}
+	e.retire(g)
+	e.k.freeGroups = append(e.k.freeGroups, g)
+	e.hGCed.Inc()
+}
+
+// retire un-indexes derived group g and revokes every remaining live
+// membership in ascending DomainID order, so the number cannot match in
+// any checker once recycled, then clears its record.
+func (e *pgEngine) retire(g addr.GroupID) {
 	e.unindex(g)
-	mids := make([]addr.DomainID, 0, len(members))
-	for did := range members {
-		mids = append(mids, did)
-	}
-	sort.Slice(mids, func(i, j int) bool { return mids[i] < mids[j] })
-	for _, did := range mids {
-		if d := e.k.doms.get(did); d != nil {
+	r := &e.groups[g]
+	for _, m := range r.members {
+		if d := e.k.doms.get(m.id); d != nil {
 			e.revoke(d, g)
 		}
 	}
-	delete(e.derived, g)
-	delete(e.derivedSeg, g)
-	delete(e.derivedPages, g)
-	delete(e.derivedSig, g)
-	e.k.freeGroups = append(e.k.freeGroups, g)
-	e.k.ctrs.Inc("pg.derived_groups_gced")
+	*r = pgGroup{members: r.members[:0]}
 }
 
 func (e *pgEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
@@ -643,7 +700,6 @@ func (e *pgEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
 }
 
 func (e *pgEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
-	e.init()
 	// Pages that moved to derived groups have their own vectors; the
 	// segment-wide change alters the domain's contribution to each, so
 	// they must be re-derived individually.
@@ -661,74 +717,37 @@ func (e *pgEngine) onUnmap(vpn addr.VPN) {
 // primary group; derived memberships linger until the page re-derives),
 // so every live member is revoked first — a recycled group number must
 // never be resolvable through a stale membership. Then the primary and
-// derived group numbers return to the free list for reuse: this is the
-// only point where a group is provably memberless and pageless, which
-// makes it the safe recycling point for the architectural namespace.
+// derived group numbers (ascending) return to the free list for reuse:
+// this is the only point where a group is provably memberless and
+// pageless, which makes it the safe recycling point for the
+// architectural namespace.
 func (e *pgEngine) onDestroySegment(s *Segment) {
-	e.init()
-	dead := make([]addr.GroupID, 0)
-	for g, seg := range e.derivedSeg {
-		if seg == s.ID {
-			dead = append(dead, g)
-		}
-	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-	for _, g := range dead {
-		e.unindex(g)
-		members := e.derived[g]
-		mids := make([]addr.DomainID, 0, len(members))
-		for did := range members {
-			mids = append(mids, did)
-		}
-		sort.Slice(mids, func(i, j int) bool { return mids[i] < mids[j] })
-		for _, did := range mids {
-			if d := e.k.doms.get(did); d != nil {
-				e.revoke(d, g)
-			}
-		}
-		delete(e.derived, g)
-		delete(e.derivedSeg, g)
-		delete(e.derivedPages, g)
-	}
 	e.k.freeGroups = append(e.k.freeGroups, s.group)
-	e.k.freeGroups = append(e.k.freeGroups, dead...)
+	for i := range e.groups {
+		if r := &e.groups[i]; r.derived && r.seg == s.ID {
+			e.retire(addr.GroupID(i))
+			e.k.freeGroups = append(e.k.freeGroups, addr.GroupID(i))
+		}
+	}
 }
 
 // onDestroyDomain strips the dying domain out of the page-group world:
-// every group it holds is revoked (local checker detach plus GroupRevoke
-// to CPUs and device seats executing on its behalf), and derived-group
-// memberships naming it are scrubbed with signature reindexing — once
-// the ID is recycled, a membership naming the dead incarnation would
-// hand the new domain someone else's authority via signature reuse.
+// every group it holds is revoked in ascending order (local checker
+// detach plus GroupRevoke to CPUs and device seats executing on its
+// behalf), and derived-group memberships naming it are removed and their
+// signatures un-indexed — once the ID is recycled, a membership naming
+// the dead incarnation would hand the new domain someone else's
+// authority via signature reuse. DestroyDomain empties the group set.
 func (e *pgEngine) onDestroyDomain(d *Domain) {
-	e.init()
-	if len(d.groups) == 0 {
-		return
+	for _, gr := range d.groups {
+		if r := e.derivedRec(gr.id); r != nil {
+			if i, ok := find(r.members, d.ID); ok {
+				e.unindex(gr.id)
+				r.members = slices.Delete(r.members, i, i+1)
+			}
+		}
+		e.withdraw(d, gr.id)
 	}
-	gs := make([]addr.GroupID, 0, len(d.groups))
-	for g := range d.groups {
-		gs = append(gs, g)
-	}
-	sort.Slice(gs, func(i, j int) bool { return gs[i] < gs[j] })
-	for _, g := range gs {
-		e.dropDerivedMember(g, d.ID)
-		e.revoke(d, g)
-	}
-}
-
-// dropDerivedMember removes did from derived group g's membership and
-// un-indexes the now-stale signature, so a later regroup can never hand
-// a recycled DomainID the dead incarnation's membership.
-func (e *pgEngine) dropDerivedMember(g addr.GroupID, did addr.DomainID) {
-	members, ok := e.derived[g]
-	if !ok {
-		return
-	}
-	if _, ok := members[did]; !ok {
-		return
-	}
-	e.unindex(g)
-	delete(members, did)
 }
 
 // onFork copies the parent's group set to the child — membership is the
@@ -739,23 +758,16 @@ func (e *pgEngine) dropDerivedMember(g addr.GroupID, did addr.DomainID) {
 // grow the child with the parent's write-disable bit, un-indexing each
 // grown group's creation-time signature.
 func (e *pgEngine) onFork(parent, child *Domain) {
-	e.init()
 	if len(parent.groups) == 0 {
 		return
 	}
-	gs := make([]addr.GroupID, 0, len(parent.groups))
-	for g := range parent.groups {
-		gs = append(gs, g)
-	}
-	sort.Slice(gs, func(i, j int) bool { return gs[i] < gs[j] })
-	cg := child.ensureGroups()
-	for _, g := range gs {
-		wd := parent.groups[g]
-		cg[g] = wd
-		if members, ok := e.derived[g]; ok {
-			e.unindex(g)
-			members[child.ID] = wd
+	child.groups = append(child.groups[:0], parent.groups...)
+	for _, gr := range parent.groups {
+		if r := e.derivedRec(gr.id); r != nil {
+			e.unindex(gr.id)
+			i, _ := find(r.members, child.ID)
+			r.members = slices.Insert(r.members, i, groupMember{id: child.ID, wd: gr.wd})
 		}
 	}
-	e.k.ctrs.Add("pg.fork_group_copies", uint64(len(gs)))
+	e.hForkCopies.Add(uint64(len(parent.groups)))
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/smp"
@@ -47,7 +48,7 @@ func (k *Kernel) GrantExecutor(target, code *Segment, r addr.Rights) error {
 		return ErrExecUnsupported
 	}
 	k.execGrants = append(k.execGrants, execGrant{code: code, target: target, r: r})
-	k.ctrs.Inc("kernel.exec_grants")
+	k.hExecGrants.Inc()
 	k.bumpGlobalEpoch()
 	// Resident entries for the target may now be too weak; purge them so
 	// the stronger rights fault in. (All domains: the grant is
@@ -67,18 +68,12 @@ func (k *Kernel) RevokeExecutor(target, code *Segment) error {
 	if k.cfg.Model != ModelDomainPage {
 		return ErrExecUnsupported
 	}
-	kept := k.execGrants[:0]
-	removed := false
-	for _, g := range k.execGrants {
-		if g.code == code && g.target == target {
-			removed = true
-			continue
-		}
-		kept = append(kept, g)
-	}
-	k.execGrants = kept
-	if removed {
-		k.ctrs.Inc("kernel.exec_revokes")
+	n := len(k.execGrants)
+	k.execGrants = slices.DeleteFunc(k.execGrants, func(g execGrant) bool {
+		return g.code == code && g.target == target
+	})
+	if len(k.execGrants) < n {
+		k.hExecRevokes.Inc()
 		k.bumpGlobalEpoch()
 		for i := uint64(0); i < target.NumPages(); i++ {
 			vpn := k.geo.PageNumber(target.PageVA(i))
@@ -105,13 +100,13 @@ func (k *Kernel) SetExecutionSite(d *Domain, va addr.VA) error {
 	if oldSeg == newSeg {
 		return nil
 	}
-	k.ctrs.Inc("kernel.exec_site_changes")
+	k.hExecSites.Inc()
 	k.bumpDomainEpoch(d)
 	// Purge cached rights for targets granted via either the old or the
 	// new code segment; both sets may now resolve differently for d.
 	for _, g := range k.execGrants {
 		if g.code == oldSeg || g.code == newSeg {
-			k.ctrs.Inc("kernel.exec_site_purges")
+			k.hExecPurges.Inc()
 			k.plbm.DetachRange(d.ID, g.target.Range.Start, g.target.Range.Length)
 			k.shootDomain(d, smp.Request{Kind: smp.RangeDetach, Range: g.target.Range})
 		}

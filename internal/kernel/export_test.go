@@ -1,0 +1,83 @@
+package kernel
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/addr"
+)
+
+// CheckPageGroupBookkeeping cross-checks the page-group engine's dense
+// bookkeeping against the kernel's authoritative tables (nil under the
+// other models):
+//
+//   - every derived group's member vector is exactly the set of live
+//     domains whose group sets hold it, with the same write-disable bits;
+//   - every derived group's page count equals the page records parked in
+//     it;
+//   - no number on the group free list is held by a domain, a page, a
+//     segment or a live derived record;
+//   - every signature-index entry names an indexed derived group whose
+//     members hash to that signature.
+func (k *Kernel) CheckPageGroupBookkeeping() error {
+	e, ok := k.engine.(*pgEngine)
+	if !ok {
+		return nil
+	}
+	held := make(map[addr.GroupID][]groupMember)
+	var err error
+	k.doms.forEach(func(d *Domain) {
+		for i, gr := range d.groups {
+			if i > 0 && d.groups[i-1].id >= gr.id && err == nil {
+				err = fmt.Errorf("domain %d group set not strictly ascending: %v", d.ID, d.groups)
+			}
+			held[gr.id] = append(held[gr.id], groupMember{id: d.ID, wd: gr.wd})
+		}
+	})
+	if err != nil {
+		return err
+	}
+	pages := make(map[addr.GroupID]int)
+	for _, shard := range k.pageTab.shards {
+		for _, p := range shard {
+			pages[p.group]++
+		}
+	}
+	for i := range e.groups {
+		g, r := addr.GroupID(i), &e.groups[i]
+		if !r.derived {
+			continue
+		}
+		// forEach visits domains in ascending ID order, so held[g] is
+		// sorted like a member vector.
+		if !slices.Equal(r.members, held[g]) {
+			return fmt.Errorf("group %d members %v, domains hold %v", g, r.members, held[g])
+		}
+		if r.pages != pages[g] {
+			return fmt.Errorf("group %d counts %d pages, %d records point at it", g, r.pages, pages[g])
+		}
+	}
+	primary := make(map[addr.GroupID]bool)
+	for _, s := range k.segments {
+		primary[s.group] = true
+	}
+	for _, g := range k.freeGroups {
+		switch {
+		case len(held[g]) > 0:
+			return fmt.Errorf("free group %d held by domains %v", g, held[g])
+		case pages[g] > 0:
+			return fmt.Errorf("free group %d holds %d pages", g, pages[g])
+		case primary[g]:
+			return fmt.Errorf("free group %d is a live segment's primary group", g)
+		case e.derivedRec(g) != nil:
+			return fmt.Errorf("free group %d has a live derived record", g)
+		}
+	}
+	for sig, g := range e.sigIndex {
+		r := e.derivedRec(g)
+		if r == nil || !r.indexed || r.sig != sig || signature(r.seg, r.members) != sig {
+			return fmt.Errorf("signature %#x indexes group %d, which does not match it", sig, g)
+		}
+	}
+	return nil
+}

@@ -15,6 +15,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/addr"
@@ -226,7 +227,7 @@ func (s *Segment) AttachedDomains() []addr.DomainID {
 	for d := range s.attached {
 		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -241,15 +242,17 @@ type Domain struct {
 	// domain is a near-zero-allocation object (the multi-tenant churn
 	// target creates and destroys millions of them). Reads tolerate nil
 	// (nil map reads and nil-receiver ProtTable queries are empty);
-	// writers go through ensureAttached/ensureGroups/overridesRW.
+	// writers go through ensureAttached/overridesRW; groups is a slice
+	// whose capacity the pooled struct keeps across incarnations.
 	attached map[addr.SegmentID]addr.Rights
 	// overrides may be shared copy-on-write with fork relatives
 	// (ForkDomain); the table's own referent count decides whether a
 	// mutation must clone first (overridesRW).
 	overrides *ptable.ProtTable
-	// groups is the domain's page-group set (page-group model): the
-	// authoritative record behind the PID registers / group cache.
-	groups map[addr.GroupID]bool // value: write-disable
+	// groups is the domain's page-group set (page-group model), sorted
+	// by group: the authoritative record behind the PID registers /
+	// group cache.
+	groups []groupRef
 	// execSite is the domain's current execution address, for
 	// execution-keyed protection (see exec.go).
 	execSite addr.VA
@@ -284,15 +287,6 @@ func (d *Domain) ensureAttached() map[addr.SegmentID]addr.Rights {
 	return d.attached
 }
 
-// ensureGroups returns the domain's group set, materializing it on
-// first use.
-func (d *Domain) ensureGroups() map[addr.GroupID]bool {
-	if d.groups == nil {
-		d.groups = make(map[addr.GroupID]bool, 4)
-	}
-	return d.groups
-}
-
 // overridesRW returns d's override table ready for mutation: a missing
 // table is materialized, and a table shared copy-on-write with a fork
 // relative is cloned first. The clone is the fork's deferred cost,
@@ -306,7 +300,7 @@ func (k *Kernel) overridesRW(d *Domain) *ptable.ProtTable {
 		d.overrides = old.Clone()
 		old.Release()
 		k.cycles.Add(uint64(d.overrides.Len()) * k.costs().Install)
-		k.ctrs.Inc("kernel.cow_override_copies")
+		k.hCOWCopies.Inc()
 	}
 	return d.overrides
 }
@@ -432,6 +426,12 @@ type kernel struct {
 	// so the million-session workloads never hash a counter name.
 	hDomainsCreated, hDomainsDestroyed stats.Handle
 	hDomainsForked, hDomainsRecycled   stats.Handle
+	// Management-operation handles: attachment, rights, segment and
+	// execution-site bookkeeping.
+	hAttach, hDetach, hSetPageRights, hClearPageRights stats.Handle
+	hSetSegmentRights, hCOWCopies, hProtShiftUnsup     stats.Handle
+	hSegmentsCreated, hSegmentsDestroyed, hVAReuse     stats.Handle
+	hExecGrants, hExecRevokes, hExecSites, hExecPurges stats.Handle
 }
 
 // page is the kernel's per-page record, created lazily.
@@ -574,29 +574,28 @@ func NewChecked(cfg Config) (*Kernel, error) {
 	if k.nextVA == 0 {
 		k.nextVA = addr.VA(1) << 32
 	}
-	k.hPageFaults = k.ctrs.Handle("kernel.page_faults")
-	k.hZeroFills = k.ctrs.Handle("kernel.zero_fills")
-	k.hAutoEvictions = k.ctrs.Handle("kernel.auto_evictions")
-	k.hProtFaults = k.ctrs.Handle("kernel.prot_faults")
-	k.hHandlerUpcalls = k.ctrs.Handle("kernel.handler_upcalls")
-	k.hPageouts = k.ctrs.Handle("kernel.pageouts")
-	k.hPageins = k.ctrs.Handle("kernel.pageins")
-	k.hUnmaps = k.ctrs.Handle("kernel.unmaps")
-	k.hRPCCalls = k.ctrs.Handle("kernel.rpc_calls")
-	k.hDupWalks = k.ctrs.Handle("conv.duplicated_walks")
-	k.hInjFrameFails = k.ctrs.Handle("kernel.injected_frame_failures")
-	k.hInjHandlerErrs = k.ctrs.Handle("kernel.injected_handler_errors")
-	k.hInjSpurious = k.ctrs.Handle("kernel.injected_spurious_traps")
-	k.hInjPageinFails = k.ctrs.Handle("kernel.injected_pagein_failures")
-	k.hInjPageoutFails = k.ctrs.Handle("kernel.injected_pageout_failures")
-	k.hHWRecoveries = k.ctrs.Handle("kernel.hw_recoveries")
-	k.hCPURecoveries = k.ctrs.Handle("kernel.cpu_recoveries")
-	k.hCPURejoins = k.ctrs.Handle("kernel.cpu_rejoins")
-	k.hDevRejoins = k.ctrs.Handle("kernel.dev_rejoins")
-	k.hDomainsCreated = k.ctrs.Handle("kernel.domains_created")
-	k.hDomainsDestroyed = k.ctrs.Handle("kernel.domains_destroyed")
-	k.hDomainsForked = k.ctrs.Handle("kernel.domains_forked")
-	k.hDomainsRecycled = k.ctrs.Handle("kernel.domain_ids_recycled")
+	h := k.ctrs.Handle
+	k.hPageFaults, k.hZeroFills = h("kernel.page_faults"), h("kernel.zero_fills")
+	k.hAutoEvictions, k.hProtFaults = h("kernel.auto_evictions"), h("kernel.prot_faults")
+	k.hHandlerUpcalls, k.hUnmaps = h("kernel.handler_upcalls"), h("kernel.unmaps")
+	k.hPageouts, k.hPageins = h("kernel.pageouts"), h("kernel.pageins")
+	k.hRPCCalls, k.hDupWalks = h("kernel.rpc_calls"), h("conv.duplicated_walks")
+	k.hInjFrameFails = h("kernel.injected_frame_failures")
+	k.hInjHandlerErrs = h("kernel.injected_handler_errors")
+	k.hInjSpurious = h("kernel.injected_spurious_traps")
+	k.hInjPageinFails = h("kernel.injected_pagein_failures")
+	k.hInjPageoutFails = h("kernel.injected_pageout_failures")
+	k.hHWRecoveries, k.hDevRejoins = h("kernel.hw_recoveries"), h("kernel.dev_rejoins")
+	k.hCPURecoveries, k.hCPURejoins = h("kernel.cpu_recoveries"), h("kernel.cpu_rejoins")
+	k.hDomainsCreated, k.hDomainsDestroyed = h("kernel.domains_created"), h("kernel.domains_destroyed")
+	k.hDomainsForked, k.hDomainsRecycled = h("kernel.domains_forked"), h("kernel.domain_ids_recycled")
+	k.hAttach, k.hDetach = h("kernel.attach"), h("kernel.detach")
+	k.hSetPageRights, k.hClearPageRights = h("kernel.set_page_rights"), h("kernel.clear_page_rights")
+	k.hSetSegmentRights, k.hVAReuse = h("kernel.set_segment_rights"), h("kernel.va_reuse")
+	k.hCOWCopies, k.hProtShiftUnsup = h("kernel.cow_override_copies"), h("kernel.protshift_unsupported")
+	k.hSegmentsCreated, k.hSegmentsDestroyed = h("kernel.segments_created"), h("kernel.segments_destroyed")
+	k.hExecGrants, k.hExecRevokes = h("kernel.exec_grants"), h("kernel.exec_revokes")
+	k.hExecSites, k.hExecPurges = h("kernel.exec_site_changes"), h("kernel.exec_site_purges")
 	for i := 0; i < cfg.CPUs; i++ {
 		switch cfg.Model {
 		case ModelPageGroup:
@@ -622,9 +621,9 @@ func NewChecked(cfg Config) (*Kernel, error) {
 	}
 	switch cfg.Model {
 	case ModelPageGroup:
-		k.engine = &pgEngine{k: k}
+		k.engine = newPGEngine(k)
 	case ModelConventional, ModelFlush:
-		k.engine = &convEngine{k: k}
+		k.engine = newConvEngine(k)
 	default:
 		k.engine = &dpEngine{k: k}
 	}
@@ -876,7 +875,7 @@ func (k *Kernel) CreateSegmentChecked(npages uint64, opts SegmentOptions) (*Segm
 				alignShift = opts.ProtShift
 			}
 		} else {
-			k.ctrs.Inc("kernel.protshift_unsupported")
+			k.hProtShiftUnsup.Inc()
 		}
 	}
 	base := uint64(k.allocVA(length, alignShift))
@@ -903,10 +902,8 @@ func (k *Kernel) CreateSegmentChecked(npages uint64, opts SegmentOptions) (*Segm
 	i := sort.Search(len(k.segOrder), func(i int) bool {
 		return k.segOrder[i].Range.Start > s.Range.Start
 	})
-	k.segOrder = append(k.segOrder, nil)
-	copy(k.segOrder[i+1:], k.segOrder[i:])
-	k.segOrder[i] = s
-	k.ctrs.Inc("kernel.segments_created")
+	k.segOrder = slices.Insert(k.segOrder, i, s)
+	k.hSegmentsCreated.Inc()
 	return s, nil
 }
 
@@ -1157,7 +1154,7 @@ func (k *Kernel) pageRecord(vpn addr.VPN) *page {
 func (k *Kernel) Attach(d *Domain, s *Segment, r addr.Rights) {
 	d.ensureAttached()[s.ID] = r
 	s.attached[d.ID] = r
-	k.ctrs.Inc("kernel.attach")
+	k.hAttach.Inc()
 	k.bumpDomainEpoch(d)
 	k.engine.onAttach(d, s, r)
 	k.flushIPIs()
@@ -1175,7 +1172,7 @@ func (k *Kernel) Detach(d *Domain, s *Segment) error {
 		startVPN := k.geo.PageNumber(s.Range.Start)
 		k.overridesRW(d).ClearRange(startVPN, s.NumPages())
 	}
-	k.ctrs.Inc("kernel.detach")
+	k.hDetach.Inc()
 	k.bumpDomainEpoch(d)
 	k.engine.onDetach(d, s)
 	k.flushIPIs()
@@ -1255,21 +1252,13 @@ func (k *Kernel) DomainGroup(d addr.DomainID, g addr.GroupID) (bool, bool) {
 	if dom == nil {
 		return false, false
 	}
-	wd, ok := dom.groups[g]
-	return ok, wd
+	i, ok := find(dom.groups, g)
+	return ok, ok && dom.groups[i].wd
 }
 
 // plbSupportsShift reports whether the PLB configuration lists the shift.
 func (k *Kernel) plbSupportsShift(shift uint) bool {
-	if k.cfg.Model != ModelDomainPage {
-		return false
-	}
-	for _, s := range k.cfg.PLB.PLB.Shifts {
-		if s == shift {
-			return true
-		}
-	}
-	return false
+	return k.cfg.Model == ModelDomainPage && slices.Contains(k.cfg.PLB.PLB.Shifts, shift)
 }
 
 // ProtShift implements machine.ProtShifter: segments created with a
@@ -1289,17 +1278,16 @@ func (k *Kernel) ProtShift(d addr.DomainID, vpn addr.VPN) uint {
 	return s.protShift
 }
 
-// DomainGroups implements machine.OS.
+// DomainGroups implements machine.OS, listing the group set ascending.
 func (k *Kernel) DomainGroups(d addr.DomainID) []machine.GroupAccess {
 	dom := k.doms.get(d)
 	if dom == nil {
 		return nil
 	}
-	out := make([]machine.GroupAccess, 0, len(dom.groups))
-	for g, wd := range dom.groups {
-		out = append(out, machine.GroupAccess{Group: g, WriteDisable: wd})
+	out := make([]machine.GroupAccess, len(dom.groups))
+	for i, gr := range dom.groups {
+		out[i] = machine.GroupAccess{Group: gr.id, WriteDisable: gr.wd}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Group < out[j].Group })
 	return out
 }
 

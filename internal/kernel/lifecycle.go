@@ -177,9 +177,7 @@ func (k *Kernel) DestroyDomain(d *Domain) error {
 		}
 		clear(d.attached)
 	}
-	if len(d.groups) > 0 {
-		clear(d.groups)
-	}
+	d.groups = d.groups[:0]
 	d.overrides.Release()
 	d.overrides = nil
 	d.execSite = 0
@@ -187,8 +185,9 @@ func (k *Kernel) DestroyDomain(d *Domain) error {
 	k.doms.remove(d.ID)
 	d.cpus.Clear()
 	// Pool the struct: the ID and protection epoch ride along, so the
-	// next incarnation reuses the cleared maps and stamps its verdicts
-	// strictly above anything the dead incarnation ever cached.
+	// next incarnation reuses the cleared maps and group vector, and
+	// stamps its verdicts strictly above anything the dead incarnation
+	// ever cached.
 	k.freeDomains = append(k.freeDomains, d)
 	k.hDomainsDestroyed.Inc()
 	return nil

@@ -21,13 +21,19 @@ import (
 // no lifecycle path spawns hidden concurrency.
 
 // lifecycleScript interprets raw as (op, arg) byte pairs against a fresh
-// two-CPU kernel, returning the first invariant violation.
+// two-CPU kernel, returning the first invariant violation. After every
+// op the page-group engine's bookkeeping is cross-checked against the
+// kernel tables (a no-op under the other models).
 func lifecycleScript(model kernel.Model, raw []byte) error {
 	cfg := kernel.DefaultConfig(model)
 	cfg.CPUs = 2
 	k := kernel.New(cfg)
 
-	rights := []addr.Rights{addr.Read, addr.RW}
+	// Rights come from arg's high bits so they vary independently of the
+	// segment (and domain) the low bits pick: otherwise every attachment
+	// and override of a segment carries the same rights and no per-page
+	// divergence — no derived page group — ever arises.
+	rights := func(arg int) addr.Rights { return []addr.Rights{addr.Read, addr.RW}[arg>>4&1] }
 	kinds := []addr.AccessKind{addr.Load, addr.Store}
 
 	segs := []*kernel.Segment{
@@ -78,7 +84,7 @@ func lifecycleScript(model kernel.Model, raw []byte) error {
 			}
 		case 2: // attach (re-attach just refreshes rights)
 			if n := len(live); n > 0 {
-				k.Attach(live[arg%n], segs[arg%len(segs)], rights[arg%len(rights)])
+				k.Attach(live[arg%n], segs[arg%len(segs)], rights(arg))
 			}
 		case 3: // touch; denial is a legal outcome, not a violation
 			if n := len(live); n > 0 {
@@ -90,7 +96,7 @@ func lifecycleScript(model kernel.Model, raw []byte) error {
 			if n := len(live); n > 0 {
 				s := segs[arg%len(segs)]
 				va := s.PageVA(uint64(arg) % s.NumPages())
-				_ = k.SetPageRights(live[arg%n], va, rights[arg%len(rights)])
+				_ = k.SetPageRights(live[arg%n], va, rights(arg))
 			}
 		case 5: // detach; ErrNotAttached is legal
 			if n := len(live); n > 0 {
@@ -135,11 +141,17 @@ func lifecycleScript(model kernel.Model, raw []byte) error {
 				}
 			}
 		}
+		if err := k.CheckPageGroupBookkeeping(); err != nil {
+			return fmt.Errorf("after op %d (%d): %w", i/2, op%8, err)
+		}
 	}
 
 	for len(live) > 0 {
 		if err := destroy(len(live) - 1); err != nil {
 			return err
+		}
+		if err := k.CheckPageGroupBookkeeping(); err != nil {
+			return fmt.Errorf("after drain destroy: %w", err)
 		}
 	}
 	if n := k.LiveDomains(); n != 0 {

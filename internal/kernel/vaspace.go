@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/addr"
@@ -44,7 +45,7 @@ func (k *Kernel) allocVA(length uint64, alignShift uint) addr.VA {
 		if tail := uint64(f.End()) - (start + length); tail > 0 {
 			k.freeVAInsert(addr.Range{Start: addr.VA(start + length), Length: tail})
 		}
-		k.ctrs.Inc("kernel.va_reuse")
+		k.hVAReuse.Inc()
 		return addr.VA(start)
 	}
 	// Bump allocation.
@@ -62,9 +63,7 @@ func (k *Kernel) freeVAInsert(r addr.Range) {
 		return
 	}
 	i := sort.Search(len(k.freeVA), func(i int) bool { return k.freeVA[i].Start > r.Start })
-	k.freeVA = append(k.freeVA, addr.Range{})
-	copy(k.freeVA[i+1:], k.freeVA[i:])
-	k.freeVA[i] = r
+	k.freeVA = slices.Insert(k.freeVA, i, r)
 	// Coalesce with successor, then predecessor.
 	if i+1 < len(k.freeVA) && k.freeVA[i].End() == k.freeVA[i+1].Start {
 		k.freeVA[i].Length += k.freeVA[i+1].Length
@@ -103,12 +102,7 @@ func (k *Kernel) DestroySegment(s *Segment) error {
 		k.pageTab.remove(vpn)
 	}
 	delete(k.segments, s.ID)
-	for i, seg := range k.segOrder {
-		if seg == s {
-			k.segOrder = append(k.segOrder[:i], k.segOrder[i+1:]...)
-			break
-		}
-	}
+	k.segOrder = slices.DeleteFunc(k.segOrder, func(seg *Segment) bool { return seg == s })
 	k.bumpGlobalEpoch()
 	k.engine.onDestroySegment(s)
 	k.flushIPIs()
@@ -120,6 +114,6 @@ func (k *Kernel) DestroySegment(s *Segment) error {
 	}
 	s.pageRecs = nil
 	k.freeVAInsert(s.Range)
-	k.ctrs.Inc("kernel.segments_destroyed")
+	k.hSegmentsDestroyed.Inc()
 	return nil
 }

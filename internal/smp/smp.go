@@ -65,6 +65,7 @@ package smp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/cpu"
@@ -631,16 +632,25 @@ func (s *Shootdown) Enqueue(target int, r Request) {
 }
 
 // enqueue adds r to target's batch; reports whether it coalesced into
-// an already-pending identical request.
+// an already-pending identical request. The coalesced request takes the
+// newest copy's position: when other requests were queued since the
+// earlier copy (A, B, A — say a group revoked, re-minted and revoked
+// again in one deferred window), the earlier copy is dropped and r
+// appended, so the target ends in the state the last request leaves.
 func (s *Shootdown) enqueue(target int, r Request) bool {
 	if s.pend[target] == nil {
 		s.pend[target] = make(map[Request]struct{})
 	}
+	q := s.queue[target]
 	if _, dup := s.pend[target][r]; dup {
+		if q[len(q)-1] != r {
+			i := slices.Index(q, r)
+			s.queue[target] = append(slices.Delete(q, i, i+1), r)
+		}
 		return true
 	}
 	s.pend[target][r] = struct{}{}
-	s.queue[target] = append(s.queue[target], r)
+	s.queue[target] = append(q, r)
 	return false
 }
 

@@ -1,6 +1,7 @@
 package smp
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
@@ -77,6 +78,39 @@ func TestCoalescingAndBatching(t *testing.T) {
 	s.Flush()
 	if ctrs.Get("smp.ipis") != 2 {
 		t.Fatal("empty flush sent an IPI")
+	}
+}
+
+// TestCoalesceAcrossIntervening: a request that coalesces with an
+// earlier identical one must still leave the target in the state the
+// last request sets. A revoke, a different request for the same target
+// state, and the revoke again must deliver the revoke last; an unrelated
+// request in between changes nothing but the order.
+func TestCoalesceAcrossIntervening(t *testing.T) {
+	revoke := Request{Kind: GroupRevoke, Domain: 2, Group: 7}
+	load := Request{Kind: GroupLoad, Domain: 2, Group: 7, WD: true}
+	other := req(Unmap, 0, 0x30)
+	for _, tc := range []struct {
+		name string
+		in   []Request
+		want []Request
+	}{
+		{"A,B,A delivers A last", []Request{revoke, load, revoke}, []Request{load, revoke}},
+		{"A,C,A still coalesces", []Request{revoke, other, revoke}, []Request{other, revoke}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, h, ctrs, _ := newTestShootdown(2)
+			for _, r := range tc.in {
+				s.Enqueue(1, r)
+			}
+			s.Flush()
+			if !slices.Equal(h.applied[1], tc.want) {
+				t.Fatalf("delivered %v, want %v", h.applied[1], tc.want)
+			}
+			if got := ctrs.Get("smp.coalesced"); got != 1 {
+				t.Fatalf("smp.coalesced = %d, want 1", got)
+			}
+		})
 	}
 }
 
