@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race check fmt vet lint bench bench-suite bench-hot bench-smp bench-mesh bench-dev bench-sessions tables bench-report baseline parity chaos chaos-short
+.PHONY: all build test race check fmt vet lint bench bench-suite bench-hot exp tables bench-report baseline chaos chaos-short
 
 all: check
 
@@ -27,13 +27,14 @@ vet:
 
 # lint runs staticcheck when it is installed; otherwise it prints a
 # notice and succeeds, so local `make check` never requires the binary.
-# CI installs staticcheck, so findings still gate merges.
+# CI installs the pinned version below, so findings still gate merges;
+# install the same version locally to see the same findings.
 lint:
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... ; \
 	else \
 		echo "lint: staticcheck not installed, skipping"; \
-		echo "lint: go install honnef.co/go/tools/cmd/staticcheck@latest"; \
+		echo "lint: go install honnef.co/go/tools/cmd/staticcheck@2024.1.1"; \
 	fi
 
 # check is the CI gate: formatting, static analysis, and the full test
@@ -48,7 +49,7 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # bench-suite measures BenchmarkRunAllSerial with a fixed iteration count
-# and repetition, the configuration to quote when comparing fast-path or
+# and repetition, the configuration to quote when comparing simulator or
 # harness changes: -benchtime 3x amortizes warm-up, -count 5 exposes
 # run-to-run spread (feed the output to benchstat if installed). Pin CPU
 # frequency scaling before trusting small deltas.
@@ -61,37 +62,18 @@ bench-suite:
 bench-hot:
 	$(GO) test -bench Access -benchmem -run '^$$' .
 
-# bench-smp runs only the multiprocessor shootdown experiment (E14):
-# cross-CPU invalidation traffic and cycles for all four organizations
-# at 1/2/4/8 CPUs. The full sweep (bench-report) includes it too; this
-# is the quick view while working on the smp layer.
-bench-smp:
-	$(GO) run ./cmd/tablegen -e E14 -v
-
-# bench-mesh runs only the clustered-mesh scaling experiment (E16):
-# 1 to 256 cores on a 2D mesh of 4-CPU clusters, asserting in-run that
-# per-op shootdown requests track the sharer count, not the core count.
-bench-mesh:
-	$(GO) run ./cmd/tablegen -e E16 -v
-
-# bench-dev runs only the device-agent experiment (E17): IOTLB
-# shootdown cost, quarantine and rejoin for NIC/DMA/GC agents across
-# all four organizations, asserting in-run that fault-free runs keep
-# every device protocol counter at zero and that a dead device is
-# quarantined, fenced, and rejoined within the convergence bound.
-bench-dev:
-	$(GO) run ./cmd/tablegen -e E17 -v
-
-# bench-sessions runs the million-session lifecycle experiment (E18):
-# every organization through 1M domain create/destroy cycles with in-run
-# oracle destroy sweeps, ID/group recycling assertions and the
-# sharer-bounded destroy-shootdown table, plus the session-churn
-# microbenchmark with allocation reporting (domain churn must stay
-# allocation-free once the pool is warm; the kernel alloc gates in
-# internal/kernel/allocs_test.go enforce 0 allocs/cycle).
-bench-sessions:
-	$(GO) run ./cmd/tablegen -e E18 -v
-	$(GO) test -bench Churn -benchmem -run '^$$' ./internal/workload/sessions
+# exp runs one experiment with its in-run assertions and prints its
+# tables, the quick view while working on one layer:
+#   make exp E=E14   # shootdowns, 1-8 CPUs
+#   make exp E=E16   # clustered-mesh scaling to 256 cores
+#   make exp E=E17   # device agents: IOTLB shootdown, quarantine, rejoin
+#   make exp E=E18   # million-session lifecycle churn
+# `go run ./cmd/tablegen -list` lists every experiment. The session-churn
+# micro-benchmark runs with
+#   go test -bench Churn -benchmem -run '^$' ./internal/workload/sessions
+exp:
+	@test -n "$(E)" || { echo "usage: make exp E=E<n>"; exit 2; }
+	$(GO) run ./cmd/tablegen -e $(E) -v
 
 tables:
 	$(GO) run ./cmd/tablegen -parallel 4
@@ -105,17 +87,6 @@ bench-report:
 # deliberate cost-model or experiment change moves simulated cycles.
 baseline:
 	$(GO) run ./cmd/benchreport -parallel 4 -o BENCH_baseline.json
-
-# parity is the fast-path parity gate, runnable locally: sweep the suite
-# with the verdict fast path off and on, write the deterministic parity
-# surfaces (sim cycles + counters, no wall/host noise), and require them
-# byte-identical. The on-leg also enforces the E1 warm-hit floor.
-parity:
-	$(GO) run ./cmd/benchreport -parallel 4 -o '' -fastpath=false -surface parity-off.surface
-	$(GO) run ./cmd/benchreport -parallel 4 -o '' -fastpath=true -surface parity-on.surface -min-warm-hit 80
-	diff parity-off.surface parity-on.surface
-	@rm -f parity-off.surface parity-on.surface
-	@echo "parity: surfaces byte-identical with fast path on/off"
 
 # chaos runs the deterministic fault campaign: every experiment under
 # every fault scenario, with the shadow protection oracle verifying

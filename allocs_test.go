@@ -11,7 +11,7 @@ import (
 // TestAccessPathZeroAllocs guards the de-allocated reference path: a warm
 // Access on either single-address-space machine must not allocate. The
 // counter-handle registry resolves every name at construction, and the
-// PLB's single-size fast path builds its probe key on the stack, so any
+// PLB's single-size lookup builds its probe key on the stack, so any
 // allocation here is a regression the benchmarks would only show as noise.
 func TestAccessPathZeroAllocs(t *testing.T) {
 	t.Run("PLBMachine", func(t *testing.T) {

@@ -16,9 +16,7 @@
 //	benchreport -o BENCH_baseline.json                 # refresh the baseline
 //	benchreport -baseline BENCH_baseline.json -threshold 15
 //	benchreport -parallel 4 -v
-//	benchreport -fastpath=false -surface off.surface   # parity gate, off leg
 //	benchreport -wall-budget-ms 30000                  # suite wall budget
-//	benchreport -min-warm-hit 80                       # E1 warm hit floor
 package main
 
 import (
@@ -30,7 +28,6 @@ import (
 
 	"repro/internal/benchfmt"
 	"repro/internal/core"
-	"repro/internal/fastpath"
 	"repro/internal/stats"
 )
 
@@ -41,14 +38,9 @@ func main() {
 	wallThreshold := flag.Float64("wall-threshold", 0, "max allowed wall-time growth per experiment, percent (0 = don't gate wall time)")
 	par := flag.Int("parallel", 0, "experiments to run concurrently (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print the per-experiment measurement table")
-	fastPath := flag.Bool("fastpath", true, "enable the verdict fast path (parity gate runs the suite once with each setting)")
-	surface := flag.String("surface", "", "write the deterministic parity surface (sim cycles + counters, no wall/host data) to this path")
 	wallBudget := flag.Float64("wall-budget-ms", 0, "fail if the whole suite's wall time exceeds this many ms (0 = don't gate; set with ~3x headroom, wall time is host noise)")
-	minWarmHit := flag.Float64("min-warm-hit", 0, "fail if the warm hit rate of -min-warm-hit-exp falls below this percent (0 = don't gate; needs -fastpath)")
-	minWarmHitExp := flag.String("min-warm-hit-exp", "E1", "experiment the -min-warm-hit floor applies to")
 	flag.Parse()
 
-	fastpath.SetEnabled(*fastPath)
 	sum := core.RunAll(*par)
 	if len(sum.Failures) > 0 {
 		for _, err := range sum.Failures {
@@ -71,24 +63,10 @@ func main() {
 		fmt.Printf("benchreport: wrote %s (%d experiments, %.1fms, %d sim-cycles)\n",
 			*out, len(report.Experiments), report.TotalWallMS, report.TotalSimCycles)
 	}
-	if *surface != "" {
-		if err := os.WriteFile(*surface, []byte(benchfmt.ParitySurface(report)), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: surface: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("benchreport: wrote parity surface %s\n", *surface)
-	}
 	if *wallBudget > 0 && report.TotalWallMS > *wallBudget {
 		fmt.Fprintf(os.Stderr, "benchreport: suite wall time %.1fms exceeds budget %.0fms\n",
 			report.TotalWallMS, *wallBudget)
 		os.Exit(3)
-	}
-	if *minWarmHit > 0 {
-		if err := checkWarmHitFloor(report, *minWarmHitExp, *minWarmHit, *fastPath); err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-			os.Exit(4)
-		}
-		fmt.Printf("benchreport: %s warm hit rate above %.0f%% floor\n", *minWarmHitExp, *minWarmHit)
 	}
 
 	if *baseline == "" {
@@ -128,46 +106,15 @@ func buildReport(sum core.Summary, par int) *benchfmt.Report {
 		TotalSimCycles: sum.SimCycles,
 	}
 	for _, res := range sum.Results {
-		e := benchfmt.Experiment{
+		r.Experiments = append(r.Experiments, benchfmt.Experiment{
 			ID:        res.Experiment.ID,
 			Title:     res.Experiment.Title,
 			WallMS:    ms(res.Wall),
 			SimCycles: res.SimCycles,
 			Counters:  benchfmt.FilterKey(res.Counters),
-		}
-		if fp := res.FastPath; fp.Hits+fp.Misses+fp.Installs+fp.Invalidations > 0 {
-			e.FastPath = &benchfmt.FastPath{
-				Hits:          fp.Hits,
-				Misses:        fp.Misses,
-				Installs:      fp.Installs,
-				Invalidations: fp.Invalidations,
-				HitRate:       fp.HitRate(),
-				WarmHitRate:   fp.WarmHitRate(),
-			}
-		}
-		r.Experiments = append(r.Experiments, e)
+		})
 	}
 	return r
-}
-
-// checkWarmHitFloor enforces the CI hit-rate floor: the named experiment's
-// warm hit rate (hits over hits+installs) must be at least floorPct.
-func checkWarmHitFloor(r *benchfmt.Report, id string, floorPct float64, fastPathOn bool) error {
-	if !fastPathOn {
-		return fmt.Errorf("-min-warm-hit requires -fastpath")
-	}
-	e, ok := r.ByID(id)
-	if !ok {
-		return fmt.Errorf("warm-hit floor: no experiment %q in report", id)
-	}
-	if e.FastPath == nil {
-		return fmt.Errorf("warm-hit floor: %s recorded no fast-path activity", id)
-	}
-	if got := e.FastPath.WarmHitRate * 100; got < floorPct {
-		return fmt.Errorf("warm-hit floor: %s warm hit rate %.1f%% below %.0f%% (hits=%d installs=%d)",
-			id, got, floorPct, e.FastPath.Hits, e.FastPath.Installs)
-	}
-	return nil
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

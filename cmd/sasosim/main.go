@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/core"
-	"repro/internal/fastpath"
 	"repro/internal/iommu"
 	"repro/internal/kernel"
 	"repro/internal/machine"
@@ -75,10 +74,7 @@ func main() {
 	var sess sessOpts
 	flag.IntVar(&sess.sessions, "sessions", 0, "sessions workload: total session create/destroy cycles (0 = workload default)")
 	flag.BoolVar(&sess.fork, "fork", true, "sessions workload: spawn sessions by forking a template domain (copy-on-write overrides); -fork=false creates empty domains and attaches each segment")
-	fastPath := flag.Bool("fastpath", true, "enable the verdict fast path (simulated results are identical either way; hit rates print when enabled)")
 	flag.Parse()
-
-	fastpath.SetEnabled(*fastPath)
 
 	if *traceFile != "" {
 		if err := replay(*traceFile, *machName); err != nil {
@@ -355,7 +351,6 @@ func runWorkload(name, modelName string, cpus int, mesh meshOpts, incremental bo
 	fmt.Printf("workload %s on %s (%d CPUs)\n\nreport: %+v\n\nmachine counters:\n%s\nkernel counters:\n%s",
 		name, m, k.NumCPUs(), rep, k.Machine().Counters(), k.Counters())
 	fmt.Printf("machine cycles: %d (all CPUs: %d)\nkernel cycles:  %d\n", k.Machine().Cycles(), k.TotalCycles(), k.Cycles())
-	printFastPath(k)
 	printDevices(k)
 	if k.ShootdownProtocolEnabled() {
 		c := k.Counters()
@@ -402,26 +397,6 @@ func printDevices(k *kernel.Kernel) {
 	fmt.Printf("device shootdowns: ipis=%d applied=%d retransmits=%d timeouts=%d quarantines=%d fenced_skips=%d rejoins=%d\n",
 		c.Get("smp.dev_ipis"), c.Get("iommu.shootdowns_applied"), c.Get("smp.dev_retransmits"),
 		c.Get("smp.dev_timeouts"), c.Get("smp.dev_quarantines"), c.Get("smp.dev_fenced_skips"), c.Get("kernel.dev_rejoins"))
-}
-
-// printFastPath reports the verdict fast path's merged hit-rate
-// diagnostics across the kernel's CPUs (nothing prints when disabled or
-// when no machine recorded activity).
-func printFastPath(k *kernel.Kernel) {
-	if !fastpath.Enabled() {
-		return
-	}
-	var fp fastpath.Stats
-	for i := 0; i < k.NumCPUs(); i++ {
-		if f, ok := k.MachineAt(i).(machine.FastPathed); ok {
-			fp.Add(f.FastPathStats())
-		}
-	}
-	if fp.Hits+fp.Misses == 0 {
-		return
-	}
-	fmt.Printf("\nverdict fast path: hits=%d misses=%d installs=%d invalidations=%d hit-rate=%.1f%% warm-hit-rate=%.1f%%\n",
-		fp.Hits, fp.Misses, fp.Installs, fp.Invalidations, fp.HitRate()*100, fp.WarmHitRate()*100)
 }
 
 func replay(path, machName string) error {

@@ -42,22 +42,6 @@ type Experiment struct {
 	SimCycles uint64  `json:"sim_cycles"`
 	// Counters holds the key hardware counters (see FilterKey).
 	Counters map[string]uint64 `json:"counters,omitempty"`
-	// FastPath holds verdict fast-path diagnostics when the fast path was
-	// enabled for the run. Host-side measurement only: it is excluded
-	// from ParitySurface, so the on/off parity gate never sees it.
-	FastPath *FastPath `json:"fastpath,omitempty"`
-}
-
-// FastPath is the verdict fast-path diagnostic block of one experiment.
-type FastPath struct {
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Installs      uint64 `json:"installs"`
-	Invalidations uint64 `json:"invalidations"`
-	// HitRate is hits/(hits+misses); WarmHitRate is hits/(hits+installs),
-	// the cold-traffic-insensitive form the CI floor gates on.
-	HitRate     float64 `json:"hit_rate"`
-	WarmHitRate float64 `json:"warm_hit_rate"`
 }
 
 // Report is the top-level BENCH_report.json document.
@@ -158,32 +142,6 @@ func FilterKey(snap map[string]uint64) map[string]uint64 {
 		return nil
 	}
 	return out
-}
-
-// ParitySurface projects a report onto its deterministic surface: per
-// experiment (sorted by id), the simulated-cycle total and every recorded
-// hardware counter, one per line. Wall times, timestamps, host metadata,
-// and fast-path diagnostics — everything legitimately allowed to differ
-// between two runs of the same tree — are excluded. The fast-path parity
-// gate writes this surface for an on-run and an off-run and requires the
-// two files to be byte-identical.
-func ParitySurface(r *Report) string {
-	var b strings.Builder
-	exps := append([]Experiment(nil), r.Experiments...)
-	sort.Slice(exps, func(i, j int) bool { return exps[i].ID < exps[j].ID })
-	for _, e := range exps {
-		fmt.Fprintf(&b, "%s sim_cycles %d\n", e.ID, e.SimCycles)
-		names := make([]string, 0, len(e.Counters))
-		for k := range e.Counters {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		for _, k := range names {
-			fmt.Fprintf(&b, "%s counter %s %d\n", e.ID, k, e.Counters[k])
-		}
-	}
-	fmt.Fprintf(&b, "total sim_cycles %d\n", r.TotalSimCycles)
-	return b.String()
 }
 
 // Delta is one per-experiment comparison against a baseline.

@@ -52,7 +52,6 @@ func (k *Kernel) SetPageRights(d *Domain, va addr.VA, r addr.Rights) error {
 	}
 	k.overridesRW(d).Set(vpn, r)
 	k.hSetPageRights.Inc()
-	k.bumpDomainEpoch(d)
 	err := k.engine.setPageRights(d, vpn, r)
 	k.flushIPIs()
 	return err
@@ -72,7 +71,6 @@ func (k *Kernel) ClearPageRights(d *Domain, va addr.VA) error {
 	k.overridesRW(d).Clear(vpn)
 	r := d.attached[s.ID]
 	k.hClearPageRights.Inc()
-	k.bumpDomainEpoch(d)
 	err := k.engine.setPageRights(d, vpn, r)
 	k.flushIPIs()
 	return err
@@ -91,7 +89,6 @@ func (k *Kernel) SetSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
 		k.overridesRW(d).ClearRange(k.geo.PageNumber(s.Range.Start), s.NumPages())
 	}
 	k.hSetSegmentRights.Inc()
-	k.bumpDomainEpoch(d)
 	err := k.engine.setSegmentRights(d, s, r)
 	k.flushIPIs()
 	return err

@@ -49,7 +49,6 @@ func (k *Kernel) GrantExecutor(target, code *Segment, r addr.Rights) error {
 	}
 	k.execGrants = append(k.execGrants, execGrant{code: code, target: target, r: r})
 	k.hExecGrants.Inc()
-	k.bumpGlobalEpoch()
 	// Resident entries for the target may now be too weak; purge them so
 	// the stronger rights fault in. (All domains: the grant is
 	// domain-independent.)
@@ -74,7 +73,6 @@ func (k *Kernel) RevokeExecutor(target, code *Segment) error {
 	})
 	if len(k.execGrants) < n {
 		k.hExecRevokes.Inc()
-		k.bumpGlobalEpoch()
 		for i := uint64(0); i < target.NumPages(); i++ {
 			vpn := k.geo.PageNumber(target.PageVA(i))
 			k.plbm.PurgePage(target.PageVA(i))
@@ -101,7 +99,6 @@ func (k *Kernel) SetExecutionSite(d *Domain, va addr.VA) error {
 		return nil
 	}
 	k.hExecSites.Inc()
-	k.bumpDomainEpoch(d)
 	// Purge cached rights for targets granted via either the old or the
 	// new code segment; both sets may now resolve differently for d.
 	for _, g := range k.execGrants {

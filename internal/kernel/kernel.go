@@ -256,10 +256,6 @@ type Domain struct {
 	// execSite is the domain's current execution address, for
 	// execution-keyed protection (see exec.go).
 	execSite addr.VA
-	// protEpoch is the domain's protection epoch (epoch.go): bumped by
-	// every kernel mutation scoped to this domain, orphaning its cached
-	// fast-path verdicts.
-	protEpoch uint64
 	// cpus is the domain's residency set: CPU i is a member while it may
 	// cache the domain's protection entries (it ran the domain, or
 	// hardware installed an entry naming it there). Unlike the old
@@ -384,8 +380,8 @@ type kernel struct {
 	nextVA      addr.VA
 	freeVA      []addr.Range
 	// freeDomains pools destroyed Domain structs for ID recycling
-	// (lifecycle.go): LIFO, maps cleared for reuse, protection epoch
-	// carried forward. freeGroups recycles dead page-group numbers.
+	// (lifecycle.go): LIFO, maps cleared for reuse. freeGroups recycles
+	// dead page-group numbers.
 	freeDomains []*Domain
 	freeGroups  []addr.GroupID
 	// maxDomain/maxGroup narrow the ID allocators for exhaustion tests
@@ -400,10 +396,6 @@ type kernel struct {
 	// residentFIFO orders mapped pages for the page daemon's FIFO
 	// eviction; entries may be stale (skipped when popped).
 	residentFIFO []addr.VPN
-
-	// protEpoch is the global protection epoch (epoch.go): bumped by
-	// every kernel mutation that changes what any domain may see.
-	protEpoch uint64
 
 	ctrs   stats.Counters
 	cycles stats.Cycles
@@ -960,9 +952,6 @@ func (k *Kernel) RecoverHardware() int {
 // consulting translation, so a CPU leaving the sharer directory (which
 // stops unmap shootdowns from reaching it) must not keep any.
 func (k *Kernel) purgeCPU(i int) int {
-	if f, ok := k.machs[i].(machine.FastPathed); ok {
-		f.PurgeFastPath()
-	}
 	n := 0
 	switch {
 	case k.plbms != nil:
@@ -1155,7 +1144,6 @@ func (k *Kernel) Attach(d *Domain, s *Segment, r addr.Rights) {
 	d.ensureAttached()[s.ID] = r
 	s.attached[d.ID] = r
 	k.hAttach.Inc()
-	k.bumpDomainEpoch(d)
 	k.engine.onAttach(d, s, r)
 	k.flushIPIs()
 }
@@ -1173,7 +1161,6 @@ func (k *Kernel) Detach(d *Domain, s *Segment) error {
 		k.overridesRW(d).ClearRange(startVPN, s.NumPages())
 	}
 	k.hDetach.Inc()
-	k.bumpDomainEpoch(d)
 	k.engine.onDetach(d, s)
 	k.flushIPIs()
 	return nil
@@ -1190,7 +1177,6 @@ func (k *Kernel) Switch(d *Domain) {
 			k.withdrawCPU(k.cur)
 		}
 		k.mach.SwitchDomain(d.ID)
-		k.pushFastPathStamp(k.cur)
 	}
 	d.cpus.Add(k.cur)
 	k.active.Add(k.cur)

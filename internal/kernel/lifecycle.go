@@ -18,9 +18,7 @@ import (
 // as the conventional machine's ASID, GroupID as the PA-RISC AID — nor
 // leave one byte of residual authority behind. Destroyed IDs go onto
 // free lists and are recycled LIFO; the Domain struct itself is pooled
-// so its protection epoch survives recycling, which keeps fast-path
-// verdict stamps strictly monotonic per ID (a dormant verdict cached
-// for a dead incarnation can never validate against a later one).
+// so a recycled ID reuses its cleared maps and group vector.
 
 // Typed lifecycle errors.
 var (
@@ -142,7 +140,6 @@ func (k *Kernel) ForkDomain(parent *Domain) (*Domain, error) {
 	}
 	k.engine.onFork(parent, child)
 	k.hDomainsForked.Inc()
-	k.bumpDomainEpoch(child)
 	k.flushIPIs()
 	return child, nil
 }
@@ -152,19 +149,15 @@ func (k *Kernel) ForkDomain(parent *Domain) (*Domain, error) {
 // bookkeeping, the domain's hardware entries are purged locally and
 // withdrawn from every remote CPU and device seat the sharer directory
 // lists (one targeted DomainPurge scan per seat — traffic scales with
-// actual sharers, not machine size), its cached fast-path verdicts are
-// orphaned by an epoch bump, and its ID goes onto the free list for
-// recycling. Afterwards no hardware structure, directory set or kernel
-// table holds any authority for the ID (the oracle's destroy sweep
-// verifies exactly this). Returns ErrDomainDestroyed (wrapped) on a
-// stale handle.
+// actual sharers, not machine size), and its ID goes onto the free list
+// for recycling. Afterwards no hardware structure, directory set or
+// kernel table holds any authority for the ID (the oracle's destroy
+// sweep verifies exactly this). Returns ErrDomainDestroyed (wrapped) on
+// a stale handle.
 func (k *Kernel) DestroyDomain(d *Domain) error {
 	if k.doms.get(d.ID) != d {
 		return fmt.Errorf("%w: destroy of domain %d", ErrDomainDestroyed, d.ID)
 	}
-	// Orphan cached verdicts first: the bump still needs the domain's
-	// table entry to push fresh stamps to machines executing it.
-	k.bumpDomainEpoch(d)
 	// Engine teardown: purge + shoot domain-keyed hardware state, scrub
 	// group memberships. Runs before the bookkeeping detach below so
 	// the engines still see the attachment set.
@@ -184,10 +177,8 @@ func (k *Kernel) DestroyDomain(d *Domain) error {
 	k.flushIPIs()
 	k.doms.remove(d.ID)
 	d.cpus.Clear()
-	// Pool the struct: the ID and protection epoch ride along, so the
-	// next incarnation reuses the cleared maps and group vector, and
-	// stamps its verdicts strictly above anything the dead incarnation
-	// ever cached.
+	// Pool the struct: the ID rides along, so the next incarnation
+	// reuses the cleared maps and group vector.
 	k.freeDomains = append(k.freeDomains, d)
 	k.hDomainsDestroyed.Inc()
 	return nil

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/addr"
-	"repro/internal/fastpath"
 	"repro/internal/kernel"
 	"repro/internal/oracle"
 )
@@ -271,66 +270,6 @@ func TestDestroySegmentDropsSharerRecords(t *testing.T) {
 		if k.PageResident(vpn, cpu) {
 			t.Fatalf("destroyed segment's page still lists CPU %d as sharer", cpu)
 		}
-	}
-}
-
-// TestLifecycleMovesFastPathStamp extends the epoch table to the
-// lifecycle APIs: fork must stamp the child above anything ever cached
-// for its (possibly recycled) ID, and destroy+recycle must keep stamps
-// strictly monotonic per ID.
-func TestLifecycleMovesFastPathStamp(t *testing.T) {
-	k, d, _ := epochSetup(t)
-	preFork := k.FastPathStamp(d)
-	child, err := k.ForkDomain(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := k.FastPathStamp(child); got <= 0 {
-		t.Fatalf("fork left the child's stamp at %d", got)
-	}
-	_ = preFork
-
-	// Destroy the child and recycle its ID: the new incarnation's first
-	// bump must land strictly above the dead incarnation's last stamp.
-	dead := k.FastPathStamp(child)
-	if err := k.DestroyDomain(child); err != nil {
-		t.Fatal(err)
-	}
-	reborn, err := k.CreateDomainChecked()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reborn.ID != child.ID {
-		t.Fatalf("ID %d not recycled (got %d)", child.ID, reborn.ID)
-	}
-	if got := k.FastPathStamp(reborn); got <= dead {
-		t.Fatalf("recycled incarnation's stamp %d not above the dead one's %d: a dormant verdict could validate",
-			got, dead)
-	}
-}
-
-// TestRecycledIDNeverReplaysDeadVerdict is the behavioral form: cache a
-// live verdict, destroy the domain, recycle the ID into a domain with
-// NO authority, and demand the old verdict never replays.
-func TestRecycledIDNeverReplaysDeadVerdict(t *testing.T) {
-	if !fastpath.Enabled() {
-		t.Skip("verdict fast path disabled")
-	}
-	k, d, s := epochSetup(t)
-	fp := primeVerdict(t, k, d, s)
-	if err := k.DestroyDomain(d); err != nil {
-		t.Fatal(err)
-	}
-	reborn := k.CreateDomain() // recycles d's ID, attached to nothing
-	if reborn.ID != d.ID {
-		t.Fatalf("ID not recycled: %d vs %d", reborn.ID, d.ID)
-	}
-	pre := fp.Stats()
-	if err := k.Touch(reborn, s.Base(), addr.Load); err == nil {
-		t.Fatal("recycled domain read a page it never attached — the dead incarnation's authority leaked")
-	}
-	if got := fp.Stats(); got.Hits != pre.Hits {
-		t.Fatalf("denied access replayed a dead incarnation's verdict (hits %d -> %d)", pre.Hits, got.Hits)
 	}
 }
 

@@ -55,7 +55,7 @@ func lifecycleScript(model kernel.Model, raw []byte) error {
 		}
 		// The core of the property: no residual authority anywhere —
 		// kernel tables, sharer directory, TLB/PLB/checker state on either
-		// CPU, cached fast-path verdicts.
+		// CPU.
 		if err := oracle.VerifyDestroyed(k, id); err != nil {
 			return fmt.Errorf("after destroying domain %d: %w", id, err)
 		}

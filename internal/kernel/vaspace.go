@@ -103,7 +103,6 @@ func (k *Kernel) DestroySegment(s *Segment) error {
 	}
 	delete(k.segments, s.ID)
 	k.segOrder = slices.DeleteFunc(k.segOrder, func(seg *Segment) bool { return seg == s })
-	k.bumpGlobalEpoch()
 	k.engine.onDestroySegment(s)
 	k.flushIPIs()
 	// Drop the range's sharer records only after the destroy shootdowns

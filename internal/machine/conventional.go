@@ -5,7 +5,6 @@ import (
 	"repro/internal/assoc"
 	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/fastpath"
 	"repro/internal/stats"
 	"repro/internal/tlb"
 )
@@ -71,7 +70,6 @@ type ConventionalMachine struct {
 	tlb   *tlb.ASIDTLB
 	cache *cache.VirtualCache  // VIVT-ASID organization
 	vipt  *cache.PhysicalCache // VIPT organization
-	fp    fastpath.Table[ConvVerdict]
 
 	ctrs   stats.Counters
 	cycles stats.Cycles
@@ -157,30 +155,9 @@ func (m *ConventionalMachine) SwitchDomain(d addr.DomainID) {
 	m.cycles.Add(m.cfg.Costs.RegisterWrite)
 }
 
-// Access implements Machine: the combined-TLB reference path, fronted by
-// the verdict fast path (which replays warm hits with identical side
-// effects or falls through to the structural path).
+// Access implements Machine. Protection comes from the combined TLB,
+// probed in parallel with the (virtually indexed, ASID-tagged) cache.
 func (m *ConventionalMachine) Access(va addr.VA, kind addr.AccessKind) cpu.Outcome {
-	if fastpath.Enabled() {
-		if m.fastAccess(va, kind) {
-			return cpu.Outcome{}
-		}
-		before := m.cycles.Total()
-		out := m.slowAccess(va, kind)
-		// Warm hits charge exactly one cache hit; only those produce
-		// verdicts worth replaying (see PLBMachine.Access).
-		if out.Fault == cpu.FaultNone && m.cycles.Total()-before == m.cfg.Costs.CacheHit {
-			m.installVerdict(va)
-		}
-		return out
-	}
-	return m.slowAccess(va, kind)
-}
-
-// slowAccess is the structural reference path. Protection comes from the
-// combined TLB, probed in parallel with the (virtually indexed,
-// ASID-tagged) cache.
-func (m *ConventionalMachine) slowAccess(va addr.VA, kind addr.AccessKind) cpu.Outcome {
 	c := &m.cfg.Costs
 	m.hAccesses.Inc()
 	if kind == addr.Store {

@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
-	"repro/internal/fastpath"
 	"repro/internal/kernel"
-	"repro/internal/machine"
 	"repro/internal/plb"
 	"repro/internal/smp"
 	"repro/internal/tlb"
@@ -120,94 +118,6 @@ func TestOracleDetectsConvTLBCorruption(t *testing.T) {
 	k.Touch(d, s.PageVA(1), addr.Load)
 	m.TLB().SetCorruptor(nil)
 	requireDetectAndRecover(t, k, "asid-tlb")
-}
-
-// TestOracleDetectsVerdictCacheCorruption corrupts the verdict fast
-// path's cached outcome at install time on each machine organization and
-// confirms the oracle's verdict-cache audit reports it, and that
-// RecoverHardware (which purges the verdict tables along with the
-// structures they shadow) restores a verifiable state. The corrupted
-// verdict never replays — located-slot validation sees the rights
-// mismatch and falls through — so this is state only the audit can see.
-func TestOracleDetectsVerdictCacheCorruption(t *testing.T) {
-	if !fastpath.Enabled() {
-		t.Skip("verdict fast path disabled")
-	}
-	t.Run("plb", func(t *testing.T) {
-		k, d, s := readOnlySetup(t, kernel.ModelDomainPage)
-		fp := k.PLBMachine().FastPath()
-		fp.SetCorruptor(func(_ addr.DomainID, _ addr.VPN, v machine.PLBVerdict) (machine.PLBVerdict, bool) {
-			v.Rights = addr.RW
-			return v, true
-		})
-		// The priming load made page 0 structurally warm; this load is the
-		// warm hit whose verdict gets installed — corrupted.
-		if err := k.Touch(d, s.Base(), addr.Load); err != nil {
-			t.Fatalf("warm load: %v", err)
-		}
-		fp.SetCorruptor(nil)
-		requireDetectAndRecover(t, k, "verdict-cache")
-		// The corrupted verdict must never have been a usable grant.
-		if err := k.Touch(d, s.Base(), addr.Store); err == nil {
-			t.Fatal("store through read-only attachment allowed")
-		}
-	})
-	t.Run("pg", func(t *testing.T) {
-		k, d, s := readOnlySetup(t, kernel.ModelPageGroup)
-		fp := k.PGMachine().FastPath()
-		fp.SetCorruptor(func(_ addr.DomainID, _ addr.VPN, v machine.PGVerdict) (machine.PGVerdict, bool) {
-			v.Entry.Rights = addr.RW
-			return v, true
-		})
-		if err := k.Touch(d, s.Base(), addr.Load); err != nil {
-			t.Fatalf("warm load: %v", err)
-		}
-		fp.SetCorruptor(nil)
-		requireDetectAndRecover(t, k, "verdict-cache")
-	})
-	t.Run("conv", func(t *testing.T) {
-		k, d, s := readOnlySetup(t, kernel.ModelConventional)
-		fp := k.ConvMachine().FastPath()
-		fp.SetCorruptor(func(_ addr.DomainID, _ addr.VPN, v machine.ConvVerdict) (machine.ConvVerdict, bool) {
-			v.Entry.Rights = addr.RW
-			return v, true
-		})
-		if err := k.Touch(d, s.Base(), addr.Load); err != nil {
-			t.Fatalf("warm load: %v", err)
-		}
-		fp.SetCorruptor(nil)
-		requireDetectAndRecover(t, k, "verdict-cache")
-	})
-}
-
-// TestVerdictCacheAuditSkipsStaleEntries plants a verdict, bumps the
-// domain's protection epoch by revoking rights, and confirms the now
-// stale verdict produces no violation: epoch invalidation already made
-// it unreachable, which is the fast path working as designed, not a
-// disagreement.
-func TestVerdictCacheAuditSkipsStaleEntries(t *testing.T) {
-	if !fastpath.Enabled() {
-		t.Skip("verdict fast path disabled")
-	}
-	k, d, s := readOnlySetup(t, kernel.ModelDomainPage)
-	// Force table allocation so the verdict actually lands, then cache a
-	// (legitimate) verdict with a warm load.
-	fp := k.PLBMachine().FastPath()
-	fp.SetCorruptor(func(_ addr.DomainID, _ addr.VPN, v machine.PLBVerdict) (machine.PLBVerdict, bool) {
-		return v, false
-	})
-	if err := k.Touch(d, s.Base(), addr.Load); err != nil {
-		t.Fatalf("warm load: %v", err)
-	}
-	fp.SetCorruptor(nil)
-	if err := k.SetPageRights(d, s.Base(), addr.None); err != nil {
-		t.Fatalf("SetPageRights: %v", err)
-	}
-	for _, v := range Violations(k) {
-		if v.Where == "verdict-cache" {
-			t.Fatalf("stale (epoch-orphaned) verdict reported as violation: %s", v)
-		}
-	}
 }
 
 // TestRightsMatchesResolveRights cross-checks the oracle's independent
