@@ -9,43 +9,37 @@ import (
 )
 
 // TestAccessPathZeroAllocs guards the de-allocated reference path: a warm
-// Access on either single-address-space machine must not allocate. The
+// Access on every machine organization must not allocate. The
 // counter-handle registry resolves every name at construction, and the
 // PLB's single-size lookup builds its probe key on the stack, so any
 // allocation here is a regression the benchmarks would only show as noise.
 func TestAccessPathZeroAllocs(t *testing.T) {
-	t.Run("PLBMachine", func(t *testing.T) {
-		os := trace.NewOpenOS(addr.BaseGeometry(), nil)
-		m := machine.MustPLB(machine.DefaultPLBConfig(), os)
-		m.SwitchDomain(1)
-		va := addr.VA(1) << 32
-		if out := m.Access(va, addr.Load); !out.OK() {
-			t.Fatal("warm-up access faulted")
-		}
-		allocs := testing.AllocsPerRun(1000, func() {
+	geo := addr.BaseGeometry()
+	for _, tc := range []struct {
+		name string
+		m    machine.Machine
+	}{
+		{"PLBMachine", machine.MustPLB(machine.DefaultPLBConfig(), trace.NewOpenOS(geo, nil))},
+		{"PGMachine", machine.NewPG(machine.DefaultPGConfig(),
+			trace.NewOpenOS(geo, func(addr.VPN) addr.GroupID { return 1 }))},
+		{"ConventionalMachine", machine.NewConventional(machine.DefaultConvConfig(), trace.NewOpenOS(geo, nil))},
+		{"FlushMachine", machine.NewFlush(machine.DefaultConvConfig(), trace.NewOpenOS(geo, nil))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m
+			m.SwitchDomain(1)
+			va := addr.VA(1) << 32
 			if out := m.Access(va, addr.Load); !out.OK() {
-				t.Fatal("fault on warm access")
+				t.Fatal("warm-up access faulted")
+			}
+			allocs := testing.AllocsPerRun(1000, func() {
+				if out := m.Access(va, addr.Load); !out.OK() {
+					t.Fatal("fault on warm access")
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s.Access hit allocates %.1f allocs/op, want 0", tc.name, allocs)
 			}
 		})
-		if allocs != 0 {
-			t.Fatalf("PLBMachine.Access hit allocates %.1f allocs/op, want 0", allocs)
-		}
-	})
-	t.Run("PGMachine", func(t *testing.T) {
-		os := trace.NewOpenOS(addr.BaseGeometry(), func(addr.VPN) addr.GroupID { return 1 })
-		m := machine.NewPG(machine.DefaultPGConfig(), os)
-		m.SwitchDomain(1)
-		va := addr.VA(1) << 32
-		if out := m.Access(va, addr.Load); !out.OK() {
-			t.Fatal("warm-up access faulted")
-		}
-		allocs := testing.AllocsPerRun(1000, func() {
-			if out := m.Access(va, addr.Load); !out.OK() {
-				t.Fatal("fault on warm access")
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("PGMachine.Access hit allocates %.1f allocs/op, want 0", allocs)
-		}
-	})
+	}
 }

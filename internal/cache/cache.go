@@ -116,6 +116,18 @@ func (v *VirtualCache) LinesPerPage(geo addr.Geometry) uint64 {
 	return geo.PageSize() >> v.cfg.LineShift
 }
 
+// PageLinesBound returns the most lines of one page the cache can hold
+// at once: each line of the page once or, with ASID tags, one copy per
+// way of every set the page's lines index (each space may cache its
+// own).
+func (v *VirtualCache) PageLinesBound(geo addr.Geometry) uint64 {
+	lines := v.LinesPerPage(geo)
+	if v.cfg.ASIDTags {
+		lines = min(lines, uint64(v.cfg.Assoc.Sets)) * uint64(v.cfg.Assoc.Ways)
+	}
+	return min(lines, uint64(v.Capacity()))
+}
+
 // Access probes the cache for va in space (space is ignored unless the
 // cache was built with ASIDTags). On a store hit the line is marked dirty.
 // A miss returns false; the caller translates and calls Fill.

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/machine"
 	"repro/internal/oracle"
 )
 
@@ -312,15 +313,14 @@ func disarm(k *kernel.Kernel) {
 	k.SetFaultInjector(nil)
 	k.SetIPIFault(nil)
 	for i := 0; i < k.NumCPUs(); i++ {
-		if m := k.PLBMachineAt(i); m != nil {
+		switch m := k.MachineAt(i).(type) {
+		case *machine.PLBMachine:
 			m.PLB().SetCorruptor(nil)
 			m.TLB().SetCorruptor(nil)
-		}
-		if m := k.PGMachineAt(i); m != nil {
+		case *machine.PGMachine:
 			m.TLB().SetCorruptor(nil)
 			m.Checker().SetCorruptor(nil)
-		}
-		if m := k.ConvMachineAt(i); m != nil {
+		case *machine.ConventionalMachine:
 			m.TLB().SetCorruptor(nil)
 		}
 	}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -28,9 +29,25 @@ func TestCatalogShape(t *testing.T) {
 // TestShortCampaignPasses runs the CI-sized campaign and holds it to
 // the full robustness contract: no escaped panics, no oracle false
 // positives, every tracked kernel verifiable after recovery, and every
-// scenario actually firing somewhere.
+// scenario actually firing somewhere. The report must also equal the
+// committed golden copy, which pins simulated behaviour under fault
+// injection: a deliberate change regenerates it with
+// `go run ./cmd/chaos -seed 1 -short -o internal/chaos/testdata/short_seed1.report`.
 func TestShortCampaignPasses(t *testing.T) {
 	res := Run(Config{Seed: 1, Short: true})
+	want, err := os.ReadFile("testdata/short_seed1.report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Report(); got != string(want) {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gotLines), len(wantLines)) {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("report diverges from the golden at line %d:\n got: %q\nwant: %q", i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("report has %d lines, the golden %d", len(gotLines), len(wantLines))
+	}
 	if !res.Passed() {
 		for _, f := range res.Failures() {
 			t.Errorf("contract violation: %s", f)

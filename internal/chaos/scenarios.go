@@ -8,6 +8,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/iommu"
 	"repro/internal/kernel"
+	"repro/internal/machine"
 	"repro/internal/netsim"
 	"repro/internal/oracle"
 	"repro/internal/plb"
@@ -159,8 +160,8 @@ func Default() []Scenario {
 			Corrupts:    true,
 			Arm: func(k *kernel.Kernel, rng *rand.Rand) {
 				for i := 0; i < k.NumCPUs(); i++ {
-					m := k.PLBMachineAt(i)
-					if m == nil {
+					m, ok := k.MachineAt(i).(*machine.PLBMachine)
+					if !ok {
 						return
 					}
 					m.PLB().SetCorruptor(func(_ plb.Key, r addr.Rights, _ bool) (addr.Rights, bool) {
@@ -179,8 +180,8 @@ func Default() []Scenario {
 			Corrupts:    true,
 			Arm: func(k *kernel.Kernel, rng *rand.Rand) {
 				for i := 0; i < k.NumCPUs(); i++ {
-					m := k.PLBMachineAt(i)
-					if m == nil {
+					m, ok := k.MachineAt(i).(*machine.PLBMachine)
+					if !ok {
 						return
 					}
 					m.TLB().SetCorruptor(func(_ addr.VPN, e tlb.TransEntry, _ bool) (tlb.TransEntry, bool) {
@@ -200,8 +201,8 @@ func Default() []Scenario {
 			Corrupts:    true,
 			Arm: func(k *kernel.Kernel, rng *rand.Rand) {
 				for i := 0; i < k.NumCPUs(); i++ {
-					m := k.PGMachineAt(i)
-					if m == nil {
+					m, ok := k.MachineAt(i).(*machine.PGMachine)
+					if !ok {
 						return
 					}
 					m.TLB().SetCorruptor(func(_ addr.VPN, e tlb.PGEntry, _ bool) (tlb.PGEntry, bool) {
@@ -221,8 +222,8 @@ func Default() []Scenario {
 			Corrupts:    true,
 			Arm: func(k *kernel.Kernel, rng *rand.Rand) {
 				for i := 0; i < k.NumCPUs(); i++ {
-					m := k.PGMachineAt(i)
-					if m == nil {
+					m, ok := k.MachineAt(i).(*machine.PGMachine)
+					if !ok {
 						return
 					}
 					m.Checker().SetCorruptor(func(g addr.GroupID, wd bool) (addr.GroupID, bool, bool) {
@@ -241,8 +242,8 @@ func Default() []Scenario {
 			Corrupts:    true,
 			Arm: func(k *kernel.Kernel, rng *rand.Rand) {
 				for i := 0; i < k.NumCPUs(); i++ {
-					m := k.ConvMachineAt(i)
-					if m == nil {
+					m, ok := k.MachineAt(i).(*machine.ConventionalMachine)
+					if !ok {
 						return
 					}
 					m.TLB().SetCorruptor(func(_ tlb.ASIDKey, e tlb.ASIDEntry, _ bool) (tlb.ASIDEntry, bool) {

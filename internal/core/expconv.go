@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/addr"
 	"repro/internal/kernel"
+	"repro/internal/machine"
 	"repro/internal/stats"
 	"repro/internal/workload/checkpoint"
 	"repro/internal/workload/rpc"
@@ -40,18 +41,18 @@ func E11Conventional(p *Probe) ([]*stats.Table, error) {
 			}
 			mc := k.Machine().Counters()
 			var prot, trans int
-			switch m {
-			case kernel.ModelDomainPage:
-				prot = k.PLBMachine().PLB().Len()
-				trans = k.PLBMachine().TLB().Len()
-			case kernel.ModelPageGroup:
-				prot = k.PGMachine().TLB().Len()
+			switch mm := k.Machine().(type) {
+			case *machine.PLBMachine:
+				prot = mm.PLB().Len()
+				trans = mm.TLB().Len()
+			case *machine.PGMachine:
+				prot = mm.TLB().Len()
 				trans = prot // combined entries
-			case kernel.ModelConventional:
+			case *machine.ConventionalMachine:
 				for p := uint64(0); p < 16; p++ {
-					prot += k.ConvMachine().TLB().ResidentFor(seg.PageVPN(p))
+					prot += mm.TLB().ResidentFor(seg.PageVPN(p))
 				}
-				trans = k.ConvMachine().TLB().Len()
+				trans = mm.TLB().Len()
 			}
 			refills := mc.Get("trap.plb_refill") + mc.Get("trap.pg_refill") + mc.Get("trap.tlb_refill")
 			t.AddRow(m.String(), prot, trans, refills)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/assoc"
 	"repro/internal/kernel"
+	"repro/internal/machine"
 	"repro/internal/plb"
 	"repro/internal/stats"
 )
@@ -138,7 +139,7 @@ func E8Granularity(p *Probe) ([]*stats.Table, error) {
 			}
 			diff := mc.Diff(before)
 			t.AddRow(variant.name, diff.Get("trap.plb_refill"),
-				k.PLBMachine().PLB().Len(), k.Machine().Cycles())
+				k.Machine().(*machine.PLBMachine).PLB().Len(), k.Machine().Cycles())
 			p.ObserveKernel(k)
 		}
 		t.AddNote("one super-page entry per domain replaces 64 base entries each (§4.3)")

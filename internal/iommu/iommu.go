@@ -31,8 +31,10 @@
 package iommu
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/assoc"
@@ -183,6 +185,13 @@ type pgEntry struct {
 	pfn    addr.PFN
 }
 
+// groupRef is one group of the membership set with its write-disable
+// bit.
+type groupRef struct {
+	g  addr.GroupID
+	wd bool
+}
+
 // Device is one device translation agent. Like a CPU's private machine
 // it is single-threaded; the kernel serializes all access to it.
 type Device struct {
@@ -193,8 +202,8 @@ type Device struct {
 	dp *assoc.Cache[dpKey, dpEntry]
 	pg *assoc.Cache[addr.VPN, pgEntry]
 	// groups is the page-group organization's membership set for the
-	// on-behalf domain (value: write-disable), the PID-register analog.
-	groups map[addr.GroupID]bool
+	// on-behalf domain, sorted by group: the PID-register analog.
+	groups []groupRef
 
 	// onBehalf is the domain whose transfers the device currently
 	// carries (the domain that programmed the DMA channel).
@@ -233,7 +242,6 @@ func New(cfg Config, os OS, ctrs *stats.Counters) *Device {
 		d.dp = assoc.New[dpKey, dpEntry](acfg, nil)
 	case OrgPageGroup:
 		d.pg = assoc.New[addr.VPN, pgEntry](acfg, nil)
-		d.groups = make(map[addr.GroupID]bool)
 	default:
 		panic("iommu: unknown IOTLB organization")
 	}
@@ -311,11 +319,9 @@ func (d *Device) SetOnBehalf(dom addr.DomainID) {
 		return
 	}
 	d.onBehalf = dom
-	if d.groups != nil {
+	if d.pg != nil {
 		n := len(d.groups)
-		for g := range d.groups {
-			delete(d.groups, g)
-		}
+		d.groups = d.groups[:0]
 		if n > 0 {
 			d.cycles.Add(uint64(n) * d.cfg.Costs().PurgeEntry)
 			d.nPurged.Add(uint64(n))
@@ -426,7 +432,8 @@ func (d *Device) checkPageGroup(vpn addr.VPN, kind addr.AccessKind, c cpu.CostMo
 	d.nGroupChk.Inc()
 	d.cycles.Add(c.OnChipLookup)
 	if e.aid != addr.GlobalGroup {
-		wd, member := d.groups[e.aid]
+		i, member := d.findGroup(e.aid)
+		wd := member && d.groups[i].wd
 		if !member {
 			// Membership miss: the agent walks the kernel's group table
 			// and loads the membership, the PID-register reload.
@@ -435,7 +442,7 @@ func (d *Device) checkPageGroup(vpn addr.VPN, kind addr.AccessKind, c cpu.CostMo
 			if !allowed {
 				return 0, d.fail(vpn, kind, ErrDenied)
 			}
-			d.groups[e.aid] = w
+			d.groups = slices.Insert(d.groups, i, groupRef{g: e.aid, wd: w})
 			d.cycles.Add(c.Install)
 			wd = w
 		}
@@ -481,11 +488,8 @@ func (d *Device) PurgeAll() int {
 	if d.dp != nil {
 		n += d.dp.PurgeAll()
 	} else {
-		n += d.pg.PurgeAll()
-		for g := range d.groups {
-			delete(d.groups, g)
-			n++
-		}
+		n += d.pg.PurgeAll() + len(d.groups)
+		d.groups = d.groups[:0]
 	}
 	// The agent walks its structure to invalidate: capacity-sized scan,
 	// same discipline as the CPU structures' purge accounting.
@@ -538,13 +542,22 @@ func (d *Device) ForEachPageGroup(fn func(vpn addr.VPN, aid addr.GroupID, r addr
 	})
 }
 
-// ForEachGroup visits the page-group membership set.
+// ForEachGroup visits the page-group membership set in ascending group
+// order.
 func (d *Device) ForEachGroup(fn func(g addr.GroupID, writeDisabled bool) bool) {
-	for g, wd := range d.groups {
-		if !fn(g, wd) {
+	for _, gr := range d.groups {
+		if !fn(gr.g, gr.wd) {
 			return
 		}
 	}
+}
+
+// findGroup binary-searches the membership set for g, returning its
+// index (or insertion point) and whether it is present.
+func (d *Device) findGroup(g addr.GroupID) (int, bool) {
+	return slices.BinarySearchFunc(d.groups, g, func(gr groupRef, g addr.GroupID) int {
+		return cmp.Compare(gr.g, g)
+	})
 }
 
 // Apply performs one shootdown request on the device's structures,
@@ -559,6 +572,21 @@ func (d *Device) Apply(r smp.Request) int {
 	d.nApplied.Inc()
 	d.cycles.Add(uint64(inspected)*c.PurgeEntry + uint64(affected)*c.Install)
 	return affected
+}
+
+// MaxCycles bounds what one Apply and one PurgeAll may charge from the
+// current state. An Apply at worst inspects and affects every IOTLB
+// slot and, under the page-group organization, drops every membership;
+// a queued GroupLoad can add one membership before a later request
+// drops it, so the bound counts one more than the set holds now.
+// PurgeAll charges its capacity-sized scan.
+func (d *Device) MaxCycles() (apply, purge uint64) {
+	c := d.cfg.Costs()
+	n := d.Capacity()
+	if d.pg != nil {
+		n += len(d.groups) + 1
+	}
+	return uint64(n) * (c.PurgeEntry + c.Install), uint64(d.Capacity()) * c.PurgeEntry
 }
 
 func (d *Device) apply(r smp.Request) (affected, inspected int) {
@@ -616,14 +644,18 @@ func (d *Device) apply(r smp.Request) (affected, inspected int) {
 	switch r.Kind {
 	case smp.GroupLoad:
 		if r.Domain == d.onBehalf {
-			d.groups[r.Group] = r.WD
+			if i, ok := d.findGroup(r.Group); ok {
+				d.groups[i].wd = r.WD
+			} else {
+				d.groups = slices.Insert(d.groups, i, groupRef{g: r.Group, wd: r.WD})
+			}
 			return 1, 1
 		}
 		return 0, 1
 	case smp.GroupRevoke:
 		if r.Domain == d.onBehalf {
-			if _, ok := d.groups[r.Group]; ok {
-				delete(d.groups, r.Group)
+			if i, ok := d.findGroup(r.Group); ok {
+				d.groups = slices.Delete(d.groups, i, i+1)
 				return 1, 1
 			}
 		}
@@ -634,9 +666,7 @@ func (d *Device) apply(r smp.Request) (affected, inspected int) {
 		// is flushed when the device was acting on its behalf.
 		if r.Domain == d.onBehalf {
 			n := len(d.groups)
-			for g := range d.groups {
-				delete(d.groups, g)
-			}
+			d.groups = d.groups[:0]
 			return n, n
 		}
 		return 0, 1
@@ -651,11 +681,8 @@ func (d *Device) apply(r smp.Request) (affected, inspected int) {
 		}
 		return 0, 1
 	case smp.PurgeAllProt:
-		n := d.pg.PurgeAll()
-		for g := range d.groups {
-			delete(d.groups, g)
-			n++
-		}
+		n := d.pg.PurgeAll() + len(d.groups)
+		d.groups = d.groups[:0]
 		return n, d.pg.Capacity()
 	case smp.InvalRights, smp.UpdateRights:
 		// Domain-keyed rights maintenance on a domain-neutral IOTLB:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/machine"
 )
 
 func TestConventionalModelBasics(t *testing.T) {
@@ -30,7 +31,7 @@ func TestConventionalModelBasics(t *testing.T) {
 	}
 	// The hallmark of §3.1: the shared page occupies one TLB entry per
 	// address space.
-	if n := k.ConvMachine().TLB().ResidentFor(s.PageVPN(0)); n != 2 {
+	if n := k.Machine().(*machine.ConventionalMachine).TLB().ResidentFor(s.PageVPN(0)); n != 2 {
 		t.Fatalf("TLB entries for shared page = %d, want 2", n)
 	}
 }

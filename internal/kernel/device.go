@@ -131,15 +131,6 @@ func (k *Kernel) Device(i int) *iommu.Device { return k.devs[i] }
 // (device seats start at NumCPUs).
 func (k *Kernel) DeviceSeat(i int) int { return len(k.machs) + i }
 
-// deviceAt returns the device holding interconnect seat, or nil for
-// CPU seats.
-func (k *Kernel) deviceAt(seat int) *iommu.Device {
-	if i := seat - len(k.machs); i >= 0 && i < len(k.devs) {
-		return k.devs[i]
-	}
-	return nil
-}
-
 // DeviceTrusted reports whether device i holds no missed invalidations
 // (the device-seat analog of CPUTrusted).
 func (k *Kernel) DeviceTrusted(i int) bool {
@@ -179,8 +170,7 @@ func (k *Kernel) ProgramDevice(i int, d *Domain) {
 // purge-before-reuse path, paid on every reprogram.
 func (k *Kernel) RejoinDevice(i int) {
 	seat := k.DeviceSeat(i)
-	k.devs[i].PurgeAll()
-	k.withdrawCPU(seat)
+	k.purgeSeat(seat)
 	if k.shoot != nil {
 		k.shoot.DropPending(seat)
 		k.shoot.Rejoin(seat)
@@ -288,21 +278,4 @@ func (k *Kernel) DeviceTouch(i int, va addr.VA, kind addr.AccessKind) error {
 	}
 	k.devs[i].ChargeDMAWord(k.topo, vpn)
 	return nil
-}
-
-// applyDeviceShootdown routes a shootdown delivered to a device seat
-// onto the device's IOTLB, mirroring the CPU path's provable-withdrawal
-// discipline: removal kinds that may have dropped the domain's last
-// cached authority re-check and withdraw the seat from the residency
-// set.
-func (k *Kernel) applyDeviceShootdown(seat int, r smp.Request) int {
-	dev := k.deviceAt(seat)
-	n := dev.Apply(r)
-	switch r.Kind {
-	case smp.InvalRights, smp.RangeDetach, smp.GroupRevoke, smp.DomainPurge:
-		k.withdrawIfEmpty(seat, r.Domain)
-	case smp.PurgeAllProt:
-		k.doms.forEach(func(dom *Domain) { dom.cpus.Remove(seat) })
-	}
-	return n
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/addr"
+	"repro/internal/machine"
 	"repro/internal/smp"
 	"repro/internal/stats"
 )
@@ -25,7 +26,6 @@ type engine interface {
 	// setSegmentRights syncs hardware after domain d's rights to a whole
 	// segment changed.
 	setSegmentRights(d *Domain, s *Segment, r addr.Rights) error
-	onUnmap(vpn addr.VPN)
 	// onDestroySegment releases per-segment engine state (the segment is
 	// already fully detached).
 	onDestroySegment(s *Segment)
@@ -113,11 +113,9 @@ func (e *dpEngine) onAttach(*Domain, *Segment, addr.Rights) {}
 // (Table 1, row 2; ablation A5).
 func (e *dpEngine) onDetach(d *Domain, s *Segment) {
 	if e.k.cfg.PLBDetach == DetachPurgeAll {
-		e.k.plbm.PurgeAllPLB()
 		e.k.shootDomain(d, smp.Request{Kind: smp.PurgeAllProt})
 		return
 	}
-	e.k.plbm.DetachRange(d.ID, s.Range.Start, s.Range.Length)
 	e.k.shootDomain(d, smp.Request{Kind: smp.RangeDetach, Range: s.Range})
 }
 
@@ -127,17 +125,14 @@ func (e *dpEngine) onDetach(d *Domain, s *Segment) {
 // a base-page entry installed (sibling pages re-fault their super-page
 // entry lazily).
 func (e *dpEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
-	va := e.k.geo.Base(vpn)
 	if s := e.k.segmentOf(vpn); s != nil && s.protShift != 0 {
-		e.k.plbm.InvalidateRights(d.ID, va)
-		e.k.plbm.InstallRights(d.ID, va, e.k.geo.Shift(), r)
+		e.k.shootDomain(d, smp.Request{Kind: smp.InvalRights, VPN: vpn})
 		// The eager install makes this CPU a holder of d's entries;
 		// remote CPUs just invalidate and re-fault at the new rights.
+		e.k.mach.(*machine.PLBMachine).InstallRights(d.ID, e.k.geo.Base(vpn), e.k.geo.Shift(), r)
 		e.k.markInstalled(d)
-		e.k.shootDomain(d, smp.Request{Kind: smp.InvalRights, VPN: vpn})
 		return nil
 	}
-	e.k.plbm.UpdateRights(d.ID, va, r)
 	e.k.shootDomain(d, smp.Request{Kind: smp.UpdateRights, VPN: vpn, Rights: r})
 	return nil
 }
@@ -145,35 +140,21 @@ func (e *dpEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
 // setSegmentRights rewrites the domain's resident entries across the
 // segment with a full PLB scan.
 func (e *dpEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
-	e.k.plbm.UpdateRange(d.ID, s.Range.Start, s.Range.Length, r)
 	e.k.shootDomain(d, smp.Request{Kind: smp.RangeRights, Range: s.Range, Rights: r})
 	return nil
-}
-
-func (e *dpEngine) onUnmap(vpn addr.VPN) {
-	e.k.plbm.UnmapPage(vpn)
-	e.k.shootPage(vpn, smp.Request{Kind: smp.Unmap, VPN: vpn})
 }
 
 // onDestroySegment purges any lingering PLB entries for the segment's
 // range (stale entries of long-detached domains cannot exist — detach
 // purged them — but execution-keyed entries might).
 func (e *dpEngine) onDestroySegment(s *Segment) {
-	e.k.plbm.PLB().PurgeRangeAll(s.Range.Start, s.Range.Length)
 	e.k.shootRange(s.Range, smp.Request{Kind: smp.RangePurge, Range: s.Range})
 }
 
-// onDestroyDomain drops every PLB entry naming the dying domain: one
-// purge-by-domain scan locally (when the directory says this CPU holds
-// its entries) plus one DomainPurge shootdown per remote sharer seat —
-// the destroy cost scales with actual sharers, not machine size.
-func (e *dpEngine) onDestroyDomain(d *Domain) {
-	if d.cpus.Has(e.k.cur) {
-		e.k.plbm.PurgeDomain(d.ID)
-		d.cpus.Remove(e.k.cur)
-	}
-	e.k.shootDomain(d, smp.Request{Kind: smp.DomainPurge})
-}
+// onDestroyDomain drops every PLB entry naming the dying domain with
+// one purge-by-domain scan per sharer (purgeDomain) — the destroy cost
+// scales with actual sharers, not machine size.
+func (e *dpEngine) onDestroyDomain(d *Domain) { e.k.purgeDomain(d) }
 
 // onFork is free in the domain-page model: the child's PLB entries fault
 // in on first touch, exactly like any other attachment (the PLB-fill
@@ -349,7 +330,6 @@ func (e *pgEngine) grant(d *Domain, g addr.GroupID, wd bool) {
 		d.groups[i].wd = wd
 	}
 	e.hGrants.Inc()
-	e.k.pgm.AttachGroup(d.ID, g, wd)
 	e.k.shootExecuting(d, smp.Request{Kind: smp.GroupLoad, Group: g, WD: wd})
 }
 
@@ -367,7 +347,6 @@ func (e *pgEngine) revoke(d *Domain, g addr.GroupID) {
 // checker holding it on d's behalf (d's group set is already updated).
 func (e *pgEngine) withdraw(d *Domain, g addr.GroupID) {
 	e.hRevokes.Inc()
-	e.k.pgm.DetachGroup(d.ID, g)
 	e.k.shootExecuting(d, smp.Request{Kind: smp.GroupRevoke, Group: g})
 }
 
@@ -416,7 +395,6 @@ func (e *pgEngine) recomputePrimary(s *Segment) {
 		p := s.pageRecs[vpn]
 		if p.group == s.group && p.groupRights != field {
 			p.groupRights = field
-			e.k.pgm.UpdatePage(vpn, p.group, field)
 			e.k.shootPage(vpn, smp.Request{Kind: smp.GroupUpdate, VPN: vpn, Group: p.group, Rights: field})
 		}
 	}
@@ -648,7 +626,6 @@ func (e *pgEngine) movePage(vpn addr.VPN, p *page, g addr.GroupID, rights addr.R
 	}
 	p.group = g
 	p.groupRights = rights
-	e.k.pgm.UpdatePage(vpn, g, rights)
 	e.k.shootPage(vpn, smp.Request{Kind: smp.GroupUpdate, VPN: vpn, Group: g, Rights: rights})
 	// Collect the vacated group after the page is re-homed, so the
 	// revocation shootdowns queue behind this page's update.
@@ -702,11 +679,6 @@ func (e *pgEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) error 
 	// they must be re-derived individually.
 	e.resyncSegment(s)
 	return nil
-}
-
-func (e *pgEngine) onUnmap(vpn addr.VPN) {
-	e.k.pgm.UnmapPage(vpn)
-	e.k.shootPage(vpn, smp.Request{Kind: smp.Unmap, VPN: vpn})
 }
 
 // onDestroySegment tears down the segment's group world. Derived groups

@@ -54,7 +54,6 @@ func (k *Kernel) GrantExecutor(target, code *Segment, r addr.Rights) error {
 	// domain-independent.)
 	for i := uint64(0); i < target.NumPages(); i++ {
 		vpn := k.geo.PageNumber(target.PageVA(i))
-		k.plbm.PurgePage(target.PageVA(i))
 		k.shootPage(vpn, smp.Request{Kind: smp.PurgePage, VPN: vpn})
 	}
 	k.flushIPIs()
@@ -75,7 +74,6 @@ func (k *Kernel) RevokeExecutor(target, code *Segment) error {
 		k.hExecRevokes.Inc()
 		for i := uint64(0); i < target.NumPages(); i++ {
 			vpn := k.geo.PageNumber(target.PageVA(i))
-			k.plbm.PurgePage(target.PageVA(i))
 			k.shootPage(vpn, smp.Request{Kind: smp.PurgePage, VPN: vpn})
 		}
 		k.flushIPIs()
@@ -104,7 +102,6 @@ func (k *Kernel) SetExecutionSite(d *Domain, va addr.VA) error {
 	for _, g := range k.execGrants {
 		if g.code == oldSeg || g.code == newSeg {
 			k.hExecPurges.Inc()
-			k.plbm.DetachRange(d.ID, g.target.Range.Start, g.target.Range.Length)
 			k.shootDomain(d, smp.Request{Kind: smp.RangeDetach, Range: g.target.Range})
 		}
 	}

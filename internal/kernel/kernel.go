@@ -260,7 +260,7 @@ type Domain struct {
 	// cache the domain's protection entries (it ran the domain, or
 	// hardware installed an entry naming it there). Unlike the old
 	// monotonic one-word mask, membership is withdrawn when a CPU is
-	// bulk-invalidated (purgeCPU, rejoin), when a flush-model CPU
+	// bulk-invalidated (purgeSeat, rejoin), when a flush-model CPU
 	// switches away, and when a removal shootdown provably drops the
 	// domain's last entry on a CPU — so shootdowns for domain-keyed
 	// state track live sharers, not the domain's lifetime CPU history.
@@ -438,27 +438,19 @@ type page struct {
 }
 
 // Kernel is a single address space operating system instance bound to
-// one machine per CPU. Construct with New. The mach/plbm/pgm/convm
-// fields always point at the current CPU's machine (see SetCPU); the
-// slices hold every CPU's instance.
+// one machine per CPU. Construct with New. mach always points at the
+// current CPU's machine (see SetCPU).
 type Kernel struct {
 	kernel
 	mach       machine.Machine
-	plbm       *machine.PLBMachine
-	pgm        *machine.PGMachine
-	convm      *machine.ConventionalMachine
 	engine     engine
 	pager      Pager
 	execGrants []execGrant
 
-	// Per-CPU machine instances (index = CPU number). machs is always
-	// populated; the model-specific slices are populated for the active
-	// model only (convms also under ModelFlush, holding each flush
-	// machine's inner conventional machine).
-	machs  []machine.Machine
-	plbms  []*machine.PLBMachine
-	pgms   []*machine.PGMachine
-	convms []*machine.ConventionalMachine
+	// machs holds every CPU's machine (index = CPU number). Organization
+	// specifics stay behind the machine.Seat contract: the kernel applies
+	// smp.Requests to CPU and device seats alike.
+	machs []machine.Machine
 
 	// cur is the current CPU; active is the set of CPUs that may hold
 	// live hardware state (ran a domain since their last bulk
@@ -471,7 +463,7 @@ type Kernel struct {
 	// PG-TLB, ASID-TLB or PLB entries) since their last bulk
 	// invalidation. It is a superset of live residency — deliveries
 	// never withdraw (a PLB protection entry or cache line outlives the
-	// translation entry an Unmap drops), only purgeCPU/rejoin and
+	// translation entry an Unmap drops), only purgeSeat/rejoin and
 	// flush-model switch-away do — which keeps page-scoped shootdowns
 	// sound while still tracking sharers, not history. Nil entry = no
 	// sharers.
@@ -555,7 +547,6 @@ func NewChecked(cfg Config) (*Kernel, error) {
 		cfg:         cfg,
 		geo:         geo,
 		memory:      mem.NewMemory(geo, cfg.Frames),
-		disk:        mem.NewDisk(cfgCost(cfg).DiskRead, cfgCost(cfg).DiskWrite),
 		trans:       trans,
 		segments:    make(map[addr.SegmentID]*Segment),
 		nextDomain:  1,
@@ -589,28 +580,24 @@ func NewChecked(cfg Config) (*Kernel, error) {
 	k.hExecGrants, k.hExecRevokes = h("kernel.exec_grants"), h("kernel.exec_revokes")
 	k.hExecSites, k.hExecPurges = h("kernel.exec_site_changes"), h("kernel.exec_site_purges")
 	for i := 0; i < cfg.CPUs; i++ {
+		var m machine.Machine
 		switch cfg.Model {
 		case ModelPageGroup:
-			m := machine.NewPG(cfg.PG, k)
-			k.pgms = append(k.pgms, m)
-			k.machs = append(k.machs, m)
+			m = machine.NewPG(cfg.PG, k)
 		case ModelConventional:
-			m := machine.NewConventional(cfg.Conv, k)
-			k.convms = append(k.convms, m)
-			k.machs = append(k.machs, m)
+			m = machine.NewConventional(cfg.Conv, k)
 		case ModelFlush:
-			m := machine.NewFlush(cfg.Conv, k)
-			k.convms = append(k.convms, m.Inner())
-			k.machs = append(k.machs, m)
+			m = machine.NewFlush(cfg.Conv, k)
 		default:
-			m, err := machine.NewPLB(cfg.PLB, k)
+			pm, err := machine.NewPLB(cfg.PLB, k)
 			if err != nil {
 				return nil, err
 			}
-			k.plbms = append(k.plbms, m)
-			k.machs = append(k.machs, m)
+			m = pm
 		}
+		k.machs = append(k.machs, m)
 	}
+	k.disk = mem.NewDisk(k.machs[0].Costs().DiskRead, k.machs[0].Costs().DiskWrite)
 	switch cfg.Model {
 	case ModelPageGroup:
 		k.engine = newPGEngine(k)
@@ -646,17 +633,6 @@ var newHook func(*Kernel)
 // goroutine that constructs kernels; it is a test/chaos facility, not a
 // concurrency-safe registration point.
 func SetNewHook(fn func(*Kernel)) { newHook = fn }
-
-func cfgCost(cfg Config) cpu.CostModel {
-	switch cfg.Model {
-	case ModelPageGroup:
-		return cfg.PG.Costs
-	case ModelConventional, ModelFlush:
-		return cfg.Conv.Costs
-	default:
-		return cfg.PLB.Costs
-	}
-}
 
 func newTransTable(cfg Config) (transTable, error) {
 	if cfg.TransTable == TransInverted {
@@ -718,61 +694,14 @@ func (k *Kernel) SetCPU(i int) {
 		k.shoot.SetInitiator(i)
 	}
 	k.mach = k.machs[i]
-	if k.plbms != nil {
-		k.plbm = k.plbms[i]
-	}
-	if k.pgms != nil {
-		k.pgm = k.pgms[i]
-	}
-	if k.convms != nil {
-		k.convm = k.convms[i]
-	}
 }
 
 // Machine returns the current CPU's machine.
 func (k *Kernel) Machine() machine.Machine { return k.mach }
 
-// MachineAt returns CPU i's machine.
+// MachineAt returns CPU i's machine. Callers that need an
+// organization's structures type-switch on it.
 func (k *Kernel) MachineAt(i int) machine.Machine { return k.machs[i] }
-
-// PLBMachine returns the current CPU's PLB machine, or nil under other
-// models.
-func (k *Kernel) PLBMachine() *machine.PLBMachine { return k.plbm }
-
-// PLBMachineAt returns CPU i's PLB machine, or nil under other models.
-func (k *Kernel) PLBMachineAt(i int) *machine.PLBMachine {
-	if k.plbms == nil {
-		return nil
-	}
-	return k.plbms[i]
-}
-
-// PGMachine returns the current CPU's page-group machine, or nil under
-// other models.
-func (k *Kernel) PGMachine() *machine.PGMachine { return k.pgm }
-
-// PGMachineAt returns CPU i's page-group machine, or nil under other
-// models.
-func (k *Kernel) PGMachineAt(i int) *machine.PGMachine {
-	if k.pgms == nil {
-		return nil
-	}
-	return k.pgms[i]
-}
-
-// ConvMachine returns the current CPU's conventional machine (also the
-// inner machine under ModelFlush), or nil under the single address
-// space models.
-func (k *Kernel) ConvMachine() *machine.ConventionalMachine { return k.convm }
-
-// ConvMachineAt returns CPU i's conventional machine, or nil under the
-// single address space models.
-func (k *Kernel) ConvMachineAt(i int) *machine.ConventionalMachine {
-	if k.convms == nil {
-		return nil
-	}
-	return k.convms[i]
-}
 
 // Geometry returns the translation page geometry.
 func (k *Kernel) Geometry() addr.Geometry { return k.geo }
@@ -929,12 +858,8 @@ func (k *Kernel) ExecutorRights(d *Domain, vpn addr.VPN) (addr.Rights, bool) {
 // dropped.
 func (k *Kernel) RecoverHardware() int {
 	n := 0
-	for i := range k.machs {
-		n += k.purgeCPU(i)
-	}
-	for i, dev := range k.devs {
-		n += dev.PurgeAll()
-		k.withdrawCPU(k.DeviceSeat(i))
+	for t := range k.numSeats() {
+		n += k.purgeSeat(t)
 	}
 	if k.shoot != nil {
 		k.shoot.Reset()
@@ -945,31 +870,25 @@ func (k *Kernel) RecoverHardware() int {
 	return n
 }
 
-// purgeCPU flash-clears CPU i's private protection and translation
-// structures and flushes its data cache, returning the number of
-// protection/translation entries dropped. The cache flush is part of
-// the withdrawal proof: virtually-tagged lines satisfy accesses without
-// consulting translation, so a CPU leaving the sharer directory (which
-// stops unmap shootdowns from reaching it) must not keep any.
-func (k *Kernel) purgeCPU(i int) int {
-	n := 0
-	switch {
-	case k.plbms != nil:
-		n += k.plbms[i].PLB().Len()
-		k.plbms[i].PurgeAllPLB()
-		n += k.plbms[i].TLB().PurgeAll()
-		k.plbms[i].FlushDataCache()
-	case k.pgms != nil:
-		n += k.pgms[i].TLB().PurgeAll()
-		n += k.pgms[i].Checker().PurgeAll()
-		k.pgms[i].FlushDataCache()
-	case k.convms != nil:
-		n += k.convms[i].TLB().PurgeAll()
-		k.convms[i].FlushDataCache()
+// seat returns interconnect seat t's hardware: CPU t's machine, or a
+// device agent for seats at and above NumCPUs.
+func (k *Kernel) seat(t int) machine.Seat {
+	if t < len(k.machs) {
+		return k.machs[t]
 	}
-	// The CPU provably holds nothing now: withdraw it from the sharer
-	// directory so no further shootdowns target it until it reinstalls.
-	k.withdrawCPU(i)
+	return k.devs[t-len(k.machs)]
+}
+
+// numSeats returns the interconnect seat count: CPUs plus devices.
+func (k *Kernel) numSeats() int { return len(k.machs) + len(k.devs) }
+
+// purgeSeat bulk-invalidates seat t (machine.Seat.PurgeAll), returning
+// the number of entries dropped. The seat provably holds nothing
+// afterwards, so it is withdrawn from the sharer directory: no further
+// shootdowns target it until it reinstalls.
+func (k *Kernel) purgeSeat(t int) int {
+	n := k.seat(t).PurgeAll()
+	k.withdrawCPU(t)
 	return n
 }
 
@@ -980,7 +899,7 @@ func (k *Kernel) purgeCPU(i int) int {
 // still queued for it are discarded as moot. Charges one trap. Returns
 // the number of entries dropped.
 func (k *Kernel) RecoverCPU(i int) int {
-	n := k.purgeCPU(i)
+	n := k.purgeSeat(i)
 	if k.shoot != nil {
 		k.shoot.DropPending(i)
 	}
@@ -1030,70 +949,36 @@ func (k *Kernel) ConvergeProtection() uint64 {
 
 // ConvergenceBound returns an upper bound, in cycles, on what
 // ConvergeProtection may consume from the current queue and health
-// state. Per target with pending work the acknowledged protocol sends
-// at most MaxRetries+1 volleys, each charging at most one IPI plus one
-// timeout capped at BackoffLimit, and applies each pending request at
-// most once (retransmitted copies are sequence-suppressed) at a cost
-// dominated by a full scan of the CPU's largest private structure plus
-// one page of cache-line flushes; rejoining an untrusted CPU costs one
-// trap plus one bulk scan. Zero on a uniprocessor.
+// state. Per seat with pending work the acknowledged protocol sends at
+// most MaxRetries+1 volleys, each charging at most one IPI plus one
+// timeout capped at the seat's backoff limit (scaled for devices, which
+// drain in-flight DMA before acking), and applies each pending request
+// at most once (retransmitted copies are sequence-suppressed) at no more
+// than the seat's worst-case apply (machine.Seat.MaxCycles); any seat
+// may need a rejoin, one trap plus one worst-case PurgeAll. Zero on a
+// uniprocessor.
 func (k *Kernel) ConvergenceBound() uint64 {
 	if k.shoot == nil {
 		return 0
 	}
-	p := k.shoot.Protocol()
 	c := k.costs()
-	// Worst-case cost of one request apply or one bulk invalidation:
-	// inspect/remove every resident entry, plus (for unmaps) flushing a
-	// page of cache lines — PageSize/16 over-counts lines for any real
-	// line size.
-	scan := uint64(k.cpuStructCapacity())*(c.PurgeEntry+c.Install) +
-		(k.geo.PageSize()/16)*c.CacheLineFlush
 	// Mesh surcharges at worst-case distance: every IPI may cross the
 	// full diameter, and every applied request may reach a maximally
 	// distant home memory bank.
 	diam := uint64(k.topo.Diameter())
 	ipi := c.IPI + diam*c.IPIHop
-	scan += diam * c.MemHop
-	volleys := uint64(p.MaxRetries + 1)
+	volleys := uint64(k.shoot.Protocol().MaxRetries + 1)
 	var bound uint64
-	for i := range k.machs {
-		if pending := uint64(k.shoot.Pending(i)); pending > 0 {
-			bound += volleys*(ipi+p.BackoffLimit) + pending*scan
+	for t := range k.numSeats() {
+		apply, purge := k.seat(t).MaxCycles()
+		if pending := uint64(k.shoot.Pending(t)); pending > 0 {
+			_, backoff := k.shoot.TargetTimeouts(t)
+			bound += volleys*(ipi+backoff) + pending*(apply+diam*c.MemHop)
 		}
-		// Every CPU may need a rejoin (quarantine can happen during the
-		// convergence flush itself): one trap plus one bulk purge.
-		bound += c.Trap + scan
-	}
-	// Device seats pay the same structure with their own numbers: the
-	// backoff cap is scaled by the device's timeout grant (devices drain
-	// in-flight DMA before acking), and the scan covers the IOTLB
-	// capacity instead of a CPU's private structures.
-	for i, dev := range k.devs {
-		seat := k.DeviceSeat(i)
-		_, backoff := k.shoot.TargetTimeouts(seat)
-		devScan := uint64(dev.Capacity())*(c.PurgeEntry+c.Install) + diam*c.MemHop
-		if pending := uint64(k.shoot.Pending(seat)); pending > 0 {
-			bound += volleys*(ipi+backoff) + pending*devScan
-		}
-		bound += c.Trap + devScan
+		// Quarantine can happen during the convergence flush itself.
+		bound += c.Trap + purge
 	}
 	return bound
-}
-
-// cpuStructCapacity returns the total entry capacity of one CPU's
-// private protection and translation structures (identically
-// configured on every CPU).
-func (k *Kernel) cpuStructCapacity() int {
-	switch {
-	case k.plbms != nil:
-		return k.plbms[0].PLB().Capacity() + k.plbms[0].TLB().Capacity()
-	case k.pgms != nil:
-		return k.pgms[0].TLB().Capacity() + k.pgms[0].Checker().Capacity()
-	case k.convms != nil:
-		return k.convms[0].TLB().Capacity()
-	}
-	return 0
 }
 
 // FindSegment returns the segment containing va, or nil.

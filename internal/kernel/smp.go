@@ -1,9 +1,6 @@
 package kernel
 
-import (
-	"repro/internal/addr"
-	"repro/internal/smp"
-)
+import "repro/internal/smp"
 
 // Shootdown integration: the kernel is the smp.Handler — it maps
 // delivered requests onto the target CPU's machine — and the protection
@@ -23,22 +20,43 @@ import (
 //     page-keyed: unmaps and regroups go to the page's sharer set
 //     (shootPage/shootRange), not to every CPU that ever ran anything.
 //
-// Every kernel-level protection operation enqueues its remote work and
-// then flushes once, so all requests raised by one operation share one
-// IPI per target CPU (batching), with identical requests coalesced.
+// Each protection change is one smp.Request: the shoot* helpers apply
+// it to the current CPU's machine and enqueue the same request for the
+// remote sharers, so local and remote maintenance cannot drift apart.
+// Every kernel-level protection operation then flushes once, so all
+// requests raised by one operation share one IPI per target CPU
+// (batching), with identical requests coalesced.
 
-// shootDomain enqueues r for every remote CPU that may cache domain d's
-// protection entries.
+// shootDomain applies r locally and enqueues it for every remote CPU
+// that may cache domain d's protection entries.
 func (k *Kernel) shootDomain(d *Domain, r smp.Request) {
+	r.Domain = d.ID
+	k.mach.Apply(r)
+	k.queueDomain(d, r)
+}
+
+// queueDomain enqueues r for every remote seat in d's residency set.
+func (k *Kernel) queueDomain(d *Domain, r smp.Request) {
 	if k.shoot == nil {
 		return
 	}
-	r.Domain = d.ID
 	d.cpus.ForEach(func(i int) {
 		if i != k.cur {
 			k.enqueueShoot(i, r)
 		}
 	})
+}
+
+// purgeDomain drops every protection entry naming the dying domain d:
+// one DomainPurge on the current CPU, when the directory lists it as a
+// sharer, and one per remote sharer seat.
+func (k *Kernel) purgeDomain(d *Domain) {
+	r := smp.Request{Kind: smp.DomainPurge, Domain: d.ID}
+	if d.cpus.Has(k.cur) {
+		k.mach.Apply(r)
+		d.cpus.Remove(k.cur)
+	}
+	k.queueDomain(d, r)
 }
 
 // enqueueShoot routes one request to CPU i unless i is fenced
@@ -58,14 +76,15 @@ func (k *Kernel) enqueueShoot(i int, r smp.Request) {
 	k.shoot.Enqueue(i, r)
 }
 
-// shootExecuting enqueues r for every remote CPU currently executing
-// domain d (checker state is rebuilt on switch, so only executing CPUs
-// hold it).
+// shootExecuting applies r locally and enqueues it for every remote CPU
+// currently executing domain d (checker state is rebuilt on switch, so
+// only executing CPUs hold it).
 func (k *Kernel) shootExecuting(d *Domain, r smp.Request) {
+	r.Domain = d.ID
+	k.mach.Apply(r)
 	if k.shoot == nil {
 		return
 	}
-	r.Domain = d.ID
 	for i := range k.machs {
 		if i != k.cur && k.machs[i].Domain() == d.ID {
 			k.enqueueShoot(i, r)
@@ -175,90 +194,23 @@ func (k *Kernel) PendingShootdowns(i int) int {
 	return k.shoot.Pending(i)
 }
 
-// ApplyShootdown implements smp.Handler: perform r on CPU cpu's
-// machine and report how many resident entries were touched. Removal
-// kinds that can drop a domain's last hardware entry on the target
-// (single-entry invalidates, detach scans, full purges) re-scan the
-// structure afterwards and withdraw the target from the domain's
+// ApplyShootdown implements smp.Handler: perform r on seat t (a CPU's
+// machine or a device agent) and report how many resident entries were
+// touched. Removal kinds that can drop a domain's last entry on the
+// seat re-scan it afterwards and withdraw the seat from the domain's
 // residency set when nothing is left — the step that keeps residency
 // tracking live sharers instead of growing monotonically.
-func (k *Kernel) ApplyShootdown(cpu int, r smp.Request) int {
-	if cpu >= len(k.machs) {
-		// Device seat: the request lands on the device's IOTLB.
-		return k.applyDeviceShootdown(cpu, r)
+func (k *Kernel) ApplyShootdown(t int, r smp.Request) int {
+	n := k.seat(t).Apply(r)
+	switch r.Kind {
+	case smp.InvalRights, smp.RangeDetach, smp.GroupRevoke, smp.DomainPurge:
+		k.withdrawIfEmpty(t, r.Domain)
+	case smp.PurgeAllProt:
+		// Flash-clear: no domain has protection entries on t any more.
+		k.doms.forEach(func(dom *Domain) { dom.cpus.Remove(t) })
 	}
-	switch {
-	case k.pgms != nil:
-		m := k.pgms[cpu]
-		switch r.Kind {
-		case smp.Unmap:
-			return m.UnmapPage(r.VPN)
-		case smp.GroupLoad:
-			return m.AttachGroup(r.Domain, r.Group, r.WD)
-		case smp.GroupRevoke:
-			return m.DetachGroup(r.Domain, r.Group)
-		case smp.GroupUpdate:
-			return m.UpdatePage(r.VPN, r.Group, r.Rights)
-		}
-	case k.convms != nil:
-		m := k.convms[cpu]
-		as := addr.ASID(r.Domain)
-		switch r.Kind {
-		case smp.InvalRights:
-			n := m.InvalidateEntry(as, r.VPN)
-			k.withdrawIfEmpty(cpu, r.Domain)
-			return n
-		case smp.UpdateRights:
-			return m.SetRights(as, r.VPN, r.Rights)
-		case smp.DomainPurge:
-			n := m.PurgeASID(as)
-			k.withdrawIfEmpty(cpu, r.Domain)
-			return n
-		case smp.PurgePage:
-			return m.InvalidatePage(r.VPN)
-		case smp.Unmap:
-			return m.UnmapPage(r.VPN)
-		}
-	case k.plbms != nil:
-		m := k.plbms[cpu]
-		switch r.Kind {
-		case smp.InvalRights:
-			n := m.InvalidateRights(r.Domain, k.geo.Base(r.VPN))
-			k.withdrawIfEmpty(cpu, r.Domain)
-			return n
-		case smp.UpdateRights:
-			return m.UpdateRights(r.Domain, k.geo.Base(r.VPN), r.Rights)
-		case smp.RangeRights:
-			return m.UpdateRange(r.Domain, r.Range.Start, r.Range.Length, r.Rights)
-		case smp.RangeDetach:
-			n := m.DetachRange(r.Domain, r.Range.Start, r.Range.Length)
-			k.withdrawIfEmpty(cpu, r.Domain)
-			return n
-		case smp.RangePurge:
-			return m.PLB().PurgeRangeAll(r.Range.Start, r.Range.Length)
-		case smp.DomainPurge:
-			n := m.PurgeDomain(r.Domain)
-			k.withdrawIfEmpty(cpu, r.Domain)
-			return n
-		case smp.PurgeAllProt:
-			n := m.PurgeAllPLB()
-			// Flash-clear: no domain has PLB entries on cpu any more.
-			k.doms.forEach(func(dom *Domain) { dom.cpus.Remove(cpu) })
-			return n
-		case smp.PurgePage:
-			return m.PurgePage(k.geo.Base(r.VPN))
-		case smp.Unmap:
-			return m.UnmapPage(r.VPN)
-		}
-	}
-	return 0
+	return n
 }
 
-// CPUCycles implements smp.Handler: a device seat reports the device
-// agent's clock, a CPU seat its machine's.
-func (k *Kernel) CPUCycles(cpu int) uint64 {
-	if dev := k.deviceAt(cpu); dev != nil {
-		return dev.Cycles()
-	}
-	return k.machs[cpu].Cycles()
-}
+// CPUCycles implements smp.Handler: seat t's clock.
+func (k *Kernel) CPUCycles(t int) uint64 { return k.seat(t).Cycles() }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/cache"
+	"repro/internal/machine"
 	"repro/internal/plb"
 	"repro/internal/smp"
 )
@@ -207,7 +209,7 @@ func TestQuarantineFencesAndSetCPURejoins(t *testing.T) {
 	if got := k.Counters().Get("kernel.cpu_rejoins"); got != 1 {
 		t.Fatalf("cpu_rejoins = %d, want 1", got)
 	}
-	if n := k.PLBMachineAt(1).PLB().Len(); n != 0 {
+	if n := k.MachineAt(1).(*machine.PLBMachine).PLB().Len(); n != 0 {
 		t.Fatalf("rejoined CPU still holds %d PLB entries", n)
 	}
 	// The stale authority is really gone: the access faults back in
@@ -251,6 +253,79 @@ func TestConvergeProtectionWithinBound(t *testing.T) {
 		if k.PendingShootdowns(i) != 0 {
 			t.Fatalf("CPU %d still has pending shootdowns", i)
 		}
+	}
+}
+
+// dirtyCacheKernel builds a 2-CPU kernel of the given organization with
+// the acknowledged protocol on and one domain attached read-write to a
+// segment as large as the data cache, then stores to every cache line
+// of it on CPU 1 — every line of CPU 1's cache ends up dirty — and
+// returns to CPU 0.
+func dirtyCacheKernel(t *testing.T, model Model) (*Kernel, *Domain, *Segment) {
+	t.Helper()
+	cfg := DefaultConfig(model)
+	cfg.CPUs = 2
+	k := New(cfg)
+	k.EnableShootdownProtocol(testKernelProto())
+	d := k.CreateDomain()
+	// Every organization's default data cache has this geometry.
+	cc := cache.DefaultConfig()
+	lines := uint64(cc.Assoc.Capacity())
+	lineSize := uint64(1) << cc.LineShift
+	s := k.CreateSegment(lines*lineSize/k.Geometry().PageSize(), SegmentOptions{Name: "dirty"})
+	k.Attach(d, s, addr.RW)
+	k.SetCPU(1)
+	for off := uint64(0); off < s.Range.Length; off += lineSize {
+		if err := k.Touch(d, s.Base()+addr.VA(off), addr.Store); err != nil {
+			t.Fatalf("store at %#x: %v", off, err)
+		}
+	}
+	k.SetCPU(0)
+	return k, d, s
+}
+
+// TestConvergenceBoundCoversDirtyCaches: the bound must cover the data
+// cache's dirty writebacks in both places convergence pays them — the
+// whole-cache flush of a rejoin's bulk purge, and the per-page flush of
+// each queued Unmap — on every organization.
+func TestConvergenceBoundCoversDirtyCaches(t *testing.T) {
+	for _, model := range []Model{ModelDomainPage, ModelPageGroup, ModelConventional, ModelFlush} {
+		t.Run(model.String()+"/rejoin", func(t *testing.T) {
+			k, d, s := dirtyCacheKernel(t, model)
+			k.SetIPIFault(func(target int, _ smp.Request) smp.Fault {
+				if target == 1 {
+					return smp.FaultDrop
+				}
+				return smp.FaultNone
+			})
+			if err := k.SetPageRights(d, s.Base(), addr.Read); err != nil {
+				t.Fatalf("SetPageRights: %v", err)
+			}
+			if k.CPUTrusted(1) {
+				t.Fatal("CPU 1 not quarantined by the dropped shootdowns")
+			}
+			bound := k.ConvergenceBound()
+			if cycles := k.ConvergeProtection(); cycles > bound {
+				t.Fatalf("converging a dirty-cache rejoin took %d cycles, bound %d", cycles, bound)
+			}
+		})
+		t.Run(model.String()+"/deferred-unmaps", func(t *testing.T) {
+			k, _, s := dirtyCacheKernel(t, model)
+			k.DeferShootdowns()
+			for i := uint64(0); i < s.NumPages(); i++ {
+				if err := k.PageOut(s.PageVPN(i)); err != nil {
+					t.Fatalf("PageOut: %v", err)
+				}
+			}
+			if k.PendingShootdowns(1) == 0 {
+				t.Fatal("no unmap queued for CPU 1")
+			}
+			bound := k.ConvergenceBound()
+			if cycles := k.ConvergeProtection(); cycles > bound {
+				t.Fatalf("converging %d deferred unmaps of dirty pages took %d cycles, bound %d",
+					s.NumPages(), cycles, bound)
+			}
+		})
 	}
 }
 

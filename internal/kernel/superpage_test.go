@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/machine"
 )
 
 // superPageConfig returns a domain-page config whose PLB supports 64 KB
@@ -37,8 +38,8 @@ func TestSuperPageSingleEntryCoversSegment(t *testing.T) {
 	if got := diff.Get("trap.plb_refill"); got != 1 {
 		t.Fatalf("plb refills = %d, want 1 (one super-page entry)", got)
 	}
-	if k.PLBMachine().PLB().Len() != 1 {
-		t.Fatalf("PLB entries = %d, want 1", k.PLBMachine().PLB().Len())
+	if k.Machine().(*machine.PLBMachine).PLB().Len() != 1 {
+		t.Fatalf("PLB entries = %d, want 1", k.Machine().(*machine.PLBMachine).PLB().Len())
 	}
 }
 

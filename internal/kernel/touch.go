@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/cpu"
+	"repro/internal/smp"
 )
 
 // Touch issues one memory reference by domain d at va, running the full
@@ -343,7 +344,7 @@ func (k *Kernel) PageOut(vpn addr.VPN) error {
 	if err := k.activePager().Out(vpn, k.memory.Data(pte.PFN)); err != nil {
 		return fmt.Errorf("kernel: page-out of %#x: %w", uint64(vpn), err)
 	}
-	k.engine.onUnmap(vpn)
+	k.shootPage(vpn, smp.Request{Kind: smp.Unmap, VPN: vpn})
 	k.flushIPIs()
 	if _, err := k.trans.Unmap(vpn); err != nil {
 		return err
@@ -398,7 +399,7 @@ func (k *Kernel) Unmap(vpn addr.VPN) error {
 	if !ok {
 		return fmt.Errorf("kernel: unmap of unmapped page %#x", uint64(vpn))
 	}
-	k.engine.onUnmap(vpn)
+	k.shootPage(vpn, smp.Request{Kind: smp.Unmap, VPN: vpn})
 	k.flushIPIs()
 	if _, err := k.trans.Unmap(vpn); err != nil {
 		return err

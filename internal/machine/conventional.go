@@ -5,6 +5,7 @@ import (
 	"repro/internal/assoc"
 	"repro/internal/cache"
 	"repro/internal/cpu"
+	"repro/internal/smp"
 	"repro/internal/stats"
 	"repro/internal/tlb"
 )
@@ -66,6 +67,9 @@ type ConventionalMachine struct {
 	os     MultiOS
 	obs    ResidencyObserver // non-nil when the OS tracks sharers
 	domain addr.DomainID
+	// flush marks the flush machine (NewFlush): no ASIDs, so the TLB and
+	// cache are flushed on every switch.
+	flush bool
 
 	tlb   *tlb.ASIDTLB
 	cache *cache.VirtualCache  // VIVT-ASID organization
@@ -117,8 +121,29 @@ func DefaultVIPTConvConfig() ConvConfig {
 	return cfg
 }
 
+// NewFlush builds the flush machine: a conventional machine without
+// address space identifiers, whose homonyms make both the TLB and the
+// virtual cache unusable across a context switch, so both are flushed on
+// every switch — the regime the paper cites for the i860 (Section 2.2).
+// The configuration's cache must not use ASID tags (there is no ASID);
+// NewFlush clears the flag. With everything flushed per switch, every
+// ASID sees only its own entries, so the machine's ASID tagging is
+// harmless: homonymous entries never coexist.
+func NewFlush(cfg ConvConfig, os MultiOS) *ConventionalMachine {
+	cfg.Cache.ASIDTags = false
+	cfg.CacheOrg = ConvCacheVIVTASID // flushing presumes the virtual cache
+	m := NewConventional(cfg, os)
+	m.flush = true
+	return m
+}
+
 // Name implements Machine.
-func (m *ConventionalMachine) Name() string { return "conventional" }
+func (m *ConventionalMachine) Name() string {
+	if m.flush {
+		return "flush"
+	}
+	return "conventional"
+}
 
 // Domain implements Machine.
 func (m *ConventionalMachine) Domain() addr.DomainID { return m.domain }
@@ -147,12 +172,23 @@ func (m *ConventionalMachine) asid() addr.ASID { return addr.ASID(m.domain) }
 
 // SwitchDomain implements Machine: with ASID tags a switch is one
 // register write, like the PLB machine — but shared pages pay for it with
-// duplicated TLB entries and cache synonyms.
+// duplicated TLB entries and cache synonyms. The flush machine instead
+// purges its TLB and flushes its cache: everything goes.
 func (m *ConventionalMachine) SwitchDomain(d addr.DomainID) {
+	c := &m.cfg.Costs
+	cost := c.RegisterWrite
+	if m.flush {
+		if d == m.domain {
+			return
+		}
+		purged := m.tlb.PurgeAll()
+		flushed, dirty := m.cache.FlushAll()
+		cost += uint64(purged)*c.PurgeEntry + uint64(flushed)*c.CacheLineFlush + uint64(dirty)*c.Writeback
+	}
 	m.domain = d
 	m.hSwitches.Inc()
-	m.hSwitchCycles.Add(m.cfg.Costs.RegisterWrite)
-	m.cycles.Add(m.cfg.Costs.RegisterWrite)
+	m.hSwitchCycles.Add(cost)
+	m.cycles.Add(cost)
 }
 
 // Access implements Machine. Protection comes from the combined TLB,
@@ -214,164 +250,115 @@ func (m *ConventionalMachine) Access(va addr.VA, kind addr.AccessKind) cpu.Outco
 	return cpu.Outcome{}
 }
 
-// InvalidatePage purges every address space's TLB entry for vpn — what a
-// mapping change to a shared page costs on this architecture (the scan of
-// Section 3.1).
-func (m *ConventionalMachine) InvalidatePage(vpn addr.VPN) int {
-	n := m.tlb.PurgePage(vpn)
-	// An entry-by-entry hardware scan inspects every TLB slot, valid or
-	// not, so the charge covers the full capacity.
-	m.cycles.Add(uint64(m.tlb.Capacity()) * m.cfg.Costs.PurgeEntry)
-	return n
-}
-
-// SetRights updates the resident TLB entry for (as, vpn); absent entries
-// refill from the page tables on next touch.
-func (m *ConventionalMachine) SetRights(as addr.ASID, vpn addr.VPN, r addr.Rights) int {
-	if e, ok := m.tlb.Lookup(as, vpn); ok {
-		e.Rights = r
-		m.tlb.Insert(as, vpn, e)
-		m.cycles.Add(m.cfg.Costs.Install)
-		return 1
-	}
-	return 0
-}
-
-// PurgeASID drops every TLB entry tagged with address space as — the
-// address-space teardown primitive (domain destroy). One full-TLB scan
-// replaces the per-page InvalidateEntry storm a destroy would otherwise
-// issue, so the charge covers the full capacity once.
-func (m *ConventionalMachine) PurgeASID(as addr.ASID) int {
-	n := m.tlb.PurgeAS(as)
-	m.cycles.Add(uint64(m.tlb.Capacity()) * m.cfg.Costs.PurgeEntry)
-	return n
-}
-
-// InvalidateEntry drops one space's TLB entry for vpn (detach and
-// per-space protection revocation).
-func (m *ConventionalMachine) InvalidateEntry(as addr.ASID, vpn addr.VPN) int {
-	if m.tlb.Invalidate(as, vpn) {
-		m.cycles.Add(m.cfg.Costs.PurgeEntry)
-		return 1
-	}
-	return 0
-}
-
-// UnmapPage destroys the translation for vpn: every address space's TLB
-// entry must be found and purged (the duplicated-purge cost of Section
-// 3.1), and the page's cache lines flushed.
-func (m *ConventionalMachine) UnmapPage(vpn addr.VPN) int {
+// Apply implements Seat. Rights live in each address space's TLB
+// entries, so per-domain changes touch one (ASID, page) entry, while
+// page-wide changes must scan the whole TLB for every space's duplicate
+// (Section 3.1).
+func (m *ConventionalMachine) Apply(r smp.Request) int {
 	c := &m.cfg.Costs
-	// The flush needs the physical frame before the mapping disappears.
-	var pfn addr.PFN
-	havePFN := false
-	if m.vipt != nil {
-		if pte, ok := m.os.Walk(m.asid(), vpn); ok {
-			pfn, havePFN = pte.PFN, true
+	as := addr.ASID(r.Domain)
+	switch r.Kind {
+	case smp.InvalRights:
+		// Detach and per-space protection revocation.
+		if m.tlb.Invalidate(as, r.VPN) {
+			m.cycles.Add(c.PurgeEntry)
+			return 1
 		}
-	}
-	n := m.tlb.PurgePage(vpn)
-	m.cycles.Add(uint64(m.tlb.Capacity()) * c.PurgeEntry)
-	var dirty int
-	if m.vipt != nil {
-		if havePFN {
-			_, dirty = m.vipt.FlushFrame(pfn, m.cfg.Geometry)
+	case smp.UpdateRights:
+		// A resident entry is rewritten; absent entries refill from the
+		// page tables on next touch.
+		if e, ok := m.tlb.Lookup(as, r.VPN); ok {
+			e.Rights = r.Rights
+			m.tlb.Insert(as, r.VPN, e)
+			m.cycles.Add(c.Install)
+			return 1
 		}
-	} else {
-		_, dirty = m.cache.FlushPage(m.cfg.Geometry.Base(vpn), m.cfg.Geometry)
+	case smp.DomainPurge:
+		// Address-space teardown: one full-TLB scan replaces the
+		// per-page invalidation storm a destroy would otherwise issue.
+		return m.scan(m.tlb.PurgeAS(as))
+	case smp.PurgePage:
+		// What a mapping change to a shared page costs on this
+		// architecture.
+		return m.scan(m.tlb.PurgePage(r.VPN))
+	case smp.Unmap:
+		// The page's lines are flushed (a VIPT flush needs the frame
+		// while the mapping still exists), and every space's TLB entry
+		// must be found and purged: the duplicated-purge cost of
+		// Section 3.1.
+		dirty := 0
+		if m.vipt == nil {
+			_, dirty = m.cache.FlushPage(m.cfg.Geometry.Base(r.VPN), m.cfg.Geometry)
+		} else if pte, ok := m.os.Walk(m.asid(), r.VPN); ok {
+			_, dirty = m.vipt.FlushFrame(pte.PFN, m.cfg.Geometry)
+		}
+		m.cycles.Add(m.pageLines()*c.CacheLineFlush + uint64(dirty)*c.Writeback)
+		return m.scan(m.tlb.PurgePage(r.VPN))
 	}
-	m.cycles.Add((m.cfg.Geometry.PageSize() >> m.cfg.Cache.LineShift) * c.CacheLineFlush)
-	m.cycles.Add(uint64(dirty) * c.Writeback)
+	return 0
+}
+
+// scan charges an entry-by-entry TLB scan, which inspects every slot
+// whether valid or not, and passes through the number of entries it
+// touched.
+func (m *ConventionalMachine) scan(n int) int {
+	m.cycles.Add(uint64(m.tlb.Capacity()) * m.cfg.Costs.PurgeEntry)
 	return n
 }
 
-// FlushDataCache flushes every line of the data cache (virtual or
-// VIPT), charging the per-line flush and writeback costs. Lines left
-// by mappings the CPU no longer holds would otherwise survive a bulk
-// invalidation: unmap shootdowns flush them when delivered, and a CPU
-// withdrawn from the sharer directory stops receiving those.
-func (m *ConventionalMachine) FlushDataCache() int {
+// pageLines returns the number of cache lines covering one page.
+func (m *ConventionalMachine) pageLines() uint64 {
+	return m.cfg.Geometry.PageSize() >> m.cfg.Cache.LineShift
+}
+
+// PurgeAll implements Seat: the TLB is purged and every data-cache line
+// (virtual or VIPT) flushed. Lines left by mappings the CPU no longer
+// holds would otherwise survive: unmap shootdowns flush them when
+// delivered, and a seat withdrawn from the sharer directory stops
+// receiving those.
+func (m *ConventionalMachine) PurgeAll() int {
+	c := &m.cfg.Costs
+	n := m.tlb.PurgeAll()
 	var flushed, dirty int
 	if m.vipt != nil {
 		flushed, dirty = m.vipt.FlushAll()
 	} else {
 		flushed, dirty = m.cache.FlushAll()
 	}
-	m.cycles.Add(uint64(flushed)*m.cfg.Costs.CacheLineFlush + uint64(dirty)*m.cfg.Costs.Writeback)
-	return flushed
+	m.cycles.Add(uint64(flushed)*c.CacheLineFlush + uint64(dirty)*c.Writeback)
+	return n
+}
+
+// MaxCycles implements Seat. The dearer Apply is a single-entry
+// install or an unmap, which scans the TLB and flushes a page of lines
+// with every resident line of the page dirty; PurgeAll at worst flushes
+// a cache full of dirty lines.
+func (m *ConventionalMachine) MaxCycles() (apply, purge uint64) {
+	c := &m.cfg.Costs
+	var pageDirty, cacheLines uint64
+	if m.vipt != nil {
+		cacheLines = uint64(m.vipt.Capacity())
+		pageDirty = min(m.pageLines(), cacheLines)
+	} else {
+		cacheLines = uint64(m.cache.Capacity())
+		pageDirty = m.cache.PageLinesBound(m.cfg.Geometry)
+	}
+	unmap := uint64(m.tlb.Capacity())*c.PurgeEntry + m.pageLines()*c.CacheLineFlush + pageDirty*c.Writeback
+	return max(c.Install, unmap), cacheLines * (c.CacheLineFlush + c.Writeback)
+}
+
+// HasDomainEntries implements Seat by scanning the TLB for an entry of
+// domain d's address space.
+func (m *ConventionalMachine) HasDomainEntries(d addr.DomainID) bool {
+	found := false
+	m.tlb.ForEach(func(key tlb.ASIDKey, _ tlb.ASIDEntry) bool {
+		found = key.AS == addr.ASID(d)
+		return !found
+	})
+	return found
 }
 
 // Geometry returns the machine's translation page geometry.
 func (m *ConventionalMachine) Geometry() addr.Geometry { return m.cfg.Geometry }
 
 var _ Machine = (*ConventionalMachine)(nil)
-
-// FlushMachine is a conventional machine without address space
-// identifiers: homonyms make both the TLB and the virtual cache unusable
-// across a context switch, so both are flushed on every switch — the
-// regime the paper cites for the i860 (Section 2.2).
-type FlushMachine struct {
-	inner *ConventionalMachine
-}
-
-// NewFlush builds a flush machine. The configuration's cache must not use
-// ASID tags (there is no ASID); NewFlush clears the flag.
-func NewFlush(cfg ConvConfig, os MultiOS) *FlushMachine {
-	cfg.Cache.ASIDTags = false
-	cfg.CacheOrg = ConvCacheVIVTASID // flushing presumes the virtual cache
-	return &FlushMachine{inner: NewConventional(cfg, os)}
-}
-
-// Name implements Machine.
-func (m *FlushMachine) Name() string { return "flush" }
-
-// Domain implements Machine.
-func (m *FlushMachine) Domain() addr.DomainID { return m.inner.domain }
-
-// Counters implements Machine.
-func (m *FlushMachine) Counters() *stats.Counters { return &m.inner.ctrs }
-
-// Cycles implements Machine.
-func (m *FlushMachine) Cycles() uint64 { return m.inner.cycles.Total() }
-
-// Costs implements Machine.
-func (m *FlushMachine) Costs() cpu.CostModel { return m.inner.cfg.Costs }
-
-// Cache exposes the data cache for inspection.
-func (m *FlushMachine) Cache() *cache.VirtualCache { return m.inner.cache }
-
-// Inner exposes the wrapped conventional machine, through which the
-// kernel's conventional engine performs TLB maintenance and the oracle
-// inspects resident state. The flush machine shares the conventional
-// machine's structures; only its switch behaviour differs.
-func (m *FlushMachine) Inner() *ConventionalMachine { return m.inner }
-
-// TLB exposes the TLB for inspection.
-func (m *FlushMachine) TLB() *tlb.ASIDTLB { return m.inner.tlb }
-
-// SwitchDomain implements Machine: everything goes.
-func (m *FlushMachine) SwitchDomain(d addr.DomainID) {
-	c := &m.inner.cfg.Costs
-	if d == m.inner.domain {
-		return
-	}
-	purged := m.inner.tlb.PurgeAll()
-	flushed, dirty := m.inner.cache.FlushAll()
-	cost := c.RegisterWrite +
-		uint64(purged)*c.PurgeEntry +
-		uint64(flushed)*c.CacheLineFlush +
-		uint64(dirty)*c.Writeback
-	m.inner.domain = d
-	m.inner.hSwitches.Inc()
-	m.inner.hSwitchCycles.Add(cost)
-	m.inner.cycles.Add(cost)
-}
-
-// Access implements Machine. With the TLB and cache flushed per switch,
-// every ASID sees only its own entries; the inner machine's ASID tagging
-// is harmless because homonymous entries never coexist.
-func (m *FlushMachine) Access(va addr.VA, kind addr.AccessKind) cpu.Outcome {
-	return m.inner.Access(va, kind)
-}
-
-var _ Machine = (*FlushMachine)(nil)

@@ -17,19 +17,25 @@
 //     are extended with the ASID. The baseline for the TLB-duplication and
 //     virtual-cache experiments.
 //
-//   - FlushMachine: a conventional machine without ASIDs that must flush
-//     the TLB and data cache on every context switch (the i860 regime).
+//   - The flush machine (NewFlush): a ConventionalMachine without ASIDs
+//     that must flush the TLB and data cache on every context switch
+//     (the i860 regime).
 //
 // Machines are purely architectural: they count structure events and
 // charge cycles, trapping to an OS interface to resolve misses. They never
 // move data; the kernel performs functional reads/writes against physical
-// memory after the machine approves an access.
+// memory after the machine approves an access. Protection changes reach a
+// machine as smp.Requests through one Apply per organization, the same
+// contract device translation agents (internal/iommu) honour, so which
+// hardware operations a change costs on which organization (Table 1,
+// Section 4.1) is stated once, next to the structures it touches.
 package machine
 
 import (
 	"repro/internal/addr"
 	"repro/internal/cpu"
 	"repro/internal/ptable"
+	"repro/internal/smp"
 	"repro/internal/stats"
 )
 
@@ -98,9 +104,37 @@ type MultiOS interface {
 	Walk(as addr.ASID, vpn addr.VPN) (ptable.LinearPTE, bool)
 }
 
+// Seat is the maintenance contract of one shootdown seat: a CPU's
+// machine, or a device translation agent (*iommu.Device). The kernel
+// applies each protection change on the executing CPU and delivers the
+// same request to remote seats, so local and remote maintenance cannot
+// drift apart.
+type Seat interface {
+	// Apply performs r on the seat's structures, charging its
+	// architectural cost, and returns how many resident entries it
+	// invalidated, rewrote or loaded. Kinds the seat has no maintenance
+	// for touch nothing and cost nothing.
+	Apply(r smp.Request) int
+	// PurgeAll bulk-invalidates every protection and translation entry
+	// (and flushes a CPU's data cache: a virtually tagged line hits
+	// without consulting translation), returning the entries dropped.
+	// Afterwards the seat caches no authority at all.
+	PurgeAll() int
+	// HasDomainEntries reports whether the seat may still cache an
+	// entry naming domain d — the scan that decides whether a removal
+	// request dropped d's last entry there.
+	HasDomainEntries(d addr.DomainID) bool
+	// Cycles returns total cycles charged so far.
+	Cycles() uint64
+	// MaxCycles bounds what one Apply and one PurgeAll may charge from
+	// the seat's current state.
+	MaxCycles() (apply, purge uint64)
+}
+
 // Machine is the interface common to all four organizations, sufficient
 // for trace-driven experiments and the kernel's access path.
 type Machine interface {
+	Seat
 	// Name identifies the organization ("plb", "page-group", ...).
 	Name() string
 	// SwitchDomain makes d the executing protection domain, performing
@@ -117,8 +151,6 @@ type Machine interface {
 	Access(va addr.VA, kind addr.AccessKind) cpu.Outcome
 	// Counters exposes the machine's event counters.
 	Counters() *stats.Counters
-	// Cycles returns total cycles charged so far.
-	Cycles() uint64
 	// Costs returns the machine's cost model.
 	Costs() cpu.CostModel
 }

@@ -1,11 +1,16 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/cache"
 	"repro/internal/cpu"
+	"repro/internal/plb"
 	"repro/internal/ptable"
+	"repro/internal/smp"
+	"repro/internal/tlb"
 )
 
 // fakeOS is a table-driven OS for machine tests.
@@ -234,7 +239,7 @@ func TestPLBUpdateRightsAffectsOneDomain(t *testing.T) {
 	// Revoke domain 1's write access in the PLB (kernel-side tables are
 	// the fake's responsibility; here we check hardware behaviour).
 	os.grant(1, 1, addr.Read)
-	m.UpdateRights(1, va(1), addr.Read)
+	m.Apply(smp.Request{Kind: smp.UpdateRights, Domain: 1, VPN: 1, Rights: addr.Read})
 	m.SwitchDomain(1)
 	if out := m.Access(va(1), addr.Store); out.Fault != cpu.FaultProtection {
 		t.Fatal("revoked write allowed")
@@ -259,7 +264,7 @@ func TestPLBDetachRange(t *testing.T) {
 	if m.PLB().Len() != 4 {
 		t.Fatalf("PLB len = %d", m.PLB().Len())
 	}
-	m.DetachRange(1, va(1), 2*page)
+	m.Apply(smp.Request{Kind: smp.RangeDetach, Domain: 1, Range: addr.Range{Start: va(1), Length: 2 * page}})
 	if m.PLB().Len() != 2 {
 		t.Fatalf("PLB len after detach = %d", m.PLB().Len())
 	}
@@ -276,7 +281,7 @@ func TestPLBUnmapPage(t *testing.T) {
 		t.Fatal("setup failed")
 	}
 	delete(os.trans, 1)
-	m.UnmapPage(1)
+	m.Apply(smp.Request{Kind: smp.Unmap, VPN: 1})
 	if m.TLB().Len() != 0 || m.Cache().Len() != 0 {
 		t.Fatal("unmap left residue")
 	}
@@ -431,7 +436,7 @@ func TestPGUpdatePageMovesGroup(t *testing.T) {
 	m.Access(va(1), addr.Load)
 	// Kernel moves the page to group 9, which domain 1 cannot access.
 	os.setPage(1, 7, 9, addr.RW)
-	m.UpdatePage(1, 9, addr.RW)
+	m.Apply(smp.Request{Kind: smp.GroupUpdate, VPN: 1, Group: 9, Rights: addr.RW})
 	if out := m.Access(va(1), addr.Load); out.Fault != cpu.FaultProtection {
 		t.Fatalf("fault = %v, want protection after group move", out.Fault)
 	}
@@ -472,7 +477,7 @@ func TestPGUnmapPage(t *testing.T) {
 	m.Access(va(1), addr.Store)
 	delete(os.trans, 1)
 	delete(os.groups, 1)
-	m.UnmapPage(1)
+	m.Apply(smp.Request{Kind: smp.Unmap, VPN: 1})
 	if m.TLB().Len() != 0 || m.Cache().Len() != 0 {
 		t.Fatal("unmap left residue")
 	}
@@ -555,7 +560,7 @@ func TestConventionalInvalidatePage(t *testing.T) {
 		m.SwitchDomain(d)
 		m.Access(va(1), addr.Load)
 	}
-	m.InvalidatePage(1)
+	m.Apply(smp.Request{Kind: smp.PurgePage, VPN: 1})
 	if m.TLB().Len() != 0 {
 		t.Fatalf("TLB entries after invalidate = %d", m.TLB().Len())
 	}
@@ -673,7 +678,7 @@ func TestVIPTUnmapFlushes(t *testing.T) {
 	if m.VIPTCache().Len() != 1 {
 		t.Fatal("setup failed")
 	}
-	m.UnmapPage(1)
+	m.Apply(smp.Request{Kind: smp.Unmap, VPN: 1})
 	if m.VIPTCache().Len() != 0 {
 		t.Fatal("unmap left VIPT residue")
 	}
@@ -692,20 +697,17 @@ func TestScanOpsChargeFullCapacity(t *testing.T) {
 		m.SwitchDomain(1)
 		m.Access(va(1), addr.Load) // one valid entry out of 128
 		scan := uint64(m.PLB().Capacity()) * m.Costs().PurgeEntry
-		before := m.Cycles()
-		m.UpdateRange(1, va(0), 4*page, addr.Read)
-		if got := m.Cycles() - before; got != scan {
-			t.Fatalf("UpdateRange charged %d cycles, want capacity scan %d", got, scan)
-		}
-		before = m.Cycles()
-		m.DetachRange(1, va(0), 4*page)
-		if got := m.Cycles() - before; got != scan {
-			t.Fatalf("DetachRange charged %d cycles, want capacity scan %d", got, scan)
-		}
-		before = m.Cycles()
-		m.PurgePage(va(1))
-		if got := m.Cycles() - before; got != scan {
-			t.Fatalf("PurgePage charged %d cycles, want capacity scan %d", got, scan)
+		seg := addr.Range{Start: va(0), Length: 4 * page}
+		for _, r := range []smp.Request{
+			{Kind: smp.RangeRights, Domain: 1, Range: seg, Rights: addr.Read},
+			{Kind: smp.RangeDetach, Domain: 1, Range: seg},
+			{Kind: smp.PurgePage, VPN: 1},
+		} {
+			before := m.Cycles()
+			m.Apply(r)
+			if got := m.Cycles() - before; got != scan {
+				t.Fatalf("%v charged %d cycles, want capacity scan %d", r.Kind, got, scan)
+			}
 		}
 	})
 	t.Run("ConventionalMachine", func(t *testing.T) {
@@ -716,9 +718,228 @@ func TestScanOpsChargeFullCapacity(t *testing.T) {
 		m.Access(va(1), addr.Load)
 		scan := uint64(m.TLB().Capacity()) * m.Costs().PurgeEntry
 		before := m.Cycles()
-		m.InvalidatePage(1)
+		m.Apply(smp.Request{Kind: smp.PurgePage, VPN: 1})
 		if got := m.Cycles() - before; got != scan {
-			t.Fatalf("InvalidatePage charged %d cycles, want capacity scan %d", got, scan)
+			t.Fatalf("purge-page charged %d cycles, want capacity scan %d", got, scan)
 		}
 	})
+}
+
+// applyCase is one row of the Apply contract: the entries a request must
+// touch, the cycles it must charge, and what the touched entry must look
+// like afterwards ("" when it does).
+type applyCase struct {
+	req    smp.Request
+	n      int
+	cycles uint64
+	check  func(m Machine) string
+}
+
+// plbRights returns the PLB's resident rights for (d, page vpn).
+func plbRights(m Machine, d addr.DomainID, vpn addr.VPN) (r addr.Rights, ok bool) {
+	m.(*PLBMachine).PLB().ForEach(func(k plb.Key, kr addr.Rights) bool {
+		if k.Domain == d && addr.VPN(k.Page) == vpn {
+			r, ok = kr, true
+		}
+		return !ok
+	})
+	return r, ok
+}
+
+// asidRights returns the ASID TLB's resident rights for (d, vpn).
+func asidRights(m Machine, d addr.DomainID, vpn addr.VPN) (r addr.Rights, ok bool) {
+	m.(*ConventionalMachine).TLB().ForEach(func(k tlb.ASIDKey, e tlb.ASIDEntry) bool {
+		if k.AS == addr.ASID(d) && k.VPN == vpn {
+			r, ok = e.Rights, true
+		}
+		return !ok
+	})
+	return r, ok
+}
+
+// wantLen reports a mismatch between a structure's entry count and want.
+func wantLen(name string, got, want int) string {
+	if got != want {
+		return fmt.Sprintf("%s holds %d entries, want %d", name, got, want)
+	}
+	return ""
+}
+
+// TestApplyContract drives every organization through every smp.Kind on
+// a machine where domain 1 stored to page 1, so the page's protection,
+// translation and (dirty) cache line are resident. Each kind the
+// organization maintains must touch the entry, charge its Table 1 cost
+// and leave the entry in the requested state; every other kind must
+// touch nothing and cost nothing. No apply may charge more than
+// the worst case MaxCycles reports.
+func TestApplyContract(t *testing.T) {
+	c := cpu.DefaultCosts()
+	seg := addr.Range{Start: va(0), Length: 4 * page}
+	plbScan := uint64(plb.DefaultConfig().Assoc.Capacity()) * c.PurgeEntry
+	tlbScan := uint64(DefaultConvConfig().TLB.Capacity()) * c.PurgeEntry
+	// An unmap flushes a page of lines and writes back the dirty one.
+	flushPage := (page>>cache.DefaultConfig().LineShift)*c.CacheLineFlush + c.Writeback
+
+	plbGone := func(m Machine) string { return wantLen("PLB", m.(*PLBMachine).PLB().Len(), 0) }
+	plbHolds := func(want addr.Rights) func(Machine) string {
+		return func(m Machine) string {
+			if r, ok := plbRights(m, 1, 1); !ok || r != want {
+				return fmt.Sprintf("PLB entry = %v (resident %v), want %v", r, ok, want)
+			}
+			return ""
+		}
+	}
+	plbCases := map[smp.Kind]applyCase{
+		smp.InvalRights:  {smp.Request{Kind: smp.InvalRights, Domain: 1, VPN: 1}, 1, c.PurgeEntry, plbGone},
+		smp.UpdateRights: {smp.Request{Kind: smp.UpdateRights, Domain: 1, VPN: 1, Rights: addr.Read}, 1, c.Install, plbHolds(addr.Read)},
+		smp.RangeRights:  {smp.Request{Kind: smp.RangeRights, Domain: 1, Range: seg, Rights: addr.Read}, 1, plbScan, plbHolds(addr.Read)},
+		smp.RangeDetach:  {smp.Request{Kind: smp.RangeDetach, Domain: 1, Range: seg}, 1, plbScan, plbGone},
+		// Segment destruction's scan is not charged.
+		smp.RangePurge:   {smp.Request{Kind: smp.RangePurge, Range: seg}, 1, 0, plbGone},
+		smp.PurgeAllProt: {smp.Request{Kind: smp.PurgeAllProt}, 1, c.RegisterWrite, plbGone},
+		smp.PurgePage:    {smp.Request{Kind: smp.PurgePage, VPN: 1}, 1, plbScan, plbGone},
+		smp.DomainPurge:  {smp.Request{Kind: smp.DomainPurge, Domain: 1}, 1, plbScan, plbGone},
+		smp.Unmap: {smp.Request{Kind: smp.Unmap, VPN: 1}, 1, c.PurgeEntry + flushPage, func(m Machine) string {
+			pm := m.(*PLBMachine)
+			return wantLen("TLB", pm.TLB().Len(), 0) + wantLen("cache", pm.Cache().Len(), 0)
+		}},
+	}
+
+	pgCases := map[smp.Kind]applyCase{
+		smp.GroupLoad: {smp.Request{Kind: smp.GroupLoad, Domain: 1, Group: 9, WD: true}, 1, c.Install, func(m Machine) string {
+			if ok, wd := m.(*PGMachine).Checker().Check(9); !ok || !wd {
+				return fmt.Sprintf("checker holds group 9 = %v (write-disable %v), want loaded write-disabled", ok, wd)
+			}
+			return ""
+		}},
+		smp.GroupRevoke: {smp.Request{Kind: smp.GroupRevoke, Domain: 1, Group: 5}, 1, c.PurgeEntry, func(m Machine) string {
+			return wantLen("checker", m.(*PGMachine).Checker().Len(), 0)
+		}},
+		smp.GroupUpdate: {smp.Request{Kind: smp.GroupUpdate, VPN: 1, Group: 9, Rights: addr.Read}, 1, c.Install, func(m Machine) string {
+			if e, ok := m.(*PGMachine).TLB().Lookup(1); !ok || e.AID != 9 || e.Rights != addr.Read {
+				return fmt.Sprintf("TLB entry = %+v (resident %v), want group 9 read-only", e, ok)
+			}
+			return ""
+		}},
+		smp.Unmap: {smp.Request{Kind: smp.Unmap, VPN: 1}, 1, c.PurgeEntry + flushPage, func(m Machine) string {
+			pm := m.(*PGMachine)
+			return wantLen("TLB", pm.TLB().Len(), 0) + wantLen("cache", pm.Cache().Len(), 0)
+		}},
+	}
+
+	asidGone := func(m Machine) string { return wantLen("TLB", m.(*ConventionalMachine).TLB().Len(), 0) }
+	convCases := map[smp.Kind]applyCase{
+		smp.InvalRights: {smp.Request{Kind: smp.InvalRights, Domain: 1, VPN: 1}, 1, c.PurgeEntry, asidGone},
+		smp.UpdateRights: {smp.Request{Kind: smp.UpdateRights, Domain: 1, VPN: 1, Rights: addr.Read}, 1, c.Install, func(m Machine) string {
+			if r, ok := asidRights(m, 1, 1); !ok || r != addr.Read {
+				return fmt.Sprintf("TLB entry = %v (resident %v), want %v", r, ok, addr.Read)
+			}
+			return ""
+		}},
+		smp.PurgePage:   {smp.Request{Kind: smp.PurgePage, VPN: 1}, 1, tlbScan, asidGone},
+		smp.DomainPurge: {smp.Request{Kind: smp.DomainPurge, Domain: 1}, 1, tlbScan, asidGone},
+		smp.Unmap: {smp.Request{Kind: smp.Unmap, VPN: 1}, 1, tlbScan + flushPage, func(m Machine) string {
+			cm := m.(*ConventionalMachine)
+			return wantLen("TLB", cm.TLB().Len(), 0) + wantLen("cache", cm.Cache().Len(), 0)
+		}},
+	}
+
+	orgs := []struct {
+		name  string
+		warm  func() Machine
+		cases map[smp.Kind]applyCase
+	}{
+		{"plb", func() Machine {
+			os := newFakeOS()
+			os.trans[1] = 7
+			os.grant(1, 1, addr.RW)
+			return newPLBMachine(os)
+		}, plbCases},
+		{"page-group", func() Machine {
+			os := newFakeOS()
+			os.setPage(1, 7, 5, addr.RW)
+			os.grantGroup(1, 5, false)
+			return NewPG(DefaultPGConfig(), os)
+		}, pgCases},
+		{"conventional", func() Machine {
+			os := newFakeMultiOS()
+			os.table(1).Map(1, 7, addr.RW)
+			return NewConventional(DefaultConvConfig(), os)
+		}, convCases},
+		{"flush", func() Machine {
+			os := newFakeMultiOS()
+			os.table(1).Map(1, 7, addr.RW)
+			return NewFlush(DefaultConvConfig(), os)
+		}, convCases},
+	}
+	for _, org := range orgs {
+		for kind := smp.InvalRights; kind <= smp.DomainPurge; kind++ {
+			t.Run(org.name+"/"+kind.String(), func(t *testing.T) {
+				m := org.warm()
+				m.SwitchDomain(1)
+				if out := m.Access(va(1), addr.Store); !out.OK() {
+					t.Fatalf("warming store faulted: %v", out.Fault)
+				}
+				tc, handled := org.cases[kind]
+				if !handled {
+					// Same operands as a handled request would carry.
+					tc.req = smp.Request{Kind: kind, Domain: 1, VPN: 1, Range: seg, Group: 5, Rights: addr.Read}
+				}
+				before := m.Cycles()
+				n := m.Apply(tc.req)
+				cycles := m.Cycles() - before
+				if n != tc.n || cycles != tc.cycles {
+					t.Fatalf("touched %d entries for %d cycles, want %d for %d", n, cycles, tc.n, tc.cycles)
+				}
+				if apply, _ := m.MaxCycles(); cycles > apply {
+					t.Fatalf("charged %d cycles, above the worst-case apply %d", cycles, apply)
+				}
+				if handled {
+					if msg := tc.check(m); msg != "" {
+						t.Fatal(msg)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPurgeAllLeavesNothing: a bulk invalidation drops every entry and
+// flushes the cache within MaxCycles' purge bound, after which no scan finds
+// the domain (page-group hardware cannot prove absence and says so).
+func TestPurgeAllLeavesNothing(t *testing.T) {
+	sos := newFakeOS()
+	sos.trans[1] = 7
+	sos.grant(1, 1, addr.RW)
+	sos.setPage(1, 7, 5, addr.RW)
+	sos.grantGroup(1, 5, false)
+	mos := newFakeMultiOS()
+	mos.table(1).Map(1, 7, addr.RW)
+	for _, m := range []Machine{
+		newPLBMachine(sos),
+		NewPG(DefaultPGConfig(), sos),
+		NewConventional(DefaultConvConfig(), mos),
+		NewFlush(DefaultConvConfig(), mos),
+	} {
+		m.SwitchDomain(1)
+		m.Access(va(1), addr.Store)
+		if !m.HasDomainEntries(1) {
+			t.Fatalf("%s: warm machine reports no entry of domain 1", m.Name())
+		}
+		before := m.Cycles()
+		if n := m.PurgeAll(); n == 0 {
+			t.Fatalf("%s: PurgeAll dropped nothing", m.Name())
+		}
+		if _, purge := m.MaxCycles(); m.Cycles()-before > purge {
+			t.Fatalf("%s: PurgeAll charged %d cycles, above its worst case %d", m.Name(), m.Cycles()-before, purge)
+		}
+		if m.HasDomainEntries(1) != (m.Name() == "page-group") {
+			t.Fatalf("%s: HasDomainEntries after PurgeAll = %v", m.Name(), m.HasDomainEntries(1))
+		}
+		misses := m.Counters().Get("cache.miss")
+		m.Access(va(1), addr.Load)
+		if m.Counters().Get("cache.miss") != misses+1 {
+			t.Fatalf("%s: cache line survived PurgeAll", m.Name())
+		}
+	}
 }

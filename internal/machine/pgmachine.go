@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/pgroup"
+	"repro/internal/smp"
 	"repro/internal/stats"
 	"repro/internal/tlb"
 )
@@ -231,71 +232,74 @@ func (m *PGMachine) Access(va addr.VA, kind addr.AccessKind) cpu.Outcome {
 	return cpu.Outcome{}
 }
 
-// Maintenance operations used by the kernel's page-group protection
-// engine.
-
-// UpdatePage rewrites the resident TLB entry for vpn — changing its
-// rights field or moving it to another page-group. One entry serves all
-// domains, which is what makes all-domain changes cheap (Section 4.1.2).
-func (m *PGMachine) UpdatePage(vpn addr.VPN, aid addr.GroupID, rights addr.Rights) int {
-	pfn, ok := m.os.Translate(vpn)
-	if !ok {
-		// No translation: nothing can be resident.
-		return 0
-	}
-	if m.tlb.Update(vpn, tlb.PGEntry{PFN: pfn, AID: aid, Rights: rights}) {
-		m.cycles.Add(m.cfg.Costs.Install)
-		return 1
-	}
-	return 0
-}
-
-// AttachGroup loads group g into the checker if d is the executing domain
-// (a newly attached segment's group becomes visible immediately;
-// otherwise it loads on the domain's next run).
-func (m *PGMachine) AttachGroup(d addr.DomainID, g addr.GroupID, writeDisabled bool) int {
-	if d == m.domain {
-		m.checker.Load(g, writeDisabled)
-		m.cycles.Add(m.cfg.Costs.Install)
-		return 1
-	}
-	return 0
-}
-
-// DetachGroup removes group g from the checker if d is the executing
-// domain (segment detach: one group purge, no scan — the page-group
-// model's cheap detach of Section 4.1.1).
-func (m *PGMachine) DetachGroup(d addr.DomainID, g addr.GroupID) int {
-	if d == m.domain && m.checker.Remove(g) {
-		m.cycles.Add(m.cfg.Costs.PurgeEntry)
-		return 1
-	}
-	return 0
-}
-
-// UnmapPage destroys the translation for vpn: the TLB entry is
-// invalidated and the page's cache lines flushed (Section 4.1.3).
-func (m *PGMachine) UnmapPage(vpn addr.VPN) int {
+// Apply implements Seat with the page-group maintenance primitives of
+// Table 1: one TLB entry serves every domain, so all-domain changes
+// rewrite a single entry, while group grants and revocations touch only
+// the checker of a CPU executing the domain (a newly granted group
+// becomes visible at once; elsewhere it loads on the domain's next run).
+func (m *PGMachine) Apply(r smp.Request) int {
 	c := &m.cfg.Costs
-	n := 0
-	if m.tlb.Invalidate(vpn) {
-		m.cycles.Add(c.PurgeEntry)
-		n = 1
+	switch r.Kind {
+	case smp.GroupLoad:
+		if r.Domain == m.domain {
+			m.checker.Load(r.Group, r.WD)
+			m.cycles.Add(c.Install)
+			return 1
+		}
+	case smp.GroupRevoke:
+		// Segment detach: one group purge, no scan — the page-group
+		// model's cheap detach of Section 4.1.1.
+		if r.Domain == m.domain && m.checker.Remove(r.Group) {
+			m.cycles.Add(c.PurgeEntry)
+			return 1
+		}
+	case smp.GroupUpdate:
+		// Rewrite the page's rights field or move it to another group
+		// (Section 4.1.2). Without a translation nothing can be resident.
+		pfn, ok := m.os.Translate(r.VPN)
+		if ok && m.tlb.Update(r.VPN, tlb.PGEntry{PFN: pfn, AID: r.Group, Rights: r.Rights}) {
+			m.cycles.Add(c.Install)
+			return 1
+		}
+	case smp.Unmap:
+		// Section 4.1.3: the TLB entry goes and the page's lines are
+		// flushed.
+		n := 0
+		if m.tlb.Invalidate(r.VPN) {
+			m.cycles.Add(c.PurgeEntry)
+			n = 1
+		}
+		_, dirty := m.cache.FlushPage(m.cfg.Geometry.Base(r.VPN), m.cfg.Geometry)
+		m.cycles.Add(m.cache.LinesPerPage(m.cfg.Geometry)*c.CacheLineFlush + uint64(dirty)*c.Writeback)
+		return n
 	}
-	_, dirty := m.cache.FlushPage(m.cfg.Geometry.Base(vpn), m.cfg.Geometry)
-	m.cycles.Add(uint64(m.cache.LinesPerPage(m.cfg.Geometry)) * c.CacheLineFlush)
-	m.cycles.Add(uint64(dirty) * c.Writeback)
+	return 0
+}
+
+// PurgeAll implements Seat: the TLB and checker are purged and every
+// data-cache line flushed.
+func (m *PGMachine) PurgeAll() int {
+	c := &m.cfg.Costs
+	n := m.tlb.PurgeAll() + m.checker.PurgeAll()
+	flushed, dirty := m.cache.FlushAll()
+	m.cycles.Add(uint64(flushed)*c.CacheLineFlush + uint64(dirty)*c.Writeback)
 	return n
 }
 
-// FlushDataCache flushes every line of the VIVT data cache, charging
-// the per-line flush and writeback costs (see PLBMachine.FlushDataCache:
-// virtually-tagged lines hit without translation, so bulk invalidation
-// must cover them).
-func (m *PGMachine) FlushDataCache() int {
-	flushed, dirty := m.cache.FlushAll()
-	m.cycles.Add(uint64(flushed)*m.cfg.Costs.CacheLineFlush + uint64(dirty)*m.cfg.Costs.Writeback)
-	return flushed
+// MaxCycles implements Seat. The dearer Apply is a single-entry
+// install or an unmap flushing a page of dirty lines; PurgeAll at worst
+// flushes a cache full of dirty lines.
+func (m *PGMachine) MaxCycles() (apply, purge uint64) {
+	c := &m.cfg.Costs
+	geo := m.cfg.Geometry
+	unmap := c.PurgeEntry + m.cache.LinesPerPage(geo)*c.CacheLineFlush + m.cache.PageLinesBound(geo)*c.Writeback
+	return max(c.Install, unmap), uint64(m.cache.Capacity()) * (c.CacheLineFlush + c.Writeback)
 }
+
+// HasDomainEntries implements Seat conservatively: TLB entries are
+// domain-neutral and the checker follows the executing domain, so no
+// scan can prove a domain absent, and the seat leaves residency sets
+// only by bulk invalidation.
+func (m *PGMachine) HasDomainEntries(addr.DomainID) bool { return true }
 
 var _ Machine = (*PGMachine)(nil)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/plb"
+	"repro/internal/smp"
 	"repro/internal/stats"
 	"repro/internal/tlb"
 )
@@ -215,20 +216,103 @@ func (m *PLBMachine) translate(vpn addr.VPN) (addr.PFN, bool) {
 	return pfn, true
 }
 
-// Maintenance operations used by the kernel's domain-page protection
-// engine. Each charges its architectural cost and returns the number of
-// resident entries it touched, so the shootdown subsystem can attribute
-// remote invalidation traffic precisely.
-
-// UpdateRights rewrites the resident PLB entry for (d, va) if present —
-// the cheap single-entry update of Section 4.1.2. When the entry is not
-// resident nothing is done; the new rights will fault in lazily.
-func (m *PLBMachine) UpdateRights(d addr.DomainID, va addr.VA, r addr.Rights) int {
-	if m.plb.Update(d, va, r) {
-		m.cycles.Add(m.cfg.Costs.Install)
-		return 1
+// Apply implements Seat with the domain-page maintenance primitives of
+// Table 1: single-entry PLB updates and invalidations, entry-by-entry
+// PLB scans for range, domain and page purges, a flash clear, and unmap.
+func (m *PLBMachine) Apply(r smp.Request) int {
+	c := &m.cfg.Costs
+	va := m.cfg.Geometry.Base(r.VPN)
+	switch r.Kind {
+	case smp.InvalRights:
+		// Drop the (domain, page) entry at every configured size class.
+		if m.plb.Invalidate(r.Domain, va) {
+			m.cycles.Add(c.PurgeEntry)
+			return 1
+		}
+	case smp.UpdateRights:
+		// The cheap single-entry update of Section 4.1.2. A non-resident
+		// entry is left alone: the new rights fault in lazily.
+		if m.plb.Update(r.Domain, va, r.Rights) {
+			m.cycles.Add(c.Install)
+			return 1
+		}
+	case smp.RangeRights:
+		// The segment-wide per-domain rights change (GC flip, checkpoint
+		// restrict).
+		return m.scan(m.plb.UpdateRange(r.Domain, r.Range.Start, r.Range.Length, r.Rights))
+	case smp.RangeDetach:
+		// The segment-detach scan of Section 4.1.1.
+		return m.scan(m.plb.PurgeRange(r.Domain, r.Range.Start, r.Range.Length))
+	case smp.RangePurge:
+		// Segment destruction drops every domain's entries in the range;
+		// its scan is not charged.
+		return m.plb.PurgeRangeAll(r.Range.Start, r.Range.Length)
+	case smp.PurgeAllProt:
+		// The cheap but indiscriminate detach alternative of Section
+		// 4.1.1: one flash clear, after which every domain's rights must
+		// fault back in.
+		m.cycles.Add(c.RegisterWrite)
+		return m.plb.PurgeAll()
+	case smp.DomainPurge:
+		return m.scan(m.plb.PurgeDomain(r.Domain))
+	case smp.PurgePage:
+		// Every domain's entries for the page (a rights change for all
+		// domains at once).
+		return m.scan(m.plb.PurgePage(va))
+	case smp.Unmap:
+		// Section 4.1.3: the translation goes and the page's lines are
+		// flushed. The PLB needs no maintenance — stale entries age out,
+		// and any touch faults on the missing translation.
+		n := 0
+		if m.tlb.Invalidate(r.VPN) {
+			m.cycles.Add(c.PurgeEntry)
+			n = 1
+		}
+		_, dirty := m.cache.FlushPage(va, m.cfg.Geometry)
+		m.cycles.Add(m.cache.LinesPerPage(m.cfg.Geometry)*c.CacheLineFlush + uint64(dirty)*c.Writeback)
+		return n
 	}
 	return 0
+}
+
+// scan charges an entry-by-entry PLB scan, which inspects every slot
+// whether valid or not (Section 4.1.1 "inspect each entry"), and passes
+// through the number of entries it touched.
+func (m *PLBMachine) scan(n int) int {
+	m.cycles.Add(uint64(m.plb.Capacity()) * m.cfg.Costs.PurgeEntry)
+	return n
+}
+
+// PurgeAll implements Seat: the PLB is flash-cleared, the translation
+// TLB purged and every data-cache line flushed.
+func (m *PLBMachine) PurgeAll() int {
+	c := &m.cfg.Costs
+	n := m.plb.PurgeAll() + m.tlb.PurgeAll()
+	flushed, dirty := m.cache.FlushAll()
+	m.cycles.Add(c.RegisterWrite + uint64(flushed)*c.CacheLineFlush + uint64(dirty)*c.Writeback)
+	return n
+}
+
+// MaxCycles implements Seat. The dearest Apply is a single-entry
+// install, a flash clear, a full PLB scan, or an unmap flushing a page
+// of dirty lines; PurgeAll at worst flushes a cache full of dirty lines.
+func (m *PLBMachine) MaxCycles() (apply, purge uint64) {
+	c := &m.cfg.Costs
+	geo := m.cfg.Geometry
+	unmap := c.PurgeEntry + m.cache.LinesPerPage(geo)*c.CacheLineFlush + m.cache.PageLinesBound(geo)*c.Writeback
+	apply = max(c.Install, c.RegisterWrite, uint64(m.plb.Capacity())*c.PurgeEntry, unmap)
+	return apply, c.RegisterWrite + uint64(m.cache.Capacity())*(c.CacheLineFlush+c.Writeback)
+}
+
+// HasDomainEntries implements Seat by scanning the PLB for an entry of
+// domain d.
+func (m *PLBMachine) HasDomainEntries(d addr.DomainID) bool {
+	found := false
+	m.plb.ForEach(func(key plb.Key, _ addr.Rights) bool {
+		found = key.Domain == d
+		return !found
+	})
+	return found
 }
 
 // InstallRights eagerly inserts a PLB entry (used when the kernel chooses
@@ -240,93 +324,6 @@ func (m *PLBMachine) InstallRights(d addr.DomainID, va addr.VA, shift uint, r ad
 	if m.obs != nil {
 		m.obs.NoteProtInstall(d, m.cfg.Geometry.PageNumber(va))
 	}
-}
-
-// InvalidateRights drops the PLB entry for (d, va) if resident (at
-// every configured size class).
-func (m *PLBMachine) InvalidateRights(d addr.DomainID, va addr.VA) int {
-	if m.plb.Invalidate(d, va) {
-		m.cycles.Add(m.cfg.Costs.PurgeEntry)
-		return 1
-	}
-	return 0
-}
-
-// UpdateRange rewrites all of d's resident PLB entries overlapping the
-// range to the given rights — the segment-wide per-domain rights change of
-// Table 1 (GC flip, checkpoint restrict). The whole PLB is scanned: an
-// entry-by-entry hardware scan inspects every slot, valid or not
-// (§4.1.1 "inspect each entry"), so the charge covers the full capacity.
-func (m *PLBMachine) UpdateRange(d addr.DomainID, start addr.VA, length uint64, r addr.Rights) int {
-	n := m.plb.UpdateRange(d, start, length, r)
-	m.cycles.Add(uint64(m.plb.Capacity()) * m.cfg.Costs.PurgeEntry)
-	return n
-}
-
-// PurgeAllPLB flash-clears the whole PLB in one operation — the cheap
-// but indiscriminate detach alternative of Section 4.1.1 ("Purge the PLB
-// or inspect each entry..."): every domain's rights must fault back in.
-func (m *PLBMachine) PurgeAllPLB() int {
-	n := m.plb.PurgeAll()
-	m.cycles.Add(m.cfg.Costs.RegisterWrite)
-	return n
-}
-
-// DetachRange purges all of d's PLB entries overlapping the range: the
-// segment-detach scan of Section 4.1.1. Every PLB slot is inspected, so
-// the scan costs capacity x per-entry purge regardless of occupancy.
-func (m *PLBMachine) DetachRange(d addr.DomainID, start addr.VA, length uint64) int {
-	n := m.plb.PurgeRange(d, start, length)
-	m.cycles.Add(uint64(m.plb.Capacity()) * m.cfg.Costs.PurgeEntry)
-	return n
-}
-
-// PurgeDomain drops every PLB entry of domain d — the domain-destroy
-// scan. Like the other scan operations, every slot is inspected whether
-// or not it belongs to d, so the charge covers the full capacity.
-func (m *PLBMachine) PurgeDomain(d addr.DomainID) int {
-	n := m.plb.PurgeDomain(d)
-	m.cycles.Add(uint64(m.plb.Capacity()) * m.cfg.Costs.PurgeEntry)
-	return n
-}
-
-// PurgePage removes every domain's PLB entries for the page holding va
-// (used when rights change for all domains at once). Like the other scan
-// operations this inspects every slot of the PLB.
-func (m *PLBMachine) PurgePage(va addr.VA) int {
-	n := m.plb.PurgePage(va)
-	m.cycles.Add(uint64(m.plb.Capacity()) * m.cfg.Costs.PurgeEntry)
-	return n
-}
-
-// UnmapPage destroys the translation for vpn: the TLB entry is
-// invalidated and the page's lines are flushed from the data cache
-// (Section 4.1.3). The PLB needs no maintenance — stale entries age out,
-// and any touch faults on the missing translation.
-func (m *PLBMachine) UnmapPage(vpn addr.VPN) int {
-	c := &m.cfg.Costs
-	n := 0
-	if m.tlb.Invalidate(vpn) {
-		m.cycles.Add(c.PurgeEntry)
-		n = 1
-	}
-	flushed, dirty := m.cache.FlushPage(m.cfg.Geometry.Base(vpn), m.cfg.Geometry)
-	m.cycles.Add(uint64(m.cache.LinesPerPage(m.cfg.Geometry)) * c.CacheLineFlush)
-	m.cycles.Add(uint64(dirty) * c.Writeback)
-	_ = flushed
-	return n
-}
-
-// FlushDataCache flushes every line of the VIVT data cache, charging
-// the per-line flush and writeback costs. Part of a bulk invalidation:
-// a virtually-tagged line hits without consulting translation, so the
-// proof that a purged CPU holds nothing must cover the cache, or a
-// stale line would satisfy an access to a page that is no longer
-// mapped.
-func (m *PLBMachine) FlushDataCache() int {
-	flushed, dirty := m.cache.FlushAll()
-	m.cycles.Add(uint64(flushed)*m.cfg.Costs.CacheLineFlush + uint64(dirty)*m.cfg.Costs.Writeback)
-	return flushed
 }
 
 // Geometry returns the machine's translation page geometry.

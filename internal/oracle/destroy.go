@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/kernel"
+	"repro/internal/machine"
 	"repro/internal/plb"
 	"repro/internal/tlb"
 )
@@ -61,9 +62,9 @@ func destroyCPUViolations(k *kernel.Kernel, id addr.DomainID) []Violation {
 		if !k.CPUTrusted(i) {
 			continue
 		}
-		switch {
-		case k.PLBMachineAt(i) != nil:
-			k.PLBMachineAt(i).PLB().ForEach(func(key plb.Key, r addr.Rights) bool {
+		switch m := k.MachineAt(i).(type) {
+		case *machine.PLBMachine:
+			m.PLB().ForEach(func(key plb.Key, r addr.Rights) bool {
 				if key.Domain == id {
 					out = append(out, Violation{
 						Where: "destroy", CPU: i, Domain: id, VPN: addr.VPN(key.Page),
@@ -72,9 +73,9 @@ func destroyCPUViolations(k *kernel.Kernel, id addr.DomainID) []Violation {
 				}
 				return true
 			})
-		case k.ConvMachineAt(i) != nil:
+		case *machine.ConventionalMachine:
 			as := addr.ASID(id)
-			k.ConvMachineAt(i).TLB().ForEach(func(key tlb.ASIDKey, e tlb.ASIDEntry) bool {
+			m.TLB().ForEach(func(key tlb.ASIDKey, e tlb.ASIDEntry) bool {
 				if key.AS == as {
 					out = append(out, Violation{
 						Where: "destroy", CPU: i, Domain: id, VPN: key.VPN,
@@ -83,8 +84,7 @@ func destroyCPUViolations(k *kernel.Kernel, id addr.DomainID) []Violation {
 				}
 				return true
 			})
-		case k.PGMachineAt(i) != nil:
-			m := k.PGMachineAt(i)
+		case *machine.PGMachine:
 			if m.Domain() != id {
 				continue
 			}

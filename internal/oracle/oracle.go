@@ -126,17 +126,17 @@ func Violations(k *kernel.Kernel) []Violation {
 			continue
 		}
 		var vs []Violation
-		switch {
-		case k.PLBMachineAt(i) != nil:
-			vs = append(vs, plbViolations(k, k.PLBMachineAt(i))...)
-			vs = append(vs, transTLBViolations(k, k.PLBMachineAt(i))...)
-			vs = append(vs, plbDirectoryViolations(k, i, k.PLBMachineAt(i))...)
-		case k.PGMachineAt(i) != nil:
-			vs = append(vs, pgViolations(k, k.PGMachineAt(i))...)
-			vs = append(vs, pgDirectoryViolations(k, i, k.PGMachineAt(i))...)
-		case k.ConvMachineAt(i) != nil:
-			vs = append(vs, convViolations(k, k.ConvMachineAt(i))...)
-			vs = append(vs, convDirectoryViolations(k, i, k.ConvMachineAt(i))...)
+		switch m := k.MachineAt(i).(type) {
+		case *machine.PLBMachine:
+			vs = append(vs, plbViolations(k, m)...)
+			vs = append(vs, transTLBViolations(k, m)...)
+			vs = append(vs, plbDirectoryViolations(k, i, m)...)
+		case *machine.PGMachine:
+			vs = append(vs, pgViolations(k, m)...)
+			vs = append(vs, pgDirectoryViolations(k, i, m)...)
+		case *machine.ConventionalMachine:
+			vs = append(vs, convViolations(k, m)...)
+			vs = append(vs, convDirectoryViolations(k, i, m)...)
 		}
 		for j := range vs {
 			vs[j].CPU = i

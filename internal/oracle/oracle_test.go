@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/kernel"
+	"repro/internal/machine"
 	"repro/internal/plb"
 	"repro/internal/smp"
 	"repro/internal/tlb"
@@ -57,7 +58,7 @@ func requireDetectAndRecover(t *testing.T, k *kernel.Kernel, where string) {
 
 func TestOracleDetectsPLBCorruption(t *testing.T) {
 	k, d, s := readOnlySetup(t, kernel.ModelDomainPage)
-	m := k.PLBMachine()
+	m := k.Machine().(*machine.PLBMachine)
 	// Every subsequent install latches RW regardless of granted rights —
 	// a stale/flipped-rights entry, the classic security-hole direction.
 	m.PLB().SetCorruptor(func(_ plb.Key, _ addr.Rights, _ bool) (addr.Rights, bool) {
@@ -74,7 +75,7 @@ func TestOracleDetectsPLBCorruption(t *testing.T) {
 
 func TestOracleDetectsTransTLBCorruption(t *testing.T) {
 	k, d, s := readOnlySetup(t, kernel.ModelDomainPage)
-	m := k.PLBMachine()
+	m := k.Machine().(*machine.PLBMachine)
 	m.TLB().SetCorruptor(func(_ addr.VPN, e tlb.TransEntry, _ bool) (tlb.TransEntry, bool) {
 		return tlb.TransEntry{PFN: e.PFN + 1}, true
 	})
@@ -85,7 +86,7 @@ func TestOracleDetectsTransTLBCorruption(t *testing.T) {
 
 func TestOracleDetectsPGTLBCorruption(t *testing.T) {
 	k, d, s := readOnlySetup(t, kernel.ModelPageGroup)
-	m := k.PGMachine()
+	m := k.Machine().(*machine.PGMachine)
 	m.TLB().SetCorruptor(func(_ addr.VPN, e tlb.PGEntry, _ bool) (tlb.PGEntry, bool) {
 		e.Rights = addr.RW
 		return e, true
@@ -97,7 +98,7 @@ func TestOracleDetectsPGTLBCorruption(t *testing.T) {
 
 func TestOracleDetectsCheckerCorruption(t *testing.T) {
 	k, d, s := readOnlySetup(t, kernel.ModelPageGroup)
-	m := k.PGMachine()
+	m := k.Machine().(*machine.PGMachine)
 	// Loads latch membership of a group the domain was never granted.
 	m.Checker().SetCorruptor(func(g addr.GroupID, wd bool) (addr.GroupID, bool, bool) {
 		return g + 1000, wd, true
@@ -110,7 +111,7 @@ func TestOracleDetectsCheckerCorruption(t *testing.T) {
 
 func TestOracleDetectsConvTLBCorruption(t *testing.T) {
 	k, d, s := readOnlySetup(t, kernel.ModelConventional)
-	m := k.ConvMachine()
+	m := k.Machine().(*machine.ConventionalMachine)
 	m.TLB().SetCorruptor(func(_ tlb.ASIDKey, e tlb.ASIDEntry, _ bool) (tlb.ASIDEntry, bool) {
 		e.Rights = addr.RW
 		return e, true
@@ -170,7 +171,7 @@ func TestOracleDetectsRemoteCPUCorruption(t *testing.T) {
 
 	// Prime CPU 1 with a corrupt RW entry, then return to CPU 0.
 	k.SetCPU(1)
-	m := k.PLBMachineAt(1)
+	m := k.MachineAt(1).(*machine.PLBMachine)
 	m.PLB().SetCorruptor(func(_ plb.Key, _ addr.Rights, _ bool) (addr.Rights, bool) {
 		return addr.RW, true
 	})
@@ -268,7 +269,7 @@ func TestSweepVerdictsCleanKernel(t *testing.T) {
 // access authority forbids.
 func TestSweepVerdictsCatchesStaleGrant(t *testing.T) {
 	k, d, s := readOnlySetup(t, kernel.ModelDomainPage)
-	m := k.PLBMachine()
+	m := k.Machine().(*machine.PLBMachine)
 	m.PLB().SetCorruptor(func(_ plb.Key, _ addr.Rights, _ bool) (addr.Rights, bool) {
 		return addr.RW, true
 	})
