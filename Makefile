@@ -57,8 +57,10 @@ bench-suite:
 	$(GO) test -bench BenchmarkRunAllSerial -benchtime 3x -count 5 -run '^$$' .
 
 # bench-hot measures the simulator's access-path micro-benchmarks with
-# allocation reporting. The warm access path must stay at 0 allocs/op
-# (guarded by TestAccessPathZeroAllocs and the CI alloc gate).
+# allocation reporting: warm accesses, and accesses that overflow the
+# 128-entry PLB or TLB so every one misses, evicts and refills. Both paths
+# must stay at 0 allocs/op (guarded by TestAccessPathZeroAllocs and the CI
+# alloc gate).
 bench-hot:
 	$(GO) test -bench Access -benchmem -run '^$$' .
 

@@ -119,6 +119,26 @@ func BenchmarkPLBMachineAccessWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkMachineAccessOverflow measures the fill path that
+// access-replay exercises: every access misses its organization's
+// 128-entry PLB or TLB, evicts an entry and refills it (overflowAccess).
+func BenchmarkMachineAccessOverflow(b *testing.B) {
+	for _, tc := range accessMachines() {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < overflowCycle; i++ {
+				overflowAccess(tc.m, i) // map every page in the open OS
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if out := overflowAccess(tc.m, i); !out.OK() {
+					b.Fatal("fault on overflowing access")
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkPGMachineAccessWarm(b *testing.B) {
 	os := trace.NewOpenOS(addr.BaseGeometry(), func(addr.VPN) addr.GroupID { return 1 })
 	m := machine.NewPG(machine.DefaultPGConfig(), os)

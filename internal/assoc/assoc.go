@@ -1,7 +1,7 @@
 // Package assoc implements a generic set-associative lookup structure with
 // pluggable replacement, the common mechanism under every caching structure
-// in the simulator: the PLB, the TLB variants, the page-group cache, and
-// the data caches.
+// in the simulator: the PLB, the TLB variants, the page-group cache, the
+// IOTLBs and the data caches.
 //
 // A structure has S sets of W ways. S=1 gives a fully associative
 // structure; W=1 gives a direct-mapped one. Replacement within a set is
@@ -9,18 +9,39 @@
 // operations single address space kernels need (e.g. purging one domain's
 // or one segment's entries from a PLB on detach).
 //
-// Two implementation details keep the simulator's hot paths cheap without
-// changing observable behavior:
+// The simulator probes these structures on every reference, so no keyed
+// operation uses a Go map or passes over a set's ways to place a fill or
+// choose a victim:
 //
-//   - All ways live in one backing slab allocated by New, so constructing
-//     a structure costs one allocation regardless of set count.
-//   - PurgeAll bumps a generation counter instead of scanning: an entry is
-//     live only when its generation matches the structure's, so a full
-//     purge is O(1) while every per-entry operation is unchanged.
+//   - All ways live in one slab allocated by New, beside per-set
+//     bookkeeping: a recency list head, a live bitmap and a generation.
+//   - A set threads its live ways into a circular recency list, most
+//     recent first, through a links array parallel to the slab. LRU moves
+//     a way to the front on a hit and on an insert, FIFO only on a new
+//     insert, and both evict the tail. Random keeps no list and evicts a
+//     seeded pseudo-random way.
+//   - The live bitmap marks occupied ways; a fill takes the lowest free
+//     way, found a word of 64 ways at a time.
+//   - A large fully associative structure (the 128-entry PLB and TLBs)
+//     finds a key in O(1) through a tag index: bucket heads hashed from
+//     the structure's index function by a Fibonacci multiply, chained
+//     through per-way links in the slab. A smaller set compares the keys
+//     of its live ways, as hardware compares a set's tags.
+//   - PurgeAll bumps a generation counter. A set whose generation is stale
+//     reads as empty and is reset when Insert next fills it, so a full purge
+//     is O(1).
+//
+// Placement, victims, return values and ForEach order are exactly those of
+// a plain scan over timestamped ways, which reference_test.go keeps and
+// FuzzCacheMatchesReference holds Cache to: the lowest free way takes a
+// fill, LRU and FIFO evict the way with the oldest use or insert stamp, and
+// scans visit sets, then ways, in ascending order.
 package assoc
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -70,6 +91,9 @@ func (c Config) Validate() error {
 	if c.Ways < 1 {
 		return fmt.Errorf("assoc: Ways must be >= 1, got %d", c.Ways)
 	}
+	if c.Ways > math.MaxInt32/c.Sets {
+		return fmt.Errorf("assoc: Sets*Ways must fit in an int32, got %d*%d", c.Sets, c.Ways)
+	}
 	return nil
 }
 
@@ -77,94 +101,104 @@ func (c Config) Validate() error {
 func (c Config) Capacity() int { return c.Sets * c.Ways }
 
 type entry[K comparable, V any] struct {
-	key      K
-	val      V
-	valid    bool
-	gen      uint64 // live iff valid && gen == cache gen
-	lastUse  uint64 // LRU timestamp
-	inserted uint64 // FIFO timestamp
+	key K
+	val V
+	// chain is the way + 1 of the next way in this way's tag-index
+	// bucket, or 0 at the end of the chain.
+	chain int32
 }
+
+// link places a live way on its set's circular recency list. prev and
+// next are way numbers within the set.
+type link struct{ prev, next int32 }
+
+// set is one set's bookkeeping; its live bitmap is kept apart, in
+// Cache.live.
+type set struct {
+	// gen is the generation the set was last reset in. The set is empty
+	// unless gen equals the structure's.
+	gen uint32
+	// head is the most recent way + 1 of the recency list, or 0 when the
+	// list is empty.
+	head int32
+}
+
+// fibonacci is 2^64 divided by the golden ratio. Multiplying by it spreads
+// every bit of an index value into the top bits the tag index keeps (a PLB
+// key puts its domain above bit 13, beyond a small table's mask).
+const fibonacci = 0x9E3779B97F4A7C15
 
 // Cache is a set-associative structure mapping K to V. Construct with New.
 // Cache is not safe for concurrent use.
 type Cache[K comparable, V any] struct {
-	cfg     Config
-	index   func(K) uint64
-	sets    [][]entry[K, V]
-	tick    uint64
-	gen     uint64
-	size    int
-	rng     *rand.Rand
-	onEvict func(K, V)
+	cfg   Config
+	index func(K) uint64
+	ways  int
+	// slab holds every way: set s is slab[s*ways : (s+1)*ways]. links
+	// holds the ways' recency links in the same places, apart from the
+	// slab so that reordering a list touches a few small words, not the
+	// ways' keys and values.
+	slab  []entry[K, V]
+	links []link
+	sets  []set
+	// live holds the sets' bitmaps of occupied ways: set s's is
+	// live[s*words : (s+1)*words].
+	live  []uint64
+	words int
+	gen   uint32
+	size  int
+	// lru moves a way to the front of its recency list on every use;
+	// otherwise only a new insert goes to the front. rng is non-nil, and
+	// the recency lists unused, under Random.
+	lru bool
+	rng *rand.Rand
 
-	// idx maps key → way for large fully-associative structures, turning
-	// the per-access way scan into one map probe. Pure host-side
-	// acceleration: every probe validates the slot (live + key match), so
-	// stale index entries — left behind by PurgeAll's generation bump or
-	// by predicate purges — read as misses, exactly as the scan would.
-	// The invariant is one-way: a live entry always has a current index
-	// entry (maintained by Insert/Invalidate/PurgeIf), but an index entry
-	// may point at a dead or reused slot.
-	idx map[K]int32
+	// buckets is the tag index of a large fully associative structure:
+	// the way + 1 at the head of each hash bucket's chain, 0 when empty.
+	// nil when lookups compare keys within the set instead.
+	buckets     []int32
+	bucketShift uint
 }
 
 // New creates a Cache with the given configuration. index maps a key to a
-// set-selection value (reduced modulo Sets); it is ignored when Sets == 1
-// and may then be nil. New panics on an invalid configuration, since
-// geometry is fixed by the machine description.
+// set-selection value, reduced modulo Sets; a fully associative structure
+// hashes it for its tag index, so it is required for every geometry and
+// should depend on every field of the key. New panics on an invalid
+// configuration, since geometry is fixed by the machine description.
 func New[K comparable, V any](cfg Config, index func(K) uint64) *Cache[K, V] {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.Sets > 1 && index == nil {
-		panic("assoc: index function required when Sets > 1")
+	if index == nil {
+		panic("assoc: index function required")
 	}
+	words := (cfg.Ways + 63) / 64
 	c := &Cache[K, V]{
 		cfg:   cfg,
 		index: index,
-		sets:  make([][]entry[K, V], cfg.Sets),
-	}
-	slab := make([]entry[K, V], cfg.Sets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i] = slab[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
+		ways:  cfg.Ways,
+		slab:  make([]entry[K, V], cfg.Capacity()),
+		sets:  make([]set, cfg.Sets),
+		live:  make([]uint64, cfg.Sets*words),
+		words: words,
+		// An unknown policy has always replaced as LRU.
+		lru: cfg.Policy != FIFO && cfg.Policy != Random,
 	}
 	if cfg.Policy == Random {
 		c.rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		c.links = make([]link, cfg.Capacity())
 	}
-	// Index large fully-associative structures (the 128-way PLB and TLB
-	// organizations); small sets scan faster than they hash.
+	// Index large fully associative structures (the 128-way PLB and TLB
+	// organizations); small sets compare their keys faster than they
+	// hash. Twice as many buckets as ways keeps chains short.
 	if cfg.Sets == 1 && cfg.Ways >= 64 {
-		c.idx = make(map[K]int32, cfg.Ways)
+		n := uint(bits.Len(uint(cfg.Ways-1))) + 1
+		c.buckets = make([]int32, 1<<n)
+		c.bucketShift = 64 - n
 	}
 	return c
 }
-
-// find returns the way of the live entry for k in set si, or -1.
-func (c *Cache[K, V]) find(si int, k K) int {
-	set := c.sets[si]
-	if c.idx != nil {
-		w, ok := c.idx[k]
-		if !ok {
-			return -1
-		}
-		e := &set[w]
-		if c.live(e) && e.key == k {
-			return int(w)
-		}
-		return -1
-	}
-	for i := range set {
-		if c.live(&set[i]) && set[i].key == k {
-			return i
-		}
-	}
-	return -1
-}
-
-// OnEvict registers a callback invoked whenever a valid entry is displaced
-// by Insert (not by Invalidate or Purge). Data caches use it to model
-// write-backs of dirty victims.
-func (c *Cache[K, V]) OnEvict(fn func(K, V)) { c.onEvict = fn }
 
 // Config returns the structure's configuration.
 func (c *Cache[K, V]) Config() Config { return c.cfg }
@@ -176,41 +210,97 @@ func (c *Cache[K, V]) Len() int { return c.size }
 func (c *Cache[K, V]) Capacity() int { return c.cfg.Capacity() }
 
 func (c *Cache[K, V]) setIndex(k K) int {
-	if c.cfg.Sets == 1 {
+	if len(c.sets) == 1 {
 		return 0
 	}
-	return int(c.index(k) % uint64(c.cfg.Sets))
+	return int(c.index(k) % uint64(len(c.sets)))
 }
 
-func (c *Cache[K, V]) setFor(k K) []entry[K, V] {
-	return c.sets[c.setIndex(k)]
+// current reports whether set si has been reset since the last PurgeAll;
+// a set that has not holds nothing.
+func (c *Cache[K, V]) current(si int) bool { return c.sets[si].gen == c.gen }
+
+// bitmap returns set si's live bitmap.
+func (c *Cache[K, V]) bitmap(si int) []uint64 {
+	return c.live[si*c.words : (si+1)*c.words]
 }
 
-// live reports whether the slot holds an entry that survived the most
-// recent PurgeAll.
-func (c *Cache[K, V]) live(e *entry[K, V]) bool {
-	return e.valid && e.gen == c.gen
+// bucket returns k's tag-index bucket.
+func (c *Cache[K, V]) bucket(k K) int {
+	return int(c.index(k) * fibonacci >> c.bucketShift)
+}
+
+// find returns the way of the live entry for k in set si, or -1.
+func (c *Cache[K, V]) find(si int, k K) int {
+	if !c.current(si) {
+		return -1
+	}
+	if c.buckets != nil {
+		return c.chainFind(c.bucket(k), k)
+	}
+	return c.scanFind(si, k)
+}
+
+// chainFind walks tag-index bucket b for k; every way on a chain is live.
+func (c *Cache[K, V]) chainFind(b int, k K) int {
+	for p := c.buckets[b]; p != 0; p = c.slab[p-1].chain {
+		if c.slab[p-1].key == k {
+			return int(p - 1)
+		}
+	}
+	return -1
+}
+
+// scanFind compares k against the keys of set si's live ways.
+func (c *Cache[K, V]) scanFind(si int, k K) int {
+	base := si * c.ways
+	for j, w := range c.bitmap(si) {
+		for ; w != 0; w &= w - 1 {
+			i := j<<6 | bits.TrailingZeros64(w)
+			if c.slab[base+i].key == k {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // Lookup finds k, returning its value and whether it was present. A hit
 // refreshes the entry's LRU position.
 func (c *Cache[K, V]) Lookup(k K) (V, bool) {
-	c.tick++
+	// Every simulated reference probes here, so find and toFront are
+	// written out rather than called: with the two calls, the page-group
+	// machine, whose TLB and group cache almost always hit, ran
+	// access-replay about 5% slower.
 	si := c.setIndex(k)
-	if i := c.find(si, k); i >= 0 {
-		e := &c.sets[si][i]
-		e.lastUse = c.tick
-		return e.val, true
+	s := &c.sets[si]
+	i := -1
+	if s.gen == c.gen {
+		if c.buckets != nil {
+			i = c.chainFind(c.bucket(k), k)
+		} else {
+			i = c.scanFind(si, k)
+		}
 	}
-	var zero V
-	return zero, false
+	if i < 0 {
+		var zero V
+		return zero, false
+	}
+	if h := int(s.head - 1); c.lru && h != i {
+		if int32(i) != c.links[si*c.ways+h].prev {
+			c.unlink(si, i)
+			c.link(si, i)
+		}
+		s.head = int32(i + 1)
+	}
+	return c.slab[si*c.ways+i].val, true
 }
 
 // Peek finds k without disturbing replacement state.
 func (c *Cache[K, V]) Peek(k K) (V, bool) {
 	si := c.setIndex(k)
 	if i := c.find(si, k); i >= 0 {
-		return c.sets[si][i].val, true
+		return c.slab[si*c.ways+i].val, true
 	}
 	var zero V
 	return zero, false
@@ -220,60 +310,147 @@ func (c *Cache[K, V]) Peek(k K) (V, bool) {
 // had to be evicted to make room, Insert returns its key/value and true.
 // Re-inserting an existing key updates it in place with no eviction.
 func (c *Cache[K, V]) Insert(k K, v V) (evictedKey K, evictedVal V, evicted bool) {
-	c.tick++
 	si := c.setIndex(k)
-	set := c.sets[si]
-	// Update in place if present.
-	if i := c.find(si, k); i >= 0 {
-		set[i].val = v
-		set[i].lastUse = c.tick
+	if !c.current(si) {
+		c.reset(si)
+	}
+	base := si * c.ways
+	var b, i int
+	if c.buckets != nil {
+		b = c.bucket(k)
+		i = c.chainFind(b, k)
+	} else {
+		i = c.scanFind(si, k)
+	}
+	if i >= 0 {
+		c.slab[base+i].val = v
+		if c.lru {
+			c.toFront(si, i)
+		}
 		return evictedKey, evictedVal, false
 	}
-	// Use an invalid way if one exists.
-	for i := range set {
-		if !c.live(&set[i]) {
-			set[i] = entry[K, V]{key: k, val: v, valid: true, gen: c.gen, lastUse: c.tick, inserted: c.tick}
-			c.size++
-			if c.idx != nil {
-				c.idx[k] = int32(i)
-			}
-			return evictedKey, evictedVal, false
+	if i = c.freeWay(si); i >= 0 {
+		c.live[si*c.words+i>>6] |= 1 << (i & 63)
+		c.size++
+		if c.rng == nil {
+			c.link(si, i)
+		}
+	} else {
+		if c.rng != nil {
+			i = c.rng.Intn(c.ways)
+		} else {
+			// The tail is the least recent way; make it the head, as
+			// toFront does.
+			s := &c.sets[si]
+			i = int(c.links[base+int(s.head-1)].prev)
+			s.head = int32(i + 1)
+		}
+		e := &c.slab[base+i]
+		evictedKey, evictedVal, evicted = e.key, e.val, true
+		if c.buckets != nil {
+			c.unchain(i)
 		}
 	}
-	// Choose a victim.
-	victim := c.chooseVictim(set)
-	evictedKey, evictedVal, evicted = set[victim].key, set[victim].val, true
-	if c.onEvict != nil {
-		c.onEvict(evictedKey, evictedVal)
+	e := &c.slab[base+i]
+	e.key, e.val = k, v
+	if c.buckets != nil {
+		e.chain = c.buckets[b]
+		c.buckets[b] = int32(i + 1)
 	}
-	set[victim] = entry[K, V]{key: k, val: v, valid: true, gen: c.gen, lastUse: c.tick, inserted: c.tick}
-	if c.idx != nil {
-		delete(c.idx, evictedKey)
-		c.idx[k] = int32(victim)
-	}
-	return evictedKey, evictedVal, true
+	return evictedKey, evictedVal, evicted
 }
 
-func (c *Cache[K, V]) chooseVictim(set []entry[K, V]) int {
-	switch c.cfg.Policy {
-	case FIFO:
-		victim := 0
-		for i := 1; i < len(set); i++ {
-			if set[i].inserted < set[victim].inserted {
-				victim = i
+// reset empties set si, whose contents a PurgeAll orphaned.
+func (c *Cache[K, V]) reset(si int) {
+	clear(c.bitmap(si))
+	c.sets[si] = set{gen: c.gen}
+	// Only a single-set structure has a tag index, so si is all of it.
+	clear(c.buckets)
+}
+
+// freeWay returns the lowest unoccupied way of set si, or -1 when the set
+// is full.
+func (c *Cache[K, V]) freeWay(si int) int {
+	for j, w := range c.bitmap(si) {
+		if w != math.MaxUint64 {
+			// Bits past the last way are never set, so a full last word
+			// reads as a free way beyond the set.
+			if i := j<<6 | bits.TrailingZeros64(^w); i < c.ways {
+				return i
 			}
+			return -1
 		}
-		return victim
-	case Random:
-		return c.rng.Intn(len(set))
-	default: // LRU
-		victim := 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[victim].lastUse {
-				victim = i
-			}
-		}
-		return victim
+	}
+	return -1
+}
+
+// link puts way i of set si at the front of the set's recency list.
+func (c *Cache[K, V]) link(si, i int) {
+	s := &c.sets[si]
+	l := c.links[si*c.ways : (si+1)*c.ways]
+	if s.head == 0 {
+		l[i] = link{prev: int32(i), next: int32(i)}
+	} else {
+		h := s.head - 1
+		t := l[h].prev
+		l[i] = link{prev: t, next: h}
+		l[t].next = int32(i)
+		l[h].prev = int32(i)
+	}
+	s.head = int32(i + 1)
+}
+
+// unlink takes way i of set si off the set's recency list.
+func (c *Cache[K, V]) unlink(si, i int) {
+	s := &c.sets[si]
+	l := c.links[si*c.ways : (si+1)*c.ways]
+	e := l[i]
+	if int(e.next) == i {
+		s.head = 0
+		return
+	}
+	l[e.prev].next = e.next
+	l[e.next].prev = e.prev
+	if int(s.head-1) == i {
+		s.head = e.next + 1
+	}
+}
+
+// toFront makes way i the most recent of set si.
+func (c *Cache[K, V]) toFront(si, i int) {
+	s := &c.sets[si]
+	h := int(s.head - 1)
+	if h == i {
+		return
+	}
+	// Making the tail the head rotates the circular list and keeps every
+	// other way's order; only a way in the middle is relinked. A set
+	// with two live ways has none in the middle.
+	if int32(i) != c.links[si*c.ways+h].prev {
+		c.unlink(si, i)
+		c.link(si, i)
+	}
+	s.head = int32(i + 1)
+}
+
+// unchain takes way i off its tag-index chain.
+func (c *Cache[K, V]) unchain(i int) {
+	p := &c.buckets[c.bucket(c.slab[i].key)]
+	for int(*p-1) != i {
+		p = &c.slab[*p-1].chain
+	}
+	*p = c.slab[i].chain
+}
+
+// remove empties way i of set si.
+func (c *Cache[K, V]) remove(si, i int) {
+	c.live[si*c.words+i>>6] &^= 1 << (i & 63)
+	c.size--
+	if c.rng == nil {
+		c.unlink(si, i)
+	}
+	if c.buckets != nil {
+		c.unchain(i)
 	}
 }
 
@@ -282,7 +459,7 @@ func (c *Cache[K, V]) chooseVictim(set []entry[K, V]) int {
 func (c *Cache[K, V]) Update(k K, v V) bool {
 	si := c.setIndex(k)
 	if i := c.find(si, k); i >= 0 {
-		c.sets[si][i].val = v
+		c.slab[si*c.ways+i].val = v
 		return true
 	}
 	return false
@@ -292,11 +469,7 @@ func (c *Cache[K, V]) Update(k K, v V) bool {
 func (c *Cache[K, V]) Invalidate(k K) bool {
 	si := c.setIndex(k)
 	if i := c.find(si, k); i >= 0 {
-		c.sets[si][i].valid = false
-		c.size--
-		if c.idx != nil {
-			delete(c.idx, k)
-		}
+		c.remove(si, i)
 		return true
 	}
 	return false
@@ -310,20 +483,34 @@ func (c *Cache[K, V]) PurgeIf(pred func(K, V) bool) (removed, inspected int) {
 	if c.size == 0 {
 		return 0, 0
 	}
-	for s := range c.sets {
-		set := c.sets[s]
-		for i := range set {
-			if !c.live(&set[i]) {
-				continue
-			}
+	for si := range c.sets {
+		r, n := c.purgeSet(si, pred)
+		removed += r
+		inspected += n
+	}
+	return removed, inspected
+}
+
+// PurgeSetIf is PurgeIf confined to the one set that the index value ix
+// selects: it removes the entries of that set for which pred returns true.
+// A structure whose index function is the line number flushes a line's
+// every copy, whatever else its key holds, by purging the line's set.
+func (c *Cache[K, V]) PurgeSetIf(ix uint64, pred func(K, V) bool) (removed, inspected int) {
+	return c.purgeSet(int(ix%uint64(len(c.sets))), pred)
+}
+
+func (c *Cache[K, V]) purgeSet(si int, pred func(K, V) bool) (removed, inspected int) {
+	if !c.current(si) {
+		return 0, 0
+	}
+	base := si * c.ways
+	for j, w := range c.bitmap(si) {
+		for ; w != 0; w &= w - 1 {
+			i := j<<6 | bits.TrailingZeros64(w)
 			inspected++
-			if pred(set[i].key, set[i].val) {
-				set[i].valid = false
-				c.size--
+			if e := &c.slab[base+i]; pred(e.key, e.val) {
+				c.remove(si, i)
 				removed++
-				if c.idx != nil {
-					delete(c.idx, set[i].key)
-				}
 			}
 		}
 	}
@@ -337,16 +524,19 @@ func (c *Cache[K, V]) UpdateIf(pred func(K, V) bool, fn func(K, V) V) (updated, 
 	if c.size == 0 {
 		return 0, 0
 	}
-	for s := range c.sets {
-		set := c.sets[s]
-		for i := range set {
-			if !c.live(&set[i]) {
-				continue
-			}
-			inspected++
-			if pred(set[i].key, set[i].val) {
-				set[i].val = fn(set[i].key, set[i].val)
-				updated++
+	for si := range c.sets {
+		if !c.current(si) {
+			continue
+		}
+		base := si * c.ways
+		for j, w := range c.bitmap(si) {
+			for ; w != 0; w &= w - 1 {
+				e := &c.slab[base+(j<<6|bits.TrailingZeros64(w))]
+				inspected++
+				if pred(e.key, e.val) {
+					e.val = fn(e.key, e.val)
+					updated++
+				}
 			}
 		}
 	}
@@ -354,36 +544,41 @@ func (c *Cache[K, V]) UpdateIf(pred func(K, V) bool, fn func(K, V) V) (updated, 
 }
 
 // PurgeAll removes every entry, returning how many were valid. The purge
-// is O(1): the generation counter advances, orphaning every slot.
+// is O(1): the generation counter advances, orphaning every set.
 func (c *Cache[K, V]) PurgeAll() int {
 	removed := c.size
-	c.gen++
+	if removed == 0 {
+		return 0
+	}
 	c.size = 0
+	c.gen++
+	if c.gen == 0 {
+		// The generation wrapped, so a set last reset 2^32 purges ago
+		// would read as current: reset them all now.
+		clear(c.sets)
+		clear(c.live)
+		clear(c.buckets)
+	}
 	return removed
 }
 
-// ForEach calls fn on every valid entry, in unspecified order, until fn
-// returns false.
+// ForEach calls fn on every valid entry, set by set and way by way in
+// ascending order, until fn returns false.
 func (c *Cache[K, V]) ForEach(fn func(K, V) bool) {
 	if c.size == 0 {
 		return
 	}
-	for s := range c.sets {
-		set := c.sets[s]
-		for i := range set {
-			if c.live(&set[i]) && !fn(set[i].key, set[i].val) {
-				return
+	for si := range c.sets {
+		if !c.current(si) {
+			continue
+		}
+		base := si * c.ways
+		for j, w := range c.bitmap(si) {
+			for ; w != 0; w &= w - 1 {
+				if e := &c.slab[base+(j<<6|bits.TrailingZeros64(w))]; !fn(e.key, e.val) {
+					return
+				}
 			}
 		}
 	}
-}
-
-// Keys returns the keys of all valid entries in unspecified order.
-func (c *Cache[K, V]) Keys() []K {
-	out := make([]K, 0, c.size)
-	c.ForEach(func(k K, _ V) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
 }

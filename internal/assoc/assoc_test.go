@@ -1,12 +1,15 @@
 package assoc
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
 
+func identity(k uint64) uint64 { return k }
+
 func fullAssoc(ways int, p Policy) *Cache[uint64, string] {
-	return New[uint64, string](Config{Sets: 1, Ways: ways, Policy: p}, nil)
+	return New[uint64, string](Config{Sets: 1, Ways: ways, Policy: p}, identity)
 }
 
 func TestLookupMissOnEmpty(t *testing.T) {
@@ -79,7 +82,7 @@ func TestFIFOEviction(t *testing.T) {
 
 func TestRandomEvictionDeterministic(t *testing.T) {
 	run := func() []uint64 {
-		c := New[uint64, int](Config{Sets: 1, Ways: 4, Policy: Random, Seed: 42}, nil)
+		c := New[uint64, int](Config{Sets: 1, Ways: 4, Policy: Random, Seed: 42}, identity)
 		var evictions []uint64
 		for i := uint64(0); i < 32; i++ {
 			if k, _, ev := c.Insert(i, int(i)); ev {
@@ -101,7 +104,7 @@ func TestRandomEvictionDeterministic(t *testing.T) {
 
 func TestSetMapping(t *testing.T) {
 	// 4 sets x 1 way, direct-mapped on key value.
-	c := New[uint64, int](Config{Sets: 4, Ways: 1}, func(k uint64) uint64 { return k })
+	c := New[uint64, int](Config{Sets: 4, Ways: 1}, identity)
 	c.Insert(0, 100)
 	c.Insert(4, 400) // same set as 0: conflict
 	if _, ok := c.Lookup(0); ok {
@@ -202,24 +205,7 @@ func TestPurgeAll(t *testing.T) {
 	}
 }
 
-func TestOnEvict(t *testing.T) {
-	c := fullAssoc(1, LRU)
-	var gotK uint64
-	var calls int
-	c.OnEvict(func(k uint64, _ string) { gotK = k; calls++ })
-	c.Insert(1, "a")
-	c.Insert(2, "b")
-	if calls != 1 || gotK != 1 {
-		t.Fatalf("calls=%d gotK=%d", calls, gotK)
-	}
-	// Invalidate must not trigger OnEvict.
-	c.Invalidate(2)
-	if calls != 1 {
-		t.Fatal("Invalidate triggered OnEvict")
-	}
-}
-
-func TestForEachAndKeys(t *testing.T) {
+func TestForEach(t *testing.T) {
 	c := fullAssoc(8, LRU)
 	for i := uint64(0); i < 5; i++ {
 		c.Insert(i, "v")
@@ -231,9 +217,6 @@ func TestForEachAndKeys(t *testing.T) {
 	})
 	if len(seen) != 5 {
 		t.Fatalf("ForEach visited %d", len(seen))
-	}
-	if len(c.Keys()) != 5 {
-		t.Fatalf("Keys len = %d", len(c.Keys()))
 	}
 	// Early termination.
 	n := 0
@@ -249,6 +232,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (Config{Sets: 1, Ways: 0}).Validate(); err == nil {
 		t.Error("Ways=0 validated")
+	}
+	if err := (Config{Sets: 1 << 20, Ways: 1 << 12}).Validate(); err == nil {
+		t.Error("2^32 ways validated; way numbers are int32")
 	}
 	if err := (Config{Sets: 2, Ways: 2}).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
@@ -269,13 +255,14 @@ func TestNewPanics(t *testing.T) {
 	}
 	assertPanics("bad config", func() { New[int, int](Config{Sets: 0, Ways: 1}, nil) })
 	assertPanics("nil index with sets>1", func() { New[int, int](Config{Sets: 2, Ways: 1}, nil) })
+	assertPanics("nil index fully associative", func() { New[int, int](Config{Sets: 1, Ways: 128}, nil) })
 }
 
 // Property: the cache never exceeds capacity, and a key just inserted is
 // always immediately findable.
 func TestCapacityInvariant(t *testing.T) {
 	f := func(keys []uint64) bool {
-		c := New[uint64, uint64](Config{Sets: 4, Ways: 2}, func(k uint64) uint64 { return k })
+		c := New[uint64, uint64](Config{Sets: 4, Ways: 2}, identity)
 		for _, k := range keys {
 			c.Insert(k, k*2)
 			if c.Len() > c.Capacity() {
@@ -299,7 +286,7 @@ func TestLenMatchesForEach(t *testing.T) {
 		if len(keys) == 0 {
 			return true
 		}
-		c := New[uint64, int](Config{Sets: 2, Ways: 4}, func(k uint64) uint64 { return k })
+		c := New[uint64, int](Config{Sets: 2, Ways: 4}, identity)
 		for i, op := range ops {
 			k := keys[i%len(keys)]
 			switch op % 4 {
@@ -367,5 +354,31 @@ func TestUpdateIf(t *testing.T) {
 	}
 	if c.Len() != 6 {
 		t.Fatal("UpdateIf changed Len")
+	}
+}
+
+// TestPurgeAllGenerationWrap checks the one PurgeAll that wraps the
+// 32-bit generation: a set last reset 2^32 purges earlier must not read
+// as current again.
+func TestPurgeAllGenerationWrap(t *testing.T) {
+	for _, cfg := range []Config{{Sets: 4, Ways: 2}, {Sets: 1, Ways: 128}} {
+		c := New[uint64, int](cfg, identity)
+		c.Insert(1, 10)        // resets its set in generation 0
+		c.gen = math.MaxUint32 // as if 2^32-1 purges had passed
+		c.Insert(2, 20)
+		if n := c.PurgeAll(); n != 2 {
+			t.Fatalf("%+v: PurgeAll = %d, want 2", cfg, n)
+		}
+		for _, k := range []uint64{1, 2} {
+			if _, ok := c.Peek(k); ok {
+				t.Fatalf("%+v: key %d survived the wrapping PurgeAll", cfg, k)
+			}
+		}
+		c.Insert(3, 30)
+		var got []uint64
+		c.ForEach(func(k uint64, _ int) bool { got = append(got, k); return true })
+		if len(got) != 1 || got[0] != 3 || c.Len() != 1 {
+			t.Fatalf("%+v: after the wrap ForEach visits %v, Len %d; want [3], 1", cfg, got, c.Len())
+		}
 	}
 }

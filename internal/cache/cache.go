@@ -55,6 +55,15 @@ type lineKey struct {
 	space addr.ASID
 }
 
+// lineOf is the VIVT cache's index function. Virtually indexed: the set
+// is chosen by VA line-number bits only, regardless of ASID tag extension
+// — this is why ASID tags do not prevent synonym duplication across sets.
+func lineOf(k lineKey) uint64 { return k.line }
+
+// physLine is the PIPT cache's index function: its keys are physical line
+// numbers.
+func physLine(line uint64) uint64 { return line }
+
 // lineState records what the cache knows about a resident line.
 type lineState struct {
 	dirty bool
@@ -84,12 +93,7 @@ type VirtualCache struct {
 // hashing.
 func NewVirtual(cfg Config, ctrs *stats.Counters, prefix string) *VirtualCache {
 	v := &VirtualCache{cfg: cfg}
-	v.c = assoc.New[lineKey, lineState](cfg.Assoc, func(k lineKey) uint64 {
-		// Virtually indexed: the set is chosen by VA line-number bits
-		// only, regardless of ASID tag extension — this is why ASID tags
-		// do not prevent synonym duplication across sets.
-		return k.line
-	})
+	v.c = assoc.New[lineKey, lineState](cfg.Assoc, lineOf)
 	v.nHit = ctrs.Handle(prefix + ".hit")
 	v.nMiss = ctrs.Handle(prefix + ".miss")
 	v.nFill = ctrs.Handle(prefix + ".fill")
@@ -179,17 +183,7 @@ func (v *VirtualCache) Resident(space addr.ASID, va addr.VA) bool {
 // writeback). Used when unmapping pages (Section 4.1.3).
 func (v *VirtualCache) FlushPage(va addr.VA, geo addr.Geometry) (flushed, dirty int) {
 	firstLine := uint64(geo.Base(geo.PageNumber(va))) >> v.cfg.LineShift
-	lastLine := firstLine + v.LinesPerPage(geo)
-	removed, _ := v.c.PurgeIf(func(k lineKey, st lineState) bool {
-		if k.line >= firstLine && k.line < lastLine {
-			if st.dirty {
-				dirty++
-			}
-			return true
-		}
-		return false
-	})
-	flushed = removed
+	flushed, dirty = flushLines(v.c, firstLine, v.LinesPerPage(geo), lineOf)
 	v.nDirty -= dirty
 	v.nFlushLine.Add(uint64(flushed))
 	v.nFlushWB.Add(uint64(dirty))
@@ -289,6 +283,29 @@ func (v *VirtualCache) IncoherentLines(geo addr.Geometry) int {
 	return n
 }
 
+// flushLines removes every resident copy of lines [first, first+n) from
+// c, whose index function is line, and returns how many it removed and
+// how many of those were dirty. Every copy of a line, whatever its space
+// tag, lives in the set its line number selects, so only the sets the
+// lines index are visited: n consecutive lines index min(n, Sets)
+// consecutive sets.
+func flushLines[K comparable](c *assoc.Cache[K, lineState], first, n uint64, line func(K) uint64) (flushed, dirty int) {
+	inRange := func(k K, st lineState) bool {
+		if l := line(k); l >= first && l < first+n {
+			if st.dirty {
+				dirty++
+			}
+			return true
+		}
+		return false
+	}
+	for l, end := first, first+min(n, uint64(c.Config().Sets)); l < end; l++ {
+		removed, _ := c.PurgeSetIf(l, inRange)
+		flushed += removed
+	}
+	return flushed, dirty
+}
+
 // ValidVIPT reports whether the configuration can be used virtually
 // indexed, physically tagged: the set-index and line-offset bits must fit
 // inside the page offset, so indexing needs no translation and a physical
@@ -326,7 +343,7 @@ type PhysicalCache struct {
 // NewPhysical creates a PIPT cache counting under prefix.
 func NewPhysical(cfg Config, ctrs *stats.Counters, prefix string) *PhysicalCache {
 	p := &PhysicalCache{cfg: cfg}
-	p.c = assoc.New[uint64, lineState](cfg.Assoc, func(line uint64) uint64 { return line })
+	p.c = assoc.New[uint64, lineState](cfg.Assoc, physLine)
 	p.nHit = ctrs.Handle(prefix + ".hit")
 	p.nMiss = ctrs.Handle(prefix + ".miss")
 	p.nFill = ctrs.Handle(prefix + ".fill")
@@ -368,17 +385,7 @@ func (p *PhysicalCache) Fill(pa addr.PA, store bool) (wroteBack bool) {
 // lines flushed and dirty writebacks.
 func (p *PhysicalCache) FlushFrame(pfn addr.PFN, geo addr.Geometry) (flushed, dirty int) {
 	first := (uint64(pfn) << geo.Shift()) >> p.cfg.LineShift
-	last := first + (geo.PageSize() >> p.cfg.LineShift)
-	removed, _ := p.c.PurgeIf(func(line uint64, st lineState) bool {
-		if line >= first && line < last {
-			if st.dirty {
-				dirty++
-			}
-			return true
-		}
-		return false
-	})
-	flushed = removed
+	flushed, dirty = flushLines(p.c, first, geo.PageSize()>>p.cfg.LineShift, physLine)
 	p.nFlushLine.Add(uint64(flushed))
 	p.nFlushWB.Add(uint64(dirty))
 	return flushed, dirty

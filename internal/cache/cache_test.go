@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
@@ -97,6 +100,86 @@ func TestFlushPage(t *testing.T) {
 	if ctrs.Get("dc.flushed_lines") != 4 || ctrs.Get("dc.flush_writebacks") != 1 {
 		t.Fatalf("counters: %v", ctrs.Snapshot())
 	}
+}
+
+// TestFlushPageMatchesWholeCachePurge checks that the per-page flushes,
+// which visit only the sets a page's lines index, flush exactly what a
+// purge of the whole cache would: the same lines and dirty counts, and
+// the same survivors in the same places. The ASID-tagged cache holds the
+// page's lines under several spaces (synonyms of one frame in one set)
+// beside lines of other pages that share those sets.
+func TestFlushPageMatchesWholeCachePurge(t *testing.T) {
+	geo := addr.BaseGeometry()
+	for _, sets := range []int{16, 256, 1024} {
+		cfg := Config{LineShift: 5, Assoc: assoc.Config{Sets: sets, Ways: 4, Policy: assoc.LRU}, ASIDTags: true}
+		// The page at 0x10000 and the pages that alias its sets: one set
+		// span below and above it, and the next page.
+		span := addr.VA(sets) << cfg.LineShift
+		vas := []addr.VA{0x10000, 0x10000 - span, 0x10000 + span, 0x11000}
+		fill := func(v *VirtualCache, p *PhysicalCache) {
+			rng := rand.New(rand.NewSource(int64(sets)))
+			for i := 0; i < 3*sets; i++ {
+				page := vas[rng.Intn(len(vas))]
+				va := page + addr.VA(rng.Intn(128))<<cfg.LineShift
+				store := rng.Intn(3) == 0
+				v.Fill(addr.ASID(rng.Intn(3)), va, addr.PFN(page>>12), store)
+				p.Fill(addr.PA(va), store)
+			}
+		}
+		flushed := NewVirtual(cfg, &stats.Counters{}, "dc")
+		purged := NewVirtual(cfg, &stats.Counters{}, "dc")
+		pFlushed := NewPhysical(cfg, &stats.Counters{}, "pc")
+		pPurged := NewPhysical(cfg, &stats.Counters{}, "pc")
+		fill(flushed, pFlushed)
+		fill(purged, pPurged)
+
+		n, dirty := flushed.FlushPage(0x10008, geo)
+		wantN, wantDirty := purgeRange(purged.c, 0x10000>>cfg.LineShift, 128, lineOf)
+		purged.nDirty -= wantDirty
+		if n != wantN || dirty != wantDirty || n == 0 || dirty == 0 {
+			t.Fatalf("sets=%d: FlushPage = %d,%d, whole-cache purge %d,%d", sets, n, dirty, wantN, wantDirty)
+		}
+		if flushed.nDirty != purged.nDirty {
+			t.Fatalf("sets=%d: dirty lines left %d, whole-cache purge %d", sets, flushed.nDirty, purged.nDirty)
+		}
+		if got, want := residents(flushed.c), residents(purged.c); !slices.Equal(got, want) {
+			t.Fatalf("sets=%d: FlushPage left %v, whole-cache purge %v", sets, got, want)
+		}
+
+		n, dirty = pFlushed.FlushFrame(0x10, geo)
+		wantN, wantDirty = purgeRange(pPurged.c, 0x10000>>cfg.LineShift, 128, physLine)
+		if n != wantN || dirty != wantDirty || n == 0 {
+			t.Fatalf("sets=%d: FlushFrame = %d,%d, whole-cache purge %d,%d", sets, n, dirty, wantN, wantDirty)
+		}
+		if got, want := residents(pFlushed.c), residents(pPurged.c); !slices.Equal(got, want) {
+			t.Fatalf("sets=%d: FlushFrame left %v, whole-cache purge %v", sets, got, want)
+		}
+	}
+}
+
+// purgeRange purges lines [first, first+n) from the whole of c, the
+// reference for the per-set flushes.
+func purgeRange[K comparable](c *assoc.Cache[K, lineState], first, n uint64, line func(K) uint64) (removed, dirty int) {
+	removed, _ = c.PurgeIf(func(k K, st lineState) bool {
+		if l := line(k); l >= first && l < first+n {
+			if st.dirty {
+				dirty++
+			}
+			return true
+		}
+		return false
+	})
+	return removed, dirty
+}
+
+// residents lists c's resident lines in ForEach order.
+func residents[K comparable](c *assoc.Cache[K, lineState]) []string {
+	var out []string
+	c.ForEach(func(k K, st lineState) bool {
+		out = append(out, fmt.Sprintf("%v:%v", k, st))
+		return true
+	})
+	return out
 }
 
 func TestFlushAll(t *testing.T) {

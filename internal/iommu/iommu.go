@@ -239,9 +239,11 @@ func New(cfg Config, os OS, ctrs *stats.Counters) *Device {
 	acfg := assoc.Config{Sets: 1, Ways: cfg.Entries, Policy: assoc.LRU}
 	switch cfg.Org {
 	case OrgDomainPage:
-		d.dp = assoc.New[dpKey, dpEntry](acfg, nil)
+		d.dp = assoc.New[dpKey, dpEntry](acfg, func(k dpKey) uint64 {
+			return uint64(k.vpn) ^ uint64(k.d)<<13
+		})
 	case OrgPageGroup:
-		d.pg = assoc.New[addr.VPN, pgEntry](acfg, nil)
+		d.pg = assoc.New[addr.VPN, pgEntry](acfg, func(v addr.VPN) uint64 { return uint64(v) })
 	default:
 		panic("iommu: unknown IOTLB organization")
 	}
