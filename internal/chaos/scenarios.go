@@ -164,7 +164,7 @@ func Default() []Scenario {
 					if !ok {
 						return
 					}
-					m.PLB().SetCorruptor(func(_ plb.Key, r addr.Rights, _ bool) (addr.Rights, bool) {
+					m.PLB().SetCorruptor(func(_ plb.Key, r addr.Rights) (addr.Rights, bool) {
 						if bad := r | addr.RW; bad != r && rng.Intn(8) == 0 {
 							return bad, true
 						}
@@ -184,7 +184,7 @@ func Default() []Scenario {
 					if !ok {
 						return
 					}
-					m.TLB().SetCorruptor(func(_ addr.VPN, e tlb.TransEntry, _ bool) (tlb.TransEntry, bool) {
+					m.TLB().SetCorruptor(func(_ addr.VPN, e tlb.TransEntry) (tlb.TransEntry, bool) {
 						if rng.Intn(8) == 0 {
 							e.PFN++
 							return e, true
@@ -205,7 +205,7 @@ func Default() []Scenario {
 					if !ok {
 						return
 					}
-					m.TLB().SetCorruptor(func(_ addr.VPN, e tlb.PGEntry, _ bool) (tlb.PGEntry, bool) {
+					m.TLB().SetCorruptor(func(_ addr.VPN, e tlb.PGEntry) (tlb.PGEntry, bool) {
 						if bad := e.Rights | addr.RW; bad != e.Rights && rng.Intn(8) == 0 {
 							e.Rights = bad
 							return e, true
@@ -246,7 +246,7 @@ func Default() []Scenario {
 					if !ok {
 						return
 					}
-					m.TLB().SetCorruptor(func(_ tlb.ASIDKey, e tlb.ASIDEntry, _ bool) (tlb.ASIDEntry, bool) {
+					m.TLB().SetCorruptor(func(_ tlb.ASIDKey, e tlb.ASIDEntry) (tlb.ASIDEntry, bool) {
 						if bad := e.Rights | addr.RW; bad != e.Rights && rng.Intn(8) == 0 {
 							e.Rights = bad
 							return e, true
@@ -487,7 +487,7 @@ func directClusterRejoin(seed int64) (fired, recovered uint64, err error) {
 	// Healed: executing on the victim rejoins it (epoch recovery plus
 	// bulk invalidation) and its group state refaults consistently.
 	k.SetCPU(victim)
-	if !k.CPUTrusted(victim) {
+	if !k.SeatTrusted(victim) {
 		return fired, 0, errors.New("chaos: cluster-rejoin-mid-revoke: victim untrusted after rejoin")
 	}
 	if _, err := k.Load(far, seg.Base()); err != nil {

@@ -39,6 +39,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/assoc"
 	"repro/internal/cpu"
+	"repro/internal/machine"
 	"repro/internal/smp"
 	"repro/internal/stats"
 )
@@ -521,36 +522,29 @@ func (d *Device) HasDomainEntries(dom addr.DomainID) bool {
 	return d.onBehalf == dom && len(d.groups) > 0
 }
 
-// ForEachDomainPage visits every live domain-page IOTLB entry (nil op
-// under the page-group organization); the oracle's device audit uses
-// it.
-func (d *Device) ForEachDomainPage(fn func(dom addr.DomainID, vpn addr.VPN, r addr.Rights, pfn addr.PFN) bool) {
-	if d.dp == nil {
+// Entries implements machine.Seat: IOTLB entries, then, under the
+// page-group organization, the on-behalf domain's group set.
+func (d *Device) Entries(fn func(machine.Entry) bool) {
+	shift := d.cfg.Geometry.Shift()
+	if d.dp != nil {
+		d.dp.ForEach(func(k dpKey, e dpEntry) bool {
+			return fn(machine.Entry{Kind: machine.DomainPage, Where: "iotlb", Domain: k.d, Page: uint64(k.vpn),
+				Shift: shift, Rights: e.rights, Frame: e.pfn, HasFrame: true})
+		})
 		return
 	}
-	d.dp.ForEach(func(k dpKey, e dpEntry) bool {
-		return fn(k.d, k.vpn, e.rights, e.pfn)
-	})
-}
-
-// ForEachPageGroup visits every live page-group IOTLB entry (nil op
-// under the domain-page organization).
-func (d *Device) ForEachPageGroup(fn func(vpn addr.VPN, aid addr.GroupID, r addr.Rights, pfn addr.PFN) bool) {
-	if d.pg == nil {
-		return
-	}
+	more := true
 	d.pg.ForEach(func(vpn addr.VPN, e pgEntry) bool {
-		return fn(vpn, e.aid, e.rights, e.pfn)
+		more = fn(machine.Entry{Kind: machine.GroupPage, Where: "iotlb", Page: uint64(vpn), Shift: shift,
+			Group: e.aid, Rights: e.rights, Frame: e.pfn, HasFrame: true})
+		return more
 	})
-}
-
-// ForEachGroup visits the page-group membership set in ascending group
-// order.
-func (d *Device) ForEachGroup(fn func(g addr.GroupID, writeDisabled bool) bool) {
 	for _, gr := range d.groups {
-		if !fn(gr.g, gr.wd) {
+		if !more {
 			return
 		}
+		more = fn(machine.Entry{Kind: machine.Membership, Where: "iotlb-group", Domain: d.onBehalf,
+			Group: gr.g, WriteDisable: gr.wd})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/cpu"
+	"repro/internal/machine"
 	"repro/internal/smp"
 	"repro/internal/stats"
 )
@@ -43,11 +44,14 @@ func TestGroupSetListsAscending(t *testing.T) {
 	}
 	d.Apply(smp.Request{Kind: smp.GroupRevoke, Domain: 1, Group: 3})
 	var got []addr.GroupID
-	d.ForEachGroup(func(g addr.GroupID, wd bool) bool {
-		if wd != (g == 9) {
-			t.Errorf("group %d write-disable = %v", g, wd)
+	d.Entries(func(e machine.Entry) bool {
+		if e.Kind != machine.Membership {
+			return true
 		}
-		got = append(got, g)
+		if e.Domain != 1 || e.WriteDisable != (e.Group == 9) {
+			t.Errorf("group %d listed for domain %d with write-disable %v", e.Group, e.Domain, e.WriteDisable)
+		}
+		got = append(got, e.Group)
 		return true
 	})
 	if want := []addr.GroupID{1, 5, 7, 9, 20}; !slices.Equal(got, want) {

@@ -132,10 +132,8 @@ func (k *Kernel) Device(i int) *iommu.Device { return k.devs[i] }
 func (k *Kernel) DeviceSeat(i int) int { return len(k.machs) + i }
 
 // DeviceTrusted reports whether device i holds no missed invalidations
-// (the device-seat analog of CPUTrusted).
-func (k *Kernel) DeviceTrusted(i int) bool {
-	return k.shoot == nil || k.shoot.Trusted(k.DeviceSeat(i))
-}
+// (SeatTrusted for the device's seat).
+func (k *Kernel) DeviceTrusted(i int) bool { return k.SeatTrusted(k.DeviceSeat(i)) }
 
 // DeviceHealth returns the shootdown layer's health view of device i.
 func (k *Kernel) DeviceHealth(i int) smp.Health {

@@ -48,16 +48,15 @@ func (k *Kernel) notePage(vpn addr.VPN) {
 	set.Add(k.cur)
 }
 
-// withdrawCPU removes CPU i from every directory set: every domain's
-// residency set, every page's sharer set, and the active set. Callers
-// must have proven the CPU holds no hardware entries (bulk
-// invalidation, or a flush-model switch that purges everything).
-func (k *Kernel) withdrawCPU(i int) {
+// withdrawSeat removes seat i from every directory set: every domain's
+// residency set and every page's sharer set. Callers must have proven
+// the seat holds no hardware entries (bulk invalidation, or a
+// flush-model switch that purges everything).
+func (k *Kernel) withdrawSeat(i int) {
 	k.doms.forEach(func(d *Domain) { d.cpus.Remove(i) })
 	for _, set := range k.pageDir {
 		set.Remove(i)
 	}
-	k.active.Remove(i)
 }
 
 // withdrawIfEmpty removes seat t from domain d's residency set when
@@ -65,7 +64,7 @@ func (k *Kernel) withdrawCPU(i int) {
 // (machine.Seat.HasDomainEntries; called after removal-kind shootdown
 // applies).
 func (k *Kernel) withdrawIfEmpty(t int, d addr.DomainID) {
-	if k.seat(t).HasDomainEntries(d) {
+	if k.Seat(t).HasDomainEntries(d) {
 		return
 	}
 	if dom := k.doms.get(d); dom != nil {
@@ -118,19 +117,16 @@ func (k *Kernel) shootRange(rg addr.Range, r smp.Request) {
 	})
 }
 
-// DomainResident reports whether the directory lists CPU cpu in domain
+// DomainResident reports whether the directory lists seat t in domain
 // d's residency set (oracle audit hook).
-func (k *Kernel) DomainResident(d addr.DomainID, cpu int) bool {
+func (k *Kernel) DomainResident(d addr.DomainID, t int) bool {
 	dom := k.doms.get(d)
-	return dom != nil && dom.cpus.Has(cpu)
+	return dom != nil && dom.cpus.Has(t)
 }
 
-// PageResident reports whether the directory lists CPU cpu in vpn's
+// PageResident reports whether the directory lists seat t in vpn's
 // sharer set (oracle audit hook).
-func (k *Kernel) PageResident(vpn addr.VPN, cpu int) bool {
+func (k *Kernel) PageResident(vpn addr.VPN, t int) bool {
 	set := k.pageDir[vpn]
-	return set != nil && set.Has(cpu)
+	return set != nil && set.Has(t)
 }
-
-// ActiveCPU reports whether CPU cpu is in the active set.
-func (k *Kernel) ActiveCPU(cpu int) bool { return k.active.Has(cpu) }

@@ -172,7 +172,7 @@ func TestFencedSkipCounterParity(t *testing.T) {
 	if k.PendingShootdowns(1) != 0 {
 		t.Fatal("fenced CPU accumulated queued work")
 	}
-	if k.CPUTrusted(1) {
+	if k.SeatTrusted(1) {
 		t.Fatal("fenced CPU with a skipped invalidation still trusted")
 	}
 }

@@ -81,3 +81,12 @@ func (k *Kernel) CheckPageGroupBookkeeping() error {
 	}
 	return nil
 }
+
+// DropPageSharer removes seat t from vpn's sharer set, so whatever the
+// seat caches for the page escapes page-targeted shootdowns: the fault
+// the oracle's directory audit exists to catch.
+func (k *Kernel) DropPageSharer(vpn addr.VPN, t int) {
+	if set := k.pageDir[vpn]; set != nil {
+		set.Remove(t)
+	}
+}

@@ -452,15 +452,11 @@ type Kernel struct {
 	// smp.Requests to CPU and device seats alike.
 	machs []machine.Machine
 
-	// cur is the current CPU; active is the set of CPUs that may hold
-	// live hardware state (ran a domain since their last bulk
-	// invalidation) — the fallback target set for requests no per-page
-	// sharer record covers.
-	cur    int
-	active smp.CPUSet
+	// cur is the current CPU.
+	cur int
 	// pageDir is the sharer directory's page axis: pageDir[vpn] is the
-	// set of CPUs that installed hardware state for vpn (trans-TLB,
-	// PG-TLB, ASID-TLB or PLB entries) since their last bulk
+	// set of seats that installed hardware state for vpn (trans-TLB,
+	// PG-TLB, ASID-TLB, PLB or IOTLB entries) since their last bulk
 	// invalidation. It is a superset of live residency — deliveries
 	// never withdraw (a PLB protection entry or cache line outlives the
 	// translation entry an Unmap drops), only purgeSeat/rejoin and
@@ -858,7 +854,7 @@ func (k *Kernel) ExecutorRights(d *Domain, vpn addr.VPN) (addr.Rights, bool) {
 // dropped.
 func (k *Kernel) RecoverHardware() int {
 	n := 0
-	for t := range k.numSeats() {
+	for t := range k.NumSeats() {
 		n += k.purgeSeat(t)
 	}
 	if k.shoot != nil {
@@ -870,25 +866,34 @@ func (k *Kernel) RecoverHardware() int {
 	return n
 }
 
-// seat returns interconnect seat t's hardware: CPU t's machine, or a
+// Seat returns interconnect seat t's hardware: CPU t's machine, or a
 // device agent for seats at and above NumCPUs.
-func (k *Kernel) seat(t int) machine.Seat {
+func (k *Kernel) Seat(t int) machine.Seat {
 	if t < len(k.machs) {
 		return k.machs[t]
 	}
 	return k.devs[t-len(k.machs)]
 }
 
-// numSeats returns the interconnect seat count: CPUs plus devices.
-func (k *Kernel) numSeats() int { return len(k.machs) + len(k.devs) }
+// NumSeats returns the interconnect seat count: CPUs, then devices.
+func (k *Kernel) NumSeats() int { return len(k.machs) + len(k.devs) }
+
+// SeatName names seat t in reports: "cpu N" for a CPU, the device's
+// name for a device.
+func (k *Kernel) SeatName(t int) string {
+	if t < len(k.machs) {
+		return fmt.Sprintf("cpu %d", t)
+	}
+	return k.devs[t-len(k.machs)].Name()
+}
 
 // purgeSeat bulk-invalidates seat t (machine.Seat.PurgeAll), returning
 // the number of entries dropped. The seat provably holds nothing
 // afterwards, so it is withdrawn from the sharer directory: no further
 // shootdowns target it until it reinstalls.
 func (k *Kernel) purgeSeat(t int) int {
-	n := k.seat(t).PurgeAll()
-	k.withdrawCPU(t)
+	n := k.Seat(t).PurgeAll()
+	k.withdrawSeat(t)
 	return n
 }
 
@@ -969,8 +974,8 @@ func (k *Kernel) ConvergenceBound() uint64 {
 	ipi := c.IPI + diam*c.IPIHop
 	volleys := uint64(k.shoot.Protocol().MaxRetries + 1)
 	var bound uint64
-	for t := range k.numSeats() {
-		apply, purge := k.seat(t).MaxCycles()
+	for t := range k.NumSeats() {
+		apply, purge := k.Seat(t).MaxCycles()
 		if pending := uint64(k.shoot.Pending(t)); pending > 0 {
 			_, backoff := k.shoot.TargetTimeouts(t)
 			bound += volleys*(ipi+backoff) + pending*(apply+diam*c.MemHop)
@@ -1059,12 +1064,11 @@ func (k *Kernel) Switch(d *Domain) {
 			// (no ASIDs), so the switching CPU provably drops every
 			// entry it held: withdraw it from the sharer directory
 			// instead of letting residency accrete switch after switch.
-			k.withdrawCPU(k.cur)
+			k.withdrawSeat(k.cur)
 		}
 		k.mach.SwitchDomain(d.ID)
 	}
 	d.cpus.Add(k.cur)
-	k.active.Add(k.cur)
 }
 
 // --- machine.OS implementation: the tables hardware refills from ---

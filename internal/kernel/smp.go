@@ -151,19 +151,20 @@ func (k *Kernel) ShootdownProtocolEnabled() bool {
 	return k.shoot != nil && k.shoot.ProtocolEnabled()
 }
 
-// CPUTrusted reports whether CPU i's private structures can be
-// believed: no shootdown was skipped (fenced CPU marked stale) since
-// its last rejoin purge. The oracle checks only trusted CPUs mid-run —
-// an untrusted CPU cannot execute domains (SetCPU rejoins it first),
-// so its stale entries are dormant, not live authority. A degraded CPU
+// SeatTrusted reports whether seat t's structures can be believed (a
+// CPU's seat is its index): no shootdown was skipped (fenced seat
+// marked stale) since its last rejoin purge. The oracle checks only
+// trusted seats mid-run — an untrusted CPU cannot execute domains
+// (SetCPU rejoins it first) and an untrusted device's DMA is fenced, so
+// their stale entries are dormant, not live authority. A degraded seat
 // oscillates: fenced from delivery forever, but trusted between a
 // rejoin purge and the next skipped shootdown (flush-on-switch).
-func (k *Kernel) CPUTrusted(i int) bool {
-	return k.shoot == nil || k.shoot.Trusted(i)
+func (k *Kernel) SeatTrusted(t int) bool {
+	return k.shoot == nil || k.shoot.Trusted(t)
 }
 
-// CPUHealth returns the shootdown layer's health view of CPU i
-// (Healthy on a uniprocessor).
+// CPUHealth returns the shootdown layer's health view of seat i: CPU
+// i, or the device seated there (Healthy on a uniprocessor).
 func (k *Kernel) CPUHealth(i int) smp.Health {
 	if k.shoot == nil {
 		return smp.Healthy
@@ -201,7 +202,7 @@ func (k *Kernel) PendingShootdowns(i int) int {
 // residency set when nothing is left — the step that keeps residency
 // tracking live sharers instead of growing monotonically.
 func (k *Kernel) ApplyShootdown(t int, r smp.Request) int {
-	n := k.seat(t).Apply(r)
+	n := k.Seat(t).Apply(r)
 	switch r.Kind {
 	case smp.InvalRights, smp.RangeDetach, smp.GroupRevoke, smp.DomainPurge:
 		k.withdrawIfEmpty(t, r.Domain)
@@ -213,4 +214,4 @@ func (k *Kernel) ApplyShootdown(t int, r smp.Request) int {
 }
 
 // CPUCycles implements smp.Handler: seat t's clock.
-func (k *Kernel) CPUCycles(t int) uint64 { return k.seat(t).Cycles() }
+func (k *Kernel) CPUCycles(t int) uint64 { return k.Seat(t).Cycles() }

@@ -185,8 +185,8 @@ func TestQuarantineFencesAndSetCPURejoins(t *testing.T) {
 	if err := k.SetPageRights(d, s.Base(), addr.Read); err != nil {
 		t.Fatalf("SetPageRights: %v", err)
 	}
-	if k.CPUHealth(1) != smp.Quarantined || k.CPUTrusted(1) {
-		t.Fatalf("health = %v trusted=%v, want quarantined/untrusted", k.CPUHealth(1), k.CPUTrusted(1))
+	if k.CPUHealth(1) != smp.Quarantined || k.SeatTrusted(1) {
+		t.Fatalf("health = %v trusted=%v, want quarantined/untrusted", k.CPUHealth(1), k.SeatTrusted(1))
 	}
 	if k.Counters().Get("smp.quarantines") != 1 {
 		t.Fatalf("quarantines = %d", k.Counters().Get("smp.quarantines"))
@@ -203,8 +203,8 @@ func TestQuarantineFencesAndSetCPURejoins(t *testing.T) {
 	// readmission. The interconnect is healed first.
 	k.SetIPIFault(nil)
 	k.SetCPU(1)
-	if !k.CPUTrusted(1) || k.CPUHealth(1) != smp.Healthy {
-		t.Fatalf("after rejoin: health=%v trusted=%v", k.CPUHealth(1), k.CPUTrusted(1))
+	if !k.SeatTrusted(1) || k.CPUHealth(1) != smp.Healthy {
+		t.Fatalf("after rejoin: health=%v trusted=%v", k.CPUHealth(1), k.SeatTrusted(1))
 	}
 	if got := k.Counters().Get("kernel.cpu_rejoins"); got != 1 {
 		t.Fatalf("cpu_rejoins = %d, want 1", got)
@@ -247,7 +247,7 @@ func TestConvergeProtectionWithinBound(t *testing.T) {
 		t.Fatalf("convergence took %d cycles, bound %d", cycles, bound)
 	}
 	for i := 0; i < k.NumCPUs(); i++ {
-		if !k.CPUTrusted(i) {
+		if !k.SeatTrusted(i) {
 			t.Fatalf("CPU %d untrusted after convergence (health %v)", i, k.CPUHealth(i))
 		}
 		if k.PendingShootdowns(i) != 0 {
@@ -301,7 +301,7 @@ func TestConvergenceBoundCoversDirtyCaches(t *testing.T) {
 			if err := k.SetPageRights(d, s.Base(), addr.Read); err != nil {
 				t.Fatalf("SetPageRights: %v", err)
 			}
-			if k.CPUTrusted(1) {
+			if k.SeatTrusted(1) {
 				t.Fatal("CPU 1 not quarantined by the dropped shootdowns")
 			}
 			bound := k.ConvergenceBound()

@@ -358,6 +358,18 @@ func (m *ConventionalMachine) HasDomainEntries(d addr.DomainID) bool {
 	return found
 }
 
+// Entries implements Seat: ASID-TLB entries, each tagged with its
+// domain's address space, then virtually tagged data-cache lines.
+func (m *ConventionalMachine) Entries(fn func(Entry) bool) {
+	s := entrySink{fn: fn}
+	shift := m.cfg.Geometry.Shift()
+	m.tlb.ForEach(func(k tlb.ASIDKey, e tlb.ASIDEntry) bool {
+		return s.put(Entry{Kind: DomainPage, Where: "asid-tlb", Domain: addr.DomainID(k.AS), Page: uint64(k.VPN),
+			Shift: shift, Rights: e.Rights, Frame: e.PFN, HasFrame: true})
+	})
+	s.cacheLines(m.cache, m.cfg.Geometry)
+}
+
 // Geometry returns the machine's translation page geometry.
 func (m *ConventionalMachine) Geometry() addr.Geometry { return m.cfg.Geometry }
 

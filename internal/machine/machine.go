@@ -33,6 +33,7 @@ package machine
 
 import (
 	"repro/internal/addr"
+	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/ptable"
 	"repro/internal/smp"
@@ -129,6 +130,81 @@ type Seat interface {
 	// MaxCycles bounds what one Apply and one PurgeAll may charge from
 	// the seat's current state.
 	MaxCycles() (apply, purge uint64)
+	// Entries calls fn for every unit of authority the seat caches,
+	// until fn returns false. It reads without perturbing: no counter
+	// or replacement state moves.
+	Entries(fn func(Entry) bool)
+}
+
+// EntryKind classifies one unit of cached authority.
+type EntryKind uint8
+
+const (
+	// DomainPage is Rights cached for (Domain, Page) at Shift: a PLB
+	// entry. ASID-tagged TLB and domain-page IOTLB entries also carry
+	// their Frame.
+	DomainPage EntryKind = iota
+	// Translation maps Page to Frame with no rights: the PLB machine's
+	// second-level TLB.
+	Translation
+	// GroupPage maps Page to Frame and tags it with its page-group and
+	// the group's shared Rights: page-group TLB and IOTLB entries.
+	GroupPage
+	// Membership lets Domain, the executing or on-behalf domain, reach
+	// Group: a page-group checker entry or a device's group set.
+	Membership
+	// CacheLine is a virtually tagged data-cache line of Page. It holds
+	// no rights, but it hits without consulting translation.
+	CacheLine
+)
+
+// Entry is one normalized unit of cached authority (Seat.Entries).
+// Fields its kind does not use are zero.
+type Entry struct {
+	Kind EntryKind
+	// Where labels the holding structure: "plb", "trans-tlb",
+	// "pg-tlb", "checker", "asid-tlb", "iotlb", "iotlb-group" or
+	// "cache".
+	Where  string
+	Domain addr.DomainID
+	// Page is the page number at Shift: the entry covers
+	// [Page<<Shift, (Page+1)<<Shift). Only PLB entries use a shift
+	// other than the translation page shift.
+	Page         uint64
+	Shift        uint
+	Group        addr.GroupID
+	Rights       addr.Rights
+	WriteDisable bool
+	// Frame is the cached translation, present when HasFrame is set.
+	Frame    addr.PFN
+	HasFrame bool
+}
+
+// entrySink feeds a machine's structures to one Entries callback in
+// turn; once the callback returns false, every later put refuses, so
+// each remaining structure's walk stops at its first entry.
+type entrySink struct {
+	fn   func(Entry) bool
+	done bool
+}
+
+func (s *entrySink) put(e Entry) bool {
+	if !s.done && !s.fn(e) {
+		s.done = true
+	}
+	return !s.done
+}
+
+// cacheLines puts every resident line of a virtually tagged data cache
+// (nil for a VIPT organization, whose lines are keyed by frame and
+// gated by the TLB).
+func (s *entrySink) cacheLines(c *cache.VirtualCache, geo addr.Geometry) {
+	if c == nil {
+		return
+	}
+	c.ForEachLine(func(va addr.VA) bool {
+		return s.put(Entry{Kind: CacheLine, Where: "cache", Page: uint64(geo.PageNumber(va)), Shift: geo.Shift()})
+	})
 }
 
 // Machine is the interface common to all four organizations, sufficient

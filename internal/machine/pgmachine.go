@@ -302,4 +302,19 @@ func (m *PGMachine) MaxCycles() (apply, purge uint64) {
 // only by bulk invalidation.
 func (m *PGMachine) HasDomainEntries(addr.DomainID) bool { return true }
 
+// Entries implements Seat: page-group TLB entries, the checker's groups
+// (members of the executing domain's set), then data-cache lines.
+func (m *PGMachine) Entries(fn func(Entry) bool) {
+	s := entrySink{fn: fn}
+	shift := m.cfg.Geometry.Shift()
+	m.tlb.ForEach(func(vpn addr.VPN, e tlb.PGEntry) bool {
+		return s.put(Entry{Kind: GroupPage, Where: "pg-tlb", Page: uint64(vpn), Shift: shift,
+			Group: e.AID, Rights: e.Rights, Frame: e.PFN, HasFrame: true})
+	})
+	m.checker.ForEach(func(g addr.GroupID, wd bool) bool {
+		return s.put(Entry{Kind: Membership, Where: "checker", Domain: m.domain, Group: g, WriteDisable: wd})
+	})
+	s.cacheLines(m.cache, m.cfg.Geometry)
+}
+
 var _ Machine = (*PGMachine)(nil)

@@ -315,6 +315,20 @@ func (m *PLBMachine) HasDomainEntries(d addr.DomainID) bool {
 	return found
 }
 
+// Entries implements Seat: PLB entries at their own shift, then
+// translation-TLB entries and data-cache lines.
+func (m *PLBMachine) Entries(fn func(Entry) bool) {
+	s := entrySink{fn: fn}
+	shift := m.cfg.Geometry.Shift()
+	m.plb.ForEach(func(k plb.Key, r addr.Rights) bool {
+		return s.put(Entry{Kind: DomainPage, Where: "plb", Domain: k.Domain, Page: k.Page, Shift: uint(k.Shift), Rights: r})
+	})
+	m.tlb.ForEach(func(vpn addr.VPN, e tlb.TransEntry) bool {
+		return s.put(Entry{Kind: Translation, Where: "trans-tlb", Page: uint64(vpn), Shift: shift, Frame: e.PFN, HasFrame: true})
+	})
+	s.cacheLines(m.cache, m.cfg.Geometry)
+}
+
 // InstallRights eagerly inserts a PLB entry (used when the kernel chooses
 // to pre-load rather than fault-in, and by sub-page experiments that
 // install at non-default shifts).

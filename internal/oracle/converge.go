@@ -18,10 +18,11 @@ type Convergence struct {
 // CheckConvergence verifies the robustness contract of the
 // acknowledged shootdown protocol: driving protection maintenance to
 // completion (kernel.ConvergeProtection) must finish within the cycle
-// bound computed immediately beforehand, must leave every CPU trusted
-// — convergence rejoins quarantined, degraded and stale CPUs, so no
-// structure is exempt from checking afterwards — and the differential
-// sweep over all hardware state must report zero violations.
+// bound computed immediately beforehand, must leave every seat (CPU or
+// device) trusted — convergence rejoins quarantined, degraded and stale
+// seats, so no structure is exempt from checking afterwards — and the
+// differential sweep over all hardware state must report zero
+// violations.
 //
 // Fault hooks may (and in the chaos campaign do) stay armed across the
 // call: converging in the continued presence of drops, losses and slow
@@ -34,15 +35,9 @@ func CheckConvergence(k *kernel.Kernel) (Convergence, error) {
 	if cycles > bound {
 		return c, fmt.Errorf("oracle: convergence took %d cycles, exceeding its bound of %d", cycles, bound)
 	}
-	for i := 0; i < k.NumCPUs(); i++ {
-		if !k.CPUTrusted(i) {
-			return c, fmt.Errorf("oracle: CPU %d still untrusted (health %v) after convergence", i, k.CPUHealth(i))
-		}
-	}
-	for i := 0; i < k.NumDevices(); i++ {
-		if !k.DeviceTrusted(i) {
-			return c, fmt.Errorf("oracle: device %s still untrusted (health %v) after convergence",
-				k.Device(i).Name(), k.DeviceHealth(i))
+	for t := range k.NumSeats() {
+		if !k.SeatTrusted(t) {
+			return c, fmt.Errorf("oracle: %s still untrusted (health %v) after convergence", k.SeatName(t), k.CPUHealth(t))
 		}
 	}
 	c.Violations = Violations(k)

@@ -39,7 +39,7 @@ func TestFireAndForgetDropIsDetected(t *testing.T) {
 	if err := k.SetPageRights(d, s.Base(), addr.Read); err != nil {
 		t.Fatalf("SetPageRights: %v", err)
 	}
-	if !k.CPUTrusted(1) {
+	if !k.SeatTrusted(1) {
 		t.Fatal("fire-and-forget mode must not fence CPUs")
 	}
 	if len(Violations(k)) == 0 {
@@ -66,7 +66,7 @@ func TestConvergenceUnderDropStorm(t *testing.T) {
 		t.Fatalf("SetPageRights: %v", err)
 	}
 	// Mid-run: CPU 1 is fenced, so its (dormant) stale entry is exempt.
-	if k.CPUTrusted(1) {
+	if k.SeatTrusted(1) {
 		t.Fatal("dead CPU not quarantined")
 	}
 	if err := Verify(k); err != nil {

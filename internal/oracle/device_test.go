@@ -55,37 +55,61 @@ func TestDeviceAuditClean(t *testing.T) {
 
 // TestDeviceAuditCatchesDroppedInvalidation: dropping the invalidation
 // bound for the device seat (fire-and-forget, so no retransmission)
-// leaves a stale IOTLB entry that the audit must attribute to the
-// device.
+// leaves stale device authority that the audit must attribute to the
+// device — a domain-page IOTLB entry, or under page-group a group-set
+// entry the revocation should have rewritten.
 func TestDeviceAuditCatchesDroppedInvalidation(t *testing.T) {
-	k := deviceKernel(t, kernel.ModelDomainPage)
-	d, seg := primeDevice(t, k)
-	k.SetIPIFault(func(target int, r smp.Request) smp.Fault {
-		if target >= k.NumCPUs() {
-			return smp.FaultDrop
-		}
-		return smp.FaultNone
-	})
-	if err := k.SetSegmentRights(d, seg, addr.Read); err != nil {
-		t.Fatalf("revoke: %v", err)
+	for _, row := range []struct {
+		model kernel.Model
+		where string
+	}{
+		{kernel.ModelDomainPage, "iotlb"},
+		{kernel.ModelPageGroup, "iotlb-group"},
+	} {
+		t.Run(row.model.String(), func(t *testing.T) {
+			k := deviceKernel(t, row.model)
+			d, seg := primeDevice(t, k)
+			k.SetIPIFault(func(target int, r smp.Request) smp.Fault {
+				if target >= k.NumCPUs() {
+					return smp.FaultDrop
+				}
+				return smp.FaultNone
+			})
+			if err := k.SetSegmentRights(d, seg, addr.Read); err != nil {
+				t.Fatalf("revoke: %v", err)
+			}
+			k.SetIPIFault(nil)
+			requireDetectAndRecover(t, k, row.where, "nic0")
+		})
 	}
-	vs := Violations(k)
-	found := false
-	for _, v := range vs {
-		if v.Where == "iotlb" && v.Device == "nic0" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("dropped device invalidation produced no iotlb violation (got %d: %v)", len(vs), vs)
-	}
-	// The stale write the entry would authorize is exactly what the
-	// protection model must not silently allow: the oracle saw it above;
-	// recovery must clear it.
-	k.SetIPIFault(nil)
-	k.RecoverHardware()
-	if err := Verify(k); err != nil {
-		t.Fatalf("audit after recovery: %v", err)
+}
+
+// TestDestroySweepNamesSeats: a destroy whose shootdowns are all
+// dropped leaves the dead domain's authority cached on the remote CPU
+// it ran on and on the device programmed for it, and the destroy sweep
+// must name each seat once, on every organization.
+func TestDestroySweepNamesSeats(t *testing.T) {
+	for _, model := range []kernel.Model{kernel.ModelDomainPage, kernel.ModelPageGroup,
+		kernel.ModelConventional, kernel.ModelFlush} {
+		t.Run(model.String(), func(t *testing.T) {
+			k := deviceKernel(t, model)
+			k.SetCPU(1)
+			d, seg := primeDevice(t, k)
+			k.Switch(d)
+			if err := k.Touch(d, seg.Base(), addr.Store); err != nil {
+				t.Fatalf("warming CPU 1: %v", err)
+			}
+			k.SetCPU(0)
+			k.SetIPIFault(func(int, smp.Request) smp.Fault { return smp.FaultDrop })
+			if err := k.DestroyDomain(d); err != nil {
+				t.Fatalf("DestroyDomain: %v", err)
+			}
+			k.SetIPIFault(nil)
+			vs := DestroyViolations(k, d.ID)
+			if len(vs) != 2 || !hasViolation(vs, "destroy", "cpu 1") || !hasViolation(vs, "destroy", "nic0") {
+				t.Fatalf("want one destroy finding on each of cpu 1 and nic0, got %d: %v", len(vs), vs)
+			}
+		})
 	}
 }
 

@@ -43,7 +43,7 @@ type FuzzOptions struct {
 //     and after the final sweep.
 //
 // This is the engine behind the kernel's hardware-matches-authority
-// invariant tests across all three machine models.
+// invariant tests across all four machine organizations.
 func AuthorityFuzz(t TB, seed int64, mk func() *kernel.Kernel, opts FuzzOptions) {
 	t.Helper()
 	if opts.Ops <= 0 {

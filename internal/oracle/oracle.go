@@ -3,9 +3,11 @@
 // should have from the kernel's primitive authority records (segment
 // attachments, per-page overrides, execution-keyed grants) and checks
 // that everything downstream agrees — the kernel's own ResolveRights,
-// and every entry resident in the machines' protection and translation
-// hardware (PLB, translation TLB, page-group TLB, page-group checker,
-// ASID-tagged TLB).
+// and every unit of authority cached at a shootdown seat. A seat is a
+// CPU's machine (PLB, translation TLB, page-group TLB and checker,
+// ASID-tagged TLB, virtually tagged data cache) or a device translation
+// agent (IOTLB, group set); each lists what it caches as normalized
+// machine.Entry records, so one loop audits them all.
 //
 // The oracle is the detector the chaos campaign (internal/chaos) runs
 // after each fault scenario: injected hardware corruption must surface
@@ -15,9 +17,9 @@
 //
 // All checks are read-only with respect to the kernel's protection
 // state: they use side-effect-free kernel queries (ResolveRights,
-// Translate, PageInfo on resident entries) and never Touch, fault, or
-// bump per-reference counters. SweepVerdicts is the one exception — it
-// issues real accesses — and says so.
+// Translate, PageInfo, DomainGroup) and seat enumerations, and never
+// Touch, fault, or bump per-reference counters. SweepVerdicts is the
+// one exception — it issues real accesses — and says so.
 package oracle
 
 import (
@@ -29,8 +31,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/plb"
-	"repro/internal/tlb"
 )
 
 // maxSampledPages bounds the per-segment page sweep so verifying a
@@ -41,20 +41,17 @@ const maxSampledPages = 64
 // Violation is one disagreement between the oracle's reference model
 // and the kernel or hardware state.
 type Violation struct {
-	// Where names the structure that disagreed: "resolve", "plb",
-	// "trans-tlb", "pg-tlb", "checker", "asid-tlb", "directory" (a
-	// hardware entry the sharer directory fails to cover), "verdict"
-	// (an access outcome, see SweepVerdicts), or "iotlb" /
-	// "iotlb-group" (a device translation agent's cached authority —
-	// see device.go).
+	// Where names what disagreed: "resolve" (the kernel's own
+	// resolution), the label of the seat structure holding a bad entry
+	// (machine.Entry.Where: "plb", "trans-tlb", "pg-tlb", "checker",
+	// "asid-tlb", "iotlb", "iotlb-group"), "directory" (a cached entry
+	// the sharer directory fails to cover), "destroy" (residual
+	// authority of a destroyed domain) or "verdict" (an access outcome,
+	// see SweepVerdicts).
 	Where string
-	// CPU is the CPU whose private structure disagreed (0 for kernel-level
-	// checks and on uniprocessors). For device findings it is the
-	// device's interconnect seat.
-	CPU int
-	// Device names the device translation agent whose IOTLB disagreed;
-	// empty for CPU and kernel-level findings.
-	Device string
+	// Seat names the seat whose structure disagreed: "cpu N" or a
+	// device's name. Empty for kernel-level findings.
+	Seat   string
 	Domain addr.DomainID
 	VPN    addr.VPN
 	Detail string
@@ -62,12 +59,8 @@ type Violation struct {
 
 // String formats the violation for reports.
 func (v Violation) String() string {
-	if v.Device != "" {
-		return fmt.Sprintf("%s: device %s (seat %d) domain %d page %#x: %s",
-			v.Where, v.Device, v.CPU, v.Domain, uint64(v.VPN), v.Detail)
-	}
-	if v.CPU != 0 {
-		return fmt.Sprintf("%s: cpu %d domain %d page %#x: %s", v.Where, v.CPU, v.Domain, uint64(v.VPN), v.Detail)
+	if v.Seat != "" {
+		return fmt.Sprintf("%s: %s domain %d page %#x: %s", v.Where, v.Seat, v.Domain, uint64(v.VPN), v.Detail)
 	}
 	return fmt.Sprintf("%s: domain %d page %#x: %s", v.Where, v.Domain, uint64(v.VPN), v.Detail)
 }
@@ -101,64 +94,198 @@ func Rights(k *kernel.Kernel, d *kernel.Domain, vpn addr.VPN) (addr.Rights, bool
 //
 //   - ResolveRights must agree with the oracle's independent authority
 //     reconstruction for every domain and (sampled) segment page.
-//   - Every valid hardware entry must match current authority: PLB
-//     entries (base and super-page) against ResolveRights, translation
-//     TLB entries against the kernel's translation table, page-group
-//     TLB entries against the kernel's page records, resident checker
-//     groups against the executing domain's group set, and ASID-TLB
-//     entries against both rights and translation.
+//   - Every entry a trusted seat caches must match current authority
+//     (audit.authority) and be covered by the sharer directory
+//     (audit.directory).
 //
 // Violations never perturbs protection or translation state and is safe
 // to call mid-run, between any two kernel operations.
 func Violations(k *kernel.Kernel) []Violation {
-	var out []Violation
-	out = append(out, resolveViolations(k)...)
-	// Every CPU's private structures are held to the same authority: a
-	// shootdown that failed to reach a remote CPU shows up here as that
-	// CPU's stale entry. Untrusted CPUs — quarantined, degraded, or
-	// marked stale by a skipped invalidation — are exempt: they are
-	// fenced out of domain execution (the kernel bulk-invalidates them
-	// before they run anything), so their stale entries are dormant
-	// state, not live authority. ConvergeProtection rejoins them, after
-	// which this check applies to every CPU again.
-	for i := 0; i < k.NumCPUs(); i++ {
-		if !k.CPUTrusted(i) {
-			continue
+	a := newAudit(k)
+	a.out = resolveViolations(k)
+	a.seats(func(s machine.Seat) {
+		var supers []machine.Entry
+		s.Entries(func(e machine.Entry) bool {
+			if e.Kind == machine.DomainPage && e.Shift > a.geo {
+				supers = append(supers, e)
+			} else {
+				a.authority(e)
+			}
+			a.directory(e)
+			return true
+		})
+		a.superPages(s, supers)
+	})
+	return a.out
+}
+
+// audit walks the trusted seats and collects findings against them.
+type audit struct {
+	k    *kernel.Kernel
+	geo  uint // the translation page shift
+	seat int  // the seat being walked
+	out  []Violation
+}
+
+func newAudit(k *kernel.Kernel) *audit {
+	return &audit{k: k, geo: k.Geometry().Shift()}
+}
+
+// seats calls fn with the hardware of every trusted seat, CPUs first,
+// then devices. Untrusted seats — quarantined, degraded, or marked
+// stale by a skipped invalidation — are exempt: an untrusted CPU is
+// fenced out of domain execution (the kernel bulk-invalidates it
+// before it runs anything) and an untrusted device's DMA aborts, so
+// their stale entries are dormant state, not live authority.
+// ConvergeProtection rejoins them, after which every seat is checked
+// again.
+func (a *audit) seats(fn func(machine.Seat)) {
+	for t := range a.k.NumSeats() {
+		if a.k.SeatTrusted(t) {
+			a.seat = t
+			fn(a.k.Seat(t))
 		}
-		var vs []Violation
-		switch m := k.MachineAt(i).(type) {
-		case *machine.PLBMachine:
-			vs = append(vs, plbViolations(k, m)...)
-			vs = append(vs, transTLBViolations(k, m)...)
-			vs = append(vs, plbDirectoryViolations(k, i, m)...)
-		case *machine.PGMachine:
-			vs = append(vs, pgViolations(k, m)...)
-			vs = append(vs, pgDirectoryViolations(k, i, m)...)
-		case *machine.ConventionalMachine:
-			vs = append(vs, convViolations(k, m)...)
-			vs = append(vs, convDirectoryViolations(k, i, m)...)
-		}
-		for j := range vs {
-			vs[j].CPU = i
-		}
-		out = append(out, vs...)
 	}
-	// Device translation agents are protection hardware too: every
-	// trusted device's IOTLB is audited against the same authority
-	// (device.go).
-	out = append(out, deviceViolations(k)...)
-	return out
+}
+
+// note records a finding on the seat being walked.
+func (a *audit) note(where string, d addr.DomainID, vpn addr.VPN, format string, args ...any) {
+	a.out = append(a.out, Violation{
+		Where: where, Seat: a.k.SeatName(a.seat), Domain: d, VPN: vpn,
+		Detail: fmt.Sprintf(format, args...),
+	})
+}
+
+// vpn returns the translation page an entry names: the first page a
+// super-page entry covers, the page containing a sub-page entry.
+func (a *audit) vpn(e machine.Entry) addr.VPN {
+	if e.Shift >= a.geo {
+		return addr.VPN(e.Page << (e.Shift - a.geo))
+	}
+	return addr.VPN(e.Page >> (a.geo - e.Shift))
+}
+
+// authority holds one entry to current kernel authority. Domain-page
+// entries at the translation page size must match ResolveRights
+// exactly. Entries below it are experiment-managed fine-grained rights
+// (DSM, transactional locking) with no single kernel record to compare
+// against, so only their containment in the page's authority is
+// checked; super-page entries go through superPages. Group-page entries
+// must match the kernel's page records, memberships the domain's group
+// set, and every cached frame the translation table.
+func (a *audit) authority(e machine.Entry) {
+	k := a.k
+	vpn := a.vpn(e)
+	switch e.Kind {
+	case machine.DomainPage:
+		want, cacheable, ok := k.ResolveRights(e.Domain, vpn)
+		if e.Shift < a.geo {
+			if !ok || e.Rights&^want != 0 {
+				a.note(e.Where, e.Domain, vpn, "sub-page entry (shift %d) holds %v beyond authority %v",
+					e.Shift, e.Rights, want)
+			}
+		} else if !ok || !cacheable || want != e.Rights {
+			a.note(e.Where, e.Domain, vpn, "entry holds %v, authority %v (cacheable=%v, ok=%v)",
+				e.Rights, want, cacheable, ok)
+		}
+	case machine.GroupPage:
+		aid, rights, ok := k.PageInfo(vpn)
+		if !ok || e.Group != aid || e.Rights != rights {
+			a.note(e.Where, 0, vpn, "entry holds (aid=%d, %v), kernel says (aid=%d, %v, ok=%v)",
+				e.Group, e.Rights, aid, rights, ok)
+		}
+	case machine.Membership:
+		if e.Group == addr.GlobalGroup {
+			break
+		}
+		if has, wd := k.DomainGroup(e.Domain, e.Group); !has || e.WriteDisable != wd {
+			a.note(e.Where, e.Domain, 0, "group %d resident (writeDisable=%v), domain's set says (member=%v, writeDisable=%v)",
+				e.Group, e.WriteDisable, has, wd)
+		}
+	}
+	if e.HasFrame {
+		if pfn, mapped := k.Translate(vpn); !mapped || pfn != e.Frame {
+			a.note(e.Where, e.Domain, vpn, "entry maps to frame %d, kernel table says (%d, mapped=%v)",
+				e.Frame, pfn, mapped)
+		}
+	}
+}
+
+// superPages checks one seat's super-page entries. Each covers
+// 2^(shift-geo) translation pages and must match ResolveRights on every
+// covered in-segment page that no base-page entry of the same domain
+// shadows; the base entries are gathered only when supers exist.
+func (a *audit) superPages(s machine.Seat, supers []machine.Entry) {
+	if len(supers) == 0 {
+		return
+	}
+	type key struct {
+		d    addr.DomainID
+		page uint64
+	}
+	base := make(map[key]bool)
+	s.Entries(func(e machine.Entry) bool {
+		if e.Kind == machine.DomainPage && e.Shift == a.geo {
+			base[key{e.Domain, e.Page}] = true
+		}
+		return true
+	})
+	for _, e := range supers {
+		first := a.vpn(e)
+		for i := range uint64(1) << (e.Shift - a.geo) {
+			vpn := first + addr.VPN(i)
+			if a.k.FindSegment(a.k.Geometry().Base(vpn)) == nil || base[key{e.Domain, uint64(vpn)}] {
+				continue // past the segment's end, or shadowed by a more specific entry
+			}
+			want, cacheable, ok := a.k.ResolveRights(e.Domain, vpn)
+			if !ok || !cacheable || want != e.Rights {
+				a.note(e.Where, e.Domain, vpn, "super-page entry (shift %d) holds %v, authority %v (cacheable=%v, ok=%v)",
+					e.Shift, e.Rights, want, cacheable, ok)
+			}
+		}
+	}
+}
+
+// directory holds one entry to the kernel's sharer directory, which
+// must be a superset of live hardware state: a seat caching an entry
+// that names a domain or a page must be in that domain's residency set
+// or that page's sharer set, or a shootdown targeted from the set could
+// miss it. The converse is allowed: sets may conservatively name seats
+// whose entries aged out (the directory withdraws only on provable
+// emptiness). Super- and sub-page entries are recorded against their
+// install page only, so only the domain set answers for them.
+// Memberships are exempt: group loads and revocations target seats by
+// the domain they execute or act for, not by directory membership.
+// Data-cache lines count on the page axis: a virtually tagged line
+// hits without consulting translation, so the unmap that flushes it
+// must reach the seat.
+func (a *audit) directory(e machine.Entry) {
+	if e.Kind == machine.Membership {
+		return
+	}
+	vpn := a.vpn(e)
+	if e.Kind == machine.DomainPage && !a.k.DomainResident(e.Domain, a.seat) {
+		a.note("directory", e.Domain, vpn, "%s entry resident but seat missing from domain residency set", e.Where)
+	}
+	if e.Shift == a.geo && !a.k.PageResident(vpn, a.seat) {
+		a.note("directory", e.Domain, vpn, "%s entry resident but seat missing from page sharer set", e.Where)
+	}
 }
 
 // Verify runs Violations and returns an error describing them if any
 // were found. It is the chaos campaign's post-recovery gate.
 func Verify(k *kernel.Kernel) error {
-	vs := Violations(k)
+	return report(Violations(k), "oracle: %d violation(s):")
+}
+
+// report wraps violations in an error headed by header (formatted with
+// their count), listing at most eight; nil when there are none.
+func report(vs []Violation, header string, args ...any) error {
 	if len(vs) == 0 {
 		return nil
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "oracle: %d violation(s):", len(vs))
+	fmt.Fprintf(&b, header, append(args, len(vs))...)
 	for i, v := range vs {
 		if i == 8 {
 			fmt.Fprintf(&b, "\n  ... and %d more", len(vs)-i)
@@ -219,162 +346,6 @@ func resolveViolations(k *kernel.Kernel) []Violation {
 			}
 		}
 	}
-	return out
-}
-
-// plbViolations checks every resident PLB entry against authority.
-// Base-page entries must match ResolveRights exactly. Super-page
-// entries must match for every covered in-segment page that is not
-// shadowed by a (more specific) base-page entry. Entries below the
-// translation page size are experiment-managed fine-grained rights
-// (DSM, transactional locking) with no single kernel record to compare
-// against, so only their containment in a covering authority is checked.
-func plbViolations(k *kernel.Kernel, m *machine.PLBMachine) []Violation {
-	var out []Violation
-	geoShift := k.Geometry().Shift()
-	// First pass: index base-shift entries so super-page checks can
-	// honor shadowing.
-	base := make(map[plb.Key]bool)
-	m.PLB().ForEach(func(key plb.Key, _ addr.Rights) bool {
-		if uint(key.Shift) == geoShift {
-			base[key] = true
-		}
-		return true
-	})
-	m.PLB().ForEach(func(key plb.Key, r addr.Rights) bool {
-		switch {
-		case uint(key.Shift) == geoShift:
-			vpn := addr.VPN(key.Page)
-			want, cacheable, ok := k.ResolveRights(key.Domain, vpn)
-			if !ok || !cacheable || want != r {
-				out = append(out, Violation{
-					Where: "plb", Domain: key.Domain, VPN: vpn,
-					Detail: fmt.Sprintf("entry holds %v, authority %v (cacheable=%v, ok=%v)",
-						r, want, cacheable, ok),
-				})
-			}
-		case uint(key.Shift) > geoShift:
-			// One super-page entry covers 2^(shift-geo) translation pages.
-			span := uint64(1) << (uint(key.Shift) - geoShift)
-			first := addr.VPN(key.Page << (uint(key.Shift) - geoShift))
-			for i := uint64(0); i < span; i++ {
-				vpn := first + addr.VPN(i)
-				if k.FindSegment(k.Geometry().Base(vpn)) == nil {
-					continue // covers past the segment's end
-				}
-				if base[plb.Key{Domain: key.Domain, Page: uint64(vpn), Shift: uint8(geoShift)}] {
-					continue // shadowed by a more specific entry
-				}
-				want, cacheable, ok := k.ResolveRights(key.Domain, vpn)
-				if !ok || !cacheable || want != r {
-					out = append(out, Violation{
-						Where: "plb", Domain: key.Domain, VPN: vpn,
-						Detail: fmt.Sprintf("super-page entry (shift %d) holds %v, authority %v (cacheable=%v, ok=%v)",
-							key.Shift, r, want, cacheable, ok),
-					})
-				}
-			}
-		default:
-			// Sub-page entry: its rights must not exceed some authority
-			// over the containing translation page for the domain.
-			vpn := addr.VPN(key.Page >> (geoShift - uint(key.Shift)))
-			want, _, ok := k.ResolveRights(key.Domain, vpn)
-			if !ok || r&^want != 0 {
-				out = append(out, Violation{
-					Where: "plb", Domain: key.Domain, VPN: vpn,
-					Detail: fmt.Sprintf("sub-page entry (shift %d) holds %v beyond authority %v",
-						key.Shift, r, want),
-				})
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// transTLBViolations checks the PLB machine's translation-only TLB
-// against the kernel's translation table.
-func transTLBViolations(k *kernel.Kernel, m *machine.PLBMachine) []Violation {
-	var out []Violation
-	m.TLB().ForEach(func(vpn addr.VPN, e tlb.TransEntry) bool {
-		pfn, ok := k.Translate(vpn)
-		if !ok || pfn != e.PFN {
-			out = append(out, Violation{
-				Where: "trans-tlb", VPN: vpn,
-				Detail: fmt.Sprintf("entry maps to frame %d, kernel table says (%d, mapped=%v)",
-					e.PFN, pfn, ok),
-			})
-		}
-		return true
-	})
-	return out
-}
-
-// pgViolations checks the page-group TLB against the kernel's page
-// records and the resident checker groups against the executing
-// domain's group set.
-func pgViolations(k *kernel.Kernel, m *machine.PGMachine) []Violation {
-	var out []Violation
-	m.TLB().ForEach(func(vpn addr.VPN, e tlb.PGEntry) bool {
-		aid, rights, ok := k.PageInfo(vpn)
-		if !ok || e.AID != aid || e.Rights != rights {
-			out = append(out, Violation{
-				Where: "pg-tlb", VPN: vpn,
-				Detail: fmt.Sprintf("entry holds (aid=%d, %v), kernel says (aid=%d, %v, ok=%v)",
-					e.AID, e.Rights, aid, rights, ok),
-			})
-		}
-		if pfn, mapped := k.Translate(vpn); !mapped || pfn != e.PFN {
-			out = append(out, Violation{
-				Where: "pg-tlb", VPN: vpn,
-				Detail: fmt.Sprintf("entry maps to frame %d, kernel table says (%d, mapped=%v)",
-					e.PFN, pfn, mapped),
-			})
-		}
-		return true
-	})
-	cur := m.Domain()
-	m.Checker().ForEach(func(g addr.GroupID, wd bool) bool {
-		if g == addr.GlobalGroup {
-			return true
-		}
-		has, wantWD := k.DomainGroup(cur, g)
-		if !has || wd != wantWD {
-			out = append(out, Violation{
-				Where: "checker", Domain: cur,
-				Detail: fmt.Sprintf("group %d resident (writeDisable=%v), domain's set says (member=%v, writeDisable=%v)",
-					g, wd, has, wantWD),
-			})
-		}
-		return true
-	})
-	return out
-}
-
-// convViolations checks the conventional machine's ASID-tagged combined
-// TLB: each entry's rights against the tagged domain's authority and
-// its translation against the kernel's table.
-func convViolations(k *kernel.Kernel, m *machine.ConventionalMachine) []Violation {
-	var out []Violation
-	m.TLB().ForEach(func(key tlb.ASIDKey, e tlb.ASIDEntry) bool {
-		d := addr.DomainID(key.AS)
-		want, cacheable, ok := k.ResolveRights(d, key.VPN)
-		if !ok || !cacheable || want != e.Rights {
-			out = append(out, Violation{
-				Where: "asid-tlb", Domain: d, VPN: key.VPN,
-				Detail: fmt.Sprintf("entry holds %v, authority %v (cacheable=%v, ok=%v)",
-					e.Rights, want, cacheable, ok),
-			})
-		}
-		if pfn, mapped := k.Translate(key.VPN); !mapped || pfn != e.PFN {
-			out = append(out, Violation{
-				Where: "asid-tlb", Domain: d, VPN: key.VPN,
-				Detail: fmt.Sprintf("entry maps to frame %d, kernel table says (%d, mapped=%v)",
-					e.PFN, pfn, mapped),
-			})
-		}
-		return true
-	})
 	return out
 }
 

@@ -31,22 +31,12 @@ func readOnlySetup(t *testing.T, model kernel.Model) (*kernel.Kernel, *kernel.Do
 }
 
 // requireDetectAndRecover asserts that the kernel currently fails
-// verification with a violation in structure where, and that
-// RecoverHardware restores a verifiable state.
-func requireDetectAndRecover(t *testing.T, k *kernel.Kernel, where string) {
+// verification with exactly one violation, in structure where on the
+// named seat, and that RecoverHardware restores a verifiable state.
+func requireDetectAndRecover(t *testing.T, k *kernel.Kernel, where, seat string) {
 	t.Helper()
-	vs := Violations(k)
-	if len(vs) == 0 {
-		t.Fatal("oracle missed injected corruption")
-	}
-	found := false
-	for _, v := range vs {
-		if v.Where == where {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no %q violation among %d: first = %s", where, len(vs), vs[0])
+	if vs := Violations(k); len(vs) != 1 || !hasViolation(vs, where, seat) {
+		t.Fatalf("want one %q violation on %s, got %d: %v", where, seat, len(vs), vs)
 	}
 	if k.RecoverHardware() == 0 {
 		t.Fatal("recovery dropped no entries")
@@ -56,69 +46,84 @@ func requireDetectAndRecover(t *testing.T, k *kernel.Kernel, where string) {
 	}
 }
 
-func TestOracleDetectsPLBCorruption(t *testing.T) {
-	k, d, s := readOnlySetup(t, kernel.ModelDomainPage)
-	m := k.Machine().(*machine.PLBMachine)
-	// Every subsequent install latches RW regardless of granted rights —
-	// a stale/flipped-rights entry, the classic security-hole direction.
-	m.PLB().SetCorruptor(func(_ plb.Key, _ addr.Rights, _ bool) (addr.Rights, bool) {
-		return addr.RW, true
-	})
-	k.Touch(d, s.PageVA(1), addr.Load)
-	m.PLB().SetCorruptor(nil)
-	requireDetectAndRecover(t, k, "plb")
-	// After recovery the corrupted grant must be gone behaviorally too.
-	if err := k.Touch(d, s.PageVA(1), addr.Store); err == nil {
-		t.Fatal("store through read-only attachment allowed after recovery")
+// hasViolation reports whether vs holds a finding in structure where
+// on the named seat.
+func hasViolation(vs []Violation, where, seat string) bool {
+	for _, v := range vs {
+		if v.Where == where && v.Seat == seat {
+			return true
+		}
+	}
+	return false
+}
+
+// TestOracleDetectsCorruption corrupts one install in each CPU
+// structure of each organization and requires the oracle to name the
+// structure and the seat; recovery must then clear the finding and the
+// corrupted grant alike.
+func TestOracleDetectsCorruption(t *testing.T) {
+	rows := []struct {
+		model kernel.Model
+		where string
+		// arm installs a corruptor on m and returns its disarm.
+		arm func(m machine.Machine) func()
+	}{
+		{kernel.ModelDomainPage, "plb", func(m machine.Machine) func() {
+			// Every install latches RW regardless of granted rights — a
+			// stale/flipped-rights entry, the classic security-hole
+			// direction.
+			p := m.(*machine.PLBMachine).PLB()
+			p.SetCorruptor(func(plb.Key, addr.Rights) (addr.Rights, bool) { return addr.RW, true })
+			return func() { p.SetCorruptor(nil) }
+		}},
+		{kernel.ModelDomainPage, "trans-tlb", func(m machine.Machine) func() {
+			tb := m.(*machine.PLBMachine).TLB()
+			tb.SetCorruptor(func(_ addr.VPN, e tlb.TransEntry) (tlb.TransEntry, bool) {
+				return tlb.TransEntry{PFN: e.PFN + 1}, true
+			})
+			return func() { tb.SetCorruptor(nil) }
+		}},
+		{kernel.ModelPageGroup, "pg-tlb", func(m machine.Machine) func() {
+			tb := m.(*machine.PGMachine).TLB()
+			tb.SetCorruptor(func(_ addr.VPN, e tlb.PGEntry) (tlb.PGEntry, bool) {
+				e.Rights = addr.RW
+				return e, true
+			})
+			return func() { tb.SetCorruptor(nil) }
+		}},
+		{kernel.ModelPageGroup, "checker", func(m machine.Machine) func() {
+			// Loads latch membership of a group the domain was never
+			// granted; the purge forces the next access to reload.
+			c := m.(*machine.PGMachine).Checker()
+			c.SetCorruptor(func(g addr.GroupID, wd bool) (addr.GroupID, bool, bool) { return g + 1000, wd, true })
+			c.PurgeAll()
+			return func() { c.SetCorruptor(nil) }
+		}},
+		{kernel.ModelConventional, "asid-tlb", asidCorruptor},
+		{kernel.ModelFlush, "asid-tlb", asidCorruptor},
+	}
+	for _, row := range rows {
+		t.Run(row.model.String()+"/"+row.where, func(t *testing.T) {
+			k, d, s := readOnlySetup(t, row.model)
+			disarm := row.arm(k.Machine())
+			k.Touch(d, s.PageVA(1), addr.Load)
+			disarm()
+			requireDetectAndRecover(t, k, row.where, "cpu 0")
+			if err := k.Touch(d, s.PageVA(1), addr.Store); err == nil {
+				t.Fatal("store through read-only attachment allowed after recovery")
+			}
+		})
 	}
 }
 
-func TestOracleDetectsTransTLBCorruption(t *testing.T) {
-	k, d, s := readOnlySetup(t, kernel.ModelDomainPage)
-	m := k.Machine().(*machine.PLBMachine)
-	m.TLB().SetCorruptor(func(_ addr.VPN, e tlb.TransEntry, _ bool) (tlb.TransEntry, bool) {
-		return tlb.TransEntry{PFN: e.PFN + 1}, true
-	})
-	k.Touch(d, s.PageVA(2), addr.Load)
-	m.TLB().SetCorruptor(nil)
-	requireDetectAndRecover(t, k, "trans-tlb")
-}
-
-func TestOracleDetectsPGTLBCorruption(t *testing.T) {
-	k, d, s := readOnlySetup(t, kernel.ModelPageGroup)
-	m := k.Machine().(*machine.PGMachine)
-	m.TLB().SetCorruptor(func(_ addr.VPN, e tlb.PGEntry, _ bool) (tlb.PGEntry, bool) {
+// asidCorruptor makes ASID-tagged TLB installs latch RW.
+func asidCorruptor(m machine.Machine) func() {
+	tb := m.(*machine.ConventionalMachine).TLB()
+	tb.SetCorruptor(func(_ tlb.ASIDKey, e tlb.ASIDEntry) (tlb.ASIDEntry, bool) {
 		e.Rights = addr.RW
 		return e, true
 	})
-	k.Touch(d, s.PageVA(1), addr.Load)
-	m.TLB().SetCorruptor(nil)
-	requireDetectAndRecover(t, k, "pg-tlb")
-}
-
-func TestOracleDetectsCheckerCorruption(t *testing.T) {
-	k, d, s := readOnlySetup(t, kernel.ModelPageGroup)
-	m := k.Machine().(*machine.PGMachine)
-	// Loads latch membership of a group the domain was never granted.
-	m.Checker().SetCorruptor(func(g addr.GroupID, wd bool) (addr.GroupID, bool, bool) {
-		return g + 1000, wd, true
-	})
-	m.Checker().PurgeAll() // force the next access to reload the group
-	k.Touch(d, s.PageVA(1), addr.Load)
-	m.Checker().SetCorruptor(nil)
-	requireDetectAndRecover(t, k, "checker")
-}
-
-func TestOracleDetectsConvTLBCorruption(t *testing.T) {
-	k, d, s := readOnlySetup(t, kernel.ModelConventional)
-	m := k.Machine().(*machine.ConventionalMachine)
-	m.TLB().SetCorruptor(func(_ tlb.ASIDKey, e tlb.ASIDEntry, _ bool) (tlb.ASIDEntry, bool) {
-		e.Rights = addr.RW
-		return e, true
-	})
-	k.Touch(d, s.PageVA(1), addr.Load)
-	m.TLB().SetCorruptor(nil)
-	requireDetectAndRecover(t, k, "asid-tlb")
+	return func() { tb.SetCorruptor(nil) }
 }
 
 // TestRightsMatchesResolveRights cross-checks the oracle's independent
@@ -172,31 +177,13 @@ func TestOracleDetectsRemoteCPUCorruption(t *testing.T) {
 	// Prime CPU 1 with a corrupt RW entry, then return to CPU 0.
 	k.SetCPU(1)
 	m := k.MachineAt(1).(*machine.PLBMachine)
-	m.PLB().SetCorruptor(func(_ plb.Key, _ addr.Rights, _ bool) (addr.Rights, bool) {
-		return addr.RW, true
-	})
+	m.PLB().SetCorruptor(func(plb.Key, addr.Rights) (addr.Rights, bool) { return addr.RW, true })
 	if err := k.Touch(d, s.PageVA(1), addr.Load); err != nil {
 		t.Fatalf("priming load: %v", err)
 	}
 	m.PLB().SetCorruptor(nil)
 	k.SetCPU(0)
-
-	vs := Violations(k)
-	found := false
-	for _, v := range vs {
-		if v.Where == "plb" && v.CPU == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("oracle missed remote CPU 1 corruption (got %d violations)", len(vs))
-	}
-	if k.RecoverHardware() == 0 {
-		t.Fatal("recovery dropped no entries")
-	}
-	if err := Verify(k); err != nil {
-		t.Fatalf("oracle still dirty after recovery: %v", err)
-	}
+	requireDetectAndRecover(t, k, "plb", "cpu 1")
 }
 
 // TestOracleDetectsDroppedShootdown arms an IPI fault that drops every
@@ -227,22 +214,7 @@ func TestOracleDetectsDroppedShootdown(t *testing.T) {
 		t.Fatal("fault hook never fired")
 	}
 
-	vs := Violations(k)
-	found := false
-	for _, v := range vs {
-		if v.Where == "plb" && v.CPU == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("oracle missed stale RW grant on CPU 1 after dropped shootdown (got %d violations)", len(vs))
-	}
-	if k.RecoverHardware() == 0 {
-		t.Fatal("recovery dropped no entries")
-	}
-	if err := Verify(k); err != nil {
-		t.Fatalf("oracle still dirty after recovery: %v", err)
-	}
+	requireDetectAndRecover(t, k, "plb", "cpu 1")
 }
 
 // TestSweepVerdictsCleanKernel asserts the differential access sweep
@@ -270,9 +242,7 @@ func TestSweepVerdictsCleanKernel(t *testing.T) {
 func TestSweepVerdictsCatchesStaleGrant(t *testing.T) {
 	k, d, s := readOnlySetup(t, kernel.ModelDomainPage)
 	m := k.Machine().(*machine.PLBMachine)
-	m.PLB().SetCorruptor(func(_ plb.Key, _ addr.Rights, _ bool) (addr.Rights, bool) {
-		return addr.RW, true
-	})
+	m.PLB().SetCorruptor(func(plb.Key, addr.Rights) (addr.Rights, bool) { return addr.RW, true })
 	k.Touch(d, s.PageVA(1), addr.Load)
 	m.PLB().SetCorruptor(nil)
 	vs := SweepVerdicts(k)
@@ -289,13 +259,14 @@ func TestSweepVerdictsCatchesStaleGrant(t *testing.T) {
 
 // FuzzVerdictAgreement is the native fuzz target for the oracle-vs-
 // machine verdict agreement property: for any operation sequence the
-// seed generates, all three machine models must agree with the shadow
-// model on every access verdict.
+// seed generates, all four machine organizations must agree with the
+// shadow model on every access verdict.
 func FuzzVerdictAgreement(f *testing.F) {
 	for seed := int64(0); seed < 4; seed++ {
 		f.Add(seed)
 	}
-	models := []kernel.Model{kernel.ModelDomainPage, kernel.ModelPageGroup, kernel.ModelConventional}
+	models := []kernel.Model{kernel.ModelDomainPage, kernel.ModelPageGroup,
+		kernel.ModelConventional, kernel.ModelFlush}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		for _, model := range models {
 			AuthorityFuzz(t, seed, func() *kernel.Kernel {

@@ -102,12 +102,12 @@ type PLB struct {
 }
 
 // Corruptor is a chaos-testing hook consulted on every Insert. It sees
-// the entry being installed and whether the install evicted a victim,
-// and may return replacement rights with true to corrupt the entry in
-// place (modeling a bit flip or stale rights latched by glitching
-// hardware). Corrupted installs are counted under prefix+".corrupted".
+// the entry being installed and may return replacement rights with true
+// to corrupt the entry in place (modeling a bit flip or stale rights
+// latched by glitching hardware). Corrupted installs are counted under
+// prefix+".corrupted".
 // Production configurations leave it nil; it costs one nil check.
-type Corruptor func(k Key, r addr.Rights, evicted bool) (addr.Rights, bool)
+type Corruptor func(k Key, r addr.Rights) (addr.Rights, bool)
 
 // New creates a PLB, recording events in ctrs under the given name prefix
 // (e.g. "plb"). An invalid configuration returns a *ConfigError wrapping
@@ -201,10 +201,10 @@ func (p *PLB) Lookup(d addr.DomainID, va addr.VA) (addr.Rights, bool) {
 func (p *PLB) Insert(d addr.DomainID, va addr.VA, shift uint, r addr.Rights) {
 	p.mustShift(shift)
 	k := Key{Domain: d, Page: uint64(va) >> shift, Shift: uint8(shift)}
-	_, _, evicted := p.c.Insert(k, r)
+	p.c.Insert(k, r)
 	p.nInstall.Inc()
 	if p.corrupt != nil {
-		if bad, ok := p.corrupt(k, r, evicted); ok {
+		if bad, ok := p.corrupt(k, r); ok {
 			p.c.Update(k, bad)
 			p.nCorrupted.Inc()
 		}

@@ -36,7 +36,7 @@ type TransTLB struct {
 	nHit, nMiss, nInstall, nInvalidated stats.Handle
 	nCorrupted                          stats.Handle
 
-	corrupt func(vpn addr.VPN, e TransEntry, evicted bool) (TransEntry, bool)
+	corrupt func(vpn addr.VPN, e TransEntry) (TransEntry, bool)
 }
 
 // NewTrans creates a translation-only TLB counting under prefix. Counter
@@ -57,7 +57,7 @@ func NewTrans(cfg assoc.Config, ctrs *stats.Counters, prefix string) *TransTLB {
 // consulted on every Insert; returning a replacement entry with true
 // corrupts the installed translation in place (a stale or flipped PFN).
 // Corrupted installs are counted under prefix+".corrupted".
-func (t *TransTLB) SetCorruptor(fn func(vpn addr.VPN, e TransEntry, evicted bool) (TransEntry, bool)) {
+func (t *TransTLB) SetCorruptor(fn func(vpn addr.VPN, e TransEntry) (TransEntry, bool)) {
 	t.corrupt = fn
 }
 
@@ -74,10 +74,10 @@ func (t *TransTLB) Lookup(vpn addr.VPN) (TransEntry, bool) {
 
 // Insert installs a translation.
 func (t *TransTLB) Insert(vpn addr.VPN, e TransEntry) {
-	_, _, evicted := t.c.Insert(vpn, e)
+	t.c.Insert(vpn, e)
 	t.nInstall.Inc()
 	if t.corrupt != nil {
-		if bad, ok := t.corrupt(vpn, e, evicted); ok {
+		if bad, ok := t.corrupt(vpn, e); ok {
 			t.c.Update(vpn, bad)
 			t.nCorrupted.Inc()
 		}
@@ -128,7 +128,7 @@ type ASIDTLB struct {
 	nInspected                     stats.Handle
 	nCorrupted                     stats.Handle
 
-	corrupt func(k ASIDKey, e ASIDEntry, evicted bool) (ASIDEntry, bool)
+	corrupt func(k ASIDKey, e ASIDEntry) (ASIDEntry, bool)
 }
 
 // NewASID creates an ASID-tagged TLB counting under prefix.
@@ -151,7 +151,7 @@ func NewASID(cfg assoc.Config, ctrs *stats.Counters, prefix string) *ASIDTLB {
 // consulted on every Insert; returning a replacement entry with true
 // corrupts the installed entry in place (stale or flipped rights/PFN).
 // Corrupted installs are counted under prefix+".corrupted".
-func (t *ASIDTLB) SetCorruptor(fn func(k ASIDKey, e ASIDEntry, evicted bool) (ASIDEntry, bool)) {
+func (t *ASIDTLB) SetCorruptor(fn func(k ASIDKey, e ASIDEntry) (ASIDEntry, bool)) {
 	t.corrupt = fn
 }
 
@@ -169,10 +169,10 @@ func (t *ASIDTLB) Lookup(as addr.ASID, vpn addr.VPN) (ASIDEntry, bool) {
 // Insert installs an entry for (as, vpn).
 func (t *ASIDTLB) Insert(as addr.ASID, vpn addr.VPN, e ASIDEntry) {
 	k := ASIDKey{AS: as, VPN: vpn}
-	_, _, evicted := t.c.Insert(k, e)
+	t.c.Insert(k, e)
 	t.nInstall.Inc()
 	if t.corrupt != nil {
-		if bad, ok := t.corrupt(k, e, evicted); ok {
+		if bad, ok := t.corrupt(k, e); ok {
 			t.c.Update(k, bad)
 			t.nCorrupted.Inc()
 		}
@@ -252,7 +252,7 @@ type PGTLB struct {
 	nHit, nMiss, nInstall, nUpdate, nInvalidated stats.Handle
 	nCorrupted                                   stats.Handle
 
-	corrupt func(vpn addr.VPN, e PGEntry, evicted bool) (PGEntry, bool)
+	corrupt func(vpn addr.VPN, e PGEntry) (PGEntry, bool)
 }
 
 // NewPG creates a page-group TLB counting under prefix.
@@ -272,7 +272,7 @@ func NewPG(cfg assoc.Config, ctrs *stats.Counters, prefix string) *PGTLB {
 // consulted on every Insert; returning a replacement entry with true
 // corrupts the installed entry in place (stale AID, flipped rights, bad
 // PFN). Corrupted installs are counted under prefix+".corrupted".
-func (t *PGTLB) SetCorruptor(fn func(vpn addr.VPN, e PGEntry, evicted bool) (PGEntry, bool)) {
+func (t *PGTLB) SetCorruptor(fn func(vpn addr.VPN, e PGEntry) (PGEntry, bool)) {
 	t.corrupt = fn
 }
 
@@ -289,10 +289,10 @@ func (t *PGTLB) Lookup(vpn addr.VPN) (PGEntry, bool) {
 
 // Insert installs an entry for vpn.
 func (t *PGTLB) Insert(vpn addr.VPN, e PGEntry) {
-	_, _, evicted := t.c.Insert(vpn, e)
+	t.c.Insert(vpn, e)
 	t.nInstall.Inc()
 	if t.corrupt != nil {
-		if bad, ok := t.corrupt(vpn, e, evicted); ok {
+		if bad, ok := t.corrupt(vpn, e); ok {
 			t.c.Update(vpn, bad)
 			t.nCorrupted.Inc()
 		}
