@@ -154,10 +154,14 @@ func (k *Kernel) DeviceFenced(i int) bool {
 // domain d: subsequent transfers are checked against d's authority.
 // The device conservatively joins d's residency set so revocations of
 // d's rights reach it (withdrawn again when a removal shootdown proves
-// its IOTLB holds nothing of d, or on rejoin).
+// its IOTLB holds nothing of d, or on rejoin), and becomes one of d's
+// executing seats, so d's group loads and revocations reach its
+// membership cache.
 func (k *Kernel) ProgramDevice(i int, d *Domain) {
+	seat := k.DeviceSeat(i)
+	k.moveExecuting(seat, k.devs[i].OnBehalf(), d.ID)
 	k.devs[i].SetOnBehalf(d.ID)
-	d.cpus.Add(k.DeviceSeat(i))
+	d.cpus.Add(seat)
 }
 
 // RejoinDevice readmits an untrusted (quarantined, degraded or stale)

@@ -179,9 +179,8 @@ type pgEngine struct {
 	// it. membersMatch confirms each hit: a collision costs a fresh group.
 	sigIndex map[uint64]addr.GroupID
 	// Scratch vectors reused across calls (a kernel is single-threaded).
-	ids     []addr.DomainID
 	vpns    []addr.VPN
-	want    []pgWant
+	attach  []pgWant
 	members []groupMember
 
 	hRecycled, hCreated, hGrants, hRevokes stats.Handle
@@ -242,6 +241,8 @@ type pgWant struct {
 	id           addr.DomainID
 	attach, want addr.Rights
 }
+
+func byDomain(a, b pgWant) int { return cmp.Compare(a.id, b.id) }
 
 func newPGEngine(k *Kernel) *pgEngine {
 	c := &k.ctrs
@@ -355,15 +356,15 @@ func (e *pgEngine) withdraw(d *Domain, g addr.GroupID) {
 // revoking one domain's write access is a pure write-disable-bit flip
 // (Table 1 "Restrict Access": "mark the page-group read-only to the
 // application") and never requires touching the per-page TLB entries.
-func (e *pgEngine) recomputePrimary(s *Segment) {
+func (e *pgEngine) recomputePrimary(s *Segment, attach []pgWant) {
 	union := addr.None
-	for _, r := range s.attached {
-		union |= r
+	for _, a := range attach {
+		union |= a.attach
 	}
 	field := s.groupRights | union
-	for _, did := range e.sortedAttached(s) {
-		r := s.attached[did]
-		d := e.k.doms.get(did)
+	for _, a := range attach {
+		r := a.attach
+		d := e.k.doms.get(a.id)
 		if d == nil {
 			continue
 		}
@@ -400,18 +401,19 @@ func (e *pgEngine) recomputePrimary(s *Segment) {
 	}
 }
 
-// sortedAttached returns the segment's attached domain IDs ascending —
-// shootdown-enqueueing loops iterate it instead of the map so IPI order
-// (and with it chaos fault injection) is deterministic. The slice is
-// engine scratch, valid until the next call.
-func (e *pgEngine) sortedAttached(s *Segment) []addr.DomainID {
-	ids := e.ids[:0]
-	for did := range s.attached {
-		ids = append(ids, did)
+// attachments snapshots the segment's attachments ascending by domain
+// ID, want fields zero: one map walk and one sort per resync, which
+// recomputePrimary and every regroup after it share. Ascending order
+// makes shootdown enqueue order (and with it chaos fault injection)
+// deterministic. The slice is engine scratch, valid until the next call.
+func (e *pgEngine) attachments(s *Segment) []pgWant {
+	attach := e.attach[:0]
+	for did, r := range s.attached {
+		attach = append(attach, pgWant{id: did, attach: r})
 	}
-	slices.Sort(ids)
-	e.ids = ids
-	return ids
+	slices.SortFunc(attach, byDomain)
+	e.attach = attach
+	return attach
 }
 
 // segPages returns the VPNs of the segment's touched pages ascending
@@ -455,11 +457,12 @@ func (e *pgEngine) onDetach(d *Domain, s *Segment) {
 // the segment currently parked in a derived group, so group memberships
 // track the current attachments and overrides.
 func (e *pgEngine) resyncSegment(s *Segment) {
-	e.recomputePrimary(s)
+	attach := e.attachments(s)
+	e.recomputePrimary(s, attach)
 	for _, vpn := range e.segPages(s) {
 		p := s.pageRecs[vpn]
 		if p.group != s.group {
-			if err := e.regroup(vpn, p); err != nil {
+			if err := e.regroup(vpn, p, attach); err != nil {
 				// Unrepresentable vector (or a group namespace drained to
 				// empty) during a void-returning resync: clamp by leaving
 				// the page where it is and counting.
@@ -469,17 +472,13 @@ func (e *pgEngine) resyncSegment(s *Segment) {
 	}
 }
 
-// desiredVector computes, for every domain attached to the page's
-// segment (ascending ID), the rights the kernel wants it to have on the
-// page. The slice is engine scratch, valid until the next call.
-func (e *pgEngine) desiredVector(p *page, vpn addr.VPN) []pgWant {
-	want := e.want[:0]
-	for did, r := range p.seg.attached {
-		want = append(want, pgWant{id: did, attach: r})
-	}
-	slices.SortFunc(want, func(a, b pgWant) int { return cmp.Compare(a.id, b.id) })
-	for i := range want {
-		w := &want[i]
+// desiredVector fills in, for every entry of the page's segment's
+// attachment snapshot, the rights the kernel wants that domain to have
+// on the page, and returns the snapshot.
+func (e *pgEngine) desiredVector(vpn addr.VPN, attach []pgWant) []pgWant {
+	for i := range attach {
+		w := &attach[i]
+		w.want = addr.None
 		if d := e.k.doms.get(w.id); d != nil {
 			w.want = w.attach
 			if or, ok := d.overrides.Get(vpn); ok {
@@ -487,15 +486,15 @@ func (e *pgEngine) desiredVector(p *page, vpn addr.VPN) []pgWant {
 			}
 		}
 	}
-	e.want = want
-	return want
+	return attach
 }
 
 // regroup moves the page into a group realizing the desired rights
 // vector: group membership = domains with access; rights field = union;
-// write-disable for members that may not write (Section 4.1.2).
-func (e *pgEngine) regroup(vpn addr.VPN, p *page) error {
-	want := e.desiredVector(p, vpn)
+// write-disable for members that may not write (Section 4.1.2). attach
+// is the page's segment's attachment snapshot (attachments).
+func (e *pgEngine) regroup(vpn addr.VPN, p *page, attach []pgWant) error {
+	want := e.desiredVector(vpn, attach)
 	union := addr.None
 	for _, w := range want {
 		union |= w.want
@@ -670,7 +669,7 @@ func (e *pgEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
 	if p == nil {
 		return ErrNoAuthority
 	}
-	return e.regroup(vpn, p)
+	return e.regroup(vpn, p, e.attachments(p.seg))
 }
 
 func (e *pgEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) error {

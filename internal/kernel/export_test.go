@@ -90,3 +90,13 @@ func (k *Kernel) DropPageSharer(vpn addr.VPN, t int) {
 		set.Remove(t)
 	}
 }
+
+// ExecutingSeats lists, ascending, the seats the kernel's executing-seat
+// set holds for domain id: the set shootExecuting targets.
+func (k *Kernel) ExecutingSeats(id addr.DomainID) []int {
+	var seats []int
+	if int(id) < len(k.executing) {
+		k.executing[id].ForEach(func(t int) { seats = append(seats, t) })
+	}
+	return seats
+}

@@ -473,6 +473,13 @@ type Kernel struct {
 	// devs holds the attached device translation agents (device.go);
 	// device i occupies interconnect seat len(machs)+i.
 	devs []*iommu.Device
+	// executing[id] is the set of seats executing domain id: CPUs whose
+	// machine has it switched in, and devices programmed on its behalf.
+	// It is indexed by ID, not by *Domain: a destroyed domain stays
+	// switched in on its CPU until that CPU next switches, and the
+	// recycled ID must still reach it there. Kept only when shoot is
+	// non-nil; shootExecuting is its one reader.
+	executing []smp.CPUSet
 	// deferDepth counts open DeferShootdowns windows; per-operation IPI
 	// flushing is suspended while it is nonzero (lazy shootdown), and
 	// windows nest — only the outermost FlushShootdowns delivers.
@@ -1058,13 +1065,17 @@ func (k *Kernel) Detach(d *Domain, s *Segment) error {
 
 // Switch schedules domain d on the current CPU's machine.
 func (k *Kernel) Switch(d *Domain) {
-	if k.mach.Domain() != d.ID {
-		if k.cfg.Model == ModelFlush && k.shoot != nil {
-			// The flush machine purges its TLB and cache on the way in
-			// (no ASIDs), so the switching CPU provably drops every
-			// entry it held: withdraw it from the sharer directory
-			// instead of letting residency accrete switch after switch.
-			k.withdrawSeat(k.cur)
+	if old := k.mach.Domain(); old != d.ID {
+		if k.shoot != nil {
+			k.moveExecuting(k.cur, old, d.ID)
+			if k.cfg.Model == ModelFlush {
+				// The flush machine purges its TLB and cache on the way
+				// in (no ASIDs), so the switching CPU provably drops every
+				// entry it held: withdraw it from the sharer directory
+				// instead of letting residency accrete switch after
+				// switch.
+				k.withdrawSeat(k.cur)
+			}
 		}
 		k.mach.SwitchDomain(d.ID)
 	}

@@ -1,6 +1,9 @@
 package kernel
 
-import "repro/internal/smp"
+import (
+	"repro/internal/addr"
+	"repro/internal/smp"
+)
 
 // Shootdown integration: the kernel is the smp.Handler — it maps
 // delivered requests onto the target CPU's machine — and the protection
@@ -14,8 +17,9 @@ import "repro/internal/smp"
 //     membership withdrawn when a removal shootdown provably drops the
 //     domain's last entry on a CPU.
 //   - Checker state (PID registers / group cache) is purged on every
-//     domain switch, so group loads/revocations only matter on CPUs
-//     currently executing the domain.
+//     domain switch, so group loads/revocations only matter on seats
+//     currently executing the domain: the executing-seat set Switch and
+//     ProgramDevice keep per domain ID.
 //   - Translation and page-group TLB state is domain-agnostic but
 //     page-keyed: unmaps and regroups go to the page's sharer set
 //     (shootPage/shootRange), not to every CPU that ever ran anything.
@@ -76,26 +80,37 @@ func (k *Kernel) enqueueShoot(i int, r smp.Request) {
 	k.shoot.Enqueue(i, r)
 }
 
-// shootExecuting applies r locally and enqueues it for every remote CPU
-// currently executing domain d (checker state is rebuilt on switch, so
-// only executing CPUs hold it).
+// shootExecuting applies r locally and enqueues it for every other seat
+// executing domain d, CPUs then devices in seat order. Checker state is
+// rebuilt on switch, so only a CPU with d switched in holds it; a device
+// programmed on d's behalf holds the analogous membership cache.
 func (k *Kernel) shootExecuting(d *Domain, r smp.Request) {
 	r.Domain = d.ID
 	k.mach.Apply(r)
-	if k.shoot == nil {
+	if k.shoot == nil || int(d.ID) >= len(k.executing) {
 		return
 	}
-	for i := range k.machs {
-		if i != k.cur && k.machs[i].Domain() == d.ID {
-			k.enqueueShoot(i, r)
+	k.executing[d.ID].ForEach(func(t int) {
+		if t != k.cur {
+			k.enqueueShoot(t, r)
 		}
+	})
+}
+
+// moveExecuting records that seat t switched from executing domain from
+// to executing domain to (Switch on a CPU, ProgramDevice on a device).
+// NilDomain, the state every seat starts in, has no set. Callers skip it
+// on kernels without a shootdown subsystem, which keep no sets; a kernel
+// with devices always has one.
+func (k *Kernel) moveExecuting(t int, from, to addr.DomainID) {
+	if from != addr.NilDomain {
+		k.executing[from].Remove(t)
 	}
-	// Device agents programmed on the domain's behalf hold the analogous
-	// group state (their membership cache) and count as executing it.
-	for i, dev := range k.devs {
-		if dev.OnBehalf() == d.ID {
-			k.enqueueShoot(k.DeviceSeat(i), r)
+	if to != addr.NilDomain {
+		if n := int(to) + 1; n > len(k.executing) {
+			k.executing = append(k.executing, make([]smp.CPUSet, n-len(k.executing))...)
 		}
+		k.executing[to].Add(t)
 	}
 }
 

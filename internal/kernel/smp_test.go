@@ -2,10 +2,13 @@ package kernel
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
 	"repro/internal/cache"
+	"repro/internal/iommu"
 	"repro/internal/machine"
 	"repro/internal/plb"
 	"repro/internal/smp"
@@ -359,5 +362,84 @@ func TestUniprocessorZeroProtocolOverhead(t *testing.T) {
 		if got := k.Counters().Get(c); got != 0 {
 			t.Fatalf("%s = %d on a uniprocessor, want 0", c, got)
 		}
+	}
+}
+
+// TestExecutingSeatsMatchScan holds the executing-seat sets to the scan
+// they replaced. After every step of a seeded mix of CPU moves,
+// switches, device programming, destroys of switched-in domains,
+// creates that recycle their IDs, and CPU, device and whole-machine
+// recoveries, every domain ID's set must list exactly the CPUs whose
+// machine has that ID switched in and the devices programmed on its
+// behalf, CPUs first.
+func TestExecutingSeatsMatchScan(t *testing.T) {
+	for _, model := range []Model{ModelDomainPage, ModelPageGroup, ModelConventional, ModelFlush} {
+		t.Run(model.String(), func(t *testing.T) {
+			cfg := DefaultConfig(model)
+			cfg.CPUs = 4
+			cfg.Devices = []DeviceConfig{{Kind: iommu.NIC}, {Kind: iommu.DMAEngine}}
+			k := New(cfg)
+			seg := k.CreateSegment(4, SegmentOptions{Name: "shared"})
+			doms := make([]*Domain, 6)
+			for i := range doms {
+				doms[i] = k.CreateDomain()
+				k.Attach(doms[i], seg, addr.RW)
+			}
+			rng := rand.New(rand.NewSource(1))
+			recycled := 0
+			for step := 0; step < 3000; step++ {
+				d := doms[rng.Intn(len(doms))]
+				switch rng.Intn(10) {
+				case 0, 1:
+					k.SetCPU(rng.Intn(k.NumCPUs()))
+				case 2, 3, 4:
+					k.Switch(d)
+				case 5:
+					k.ProgramDevice(rng.Intn(k.NumDevices()), d)
+				case 6:
+					// Destroy the domain the current CPU runs, then create
+					// one: the free list is LIFO, so it takes the same ID
+					// while the dead incarnation is still switched in.
+					for i, x := range doms {
+						if x.ID != k.Machine().Domain() {
+							continue
+						}
+						if err := k.DestroyDomain(x); err != nil {
+							t.Fatal(err)
+						}
+						doms[i] = k.CreateDomain()
+						if doms[i].ID == x.ID {
+							recycled++
+						}
+						k.Attach(doms[i], seg, addr.Read)
+					}
+				case 7:
+					k.RecoverCPU(rng.Intn(k.NumCPUs()))
+				case 8:
+					k.RejoinDevice(rng.Intn(k.NumDevices()))
+				case 9:
+					k.RecoverHardware()
+				}
+				for id := addr.DomainID(1); id <= 8; id++ {
+					var scan []int
+					for i := 0; i < k.NumCPUs(); i++ {
+						if k.MachineAt(i).Domain() == id {
+							scan = append(scan, i)
+						}
+					}
+					for j := 0; j < k.NumDevices(); j++ {
+						if k.Device(j).OnBehalf() == id {
+							scan = append(scan, k.DeviceSeat(j))
+						}
+					}
+					if got := k.ExecutingSeats(id); !slices.Equal(got, scan) {
+						t.Fatalf("step %d: domain %d executing seats %v, scan finds %v", step, id, got, scan)
+					}
+				}
+			}
+			if recycled == 0 {
+				t.Fatal("no switched-in domain's ID was recycled")
+			}
+		})
 	}
 }

@@ -1,0 +1,459 @@
+package smp
+
+import (
+	"maps"
+	"slices"
+	"testing"
+
+	"repro/internal/addr"
+	"repro/internal/cpu"
+	"repro/internal/stats"
+)
+
+// refShootdown is the queue Shootdown had before its indexed batch
+// queues, kept as the reference FuzzShootdownMatchesReference holds
+// Shootdown to: per-target request slices mirrored as Go map sets,
+// batches handed away at every flush, and a fresh ack list per
+// acknowledged flush. Counters, health, topology and cycle charging are
+// the embedded Shootdown's, whose own queues stay empty.
+type refShootdown struct {
+	*Shootdown
+	queue   [][]Request
+	pend    []map[Request]struct{}
+	delayed [][]Request
+}
+
+// newRefShootdown wraps s, whose device seats must already be attached.
+func newRefShootdown(s *Shootdown) *refShootdown {
+	n := s.NumTargets()
+	return &refShootdown{
+		Shootdown: s,
+		queue:     make([][]Request, n),
+		pend:      make([]map[Request]struct{}, n),
+		delayed:   make([][]Request, n),
+	}
+}
+
+func (s *refShootdown) DropPending(t int) {
+	s.queue[t] = nil
+	s.delayed[t] = nil
+	for k := range s.pend[t] {
+		delete(s.pend[t], k)
+	}
+}
+
+func (s *refShootdown) Enqueue(target int, r Request) {
+	s.nRequests.Inc()
+	if s.enqueue(target, r) {
+		s.nCoalesced.Inc()
+	}
+}
+
+func (s *refShootdown) enqueue(target int, r Request) bool {
+	if s.pend[target] == nil {
+		s.pend[target] = make(map[Request]struct{})
+	}
+	q := s.queue[target]
+	if _, dup := s.pend[target][r]; dup {
+		if q[len(q)-1] != r {
+			i := slices.Index(q, r)
+			s.queue[target] = append(slices.Delete(q, i, i+1), r)
+		}
+		return true
+	}
+	s.pend[target][r] = struct{}{}
+	s.queue[target] = append(q, r)
+	return false
+}
+
+func (s *refShootdown) Pending(target int) int {
+	return len(s.queue[target]) + len(s.delayed[target])
+}
+
+func (s *refShootdown) Flush() {
+	for t := 0; t < len(s.queue); t++ {
+		if s.proto != nil {
+			s.flushAcked(t)
+		} else {
+			s.flushFireAndForget(t)
+		}
+	}
+}
+
+func (s *refShootdown) takeBatch(t int) []Request {
+	if len(s.delayed[t]) > 0 {
+		late := s.delayed[t]
+		s.delayed[t] = nil
+		pending := s.queue[t]
+		s.queue[t] = nil
+		for k := range s.pend[t] {
+			delete(s.pend[t], k)
+		}
+		for _, r := range late {
+			s.enqueue(t, r)
+		}
+		for _, r := range pending {
+			s.enqueue(t, r)
+		}
+	}
+	batch := s.queue[t]
+	if len(batch) == 0 {
+		return nil
+	}
+	s.queue[t] = nil
+	for k := range s.pend[t] {
+		delete(s.pend[t], k)
+	}
+	return batch
+}
+
+func (s *refShootdown) flushFireAndForget(t int) {
+	batch := s.takeBatch(t)
+	if len(batch) == 0 {
+		return
+	}
+	arrived := false
+	start := s.handler.CPUCycles(t)
+	for _, r := range batch {
+		verdict := FaultNone
+		if s.fault != nil {
+			verdict = s.fault(t, r)
+		}
+		switch verdict {
+		case FaultDrop:
+			s.nDropped.Inc()
+			if s.IsDevice(t) {
+				s.nDevDropped.Inc()
+			}
+			continue
+		case FaultDelay:
+			s.nDelayed.Inc()
+			s.delayed[t] = append(s.delayed[t], r)
+			continue
+		case FaultAckLoss:
+			s.nAckLost.Inc()
+		}
+		arrived = true
+		affected := s.handler.ApplyShootdown(t, r)
+		s.nDelivered.Inc()
+		if s.IsDevice(t) {
+			s.nDevDelivered.Inc()
+		}
+		s.nRemoteInv.Add(uint64(affected))
+		s.chargeMemHops(t, r)
+	}
+	s.remCycles.Add(s.handler.CPUCycles(t) - start)
+	if arrived {
+		s.chargeIPI(t, false)
+	}
+}
+
+func (s *refShootdown) flushAcked(t int) {
+	batch := s.takeBatch(t)
+	if len(batch) == 0 {
+		return
+	}
+	if s.Fenced(t) {
+		s.nFencedDisc.Add(uint64(len(batch)))
+		s.stale[t] = true
+		return
+	}
+	pending := make([]ackedReq, len(batch))
+	for i, r := range batch {
+		pending[i] = ackedReq{req: r}
+	}
+	timeout, backoffCap := s.TargetTimeouts(t)
+	for attempt := 0; ; attempt++ {
+		if attempt > s.proto.MaxRetries {
+			s.quarantine(t, len(pending))
+			return
+		}
+		s.seq[t]++
+		if attempt > 0 {
+			s.nRetrans.Add(uint64(len(pending)))
+			if s.IsDevice(t) {
+				s.nDevRetrans.Add(uint64(len(pending)))
+			}
+		}
+		arrived := false
+		var keep []ackedReq
+		start := s.handler.CPUCycles(t)
+		for _, p := range pending {
+			verdict := FaultNone
+			if s.fault != nil {
+				verdict = s.fault(t, p.req)
+			}
+			if verdict == FaultDrop {
+				s.nDropped.Inc()
+				if s.IsDevice(t) {
+					s.nDevDropped.Inc()
+				}
+				keep = append(keep, p)
+				continue
+			}
+			arrived = true
+			if p.applied {
+				s.nDupSup.Inc()
+				if verdict == FaultNone {
+					s.nAcks.Inc()
+					continue
+				}
+				if verdict == FaultDelay {
+					s.nDelayed.Inc()
+				} else {
+					s.nAckLost.Inc()
+				}
+				keep = append(keep, p)
+				continue
+			}
+			affected := s.handler.ApplyShootdown(t, p.req)
+			s.nDelivered.Inc()
+			if s.IsDevice(t) {
+				s.nDevDelivered.Inc()
+			}
+			s.nRemoteInv.Add(uint64(affected))
+			s.chargeMemHops(t, p.req)
+			switch verdict {
+			case FaultNone:
+				s.nAcks.Inc()
+			case FaultDelay:
+				s.nDelayed.Inc()
+				keep = append(keep, ackedReq{req: p.req, applied: true})
+			case FaultAckLoss:
+				s.nAckLost.Inc()
+				keep = append(keep, ackedReq{req: p.req, applied: true})
+			}
+		}
+		s.remCycles.Add(s.handler.CPUCycles(t) - start)
+		if arrived {
+			s.chargeIPI(t, attempt > 0)
+		}
+		pending = keep
+		if len(pending) == 0 {
+			s.consecTO[t] = 0
+			if s.health[t] == Suspect {
+				s.health[t] = Healthy
+			}
+			return
+		}
+		s.nTimeouts.Inc()
+		if s.IsDevice(t) {
+			s.nDevTimeouts.Inc()
+		}
+		s.cycles.Add(timeout)
+		s.toCycles.Add(timeout)
+		s.consecTO[t]++
+		if s.health[t] == Healthy && s.consecTO[t] >= s.proto.SuspectAfter {
+			s.health[t] = Suspect
+			s.nSuspects.Inc()
+		}
+		timeout *= 2
+		if timeout > backoffCap {
+			timeout = backoffCap
+		}
+	}
+}
+
+func (s *refShootdown) Reset() {
+	s.Shootdown.Reset()
+	for t := range s.queue {
+		s.DropPending(t)
+	}
+}
+
+// delivery is one request a recorder saw applied.
+type delivery struct {
+	target int
+	req    Request
+}
+
+// recorder is a Handler that logs every delivery in order and charges
+// a kind-dependent number of cycles per apply.
+type recorder struct {
+	log    []delivery
+	cycles []uint64
+}
+
+func (h *recorder) ApplyShootdown(t int, r Request) int {
+	h.log = append(h.log, delivery{t, r})
+	h.cycles[t] += 3 + uint64(r.Kind)
+	return int(r.Kind) % 3
+}
+
+func (h *recorder) CPUCycles(t int) uint64 { return h.cycles[t] }
+
+// fuzzRequest is the i-th of 32 requests a fuzz input draws from: every
+// kind, a few domains, pages and groups, both write-disable values and
+// a range, so that runs of draws both repeat and differ.
+func fuzzRequest(i int) Request {
+	i %= 32
+	return Request{
+		Kind:   Kind(i % 12),
+		Domain: addr.DomainID(1 + i%3),
+		VPN:    addr.VPN(0x10 + i/4),
+		Range:  addr.Range{Start: addr.VA(i%2) << 14, Length: 1 << 13},
+		Group:  addr.GroupID(i % 5),
+		Rights: addr.Rights(i % 4),
+		WD:     i%7 == 0,
+	}
+}
+
+// side is one Shootdown with its own recorder, counters and cycle
+// account.
+type side struct {
+	s    *Shootdown
+	h    *recorder
+	ctrs *stats.Counters
+	cyc  *stats.Cycles
+}
+
+func newSide(ncpu int, proto bool) side {
+	sd := side{h: &recorder{cycles: make([]uint64, ncpu+1)}, ctrs: &stats.Counters{}, cyc: &stats.Cycles{}}
+	sd.s = New(ncpu, sd.h, cpu.DefaultCosts, sd.ctrs, sd.cyc)
+	sd.s.AttachDevices([]DeviceSpec{{TimeoutScale: 2}})
+	if proto {
+		sd.s.EnableProtocol(testProto())
+	}
+	return sd
+}
+
+// setFaults arms sd with a verdict cycle: pattern holds four 2-bit
+// verdicts, consumed one per delivery attempt. Zero disarms.
+func (sd side) setFaults(pattern uint8) {
+	if pattern == 0 {
+		sd.s.SetFault(nil)
+		return
+	}
+	n := 0
+	sd.s.SetFault(func(int, Request) Fault {
+		v := Fault(pattern >> (2 * (n % 4)) & 3)
+		n++
+		return v
+	})
+}
+
+// compareSides fails unless the Shootdown under test and the reference
+// delivered the same requests to the same targets in the same order and
+// agree on every target's pending count, health and staleness, on every
+// counter and on cycles.
+func compareSides(t *testing.T, step int, got side, ref *refShootdown, want side) {
+	t.Helper()
+	if !slices.Equal(got.h.log, want.h.log) {
+		t.Fatalf("step %d: delivered\n%v\nreference delivered\n%v", step, got.h.log, want.h.log)
+	}
+	for tg := 0; tg < got.s.NumTargets(); tg++ {
+		if g, w := got.s.Pending(tg), ref.Pending(tg); g != w {
+			t.Fatalf("step %d: Pending(%d) = %d, reference %d", step, tg, g, w)
+		}
+		if g, w := got.s.CPUHealth(tg), want.s.CPUHealth(tg); g != w {
+			t.Fatalf("step %d: CPUHealth(%d) = %v, reference %v", step, tg, g, w)
+		}
+		if g, w := got.s.Stale(tg), want.s.Stale(tg); g != w {
+			t.Fatalf("step %d: Stale(%d) = %v, reference %v", step, tg, g, w)
+		}
+	}
+	if g, w := got.ctrs.Snapshot(), want.ctrs.Snapshot(); !maps.Equal(g, w) {
+		t.Fatalf("step %d: counters %v, reference %v", step, g, w)
+	}
+	if g, w := got.cyc.Total(), want.cyc.Total(); g != w {
+		t.Fatalf("step %d: cycles %d, reference %d", step, g, w)
+	}
+}
+
+// FuzzShootdownMatchesReference drives Shootdown and the map-based
+// reference with the same decoded op stream and requires the same
+// behaviour after every op: the (target, request) sequence delivered,
+// Pending, health and staleness of every target, every smp.* counter and
+// the initiator's cycles.
+//
+// The input's first byte picks the protocol (bit 0: acknowledged) and
+// 2-4 CPUs; a device seat always follows them. Each following 2-byte
+// record (op, arg) is one op, selected by op's low 3 bits:
+//
+//   - 0-3: enqueue a run of 1-4 requests to target arg, starting at
+//     fuzzRequest(op>>3), so that runs overlap and repeat (A, B, A);
+//   - 4: Flush;
+//   - 5: DropPending(arg);
+//   - 6: Reset when arg is odd, else Rejoin(arg>>1);
+//   - 7: arm the fault verdict cycle arg (drop, delay and ack loss), or
+//     disarm it when arg is 0.
+//
+// The seed corpus in testdata names the scenarios it covers: A, B, A
+// moves, delayed redeliveries merging with new batches, ack loss,
+// quarantine, degradation, rejoin, Reset and DropPending mid-window,
+// the device seat, and index growth past 16 slots.
+func FuzzShootdownMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		ncpu, proto := 2+int(data[0]>>1)%3, data[0]&1 != 0
+		got, want := newSide(ncpu, proto), newSide(ncpu, proto)
+		s, ref := got.s, newRefShootdown(want.s)
+		n := s.NumTargets()
+		data = data[1:]
+		for step := 0; len(data) >= 2; step++ {
+			op, arg := data[0], data[1]
+			data = data[2:]
+			switch op % 8 {
+			case 0, 1, 2, 3:
+				for j := 0; j <= int(op%8); j++ {
+					r := fuzzRequest(int(op>>3) + j)
+					s.Enqueue(int(arg)%n, r)
+					ref.Enqueue(int(arg)%n, r)
+				}
+			case 4:
+				s.Flush()
+				ref.Flush()
+			case 5:
+				s.DropPending(int(arg) % n)
+				ref.DropPending(int(arg) % n)
+			case 6:
+				if arg&1 != 0 {
+					s.Reset()
+					ref.Reset()
+				} else {
+					s.Rejoin(int(arg>>1) % n)
+					ref.Rejoin(int(arg>>1) % n)
+				}
+			case 7:
+				got.setFaults(arg)
+				want.setFaults(arg)
+			}
+			compareSides(t, step, got, ref, want)
+		}
+	})
+}
+
+// countingHandler applies nothing and records nothing, so it allocates
+// nothing.
+type countingHandler struct{ cycles []uint64 }
+
+func (h *countingHandler) ApplyShootdown(t int, _ Request) int {
+	h.cycles[t]++
+	return 1
+}
+
+func (h *countingHandler) CPUCycles(t int) uint64 { return h.cycles[t] }
+
+// TestFlushZeroAllocs: once a Shootdown's buffers are warm, a round of
+// enqueues and an acknowledged flush allocates nothing. The round sends
+// 80 requests to each of 4 CPUs and a device seat.
+func TestFlushZeroAllocs(t *testing.T) {
+	h := &countingHandler{cycles: make([]uint64, 5)}
+	s := New(4, h, cpu.DefaultCosts, &stats.Counters{}, &stats.Cycles{})
+	s.AttachDevices([]DeviceSpec{{TimeoutScale: 4}})
+	s.EnableProtocol(DefaultProtocolConfig())
+	round := func() {
+		for tg := 0; tg < s.NumTargets(); tg++ {
+			for i := 0; i < 80; i++ {
+				s.Enqueue(tg, Request{Kind: GroupRevoke, Domain: addr.DomainID(1 + i%16), Group: addr.GroupID(i)})
+			}
+		}
+		s.Flush()
+	}
+	round()
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Fatalf("a steady-state round allocates %v times, want 0", n)
+	}
+}

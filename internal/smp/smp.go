@@ -65,7 +65,7 @@ package smp
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/cpu"
@@ -331,11 +331,11 @@ type Shootdown struct {
 	costs   func() cpu.CostModel
 	cycles  *stats.Cycles // initiator-side kernel cycles (IPI cost)
 
-	// queue[t] holds CPU t's pending batch in enqueue order; pend[t]
-	// mirrors it as a set for coalescing.
-	queue   [][]Request
-	pend    []map[Request]struct{}
-	delayed [][]Request
+	// q[t] is target t's pending batch with its coalescing index, and
+	// acked is flushAcked's in-flight list. Both keep their buffers
+	// across flushes, so a steady-state flush allocates nothing.
+	q     []batchQueue
+	acked []ackedReq
 
 	fault FaultHook
 
@@ -407,9 +407,7 @@ func New(ncpu int, h Handler, costs func() cpu.CostModel, ctrs *stats.Counters, 
 		costs:     costs,
 		cycles:    cycles,
 		topo:      SingleCluster(ncpu),
-		queue:     make([][]Request, ncpu),
-		pend:      make([]map[Request]struct{}, ncpu),
-		delayed:   make([][]Request, ncpu),
+		q:         make([]batchQueue, ncpu),
 		seq:       make([]uint64, ncpu),
 		health:    make([]Health, ncpu),
 		consecTO:  make([]int, ncpu),
@@ -460,9 +458,7 @@ func (s *Shootdown) AttachDevices(specs []DeviceSpec) {
 		}
 		s.devCluster = append(s.devCluster, sp.Cluster)
 		s.devScale = append(s.devScale, scale)
-		s.queue = append(s.queue, nil)
-		s.pend = append(s.pend, nil)
-		s.delayed = append(s.delayed, nil)
+		s.q = append(s.q, batchQueue{})
 		s.seq = append(s.seq, 0)
 		s.health = append(s.health, Healthy)
 		s.consecTO = append(s.consecTO, 0)
@@ -614,13 +610,7 @@ func (s *Shootdown) Rejoin(t int) {
 // DropPending discards everything queued for CPU t (the kernel is
 // about to bulk-invalidate t's structures, so in-flight invalidations
 // for it are moot).
-func (s *Shootdown) DropPending(t int) {
-	s.queue[t] = nil
-	s.delayed[t] = nil
-	for k := range s.pend[t] {
-		delete(s.pend[t], k)
-	}
-}
+func (s *Shootdown) DropPending(t int) { s.q[t].discard() }
 
 // Enqueue queues r for delivery to CPU target at the next Flush.
 // Identical requests already pending for the target coalesce away.
@@ -638,26 +628,112 @@ func (s *Shootdown) Enqueue(target int, r Request) {
 // again in one deferred window), the earlier copy is dropped and r
 // appended, so the target ends in the state the last request leaves.
 func (s *Shootdown) enqueue(target int, r Request) bool {
-	if s.pend[target] == nil {
-		s.pend[target] = make(map[Request]struct{})
+	q := &s.q[target]
+	if 2*(len(q.items)+1) > len(q.slots) {
+		q.grow()
 	}
-	q := s.queue[target]
-	if _, dup := s.pend[target][r]; dup {
-		if q[len(q)-1] != r {
-			i := slices.Index(q, r)
-			s.queue[target] = append(slices.Delete(q, i, i+1), r)
-		}
-		return true
+	i, dup := q.lookup(&r)
+	if !dup {
+		q.slots[i] = slot{gen: q.gen, pos: uint32(len(q.items))}
+		q.items = append(q.items, r)
+		return false
 	}
-	s.pend[target][r] = struct{}{}
-	s.queue[target] = append(q, r)
-	return false
+	if pos := int(q.slots[i].pos); pos != len(q.items)-1 {
+		copy(q.items[pos:], q.items[pos+1:])
+		q.items[len(q.items)-1] = r
+		q.reindex()
+	}
+	return true
 }
 
 // Pending returns the number of requests queued for CPU target
 // (including delayed redeliveries).
 func (s *Shootdown) Pending(target int) int {
-	return len(s.queue[target]) + len(s.delayed[target])
+	return len(s.q[target].items) + len(s.q[target].delayed)
+}
+
+// batchQueue is one target's pending requests in enqueue order, indexed
+// for coalescing by an open-addressed table of positions in items. A
+// slot is live only while its gen equals the queue's, so the index
+// empties by bumping gen instead of clearing slots. takeBatch swaps
+// items with spare (the batch it handed out last time, delivered by
+// now) rather than giving the array away, so enqueues during or after a
+// flush never write into a batch being read.
+type batchQueue struct {
+	items   []Request
+	spare   []Request
+	delayed []Request // fire-and-forget redeliveries for the next flush
+	slots   []slot    // power-of-two length, at most half live
+	shift   uint8     // 64 - log2(len(slots)): a hash's top bits pick its slot
+	gen     uint32
+}
+
+type slot struct {
+	gen uint32
+	pos uint32 // index into items
+}
+
+// lookup returns the slot indexing r and true, or the free slot r would
+// take and false.
+func (q *batchQueue) lookup(r *Request) (int, bool) {
+	mask := len(q.slots) - 1
+	for i := int(r.hash() >> q.shift); ; i = (i + 1) & mask {
+		sl := q.slots[i]
+		if sl.gen != q.gen {
+			return i, false
+		}
+		if q.items[sl.pos] == *r {
+			return i, true
+		}
+	}
+}
+
+// grow doubles the index (16 slots at first) and rebuilds it.
+func (q *batchQueue) grow() {
+	n := max(16, 2*len(q.slots))
+	q.slots = make([]slot, n)
+	q.shift = uint8(bits.LeadingZeros64(uint64(n)) + 1)
+	q.reindex()
+}
+
+// reindex rebuilds the index over items, after a grow or after a
+// coalesced request moved behind the ones queued since its first copy.
+func (q *batchQueue) reindex() {
+	q.forget()
+	for j := range q.items {
+		i, _ := q.lookup(&q.items[j])
+		q.slots[i] = slot{gen: q.gen, pos: uint32(j)}
+	}
+}
+
+// forget empties the index in O(1); only a wrapped generation pays for
+// clearing the slots.
+func (q *batchQueue) forget() {
+	q.gen++
+	if q.gen == 0 {
+		clear(q.slots)
+		q.gen = 1
+	}
+}
+
+// discard drops everything pending, keeping the buffers.
+func (q *batchQueue) discard() {
+	q.items, q.delayed = q.items[:0], q.delayed[:0]
+	q.forget()
+}
+
+// hash mixes every field of r by Fibonacci hashing: a product's top
+// bits depend on every bit of its operand, so the index takes its slot
+// number from them. Equal requests hash equally; the index confirms each
+// candidate with ==.
+func (r *Request) hash() uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(r.Kind) | uint64(r.Rights)<<8 | uint64(r.Domain)<<16 | uint64(r.Group)<<32
+	if r.WD {
+		h = ^h
+	}
+	h = (h ^ uint64(r.VPN)) * m
+	return (h ^ uint64(r.Range.Start) ^ r.Range.Length<<17) * m
 }
 
 // Flush delivers every pending batch: one IPI per target CPU that
@@ -667,7 +743,7 @@ func (s *Shootdown) Pending(target int) int {
 // protocol instead retries unacknowledged requests inline with capped
 // exponential backoff and quarantines targets that exhaust the budget.
 func (s *Shootdown) Flush() {
-	for t := 0; t < len(s.queue); t++ {
+	for t := range s.q {
 		if s.proto != nil {
 			s.flushAcked(t)
 		} else {
@@ -677,33 +753,31 @@ func (s *Shootdown) Flush() {
 }
 
 // takeBatch claims CPU t's queued batch (merging in any delayed
-// redeliveries first, preserving coalescing) and clears the queue.
+// redeliveries first, preserving coalescing) and empties the queue. The
+// batch stays valid until the next takeBatch for t.
 func (s *Shootdown) takeBatch(t int) []Request {
-	if len(s.delayed[t]) > 0 {
+	q := &s.q[t]
+	if len(q.delayed) > 0 {
 		// Redeliver late IPIs ahead of this flush's batch, preserving
-		// coalescing against it. Redeliveries are not new requests.
-		late := s.delayed[t]
-		s.delayed[t] = nil
-		pending := s.queue[t]
-		s.queue[t] = nil
-		for k := range s.pend[t] {
-			delete(s.pend[t], k)
-		}
+		// coalescing against it. Redeliveries are not new requests. The
+		// merge fills the spare array, never the one it reads from.
+		late, pending := q.delayed, q.items
+		q.items, q.spare = q.spare[:0], pending
+		q.forget()
 		for _, r := range late {
 			s.enqueue(t, r)
 		}
 		for _, r := range pending {
 			s.enqueue(t, r)
 		}
+		q.delayed = late[:0]
 	}
-	batch := s.queue[t]
+	batch := q.items
 	if len(batch) == 0 {
 		return nil
 	}
-	s.queue[t] = nil
-	for k := range s.pend[t] {
-		delete(s.pend[t], k)
-	}
+	q.items, q.spare = q.spare[:0], batch
+	q.forget()
 	return batch
 }
 
@@ -773,7 +847,7 @@ func (s *Shootdown) flushFireAndForget(t int) {
 			continue
 		case FaultDelay:
 			s.nDelayed.Inc()
-			s.delayed[t] = append(s.delayed[t], r)
+			s.q[t].delayed = append(s.q[t].delayed, r)
 			continue
 		case FaultAckLoss:
 			// No acks to lose in fire-and-forget; count the injection
@@ -822,10 +896,11 @@ func (s *Shootdown) flushAcked(t int) {
 		s.stale[t] = true
 		return
 	}
-	pending := make([]ackedReq, len(batch))
-	for i, r := range batch {
-		pending[i] = ackedReq{req: r}
+	pending := s.acked[:0]
+	for _, r := range batch {
+		pending = append(pending, ackedReq{req: r})
 	}
+	s.acked = pending[:0]
 	// Devices get their scaled ack timeout and backoff cap: draining
 	// in-flight DMA before acknowledging takes longer than a CPU trap.
 	timeout, backoffCap := s.TargetTimeouts(t)
@@ -842,7 +917,9 @@ func (s *Shootdown) flushAcked(t int) {
 			}
 		}
 		arrived := false
-		var keep []ackedReq
+		// Unacknowledged requests are compacted in place: keep never
+		// overtakes the element the loop is reading.
+		keep := pending[:0]
 		start := s.handler.CPUCycles(t)
 		for _, p := range pending {
 			verdict := FaultNone
@@ -956,12 +1033,8 @@ func (s *Shootdown) quarantine(t, dropped int) {
 // and nothing is stale afterwards). Degradation is sticky — a CPU that
 // proved persistently unresponsive stays on flush-on-switch semantics.
 func (s *Shootdown) Reset() {
-	for t := 0; t < len(s.queue); t++ {
-		s.queue[t] = nil
-		s.delayed[t] = nil
-		for k := range s.pend[t] {
-			delete(s.pend[t], k)
-		}
+	for t := range s.q {
+		s.q[t].discard()
 		s.stale[t] = false
 		s.consecTO[t] = 0
 		if s.health[t] == Quarantined || s.health[t] == Suspect {
