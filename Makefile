@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race check fmt vet lint bench bench-suite bench-hot exp tables bench-report baseline chaos chaos-short
+.PHONY: all build test race check fmt vet lint bench bench-suite bench-hot exp tables golden chaos chaos-short
 
 all: check
 
@@ -80,15 +80,12 @@ exp:
 tables:
 	$(GO) run ./cmd/tablegen -parallel 4
 
-# bench-report runs the experiment suite on the parallel harness and
-# gates against the committed baseline (simulated cycles, deterministic).
-bench-report:
-	$(GO) run ./cmd/benchreport -parallel 4 -baseline BENCH_baseline.json -threshold 15
-
-# baseline refreshes BENCH_baseline.json; commit the result whenever a
-# deliberate cost-model or experiment change moves simulated cycles.
-baseline:
-	$(GO) run ./cmd/benchreport -parallel 4 -o BENCH_baseline.json
+# golden rewrites internal/core/testdata/suite.golden: the tables,
+# simulated-cycle totals and counters that `go test ./internal/core`
+# holds every experiment to. Run it after a deliberate cost-model or
+# experiment change and commit the reviewed diff.
+golden:
+	UPDATE_GOLDEN=1 $(GO) test -count=1 ./internal/core -run TestAllExperimentsRun
 
 # chaos runs the deterministic fault campaign: every experiment under
 # every fault scenario, with the shadow protection oracle verifying

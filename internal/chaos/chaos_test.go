@@ -3,6 +3,7 @@ package chaos
 import (
 	"os"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -66,11 +67,18 @@ func TestShortCampaignPasses(t *testing.T) {
 	}
 }
 
+// seed42Report is the report of the seed-42 short campaign, built once
+// and shared by the determinism and seed tests so the package runs three
+// short campaigns, not four.
+var seed42Report = sync.OnceValue(func() string {
+	return Run(Config{Seed: 42, Short: true}).Report()
+})
+
 // TestCampaignDeterministic: the same seed must reproduce the report
 // byte for byte — the property every triage of a chaos failure depends
 // on.
 func TestCampaignDeterministic(t *testing.T) {
-	a := Run(Config{Seed: 42, Short: true}).Report()
+	a := seed42Report()
 	b := Run(Config{Seed: 42, Short: true}).Report()
 	if a != b {
 		t.Fatalf("same seed produced different reports:\n--- first ---\n%s\n--- second ---\n%s", a, b)
@@ -78,11 +86,14 @@ func TestCampaignDeterministic(t *testing.T) {
 }
 
 // TestSeedChangesCampaign: different seeds must actually explore
-// different fault schedules.
+// different fault schedules, so seed 42's report must differ from seed
+// 1's committed golden.
 func TestSeedChangesCampaign(t *testing.T) {
-	a := Run(Config{Seed: 1, Short: true}).Report()
-	b := Run(Config{Seed: 2, Short: true}).Report()
-	if a == b {
-		t.Fatal("seeds 1 and 2 produced identical campaigns")
+	seed1, err := os.ReadFile("testdata/short_seed1.report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed42Report() == string(seed1) {
+		t.Fatal("seeds 42 and 1 produced identical campaigns")
 	}
 }

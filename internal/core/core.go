@@ -5,11 +5,11 @@
 // row of its Table 1.
 //
 // Experiments are pure functions returning rendered tables, shared
-// between cmd/tablegen (interactive use), cmd/benchreport (the
-// regression pipeline), and the benchmark suite. Each experiment
-// constructs its own kernels, machines, and seeded RNGs, so the runner
-// (RunAll) executes them concurrently while producing byte-identical
-// tables at any parallelism.
+// between cmd/tablegen, the tests that hold every table, cycle total
+// and counter to testdata/suite.golden, and the benchmark suite. Each
+// experiment constructs its own kernels, machines, and seeded RNGs, so
+// the runner (RunAll) executes them concurrently while producing
+// byte-identical tables at any parallelism.
 package core
 
 import (
@@ -26,37 +26,6 @@ var Models = []kernel.Model{kernel.ModelDomainPage, kernel.ModelPageGroup}
 // NewSystem builds a kernel with the default configuration for model m.
 func NewSystem(m kernel.Model) *kernel.Kernel {
 	return kernel.New(kernel.DefaultConfig(m))
-}
-
-// ModelRun captures everything a scenario produced on one model.
-type ModelRun struct {
-	Model           kernel.Model
-	MachineCounters map[string]uint64
-	KernelCounters  map[string]uint64
-	MachineCycles   uint64
-	KernelCycles    uint64
-}
-
-// TotalCycles is machine plus kernel cycles.
-func (r ModelRun) TotalCycles() uint64 { return r.MachineCycles + r.KernelCycles }
-
-// RunBoth executes scenario on a fresh default system of each model.
-func RunBoth(scenario func(*kernel.Kernel) error) (map[kernel.Model]ModelRun, error) {
-	out := make(map[kernel.Model]ModelRun, len(Models))
-	for _, m := range Models {
-		k := NewSystem(m)
-		if err := scenario(k); err != nil {
-			return nil, fmt.Errorf("core: scenario on %v: %w", m, err)
-		}
-		out[m] = ModelRun{
-			Model:           m,
-			MachineCounters: k.Machine().Counters().Snapshot(),
-			KernelCounters:  k.Counters().Snapshot(),
-			MachineCycles:   k.Machine().Cycles(),
-			KernelCycles:    k.Cycles(),
-		}
-	}
-	return out, nil
 }
 
 // Experiment identifies one reproducible experiment.

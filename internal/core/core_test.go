@@ -2,34 +2,64 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/addr"
-	"repro/internal/kernel"
+	"unicode"
 )
 
+// TestAllExperimentsRun runs each experiment with a probe, checks the
+// shape of its tables and compares its tables, simulated cycles and
+// counters with its entry in testdata/suite.golden. With UPDATE_GOLDEN
+// set it rewrites the golden instead, once every experiment has run.
 func TestAllExperimentsRun(t *testing.T) {
-	for _, e := range All() {
-		e := e
+	update := os.Getenv("UPDATE_GOLDEN") != ""
+	var golden map[string]string
+	if !update {
+		golden = readGolden(t)
+	}
+	exps := All()
+	entries := make([]string, len(exps))
+	for i, e := range exps {
 		t.Run(e.ID, func(t *testing.T) {
-			tables, err := e.Run(nil)
-			if err != nil {
-				t.Fatalf("%s (%s): %v", e.ID, e.Title, err)
+			r := runOne(e)
+			if r.Err != nil {
+				t.Fatalf("%s (%s): %v", e.ID, e.Title, r.Err)
 			}
-			if len(tables) == 0 {
+			if len(r.Tables) == 0 {
 				t.Fatalf("%s produced no tables", e.ID)
 			}
-			for _, tb := range tables {
+			for _, tb := range r.Tables {
 				if tb.NumRows() == 0 {
 					t.Errorf("%s: empty table:\n%s", e.ID, tb)
 				}
-				if !strings.Contains(tb.String(), e.ID[:2]) {
-					t.Errorf("%s: table title missing experiment id:\n%s", e.ID, tb)
+				// "E1" prefixes "E10" to "E18", so a digit must not follow the ID.
+				title, _, _ := strings.Cut(tb.String(), "\n")
+				rest, ok := strings.CutPrefix(title, e.ID)
+				if !ok || rest == "" || unicode.IsDigit(rune(rest[0])) {
+					t.Errorf("%s: table title %q does not start with the experiment id", e.ID, title)
 				}
+			}
+			if r.SimCycles == 0 || len(r.Counters) == 0 {
+				t.Errorf("%s: probe observed %d cycles and %d counters", e.ID, r.SimCycles, len(r.Counters))
+			}
+			entries[i] = goldenEntry(r)
+			if !update {
+				checkGolden(t, golden, e.ID, entries[i])
 			}
 		})
 	}
+	if !update {
+		return
+	}
+	if t.Failed() || slices.Contains(entries, "") {
+		t.Fatalf("not rewriting %s: every experiment must run and pass", goldenFile)
+	}
+	if err := os.WriteFile(goldenFile, []byte(strings.Join(entries, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("rewrote %s", goldenFile)
 }
 
 func TestByID(t *testing.T) {
@@ -39,39 +69,6 @@ func TestByID(t *testing.T) {
 	}
 	if _, err := ByID("E99"); err == nil {
 		t.Fatal("unknown id accepted")
-	}
-}
-
-func TestRunBoth(t *testing.T) {
-	runs, err := RunBoth(func(k *kernel.Kernel) error {
-		d := k.CreateDomain()
-		s := k.CreateSegment(4, kernel.SegmentOptions{})
-		k.Attach(d, s, addr.RW)
-		for p := uint64(0); p < 4; p++ {
-			if err := k.Touch(d, s.PageVA(p), addr.Store); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 {
-		t.Fatalf("runs = %d", len(runs))
-	}
-	for m, r := range runs {
-		if r.Model != m {
-			t.Errorf("model mismatch: %v vs %v", r.Model, m)
-		}
-		if r.MachineCycles == 0 || r.TotalCycles() <= r.MachineCycles {
-			t.Errorf("%v: cycle accounting wrong: %+v", m, r)
-		}
-		// Each touch issues at least one access; demand-zero faults
-		// retry, so the count is 2 per cold page here.
-		if r.MachineCounters["access.total"] != 8 {
-			t.Errorf("%v: accesses = %d, want 8 (4 faults + 4 retries)", m, r.MachineCounters["access.total"])
-		}
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 // Probe accumulates simulator-side measurements for one experiment run:
 // total simulated cycles and merged hardware counters across every
 // kernel, machine, and trace replay the experiment constructs. The
-// benchmark pipeline (cmd/benchreport) records these per experiment so
-// regressions in the modeled system are visible independently of host
-// wall time.
+// suite golden (testdata/suite.golden) records both per experiment, so
+// any change to the modeled system shows independently of host wall
+// time.
 //
 // A Probe belongs to a single experiment run and is not safe for
 // concurrent use; the parallel runner gives each run its own. All

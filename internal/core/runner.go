@@ -50,10 +50,6 @@ type Summary struct {
 	Wall time.Duration
 	// SimCycles sums simulated cycles across all runs.
 	SimCycles uint64
-	// Totals holds suite-wide hardware counters, merged thread-safely as
-	// workers finish. Counter addition commutes, so the totals are
-	// deterministic regardless of parallelism.
-	Totals map[string]uint64
 	// Failures lists every failed experiment's error, in experiment
 	// order. Empty on a clean run.
 	Failures []error
@@ -83,7 +79,6 @@ func RunExperiments(exps []Experiment, parallelism int) Summary {
 
 	start := time.Now()
 	results := make([]RunResult, len(exps))
-	var totals stats.LockedCounters
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < parallelism; w++ {
@@ -92,7 +87,6 @@ func RunExperiments(exps []Experiment, parallelism int) Summary {
 			defer wg.Done()
 			for i := range jobs {
 				results[i] = runOne(exps[i])
-				totals.MergeSnapshot(results[i].Counters)
 			}
 		}()
 	}
@@ -105,7 +99,6 @@ func RunExperiments(exps []Experiment, parallelism int) Summary {
 	sum := Summary{
 		Results: results,
 		Wall:    time.Since(start),
-		Totals:  totals.Snapshot(),
 	}
 	for _, r := range results {
 		sum.SimCycles += r.SimCycles

@@ -9,45 +9,21 @@ import (
 	"repro/internal/stats"
 )
 
-// TestRunAllDeterministic is the harness's core guarantee: serial and
-// wide-parallel sweeps must render byte-identical tables and identical
-// measurements, because every experiment isolates its own state.
+// TestRunAllDeterministic is the harness's core guarantee: a
+// wide-parallel sweep renders the same tables, simulated cycles and
+// counters as the serial runs that TestAllExperimentsRun holds to
+// testdata/suite.golden, because every experiment isolates its own state.
 func TestRunAllDeterministic(t *testing.T) {
-	s1 := RunAll(1)
-	s8 := RunAll(8)
-	if len(s1.Results) != len(s8.Results) {
-		t.Fatalf("result counts differ: %d vs %d", len(s1.Results), len(s8.Results))
+	golden := readGolden(t)
+	sum := RunAll(8)
+	if len(sum.Failures) != 0 {
+		t.Fatalf("failures: %v", sum.Failures)
 	}
-	if len(s1.Failures) != 0 || len(s8.Failures) != 0 {
-		t.Fatalf("failures: serial %v, parallel %v", s1.Failures, s8.Failures)
+	if len(sum.Results) != len(golden) {
+		t.Fatalf("%d results, %d golden entries", len(sum.Results), len(golden))
 	}
-	for i := range s1.Results {
-		a, b := s1.Results[i], s8.Results[i]
-		if a.Experiment.ID != b.Experiment.ID {
-			t.Fatalf("result %d order differs: %s vs %s", i, a.Experiment.ID, b.Experiment.ID)
-		}
-		if sa, sb := a.Section(), b.Section(); sa != sb {
-			t.Errorf("%s: table output differs between -parallel 1 and 8:\n--- serial\n%s\n--- parallel\n%s",
-				a.Experiment.ID, sa, sb)
-		}
-		if a.SimCycles != b.SimCycles {
-			t.Errorf("%s: sim cycles differ: %d vs %d", a.Experiment.ID, a.SimCycles, b.SimCycles)
-		}
-		if a.SimCycles == 0 {
-			t.Errorf("%s: probe observed no simulated cycles", a.Experiment.ID)
-		}
-		if len(a.Counters) == 0 {
-			t.Errorf("%s: probe observed no counters", a.Experiment.ID)
-		}
-		if !mapsEqual(a.Counters, b.Counters) {
-			t.Errorf("%s: counters differ between parallelism levels", a.Experiment.ID)
-		}
-	}
-	if s1.SimCycles != s8.SimCycles {
-		t.Errorf("suite sim cycles differ: %d vs %d", s1.SimCycles, s8.SimCycles)
-	}
-	if !mapsEqual(s1.Totals, s8.Totals) {
-		t.Errorf("suite counter totals differ between parallelism levels")
+	for _, r := range sum.Results {
+		checkGolden(t, golden, r.Experiment.ID, goldenEntry(r))
 	}
 }
 
@@ -164,16 +140,4 @@ func TestProbeNilSafe(t *testing.T) {
 	if p.SimCycles() != 0 || p.CounterSnapshot() != nil {
 		t.Fatal("nil probe recorded something")
 	}
-}
-
-func mapsEqual(a, b map[string]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }

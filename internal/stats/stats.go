@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Counters is a set of named monotonic event counters. The zero value is
@@ -177,57 +176,6 @@ func (c *Counters) String() string {
 		fmt.Fprintf(&b, "%-40s %12d\n", name, c.Get(name))
 	}
 	return b.String()
-}
-
-// LockedCounters is a mutex-guarded counter set for aggregation points
-// shared between goroutines (the parallel experiment runner merges each
-// worker's per-run counters here as runs finish). Individual simulator
-// structures keep using plain Counters: a simulated machine is
-// single-threaded by design, and only whole-run aggregation crosses
-// goroutines. Because counter addition is commutative, the merged totals
-// are deterministic regardless of merge order.
-type LockedCounters struct {
-	mu sync.Mutex
-	c  Counters
-}
-
-// Add increments the named counter by n.
-func (l *LockedCounters) Add(name string, n uint64) {
-	l.mu.Lock()
-	l.c.Add(name, n)
-	l.mu.Unlock()
-}
-
-// Inc increments the named counter by one.
-func (l *LockedCounters) Inc(name string) { l.Add(name, 1) }
-
-// Merge adds all of other's counters into the shared set, slot by slot
-// under the lock. other must not be mutated concurrently.
-func (l *LockedCounters) Merge(other *Counters) {
-	l.mu.Lock()
-	l.c.Merge(other)
-	l.mu.Unlock()
-}
-
-// MergeSnapshot adds a counter snapshot into the shared set.
-func (l *LockedCounters) MergeSnapshot(snap map[string]uint64) {
-	l.mu.Lock()
-	l.c.MergeSnapshot(snap)
-	l.mu.Unlock()
-}
-
-// Snapshot returns a copy of the current totals.
-func (l *LockedCounters) Snapshot() map[string]uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.c.Snapshot()
-}
-
-// Get returns the value of the named counter.
-func (l *LockedCounters) Get(name string) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.c.Get(name)
 }
 
 // Cycles accumulates simulated processor cycles. It is kept separate from

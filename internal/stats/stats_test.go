@@ -2,7 +2,6 @@ package stats
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -173,40 +172,6 @@ func TestMergeSnapshot(t *testing.T) {
 	}
 }
 
-// TestLockedCountersConcurrent hammers the shared aggregation point from
-// many goroutines; run under -race this is the thread-safety proof, and
-// the final totals check commutativity (order-independent merging).
-func TestLockedCountersConcurrent(t *testing.T) {
-	var l LockedCounters
-	const workers, rounds = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				l.Inc("inc")
-				l.Add("add", 2)
-				l.MergeSnapshot(map[string]uint64{"merged": 3, "worker": uint64(w)})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := l.Get("inc"); got != workers*rounds {
-		t.Errorf("inc = %d, want %d", got, workers*rounds)
-	}
-	if got := l.Get("add"); got != 2*workers*rounds {
-		t.Errorf("add = %d, want %d", got, 2*workers*rounds)
-	}
-	if got := l.Get("merged"); got != 3*workers*rounds {
-		t.Errorf("merged = %d, want %d", got, 3*workers*rounds)
-	}
-	snap := l.Snapshot()
-	if snap["worker"] != uint64(rounds*(0+1+2+3+4+5+6+7)) {
-		t.Errorf("worker total = %d", snap["worker"])
-	}
-}
-
 func TestHandleIncAdd(t *testing.T) {
 	c := &Counters{}
 	h := c.Handle("x.hits")
@@ -287,17 +252,6 @@ func TestCountersMergeBySlot(t *testing.T) {
 	}
 	if got := a.Names(); len(got) != 2 {
 		t.Fatalf("Names = %v, want [x y]", got)
-	}
-}
-
-func TestLockedCountersMerge(t *testing.T) {
-	var l LockedCounters
-	c := &Counters{}
-	c.Add("x", 2)
-	l.Merge(c)
-	l.Merge(c)
-	if got := l.Get("x"); got != 4 {
-		t.Fatalf("x = %d, want 4", got)
 	}
 }
 
