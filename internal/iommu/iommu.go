@@ -31,15 +31,14 @@
 package iommu
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/assoc"
 	"repro/internal/cpu"
 	"repro/internal/machine"
+	"repro/internal/pgroup"
 	"repro/internal/smp"
 	"repro/internal/stats"
 )
@@ -186,13 +185,6 @@ type pgEntry struct {
 	pfn    addr.PFN
 }
 
-// groupRef is one group of the membership set with its write-disable
-// bit.
-type groupRef struct {
-	g  addr.GroupID
-	wd bool
-}
-
 // Device is one device translation agent. Like a CPU's private machine
 // it is single-threaded; the kernel serializes all access to it.
 type Device struct {
@@ -203,8 +195,8 @@ type Device struct {
 	dp *assoc.Cache[dpKey, dpEntry]
 	pg *assoc.Cache[addr.VPN, pgEntry]
 	// groups is the page-group organization's membership set for the
-	// on-behalf domain, sorted by group: the PID-register analog.
-	groups []groupRef
+	// on-behalf domain: the PID-register analog.
+	groups pgroup.Membership[addr.GroupID]
 
 	// onBehalf is the domain whose transfers the device currently
 	// carries (the domain that programmed the DMA channel).
@@ -323,8 +315,8 @@ func (d *Device) SetOnBehalf(dom addr.DomainID) {
 	}
 	d.onBehalf = dom
 	if d.pg != nil {
-		n := len(d.groups)
-		d.groups = d.groups[:0]
+		n := d.groups.Count()
+		d.groups.Clear()
 		if n > 0 {
 			d.cycles.Add(uint64(n) * d.cfg.Costs().PurgeEntry)
 			d.nPurged.Add(uint64(n))
@@ -435,8 +427,7 @@ func (d *Device) checkPageGroup(vpn addr.VPN, kind addr.AccessKind, c cpu.CostMo
 	d.nGroupChk.Inc()
 	d.cycles.Add(c.OnChipLookup)
 	if e.aid != addr.GlobalGroup {
-		i, member := d.findGroup(e.aid)
-		wd := member && d.groups[i].wd
+		member, wd := d.groups.Get(e.aid)
 		if !member {
 			// Membership miss: the agent walks the kernel's group table
 			// and loads the membership, the PID-register reload.
@@ -445,7 +436,7 @@ func (d *Device) checkPageGroup(vpn addr.VPN, kind addr.AccessKind, c cpu.CostMo
 			if !allowed {
 				return 0, d.fail(vpn, kind, ErrDenied)
 			}
-			d.groups = slices.Insert(d.groups, i, groupRef{g: e.aid, wd: w})
+			d.groups.Put(e.aid, w)
 			d.cycles.Add(c.Install)
 			wd = w
 		}
@@ -491,8 +482,8 @@ func (d *Device) PurgeAll() int {
 	if d.dp != nil {
 		n += d.dp.PurgeAll()
 	} else {
-		n += d.pg.PurgeAll() + len(d.groups)
-		d.groups = d.groups[:0]
+		n += d.pg.PurgeAll() + d.groups.Count()
+		d.groups.Clear()
 	}
 	// The agent walks its structure to invalidate: capacity-sized scan,
 	// same discipline as the CPU structures' purge accounting.
@@ -519,7 +510,7 @@ func (d *Device) HasDomainEntries(dom addr.DomainID) bool {
 	}
 	// Page-group entries are domain-neutral translations; the domain's
 	// cached authority is its membership set.
-	return d.onBehalf == dom && len(d.groups) > 0
+	return d.onBehalf == dom && d.groups.Count() > 0
 }
 
 // Entries implements machine.Seat: IOTLB entries, then, under the
@@ -539,20 +530,11 @@ func (d *Device) Entries(fn func(machine.Entry) bool) {
 			Group: e.aid, Rights: e.rights, Frame: e.pfn, HasFrame: true})
 		return more
 	})
-	for _, gr := range d.groups {
-		if !more {
-			return
+	d.groups.ForEach(func(g addr.GroupID, wd bool) {
+		if more {
+			more = fn(machine.Entry{Kind: machine.Membership, Where: "iotlb-group", Domain: d.onBehalf,
+				Group: g, WriteDisable: wd})
 		}
-		more = fn(machine.Entry{Kind: machine.Membership, Where: "iotlb-group", Domain: d.onBehalf,
-			Group: gr.g, WriteDisable: gr.wd})
-	}
-}
-
-// findGroup binary-searches the membership set for g, returning its
-// index (or insertion point) and whether it is present.
-func (d *Device) findGroup(g addr.GroupID) (int, bool) {
-	return slices.BinarySearchFunc(d.groups, g, func(gr groupRef, g addr.GroupID) int {
-		return cmp.Compare(gr.g, g)
 	})
 }
 
@@ -580,7 +562,7 @@ func (d *Device) MaxCycles() (apply, purge uint64) {
 	c := d.cfg.Costs()
 	n := d.Capacity()
 	if d.pg != nil {
-		n += len(d.groups) + 1
+		n += d.groups.Count() + 1
 	}
 	return uint64(n) * (c.PurgeEntry + c.Install), uint64(d.Capacity()) * c.PurgeEntry
 }
@@ -640,20 +622,13 @@ func (d *Device) apply(r smp.Request) (affected, inspected int) {
 	switch r.Kind {
 	case smp.GroupLoad:
 		if r.Domain == d.onBehalf {
-			if i, ok := d.findGroup(r.Group); ok {
-				d.groups[i].wd = r.WD
-			} else {
-				d.groups = slices.Insert(d.groups, i, groupRef{g: r.Group, wd: r.WD})
-			}
+			d.groups.Put(r.Group, r.WD)
 			return 1, 1
 		}
 		return 0, 1
 	case smp.GroupRevoke:
-		if r.Domain == d.onBehalf {
-			if i, ok := d.findGroup(r.Group); ok {
-				d.groups = slices.Delete(d.groups, i, i+1)
-				return 1, 1
-			}
+		if r.Domain == d.onBehalf && d.groups.Delete(r.Group) {
+			return 1, 1
 		}
 		return 0, 1
 	case smp.DomainPurge:
@@ -661,8 +636,8 @@ func (d *Device) apply(r smp.Request) (affected, inspected int) {
 		// but the dying domain's cached authority — its membership set —
 		// is flushed when the device was acting on its behalf.
 		if r.Domain == d.onBehalf {
-			n := len(d.groups)
-			d.groups = d.groups[:0]
+			n := d.groups.Count()
+			d.groups.Clear()
 			return n, n
 		}
 		return 0, 1
@@ -677,8 +652,8 @@ func (d *Device) apply(r smp.Request) (affected, inspected int) {
 		}
 		return 0, 1
 	case smp.PurgeAllProt:
-		n := d.pg.PurgeAll() + len(d.groups)
-		d.groups = d.groups[:0]
+		n := d.pg.PurgeAll() + d.groups.Count()
+		d.groups.Clear()
 		return n, d.pg.Capacity()
 	case smp.InvalRights, smp.UpdateRights:
 		// Domain-keyed rights maintenance on a domain-neutral IOTLB:

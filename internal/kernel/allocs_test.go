@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/iommu"
 	"repro/internal/kernel"
+	"repro/internal/smp"
 )
 
 // Allocation gates for the multi-tenant churn target: once the Domain
@@ -102,5 +104,62 @@ func TestForkChurnAllocs(t *testing.T) {
 				t.Errorf("fork/touch/destroy allocates %.1f objects per cycle, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestRegroupChurnAllocs gates the page-group regroup path across seats:
+// on a 4-CPU kernel under the acknowledged shootdown protocol, with eight
+// domains attached to one segment, four of them executing on the CPUs
+// and a fifth programmed into a DMA engine, each cycle restricts one
+// domain's page to Read in a deferred window, runs one device transfer,
+// and clears the override. That mints a derived group, grants it to the
+// other seven, re-homes the page and retires the group again, with group
+// loads and revocations delivered to the CPUs and to the device. Once
+// the group records, member sets and shootdown buffers are warm, a cycle
+// must not allocate.
+func TestRegroupChurnAllocs(t *testing.T) {
+	cfg := kernel.DefaultConfig(kernel.ModelPageGroup)
+	cfg.CPUs = 4
+	cfg.Devices = []kernel.DeviceConfig{{Kind: iommu.DMAEngine}}
+	k, err := kernel.NewChecked(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.EnableShootdownProtocol(smp.DefaultProtocolConfig())
+	s := k.CreateSegment(8, kernel.SegmentOptions{Name: "shared"})
+	var doms [8]*kernel.Domain
+	for i := range doms {
+		doms[i] = k.CreateDomain()
+		k.Attach(doms[i], s, addr.RW)
+	}
+	for c := 0; c < cfg.CPUs; c++ {
+		k.SetCPU(c)
+		k.Switch(doms[c])
+	}
+	k.ProgramDevice(0, doms[cfg.CPUs])
+	n := 0
+	cycle := func() {
+		d, va := doms[n%len(doms)], s.PageVA(uint64(n%8))
+		n++
+		k.DeferShootdowns()
+		if err := k.SetPageRights(d, va, addr.Read); err != nil {
+			t.Fatal(err)
+		}
+		k.FlushShootdowns()
+		if err := k.DeviceTouch(0, va, addr.Load); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.ClearPageRights(d, va); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := measureChurn(t, cycle, cycle); avg > 0 {
+		t.Errorf("regroup churn allocates %.1f objects per cycle, want 0", avg)
+	}
+	// The gate means something only if the cycle took the path.
+	ctrs := k.Counters()
+	if ctrs.Get("pg.groups_recycled") == 0 || ctrs.Get("smp.dev_ipis") == 0 {
+		t.Fatalf("cycle recycled %d groups and sent %d device IPIs, want both > 0",
+			ctrs.Get("pg.groups_recycled"), ctrs.Get("smp.dev_ipis"))
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/machine"
+	"repro/internal/pgroup"
 	"repro/internal/smp"
 	"repro/internal/stats"
 )
@@ -168,20 +169,23 @@ func (e *dpEngine) onFork(*Domain, *Domain) {}
 // groups whose membership (and write-disable bits) encode the desired
 // per-domain rights vector — the group-juggling of Section 4.1.2.
 //
-// The bookkeeping is dense and sorted, so fork and destroy (the session
-// churn path) neither hash, sort nor allocate: group records are indexed
-// by GroupID, and member vectors and domain group sets are sorted by ID.
+// The bookkeeping is dense, so fork and destroy (the session churn path)
+// neither hash, sort nor allocate: group records are indexed by GroupID,
+// and both sides of the membership relation — a derived group's members
+// and a domain's group set — are pgroup.Memberships, bitsets walked in
+// ascending ID order.
 type pgEngine struct {
 	k      *Kernel
 	groups []pgGroup // indexed by GroupID
-	// sigIndex maps a derived group's signature (segment plus member
-	// vector, hashed) to the group, so pages with identical sharing reuse
-	// it. membersMatch confirms each hit: a collision costs a fresh group.
+	// sigIndex maps a derived group's signature (segment plus members,
+	// hashed) to the group, so pages with identical sharing reuse it.
+	// membersMatch confirms each hit: a collision costs a fresh group.
 	sigIndex map[uint64]addr.GroupID
-	// Scratch vectors reused across calls (a kernel is single-threaded).
+	// Scratch reused across calls (a kernel is single-threaded); members
+	// is the membership regroup wants for a page.
 	vpns    []addr.VPN
 	attach  []pgWant
-	members []groupMember
+	members pgroup.Membership[addr.DomainID]
 
 	hRecycled, hCreated, hGrants, hRevokes stats.Handle
 	hClamps, hMoves, hGCed, hForkCopies    stats.Handle
@@ -189,7 +193,7 @@ type pgEngine struct {
 
 // pgGroup is the engine's record of one group number. Only live derived
 // groups carry state; primary groups and free numbers are zero records
-// (which keep their member vector's capacity for the number's next life).
+// (which keep their member set's words for the number's next life).
 type pgGroup struct {
 	derived bool
 	// indexed: sigIndex may name the group under sig. A membership change
@@ -203,35 +207,7 @@ type pgGroup struct {
 	// group per retired sharing pattern, and every long-lived domain's
 	// group set — walked by every fork and destroy — grows without bound.
 	pages   int
-	members []groupMember // ascending by id
-}
-
-// wdEntry is one element of an ID vector kept sorted by id, carrying a
-// write-disable bit: a domain's group set is a []groupRef, a derived
-// group's membership a []groupMember.
-type wdEntry[K addr.GroupID | addr.DomainID] struct {
-	id K
-	wd bool
-}
-
-type (
-	groupRef    = wdEntry[addr.GroupID]
-	groupMember = wdEntry[addr.DomainID]
-)
-
-// find binary-searches a sorted vector for id, returning its index (or
-// insertion point) and whether it is present.
-func find[K addr.GroupID | addr.DomainID](v []wdEntry[K], id K) (int, bool) {
-	lo, hi := 0, len(v)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if v[m].id < id {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo, lo < len(v) && v[lo].id == id
+	members pgroup.Membership[addr.DomainID]
 }
 
 // pgWant is one attached domain's entry in a page's desired rights
@@ -321,27 +297,19 @@ func (e *pgEngine) onCreateSegment(s *Segment) error {
 // grant adds g to d's group set with the given write-disable bit, syncing
 // the machine's checker if d is executing.
 func (e *pgEngine) grant(d *Domain, g addr.GroupID, wd bool) {
-	i, ok := find(d.groups, g)
-	switch {
-	case !ok:
-		d.groups = slices.Insert(d.groups, i, groupRef{id: g, wd: wd})
-	case d.groups[i].wd == wd:
+	if ok, w := d.groups.Get(g); ok && w == wd {
 		return
-	default:
-		d.groups[i].wd = wd
 	}
+	d.groups.Put(g, wd)
 	e.hGrants.Inc()
 	e.k.shootExecuting(d, smp.Request{Kind: smp.GroupLoad, Group: g, WD: wd})
 }
 
 // revoke removes g from d's group set.
 func (e *pgEngine) revoke(d *Domain, g addr.GroupID) {
-	i, ok := find(d.groups, g)
-	if !ok {
-		return
+	if d.groups.Delete(g) {
+		e.withdraw(d, g)
 	}
-	d.groups = slices.Delete(d.groups, i, i+1)
-	e.withdraw(d, g)
 }
 
 // withdraw counts a revocation of g from d and purges g from every
@@ -507,27 +475,28 @@ func (e *pgEngine) regroup(vpn addr.VPN, p *page, attach []pgWant) error {
 			return err
 		}
 		r := &e.groups[g]
-		*r = pgGroup{derived: true, seg: p.seg.ID, members: r.members[:0]}
+		r.members.Clear()
+		*r = pgGroup{derived: true, seg: p.seg.ID, members: r.members}
 		e.movePage(vpn, p, g, addr.None)
 		return nil
 	}
 
 	// Representability check: every desired value must be the union or
 	// the union minus write.
-	members := e.members[:0]
+	members := &e.members
+	members.Clear()
 	for _, w := range want {
 		switch w.want {
 		case addr.None:
 		case union:
-			members = append(members, groupMember{id: w.id})
+			members.Put(w.id, false)
 		case union.WithoutWrite():
-			members = append(members, groupMember{id: w.id, wd: true})
+			members.Put(w.id, true)
 		default:
 			return fmt.Errorf("%w: page %#x domain %d wants %v, union %v",
 				ErrUnrepresentable, uint64(vpn), w.id, w.want, union)
 		}
 	}
-	e.members = members
 
 	// If the desired vector is exactly the primary group's, return home.
 	if e.matchesPrimary(p.seg, want) {
@@ -546,12 +515,12 @@ func (e *pgEngine) regroup(vpn addr.VPN, p *page, attach []pgWant) error {
 	if err != nil {
 		return err
 	}
-	for _, m := range members {
-		e.grant(e.k.doms.get(m.id), g, m.wd)
-	}
+	members.ForEach(func(id addr.DomainID, wd bool) {
+		e.grant(e.k.doms.get(id), g, wd)
+	})
 	r := &e.groups[g]
-	*r = pgGroup{derived: true, indexed: true, seg: p.seg.ID, sig: sig,
-		members: append(r.members[:0], members...)}
+	r.members.Copy(members)
+	*r = pgGroup{derived: true, indexed: true, seg: p.seg.ID, sig: sig, members: r.members}
 	e.sigIndex[sig] = g
 	e.movePage(vpn, p, g, union)
 	return nil
@@ -590,24 +559,24 @@ func (e *pgEngine) matchesPrimary(s *Segment, want []pgWant) bool {
 // membersMatch reports whether g is a live derived group of segment seg
 // with exactly the given membership — the check behind every signature
 // index hit.
-func (e *pgEngine) membersMatch(g addr.GroupID, seg addr.SegmentID, members []groupMember) bool {
+func (e *pgEngine) membersMatch(g addr.GroupID, seg addr.SegmentID, members *pgroup.Membership[addr.DomainID]) bool {
 	r := e.derivedRec(g)
-	return r != nil && r.seg == seg && slices.Equal(r.members, members)
+	return r != nil && r.seg == seg && r.members.Equal(members)
 }
 
 // signature hashes a derived group's defining vector — its segment and
 // its (member, write-disable) pairs in ascending member order — with
 // word-wise FNV-1a.
-func signature(seg addr.SegmentID, members []groupMember) uint64 {
+func signature(seg addr.SegmentID, members *pgroup.Membership[addr.DomainID]) uint64 {
 	const prime = 1099511628211
 	h := (14695981039346656037 ^ uint64(seg)) * prime
-	for _, m := range members {
-		x := uint64(m.id) << 1
-		if m.wd {
+	members.ForEach(func(id addr.DomainID, wd bool) {
+		x := uint64(id) << 1
+		if wd {
 			x |= 1
 		}
 		h = (h ^ x) * prime
-	}
+	})
 	return h
 }
 
@@ -656,12 +625,13 @@ func (e *pgEngine) freeDerived(g addr.GroupID) {
 func (e *pgEngine) retire(g addr.GroupID) {
 	e.unindex(g)
 	r := &e.groups[g]
-	for _, m := range r.members {
-		if d := e.k.doms.get(m.id); d != nil {
+	r.members.ForEach(func(id addr.DomainID, _ bool) {
+		if d := e.k.doms.get(id); d != nil {
 			e.revoke(d, g)
 		}
-	}
-	*r = pgGroup{members: r.members[:0]}
+	})
+	r.members.Clear()
+	*r = pgGroup{members: r.members}
 }
 
 func (e *pgEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
@@ -707,15 +677,12 @@ func (e *pgEngine) onDestroySegment(s *Segment) {
 // the dead incarnation would hand the new domain someone else's
 // authority via signature reuse. DestroyDomain empties the group set.
 func (e *pgEngine) onDestroyDomain(d *Domain) {
-	for _, gr := range d.groups {
-		if r := e.derivedRec(gr.id); r != nil {
-			if i, ok := find(r.members, d.ID); ok {
-				e.unindex(gr.id)
-				r.members = slices.Delete(r.members, i, i+1)
-			}
+	d.groups.ForEach(func(g addr.GroupID, _ bool) {
+		if r := e.derivedRec(g); r != nil && r.members.Delete(d.ID) {
+			e.unindex(g)
 		}
-		e.withdraw(d, gr.id)
-	}
+		e.withdraw(d, g)
+	})
 }
 
 // onFork copies the parent's group set to the child — membership is the
@@ -726,16 +693,16 @@ func (e *pgEngine) onDestroyDomain(d *Domain) {
 // grow the child with the parent's write-disable bit, un-indexing each
 // grown group's creation-time signature.
 func (e *pgEngine) onFork(parent, child *Domain) {
-	if len(parent.groups) == 0 {
+	n := parent.groups.Count()
+	if n == 0 {
 		return
 	}
-	child.groups = append(child.groups[:0], parent.groups...)
-	for _, gr := range parent.groups {
-		if r := e.derivedRec(gr.id); r != nil {
-			e.unindex(gr.id)
-			i, _ := find(r.members, child.ID)
-			r.members = slices.Insert(r.members, i, groupMember{id: child.ID, wd: gr.wd})
+	child.groups.Copy(&parent.groups)
+	parent.groups.ForEach(func(g addr.GroupID, wd bool) {
+		if r := e.derivedRec(g); r != nil {
+			e.unindex(g)
+			r.members.Put(child.ID, wd)
 		}
-	}
-	e.hForkCopies.Add(uint64(len(parent.groups)))
+	})
+	e.hForkCopies.Add(uint64(n))
 }

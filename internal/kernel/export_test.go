@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/addr"
 )
@@ -11,8 +10,9 @@ import (
 // bookkeeping against the kernel's authoritative tables (nil under the
 // other models):
 //
-//   - every derived group's member vector is exactly the set of live
-//     domains whose group sets hold it, with the same write-disable bits;
+//   - every derived group's member set is exactly the set of live
+//     domains whose group sets hold it, with the same write-disable bits
+//     (checked from both sides), and no other record has members;
 //   - every derived group's page count equals the page records parked in
 //     it;
 //   - no number on the group free list is held by a domain, a page, a
@@ -24,15 +24,18 @@ func (k *Kernel) CheckPageGroupBookkeeping() error {
 	if !ok {
 		return nil
 	}
-	held := make(map[addr.GroupID][]groupMember)
+	held := make(map[addr.GroupID][]addr.DomainID)
 	var err error
 	k.doms.forEach(func(d *Domain) {
-		for i, gr := range d.groups {
-			if i > 0 && d.groups[i-1].id >= gr.id && err == nil {
-				err = fmt.Errorf("domain %d group set not strictly ascending: %v", d.ID, d.groups)
+		d.groups.ForEach(func(g addr.GroupID, wd bool) {
+			held[g] = append(held[g], d.ID)
+			if r := e.derivedRec(g); r != nil && err == nil {
+				if ok, w := r.members.Get(d.ID); !ok || w != wd {
+					err = fmt.Errorf("domain %d holds group %d with write-disable %v, the group's members give %v/%v",
+						d.ID, g, wd, ok, w)
+				}
 			}
-			held[gr.id] = append(held[gr.id], groupMember{id: d.ID, wd: gr.wd})
-		}
+		})
 	})
 	if err != nil {
 		return err
@@ -46,12 +49,24 @@ func (k *Kernel) CheckPageGroupBookkeeping() error {
 	for i := range e.groups {
 		g, r := addr.GroupID(i), &e.groups[i]
 		if !r.derived {
+			if n := r.members.Count(); n > 0 {
+				return fmt.Errorf("group %d is not a live derived group but has %d members", g, n)
+			}
 			continue
 		}
-		// forEach visits domains in ascending ID order, so held[g] is
-		// sorted like a member vector.
-		if !slices.Equal(r.members, held[g]) {
-			return fmt.Errorf("group %d members %v, domains hold %v", g, r.members, held[g])
+		r.members.ForEach(func(id addr.DomainID, wd bool) {
+			if err != nil {
+				return
+			}
+			if d := k.doms.get(id); d == nil {
+				err = fmt.Errorf("group %d lists domain %d, which is not live", g, id)
+			} else if ok, w := d.groups.Get(g); !ok || w != wd {
+				err = fmt.Errorf("group %d lists domain %d with write-disable %v, its group set gives %v/%v",
+					g, id, wd, ok, w)
+			}
+		})
+		if err != nil {
+			return err
 		}
 		if r.pages != pages[g] {
 			return fmt.Errorf("group %d counts %d pages, %d records point at it", g, r.pages, pages[g])
@@ -75,7 +90,7 @@ func (k *Kernel) CheckPageGroupBookkeeping() error {
 	}
 	for sig, g := range e.sigIndex {
 		r := e.derivedRec(g)
-		if r == nil || !r.indexed || r.sig != sig || signature(r.seg, r.members) != sig {
+		if r == nil || !r.indexed || r.sig != sig || signature(r.seg, &r.members) != sig {
 			return fmt.Errorf("signature %#x indexes group %d, which does not match it", sig, g)
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/iommu"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/pgroup"
 	"repro/internal/ptable"
 	"repro/internal/smp"
 	"repro/internal/stats"
@@ -242,17 +243,16 @@ type Domain struct {
 	// domain is a near-zero-allocation object (the multi-tenant churn
 	// target creates and destroys millions of them). Reads tolerate nil
 	// (nil map reads and nil-receiver ProtTable queries are empty);
-	// writers go through ensureAttached/overridesRW; groups is a slice
-	// whose capacity the pooled struct keeps across incarnations.
+	// writers go through ensureAttached/overridesRW; groups is a bitset
+	// whose words the pooled struct keeps across incarnations.
 	attached map[addr.SegmentID]addr.Rights
 	// overrides may be shared copy-on-write with fork relatives
 	// (ForkDomain); the table's own referent count decides whether a
 	// mutation must clone first (overridesRW).
 	overrides *ptable.ProtTable
-	// groups is the domain's page-group set (page-group model), sorted
-	// by group: the authoritative record behind the PID registers /
-	// group cache.
-	groups []groupRef
+	// groups is the domain's page-group set (page-group model): the
+	// authoritative record behind the PID registers / group cache.
+	groups pgroup.Membership[addr.GroupID]
 	// execSite is the domain's current execution address, for
 	// execution-keyed protection (see exec.go).
 	execSite addr.VA
@@ -1138,8 +1138,7 @@ func (k *Kernel) DomainGroup(d addr.DomainID, g addr.GroupID) (bool, bool) {
 	if dom == nil {
 		return false, false
 	}
-	i, ok := find(dom.groups, g)
-	return ok, ok && dom.groups[i].wd
+	return dom.groups.Get(g)
 }
 
 // plbSupportsShift reports whether the PLB configuration lists the shift.
@@ -1170,10 +1169,10 @@ func (k *Kernel) DomainGroups(d addr.DomainID) []machine.GroupAccess {
 	if dom == nil {
 		return nil
 	}
-	out := make([]machine.GroupAccess, len(dom.groups))
-	for i, gr := range dom.groups {
-		out[i] = machine.GroupAccess{Group: gr.id, WriteDisable: gr.wd}
-	}
+	out := make([]machine.GroupAccess, 0, dom.groups.Count())
+	dom.groups.ForEach(func(g addr.GroupID, wd bool) {
+		out = append(out, machine.GroupAccess{Group: g, WriteDisable: wd})
+	})
 	return out
 }
 

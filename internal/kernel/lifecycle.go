@@ -18,7 +18,7 @@ import (
 // as the conventional machine's ASID, GroupID as the PA-RISC AID — nor
 // leave one byte of residual authority behind. Destroyed IDs go onto
 // free lists and are recycled LIFO; the Domain struct itself is pooled
-// so a recycled ID reuses its cleared maps and group vector.
+// so a recycled ID reuses its cleared maps and group set.
 
 // Typed lifecycle errors.
 var (
@@ -170,7 +170,7 @@ func (k *Kernel) DestroyDomain(d *Domain) error {
 		}
 		clear(d.attached)
 	}
-	d.groups = d.groups[:0]
+	d.groups.Clear()
 	d.overrides.Release()
 	d.overrides = nil
 	d.execSite = 0
@@ -178,7 +178,7 @@ func (k *Kernel) DestroyDomain(d *Domain) error {
 	k.doms.remove(d.ID)
 	d.cpus.Clear()
 	// Pool the struct: the ID rides along, so the next incarnation
-	// reuses the cleared maps and group vector.
+	// reuses the cleared maps and group set.
 	k.freeDomains = append(k.freeDomains, d)
 	k.hDomainsDestroyed.Inc()
 	return nil

@@ -166,18 +166,35 @@ func TestForkSharesOverridesCopyOnWrite(t *testing.T) {
 
 // TestForkInheritsAttachments: the child can touch everything the
 // parent could, at the parent's rights, without any explicit Attach.
+// The parent's read-only override on a page another domain writes puts
+// the page in a derived group where the parent is write-disabled, so
+// under the page-group model the child must join that group with the
+// parent's write-disable bit.
 func TestForkInheritsAttachments(t *testing.T) {
 	for _, model := range lifecycleModels {
 		t.Run(model.String(), func(t *testing.T) {
 			k := kernel.New(kernel.DefaultConfig(model))
-			parent := k.CreateDomain()
+			parent, writer := k.CreateDomain(), k.CreateDomain()
 			rw := k.CreateSegment(2, kernel.SegmentOptions{Name: "rw"})
 			ro := k.CreateSegment(2, kernel.SegmentOptions{Name: "ro"})
 			k.Attach(parent, rw, addr.RW)
 			k.Attach(parent, ro, addr.Read)
+			k.Attach(writer, rw, addr.RW)
+			if err := k.SetPageRights(parent, rw.PageVA(1), addr.Read); err != nil {
+				t.Fatalf("SetPageRights: %v", err)
+			}
 			child, err := k.ForkDomain(parent)
 			if err != nil {
 				t.Fatalf("ForkDomain: %v", err)
+			}
+			if err := k.CheckPageGroupBookkeeping(); err != nil {
+				t.Fatalf("after fork: %v", err)
+			}
+			if err := k.Touch(child, rw.PageVA(1), addr.Load); err != nil {
+				t.Fatalf("child load from inherited read-only override: %v", err)
+			}
+			if err := k.Touch(child, rw.PageVA(1), addr.Store); err == nil {
+				t.Fatal("child stored through a read-only override")
 			}
 			if err := k.Touch(child, rw.Base(), addr.Store); err != nil {
 				t.Fatalf("child store to inherited RW segment: %v", err)

@@ -13,6 +13,10 @@
 //
 // Both honour the write-disable bit attached to a domain's access to a
 // group, and both treat AID 0 (the global group) as always accessible.
+//
+// Membership is the set type behind the membership relation those
+// structures cache: the kernel's domain group sets and derived-group
+// member sets, and a device agent's membership cache.
 package pgroup
 
 import (

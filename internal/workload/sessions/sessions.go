@@ -151,10 +151,17 @@ func Run(k *kernel.Kernel, cfg Config) (Report, error) {
 		}
 	}
 
+	// Counter handles, resolved once: destroy reads the IPI counters
+	// around every departure. A handle alone does not make a counter
+	// visible in snapshots.
 	ctrs := k.Counters()
-	recycledBefore := ctrs.Get("kernel.domain_ids_recycled")
-	groupsRecycledBefore := ctrs.Get("pg.groups_recycled")
-	cowBefore := ctrs.Get("kernel.cow_override_copies")
+	recycled := ctrs.Handle("kernel.domain_ids_recycled")
+	groupsRecycled := ctrs.Handle("pg.groups_recycled")
+	cow := ctrs.Handle("kernel.cow_override_copies")
+	ipis, devIPIs := ctrs.Handle("smp.ipis"), ctrs.Handle("smp.dev_ipis")
+	recycledBefore := recycled.Get()
+	groupsRecycledBefore := groupsRecycled.Get()
+	cowBefore := cow.Get()
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rep := Report{}
@@ -181,11 +188,11 @@ func Run(k *kernel.Kernel, cfg Config) (Report, error) {
 				remote++
 			}
 		}
-		ipisBefore := ctrs.Get("smp.ipis") + ctrs.Get("smp.dev_ipis")
+		ipisBefore := ipis.Get() + devIPIs.Get()
 		if err := k.DestroyDomain(s.d); err != nil {
 			return fmt.Errorf("sessions: destroy: %w", err)
 		}
-		rep.DestroyIPIs += ctrs.Get("smp.ipis") + ctrs.Get("smp.dev_ipis") - ipisBefore
+		rep.DestroyIPIs += ipis.Get() + devIPIs.Get() - ipisBefore
 		rep.DestroyRemoteSharers += remote
 		if s.seg != nil {
 			if err := k.DestroySegment(s.seg); err != nil {
@@ -299,9 +306,9 @@ func Run(k *kernel.Kernel, cfg Config) (Report, error) {
 		}
 	}
 
-	rep.DomainIDsRecycled = ctrs.Get("kernel.domain_ids_recycled") - recycledBefore
-	rep.GroupsRecycled = ctrs.Get("pg.groups_recycled") - groupsRecycledBefore
-	rep.CowCopies = ctrs.Get("kernel.cow_override_copies") - cowBefore
+	rep.DomainIDsRecycled = recycled.Get() - recycledBefore
+	rep.GroupsRecycled = groupsRecycled.Get() - groupsRecycledBefore
+	rep.CowCopies = cow.Get() - cowBefore
 	rep.KernelCycles = k.Cycles()
 	rep.MachineCycles = k.Machine().Cycles()
 	return rep, nil
