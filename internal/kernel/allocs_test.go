@@ -13,8 +13,8 @@ import (
 // pool and counters are warm, a create/destroy cycle must not allocate —
 // empty domains are lazily initialized (attached/overrides/groups all
 // materialize on first use) and destroyed structs are pooled with their
-// maps cleared, not dropped. A regression here turns million-session
-// workloads into GC benchmarks.
+// attachment vectors and group sets emptied, not dropped. A regression
+// here turns million-session workloads into GC benchmarks.
 
 func measureChurn(t *testing.T, warm, cycle func()) float64 {
 	t.Helper()
@@ -42,7 +42,8 @@ func TestEmptyDomainChurnAllocs(t *testing.T) {
 
 // TestSessionChurnAllocs is the gate for the realistic shape: recycled
 // domains attach to long-lived segments, touch nothing, and die. The
-// attachment bookkeeping reuses the pooled struct's cleared maps.
+// attachment bookkeeping reuses the pooled struct's vector capacity and
+// the segment's bitset words.
 func TestSessionChurnAllocs(t *testing.T) {
 	k := kernel.New(kernel.DefaultConfig(kernel.ModelDomainPage))
 	s := k.CreateSegment(4, kernel.SegmentOptions{Name: "shared"})

@@ -90,10 +90,8 @@ func (e *convEngine) onFork(parent, child *Domain) {
 
 // attachedSlots counts the linear page-table slots d's attachments hold.
 func (e *convEngine) attachedSlots(d *Domain) (slots uint64) {
-	for sid := range d.attached {
-		if s, ok := e.k.segments[sid]; ok {
-			slots += s.NumPages()
-		}
+	for _, a := range d.attached {
+		slots += a.seg.NumPages()
 	}
 	return slots
 }

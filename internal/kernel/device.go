@@ -178,7 +178,7 @@ func (k *Kernel) RejoinDevice(i int) {
 		k.shoot.Rejoin(seat)
 	}
 	k.hDevRejoins.Inc()
-	k.cycles.Add(k.costs().Trap)
+	k.cycles.Add(k.cost.Trap)
 }
 
 // NoteDeviceInstall implements iommu.OS: device agents record their

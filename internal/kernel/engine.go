@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -46,6 +45,9 @@ type engine interface {
 // holding va (Table 1: the per-domain, per-page operation that most
 // sharply separates the two models, Section 4.1.2).
 func (k *Kernel) SetPageRights(d *Domain, va addr.VA, r addr.Rights) error {
+	if err := k.checkLive(d, "set page rights"); err != nil {
+		return err
+	}
 	vpn := k.geo.PageNumber(va)
 	s := k.segmentOf(vpn)
 	if s == nil {
@@ -61,6 +63,9 @@ func (k *Kernel) SetPageRights(d *Domain, va addr.VA, r addr.Rights) error {
 // ClearPageRights removes domain d's per-page override, reverting the page
 // to the domain's segment attachment rights.
 func (k *Kernel) ClearPageRights(d *Domain, va addr.VA) error {
+	if err := k.checkLive(d, "clear page rights"); err != nil {
+		return err
+	}
 	vpn := k.geo.PageNumber(va)
 	s := k.segmentOf(vpn)
 	if s == nil {
@@ -70,7 +75,7 @@ func (k *Kernel) ClearPageRights(d *Domain, va addr.VA) error {
 		return nil
 	}
 	k.overridesRW(d).Clear(vpn)
-	r := d.attached[s.ID]
+	r, _ := d.Attached(s)
 	k.hClearPageRights.Inc()
 	err := k.engine.setPageRights(d, vpn, r)
 	k.flushIPIs()
@@ -81,11 +86,14 @@ func (k *Kernel) ClearPageRights(d *Domain, va addr.VA) error {
 // at once (GC space flips, checkpoint restriction — the segment-wide rows
 // of Table 1). Any per-page overrides d held in the segment are cleared.
 func (k *Kernel) SetSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
-	if _, ok := d.attached[s.ID]; !ok {
+	if err := k.checkLive(d, "set segment rights"); err != nil {
+		return err
+	}
+	i, ok := d.findAttached(s.ID)
+	if !ok {
 		return ErrNotAttached
 	}
-	d.attached[s.ID] = r
-	s.attached[d.ID] = r
+	d.attached[i].r = r
 	if d.overrides.Len() > 0 {
 		k.overridesRW(d).ClearRange(k.geo.PageNumber(s.Range.Start), s.NumPages())
 	}
@@ -214,11 +222,9 @@ type pgGroup struct {
 // vector: its attachment rights and the rights it should hold on the
 // page (None when it may not access it).
 type pgWant struct {
-	id           addr.DomainID
+	d            *Domain
 	attach, want addr.Rights
 }
-
-func byDomain(a, b pgWant) int { return cmp.Compare(a.id, b.id) }
 
 func newPGEngine(k *Kernel) *pgEngine {
 	c := &k.ctrs
@@ -332,12 +338,8 @@ func (e *pgEngine) recomputePrimary(s *Segment, attach []pgWant) {
 	field := s.groupRights | union
 	for _, a := range attach {
 		r := a.attach
-		d := e.k.doms.get(a.id)
-		if d == nil {
-			continue
-		}
 		if r == addr.None {
-			e.revoke(d, s.group)
+			e.revoke(a.d, s.group)
 			continue
 		}
 		// A domain whose rights are the field minus write gets the
@@ -352,7 +354,7 @@ func (e *pgEngine) recomputePrimary(s *Segment, attach []pgWant) {
 			e.hClamps.Inc()
 			wd = field&addr.Write != 0 && r&addr.Write == 0
 		}
-		e.grant(d, s.group, wd)
+		e.grant(a.d, s.group, wd)
 	}
 	if field == s.groupRights {
 		return
@@ -370,16 +372,19 @@ func (e *pgEngine) recomputePrimary(s *Segment, attach []pgWant) {
 }
 
 // attachments snapshots the segment's attachments ascending by domain
-// ID, want fields zero: one map walk and one sort per resync, which
-// recomputePrimary and every regroup after it share. Ascending order
-// makes shootdown enqueue order (and with it chaos fault injection)
-// deterministic. The slice is engine scratch, valid until the next call.
+// ID, want fields zero: one walk of the segment's domain bitset per
+// resync, which recomputePrimary and every regroup after it share.
+// Ascending order makes shootdown enqueue order (and with it chaos fault
+// injection) deterministic. Every bit names a live domain (destroy clears
+// them; stale handles cannot attach). The slice is engine scratch, valid
+// until the next call.
 func (e *pgEngine) attachments(s *Segment) []pgWant {
 	attach := e.attach[:0]
-	for did, r := range s.attached {
-		attach = append(attach, pgWant{id: did, attach: r})
-	}
-	slices.SortFunc(attach, byDomain)
+	s.attached.ForEach(func(id int) {
+		d := e.k.doms.get(addr.DomainID(id))
+		r, _ := d.Attached(s)
+		attach = append(attach, pgWant{d: d, attach: r})
+	})
 	e.attach = attach
 	return attach
 }
@@ -402,14 +407,15 @@ func (e *pgEngine) onAttach(d *Domain, s *Segment, r addr.Rights) {
 	// Representability: r must be the (new) union or the union without
 	// write; otherwise the page-group model clamps the odd domain (the
 	// model's expressiveness limit, Section 4.1.2).
+	attach := e.attachments(s)
 	union := addr.None
-	for _, rr := range s.attached {
-		union |= rr
+	for _, a := range attach {
+		union |= a.attach
 	}
 	if r != addr.None && r != union && r != union.WithoutWrite() {
 		e.hClamps.Inc()
 	}
-	e.resyncSegment(s)
+	e.resyncSegment(s, attach)
 }
 
 func (e *pgEngine) onDetach(d *Domain, s *Segment) {
@@ -418,14 +424,13 @@ func (e *pgEngine) onDetach(d *Domain, s *Segment) {
 	e.revoke(d, s.group)
 	// Pages in derived groups must be re-derived: their desired vectors
 	// changed with the detaching domain's authority.
-	e.resyncSegment(s)
+	e.resyncSegment(s, e.attachments(s))
 }
 
-// resyncSegment recomputes the primary group and re-derives every page of
-// the segment currently parked in a derived group, so group memberships
-// track the current attachments and overrides.
-func (e *pgEngine) resyncSegment(s *Segment) {
-	attach := e.attachments(s)
+// resyncSegment recomputes the primary group and re-derives every page
+// of the segment parked in a derived group, so group memberships track
+// the attachments (attach, the segment's snapshot) and overrides.
+func (e *pgEngine) resyncSegment(s *Segment, attach []pgWant) {
 	e.recomputePrimary(s, attach)
 	for _, vpn := range e.segPages(s) {
 		p := s.pageRecs[vpn]
@@ -446,12 +451,9 @@ func (e *pgEngine) resyncSegment(s *Segment) {
 func (e *pgEngine) desiredVector(vpn addr.VPN, attach []pgWant) []pgWant {
 	for i := range attach {
 		w := &attach[i]
-		w.want = addr.None
-		if d := e.k.doms.get(w.id); d != nil {
-			w.want = w.attach
-			if or, ok := d.overrides.Get(vpn); ok {
-				w.want = or
-			}
+		w.want = w.attach
+		if or, ok := w.d.overrides.Get(vpn); ok {
+			w.want = or
 		}
 	}
 	return attach
@@ -489,12 +491,12 @@ func (e *pgEngine) regroup(vpn addr.VPN, p *page, attach []pgWant) error {
 		switch w.want {
 		case addr.None:
 		case union:
-			members.Put(w.id, false)
+			members.Put(w.d.ID, false)
 		case union.WithoutWrite():
-			members.Put(w.id, true)
+			members.Put(w.d.ID, true)
 		default:
 			return fmt.Errorf("%w: page %#x domain %d wants %v, union %v",
-				ErrUnrepresentable, uint64(vpn), w.id, w.want, union)
+				ErrUnrepresentable, uint64(vpn), w.d.ID, w.want, union)
 		}
 	}
 
@@ -646,7 +648,7 @@ func (e *pgEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) error 
 	// Pages that moved to derived groups have their own vectors; the
 	// segment-wide change alters the domain's contribution to each, so
 	// they must be re-derived individually.
-	e.resyncSegment(s)
+	e.resyncSegment(s, e.attachments(s))
 	return nil
 }
 

@@ -87,6 +87,9 @@ func (k *Kernel) RevokeExecutor(target, code *Segment) error {
 // new site enables will fault in) — the per-transfer cost of
 // execution-keyed protection.
 func (k *Kernel) SetExecutionSite(d *Domain, va addr.VA) error {
+	if err := k.checkLive(d, "set execution site"); err != nil {
+		return err
+	}
 	if k.cfg.Model != ModelDomainPage {
 		return ErrExecUnsupported
 	}

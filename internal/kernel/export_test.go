@@ -73,7 +73,7 @@ func (k *Kernel) CheckPageGroupBookkeeping() error {
 		}
 	}
 	primary := make(map[addr.GroupID]bool)
-	for _, s := range k.segments {
+	for _, s := range k.segOrder {
 		primary[s.group] = true
 	}
 	for _, g := range k.freeGroups {
@@ -92,6 +92,57 @@ func (k *Kernel) CheckPageGroupBookkeeping() error {
 		r := e.derivedRec(g)
 		if r == nil || !r.indexed || r.sig != sig || signature(r.seg, &r.members) != sig {
 			return fmt.Errorf("signature %#x indexes group %d, which does not match it", sig, g)
+		}
+	}
+	return nil
+}
+
+// CheckAttachmentBookkeeping cross-checks the two sides of the
+// attachment relation, each domain's vector and each segment's domain
+// bitset:
+//
+//   - every live domain's vector is strictly ascending by segment ID, and
+//     names only live segments whose bitsets hold the domain;
+//   - every bit of a live segment's bitset names a live domain whose
+//     vector holds that segment;
+//   - pooled (destroyed) domain structs hold no entries.
+func (k *Kernel) CheckAttachmentBookkeeping() error {
+	var err error
+	k.doms.forEach(func(d *Domain) {
+		for i, a := range d.attached {
+			switch {
+			case err != nil:
+			case i > 0 && d.attached[i-1].seg.ID >= a.seg.ID:
+				err = fmt.Errorf("domain %d's attachments are out of order at %d: segment %d after %d",
+					d.ID, i, a.seg.ID, d.attached[i-1].seg.ID)
+			case k.FindSegment(a.seg.Base()) != a.seg:
+				err = fmt.Errorf("domain %d is attached to segment %d, which is not live", d.ID, a.seg.ID)
+			case !a.seg.attached.Has(int(d.ID)):
+				err = fmt.Errorf("domain %d is attached to segment %d, whose bitset lacks it", d.ID, a.seg.ID)
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for _, s := range k.segOrder {
+		s.attached.ForEach(func(id int) {
+			if err != nil {
+				return
+			}
+			if d := k.doms.get(addr.DomainID(id)); d == nil {
+				err = fmt.Errorf("segment %d lists domain %d, which is not live", s.ID, id)
+			} else if _, ok := d.Attached(s); !ok {
+				err = fmt.Errorf("segment %d lists domain %d, whose vector lacks it", s.ID, id)
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	for _, d := range k.freeDomains {
+		if n := len(d.attached); n > 0 {
+			return fmt.Errorf("pooled domain %d still holds %d attachments", d.ID, n)
 		}
 	}
 	return nil

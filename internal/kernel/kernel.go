@@ -13,6 +13,7 @@
 package kernel
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -175,9 +176,10 @@ type Segment struct {
 	// Range is the segment's fixed global address range.
 	Range addr.Range
 
-	kern     *kernel
-	handler  FaultHandler
-	attached map[addr.DomainID]addr.Rights
+	kern    *kernel
+	handler FaultHandler
+	// attached is the set of attached domain IDs; rights live in their vectors.
+	attached smp.CPUSet
 	// group is the segment's primary page-group (page-group model).
 	group addr.GroupID
 	// groupRights is the primary group's rights field: the union of the
@@ -221,16 +223,9 @@ func (s *Segment) HasHandler() bool { return s.handler != nil }
 // the segment uses base-page protection entries).
 func (s *Segment) ProtShift() uint { return s.protShift }
 
-// AttachedDomains returns the IDs of all domains attached to the segment,
-// sorted.
-func (s *Segment) AttachedDomains() []addr.DomainID {
-	out := make([]addr.DomainID, 0, len(s.attached))
-	for d := range s.attached {
-		out = append(out, d)
-	}
-	slices.Sort(out)
-	return out
-}
+// HasAttached reports whether the segment's own attachment record lists
+// domain id (the domain's record is Domain.Attached).
+func (s *Segment) HasAttached(id addr.DomainID) bool { return s.attached.Has(int(id)) }
 
 // Domain is a protection domain: a set of access rights to segments and
 // pages of the single global address space. It is the analog of a process
@@ -241,11 +236,11 @@ type Domain struct {
 	kern *kernel
 	// attached, overrides and groups are lazily initialized: an empty
 	// domain is a near-zero-allocation object (the multi-tenant churn
-	// target creates and destroys millions of them). Reads tolerate nil
-	// (nil map reads and nil-receiver ProtTable queries are empty);
-	// writers go through ensureAttached/overridesRW; groups is a bitset
-	// whose words the pooled struct keeps across incarnations.
-	attached map[addr.SegmentID]addr.Rights
+	// target creates and destroys millions of them). attached is kept
+	// ascending by segment ID; it and the groups bitset keep their
+	// storage in the pooled struct across incarnations. A nil override
+	// table reads as empty; writers go through overridesRW.
+	attached []attachment
 	// overrides may be shared copy-on-write with fork relatives
 	// (ForkDomain); the table's own referent count decides whether a
 	// mutation must clone first (overridesRW).
@@ -267,20 +262,36 @@ type Domain struct {
 	cpus smp.CPUSet
 }
 
+// attachment is one entry of a domain's attachment vector.
+type attachment struct {
+	seg *Segment
+	r   addr.Rights
+}
+
 // Attached reports whether the domain is attached to segment s and with
 // what rights.
 func (d *Domain) Attached(s *Segment) (addr.Rights, bool) {
-	r, ok := d.attached[s.ID]
-	return r, ok
+	if i, ok := d.findAttached(s.ID); ok {
+		return d.attached[i].r, true
+	}
+	return addr.None, false
 }
 
-// ensureAttached returns the domain's attachment map, materializing it
-// on first use.
-func (d *Domain) ensureAttached() map[addr.SegmentID]addr.Rights {
-	if d.attached == nil {
-		d.attached = make(map[addr.SegmentID]addr.Rights, 4)
+// findAttached returns segment id's index in d's vector, or its insertion point.
+func (d *Domain) findAttached(id addr.SegmentID) (int, bool) {
+	return slices.BinarySearchFunc(d.attached, id, func(a attachment, id addr.SegmentID) int {
+		return cmp.Compare(a.seg.ID, id)
+	})
+}
+
+// checkLive returns ErrDomainDestroyed, wrapped, unless d is the live
+// incarnation of its ID: a destroyed domain's struct is pooled for the
+// ID's next incarnation, so nothing may write through a stale handle.
+func (k *Kernel) checkLive(d *Domain, op string) error {
+	if k.doms.get(d.ID) != d {
+		return fmt.Errorf("%w: %s of domain %d", ErrDomainDestroyed, op, d.ID)
 	}
-	return d.attached
+	return nil
 }
 
 // overridesRW returns d's override table ready for mutation: a missing
@@ -295,7 +306,7 @@ func (k *Kernel) overridesRW(d *Domain) *ptable.ProtTable {
 		old := d.overrides
 		d.overrides = old.Clone()
 		old.Release()
-		k.cycles.Add(uint64(d.overrides.Len()) * k.costs().Install)
+		k.cycles.Add(uint64(d.overrides.Len()) * k.cost.Install)
 		k.hCOWCopies.Inc()
 	}
 	return d.overrides
@@ -369,8 +380,7 @@ type kernel struct {
 	trans  transTable
 
 	doms     domainTable
-	segments map[addr.SegmentID]*Segment
-	segOrder []*Segment // sorted by Range.Start for address lookup
+	segOrder []*Segment // live segments, sorted by Range.Start
 
 	pageTab pageTable
 
@@ -380,25 +390,22 @@ type kernel struct {
 	nextVA      addr.VA
 	freeVA      []addr.Range
 	// freeDomains pools destroyed Domain structs for ID recycling
-	// (lifecycle.go): LIFO, maps cleared for reuse. freeGroups recycles
-	// dead page-group numbers.
+	// (lifecycle.go): LIFO, emptied for reuse. freeGroups recycles dead
+	// page-group numbers.
 	freeDomains []*Domain
 	freeGroups  []addr.GroupID
 	// maxDomain/maxGroup narrow the ID allocators for exhaustion tests
 	// (SetIDLimits); zero means the ID type's natural bound.
 	maxDomain addr.DomainID
 	maxGroup  addr.GroupID
-	// sidScratch is the reusable segment-ID buffer for lifecycle walks
-	// over a domain's attachment set (fork inherit, destroy detach). The
-	// kernel is single-threaded per instance, so one buffer suffices; it
-	// keeps a destroy cycle from allocating under session churn.
-	sidScratch []addr.SegmentID
 	// residentFIFO orders mapped pages for the page daemon's FIFO
 	// eviction; entries may be stale (skipped when popped).
 	residentFIFO []addr.VPN
 
 	ctrs   stats.Counters
 	cycles stats.Cycles
+	// cost is the cost model all CPUs share; kernel charges read it in place.
+	cost cpu.CostModel
 
 	// Pre-resolved handles for the fault/paging path (touch.go), the only
 	// kernel counters bumped per simulated reference rather than per
@@ -551,7 +558,6 @@ func NewChecked(cfg Config) (*Kernel, error) {
 		geo:         geo,
 		memory:      mem.NewMemory(geo, cfg.Frames),
 		trans:       trans,
-		segments:    make(map[addr.SegmentID]*Segment),
 		nextDomain:  1,
 		nextSegment: 1,
 		nextGroup:   1,
@@ -600,7 +606,8 @@ func NewChecked(cfg Config) (*Kernel, error) {
 		}
 		k.machs = append(k.machs, m)
 	}
-	k.disk = mem.NewDisk(k.machs[0].Costs().DiskRead, k.machs[0].Costs().DiskWrite)
+	k.cost = k.machs[0].Costs()
+	k.disk = mem.NewDisk(k.cost.DiskRead, k.cost.DiskWrite)
 	switch cfg.Model {
 	case ModelPageGroup:
 		k.engine = newPGEngine(k)
@@ -736,8 +743,8 @@ func (k *Kernel) TotalCycles() uint64 {
 	return total
 }
 
-// costs returns the active cost model.
-func (k *Kernel) costs() cpu.CostModel { return k.mach.Costs() }
+// costs returns the cost model (the shootdown subsystem and devices read it).
+func (k *Kernel) costs() cpu.CostModel { return k.cost }
 
 // Charge adds kernel-side cycles (used by user-level servers and custom
 // pagers to account work the cost model does not see directly).
@@ -809,7 +816,6 @@ func (k *Kernel) CreateSegmentChecked(npages uint64, opts SegmentOptions) (*Segm
 		Range:     addr.Range{Start: addr.VA(base), Length: length},
 		kern:      &k.kernel,
 		handler:   opts.Handler,
-		attached:  make(map[addr.DomainID]addr.Rights),
 		protShift: protShift,
 	}
 	// Engine allocation (the page-group model mints the segment's
@@ -821,7 +827,6 @@ func (k *Kernel) CreateSegmentChecked(npages uint64, opts SegmentOptions) (*Segm
 		return nil, err
 	}
 	k.nextSegment++
-	k.segments[s.ID] = s
 	// Insert into the address-ordered index.
 	i := sort.Search(len(k.segOrder), func(i int) bool {
 		return k.segOrder[i].Range.Start > s.Range.Start
@@ -869,7 +874,7 @@ func (k *Kernel) RecoverHardware() int {
 	}
 	k.deferDepth = 0
 	k.hHWRecoveries.Inc()
-	k.cycles.Add(k.costs().Trap)
+	k.cycles.Add(k.cost.Trap)
 	return n
 }
 
@@ -916,7 +921,7 @@ func (k *Kernel) RecoverCPU(i int) int {
 		k.shoot.DropPending(i)
 	}
 	k.hCPURecoveries.Inc()
-	k.cycles.Add(k.costs().Trap)
+	k.cycles.Add(k.cost.Trap)
 	return n
 }
 
@@ -973,7 +978,7 @@ func (k *Kernel) ConvergenceBound() uint64 {
 	if k.shoot == nil {
 		return 0
 	}
-	c := k.costs()
+	c := &k.cost
 	// Mesh surcharges at worst-case distance: every IPI may cross the
 	// full diameter, and every applied request may reach a maximally
 	// distant home memory bank.
@@ -1036,10 +1041,18 @@ func (k *Kernel) pageRecord(vpn addr.VPN) *page {
 // Attach grants domain d rights r over segment s. Under the domain-page
 // model this is pure bookkeeping — PLB entries fault in lazily. Under the
 // page-group model the segment's group is added to the domain's group set
-// (Table 1, row 1).
+// (Table 1, row 1). Attaching through a destroyed domain's handle is a
+// programmer error: it panics with ErrDomainDestroyed (wrapped).
 func (k *Kernel) Attach(d *Domain, s *Segment, r addr.Rights) {
-	d.ensureAttached()[s.ID] = r
-	s.attached[d.ID] = r
+	if err := k.checkLive(d, "attach"); err != nil {
+		panic(err)
+	}
+	i, ok := d.findAttached(s.ID)
+	if !ok {
+		d.attached = slices.Insert(d.attached, i, attachment{seg: s})
+	}
+	d.attached[i].r = r
+	s.attached.Add(int(d.ID))
 	k.hAttach.Inc()
 	k.engine.onAttach(d, s, r)
 	k.flushIPIs()
@@ -1048,11 +1061,15 @@ func (k *Kernel) Attach(d *Domain, s *Segment, r addr.Rights) {
 // Detach revokes domain d's attachment to s and clears any per-page
 // overrides d held in the segment (Table 1, row 2).
 func (k *Kernel) Detach(d *Domain, s *Segment) error {
-	if _, ok := d.attached[s.ID]; !ok {
+	if err := k.checkLive(d, "detach"); err != nil {
+		return err
+	}
+	i, ok := d.findAttached(s.ID)
+	if !ok {
 		return ErrNotAttached
 	}
-	delete(d.attached, s.ID)
-	delete(s.attached, d.ID)
+	d.attached = slices.Delete(d.attached, i, i+1)
+	s.attached.Remove(int(d.ID))
 	if d.overrides.Len() > 0 {
 		startVPN := k.geo.PageNumber(s.Range.Start)
 		k.overridesRW(d).ClearRange(startVPN, s.NumPages())
@@ -1111,7 +1128,7 @@ func (k *Kernel) ResolveRights(d addr.DomainID, vpn addr.VPN) (addr.Rights, bool
 	if r, ok := dom.overrides.Get(vpn); ok {
 		return r | execR, true, true
 	}
-	if r, ok := dom.attached[s.ID]; ok {
+	if r, ok := dom.Attached(s); ok {
 		return r | execR, true, true
 	}
 	if execOK {

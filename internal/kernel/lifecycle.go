@@ -3,7 +3,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/addr"
 )
@@ -18,7 +17,7 @@ import (
 // as the conventional machine's ASID, GroupID as the PA-RISC AID — nor
 // leave one byte of residual authority behind. Destroyed IDs go onto
 // free lists and are recycled LIFO; the Domain struct itself is pooled
-// so a recycled ID reuses its cleared maps and group set.
+// so a recycled ID reuses its emptied attachment vector and group set.
 
 // Typed lifecycle errors.
 var (
@@ -28,8 +27,8 @@ var (
 	// ErrGroupIDsExhausted: the page-group engine ran out of group
 	// numbers (the §4.1.4 exhaustion the paper's recycling addresses).
 	ErrGroupIDsExhausted = errors.New("kernel: page-group IDs exhausted")
-	// ErrDomainDestroyed: the operation named a domain that is no longer
-	// live (already destroyed, or a stale handle from before recycling).
+	// ErrDomainDestroyed: the operation named a destroyed domain through a
+	// kept handle (after recycling, the pooled struct is live again).
 	ErrDomainDestroyed = errors.New("kernel: domain destroyed")
 )
 
@@ -55,19 +54,6 @@ func (k *Kernel) FreeGroupIDs() int { return len(k.freeGroups) }
 
 // DomainLive reports whether id names a live domain.
 func (k *Kernel) DomainLive(id addr.DomainID) bool { return k.doms.get(id) != nil }
-
-// attachedSorted fills the kernel's scratch buffer with d's attached
-// segment IDs in ascending order, for deterministic lifecycle walks.
-// The returned slice is only valid until the next call.
-func (k *Kernel) attachedSorted(d *Domain) []addr.SegmentID {
-	sids := k.sidScratch[:0]
-	for sid := range d.attached {
-		sids = append(sids, sid)
-	}
-	slices.Sort(sids)
-	k.sidScratch = sids
-	return sids
-}
 
 // CreateDomainChecked creates a new, empty protection domain, recycling
 // a destroyed ID when one is free and returning ErrDomainIDsExhausted
@@ -117,23 +103,18 @@ func (k *Kernel) CreateDomain() *Domain {
 // address mappings to duplicate, which is what makes fork-style session
 // spawning cheap here.
 func (k *Kernel) ForkDomain(parent *Domain) (*Domain, error) {
-	if k.doms.get(parent.ID) != parent {
-		return nil, fmt.Errorf("%w: fork of domain %d", ErrDomainDestroyed, parent.ID)
+	if err := k.checkLive(parent, "fork"); err != nil {
+		return nil, err
 	}
 	child, err := k.CreateDomainChecked()
 	if err != nil {
 		return nil, err
 	}
-	if len(parent.attached) > 0 {
-		sids := k.attachedSorted(parent)
-		ca := child.ensureAttached()
-		for _, sid := range sids {
-			r := parent.attached[sid]
-			ca[sid] = r
-			k.segments[sid].attached[child.ID] = r
-		}
-		k.cycles.Add(uint64(len(sids)) * k.costs().Install)
+	child.attached = append(child.attached, parent.attached...)
+	for _, a := range parent.attached {
+		a.seg.attached.Add(int(child.ID))
 	}
+	k.cycles.Add(uint64(len(parent.attached)) * k.cost.Install)
 	if parent.overrides.Len() > 0 {
 		child.overrides = parent.overrides
 		parent.overrides.Share()
@@ -155,21 +136,18 @@ func (k *Kernel) ForkDomain(parent *Domain) (*Domain, error) {
 // sweep verifies exactly this). Returns ErrDomainDestroyed (wrapped) on
 // a stale handle.
 func (k *Kernel) DestroyDomain(d *Domain) error {
-	if k.doms.get(d.ID) != d {
-		return fmt.Errorf("%w: destroy of domain %d", ErrDomainDestroyed, d.ID)
+	if err := k.checkLive(d, "destroy"); err != nil {
+		return err
 	}
 	// Engine teardown: purge + shoot domain-keyed hardware state, scrub
 	// group memberships. Runs before the bookkeeping detach below so
 	// the engines still see the attachment set.
 	k.engine.onDestroyDomain(d)
-	if len(d.attached) > 0 {
-		for _, sid := range k.attachedSorted(d) {
-			if s := k.segments[sid]; s != nil {
-				delete(s.attached, d.ID)
-			}
-		}
-		clear(d.attached)
+	for _, a := range d.attached {
+		a.seg.attached.Remove(int(d.ID))
 	}
+	clear(d.attached) // drop the segment pointers the pooled vector holds
+	d.attached = d.attached[:0]
 	d.groups.Clear()
 	d.overrides.Release()
 	d.overrides = nil
@@ -178,7 +156,7 @@ func (k *Kernel) DestroyDomain(d *Domain) error {
 	k.doms.remove(d.ID)
 	d.cpus.Clear()
 	// Pool the struct: the ID rides along, so the next incarnation
-	// reuses the cleared maps and group set.
+	// reuses the emptied attachment vector and group set.
 	k.freeDomains = append(k.freeDomains, d)
 	k.hDomainsDestroyed.Inc()
 	return nil

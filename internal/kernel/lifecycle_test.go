@@ -90,28 +90,90 @@ func TestGroupIDExhaustion(t *testing.T) {
 }
 
 // TestStaleHandles: operations on a destroyed domain's handle must fail
-// with the typed error — double destroy, fork of a corpse, and a handle
-// from before the ID was recycled must all be rejected.
+// with the typed error in every organization — double destroy, fork of a
+// corpse, and every call that would write through the handle into the
+// pooled struct. Afterwards the oracle's destroy sweep must be clean, and
+// the ID's next incarnation (LIFO recycling hands it the same struct, so
+// the old handle names it again) must start with no attachment, override
+// or execution site, denied everywhere.
 func TestStaleHandles(t *testing.T) {
-	k := kernel.New(kernel.DefaultConfig(kernel.ModelDomainPage))
-	d := k.CreateDomain()
-	if err := k.DestroyDomain(d); err != nil {
-		t.Fatalf("DestroyDomain: %v", err)
-	}
-	if err := k.DestroyDomain(d); !errors.Is(err, kernel.ErrDomainDestroyed) {
-		t.Fatalf("double destroy = %v, want ErrDomainDestroyed", err)
-	}
-	if _, err := k.ForkDomain(d); !errors.Is(err, kernel.ErrDomainDestroyed) {
-		t.Fatalf("fork of corpse = %v, want ErrDomainDestroyed", err)
-	}
-	// Recycle the ID into a new incarnation: the old handle stays dead
-	// even though the ID is live again.
-	d2, err := k.CreateDomainChecked()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.ID != d.ID {
-		t.Fatalf("expected LIFO recycling, got ID %d (was %d)", d2.ID, d.ID)
+	for _, model := range lifecycleModels {
+		t.Run(model.String(), func(t *testing.T) {
+			k := kernel.New(kernel.DefaultConfig(model))
+			s := k.CreateSegment(4, kernel.SegmentOptions{Name: "s"})
+			d := k.CreateDomain()
+			k.Attach(d, s, addr.RW)
+			if err := k.Touch(d, s.Base(), addr.Store); err != nil {
+				t.Fatalf("store before destroy: %v", err)
+			}
+			id := d.ID
+			if err := k.DestroyDomain(d); err != nil {
+				t.Fatalf("DestroyDomain: %v", err)
+			}
+			if err := k.DestroyDomain(d); !errors.Is(err, kernel.ErrDomainDestroyed) {
+				t.Fatalf("double destroy = %v, want ErrDomainDestroyed", err)
+			}
+			if _, err := k.ForkDomain(d); !errors.Is(err, kernel.ErrDomainDestroyed) {
+				t.Fatalf("fork of corpse = %v, want ErrDomainDestroyed", err)
+			}
+			// Ordered so that, were any call to write through the handle,
+			// the writes would survive the calls after it.
+			for _, c := range []struct {
+				name string
+				call func() error
+			}{
+				{"Detach", func() error { return k.Detach(d, s) }},
+				{"ClearPageRights", func() error { return k.ClearPageRights(d, s.PageVA(1)) }},
+				{"SetSegmentRights", func() error { return k.SetSegmentRights(d, s, addr.RW) }},
+				{"SetPageRights", func() error { return k.SetPageRights(d, s.PageVA(1), addr.RW) }},
+				{"SetExecutionSite", func() error { return k.SetExecutionSite(d, s.Base()) }},
+			} {
+				if err := c.call(); !errors.Is(err, kernel.ErrDomainDestroyed) {
+					t.Errorf("stale %s = %v, want ErrDomainDestroyed", c.name, err)
+				}
+			}
+			func() {
+				defer func() {
+					if err, _ := recover().(error); !errors.Is(err, kernel.ErrDomainDestroyed) {
+						t.Errorf("stale Attach panicked with %v, want ErrDomainDestroyed", err)
+					}
+				}()
+				k.Attach(d, s, addr.RW)
+			}()
+			if err := oracle.VerifyDestroyed(k, id); err != nil {
+				t.Errorf("after the stale calls: %v", err)
+			}
+			if err := k.CheckAttachmentBookkeeping(); err != nil {
+				t.Errorf("after the stale calls: %v", err)
+			}
+
+			// Recycle the ID: the pooled struct becomes the new
+			// incarnation, which must inherit nothing written through the
+			// dead handle.
+			d2, err := k.CreateDomainChecked()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d2.ID != id {
+				t.Fatalf("expected LIFO recycling, got ID %d (was %d)", d2.ID, id)
+			}
+			if r, ok := d2.Attached(s); ok {
+				t.Errorf("recycled domain starts attached with %v", r)
+			}
+			if site := k.ExecutionSite(d2); site != 0 {
+				t.Errorf("recycled domain starts executing at %#x", uint64(site))
+			}
+			for i := range s.NumPages() {
+				if r, ok := d2.PageOverride(s.PageVPN(i)); ok {
+					t.Errorf("recycled domain starts with override %v on page %d", r, i)
+				}
+				for _, kind := range []addr.AccessKind{addr.Load, addr.Store} {
+					if err := k.Touch(d2, s.PageVA(i), kind); !errors.Is(err, kernel.ErrProtection) {
+						t.Errorf("recycled domain's %v of page %d = %v, want ErrProtection", kind, i, err)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -188,6 +250,9 @@ func TestForkInheritsAttachments(t *testing.T) {
 				t.Fatalf("ForkDomain: %v", err)
 			}
 			if err := k.CheckPageGroupBookkeeping(); err != nil {
+				t.Fatalf("after fork: %v", err)
+			}
+			if err := k.CheckAttachmentBookkeeping(); err != nil {
 				t.Fatalf("after fork: %v", err)
 			}
 			if err := k.Touch(child, rw.PageVA(1), addr.Load); err != nil {

@@ -22,8 +22,9 @@ import (
 
 // lifecycleScript interprets raw as (op, arg) byte pairs against a fresh
 // two-CPU kernel, returning the first invariant violation. After every
-// op the page-group engine's bookkeeping is cross-checked against the
-// kernel tables (a no-op under the other models).
+// op the two sides of the attachment relation are cross-checked, and so
+// is the page-group engine's bookkeeping against the kernel tables (a
+// no-op under the other models).
 func lifecycleScript(model kernel.Model, raw []byte) error {
 	cfg := kernel.DefaultConfig(model)
 	cfg.CPUs = 2
@@ -144,6 +145,9 @@ func lifecycleScript(model kernel.Model, raw []byte) error {
 		if err := k.CheckPageGroupBookkeeping(); err != nil {
 			return fmt.Errorf("after op %d (%d): %w", i/2, op%8, err)
 		}
+		if err := k.CheckAttachmentBookkeeping(); err != nil {
+			return fmt.Errorf("after op %d (%d): %w", i/2, op%8, err)
+		}
 	}
 
 	for len(live) > 0 {
@@ -151,6 +155,9 @@ func lifecycleScript(model kernel.Model, raw []byte) error {
 			return err
 		}
 		if err := k.CheckPageGroupBookkeeping(); err != nil {
+			return fmt.Errorf("after drain destroy: %w", err)
+		}
+		if err := k.CheckAttachmentBookkeeping(); err != nil {
 			return fmt.Errorf("after drain destroy: %w", err)
 		}
 	}

@@ -22,7 +22,7 @@ func (k *Kernel) Touch(d *Domain, va addr.VA, kind addr.AccessKind) error {
 			// Injected glitch: the hardware trapped although rights are
 			// fine. Charge the trap and deliver it like a real fault;
 			// idempotent handlers re-grant and the access retries.
-			k.cycles.Add(k.costs().Trap)
+			k.cycles.Add(k.cost.Trap)
 			if err := k.handleProtFault(d, va, kind); err != nil {
 				return err
 			}
@@ -77,7 +77,7 @@ func (k *Kernel) handlePageFault(va addr.VA) error {
 	}
 	// Demand-zero: first touch of a fresh segment page.
 	k.hZeroFills.Inc()
-	k.cycles.Add(k.costs().MemCopyPage)
+	k.cycles.Add(k.cost.MemCopyPage)
 	return k.mapFresh(vpn)
 }
 
@@ -134,7 +134,7 @@ func (k *Kernel) handleProtFault(d *Domain, va addr.VA, kind addr.AccessKind) er
 	k.hHandlerUpcalls.Inc()
 	// Delivering the fault to a user-level handler costs a trap (the
 	// machine already charged the hardware fault itself).
-	k.cycles.Add(k.costs().Trap)
+	k.cycles.Add(k.cost.Trap)
 	f := Fault{K: k, Domain: d, VA: va, Kind: kind, Segment: s}
 	if err := k.injectHandlerError(f); err != nil {
 		return faultErr(d, va, kind, ErrProtection, err)
@@ -205,7 +205,7 @@ func (k *Kernel) ReadPage(d *Domain, va addr.VA) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	k.cycles.Add(k.costs().MemCopyPage)
+	k.cycles.Add(k.cost.MemCopyPage)
 	return append([]byte(nil), data...), nil
 }
 
@@ -221,7 +221,7 @@ func (k *Kernel) WritePage(d *Domain, va addr.VA, buf []byte) error {
 		return err
 	}
 	copy(data, buf)
-	k.cycles.Add(k.costs().MemCopyPage)
+	k.cycles.Add(k.cost.MemCopyPage)
 	return nil
 }
 
@@ -255,7 +255,7 @@ func (k *Kernel) KernelPeekPage(vpn addr.VPN) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	k.cycles.Add(k.costs().MemCopyPage)
+	k.cycles.Add(k.cost.MemCopyPage)
 	return data, nil
 }
 
@@ -275,7 +275,7 @@ func (k *Kernel) KernelWritePage(vpn addr.VPN, buf []byte) error {
 		return err
 	}
 	copy(data, buf)
-	k.cycles.Add(k.costs().MemCopyPage)
+	k.cycles.Add(k.cost.MemCopyPage)
 	return nil
 }
 
@@ -298,7 +298,7 @@ type diskPager struct{ k *Kernel }
 
 func (p diskPager) Out(vpn addr.VPN, data []byte) error {
 	p.k.disk.Write(uint64(vpn), data)
-	p.k.cycles.Add(p.k.costs().DiskWrite)
+	p.k.cycles.Add(p.k.cost.DiskWrite)
 	return nil
 }
 
@@ -308,7 +308,7 @@ func (p diskPager) In(vpn addr.VPN) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.k.cycles.Add(p.k.costs().DiskRead)
+	p.k.cycles.Add(p.k.cost.DiskRead)
 	return data, nil
 }
 

@@ -86,10 +86,10 @@ func (k *Kernel) FreeVARanges() []addr.Range {
 // entries invalidated), page records and page-group state are dropped,
 // and the address range returns to the free list for reuse.
 func (k *Kernel) DestroySegment(s *Segment) error {
-	if len(s.attached) > 0 {
-		return fmt.Errorf("%w: %q has %d attachments", ErrSegmentBusy, s.Name, len(s.attached))
+	if n := s.attached.Count(); n > 0 {
+		return fmt.Errorf("%w: %q has %d attachments", ErrSegmentBusy, s.Name, n)
 	}
-	if _, ok := k.segments[s.ID]; !ok {
+	if k.FindSegment(s.Base()) != s {
 		return fmt.Errorf("kernel: segment %d already destroyed", s.ID)
 	}
 	for i := uint64(0); i < s.NumPages(); i++ {
@@ -101,7 +101,6 @@ func (k *Kernel) DestroySegment(s *Segment) error {
 		}
 		k.pageTab.remove(vpn)
 	}
-	delete(k.segments, s.ID)
 	k.segOrder = slices.DeleteFunc(k.segOrder, func(seg *Segment) bool { return seg == s })
 	k.engine.onDestroySegment(s)
 	k.flushIPIs()

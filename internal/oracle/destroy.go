@@ -31,13 +31,11 @@ func DestroyViolations(k *kernel.Kernel, id addr.DomainID) []Violation {
 		})
 	}
 	for _, s := range k.Segments() {
-		for _, did := range s.AttachedDomains() {
-			if did == id {
-				a.out = append(a.out, Violation{
-					Where: "destroy", Domain: id,
-					Detail: fmt.Sprintf("segment %q still lists the domain as attached", s.Name),
-				})
-			}
+		if s.HasAttached(id) {
+			a.out = append(a.out, Violation{
+				Where: "destroy", Domain: id,
+				Detail: fmt.Sprintf("segment %q still lists the domain as attached", s.Name),
+			})
 		}
 	}
 	a.seats(func(s machine.Seat) {
