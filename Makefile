@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race check fmt vet lint bench bench-suite bench-hot exp tables golden chaos chaos-short
+.PHONY: all build test race check fmt vet lint loc bench bench-suite bench-hot exp tables golden chaos chaos-short
 
 all: check
 
@@ -36,6 +36,11 @@ lint:
 		echo "lint: staticcheck not installed, skipping"; \
 		echo "lint: go install honnef.co/go/tools/cmd/staticcheck@2024.1.1"; \
 	fi
+
+# loc prints the non-test Go line count outside bench/, the size this
+# repository's simplifications are measured by.
+loc:
+	@git ls-files '*.go' | grep -v '^bench/' | grep -v '_test\.go$$' | xargs cat | wc -l
 
 # check is the CI gate: formatting, static analysis, and the full test
 # suite under the race detector.

@@ -162,8 +162,9 @@ type Config struct {
 	Cluster int
 	// Geometry is the translation page geometry (base pages).
 	Geometry addr.Geometry
-	// Costs is read per access so cost-model sweeps apply.
-	Costs func() cpu.CostModel
+	// Costs is the cost model the device charges, read in place; the
+	// kernel shares its own, fixed at construction.
+	Costs *cpu.CostModel
 }
 
 // dpKey keys the domain-page IOTLB (the PLB organization).
@@ -318,7 +319,7 @@ func (d *Device) SetOnBehalf(dom addr.DomainID) {
 		n := d.groups.Count()
 		d.groups.Clear()
 		if n > 0 {
-			d.cycles.Add(uint64(n) * d.cfg.Costs().PurgeEntry)
+			d.cycles.Add(uint64(n) * d.cfg.Costs.PurgeEntry)
 			d.nPurged.Add(uint64(n))
 		}
 	}
@@ -352,7 +353,7 @@ func (d *Device) fail(vpn addr.VPN, kind addr.AccessKind, class error) error {
 // test. ErrUnmapped means the kernel must page in and retry; ErrDenied
 // and ErrNoAuthority are terminal for the transfer.
 func (d *Device) Check(vpn addr.VPN, kind addr.AccessKind) (addr.PFN, error) {
-	c := d.cfg.Costs()
+	c := d.cfg.Costs
 	d.nChecks.Inc()
 	d.cycles.Add(c.OnChipLookup)
 	if d.dp != nil {
@@ -363,7 +364,7 @@ func (d *Device) Check(vpn addr.VPN, kind addr.AccessKind) (addr.PFN, error) {
 
 // checkDomainPage is the PLB-style path: one probe keyed by the
 // on-behalf domain and the page.
-func (d *Device) checkDomainPage(vpn addr.VPN, kind addr.AccessKind, c cpu.CostModel) (addr.PFN, error) {
+func (d *Device) checkDomainPage(vpn addr.VPN, kind addr.AccessKind, c *cpu.CostModel) (addr.PFN, error) {
 	key := dpKey{d: d.onBehalf, vpn: vpn}
 	if e, ok := d.dp.Lookup(key); ok {
 		d.nHits.Inc()
@@ -399,7 +400,7 @@ func (d *Device) checkDomainPage(vpn addr.VPN, kind addr.AccessKind, c cpu.CostM
 // checkPageGroup is the PA-RISC-style path: an AID-tagged translation
 // probe followed sequentially by the group-membership check (the
 // dependent second lookup of §4.2, charged on every reference).
-func (d *Device) checkPageGroup(vpn addr.VPN, kind addr.AccessKind, c cpu.CostModel) (addr.PFN, error) {
+func (d *Device) checkPageGroup(vpn addr.VPN, kind addr.AccessKind, c *cpu.CostModel) (addr.PFN, error) {
 	e, ok := d.pg.Lookup(vpn)
 	if ok {
 		d.nHits.Inc()
@@ -454,7 +455,7 @@ func (d *Device) checkPageGroup(vpn addr.VPN, kind addr.AccessKind, c cpu.CostMo
 // transfer to/from vpn: a page copy plus MemHop per mesh hop between
 // the device's cluster and the page's home bank.
 func (d *Device) ChargeDMAPage(topo smp.Topology, vpn addr.VPN) {
-	c := d.cfg.Costs()
+	c := d.cfg.Costs
 	cost := c.MemCopyPage
 	if h := topo.MemHopsFrom(d.cfg.Cluster, vpn); h > 0 {
 		cost += uint64(h) * c.MemHop
@@ -464,7 +465,7 @@ func (d *Device) ChargeDMAPage(topo smp.Topology, vpn addr.VPN) {
 
 // ChargeDMAWord charges one word-granularity DMA beat to/from vpn.
 func (d *Device) ChargeDMAWord(topo smp.Topology, vpn addr.VPN) {
-	c := d.cfg.Costs()
+	c := d.cfg.Costs
 	cost := c.MemAccess
 	if h := topo.MemHopsFrom(d.cfg.Cluster, vpn); h > 0 {
 		cost += uint64(h) * c.MemHop
@@ -477,7 +478,7 @@ func (d *Device) ChargeDMAWord(topo smp.Topology, vpn addr.VPN) {
 // entry inspected like a structure scan. This is the rejoin primitive —
 // after it the device holds no authority at all.
 func (d *Device) PurgeAll() int {
-	c := d.cfg.Costs()
+	c := d.cfg.Costs
 	n := 0
 	if d.dp != nil {
 		n += d.dp.PurgeAll()
@@ -545,7 +546,7 @@ func (d *Device) Entries(fn func(machine.Entry) bool) {
 // request to CPU and device sharers alike), conservatively where a
 // kind's natural structure differs from the device's.
 func (d *Device) Apply(r smp.Request) int {
-	c := d.cfg.Costs()
+	c := d.cfg.Costs
 	affected, inspected := d.apply(r)
 	d.nApplied.Inc()
 	d.cycles.Add(uint64(inspected)*c.PurgeEntry + uint64(affected)*c.Install)
@@ -559,7 +560,7 @@ func (d *Device) Apply(r smp.Request) int {
 // drops it, so the bound counts one more than the set holds now.
 // PurgeAll charges its capacity-sized scan.
 func (d *Device) MaxCycles() (apply, purge uint64) {
-	c := d.cfg.Costs()
+	c := d.cfg.Costs
 	n := d.Capacity()
 	if d.pg != nil {
 		n += d.groups.Count() + 1

@@ -30,9 +30,10 @@ func (groupOS) NoteDeviceInstall(int, addr.DomainID, addr.VPN)       {}
 // the listing is deterministic.
 func TestGroupSetListsAscending(t *testing.T) {
 	var ctrs stats.Counters
+	costs := cpu.DefaultCosts()
 	d := New(Config{
 		Name: "dma0", Kind: DMAEngine, Org: OrgPageGroup, Entries: 8,
-		Geometry: addr.BaseGeometry(), Costs: cpu.DefaultCosts,
+		Geometry: addr.BaseGeometry(), Costs: &costs,
 	}, groupOS{}, &ctrs)
 	d.SetOnBehalf(1)
 	for _, g := range []addr.GroupID{5, 3, 9, 1, 20} {

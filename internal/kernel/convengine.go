@@ -61,8 +61,8 @@ func (e *convEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) erro
 }
 
 func (e *convEngine) onDestroySegment(s *Segment) {
-	for i := uint64(0); i < s.NumPages(); i++ {
-		e.k.shootPage(s.PageVPN(i), smp.Request{Kind: smp.PurgePage, VPN: s.PageVPN(i)})
+	for i := range s.pages {
+		e.k.shootPage(&s.pages[i], smp.Request{Kind: smp.PurgePage, VPN: s.PageVPN(uint64(i))})
 	}
 }
 

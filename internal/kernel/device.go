@@ -114,7 +114,7 @@ func (k *Kernel) attachDevices(devs []DeviceConfig) {
 			Seat:     seat,
 			Cluster:  dc.Cluster,
 			Geometry: k.geo,
-			Costs:    k.costs,
+			Costs:    &k.cost,
 		}, k, &k.ctrs))
 		specs[i] = smp.DeviceSpec{Cluster: dc.Cluster, TimeoutScale: uint64(dc.TimeoutScale)}
 	}
@@ -179,21 +179,6 @@ func (k *Kernel) RejoinDevice(i int) {
 	}
 	k.hDevRejoins.Inc()
 	k.cycles.Add(k.cost.Trap)
-}
-
-// NoteDeviceInstall implements iommu.OS: device agents record their
-// IOTLB installs in the sharer directory under their own seat, so
-// domain- and page-keyed shootdowns target them precisely.
-func (k *Kernel) NoteDeviceInstall(seat int, d addr.DomainID, vpn addr.VPN) {
-	if dom := k.doms.get(d); dom != nil {
-		dom.cpus.Add(seat)
-	}
-	set := k.pageDir[vpn]
-	if set == nil {
-		set = &smp.CPUSet{}
-		k.pageDir[vpn] = set
-	}
-	set.Add(seat)
 }
 
 // deviceCheck runs device i's translation + protection check for one

@@ -10,9 +10,10 @@ import (
 // old monotonic residency masks. It is fed from two sides:
 //
 //   - Installs: the machines notify the kernel (machine.ResidencyObserver)
-//     whenever hardware installs an entry on the executing CPU, adding
-//     the CPU to the domain's residency set and/or the page's sharer
-//     set.
+//     whenever hardware installs an entry on the executing CPU, and
+//     device agents (iommu.OS) on their own seat, adding the seat to the
+//     domain's residency set and/or the page's sharer set, which lives
+//     in the page's record in its segment.
 //   - Withdrawals: a CPU leaves sets only when the kernel can prove it
 //     holds nothing the set stands for — a bulk invalidation
 //     (purgeSeat/rejoin), a flush-model switch-away, or a removal-kind
@@ -31,21 +32,29 @@ func (k *Kernel) NoteProtInstall(d addr.DomainID, vpn addr.VPN) {
 	if dom := k.doms.get(d); dom != nil {
 		dom.cpus.Add(k.cur)
 	}
-	k.notePage(vpn)
+	k.notePage(k.cur, vpn)
 }
 
 // NotePageInstall implements machine.ResidencyObserver: the current
 // CPU installed translation state for vpn.
-func (k *Kernel) NotePageInstall(vpn addr.VPN) { k.notePage(vpn) }
+func (k *Kernel) NotePageInstall(vpn addr.VPN) { k.notePage(k.cur, vpn) }
 
-// notePage adds the current CPU to vpn's sharer set.
-func (k *Kernel) notePage(vpn addr.VPN) {
-	set := k.pageDir[vpn]
-	if set == nil {
-		set = &smp.CPUSet{}
-		k.pageDir[vpn] = set
+// NoteDeviceInstall implements iommu.OS: device agents record their
+// IOTLB installs under their own seat, so domain- and page-keyed
+// shootdowns target them precisely.
+func (k *Kernel) NoteDeviceInstall(seat int, d addr.DomainID, vpn addr.VPN) {
+	if dom := k.doms.get(d); dom != nil {
+		dom.cpus.Add(seat)
 	}
-	set.Add(k.cur)
+	k.notePage(seat, vpn)
+}
+
+// notePage adds seat to the sharer set of vpn's record (none exists
+// outside live segments, where no refill installs anything).
+func (k *Kernel) notePage(seat int, vpn addr.VPN) {
+	if p := k.pageRecord(vpn); p != nil {
+		p.sharers.Add(seat)
+	}
 }
 
 // withdrawSeat removes seat i from every directory set: every domain's
@@ -54,8 +63,10 @@ func (k *Kernel) notePage(vpn addr.VPN) {
 // flush-model switch that purges everything).
 func (k *Kernel) withdrawSeat(i int) {
 	k.doms.forEach(func(d *Domain) { d.cpus.Remove(i) })
-	for _, set := range k.pageDir {
-		set.Remove(i)
+	for _, s := range k.segOrder {
+		for j := range s.pages {
+			s.pages[j].sharers.Remove(i)
+		}
 	}
 }
 
@@ -72,43 +83,34 @@ func (k *Kernel) withdrawIfEmpty(t int, d addr.DomainID) {
 	}
 }
 
-// shootPage applies r locally and enqueues it to every CPU in vpn's
-// sharer set except the current one — page-scoped targeting for
-// translation maintenance (unmap, purge-page, group-update). CPUs that
-// never installed state for the page are skipped entirely; absent any
-// sharer record nothing is sent (no CPU can hold an entry that was
-// never installed).
-func (k *Kernel) shootPage(vpn addr.VPN, r smp.Request) {
+// shootPage applies r locally and enqueues it to every seat in page
+// p's sharer set except the current one — page-scoped targeting for
+// translation maintenance (unmap, purge-page, group-update). Seats that
+// never installed state for the page are skipped entirely (none can
+// hold an entry that was never installed).
+func (k *Kernel) shootPage(p *page, r smp.Request) {
 	k.mach.Apply(r)
 	if k.shoot == nil {
 		return
 	}
-	set := k.pageDir[vpn]
-	if set == nil {
-		return
-	}
-	set.ForEach(func(i int) {
+	p.sharers.ForEach(func(i int) {
 		if i != k.cur {
 			k.enqueueShoot(i, r)
 		}
 	})
 }
 
-// shootRange applies r locally and enqueues it to the union of sharer
-// sets over every page the range spans (range-scoped purges on segment
-// destruction).
-func (k *Kernel) shootRange(rg addr.Range, r smp.Request) {
+// shootRange applies r locally and enqueues it to the union of the
+// sharer sets of every page of segment s (range-scoped purges on
+// segment destruction).
+func (k *Kernel) shootRange(s *Segment, r smp.Request) {
 	k.mach.Apply(r)
 	if k.shoot == nil {
 		return
 	}
 	var union smp.CPUSet
-	npages := k.geo.PagesSpanned(rg.Start, rg.Length)
-	start := k.geo.PageNumber(rg.Start)
-	for i := uint64(0); i < npages; i++ {
-		if set := k.pageDir[start+addr.VPN(i)]; set != nil {
-			union.Union(set)
-		}
+	for i := range s.pages {
+		union.Union(&s.pages[i].sharers)
 	}
 	union.ForEach(func(i int) {
 		if i != k.cur {
@@ -127,6 +129,6 @@ func (k *Kernel) DomainResident(d addr.DomainID, t int) bool {
 // PageResident reports whether the directory lists seat t in vpn's
 // sharer set (oracle audit hook).
 func (k *Kernel) PageResident(vpn addr.VPN, t int) bool {
-	set := k.pageDir[vpn]
-	return set != nil && set.Has(t)
+	p := k.pageRecord(vpn)
+	return p != nil && p.sharers.Has(t)
 }

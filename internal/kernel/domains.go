@@ -2,10 +2,10 @@ package kernel
 
 import "repro/internal/addr"
 
-// Sharded, lazily-initialized kernel indexes. The original flat
-// map[DomainID]*Domain and map[VPN]*page worked for experiments with a
-// handful of long-lived domains, but the multi-tenant target — millions
-// of short-lived sessions churning through the ID space — wants two
+// The sharded, lazily-initialized domain index. The original flat
+// map[DomainID]*Domain worked for experiments with a handful of
+// long-lived domains, but the multi-tenant target — millions of
+// short-lived sessions churning through the ID space — wants two
 // different properties:
 //
 //   - Domain lookup is on the access path (ResolveRights runs it per
@@ -98,54 +98,3 @@ func (t *domainTable) forEach(fn func(*Domain)) {
 		}
 	}
 }
-
-// pageTable is the sharded per-page record index: VPNs hash into a
-// fixed set of lazily-allocated map shards, so one kernel never grows a
-// single monster hash table and an idle kernel holds no page-record
-// memory at all. Low VPN bits select the shard, spreading the dense
-// page runs of a segment across all shards.
-const pageShards = 64
-
-type pageTable struct {
-	shards [pageShards]map[addr.VPN]*page
-	n      int
-}
-
-// get returns the record for vpn, or nil.
-func (t *pageTable) get(vpn addr.VPN) *page {
-	m := t.shards[uint64(vpn)&(pageShards-1)]
-	if m == nil {
-		return nil
-	}
-	return m[vpn]
-}
-
-// put registers p under vpn, allocating the covering shard on first
-// use.
-func (t *pageTable) put(vpn addr.VPN, p *page) {
-	i := uint64(vpn) & (pageShards - 1)
-	m := t.shards[i]
-	if m == nil {
-		m = make(map[addr.VPN]*page)
-		t.shards[i] = m
-	}
-	if _, ok := m[vpn]; !ok {
-		t.n++
-	}
-	m[vpn] = p
-}
-
-// remove drops the record for vpn, if present.
-func (t *pageTable) remove(vpn addr.VPN) {
-	m := t.shards[uint64(vpn)&(pageShards-1)]
-	if m == nil {
-		return
-	}
-	if _, ok := m[vpn]; ok {
-		delete(m, vpn)
-		t.n--
-	}
-}
-
-// len returns the number of live page records.
-func (t *pageTable) len() int { return t.n }

@@ -1,8 +1,8 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/machine"
@@ -86,7 +86,7 @@ func (k *Kernel) ClearPageRights(d *Domain, va addr.VA) error {
 // at once (GC space flips, checkpoint restriction — the segment-wide rows
 // of Table 1). Any per-page overrides d held in the segment are cleared.
 func (k *Kernel) SetSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
-	if err := k.checkLive(d, "set segment rights"); err != nil {
+	if err := cmp.Or(k.checkLive(d, "set segment rights"), k.checkSegment(s, "set segment rights")); err != nil {
 		return err
 	}
 	i, ok := d.findAttached(s.ID)
@@ -157,7 +157,7 @@ func (e *dpEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) error 
 // range (stale entries of long-detached domains cannot exist — detach
 // purged them — but execution-keyed entries might).
 func (e *dpEngine) onDestroySegment(s *Segment) {
-	e.k.shootRange(s.Range, smp.Request{Kind: smp.RangePurge, Range: s.Range})
+	e.k.shootRange(s, smp.Request{Kind: smp.RangePurge, Range: s.Range})
 }
 
 // onDestroyDomain drops every PLB entry naming the dying domain with
@@ -191,7 +191,6 @@ type pgEngine struct {
 	sigIndex map[uint64]addr.GroupID
 	// Scratch reused across calls (a kernel is single-threaded); members
 	// is the membership regroup wants for a page.
-	vpns    []addr.VPN
 	attach  []pgWant
 	members pgroup.Membership[addr.DomainID]
 
@@ -360,13 +359,11 @@ func (e *pgEngine) recomputePrimary(s *Segment, attach []pgWant) {
 		return
 	}
 	s.groupRights = field
-	// Touched pages still in the primary group pick up the grown rights
-	// field; untouched pages inherit it when their record is created.
-	for _, vpn := range e.segPages(s) {
-		p := s.pageRecs[vpn]
-		if p.group == s.group && p.groupRights != field {
+	// Pages still in the primary group pick up the grown rights field.
+	for i := range s.pages {
+		if p := &s.pages[i]; p.group == s.group && p.groupRights != field {
 			p.groupRights = field
-			e.k.shootPage(vpn, smp.Request{Kind: smp.GroupUpdate, VPN: vpn, Group: p.group, Rights: field})
+			e.k.shootPage(p, smp.Request{Kind: smp.GroupUpdate, VPN: s.PageVPN(uint64(i)), Group: p.group, Rights: field})
 		}
 	}
 }
@@ -387,20 +384,6 @@ func (e *pgEngine) attachments(s *Segment) []pgWant {
 	})
 	e.attach = attach
 	return attach
-}
-
-// segPages returns the VPNs of the segment's touched pages ascending
-// (pageRecs keeps the scan proportional to the segment, not to every
-// page record in the kernel). The slice is engine scratch, valid until
-// the next call.
-func (e *pgEngine) segPages(s *Segment) []addr.VPN {
-	vpns := e.vpns[:0]
-	for vpn := range s.pageRecs {
-		vpns = append(vpns, vpn)
-	}
-	slices.Sort(vpns)
-	e.vpns = vpns
-	return vpns
 }
 
 func (e *pgEngine) onAttach(d *Domain, s *Segment, r addr.Rights) {
@@ -432,10 +415,9 @@ func (e *pgEngine) onDetach(d *Domain, s *Segment) {
 // the attachments (attach, the segment's snapshot) and overrides.
 func (e *pgEngine) resyncSegment(s *Segment, attach []pgWant) {
 	e.recomputePrimary(s, attach)
-	for _, vpn := range e.segPages(s) {
-		p := s.pageRecs[vpn]
-		if p.group != s.group {
-			if err := e.regroup(vpn, p, attach); err != nil {
+	for i := range s.pages {
+		if s.pages[i].group != s.group {
+			if err := e.regroup(s, s.PageVPN(uint64(i)), attach); err != nil {
 				// Unrepresentable vector (or a group namespace drained to
 				// empty) during a void-returning resync: clamp by leaving
 				// the page where it is and counting.
@@ -459,11 +441,12 @@ func (e *pgEngine) desiredVector(vpn addr.VPN, attach []pgWant) []pgWant {
 	return attach
 }
 
-// regroup moves the page into a group realizing the desired rights
-// vector: group membership = domains with access; rights field = union;
-// write-disable for members that may not write (Section 4.1.2). attach
-// is the page's segment's attachment snapshot (attachments).
-func (e *pgEngine) regroup(vpn addr.VPN, p *page, attach []pgWant) error {
+// regroup moves page vpn of segment s into a group realizing the
+// desired rights vector: group membership = domains with access; rights
+// field = union; write-disable for members that may not write (Section
+// 4.1.2). attach is s's attachment snapshot (attachments).
+func (e *pgEngine) regroup(s *Segment, vpn addr.VPN, attach []pgWant) error {
+	p := s.record(vpn)
 	want := e.desiredVector(vpn, attach)
 	union := addr.None
 	for _, w := range want {
@@ -478,7 +461,7 @@ func (e *pgEngine) regroup(vpn addr.VPN, p *page, attach []pgWant) error {
 		}
 		r := &e.groups[g]
 		r.members.Clear()
-		*r = pgGroup{derived: true, seg: p.seg.ID, members: r.members}
+		*r = pgGroup{derived: true, seg: s.ID, members: r.members}
 		e.movePage(vpn, p, g, addr.None)
 		return nil
 	}
@@ -501,13 +484,13 @@ func (e *pgEngine) regroup(vpn addr.VPN, p *page, attach []pgWant) error {
 	}
 
 	// If the desired vector is exactly the primary group's, return home.
-	if e.matchesPrimary(p.seg, want) {
-		e.movePage(vpn, p, p.seg.group, p.seg.groupRights)
+	if e.matchesPrimary(s, want) {
+		e.movePage(vpn, p, s.group, s.groupRights)
 		return nil
 	}
 
-	sig := signature(p.seg.ID, members)
-	if g, ok := e.sigIndex[sig]; ok && e.membersMatch(g, p.seg.ID, members) {
+	sig := signature(s.ID, members)
+	if g, ok := e.sigIndex[sig]; ok && e.membersMatch(g, s.ID, members) {
 		e.movePage(vpn, p, g, union)
 		return nil
 	}
@@ -522,7 +505,7 @@ func (e *pgEngine) regroup(vpn addr.VPN, p *page, attach []pgWant) error {
 	})
 	r := &e.groups[g]
 	r.members.Copy(members)
-	*r = pgGroup{derived: true, indexed: true, seg: p.seg.ID, sig: sig, members: r.members}
+	*r = pgGroup{derived: true, indexed: true, seg: s.ID, sig: sig, members: r.members}
 	e.sigIndex[sig] = g
 	e.movePage(vpn, p, g, union)
 	return nil
@@ -596,7 +579,7 @@ func (e *pgEngine) movePage(vpn addr.VPN, p *page, g addr.GroupID, rights addr.R
 	}
 	p.group = g
 	p.groupRights = rights
-	e.k.shootPage(vpn, smp.Request{Kind: smp.GroupUpdate, VPN: vpn, Group: g, Rights: rights})
+	e.k.shootPage(p, smp.Request{Kind: smp.GroupUpdate, VPN: vpn, Group: g, Rights: rights})
 	// Collect the vacated group after the page is re-homed, so the
 	// revocation shootdowns queue behind this page's update.
 	if old != g {
@@ -637,11 +620,11 @@ func (e *pgEngine) retire(g addr.GroupID) {
 }
 
 func (e *pgEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
-	p := e.k.pageRecord(vpn)
-	if p == nil {
+	s := e.k.segmentOf(vpn)
+	if s == nil {
 		return ErrNoAuthority
 	}
-	return e.regroup(vpn, p, e.attachments(p.seg))
+	return e.regroup(s, vpn, e.attachments(s))
 }
 
 func (e *pgEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) error {

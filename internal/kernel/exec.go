@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -42,8 +43,12 @@ type execGrant struct {
 
 // GrantExecutor grants rights r over every page of target to any thread
 // whose current execution site lies inside code (Okamoto-style
-// execution-keyed protection). Domain-page model only.
+// execution-keyed protection). Domain-page model only. Returns
+// ErrSegmentDestroyed (wrapped) if either segment is destroyed.
 func (k *Kernel) GrantExecutor(target, code *Segment, r addr.Rights) error {
+	if err := cmp.Or(k.checkSegment(target, "grant executor"), k.checkSegment(code, "grant executor")); err != nil {
+		return err
+	}
 	if k.cfg.Model != ModelDomainPage {
 		return ErrExecUnsupported
 	}
@@ -52,16 +57,17 @@ func (k *Kernel) GrantExecutor(target, code *Segment, r addr.Rights) error {
 	// Resident entries for the target may now be too weak; purge them so
 	// the stronger rights fault in. (All domains: the grant is
 	// domain-independent.)
-	for i := uint64(0); i < target.NumPages(); i++ {
-		vpn := k.geo.PageNumber(target.PageVA(i))
-		k.shootPage(vpn, smp.Request{Kind: smp.PurgePage, VPN: vpn})
+	for i := range target.pages {
+		k.shootPage(&target.pages[i], smp.Request{Kind: smp.PurgePage, VPN: target.PageVPN(uint64(i))})
 	}
 	k.flushIPIs()
 	return nil
 }
 
 // RevokeExecutor removes all executor grants from code over target,
-// purging any cached rights derived from them.
+// purging any cached rights derived from them. A destroyed segment
+// names no grant (DestroySegment drops them), so revoking one is a
+// no-op.
 func (k *Kernel) RevokeExecutor(target, code *Segment) error {
 	if k.cfg.Model != ModelDomainPage {
 		return ErrExecUnsupported
@@ -72,9 +78,8 @@ func (k *Kernel) RevokeExecutor(target, code *Segment) error {
 	})
 	if len(k.execGrants) < n {
 		k.hExecRevokes.Inc()
-		for i := uint64(0); i < target.NumPages(); i++ {
-			vpn := k.geo.PageNumber(target.PageVA(i))
-			k.shootPage(vpn, smp.Request{Kind: smp.PurgePage, VPN: vpn})
+		for i := range target.pages {
+			k.shootPage(&target.pages[i], smp.Request{Kind: smp.PurgePage, VPN: target.PageVPN(uint64(i))})
 		}
 		k.flushIPIs()
 	}

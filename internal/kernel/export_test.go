@@ -41,9 +41,9 @@ func (k *Kernel) CheckPageGroupBookkeeping() error {
 		return err
 	}
 	pages := make(map[addr.GroupID]int)
-	for _, shard := range k.pageTab.shards {
-		for _, p := range shard {
-			pages[p.group]++
+	for _, s := range k.segOrder {
+		for i := range s.pages {
+			pages[s.pages[i].group]++
 		}
 	}
 	for i := range e.groups {
@@ -152,8 +152,8 @@ func (k *Kernel) CheckAttachmentBookkeeping() error {
 // seat caches for the page escapes page-targeted shootdowns: the fault
 // the oracle's directory audit exists to catch.
 func (k *Kernel) DropPageSharer(vpn addr.VPN, t int) {
-	if set := k.pageDir[vpn]; set != nil {
-		set.Remove(t)
+	if p := k.pageRecord(vpn); p != nil {
+		p.sharers.Remove(t)
 	}
 }
 

@@ -188,10 +188,9 @@ type Segment struct {
 	// protShift is the super-page protection shift (domain-page model;
 	// zero when the segment uses base-page protection). Section 4.3.
 	protShift uint
-	// pageRecs indexes the kernel's page records that lie inside this
-	// segment (lazily created, dropped with the segment), so per-segment
-	// scans never walk the global page table.
-	pageRecs map[addr.VPN]*page
+	// pages holds the record of every page of the segment, indexed by
+	// page offset: made at creation, dropped on destroy.
+	pages []page
 }
 
 // NumPages returns the number of translation pages the segment spans.
@@ -209,6 +208,11 @@ func (s *Segment) PageVA(i uint64) addr.VA {
 
 // PageVPN returns the VPN of the segment's i'th page.
 func (s *Segment) PageVPN(i uint64) addr.VPN { return s.kern.geo.PageNumber(s.PageVA(i)) }
+
+// record returns the record of the segment's page vpn.
+func (s *Segment) record(vpn addr.VPN) *page {
+	return &s.pages[vpn-s.kern.geo.PageNumber(s.Range.Start)]
+}
 
 // Group returns the segment's primary page-group (page-group model;
 // zero under domain-page).
@@ -290,6 +294,17 @@ func (d *Domain) findAttached(id addr.SegmentID) (int, bool) {
 func (k *Kernel) checkLive(d *Domain, op string) error {
 	if k.doms.get(d.ID) != d {
 		return fmt.Errorf("%w: %s of domain %d", ErrDomainDestroyed, op, d.ID)
+	}
+	return nil
+}
+
+// checkSegment returns ErrSegmentDestroyed, wrapped, unless s is live.
+// Segments are never pooled, so s is live exactly when it is the
+// segment at its own base. A destroyed one's page records are gone, and
+// its range and group number may already belong to another.
+func (k *Kernel) checkSegment(s *Segment, op string) error {
+	if k.FindSegment(s.Base()) != s {
+		return fmt.Errorf("%w: %s of segment %d", ErrSegmentDestroyed, op, s.ID)
 	}
 	return nil
 }
@@ -382,8 +397,6 @@ type kernel struct {
 	doms     domainTable
 	segOrder []*Segment // live segments, sorted by Range.Start
 
-	pageTab pageTable
-
 	nextDomain  addr.DomainID
 	nextSegment addr.SegmentID
 	nextGroup   addr.GroupID
@@ -433,15 +446,23 @@ type kernel struct {
 	hExecGrants, hExecRevokes, hExecSites, hExecPurges stats.Handle
 }
 
-// page is the kernel's per-page record, created lazily.
+// page is the kernel's per-page record; its segment holds one per page.
 type page struct {
-	seg *Segment
 	// group and groupRights are the page-group model's per-page state:
 	// the AID in the page's TLB entry and its shared rights field.
 	group       addr.GroupID
 	groupRights addr.Rights
 	// onDisk notes that the page's contents live in the backing store.
 	onDisk bool
+	// sharers is the sharer directory's page axis: the seats that
+	// installed hardware state for the page (trans-TLB, PG-TLB, ASID-TLB,
+	// PLB or IOTLB entries) since their last bulk invalidation. It is a
+	// superset of live residency — deliveries never withdraw (a PLB
+	// protection entry or cache line outlives the translation entry an
+	// Unmap drops), only purgeSeat/rejoin and flush-model switch-away do
+	// — which keeps page-scoped shootdowns sound while still tracking
+	// sharers, not history.
+	sharers smp.CPUSet
 }
 
 // Kernel is a single address space operating system instance bound to
@@ -461,16 +482,6 @@ type Kernel struct {
 
 	// cur is the current CPU.
 	cur int
-	// pageDir is the sharer directory's page axis: pageDir[vpn] is the
-	// set of seats that installed hardware state for vpn (trans-TLB,
-	// PG-TLB, ASID-TLB, PLB or IOTLB entries) since their last bulk
-	// invalidation. It is a superset of live residency — deliveries
-	// never withdraw (a PLB protection entry or cache line outlives the
-	// translation entry an Unmap drops), only purgeSeat/rejoin and
-	// flush-model switch-away do — which keeps page-scoped shootdowns
-	// sound while still tracking sharers, not history. Nil entry = no
-	// sharers.
-	pageDir map[addr.VPN]*smp.CPUSet
 	// topo is the normalized mesh topology (see Config.Topology).
 	topo smp.Topology
 	// shoot is the shootdown subsystem; nil on a uniprocessor with no
@@ -535,7 +546,6 @@ func NewChecked(cfg Config) (*Kernel, error) {
 	}
 	cfg.Devices = devcfgs
 	k := &Kernel{}
-	k.pageDir = make(map[addr.VPN]*smp.CPUSet)
 	k.topo = cfg.Topology.Normalize(cfg.CPUs)
 	var geo addr.Geometry
 	switch cfg.Model {
@@ -618,7 +628,7 @@ func NewChecked(cfg Config) (*Kernel, error) {
 	}
 	k.SetCPU(0)
 	if cfg.CPUs > 1 || len(devcfgs) > 0 {
-		k.shoot = smp.New(cfg.CPUs, k, k.costs, &k.ctrs, &k.cycles)
+		k.shoot = smp.New(cfg.CPUs, k, &k.cost, &k.ctrs, &k.cycles)
 		k.shoot.SetTopology(cfg.Topology)
 		k.shoot.SetInitiator(k.cur)
 	}
@@ -743,9 +753,6 @@ func (k *Kernel) TotalCycles() uint64 {
 	return total
 }
 
-// costs returns the cost model (the shootdown subsystem and devices read it).
-func (k *Kernel) costs() cpu.CostModel { return k.cost }
-
 // Charge adds kernel-side cycles (used by user-level servers and custom
 // pagers to account work the cost model does not see directly).
 func (k *Kernel) Charge(n uint64) { k.cycles.Add(n) }
@@ -753,7 +760,7 @@ func (k *Kernel) Charge(n uint64) { k.cycles.Add(n) }
 // OnBackingStore reports whether the page was paged out and its contents
 // live in the paging backend.
 func (k *Kernel) OnBackingStore(vpn addr.VPN) bool {
-	p := k.pageTab.get(vpn)
+	p := k.pageRecord(vpn)
 	return p != nil && p.onDisk
 }
 
@@ -827,6 +834,11 @@ func (k *Kernel) CreateSegmentChecked(npages uint64, opts SegmentOptions) (*Segm
 		return nil, err
 	}
 	k.nextSegment++
+	// Every page's record exists from creation, in the primary group.
+	s.pages = make([]page, s.NumPages())
+	for i := range s.pages {
+		s.pages[i].group = s.group
+	}
 	// Insert into the address-ordered index.
 	i := sort.Search(len(k.segOrder), func(i int) bool {
 		return k.segOrder[i].Range.Start > s.Range.Start
@@ -1016,35 +1028,23 @@ func (k *Kernel) FindSegment(va addr.VA) *Segment {
 // segmentOf returns the segment containing the page, or nil.
 func (k *Kernel) segmentOf(vpn addr.VPN) *Segment { return k.FindSegment(k.geo.Base(vpn)) }
 
-// pageRecord returns (creating if needed) the kernel's record for a page
-// that lies in a segment. Returns nil for addresses outside all segments.
+// pageRecord returns the kernel's record for a page that lies in a
+// segment, or nil for addresses outside all segments.
 func (k *Kernel) pageRecord(vpn addr.VPN) *page {
-	if p := k.pageTab.get(vpn); p != nil {
-		return p
+	if s := k.segmentOf(vpn); s != nil {
+		return s.record(vpn)
 	}
-	s := k.segmentOf(vpn)
-	if s == nil {
-		return nil
-	}
-	p := &page{seg: s, group: s.group, groupRights: s.groupRights}
-	k.pageTab.put(vpn, p)
-	// The segment's own record index keeps the page-group engine's
-	// resync scans proportional to the segment, not to every page the
-	// kernel has ever touched.
-	if s.pageRecs == nil {
-		s.pageRecs = make(map[addr.VPN]*page)
-	}
-	s.pageRecs[vpn] = p
-	return p
+	return nil
 }
 
 // Attach grants domain d rights r over segment s. Under the domain-page
 // model this is pure bookkeeping — PLB entries fault in lazily. Under the
 // page-group model the segment's group is added to the domain's group set
-// (Table 1, row 1). Attaching through a destroyed domain's handle is a
-// programmer error: it panics with ErrDomainDestroyed (wrapped).
+// (Table 1, row 1). Attaching through a destroyed domain's or segment's
+// handle is a programmer error: it panics with ErrDomainDestroyed or
+// ErrSegmentDestroyed (wrapped).
 func (k *Kernel) Attach(d *Domain, s *Segment, r addr.Rights) {
-	if err := k.checkLive(d, "attach"); err != nil {
+	if err := cmp.Or(k.checkLive(d, "attach"), k.checkSegment(s, "attach")); err != nil {
 		panic(err)
 	}
 	i, ok := d.findAttached(s.ID)

@@ -2,9 +2,11 @@ package kernel_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/iommu"
 	"repro/internal/kernel"
 	"repro/internal/oracle"
 )
@@ -89,13 +91,16 @@ func TestGroupIDExhaustion(t *testing.T) {
 	}
 }
 
-// TestStaleHandles: operations on a destroyed domain's handle must fail
-// with the typed error in every organization — double destroy, fork of a
-// corpse, and every call that would write through the handle into the
-// pooled struct. Afterwards the oracle's destroy sweep must be clean, and
-// the ID's next incarnation (LIFO recycling hands it the same struct, so
-// the old handle names it again) must start with no attachment, override
-// or execution site, denied everywhere.
+// TestStaleHandles: operations on a destroyed domain's or segment's
+// handle must fail with the typed error in every organization — double
+// destroy, fork of a corpse, a reference through a dead domain, and every
+// call that would write through the handle into the pooled struct.
+// Afterwards the oracle's destroy sweep must be clean, and the ID's next
+// incarnation (LIFO recycling hands it the same struct, so the old handle
+// names it again) must start with no attachment, override or execution
+// site, denied everywhere. A destroyed segment's range, and under
+// page-group its group number, go to the next segment created: a stale
+// segment handle must grant nothing in it.
 func TestStaleHandles(t *testing.T) {
 	for _, model := range lifecycleModels {
 		t.Run(model.String(), func(t *testing.T) {
@@ -127,6 +132,13 @@ func TestStaleHandles(t *testing.T) {
 				{"SetSegmentRights", func() error { return k.SetSegmentRights(d, s, addr.RW) }},
 				{"SetPageRights", func() error { return k.SetPageRights(d, s.PageVA(1), addr.RW) }},
 				{"SetExecutionSite", func() error { return k.SetExecutionSite(d, s.Base()) }},
+				{"Touch", func() error {
+					err := k.Touch(d, s.Base(), addr.Store)
+					if fe := (*kernel.FaultError)(nil); !errors.As(err, &fe) {
+						return fmt.Errorf("not a FaultError: %w", err)
+					}
+					return err
+				}},
 			} {
 				if err := c.call(); !errors.Is(err, kernel.ErrDomainDestroyed) {
 					t.Errorf("stale %s = %v, want ErrDomainDestroyed", c.name, err)
@@ -172,6 +184,61 @@ func TestStaleHandles(t *testing.T) {
 						t.Errorf("recycled domain's %v of page %d = %v, want ErrProtection", kind, i, err)
 					}
 				}
+			}
+
+			old := k.CreateSegment(2, kernel.SegmentOptions{Name: "old"})
+			if err := k.GrantExecutor(old, s, addr.Read); err != nil && !errors.Is(err, kernel.ErrExecUnsupported) {
+				t.Fatalf("GrantExecutor: %v", err)
+			}
+			if err := k.DestroySegment(old); err != nil {
+				t.Fatalf("DestroySegment: %v", err)
+			}
+			revokes := k.Counters().Get("kernel.exec_revokes")
+			if err := k.RevokeExecutor(old, s); err != nil && !errors.Is(err, kernel.ErrExecUnsupported) {
+				t.Errorf("RevokeExecutor of a destroyed segment: %v", err)
+			}
+			if n := k.Counters().Get("kernel.exec_revokes") - revokes; n != 0 {
+				t.Errorf("RevokeExecutor found %d grants naming the destroyed segment", n)
+			}
+			fresh := k.CreateSegment(2, kernel.SegmentOptions{Name: "fresh"})
+			if fresh.Base() != old.Base() || fresh.Group() != old.Group() {
+				t.Fatalf("fresh segment at %#x group %d, want the freed %#x group %d",
+					uint64(fresh.Base()), fresh.Group(), uint64(old.Base()), old.Group())
+			}
+			for _, c := range []struct {
+				name string
+				call func() error
+			}{
+				{"DestroySegment", func() error { return k.DestroySegment(old) }},
+				{"SetSegmentRights", func() error { return k.SetSegmentRights(d2, old, addr.RW) }},
+				{"GrantExecutor target", func() error { return k.GrantExecutor(old, s, addr.RW) }},
+				{"GrantExecutor code", func() error { return k.GrantExecutor(fresh, old, addr.RW) }},
+			} {
+				if err := c.call(); !errors.Is(err, kernel.ErrSegmentDestroyed) {
+					t.Errorf("stale segment %s = %v, want ErrSegmentDestroyed", c.name, err)
+				}
+			}
+			func() {
+				defer func() {
+					if err, _ := recover().(error); !errors.Is(err, kernel.ErrSegmentDestroyed) {
+						t.Errorf("Attach to a stale segment panicked with %v, want ErrSegmentDestroyed", err)
+					}
+				}()
+				k.Attach(d2, old, addr.RW)
+			}()
+			owner := k.CreateDomain()
+			k.Attach(owner, fresh, addr.RW)
+			if err := k.Touch(owner, fresh.Base(), addr.Store); err != nil {
+				t.Fatalf("owner's store to the fresh segment: %v", err)
+			}
+			if err := k.Touch(d2, fresh.Base(), addr.Store); !errors.Is(err, kernel.ErrProtection) {
+				t.Errorf("store through the stale segment's grant = %v, want ErrProtection", err)
+			}
+			if err := k.CheckAttachmentBookkeeping(); err != nil {
+				t.Errorf("after the stale segment calls: %v", err)
+			}
+			if err := k.CheckPageGroupBookkeeping(); err != nil {
+				t.Errorf("after the stale segment calls: %v", err)
 			}
 		})
 	}
@@ -319,39 +386,64 @@ func TestDestroyLeavesNoResidue(t *testing.T) {
 	}
 }
 
-// TestDestroySegmentDropsSharerRecords is the pageDir-residue
-// regression: after a segment dies, its pages' sharer sets must die
-// with it, or a reused address range would direct shootdowns at CPUs
-// from the previous tenancy.
+// TestDestroySegmentDropsSharerRecords: after a segment dies, its pages'
+// sharer sets must die with it, or the segment that reuses its address
+// range would direct shootdowns at the CPUs and devices of the previous
+// tenancy.
 func TestDestroySegmentDropsSharerRecords(t *testing.T) {
-	cfg := kernel.DefaultConfig(kernel.ModelDomainPage)
-	cfg.CPUs = 2
-	k, err := kernel.NewChecked(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := k.CreateDomain()
-	s := k.CreateSegment(2, kernel.SegmentOptions{Name: "seg"})
-	k.Attach(d, s, addr.RW)
-	k.SetCPU(1)
-	if err := k.Touch(d, s.Base(), addr.Store); err != nil {
-		t.Fatal(err)
-	}
-	vpn := k.Geometry().PageNumber(s.Base())
-	if !k.PageResident(vpn, 1) {
-		t.Fatal("touch did not register CPU 1 in the page's sharer set")
-	}
-	k.SetCPU(0)
-	if err := k.Detach(d, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.DestroySegment(s); err != nil {
-		t.Fatal(err)
-	}
-	for cpu := 0; cpu < 2; cpu++ {
-		if k.PageResident(vpn, cpu) {
-			t.Fatalf("destroyed segment's page still lists CPU %d as sharer", cpu)
-		}
+	for _, model := range lifecycleModels {
+		t.Run(model.String(), func(t *testing.T) {
+			cfg := kernel.DefaultConfig(model)
+			cfg.CPUs = 2
+			cfg.Devices = []kernel.DeviceConfig{{Kind: iommu.DMAEngine}}
+			k, err := kernel.NewChecked(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := k.CreateDomain()
+			s := k.CreateSegment(2, kernel.SegmentOptions{Name: "seg"})
+			k.Attach(d, s, addr.RW)
+			seats := []int{0, 1, k.DeviceSeat(0)}
+			for cpu := 0; cpu < 2; cpu++ {
+				k.SetCPU(cpu)
+				for i := range s.NumPages() {
+					if err := k.Touch(d, s.PageVA(i), addr.Store); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			k.ProgramDevice(0, d)
+			for i := range s.NumPages() {
+				if _, err := k.DeviceReadPage(0, s.PageVA(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range s.NumPages() {
+				for _, seat := range seats {
+					if !k.PageResident(s.PageVPN(i), seat) {
+						t.Fatalf("page %d's sharer set lacks %s after its install", i, k.SeatName(seat))
+					}
+				}
+			}
+			k.SetCPU(0)
+			if err := k.Detach(d, s); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.DestroySegment(s); err != nil {
+				t.Fatal(err)
+			}
+			fresh := k.CreateSegment(s.NumPages(), kernel.SegmentOptions{Name: "fresh"})
+			if fresh.Base() != s.Base() {
+				t.Fatalf("fresh segment at %#x, want the freed base %#x", uint64(fresh.Base()), uint64(s.Base()))
+			}
+			for i := range fresh.NumPages() {
+				for _, seat := range seats {
+					if k.PageResident(fresh.PageVPN(i), seat) {
+						t.Errorf("page %d of the reused range lists %s as sharer", i, k.SeatName(seat))
+					}
+				}
+			}
+		})
 	}
 }
 

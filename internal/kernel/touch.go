@@ -13,8 +13,13 @@ import (
 // page faults are handled by the kernel's pager; protection faults are
 // delivered to the segment's user-level handler, which typically
 // manipulates rights and lets the access retry (the Appel-Li style
-// user-level VM primitives the paper's workloads rely on).
+// user-level VM primitives the paper's workloads rely on). A destroyed
+// domain's handle fails before anything runs, with a FaultError wrapping
+// ErrDomainDestroyed.
 func (k *Kernel) Touch(d *Domain, va addr.VA, kind addr.AccessKind) error {
+	if err := k.checkLive(d, "touch"); err != nil {
+		return faultErr(d, va, kind, nil, err)
+	}
 	k.Switch(d)
 	for try := 0; try < k.cfg.MaxFaultRetries; try++ {
 		k.Switch(d) // a fault handler may have switched domains
@@ -344,7 +349,7 @@ func (k *Kernel) PageOut(vpn addr.VPN) error {
 	if err := k.activePager().Out(vpn, k.memory.Data(pte.PFN)); err != nil {
 		return fmt.Errorf("kernel: page-out of %#x: %w", uint64(vpn), err)
 	}
-	k.shootPage(vpn, smp.Request{Kind: smp.Unmap, VPN: vpn})
+	k.shootPage(p, smp.Request{Kind: smp.Unmap, VPN: vpn})
 	k.flushIPIs()
 	if _, err := k.trans.Unmap(vpn); err != nil {
 		return err
@@ -399,7 +404,8 @@ func (k *Kernel) Unmap(vpn addr.VPN) error {
 	if !ok {
 		return fmt.Errorf("kernel: unmap of unmapped page %#x", uint64(vpn))
 	}
-	k.shootPage(vpn, smp.Request{Kind: smp.Unmap, VPN: vpn})
+	// Only pages of live segments are ever mapped, so the record exists.
+	k.shootPage(k.pageRecord(vpn), smp.Request{Kind: smp.Unmap, VPN: vpn})
 	k.flushIPIs()
 	if _, err := k.trans.Unmap(vpn); err != nil {
 		return err

@@ -23,6 +23,10 @@ import (
 // attached domains.
 var ErrSegmentBusy = fmt.Errorf("kernel: segment still attached")
 
+// ErrSegmentDestroyed: the operation named a destroyed segment through a
+// kept handle.
+var ErrSegmentDestroyed = fmt.Errorf("kernel: segment destroyed")
+
 // allocVA finds a range of the given length, aligned to 2^alignShift
 // bytes (0 = page aligned), reusing freed ranges when possible.
 func (k *Kernel) allocVA(length uint64, alignShift uint) addr.VA {
@@ -83,34 +87,32 @@ func (k *Kernel) FreeVARanges() []addr.Range {
 
 // DestroySegment releases a segment: every domain must have detached
 // first. Mapped pages are unmapped (frames freed, caches flushed, TLB
-// entries invalidated), page records and page-group state are dropped,
-// and the address range returns to the free list for reuse.
+// entries invalidated), page-group state and the execution-keyed grants
+// naming the segment are dropped, the page records die with the segment
+// after the destroy shootdowns used their sharer sets, and the address
+// range returns to the free list for reuse. Returns ErrSegmentDestroyed
+// (wrapped) on a stale handle.
 func (k *Kernel) DestroySegment(s *Segment) error {
+	if err := k.checkSegment(s, "destroy"); err != nil {
+		return err
+	}
 	if n := s.attached.Count(); n > 0 {
 		return fmt.Errorf("%w: %q has %d attachments", ErrSegmentBusy, s.Name, n)
 	}
-	if k.FindSegment(s.Base()) != s {
-		return fmt.Errorf("kernel: segment %d already destroyed", s.ID)
-	}
-	for i := uint64(0); i < s.NumPages(); i++ {
-		vpn := s.PageVPN(i)
-		if k.Mapped(vpn) {
+	for i := range s.NumPages() {
+		if vpn := s.PageVPN(i); k.Mapped(vpn) {
 			if err := k.Unmap(vpn); err != nil {
 				return err
 			}
 		}
-		k.pageTab.remove(vpn)
 	}
 	k.segOrder = slices.DeleteFunc(k.segOrder, func(seg *Segment) bool { return seg == s })
 	k.engine.onDestroySegment(s)
 	k.flushIPIs()
-	// Drop the range's sharer records only after the destroy shootdowns
-	// used them for targeting: a stale pageDir set here would otherwise
-	// outlive the segment and misdirect IPIs when the range is reused.
-	for i := uint64(0); i < s.NumPages(); i++ {
-		delete(k.pageDir, s.PageVPN(i))
-	}
-	s.pageRecs = nil
+	k.execGrants = slices.DeleteFunc(k.execGrants, func(g execGrant) bool {
+		return g.code == s || g.target == s
+	})
+	s.pages = nil
 	k.freeVAInsert(s.Range)
 	k.hSegmentsDestroyed.Inc()
 	return nil

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/addr"
-	"repro/internal/cpu"
 	"repro/internal/stats"
 )
 
@@ -309,7 +308,7 @@ type side struct {
 
 func newSide(ncpu int, proto bool) side {
 	sd := side{h: &recorder{cycles: make([]uint64, ncpu+1)}, ctrs: &stats.Counters{}, cyc: &stats.Cycles{}}
-	sd.s = New(ncpu, sd.h, cpu.DefaultCosts, sd.ctrs, sd.cyc)
+	sd.s = New(ncpu, sd.h, &testCosts, sd.ctrs, sd.cyc)
 	sd.s.AttachDevices([]DeviceSpec{{TimeoutScale: 2}})
 	if proto {
 		sd.s.EnableProtocol(testProto())
@@ -441,7 +440,7 @@ func (h *countingHandler) CPUCycles(t int) uint64 { return h.cycles[t] }
 // 80 requests to each of 4 CPUs and a device seat.
 func TestFlushZeroAllocs(t *testing.T) {
 	h := &countingHandler{cycles: make([]uint64, 5)}
-	s := New(4, h, cpu.DefaultCosts, &stats.Counters{}, &stats.Cycles{})
+	s := New(4, h, &testCosts, &stats.Counters{}, &stats.Cycles{})
 	s.AttachDevices([]DeviceSpec{{TimeoutScale: 4}})
 	s.EnableProtocol(DefaultProtocolConfig())
 	round := func() {

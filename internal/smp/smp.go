@@ -328,7 +328,7 @@ type DeviceSpec struct {
 type Shootdown struct {
 	ncpu    int
 	handler Handler
-	costs   func() cpu.CostModel
+	costs   *cpu.CostModel
 	cycles  *stats.Cycles // initiator-side kernel cycles (IPI cost)
 
 	// q[t] is target t's pending batch with its coalescing index, and
@@ -394,10 +394,10 @@ type Shootdown struct {
 	nDevFencedSkips stats.Handle
 }
 
-// New creates a shootdown subsystem for ncpu CPUs. costs is read at
-// flush time so cost-model sweeps see current values; counters register
-// under "smp." in ctrs; cycles receives the initiator-side IPI cost.
-func New(ncpu int, h Handler, costs func() cpu.CostModel, ctrs *stats.Counters, cycles *stats.Cycles) *Shootdown {
+// New creates a shootdown subsystem for ncpu CPUs. costs is the cost
+// model its charges read in place; counters register under "smp." in
+// ctrs; cycles receives the initiator-side IPI cost.
+func New(ncpu int, h Handler, costs *cpu.CostModel, ctrs *stats.Counters, cycles *stats.Cycles) *Shootdown {
 	if ncpu < 1 {
 		panic("smp: need at least one CPU")
 	}
@@ -790,9 +790,9 @@ func (s *Shootdown) chargeIPI(t int, retrans bool) {
 	if s.IsDevice(t) {
 		s.nDevIPIs.Inc()
 	}
-	ipi := s.costs().IPI
+	ipi := s.costs.IPI
 	if h := s.topo.ClusterHops(s.topo.ClusterOf(s.initiator), s.clusterOf(t)); h > 0 {
-		extra := uint64(h) * s.costs().IPIHop
+		extra := uint64(h) * s.costs.IPIHop
 		ipi += extra
 		s.hopCycles.Add(extra)
 	}
@@ -815,7 +815,7 @@ func (s *Shootdown) chargeMemHops(t int, r Request) {
 	if h == 0 {
 		return
 	}
-	extra := uint64(h) * s.costs().MemHop
+	extra := uint64(h) * s.costs.MemHop
 	s.cycles.Add(extra)
 	s.hopCycles.Add(extra)
 }

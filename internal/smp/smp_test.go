@@ -28,11 +28,14 @@ func (h *fakeHandler) ApplyShootdown(c int, r Request) int {
 
 func (h *fakeHandler) CPUCycles(c int) uint64 { return h.cycles[c] }
 
+// testCosts is the cost model every test shootdown charges.
+var testCosts = cpu.DefaultCosts()
+
 func newTestShootdown(n int) (*Shootdown, *fakeHandler, *stats.Counters, *stats.Cycles) {
 	h := newFakeHandler(n)
 	ctrs := &stats.Counters{}
 	cyc := &stats.Cycles{}
-	s := New(n, h, cpu.DefaultCosts, ctrs, cyc)
+	s := New(n, h, &testCosts, ctrs, cyc)
 	return s, h, ctrs, cyc
 }
 
@@ -268,7 +271,7 @@ func TestNewValidation(t *testing.T) {
 			t.Error("New with 0 CPUs did not panic")
 		}
 	}()
-	New(0, newFakeHandler(1), cpu.DefaultCosts, &stats.Counters{}, &stats.Cycles{})
+	New(0, newFakeHandler(1), &testCosts, &stats.Counters{}, &stats.Cycles{})
 }
 
 // testProto is a small, fast-converging tuning for protocol tests.
