@@ -6,6 +6,9 @@ import (
 	"repro/internal/addr"
 	"repro/internal/cpu"
 	"repro/internal/machine"
+	"repro/internal/plb"
+	"repro/internal/stats"
+	"repro/internal/tlb"
 	"repro/internal/trace"
 )
 
@@ -102,5 +105,41 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestDomainPurgeZeroAllocs guards the domain-keyed purges, which walk
+// only the purged domain's chain: once a default PLB and ASID TLB are
+// full of eight domains' entries, purging a domain and refilling its
+// pages must not allocate.
+func TestDomainPurgeZeroAllocs(t *testing.T) {
+	const domains, pages = 8, 16
+	var ctrs stats.Counters
+	p := plb.MustNew(plb.DefaultConfig(), &ctrs, "plb")
+	as := tlb.NewASID(machine.DefaultConvConfig().TLB, &ctrs, "tlb")
+	geo := addr.BaseGeometry()
+	fill := func(d int) {
+		for i := range pages {
+			vpn := addr.VPN(1<<20 + i)
+			p.Insert(addr.DomainID(d), geo.Base(vpn), geo.Shift(), addr.RW)
+			as.Insert(addr.ASID(d), vpn, tlb.ASIDEntry{PFN: addr.PFN(i), Rights: addr.RW})
+		}
+	}
+	for d := 1; d <= domains; d++ {
+		fill(d)
+	}
+	cycle := func() {
+		for d := 1; d <= domains; d++ {
+			if n := p.PurgeDomain(addr.DomainID(d)); n != pages {
+				t.Fatalf("PLB PurgeDomain(%d) removed %d, want %d", d, n, pages)
+			}
+			if n := as.PurgeAS(addr.ASID(d)); n != pages {
+				t.Fatalf("PurgeAS(%d) removed %d, want %d", d, n, pages)
+			}
+			fill(d)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a purge-and-refill cycle of %d domains allocates %.1f times, want 0", domains, allocs)
 	}
 }

@@ -9,6 +9,13 @@
 // operations single address space kernels need (e.g. purging one domain's
 // or one segment's entries from a PLB on detach).
 //
+// A structure built with NewOwned also knows each key's owner (the PLB's
+// and the IOTLB's domain, the ASID TLB's address space), so purges,
+// updates and emptiness tests confined to one owner visit only that
+// owner's entries. They still report every valid entry as inspected: the
+// hardware they model scans the whole structure, and the machines charge
+// it that way.
+//
 // The simulator probes these structures on every reference, so no keyed
 // operation uses a Go map or passes over a set's ways to place a fill or
 // choose a victim:
@@ -27,15 +34,23 @@
 //     the structure's index function by a Fibonacci multiply, chained
 //     through per-way links in the slab. A smaller set compares the keys
 //     of its live ways, as hardware compares a set's tags.
+//   - An owned structure threads each live way onto its owner's chain, a
+//     doubly linked list through a second links array parallel to the
+//     slab, kept up on insert, eviction and removal. Owner-scoped
+//     operations walk the chain instead of every way.
 //   - PurgeAll bumps a generation counter. A set whose generation is stale
-//     reads as empty and is reset when Insert next fills it, so a full purge
-//     is O(1).
+//     reads as empty and is reset when Insert next fills it, and an owner
+//     chain head stamped with a stale generation reads as an empty chain,
+//     so a full purge is O(1).
 //
 // Placement, victims, return values and ForEach order are exactly those of
 // a plain scan over timestamped ways, which reference_test.go keeps and
 // FuzzCacheMatchesReference holds Cache to: the lowest free way takes a
 // fill, LRU and FIFO evict the way with the oldest use or insert stamp, and
-// scans visit sets, then ways, in ascending order.
+// scans visit sets, then ways, in ascending order. An owner-scoped
+// operation matches the reference's scan filtered by owner; it removes
+// ways in chain order, which leaves the same recency lists, bitmaps and
+// tag chains as removing them in way order.
 package assoc
 
 import (
@@ -108,9 +123,18 @@ type entry[K comparable, V any] struct {
 	chain int32
 }
 
-// link places a live way on its set's circular recency list. prev and
-// next are way numbers within the set.
+// link places a live way on its set's circular recency list, where prev
+// and next are way numbers within the set, or on its owner's chain, where
+// they are slab positions + 1 and 0 ends the chain.
 type link struct{ prev, next int32 }
+
+// ownerHead is the slab position + 1 at the head of one owner's chain, 0
+// when the chain is empty. The chain is empty, too, unless gen equals the
+// structure's generation.
+type ownerHead struct {
+	gen  uint32
+	head int32
+}
 
 // set is one set's bookkeeping; its live bitmap is kept apart, in
 // Cache.live.
@@ -158,6 +182,14 @@ type Cache[K comparable, V any] struct {
 	// nil when lookups compare keys within the set instead.
 	buckets     []int32
 	bucketShift uint
+
+	// owner maps a key to its owner under NewOwned, and is nil otherwise.
+	// olinks holds the ways' owner-chain links, parallel to the slab, and
+	// heads each owner's chain head, indexed by owner; both are nil
+	// without an owner function.
+	owner  func(K) uint32
+	olinks []link
+	heads  []ownerHead
 }
 
 // New creates a Cache with the given configuration. index maps a key to a
@@ -197,6 +229,21 @@ func New[K comparable, V any](cfg Config, index func(K) uint64) *Cache[K, V] {
 		c.buckets = make([]int32, 1<<n)
 		c.bucketShift = 64 - n
 	}
+	return c
+}
+
+// NewOwned is New for a structure whose keys each belong to an owner:
+// owner maps a key to it, and the owner-scoped operations (PurgeOwner,
+// UpdateOwner, HasOwner) then visit only that owner's entries. Owners
+// should be small integers, such as domain IDs: the table of chain heads
+// is indexed by owner and grows to the largest one seen.
+func NewOwned[K comparable, V any](cfg Config, index func(K) uint64, owner func(K) uint32) *Cache[K, V] {
+	if owner == nil {
+		panic("assoc: owner function required")
+	}
+	c := New[K, V](cfg, index)
+	c.owner = owner
+	c.olinks = make([]link, cfg.Capacity())
 	return c
 }
 
@@ -351,6 +398,13 @@ func (c *Cache[K, V]) Insert(k K, v V) (evictedKey K, evictedVal V, evicted bool
 			c.unchain(i)
 		}
 	}
+	if c.olinks != nil {
+		// disown reads the evicted key, still in the way.
+		if evicted {
+			c.disown(base + i)
+		}
+		c.own(base+i, c.owner(k))
+	}
 	e := &c.slab[base+i]
 	e.key, e.val = k, v
 	if c.buckets != nil {
@@ -442,6 +496,50 @@ func (c *Cache[K, V]) unchain(i int) {
 	*p = c.slab[i].chain
 }
 
+// own puts slab position p at the head of owner o's chain.
+func (c *Cache[K, V]) own(p int, o uint32) {
+	if int(o) >= len(c.heads) {
+		heads := make([]ownerHead, max(int(o)+1, 2*len(c.heads)))
+		copy(heads, c.heads)
+		c.heads = heads
+	}
+	h := &c.heads[o]
+	if h.gen != c.gen {
+		*h = ownerHead{gen: c.gen}
+	}
+	c.olinks[p] = link{next: h.head}
+	if h.head != 0 {
+		c.olinks[h.head-1].prev = int32(p + 1)
+	}
+	h.head = int32(p + 1)
+}
+
+// disown takes slab position p off its owner's chain. Only a chain's
+// head needs its owner looked up.
+func (c *Cache[K, V]) disown(p int) {
+	l := c.olinks[p]
+	if l.prev != 0 {
+		c.olinks[l.prev-1].next = l.next
+	} else {
+		c.heads[c.owner(c.slab[p].key)].head = l.next
+	}
+	if l.next != 0 {
+		c.olinks[l.next-1].prev = l.prev
+	}
+}
+
+// chain returns the slab position + 1 at the head of owner o's chain, or
+// 0 when o holds no entry.
+func (c *Cache[K, V]) chain(o uint32) int32 {
+	if c.owner == nil {
+		panic("assoc: owner-scoped operation on a structure built without an owner")
+	}
+	if int(o) < len(c.heads) && c.heads[o].gen == c.gen {
+		return c.heads[o].head
+	}
+	return 0
+}
+
 // remove empties way i of set si.
 func (c *Cache[K, V]) remove(si, i int) {
 	c.live[si*c.words+i>>6] &^= 1 << (i & 63)
@@ -451,6 +549,9 @@ func (c *Cache[K, V]) remove(si, i int) {
 	}
 	if c.buckets != nil {
 		c.unchain(i)
+	}
+	if c.olinks != nil {
+		c.disown(si*c.ways + i)
 	}
 }
 
@@ -517,31 +618,41 @@ func (c *Cache[K, V]) purgeSet(si int, pred func(K, V) bool) (removed, inspected
 	return removed, inspected
 }
 
-// UpdateIf rewrites the value of every entry matching pred using fn,
-// preserving replacement state. It returns the number updated and the
-// number of valid entries inspected (the scan cost).
-func (c *Cache[K, V]) UpdateIf(pred func(K, V) bool, fn func(K, V) V) (updated, inspected int) {
-	if c.size == 0 {
-		return 0, 0
-	}
-	for si := range c.sets {
-		if !c.current(si) {
-			continue
+// PurgeOwner removes owner o's entries for which pred returns true, or
+// all of them when pred is nil, visiting only o's chain. Like PurgeIf it
+// returns the number removed and the number of valid entries in the
+// structure as the number inspected: the hardware scans every entry to
+// find o's, whatever the host visits.
+func (c *Cache[K, V]) PurgeOwner(o uint32, pred func(K, V) bool) (removed, inspected int) {
+	inspected = c.size
+	for p := c.chain(o); p != 0; {
+		e := &c.slab[p-1]
+		next := c.olinks[p-1].next
+		if pred == nil || pred(e.key, e.val) {
+			c.remove(int(p-1)/c.ways, int(p-1)%c.ways)
+			removed++
 		}
-		base := si * c.ways
-		for j, w := range c.bitmap(si) {
-			for ; w != 0; w &= w - 1 {
-				e := &c.slab[base+(j<<6|bits.TrailingZeros64(w))]
-				inspected++
-				if pred(e.key, e.val) {
-					e.val = fn(e.key, e.val)
-					updated++
-				}
-			}
-		}
+		p = next
 	}
-	return updated, inspected
+	return removed, inspected
 }
+
+// UpdateOwner rewrites with fn the value of each of owner o's entries for
+// which pred returns true, preserving replacement state and visiting only
+// o's chain. It returns the number updated and, as PurgeOwner does, the
+// number of valid entries as the number inspected.
+func (c *Cache[K, V]) UpdateOwner(o uint32, pred func(K, V) bool, fn func(K, V) V) (updated, inspected int) {
+	for p := c.chain(o); p != 0; p = c.olinks[p-1].next {
+		if e := &c.slab[p-1]; pred(e.key, e.val) {
+			e.val = fn(e.key, e.val)
+			updated++
+		}
+	}
+	return updated, c.size
+}
+
+// HasOwner reports whether owner o holds any valid entry.
+func (c *Cache[K, V]) HasOwner(o uint32) bool { return c.chain(o) != 0 }
 
 // PurgeAll removes every entry, returning how many were valid. The purge
 // is O(1): the generation counter advances, orphaning every set.
@@ -558,6 +669,7 @@ func (c *Cache[K, V]) PurgeAll() int {
 		clear(c.sets)
 		clear(c.live)
 		clear(c.buckets)
+		clear(c.heads)
 	}
 	return removed
 }

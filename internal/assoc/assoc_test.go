@@ -256,6 +256,10 @@ func TestNewPanics(t *testing.T) {
 	assertPanics("bad config", func() { New[int, int](Config{Sets: 0, Ways: 1}, nil) })
 	assertPanics("nil index with sets>1", func() { New[int, int](Config{Sets: 2, Ways: 1}, nil) })
 	assertPanics("nil index fully associative", func() { New[int, int](Config{Sets: 1, Ways: 128}, nil) })
+	assertPanics("nil owner", func() { NewOwned[int, int](Config{Sets: 1, Ways: 1}, func(int) uint64 { return 0 }, nil) })
+	assertPanics("owner-scoped purge without an owner", func() {
+		New[int, int](Config{Sets: 1, Ways: 1}, func(int) uint64 { return 0 }).PurgeOwner(0, nil)
+	})
 }
 
 // Property: the cache never exceeds capacity, and a key just inserted is
@@ -331,21 +335,25 @@ func TestLRUNoThrashWithinCapacity(t *testing.T) {
 	}
 }
 
-func TestUpdateIf(t *testing.T) {
-	c := fullAssoc(8, LRU)
+// byParity owns each key by its parity: two owners whose entries
+// interleave in the ways.
+func byParity(k uint64) uint32 { return uint32(k % 2) }
+
+func TestUpdateOwner(t *testing.T) {
+	c := NewOwned[uint64, string](Config{Sets: 1, Ways: 8, Policy: LRU}, identity, byParity)
 	for i := uint64(0); i < 6; i++ {
 		c.Insert(i, "old")
 	}
-	updated, inspected := c.UpdateIf(
-		func(k uint64, _ string) bool { return k%2 == 0 },
+	updated, inspected := c.UpdateOwner(0,
+		func(k uint64, _ string) bool { return k != 2 },
 		func(uint64, string) string { return "new" })
-	if updated != 3 || inspected != 6 {
+	if updated != 2 || inspected != 6 {
 		t.Fatalf("updated=%d inspected=%d", updated, inspected)
 	}
 	for i := uint64(0); i < 6; i++ {
 		v, _ := c.Peek(i)
 		want := "old"
-		if i%2 == 0 {
+		if i == 0 || i == 4 {
 			want = "new"
 		}
 		if v != want {
@@ -353,7 +361,41 @@ func TestUpdateIf(t *testing.T) {
 		}
 	}
 	if c.Len() != 6 {
-		t.Fatal("UpdateIf changed Len")
+		t.Fatal("UpdateOwner changed Len")
+	}
+}
+
+// TestPurgeOwner purges one owner's entries after an eviction took the
+// head of its chain (its most recent insert), and checks that the other
+// owner's entries and the freed ways stay usable.
+func TestPurgeOwner(t *testing.T) {
+	c := NewOwned[uint64, string](Config{Sets: 1, Ways: 4, Policy: LRU}, identity, byParity)
+	for i := uint64(0); i < 4; i++ {
+		c.Insert(i, "v")
+	}
+	c.Lookup(0)
+	c.Lookup(1)
+	c.Lookup(3)
+	if k, _, _ := c.Insert(5, "v"); k != 2 {
+		t.Fatalf("evicted %d, want 2", k)
+	}
+	if !c.HasOwner(0) || !c.HasOwner(1) || c.HasOwner(2) {
+		t.Fatal("HasOwner wrong after evicting owner 0's chain head")
+	}
+	removed, inspected := c.PurgeOwner(0, nil)
+	if removed != 1 || inspected != 4 || c.Len() != 3 || c.HasOwner(0) {
+		t.Fatalf("PurgeOwner(0) = %d,%d; Len %d, HasOwner %v", removed, inspected, c.Len(), c.HasOwner(0))
+	}
+	removed, _ = c.PurgeOwner(1, func(k uint64, _ string) bool { return k > 1 })
+	if removed != 2 || c.Len() != 1 {
+		t.Fatalf("PurgeOwner(1, k > 1) removed %d, Len %d", removed, c.Len())
+	}
+	if _, ok := c.Peek(1); !ok {
+		t.Fatal("key 1 purged by a predicate that spares it")
+	}
+	c.PurgeAll()
+	if c.HasOwner(1) {
+		t.Fatal("HasOwner after PurgeAll")
 	}
 }
 
@@ -362,8 +404,8 @@ func TestUpdateIf(t *testing.T) {
 // as current again.
 func TestPurgeAllGenerationWrap(t *testing.T) {
 	for _, cfg := range []Config{{Sets: 4, Ways: 2}, {Sets: 1, Ways: 128}} {
-		c := New[uint64, int](cfg, identity)
-		c.Insert(1, 10)        // resets its set in generation 0
+		c := NewOwned[uint64, int](cfg, identity, byParity)
+		c.Insert(1, 10)        // resets its set and owner 1's chain in generation 0
 		c.gen = math.MaxUint32 // as if 2^32-1 purges had passed
 		c.Insert(2, 20)
 		if n := c.PurgeAll(); n != 2 {
@@ -372,6 +414,9 @@ func TestPurgeAllGenerationWrap(t *testing.T) {
 		for _, k := range []uint64{1, 2} {
 			if _, ok := c.Peek(k); ok {
 				t.Fatalf("%+v: key %d survived the wrapping PurgeAll", cfg, k)
+			}
+			if c.HasOwner(byParity(k)) {
+				t.Fatalf("%+v: owner of key %d has a chain after the wrapping PurgeAll", cfg, k)
 			}
 		}
 		c.Insert(3, 30)

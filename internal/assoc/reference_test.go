@@ -216,18 +216,35 @@ var fuzzIndexes = []func(uint64) uint64{
 	func(uint64) uint64 { return 0 },
 }
 
+// fuzzOwners are the owner functions a fuzz input picks from: three
+// owners interleaved across sets and ways, as domains share a PLB; one per
+// run of eight keys, so the chain heads grow to a thousand owners; one
+// owner of everything; and none, the structure New builds.
+var fuzzOwners = []func(uint64) uint32{
+	func(k uint64) uint32 { return uint32(k % 3) },
+	func(k uint64) uint32 { return uint32(k >> 3) },
+	func(uint64) uint32 { return 0 },
+	nil,
+}
+
 // FuzzCacheMatchesReference drives Cache and the scan-based reference
 // with the same decoded op stream and requires identical behaviour after
 // every op: hit and value results, evicted key, value and flag, removed,
-// updated and inspected counts, Len, and ForEach's visiting order.
+// updated and inspected counts, owner tests, Len, and ForEach's visiting
+// order. An owner-scoped op is held to the reference's PurgeIf, UpdateIf
+// or scan filtered by owner.
 //
 // The input's first three bytes pick the geometry, the policy and Random
-// seed, and the index function. Each following 3-byte record is one op:
-// the low 3 bits of its first byte select it, and the other two bytes give
-// the key (reduced to twice the capacity, so hits and misses both occur) or
-// the predicate's modulus. An Insert inserts a run of consecutive keys: 1-4
-// of them, or one more than the capacity when the op byte's top bits are
-// all set, so small inputs still fill and overflow the largest sets.
+// seed, and the index function (third byte mod 4) and owner function
+// (third byte / 4). Each following 3-byte record is one op: the low 3 bits
+// of its first byte select it, and the other two bytes give the key
+// (reduced to twice the capacity, so hits and misses both occur) or the
+// predicate's modulus. An Insert inserts a run of consecutive keys: 1-4 of
+// them, or one more than the capacity when the op byte's top bits are all
+// set, so small inputs still fill and overflow the largest sets. Bit 3 of
+// the op byte turns a PurgeIf into PurgeOwner and an UpdateOwner into
+// HasOwner, for the owner of the record's key; bit 4 drops PurgeOwner's
+// predicate. Without an owner function the owner ops do nothing.
 func FuzzCacheMatchesReference(f *testing.F) {
 	f.Add([]byte{4, 0, 2, 2, 1, 0, 0, 1, 0, 250, 3, 0, 3, 7, 0, 4, 9, 0, 7, 0, 0, 5, 3, 0, 6, 4, 0})
 	f.Add([]byte{8, 1, 0, 250, 0, 0, 6, 2, 0, 0, 5, 0, 2, 5, 0})
@@ -239,7 +256,11 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		g := fuzzGeometries[int(data[0])%len(fuzzGeometries)]
 		cfg := Config{Sets: g.sets, Ways: g.ways, Policy: Policy(data[1] % 3), Seed: int64(data[1] / 3)}
 		index := fuzzIndexes[int(data[2])%len(fuzzIndexes)]
+		owner := fuzzOwners[int(data[2]/4)%len(fuzzOwners)]
 		c := New[uint64, uint64](cfg, index)
+		if owner != nil {
+			c = NewOwned[uint64, uint64](cfg, index, owner)
+		}
 		ref := newRef[uint64, uint64](cfg, index)
 		keySpace := uint64(2*cfg.Capacity() + 3)
 		data = data[3:]
@@ -249,6 +270,15 @@ func FuzzCacheMatchesReference(f *testing.F) {
 			k, v := arg%keySpace, uint64(step)<<20
 			m := 2 + arg%5
 			pred := func(k, v uint64) bool { return (k+v>>20)%m == 0 }
+			// An owner op targets the owner of the record's key, and the
+			// reference filters its scan to that owner's entries.
+			var o uint32
+			if owner != nil {
+				o = owner(k)
+			}
+			mine := func(p func(k, v uint64) bool) func(k, v uint64) bool {
+				return func(k, v uint64) bool { return owner(k) == o && (p == nil || p(k, v)) }
+			}
 			switch op % 8 {
 			case 0:
 				got, ok := c.Lookup(k)
@@ -287,17 +317,40 @@ func FuzzCacheMatchesReference(f *testing.F) {
 					t.Fatalf("step %d: Invalidate(%d) = %v, reference %v", step, k, got, want)
 				}
 			case 5:
+				if op&8 != 0 && owner != nil {
+					opred := pred
+					if op&16 != 0 {
+						opred = nil
+					}
+					r, n := c.PurgeOwner(o, opred)
+					wr, wn := ref.PurgeIf(mine(opred))
+					if r != wr || n != wn {
+						t.Fatalf("step %d: PurgeOwner(%d) = %d,%d, reference %d,%d", step, o, r, n, wr, wn)
+					}
+					break
+				}
 				r, n := c.PurgeIf(pred)
 				wr, wn := ref.PurgeIf(pred)
 				if r != wr || n != wn {
 					t.Fatalf("step %d: PurgeIf = %d,%d, reference %d,%d", step, r, n, wr, wn)
 				}
 			case 6:
+				if owner == nil {
+					break
+				}
+				if op&8 != 0 {
+					want := false
+					ref.ForEach(func(k, _ uint64) bool { want = owner(k) == o; return !want })
+					if got := c.HasOwner(o); got != want {
+						t.Fatalf("step %d: HasOwner(%d) = %v, reference %v", step, o, got, want)
+					}
+					break
+				}
 				bump := func(k, v uint64) uint64 { return v + k + 1 }
-				u, n := c.UpdateIf(pred, bump)
-				wu, wn := ref.UpdateIf(pred, bump)
+				u, n := c.UpdateOwner(o, pred, bump)
+				wu, wn := ref.UpdateIf(mine(pred), bump)
 				if u != wu || n != wn {
-					t.Fatalf("step %d: UpdateIf = %d,%d, reference %d,%d", step, u, n, wu, wn)
+					t.Fatalf("step %d: UpdateOwner(%d) = %d,%d, reference %d,%d", step, o, u, n, wu, wn)
 				}
 			case 7:
 				if got, want := c.PurgeAll(), ref.PurgeAll(); got != want {

@@ -233,9 +233,9 @@ func New(cfg Config, os OS, ctrs *stats.Counters) *Device {
 	acfg := assoc.Config{Sets: 1, Ways: cfg.Entries, Policy: assoc.LRU}
 	switch cfg.Org {
 	case OrgDomainPage:
-		d.dp = assoc.New[dpKey, dpEntry](acfg, func(k dpKey) uint64 {
+		d.dp = assoc.NewOwned[dpKey, dpEntry](acfg, func(k dpKey) uint64 {
 			return uint64(k.vpn) ^ uint64(k.d)<<13
-		})
+		}, func(k dpKey) uint32 { return uint32(k.d) })
 	case OrgPageGroup:
 		d.pg = assoc.New[addr.VPN, pgEntry](acfg, func(v addr.VPN) uint64 { return uint64(v) })
 	default:
@@ -499,15 +499,7 @@ func (d *Device) PurgeAll() int {
 // directory uses this for provable last-entry withdrawal.
 func (d *Device) HasDomainEntries(dom addr.DomainID) bool {
 	if d.dp != nil {
-		found := false
-		d.dp.ForEach(func(k dpKey, _ dpEntry) bool {
-			if k.d == dom {
-				found = true
-				return false
-			}
-			return true
-		})
-		return found
+		return d.dp.HasOwner(uint32(dom))
 	}
 	// Page-group entries are domain-neutral translations; the domain's
 	// cached authority is its membership set.
@@ -584,17 +576,18 @@ func (d *Device) apply(r smp.Request) (affected, inspected int) {
 				return 1, 1
 			}
 			return 0, 1
+		// The domain-keyed kinds are charged a scan of every valid entry
+		// (the inspected count), but walk only the domain's own.
 		case smp.RangeRights:
-			upd, insp := d.dp.UpdateIf(
-				func(k dpKey, _ dpEntry) bool { return k.d == r.Domain && inRange(k.vpn) },
+			return d.dp.UpdateOwner(uint32(r.Domain),
+				func(k dpKey, _ dpEntry) bool { return inRange(k.vpn) },
 				func(_ dpKey, e dpEntry) dpEntry { e.rights = r.Rights; return e })
-			return upd, insp
 		case smp.RangeDetach:
-			return d.dp.PurgeIf(func(k dpKey, _ dpEntry) bool { return k.d == r.Domain && inRange(k.vpn) })
+			return d.dp.PurgeOwner(uint32(r.Domain), func(k dpKey, _ dpEntry) bool { return inRange(k.vpn) })
 		case smp.DomainPurge:
 			// Domain destruction: drop every IOTLB entry keyed by the dying
 			// domain (one scan, the device-side analog of PurgeDomain).
-			return d.dp.PurgeIf(func(k dpKey, _ dpEntry) bool { return k.d == r.Domain })
+			return d.dp.PurgeOwner(uint32(r.Domain), nil)
 		case smp.RangePurge:
 			return d.dp.PurgeIf(func(k dpKey, _ dpEntry) bool { return inRange(k.vpn) })
 		case smp.PurgeAllProt:
@@ -614,7 +607,7 @@ func (d *Device) apply(r smp.Request) (affected, inspected int) {
 			// bookkeeping the agent cannot tell which pages the group
 			// covers, so it conservatively drops the domain's entries.
 			if r.Domain == d.onBehalf {
-				return d.dp.PurgeIf(func(k dpKey, _ dpEntry) bool { return k.d == r.Domain })
+				return d.dp.PurgeOwner(uint32(r.Domain), nil)
 			}
 			return 0, 0
 		}

@@ -121,6 +121,65 @@ func TestDiskFullIsNotModeled(t *testing.T) {
 	}
 }
 
+// TestDiskBlocksReleased pages out both pages of a segment, faults one
+// back in and destroys the segment: the default pager keeps a block only
+// while a page's contents live on disk.
+func TestDiskBlocksReleased(t *testing.T) {
+	k := New(DefaultConfig(ModelDomainPage))
+	d := k.CreateDomain()
+	s := k.CreateSegment(2, SegmentOptions{})
+	k.Attach(d, s, addr.RW)
+	for p := uint64(0); p < 2; p++ {
+		if err := k.Store(d, s.PageVA(p), p+1); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.PageOut(s.PageVPN(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := k.Disk().Len(); n != 2 {
+		t.Fatalf("after two page-outs: disk blocks = %d, want 2", n)
+	}
+	if v, err := k.Load(d, s.PageVA(0)); err != nil || v != 1 {
+		t.Fatalf("page 0 after page-in = %d, %v; want 1", v, err)
+	}
+	if n := k.Disk().Len(); n != 1 {
+		t.Fatalf("after paging page 0 in: disk blocks = %d, want 1", n)
+	}
+	if err := k.Detach(d, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.DestroySegment(s); err != nil {
+		t.Fatal(err)
+	}
+	if n := k.Disk().Len(); n != 0 {
+		t.Fatalf("after destroying the segment: disk blocks = %d, want 0", n)
+	}
+}
+
+// TestResidentFIFOOnlyUnderAutoEvict runs 1,000 segment lifetimes with
+// the page daemon off: the FIFO that only the daemon reads stays empty.
+func TestResidentFIFOOnlyUnderAutoEvict(t *testing.T) {
+	k := New(DefaultConfig(ModelDomainPage))
+	d := k.CreateDomain()
+	for i := range 1000 {
+		s := k.CreateSegment(1, SegmentOptions{})
+		k.Attach(d, s, addr.RW)
+		if err := k.Store(d, s.PageVA(0), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Detach(d, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.DestroySegment(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(k.residentFIFO); n != 0 {
+		t.Fatalf("residentFIFO holds %d pages, want 0", n)
+	}
+}
+
 func TestAutoEvictSurvivesPressure(t *testing.T) {
 	for _, m := range []Model{ModelDomainPage, ModelPageGroup, ModelConventional} {
 		t.Run(m.String(), func(t *testing.T) {

@@ -107,7 +107,10 @@ func (k *Kernel) mapFresh(vpn addr.VPN) error {
 		}
 		return err
 	}
-	k.residentFIFO = append(k.residentFIFO, vpn)
+	if k.cfg.AutoEvict {
+		// The page daemon is the FIFO's only reader.
+		k.residentFIFO = append(k.residentFIFO, vpn)
+	}
 	return nil
 }
 
@@ -308,11 +311,13 @@ func (p diskPager) Out(vpn addr.VPN, data []byte) error {
 }
 
 func (p diskPager) In(vpn addr.VPN) ([]byte, error) {
-	// Peek: PageIn copies the bytes into the frame immediately.
+	// Peek, then release the block: PageIn copies the bytes into the
+	// frame immediately, and nothing reads them again.
 	data, err := p.k.disk.Peek(uint64(vpn))
 	if err != nil {
 		return nil, err
 	}
+	p.k.disk.Delete(uint64(vpn))
 	p.k.cycles.Add(p.k.cost.DiskRead)
 	return data, nil
 }

@@ -100,10 +100,14 @@ func (k *Kernel) DestroySegment(s *Segment) error {
 		return fmt.Errorf("%w: %q has %d attachments", ErrSegmentBusy, s.Name, n)
 	}
 	for i := range s.NumPages() {
-		if vpn := s.PageVPN(i); k.Mapped(vpn) {
+		vpn := s.PageVPN(i)
+		if k.Mapped(vpn) {
 			if err := k.Unmap(vpn); err != nil {
 				return err
 			}
+		} else if s.pages[i].onDisk {
+			// The default pager's block dies with the page.
+			k.disk.Delete(uint64(vpn))
 		}
 	}
 	k.segOrder = slices.DeleteFunc(k.segOrder, func(seg *Segment) bool { return seg == s })

@@ -216,9 +216,8 @@ func (m *ConventionalMachine) Access(va addr.VA, kind addr.AccessKind) cpu.Outco
 		m.cycles.Add(c.Install)
 		if m.obs != nil {
 			// A combined-TLB entry carries both the domain's rights and
-			// the translation, so it feeds both directory axes.
+			// the translation; NoteProtInstall notes both.
 			m.obs.NoteProtInstall(m.domain, vpn)
-			m.obs.NotePageInstall(vpn)
 		}
 	}
 	if !entry.Rights.Allows(kind) {
@@ -347,15 +346,10 @@ func (m *ConventionalMachine) MaxCycles() (apply, purge uint64) {
 	return max(c.Install, unmap), cacheLines * (c.CacheLineFlush + c.Writeback)
 }
 
-// HasDomainEntries implements Seat by scanning the TLB for an entry of
-// domain d's address space.
+// HasDomainEntries implements Seat: whether the TLB chain of domain d's
+// address space is non-empty.
 func (m *ConventionalMachine) HasDomainEntries(d addr.DomainID) bool {
-	found := false
-	m.tlb.ForEach(func(key tlb.ASIDKey, _ tlb.ASIDEntry) bool {
-		found = key.AS == addr.ASID(d)
-		return !found
-	})
-	return found
+	return m.tlb.HasAS(addr.ASID(d))
 }
 
 // Entries implements Seat: ASID-TLB entries, each tagged with its

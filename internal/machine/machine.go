@@ -86,9 +86,11 @@ type ProtShifter interface {
 type ResidencyObserver interface {
 	// NoteProtInstall records that the executing CPU installed a
 	// protection entry for (d, vpn): PLB entry, ASID-tagged TLB entry.
+	// It notes the page too, as NotePageInstall would, so an entry that
+	// also carries the translation is reported once.
 	NoteProtInstall(d addr.DomainID, vpn addr.VPN)
 	// NotePageInstall records that the executing CPU installed
-	// translation state for vpn (trans-TLB, PG-TLB, ASID TLB entries).
+	// translation state for vpn (trans-TLB, PG-TLB entries).
 	NotePageInstall(vpn addr.VPN)
 }
 

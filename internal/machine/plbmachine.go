@@ -304,16 +304,9 @@ func (m *PLBMachine) MaxCycles() (apply, purge uint64) {
 	return apply, c.RegisterWrite + uint64(m.cache.Capacity())*(c.CacheLineFlush+c.Writeback)
 }
 
-// HasDomainEntries implements Seat by scanning the PLB for an entry of
-// domain d.
-func (m *PLBMachine) HasDomainEntries(d addr.DomainID) bool {
-	found := false
-	m.plb.ForEach(func(key plb.Key, _ addr.Rights) bool {
-		found = key.Domain == d
-		return !found
-	})
-	return found
-}
+// HasDomainEntries implements Seat: whether domain d's PLB chain is
+// non-empty.
+func (m *PLBMachine) HasDomainEntries(d addr.DomainID) bool { return m.plb.HasDomain(d) }
 
 // Entries implements Seat: PLB entries at their own shift, then
 // translation-TLB entries and data-cache lines.

@@ -41,10 +41,11 @@ func (d *Disk) Read(key uint64) ([]byte, error) {
 }
 
 // Peek is Read without the copy: the returned slice aliases the stored
-// block and must be treated as read-only; it is valid until the block is
-// overwritten or deleted. Accounting is identical to Read. Hot transfer
-// paths whose consumers copy the bytes anyway (page-in, image restore)
-// use this to avoid a per-block intermediate buffer.
+// block and must be treated as read-only. Write stores a fresh copy and
+// Delete only drops the block, so the slice stays intact after either.
+// Accounting is identical to Read. Hot transfer paths whose consumers
+// copy the bytes anyway (page-in, image restore) use this to avoid a
+// per-block intermediate buffer.
 func (d *Disk) Peek(key uint64) ([]byte, error) {
 	b, ok := d.blocks[key]
 	if !ok {

@@ -134,9 +134,9 @@ func New(cfg Config, ctrs *stats.Counters, prefix string) (*PLB, error) {
 		p.shifts8[i] = uint8(s)
 	}
 	p.shift0 = p.shifts8[0]
-	p.c = assoc.New[Key, addr.Rights](cfg.Assoc, func(k Key) uint64 {
+	p.c = assoc.NewOwned[Key, addr.Rights](cfg.Assoc, func(k Key) uint64 {
 		return k.Page ^ uint64(k.Domain)<<13 ^ uint64(k.Shift)<<29
-	})
+	}, func(k Key) uint32 { return uint32(k.Domain) })
 	p.nHit = ctrs.Handle(prefix + ".hit")
 	p.nMiss = ctrs.Handle(prefix + ".miss")
 	p.nInstall = ctrs.Handle(prefix + ".install")
@@ -251,22 +251,22 @@ func (p *PLB) Invalidate(d addr.DomainID, va addr.VA) bool {
 	return found
 }
 
+// span returns the byte range an entry covers.
+func (k Key) span() addr.Range {
+	return addr.Range{Start: addr.VA(k.Page << k.Shift), Length: uint64(1) << k.Shift}
+}
+
 // UpdateRange rewrites the rights of all of domain d's resident entries
 // overlapping the byte range [start, start+length), returning how many
 // were updated. Like PurgeRange it must inspect every resident entry —
 // the "inspect each entry in the PLB" cost of the Table 1 operations that
 // change a domain's rights to a whole segment (GC flip, checkpoint
-// restrict).
+// restrict) — though the host visits only d's.
 func (p *PLB) UpdateRange(d addr.DomainID, start addr.VA, length uint64, r addr.Rights) int {
 	rng := addr.Range{Start: start, Length: length}
-	updated, inspected := p.c.UpdateIf(func(k Key, _ addr.Rights) bool {
-		if k.Domain != d {
-			return false
-		}
-		size := uint64(1) << k.Shift
-		entry := addr.Range{Start: addr.VA(k.Page << k.Shift), Length: size}
-		return entry.Overlaps(rng)
-	}, func(Key, addr.Rights) addr.Rights { return r })
+	updated, inspected := p.c.UpdateOwner(uint32(d),
+		func(k Key, _ addr.Rights) bool { return k.span().Overlaps(rng) },
+		func(Key, addr.Rights) addr.Rights { return r })
 	p.nUpdate.Add(uint64(updated))
 	p.nInspected.Add(uint64(inspected))
 	return updated
@@ -278,49 +278,30 @@ func (p *PLB) UpdateRange(d addr.DomainID, start addr.VA, length uint64, r addr.
 // PLB entry; the inspection count is recorded for the cost model.
 func (p *PLB) PurgeRange(d addr.DomainID, start addr.VA, length uint64) int {
 	r := addr.Range{Start: start, Length: length}
-	removed, inspected := p.c.PurgeIf(func(k Key, _ addr.Rights) bool {
-		if k.Domain != d {
-			return false
-		}
-		size := uint64(1) << k.Shift
-		entry := addr.Range{Start: addr.VA(k.Page << k.Shift), Length: size}
-		return entry.Overlaps(r)
-	})
-	p.nPurged.Add(uint64(removed))
-	p.nInspected.Add(uint64(inspected))
-	return removed
+	return p.purged(p.c.PurgeOwner(uint32(d), func(k Key, _ addr.Rights) bool { return k.span().Overlaps(r) }))
 }
 
 // PurgeRangeAll removes every domain's entries overlapping the byte
 // range (used when a segment is destroyed).
 func (p *PLB) PurgeRangeAll(start addr.VA, length uint64) int {
 	r := addr.Range{Start: start, Length: length}
-	removed, inspected := p.c.PurgeIf(func(k Key, _ addr.Rights) bool {
-		size := uint64(1) << k.Shift
-		entry := addr.Range{Start: addr.VA(k.Page << k.Shift), Length: size}
-		return entry.Overlaps(r)
-	})
-	p.nPurged.Add(uint64(removed))
-	p.nInspected.Add(uint64(inspected))
-	return removed
+	return p.purged(p.c.PurgeIf(func(k Key, _ addr.Rights) bool { return k.span().Overlaps(r) }))
 }
 
 // PurgeDomain removes all entries belonging to domain d.
 func (p *PLB) PurgeDomain(d addr.DomainID) int {
-	removed, inspected := p.c.PurgeIf(func(k Key, _ addr.Rights) bool { return k.Domain == d })
-	p.nPurged.Add(uint64(removed))
-	p.nInspected.Add(uint64(inspected))
-	return removed
+	return p.purged(p.c.PurgeOwner(uint32(d), nil))
 }
 
 // PurgePage removes every domain's entry covering va: needed when a page's
 // rights change for all domains or its translation is destroyed.
 func (p *PLB) PurgePage(va addr.VA) int {
-	removed, inspected := p.c.PurgeIf(func(k Key, _ addr.Rights) bool {
-		size := uint64(1) << k.Shift
-		entry := addr.Range{Start: addr.VA(k.Page << k.Shift), Length: size}
-		return entry.Contains(va)
-	})
+	return p.purged(p.c.PurgeIf(func(k Key, _ addr.Rights) bool { return k.span().Contains(va) }))
+}
+
+// purged counts a purge's removed and inspected entries and returns the
+// number removed.
+func (p *PLB) purged(removed, inspected int) int {
 	p.nPurged.Add(uint64(removed))
 	p.nInspected.Add(uint64(inspected))
 	return removed
@@ -332,6 +313,9 @@ func (p *PLB) PurgeAll() int {
 	p.nPurged.Add(uint64(n))
 	return n
 }
+
+// HasDomain reports whether any entry of domain d is resident.
+func (p *PLB) HasDomain(d addr.DomainID) bool { return p.c.HasOwner(uint32(d)) }
 
 // ForEach visits all resident entries until fn returns false.
 func (p *PLB) ForEach(fn func(Key, addr.Rights) bool) { p.c.ForEach(fn) }

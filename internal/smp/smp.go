@@ -332,8 +332,9 @@ type Shootdown struct {
 	cycles  *stats.Cycles // initiator-side kernel cycles (IPI cost)
 
 	// q[t] is target t's pending batch with its coalescing index, and
-	// acked is flushAcked's in-flight list. Both keep their buffers
-	// across flushes, so a steady-state flush allocates nothing.
+	// acked is flushAcked's list of unacknowledged requests. Both keep
+	// their buffers across flushes, so a steady-state flush allocates
+	// nothing.
 	q     []batchQueue
 	acked []ackedReq
 
@@ -896,17 +897,17 @@ func (s *Shootdown) flushAcked(t int) {
 		s.stale[t] = true
 		return
 	}
-	pending := s.acked[:0]
-	for _, r := range batch {
-		pending = append(pending, ackedReq{req: r})
-	}
-	s.acked = pending[:0]
+	// The first volley reads the batch in place. Only the requests it
+	// leaves unacknowledged become ackedReq records in pending, the
+	// retransmission list, whose buffer is kept across flushes.
+	var pending []ackedReq
+	unacked := len(batch)
 	// Devices get their scaled ack timeout and backoff cap: draining
 	// in-flight DMA before acknowledging takes longer than a CPU trap.
 	timeout, backoffCap := s.TargetTimeouts(t)
 	for attempt := 0; ; attempt++ {
 		if attempt > s.proto.MaxRetries {
-			s.quarantine(t, len(pending))
+			s.quarantine(t, unacked)
 			return
 		}
 		s.seq[t]++
@@ -917,69 +918,36 @@ func (s *Shootdown) flushAcked(t int) {
 			}
 		}
 		arrived := false
-		// Unacknowledged requests are compacted in place: keep never
-		// overtakes the element the loop is reading.
-		keep := pending[:0]
 		start := s.handler.CPUCycles(t)
-		for _, p := range pending {
-			verdict := FaultNone
-			if s.fault != nil {
-				verdict = s.fault(t, p.req)
-			}
-			if verdict == FaultDrop {
-				// Lost in transit: never reached the target.
-				s.nDropped.Inc()
-				if s.IsDevice(t) {
-					s.nDevDropped.Inc()
+		if attempt == 0 {
+			pending = s.acked[:0]
+			for i := range batch {
+				got, acked, applied := s.send(t, &batch[i], false)
+				arrived = arrived || got
+				if !acked {
+					pending = append(pending, ackedReq{req: batch[i], applied: applied})
 				}
-				keep = append(keep, p)
-				continue
 			}
-			arrived = true
-			if p.applied {
-				// Retransmitted copy of a request the target already
-				// performed: the volley sequence number identifies the
-				// duplicate and the target suppresses the re-apply,
-				// only resending the ack.
-				s.nDupSup.Inc()
-				if verdict == FaultNone {
-					s.nAcks.Inc()
-					continue
+			s.acked = pending[:0]
+		} else {
+			// Unacknowledged requests are compacted in place: keep
+			// never overtakes the element the loop is reading.
+			keep := pending[:0]
+			for i := range pending {
+				got, acked, applied := s.send(t, &pending[i].req, pending[i].applied)
+				arrived = arrived || got
+				if !acked {
+					keep = append(keep, ackedReq{req: pending[i].req, applied: applied})
 				}
-				if verdict == FaultDelay {
-					s.nDelayed.Inc()
-				} else {
-					s.nAckLost.Inc()
-				}
-				keep = append(keep, p)
-				continue
 			}
-			affected := s.handler.ApplyShootdown(t, p.req)
-			s.nDelivered.Inc()
-			if s.IsDevice(t) {
-				s.nDevDelivered.Inc()
-			}
-			s.nRemoteInv.Add(uint64(affected))
-			s.chargeMemHops(t, p.req)
-			switch verdict {
-			case FaultNone:
-				s.nAcks.Inc()
-			case FaultDelay:
-				// Slow responder: applied, but the ack misses the
-				// timeout window and the initiator retries anyway.
-				s.nDelayed.Inc()
-				keep = append(keep, ackedReq{req: p.req, applied: true})
-			case FaultAckLoss:
-				s.nAckLost.Inc()
-				keep = append(keep, ackedReq{req: p.req, applied: true})
-			}
+			pending = keep
 		}
+		unacked = len(pending)
 		s.remCycles.Add(s.handler.CPUCycles(t) - start)
 		if arrived {
 			s.chargeIPI(t, attempt > 0)
 		}
-		pending = keep
-		if len(pending) == 0 {
+		if unacked == 0 {
 			// Whole volley acknowledged: the target answered, so any
 			// suspicion is cleared.
 			s.consecTO[t] = 0
@@ -1006,6 +974,51 @@ func (s *Shootdown) flushAcked(t int) {
 			timeout = backoffCap
 		}
 	}
+}
+
+// send delivers request r to target t in one volley of the acknowledged
+// protocol; applied says t performed r in an earlier volley. It reports
+// whether r reached t, whether the initiator saw t acknowledge it, and
+// whether t has performed it by now.
+func (s *Shootdown) send(t int, r *Request, applied bool) (arrived, acked, done bool) {
+	verdict := FaultNone
+	if s.fault != nil {
+		verdict = s.fault(t, *r)
+	}
+	if verdict == FaultDrop {
+		// Lost in transit: never reached the target.
+		s.nDropped.Inc()
+		if s.IsDevice(t) {
+			s.nDevDropped.Inc()
+		}
+		return false, false, applied
+	}
+	if applied {
+		// Retransmitted copy of a request the target already performed:
+		// the volley sequence number identifies the duplicate and the
+		// target suppresses the re-apply, only resending the ack.
+		s.nDupSup.Inc()
+	} else {
+		affected := s.handler.ApplyShootdown(t, *r)
+		s.nDelivered.Inc()
+		if s.IsDevice(t) {
+			s.nDevDelivered.Inc()
+		}
+		s.nRemoteInv.Add(uint64(affected))
+		s.chargeMemHops(t, *r)
+	}
+	switch verdict {
+	case FaultNone:
+		s.nAcks.Inc()
+		return true, true, true
+	case FaultDelay:
+		// Slow responder: performed, but the ack misses the timeout
+		// window and the initiator retries anyway.
+		s.nDelayed.Inc()
+	default:
+		s.nAckLost.Inc()
+	}
+	return true, false, true
 }
 
 // quarantine fences CPU t after it exhausted the retry budget. Its

@@ -134,9 +134,9 @@ type ASIDTLB struct {
 // NewASID creates an ASID-tagged TLB counting under prefix.
 func NewASID(cfg assoc.Config, ctrs *stats.Counters, prefix string) *ASIDTLB {
 	t := &ASIDTLB{}
-	t.c = assoc.New[ASIDKey, ASIDEntry](cfg, func(k ASIDKey) uint64 {
+	t.c = assoc.NewOwned[ASIDKey, ASIDEntry](cfg, func(k ASIDKey) uint64 {
 		return uint64(k.VPN) ^ uint64(k.AS)<<17
-	})
+	}, func(k ASIDKey) uint32 { return uint32(k.AS) })
 	t.nHit = ctrs.Handle(prefix + ".hit")
 	t.nMiss = ctrs.Handle(prefix + ".miss")
 	t.nInstall = ctrs.Handle(prefix + ".install")
@@ -198,9 +198,10 @@ func (t *ASIDTLB) PurgePage(vpn addr.VPN) int {
 	return removed
 }
 
-// PurgeAS removes all entries of one address space.
+// PurgeAS removes all entries of one address space. It is priced as a
+// scan of every entry, but the host visits only the space's own.
 func (t *ASIDTLB) PurgeAS(as addr.ASID) int {
-	removed, inspected := t.c.PurgeIf(func(k ASIDKey, _ ASIDEntry) bool { return k.AS == as })
+	removed, inspected := t.c.PurgeOwner(uint32(as), nil)
 	t.nPurged.Add(uint64(removed))
 	t.nInspected.Add(uint64(inspected))
 	return removed
@@ -219,6 +220,9 @@ func (t *ASIDTLB) Len() int { return t.c.Len() }
 
 // Capacity returns the entry capacity.
 func (t *ASIDTLB) Capacity() int { return t.c.Capacity() }
+
+// HasAS reports whether any entry of address space as is resident.
+func (t *ASIDTLB) HasAS(as addr.ASID) bool { return t.c.HasOwner(uint32(as)) }
 
 // ForEach visits all resident entries until fn returns false.
 func (t *ASIDTLB) ForEach(fn func(ASIDKey, ASIDEntry) bool) { t.c.ForEach(fn) }
