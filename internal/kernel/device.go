@@ -225,7 +225,6 @@ func (k *Kernel) DeviceReadPage(i int, va addr.VA) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	k.trans.SetRef(vpn)
 	k.devs[i].ChargeDMAPage(k.topo, vpn)
 	return append([]byte(nil), data...), nil
 }
@@ -245,7 +244,7 @@ func (k *Kernel) DeviceWritePage(i int, va addr.VA, buf []byte) error {
 		return err
 	}
 	copy(data, buf)
-	k.trans.SetDirty(vpn)
+	k.markDirty(vpn)
 	k.devs[i].ChargeDMAPage(k.topo, vpn)
 	return nil
 }
@@ -259,9 +258,7 @@ func (k *Kernel) DeviceTouch(i int, va addr.VA, kind addr.AccessKind) error {
 		return err
 	}
 	if kind == addr.Store {
-		k.trans.SetDirty(vpn)
-	} else {
-		k.trans.SetRef(vpn)
+		k.markDirty(vpn)
 	}
 	k.devs[i].ChargeDMAWord(k.topo, vpn)
 	return nil

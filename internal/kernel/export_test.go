@@ -148,6 +148,38 @@ func (k *Kernel) CheckAttachmentBookkeeping() error {
 	return nil
 }
 
+// CheckTranslationBookkeeping cross-checks the translations the page
+// records hold against physical memory:
+//
+//   - no frame is mapped by two pages;
+//   - no page is both mapped and on the backing store, and no unmapped
+//     page is dirty;
+//   - the frames in use are as many as the mapped pages.
+func (k *Kernel) CheckTranslationBookkeeping() error {
+	owner := make(map[addr.PFN]addr.VPN)
+	for _, s := range k.segOrder {
+		for i := range s.pages {
+			p, vpn := &s.pages[i], s.PageVPN(uint64(i))
+			switch {
+			case p.mapped && p.onDisk:
+				return fmt.Errorf("page %#x is both mapped and on disk", uint64(vpn))
+			case !p.mapped && p.dirty:
+				return fmt.Errorf("page %#x is dirty but unmapped", uint64(vpn))
+			case !p.mapped:
+				continue
+			}
+			if prior, ok := owner[p.frame]; ok {
+				return fmt.Errorf("frame %d is mapped by pages %#x and %#x", p.frame, uint64(prior), uint64(vpn))
+			}
+			owner[p.frame] = vpn
+		}
+	}
+	if n := k.memory.FramesInUse(); n != len(owner) {
+		return fmt.Errorf("%d frames in use, %d mapped pages", n, len(owner))
+	}
+	return nil
+}
+
 // DropPageSharer removes seat t from vpn's sharer set, so whatever the
 // seat caches for the page escapes page-targeted shootdowns: the fault
 // the oracle's directory audit exists to catch.

@@ -61,18 +61,6 @@ func TestHardwareMatchesAuthoritySuperPage(t *testing.T) {
 	}
 }
 
-// The authority fuzz must hold over the inverted page table.
-func TestInvertedTableAuthorityFuzz(t *testing.T) {
-	mk := func() *kernel.Kernel {
-		cfg := kernel.DefaultConfig(kernel.ModelDomainPage)
-		cfg.TransTable = kernel.TransInverted
-		return kernel.New(cfg)
-	}
-	for seed := int64(60); seed < 63; seed++ {
-		oracle.AuthorityFuzz(t, seed, mk, oracle.FuzzOptions{})
-	}
-}
-
 // TestPLBSubsetOfAuthority churns per-page rights and checks the
 // domain-page hardware invariant directly through the oracle: every
 // resident PLB entry's rights equal what the kernel would currently

@@ -1,8 +1,8 @@
 // Package kernel implements an Opal-style single address space operating
 // system kernel over the simulated machines: protection domains, virtual
-// segments in a global 64-bit virtual address space, a global translation
-// table, lazy fault handling with user-level segment handlers, paging, and
-// portal (RPC) calls between domains.
+// segments in a global 64-bit virtual address space, one global
+// translation per page, lazy fault handling with user-level segment
+// handlers, paging, and portal (RPC) calls between domains.
 //
 // The kernel is the machine's OS interface: hardware structure misses
 // resolve against the kernel's authoritative tables. Protection policy
@@ -69,20 +69,6 @@ func (m Model) String() string {
 	}
 }
 
-// TransKind selects the kernel's software translation structure.
-type TransKind uint8
-
-const (
-	// TransMap is a hash-map translation table (idealized constant-time
-	// walks).
-	TransMap TransKind = iota
-	// TransInverted is an IBM-801-style inverted page table with a hash
-	// anchor and collision chains — sized by physical memory, one entry
-	// per mapped page, the organization Section 3.1 recommends for
-	// single address space systems. Probe counts expose walk costs.
-	TransInverted
-)
-
 // DetachPolicy selects how the domain-page engine clears PLB state on
 // segment detach (ablation A5; Section 4.1.1 offers both).
 type DetachPolicy uint8
@@ -102,8 +88,6 @@ type Config struct {
 	Model Model
 	// PLBDetach selects the detach implementation under ModelDomainPage.
 	PLBDetach DetachPolicy
-	// TransTable selects the software translation structure.
-	TransTable TransKind
 	// AutoEvict enables the page daemon: when physical memory is
 	// exhausted, the kernel transparently pages out the oldest resident
 	// page (FIFO) to satisfy the fault, instead of failing. Off by
@@ -373,18 +357,6 @@ var (
 	ErrUnrepresentable = errors.New("kernel: rights vector unrepresentable in page-group model")
 )
 
-// transTable is the interface both software translation structures
-// (hash map and inverted) satisfy.
-type transTable interface {
-	Map(addr.VPN, addr.PFN) error
-	Unmap(addr.VPN) (ptable.PTE, error)
-	Lookup(addr.VPN) (ptable.PTE, bool)
-	SetDirty(addr.VPN)
-	SetRef(addr.VPN)
-	ClearDirty(addr.VPN) bool
-	Len() int
-}
-
 // kernel is the shared state; Kernel is the public face (one type, split
 // for documentation clarity).
 type kernel struct {
@@ -392,7 +364,6 @@ type kernel struct {
 	geo    addr.Geometry
 	memory *mem.Memory
 	disk   *mem.Disk
-	trans  transTable
 
 	doms     domainTable
 	segOrder []*Segment // live segments, sorted by Range.Start
@@ -448,12 +419,18 @@ type kernel struct {
 
 // page is the kernel's per-page record; its segment holds one per page.
 type page struct {
+	// frame is the page's translation while mapped is set: the one
+	// mapping every domain shares (§2).
+	frame addr.PFN
 	// group and groupRights are the page-group model's per-page state:
 	// the AID in the page's TLB entry and its shared rights field.
 	group       addr.GroupID
 	groupRights addr.Rights
-	// onDisk notes that the page's contents live in the backing store.
-	onDisk bool
+	// dirty is the translation's dirty bit, a per-page fact (§3.2.1,
+	// footnote 6), clear whenever the page is unmapped. onDisk notes
+	// that the page's contents live in the backing store; it is never
+	// set together with mapped.
+	mapped, dirty, onDisk bool
 	// sharers is the sharer directory's page axis: the seats that
 	// installed hardware state for the page (trans-TLB, PG-TLB, ASID-TLB,
 	// PLB or IOTLB entries) since their last bulk invalidation. It is a
@@ -506,7 +483,7 @@ type Kernel struct {
 
 // New creates a kernel and its machine for the configured model. It
 // panics on an invalid configuration (a bad protection page shift
-// list, an unusable translation table size); NewChecked returns the
+// list, too many CPUs); NewChecked returns the
 // typed error instead — command-line front ends that build configs
 // from user flags should prefer it.
 func New(cfg Config) *Kernel {
@@ -518,10 +495,9 @@ func New(cfg Config) *Kernel {
 }
 
 // NewChecked creates a kernel and its machines for the configured
-// model, returning the construction error (a *ConfigError, a
-// *plb.ConfigError or a *ptable.ConfigError, each wrapping its
-// package's ErrConfig sentinel) instead of panicking when a
-// configuration value is rejected.
+// model, returning the construction error (a *ConfigError or a
+// *plb.ConfigError, each wrapping its package's ErrConfig sentinel)
+// instead of panicking when a configuration value is rejected.
 func NewChecked(cfg Config) (*Kernel, error) {
 	if cfg.Frames <= 0 {
 		cfg.Frames = 4096
@@ -559,15 +535,10 @@ func NewChecked(cfg Config) (*Kernel, error) {
 	if geo == (addr.Geometry{}) {
 		geo = addr.BaseGeometry()
 	}
-	trans, err := newTransTable(cfg)
-	if err != nil {
-		return nil, err
-	}
 	k.kernel = kernel{
 		cfg:         cfg,
 		geo:         geo,
 		memory:      mem.NewMemory(geo, cfg.Frames),
-		trans:       trans,
 		nextDomain:  1,
 		nextSegment: 1,
 		nextGroup:   1,
@@ -653,24 +624,6 @@ var newHook func(*Kernel)
 // goroutine that constructs kernels; it is a test/chaos facility, not a
 // concurrency-safe registration point.
 func SetNewHook(fn func(*Kernel)) { newHook = fn }
-
-func newTransTable(cfg Config) (transTable, error) {
-	if cfg.TransTable == TransInverted {
-		return ptable.NewInvertedTable(cfg.Frames)
-	}
-	return ptable.NewTranslationTable(), nil
-}
-
-// TranslationProbeStats returns the inverted page table's lookup and
-// probe counts (ok=false under TransMap).
-func (k *Kernel) TranslationProbeStats() (lookups, probes uint64, ok bool) {
-	ipt, isIPT := k.trans.(*ptable.InvertedTable)
-	if !isIPT {
-		return 0, 0, false
-	}
-	lookups, probes = ipt.ProbeStats()
-	return lookups, probes, true
-}
 
 // Model returns the kernel's protection model.
 func (k *Kernel) Model() Model { return k.cfg.Model }
@@ -1037,6 +990,15 @@ func (k *Kernel) pageRecord(vpn addr.VPN) *page {
 	return nil
 }
 
+// mappedPage returns the record of a mapped page, or nil when the page
+// has no translation.
+func (k *Kernel) mappedPage(vpn addr.VPN) *page {
+	if p := k.pageRecord(vpn); p != nil && p.mapped {
+		return p
+	}
+	return nil
+}
+
 // Attach grants domain d rights r over segment s. Under the domain-page
 // model this is pure bookkeeping — PLB entries fault in lazily. Under the
 // page-group model the segment's group is added to the domain's group set
@@ -1103,11 +1065,10 @@ func (k *Kernel) Switch(d *Domain) {
 
 // Translate implements machine.OS.
 func (k *Kernel) Translate(vpn addr.VPN) (addr.PFN, bool) {
-	pte, ok := k.trans.Lookup(vpn)
-	if !ok {
-		return 0, false
+	if p := k.mappedPage(vpn); p != nil {
+		return p.frame, true
 	}
-	return pte.PFN, true
+	return 0, false
 }
 
 // ResolveRights implements machine.OS: override, else attachment rights,
@@ -1124,20 +1085,27 @@ func (k *Kernel) ResolveRights(d addr.DomainID, vpn addr.VPN) (addr.Rights, bool
 	if s == nil {
 		return addr.None, false, false
 	}
+	r, cacheable := k.rightsIn(dom, s, vpn)
+	return r, cacheable, true
+}
+
+// rightsIn is ResolveRights for a live domain and the segment s that
+// holds vpn.
+func (k *Kernel) rightsIn(dom *Domain, s *Segment, vpn addr.VPN) (r addr.Rights, cacheable bool) {
 	execR, execOK := k.execRights(dom, vpn)
 	if r, ok := dom.overrides.Get(vpn); ok {
-		return r | execR, true, true
+		return r | execR, true
 	}
 	if r, ok := dom.Attached(s); ok {
-		return r | execR, true, true
+		return r | execR, true
 	}
 	if execOK {
 		// Execution-keyed rights apply even to unattached domains; they
 		// are cacheable because SetExecutionSite purges them on site
 		// changes.
-		return execR, true, true
+		return execR, true
 	}
-	return addr.None, false, true
+	return addr.None, false
 }
 
 // PageInfo implements machine.OS (page-group TLB refill).
@@ -1200,16 +1168,20 @@ func (k *Kernel) DomainGroups(d addr.DomainID) []machine.GroupAccess {
 // ok is false when the page is unmapped or the domain has no protection
 // record for it (outside its page tables entirely).
 func (k *Kernel) Walk(as addr.ASID, vpn addr.VPN) (ptable.LinearPTE, bool) {
-	pfn, ok := k.Translate(vpn)
-	if !ok {
+	dom, s := k.doms.get(addr.DomainID(as)), k.segmentOf(vpn)
+	if dom == nil || s == nil {
 		return ptable.LinearPTE{}, false
 	}
-	r, cacheable, ok := k.ResolveRights(addr.DomainID(as), vpn)
-	if !ok || !cacheable {
+	p := s.record(vpn)
+	if !p.mapped {
+		return ptable.LinearPTE{}, false
+	}
+	r, cacheable := k.rightsIn(dom, s, vpn)
+	if !cacheable {
 		return ptable.LinearPTE{}, false
 	}
 	k.hDupWalks.Inc()
-	return ptable.LinearPTE{PFN: pfn, Rights: r, Valid: true}, true
+	return ptable.LinearPTE{PFN: p.frame, Rights: r}, true
 }
 
 var (

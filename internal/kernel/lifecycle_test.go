@@ -483,3 +483,59 @@ func TestDestroyedDomainDeniedEverywhere(t *testing.T) {
 		})
 	}
 }
+
+// TestKernelAccessPagesIn: a kernel-mode read or write of a paged-out
+// page brings its contents back from the backing store, releasing the
+// block, rather than mapping a zero frame over them.
+func TestKernelAccessPagesIn(t *testing.T) {
+	access := []struct {
+		name string
+		fn   func(k *kernel.Kernel, vpn addr.VPN) error
+	}{
+		{"read", func(k *kernel.Kernel, vpn addr.VPN) error {
+			data, err := k.KernelReadPage(vpn)
+			if err == nil && data[8] != 42 {
+				err = fmt.Errorf("kernel read saw %d at offset 8, want 42", data[8])
+			}
+			return err
+		}},
+		{"write", func(k *kernel.Kernel, vpn addr.VPN) error {
+			return k.KernelWritePage(vpn, []byte{7})
+		}},
+	}
+	for _, model := range lifecycleModels {
+		for _, a := range access {
+			t.Run(model.String()+"/"+a.name, func(t *testing.T) {
+				k := kernel.New(kernel.DefaultConfig(model))
+				d := k.CreateDomain()
+				s := k.CreateSegment(1, kernel.SegmentOptions{})
+				k.Attach(d, s, addr.RW)
+				vpn := s.PageVPN(0)
+				if err := k.Store(d, s.Base()+8, 42); err != nil {
+					t.Fatal(err)
+				}
+				if err := k.PageOut(vpn); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.fn(k, vpn); err != nil {
+					t.Fatal(err)
+				}
+				if k.OnBackingStore(vpn) {
+					t.Error("page still on the backing store after the kernel access")
+				}
+				if v, err := k.Load(d, s.Base()+8); err != nil || v != 42 {
+					t.Errorf("stored word = %d, %v; want 42", v, err)
+				}
+				if err := k.Detach(d, s); err != nil {
+					t.Fatal(err)
+				}
+				if err := k.DestroySegment(s); err != nil {
+					t.Fatal(err)
+				}
+				if n := k.Disk().Len(); n != 0 {
+					t.Errorf("after destroy: disk blocks = %d, want 0", n)
+				}
+			})
+		}
+	}
+}

@@ -217,6 +217,9 @@ func TestMutatingAPIsAgreeAcrossOrganizations(t *testing.T) {
 					if err := oracle.Verify(k); err != nil {
 						t.Errorf("after touching: %v", err)
 					}
+					if err := k.CheckTranslationBookkeeping(); err != nil {
+						t.Errorf("after %s: %v", tc.name, err)
+					}
 				})
 			}
 			distinct := map[string]bool{}

@@ -22,9 +22,10 @@ import (
 
 // lifecycleScript interprets raw as (op, arg) byte pairs against a fresh
 // two-CPU kernel, returning the first invariant violation. After every
-// op the two sides of the attachment relation are cross-checked, and so
-// is the page-group engine's bookkeeping against the kernel tables (a
-// no-op under the other models).
+// op the two sides of the attachment relation are cross-checked, so are
+// the page records' translations against physical memory, and so is the
+// page-group engine's bookkeeping against the kernel tables (a no-op
+// under the other models).
 func lifecycleScript(model kernel.Model, raw []byte) error {
 	cfg := kernel.DefaultConfig(model)
 	cfg.CPUs = 2
@@ -148,6 +149,9 @@ func lifecycleScript(model kernel.Model, raw []byte) error {
 		if err := k.CheckAttachmentBookkeeping(); err != nil {
 			return fmt.Errorf("after op %d (%d): %w", i/2, op%8, err)
 		}
+		if err := k.CheckTranslationBookkeeping(); err != nil {
+			return fmt.Errorf("after op %d (%d): %w", i/2, op%8, err)
+		}
 	}
 
 	for len(live) > 0 {
@@ -158,6 +162,9 @@ func lifecycleScript(model kernel.Model, raw []byte) error {
 			return fmt.Errorf("after drain destroy: %w", err)
 		}
 		if err := k.CheckAttachmentBookkeeping(); err != nil {
+			return fmt.Errorf("after drain destroy: %w", err)
+		}
+		if err := k.CheckTranslationBookkeeping(); err != nil {
 			return fmt.Errorf("after drain destroy: %w", err)
 		}
 	}

@@ -36,11 +36,8 @@ func (k *Kernel) Touch(d *Domain, va addr.VA, kind addr.AccessKind) error {
 		out := k.mach.Access(va, kind)
 		switch out.Fault {
 		case cpu.FaultNone:
-			vpn := k.geo.PageNumber(va)
 			if kind == addr.Store {
-				k.trans.SetDirty(vpn)
-			} else {
-				k.trans.SetRef(vpn)
+				k.markDirty(k.geo.PageNumber(va))
 			}
 			return nil
 		case cpu.FaultPageUnmapped:
@@ -83,12 +80,23 @@ func (k *Kernel) handlePageFault(va addr.VA) error {
 	// Demand-zero: first touch of a fresh segment page.
 	k.hZeroFills.Inc()
 	k.cycles.Add(k.cost.MemCopyPage)
-	return k.mapFresh(vpn)
+	return k.mapFresh(p, vpn)
 }
 
-// mapFresh allocates and maps a zeroed frame for vpn, letting the page
-// daemon evict under memory pressure when enabled.
-func (k *Kernel) mapFresh(vpn addr.VPN) error {
+// markDirty sets the dirty bit of vpn's translation, if it has one.
+func (k *Kernel) markDirty(vpn addr.VPN) {
+	if p := k.mappedPage(vpn); p != nil {
+		p.dirty = true
+	}
+}
+
+// mapFresh allocates a zeroed frame for vpn and maps it in the page's
+// record p, letting the page daemon evict under memory pressure when
+// enabled. A page has one translation: an already mapped one is refused.
+func (k *Kernel) mapFresh(p *page, vpn addr.VPN) error {
+	if p.mapped {
+		return fmt.Errorf("kernel: page %#x already mapped to frame %d", uint64(vpn), p.frame)
+	}
 	if err := k.injectFrameAlloc(vpn); err != nil {
 		return fmt.Errorf("kernel: page fault at %#x: %w", uint64(k.geo.Base(vpn)), err)
 	}
@@ -101,12 +109,7 @@ func (k *Kernel) mapFresh(vpn addr.VPN) error {
 	if err != nil {
 		return fmt.Errorf("kernel: page fault at %#x: %w", uint64(k.geo.Base(vpn)), err)
 	}
-	if err := k.trans.Map(vpn, pfn); err != nil {
-		if ferr := k.memory.Free(pfn); ferr != nil {
-			return ferr
-		}
-		return err
-	}
+	p.frame, p.mapped = pfn, true
 	if k.cfg.AutoEvict {
 		// The page daemon is the FIFO's only reader.
 		k.residentFIFO = append(k.residentFIFO, vpn)
@@ -160,11 +163,11 @@ func (k *Kernel) handleProtFault(d *Domain, va addr.VA, kind addr.AccessKind) er
 // frameData returns the physical bytes behind vpn. The page must be
 // mapped.
 func (k *Kernel) frameData(vpn addr.VPN) ([]byte, error) {
-	pte, ok := k.trans.Lookup(vpn)
-	if !ok {
+	p := k.mappedPage(vpn)
+	if p == nil {
 		return nil, fmt.Errorf("kernel: page %#x not mapped", uint64(vpn))
 	}
-	return k.memory.Data(pte.PFN), nil
+	return k.memory.Data(p.frame), nil
 }
 
 // Load performs a protection-checked 64-bit load at va (must be 8-byte
@@ -235,7 +238,8 @@ func (k *Kernel) WritePage(d *Domain, va addr.VA, buf []byte) error {
 
 // KernelReadPage copies out a page's contents in kernel mode (no domain
 // protection check): the path used by coherence agents and pagers that
-// act below the protection layer. Unmapped pages are demand-zeroed first.
+// act below the protection layer. A paged-out page is paged in first,
+// and a page never mapped is demand-zeroed.
 func (k *Kernel) KernelReadPage(vpn addr.VPN) ([]byte, error) {
 	data, err := k.KernelPeekPage(vpn)
 	if err != nil {
@@ -251,40 +255,43 @@ func (k *Kernel) KernelReadPage(vpn addr.VPN) ([]byte, error) {
 // merely avoids materializing a second buffer. Callers that retain or
 // mutate the data must use KernelReadPage.
 func (k *Kernel) KernelPeekPage(vpn addr.VPN) ([]byte, error) {
-	if !k.Mapped(vpn) {
-		if k.pageRecord(vpn) == nil {
-			return nil, fmt.Errorf("%w: kernel read of %#x", ErrNoAuthority, uint64(vpn))
-		}
-		if err := k.mapFresh(vpn); err != nil {
-			return nil, err
-		}
-	}
-	data, err := k.frameData(vpn)
+	p, err := k.kernelPage(vpn, "read")
 	if err != nil {
 		return nil, err
 	}
 	k.cycles.Add(k.cost.MemCopyPage)
-	return data, nil
+	return k.memory.Data(p.frame), nil
 }
 
-// KernelWritePage overwrites a page's contents in kernel mode, mapping it
-// if necessary.
+// KernelWritePage overwrites a page's contents in kernel mode, paging
+// it in or demand-zeroing it first as KernelReadPage does.
 func (k *Kernel) KernelWritePage(vpn addr.VPN, buf []byte) error {
-	if !k.Mapped(vpn) {
-		if k.pageRecord(vpn) == nil {
-			return fmt.Errorf("%w: kernel write of %#x", ErrNoAuthority, uint64(vpn))
-		}
-		if err := k.mapFresh(vpn); err != nil {
-			return err
-		}
-	}
-	data, err := k.frameData(vpn)
+	p, err := k.kernelPage(vpn, "write")
 	if err != nil {
 		return err
 	}
-	copy(data, buf)
+	copy(k.memory.Data(p.frame), buf)
 	k.cycles.Add(k.cost.MemCopyPage)
 	return nil
+}
+
+// kernelPage returns the record of vpn mapped for a kernel-mode access
+// (op names it in errors): a paged-out page comes back through PageIn,
+// which releases its backing-store copy, and a page never mapped gets a
+// fresh zero frame.
+func (k *Kernel) kernelPage(vpn addr.VPN, op string) (*page, error) {
+	p := k.pageRecord(vpn)
+	if p == nil {
+		return nil, fmt.Errorf("%w: kernel %s of %#x", ErrNoAuthority, op, uint64(vpn))
+	}
+	var err error
+	switch {
+	case p.onDisk:
+		err = k.PageIn(vpn)
+	case !p.mapped:
+		err = k.mapFresh(p, vpn)
+	}
+	return p, err
 }
 
 // --- Paging (Section 4.1.3) ---
@@ -342,8 +349,7 @@ func (k *Kernel) PageOut(vpn addr.VPN) error {
 	if p == nil {
 		return fmt.Errorf("%w: page-out of %#x", ErrNoAuthority, uint64(vpn))
 	}
-	pte, ok := k.trans.Lookup(vpn)
-	if !ok {
+	if !p.mapped {
 		return fmt.Errorf("kernel: page-out of unmapped page %#x", uint64(vpn))
 	}
 	// Injected backing-store failures fire before any state changes: a
@@ -351,15 +357,10 @@ func (k *Kernel) PageOut(vpn addr.VPN) error {
 	if err := k.injectPageOut(vpn); err != nil {
 		return fmt.Errorf("kernel: page-out of %#x: %w", uint64(vpn), err)
 	}
-	if err := k.activePager().Out(vpn, k.memory.Data(pte.PFN)); err != nil {
+	if err := k.activePager().Out(vpn, k.memory.Data(p.frame)); err != nil {
 		return fmt.Errorf("kernel: page-out of %#x: %w", uint64(vpn), err)
 	}
-	k.shootPage(p, smp.Request{Kind: smp.Unmap, VPN: vpn})
-	k.flushIPIs()
-	if _, err := k.trans.Unmap(vpn); err != nil {
-		return err
-	}
-	if err := k.memory.Free(pte.PFN); err != nil {
+	if err := k.dropTranslation(p, vpn); err != nil {
 		return err
 	}
 	p.onDisk = true
@@ -379,7 +380,7 @@ func (k *Kernel) PageIn(vpn addr.VPN) error {
 	if err := k.injectPageIn(vpn); err != nil {
 		return fmt.Errorf("kernel: page-in of %#x: %w", uint64(vpn), err)
 	}
-	if err := k.mapFresh(vpn); err != nil {
+	if err := k.mapFresh(p, vpn); err != nil {
 		return err
 	}
 	data, err := k.activePager().In(vpn)
@@ -388,15 +389,12 @@ func (k *Kernel) PageIn(vpn addr.VPN) error {
 		// the real contents sit on disk would be silent corruption. The
 		// page stays on disk; a retry after the store recovers can page
 		// it back in.
-		if pte, uerr := k.trans.Unmap(vpn); uerr == nil {
-			if ferr := k.memory.Free(pte.PFN); ferr != nil {
-				return ferr
-			}
+		if ferr := k.freeFrame(p); ferr != nil {
+			return ferr
 		}
 		return fmt.Errorf("kernel: page-in of %#x: %w", uint64(vpn), err)
 	}
-	pte, _ := k.trans.Lookup(vpn)
-	copy(k.memory.Data(pte.PFN), data)
+	copy(k.memory.Data(p.frame), data)
 	p.onDisk = false
 	k.hPageins.Inc()
 	return nil
@@ -405,40 +403,59 @@ func (k *Kernel) PageIn(vpn addr.VPN) error {
 // Unmap destroys the page's translation without saving its contents
 // (used when discarding pages, e.g. GC from-space reclamation).
 func (k *Kernel) Unmap(vpn addr.VPN) error {
-	pte, ok := k.trans.Lookup(vpn)
-	if !ok {
+	p := k.mappedPage(vpn)
+	if p == nil {
 		return fmt.Errorf("kernel: unmap of unmapped page %#x", uint64(vpn))
 	}
-	// Only pages of live segments are ever mapped, so the record exists.
-	k.shootPage(k.pageRecord(vpn), smp.Request{Kind: smp.Unmap, VPN: vpn})
-	k.flushIPIs()
-	if _, err := k.trans.Unmap(vpn); err != nil {
-		return err
-	}
-	if err := k.memory.Free(pte.PFN); err != nil {
+	return k.unmap(p, vpn)
+}
+
+// unmap is Unmap of the mapped page vpn whose record is p.
+func (k *Kernel) unmap(p *page, vpn addr.VPN) error {
+	if err := k.dropTranslation(p, vpn); err != nil {
 		return err
 	}
 	k.hUnmaps.Inc()
 	return nil
 }
 
-// Mapped reports whether the page currently has a translation.
-func (k *Kernel) Mapped(vpn addr.VPN) bool {
-	_, ok := k.trans.Lookup(vpn)
-	return ok
+// dropTranslation shoots down every seat's state for the mapped page
+// vpn, whose record is p, while the translation still stands (a
+// conventional seat walks it to find the frame's cache lines), then
+// unmaps the page and frees its frame.
+func (k *Kernel) dropTranslation(p *page, vpn addr.VPN) error {
+	k.shootPage(p, smp.Request{Kind: smp.Unmap, VPN: vpn})
+	k.flushIPIs()
+	return k.freeFrame(p)
 }
 
-// Dirty reports whether the page's dirty bit is set in the translation
-// table.
+// freeFrame unmaps the page whose record is p and frees its frame.
+func (k *Kernel) freeFrame(p *page) error {
+	p.mapped, p.dirty = false, false
+	return k.memory.Free(p.frame)
+}
+
+// Mapped reports whether the page currently has a translation.
+func (k *Kernel) Mapped(vpn addr.VPN) bool { return k.mappedPage(vpn) != nil }
+
+// Dirty reports whether the page's dirty bit is set.
 func (k *Kernel) Dirty(vpn addr.VPN) bool {
-	pte, ok := k.trans.Lookup(vpn)
-	return ok && pte.Dirty
+	p := k.pageRecord(vpn)
+	return p != nil && p.dirty
 }
 
 // ClearDirty clears the page's dirty bit (incremental checkpointing and
 // pagers use it to track modifications between scans), returning the
 // prior value.
-func (k *Kernel) ClearDirty(vpn addr.VPN) bool { return k.trans.ClearDirty(vpn) }
+func (k *Kernel) ClearDirty(vpn addr.VPN) bool {
+	p := k.pageRecord(vpn)
+	if p == nil {
+		return false
+	}
+	was := p.dirty
+	p.dirty = false
+	return was
+}
 
 // Call performs a portal (RPC) invocation: switch to the server domain,
 // run the server's work, switch back — the cross-domain control transfer

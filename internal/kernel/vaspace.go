@@ -100,12 +100,12 @@ func (k *Kernel) DestroySegment(s *Segment) error {
 		return fmt.Errorf("%w: %q has %d attachments", ErrSegmentBusy, s.Name, n)
 	}
 	for i := range s.NumPages() {
-		vpn := s.PageVPN(i)
-		if k.Mapped(vpn) {
-			if err := k.Unmap(vpn); err != nil {
+		vpn, p := s.PageVPN(i), &s.pages[i]
+		if p.mapped {
+			if err := k.unmap(p, vpn); err != nil {
 				return err
 			}
-		} else if s.pages[i].onDisk {
+		} else if p.onDisk {
 			// The default pager's block dies with the page.
 			k.disk.Delete(uint64(vpn))
 		}

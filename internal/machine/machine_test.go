@@ -488,33 +488,35 @@ func TestPGUnmapPage(t *testing.T) {
 
 // --- Conventional and flush machines ---
 
+// fakeMultiOS holds every address space's page table entries.
 type fakeMultiOS struct {
-	tables map[addr.ASID]*ptable.LinearTable
+	ptes map[asVPN]ptable.LinearPTE
+}
+
+type asVPN struct {
+	as  addr.ASID
+	vpn addr.VPN
 }
 
 func newFakeMultiOS() *fakeMultiOS {
-	return &fakeMultiOS{tables: map[addr.ASID]*ptable.LinearTable{}}
+	return &fakeMultiOS{ptes: map[asVPN]ptable.LinearPTE{}}
 }
 
-func (f *fakeMultiOS) table(as addr.ASID) *ptable.LinearTable {
-	t, ok := f.tables[as]
-	if !ok {
-		t = ptable.NewLinearTable()
-		t.AddRegion(0, 1024)
-		f.tables[as] = t
-	}
-	return t
+// mapPage maps vpn to pfn with rights r in address space as.
+func (f *fakeMultiOS) mapPage(as addr.ASID, vpn addr.VPN, pfn addr.PFN, r addr.Rights) {
+	f.ptes[asVPN{as, vpn}] = ptable.LinearPTE{PFN: pfn, Rights: r}
 }
 
 func (f *fakeMultiOS) Walk(as addr.ASID, vpn addr.VPN) (ptable.LinearPTE, bool) {
-	return f.table(as).Walk(vpn)
+	pte, ok := f.ptes[asVPN{as, vpn}]
+	return pte, ok
 }
 
 func TestConventionalDuplicatesSharedEntries(t *testing.T) {
 	os := newFakeMultiOS()
 	// Shared frame 7 mapped at the same VPN in 3 spaces.
 	for as := addr.ASID(1); as <= 3; as++ {
-		os.table(as).Map(1, 7, addr.Read)
+		os.mapPage(as, 1, 7, addr.Read)
 	}
 	m := NewConventional(DefaultConvConfig(), os)
 	for d := addr.DomainID(1); d <= 3; d++ {
@@ -539,7 +541,7 @@ func TestConventionalDuplicatesSharedEntries(t *testing.T) {
 
 func TestConventionalProtectionAndUnmappedFaults(t *testing.T) {
 	os := newFakeMultiOS()
-	os.table(1).Map(1, 7, addr.Read)
+	os.mapPage(1, 1, 7, addr.Read)
 	m := NewConventional(DefaultConvConfig(), os)
 	m.SwitchDomain(1)
 	if out := m.Access(va(1), addr.Store); out.Fault != cpu.FaultProtection {
@@ -553,7 +555,7 @@ func TestConventionalProtectionAndUnmappedFaults(t *testing.T) {
 func TestConventionalInvalidatePage(t *testing.T) {
 	os := newFakeMultiOS()
 	for as := addr.ASID(1); as <= 3; as++ {
-		os.table(as).Map(1, 7, addr.Read)
+		os.mapPage(as, 1, 7, addr.Read)
 	}
 	m := NewConventional(DefaultConvConfig(), os)
 	for d := addr.DomainID(1); d <= 3; d++ {
@@ -568,8 +570,8 @@ func TestConventionalInvalidatePage(t *testing.T) {
 
 func TestFlushMachineFlushesOnSwitch(t *testing.T) {
 	os := newFakeMultiOS()
-	os.table(1).Map(1, 7, addr.RW)
-	os.table(2).Map(1, 8, addr.RW)
+	os.mapPage(1, 1, 7, addr.RW)
+	os.mapPage(2, 1, 8, addr.RW)
 	m := NewFlush(DefaultConvConfig(), os)
 	m.SwitchDomain(1)
 	m.Access(va(1), addr.Store)
@@ -630,8 +632,8 @@ func TestVIPTConventionalNoSynonymsNoHomonyms(t *testing.T) {
 	// Shared frame 7 at the same VPN in 3 spaces, plus a homonym: VPN 2
 	// maps to different frames per space.
 	for as := addr.ASID(1); as <= 3; as++ {
-		os.table(as).Map(1, 7, addr.RW)
-		os.table(as).Map(2, addr.PFN(10+as), addr.RW)
+		os.mapPage(as, 1, 7, addr.RW)
+		os.mapPage(as, 2, addr.PFN(10+as), addr.RW)
 	}
 	m := NewConventional(DefaultVIPTConvConfig(), os)
 	for d := addr.DomainID(1); d <= 3; d++ {
@@ -671,7 +673,7 @@ func TestVIPTGeometryConstraint(t *testing.T) {
 
 func TestVIPTUnmapFlushes(t *testing.T) {
 	os := newFakeMultiOS()
-	os.table(1).Map(1, 7, addr.RW)
+	os.mapPage(1, 1, 7, addr.RW)
 	m := NewConventional(DefaultVIPTConvConfig(), os)
 	m.SwitchDomain(1)
 	m.Access(va(1), addr.Store)
@@ -712,7 +714,7 @@ func TestScanOpsChargeFullCapacity(t *testing.T) {
 	})
 	t.Run("ConventionalMachine", func(t *testing.T) {
 		os := newFakeMultiOS()
-		os.table(1).Map(1, 7, addr.Read)
+		os.mapPage(1, 1, 7, addr.Read)
 		m := NewConventional(DefaultConvConfig(), os)
 		m.SwitchDomain(1)
 		m.Access(va(1), addr.Load)
@@ -863,12 +865,12 @@ func TestApplyContract(t *testing.T) {
 		}, pgCases},
 		{"conventional", func() Machine {
 			os := newFakeMultiOS()
-			os.table(1).Map(1, 7, addr.RW)
+			os.mapPage(1, 1, 7, addr.RW)
 			return NewConventional(DefaultConvConfig(), os)
 		}, convCases},
 		{"flush", func() Machine {
 			os := newFakeMultiOS()
-			os.table(1).Map(1, 7, addr.RW)
+			os.mapPage(1, 1, 7, addr.RW)
 			return NewFlush(DefaultConvConfig(), os)
 		}, convCases},
 	}
@@ -914,7 +916,7 @@ func TestPurgeAllLeavesNothing(t *testing.T) {
 	sos.setPage(1, 7, 5, addr.RW)
 	sos.grantGroup(1, 5, false)
 	mos := newFakeMultiOS()
-	mos.table(1).Map(1, 7, addr.RW)
+	mos.mapPage(1, 1, 7, addr.RW)
 	for _, m := range []Machine{
 		newPLBMachine(sos),
 		NewPG(DefaultPGConfig(), sos),

@@ -172,7 +172,7 @@ func (a *audit) vpn(e machine.Entry) addr.VPN {
 // against, so only their containment in the page's authority is
 // checked; super-page entries go through superPages. Group-page entries
 // must match the kernel's page records, memberships the domain's group
-// set, and every cached frame the translation table.
+// set, and every cached frame the kernel's translation.
 func (a *audit) authority(e machine.Entry) {
 	k := a.k
 	vpn := a.vpn(e)

@@ -47,9 +47,6 @@ type InvertedTable struct {
 	entries []invEntry
 	next    []int32 // collision chain, indexed by frame
 
-	size    int
-	maps    uint64
-	unmaps  uint64
 	lookups uint64
 	probes  uint64
 }
@@ -57,14 +54,11 @@ type InvertedTable struct {
 type invEntry struct {
 	vpn   addr.VPN
 	valid bool
-	dirty bool
-	ref   bool
 }
 
 // NewInvertedTable creates a table for nframes physical frames with
 // 2*nframes hash anchors (load factor <= 0.5 when full). A frame count
-// below one returns a *ConfigError wrapping ErrConfig; MustInvertedTable
-// panics instead for known-good counts.
+// below one returns a *ConfigError wrapping ErrConfig.
 func NewInvertedTable(nframes int) (*InvertedTable, error) {
 	if nframes < 1 {
 		return nil, &ConfigError{
@@ -86,16 +80,6 @@ func NewInvertedTable(nframes int) (*InvertedTable, error) {
 		t.next[i] = -1
 	}
 	return t, nil
-}
-
-// MustInvertedTable is NewInvertedTable for frame counts known to be
-// valid; it panics on a config error.
-func MustInvertedTable(nframes int) *InvertedTable {
-	t, err := NewInvertedTable(nframes)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 func (t *InvertedTable) bucket(vpn addr.VPN) int {
@@ -122,93 +106,23 @@ func (t *InvertedTable) Map(vpn addr.VPN, pfn addr.PFN) error {
 	t.entries[pfn] = invEntry{vpn: vpn, valid: true}
 	t.next[pfn] = t.anchors[b]
 	t.anchors[b] = int32(pfn)
-	t.size++
-	t.maps++
 	return nil
 }
 
-// find returns the frame holding vpn and its chain predecessor (-1 if at
-// the anchor), counting probes.
-func (t *InvertedTable) find(vpn addr.VPN) (frame, prev int32) {
-	b := t.bucket(vpn)
-	prev = -1
-	for cur := t.anchors[b]; cur != -1; cur = t.next[cur] {
+// Lookup returns the frame mapping vpn, counting the lookup and one
+// probe per chain entry it visits.
+func (t *InvertedTable) Lookup(vpn addr.VPN) (addr.PFN, bool) {
+	t.lookups++
+	for cur := t.anchors[t.bucket(vpn)]; cur != -1; cur = t.next[cur] {
 		t.probes++
-		if t.entries[cur].valid && t.entries[cur].vpn == vpn {
-			return cur, prev
+		if t.entries[cur].vpn == vpn {
+			return addr.PFN(cur), true
 		}
-		prev = cur
 	}
-	return -1, -1
+	return 0, false
 }
 
-// Lookup returns the translation for vpn.
-func (t *InvertedTable) Lookup(vpn addr.VPN) (PTE, bool) {
-	t.lookups++
-	f, _ := t.find(vpn)
-	if f == -1 {
-		return PTE{}, false
-	}
-	e := t.entries[f]
-	return PTE{PFN: addr.PFN(f), Dirty: e.dirty, Ref: e.ref}, true
-}
-
-// Unmap removes the translation for vpn.
-func (t *InvertedTable) Unmap(vpn addr.VPN) (PTE, error) {
-	t.lookups++
-	f, prev := t.find(vpn)
-	if f == -1 {
-		return PTE{}, fmt.Errorf("ptable: vpn %#x not mapped", uint64(vpn))
-	}
-	e := t.entries[f]
-	if prev == -1 {
-		t.anchors[t.bucket(vpn)] = t.next[f]
-	} else {
-		t.next[prev] = t.next[f]
-	}
-	t.entries[f] = invEntry{}
-	t.next[f] = -1
-	t.size--
-	t.unmaps++
-	return PTE{PFN: addr.PFN(f), Dirty: e.dirty, Ref: e.ref}, nil
-}
-
-// SetDirty sets the dirty (and reference) bits for vpn if mapped.
-func (t *InvertedTable) SetDirty(vpn addr.VPN) {
-	t.lookups++
-	if f, _ := t.find(vpn); f != -1 {
-		t.entries[f].dirty = true
-		t.entries[f].ref = true
-	}
-}
-
-// SetRef sets the reference bit for vpn if mapped.
-func (t *InvertedTable) SetRef(vpn addr.VPN) {
-	t.lookups++
-	if f, _ := t.find(vpn); f != -1 {
-		t.entries[f].ref = true
-	}
-}
-
-// ClearDirty clears the dirty bit, returning its prior value.
-func (t *InvertedTable) ClearDirty(vpn addr.VPN) bool {
-	t.lookups++
-	f, _ := t.find(vpn)
-	if f == -1 {
-		return false
-	}
-	was := t.entries[f].dirty
-	t.entries[f].dirty = false
-	return was
-}
-
-// Len returns the number of mapped pages.
-func (t *InvertedTable) Len() int { return t.size }
-
-// Stats returns map/unmap operation counts.
-func (t *InvertedTable) Stats() (maps, unmaps uint64) { return t.maps, t.unmaps }
-
-// ProbeStats returns total table operations (lookups, dirty/ref updates)
-// and chain probes; probes/lookups is the software walk cost as load
-// rises.
+// ProbeStats returns the lookups made (Map's check for an existing
+// translation included) and the chain probes they took; probes/lookups
+// is the software walk cost as load rises.
 func (t *InvertedTable) ProbeStats() (lookups, probes uint64) { return t.lookups, t.probes }

@@ -8,32 +8,32 @@ import (
 	"repro/internal/addr"
 )
 
-func TestInvertedMapLookupUnmap(t *testing.T) {
-	it := MustInvertedTable(8)
+// newTable is NewInvertedTable for frame counts known to be valid.
+func newTable(t *testing.T, nframes int) *InvertedTable {
+	t.Helper()
+	it, err := NewInvertedTable(nframes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return it
+}
+
+func TestInvertedMapLookup(t *testing.T) {
+	it := newTable(t, 8)
 	if err := it.Map(0x100, 3); err != nil {
 		t.Fatal(err)
 	}
-	pte, ok := it.Lookup(0x100)
-	if !ok || pte.PFN != 3 {
-		t.Fatalf("Lookup = %+v,%v", pte, ok)
+	pfn, ok := it.Lookup(0x100)
+	if !ok || pfn != 3 {
+		t.Fatalf("Lookup = %d,%v", pfn, ok)
 	}
 	if _, ok := it.Lookup(0x101); ok {
 		t.Fatal("phantom mapping")
 	}
-	got, err := it.Unmap(0x100)
-	if err != nil || got.PFN != 3 {
-		t.Fatalf("Unmap = %+v,%v", got, err)
-	}
-	if _, err := it.Unmap(0x100); err == nil {
-		t.Fatal("double unmap succeeded")
-	}
-	if it.Len() != 0 {
-		t.Fatalf("Len = %d", it.Len())
-	}
 }
 
 func TestInvertedRejectsHomonymsAndSynonyms(t *testing.T) {
-	it := MustInvertedTable(8)
+	it := newTable(t, 8)
 	it.Map(1, 0)
 	if err := it.Map(1, 1); err == nil {
 		t.Fatal("homonym accepted")
@@ -46,45 +46,19 @@ func TestInvertedRejectsHomonymsAndSynonyms(t *testing.T) {
 	}
 }
 
-func TestInvertedDirtyRef(t *testing.T) {
-	it := MustInvertedTable(4)
-	it.Map(7, 2)
-	it.SetRef(7)
-	pte, _ := it.Lookup(7)
-	if !pte.Ref || pte.Dirty {
-		t.Fatalf("after SetRef: %+v", pte)
-	}
-	it.SetDirty(7)
-	if pte, _ := it.Lookup(7); !pte.Dirty {
-		t.Fatal("SetDirty lost")
-	}
-	if !it.ClearDirty(7) || it.ClearDirty(7) {
-		t.Fatal("ClearDirty semantics wrong")
-	}
-	// Bits on unmapped pages: silent no-ops.
-	it.SetDirty(99)
-	it.SetRef(99)
-	if it.ClearDirty(99) {
-		t.Fatal("ClearDirty on unmapped returned true")
-	}
-}
-
 func TestInvertedFullTable(t *testing.T) {
 	const frames = 64
-	it := MustInvertedTable(frames)
+	it := newTable(t, frames)
 	for i := 0; i < frames; i++ {
 		// Adversarial VPNs: clustered to force chain collisions.
 		if err := it.Map(addr.VPN(i*17), addr.PFN(i)); err != nil {
 			t.Fatalf("map %d: %v", i, err)
 		}
 	}
-	if it.Len() != frames {
-		t.Fatalf("Len = %d", it.Len())
-	}
 	for i := 0; i < frames; i++ {
-		pte, ok := it.Lookup(addr.VPN(i * 17))
-		if !ok || pte.PFN != addr.PFN(i) {
-			t.Fatalf("lookup %d = %+v,%v", i, pte, ok)
+		pfn, ok := it.Lookup(addr.VPN(i * 17))
+		if !ok || pfn != addr.PFN(i) {
+			t.Fatalf("lookup %d = %d,%v", i, pfn, ok)
 		}
 	}
 	lookups, probes := it.ProbeStats()
@@ -99,59 +73,30 @@ func TestInvertedFullTable(t *testing.T) {
 	}
 }
 
-// Property: the inverted table agrees with the map-based table across
-// arbitrary operation sequences.
+// Property: the inverted table agrees with a plain map across arbitrary
+// sequences of maps and lookups.
 func TestInvertedMatchesMapTable(t *testing.T) {
 	f := func(ops []uint16) bool {
 		const frames = 32
-		it := MustInvertedTable(frames)
-		mt := NewTranslationTable()
+		it := newTable(t, frames)
+		mt := map[addr.VPN]addr.PFN{}
 		frameUsed := map[addr.PFN]bool{}
-		vpnOf := map[addr.PFN]addr.VPN{}
 		for i, op := range ops {
 			vpn := addr.VPN(op % 64)
 			pfn := addr.PFN(i % frames)
-			switch op % 3 {
-			case 0: // map if possible
-				_, mappedIT := it.Lookup(vpn)
-				if mappedIT || frameUsed[pfn] {
-					continue
-				}
-				if err := it.Map(vpn, pfn); err != nil {
+			want, mapped := mt[vpn]
+			if op&64 == 0 { // map; refused exactly when vpn or pfn is taken
+				err := it.Map(vpn, pfn)
+				if (err == nil) != (!mapped && !frameUsed[pfn]) {
 					return false
 				}
-				if err := mt.Map(vpn, pfn); err != nil {
-					return false
+				if err == nil {
+					mt[vpn], frameUsed[pfn] = pfn, true
 				}
-				frameUsed[pfn] = true
-				vpnOf[pfn] = vpn
-			case 1: // unmap
-				_, ok := mt.Lookup(vpn)
-				p1, e1 := it.Unmap(vpn)
-				p2, e2 := mt.Unmap(vpn)
-				if (e1 == nil) != ok || (e2 == nil) != ok {
-					return false
-				}
-				if e1 == nil && p1.PFN != p2.PFN {
-					return false
-				}
-				if e1 == nil {
-					delete(frameUsed, p1.PFN)
-					delete(vpnOf, p1.PFN)
-				}
-			case 2: // dirty/lookup agreement
-				it.SetDirty(vpn)
-				mt.SetDirty(vpn)
-				p1, ok1 := it.Lookup(vpn)
-				p2, ok2 := mt.Lookup(vpn)
-				if ok1 != ok2 {
-					return false
-				}
-				if ok1 && (p1.PFN != p2.PFN || p1.Dirty != p2.Dirty) {
-					return false
-				}
+				continue
 			}
-			if it.Len() != mt.Len() {
+			got, ok := it.Lookup(vpn)
+			if ok != mapped || (ok && got != want) {
 				return false
 			}
 		}
@@ -177,11 +122,4 @@ func TestInvertedNewValidation(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Field != "nframes" {
 		t.Fatalf("error %v is not a *ConfigError on nframes", err)
 	}
-	// MustInvertedTable converts the typed error into a panic.
-	defer func() {
-		if recover() == nil {
-			t.Error("MustInvertedTable did not panic for 0 frames")
-		}
-	}()
-	MustInvertedTable(0)
 }

@@ -127,15 +127,3 @@ func (p *ProtTable) Clone() *ProtTable {
 	}
 	return c
 }
-
-// ForEach visits all overrides until fn returns false.
-func (p *ProtTable) ForEach(fn func(addr.VPN, addr.Rights) bool) {
-	if p == nil {
-		return
-	}
-	for vpn, r := range p.overrides {
-		if !fn(vpn, r) {
-			return
-		}
-	}
-}

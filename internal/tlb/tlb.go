@@ -23,8 +23,8 @@ import (
 	"repro/internal/stats"
 )
 
-// TransEntry is a translation-only TLB entry: VPN → PFN. Dirty/reference
-// bits stay in the kernel's translation table (Section 3.2.1 footnote 6).
+// TransEntry is a translation-only TLB entry: VPN → PFN. The dirty bit
+// stays with the kernel's translation (Section 3.2.1 footnote 6).
 type TransEntry struct {
 	PFN addr.PFN
 }

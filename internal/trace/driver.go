@@ -24,7 +24,6 @@ type OpenOS struct {
 	nextPFN  addr.PFN
 	trans    map[addr.VPN]addr.PFN
 	groupOf  func(addr.VPN) addr.GroupID
-	walks    map[addr.ASID]*ptable.LinearTable
 	perSpace map[asidVPN]ptable.LinearPTE
 }
 
@@ -86,7 +85,7 @@ func (o *OpenOS) Walk(as addr.ASID, vpn addr.VPN) (ptable.LinearPTE, bool) {
 		return pte, true
 	}
 	pfn, _ := o.Translate(vpn)
-	pte := ptable.LinearPTE{PFN: pfn, Rights: addr.RWX, Valid: true}
+	pte := ptable.LinearPTE{PFN: pfn, Rights: addr.RWX}
 	o.perSpace[key] = pte
 	return pte, true
 }

@@ -12,7 +12,7 @@ import (
 // Incremental checkpointing (the optimization Li, Naughton & Plank build
 // on full checkpoints): after the first full checkpoint, each subsequent
 // checkpoint saves only pages modified since the previous one, found via
-// the translation table's dirty bits (cleared at every checkpoint). The
+// the kernel's per-page dirty bits (cleared at every checkpoint). The
 // copy-on-write protection discipline within each checkpoint is unchanged.
 
 // IncrementalReport extends Report with incremental-specific metrics.

@@ -99,14 +99,6 @@ const (
 	DetachPurgeAll = kernel.DetachPurgeAll
 )
 
-// Translation structures.
-const (
-	// TransMap is the hash-map translation table.
-	TransMap = kernel.TransMap
-	// TransInverted is the IBM-801-style inverted page table.
-	TransInverted = kernel.TransInverted
-)
-
 // Errors.
 var (
 	ErrProtection      = kernel.ErrProtection
