@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
@@ -162,5 +163,39 @@ func TestRegroupChurnAllocs(t *testing.T) {
 	if ctrs.Get("pg.groups_recycled") == 0 || ctrs.Get("smp.dev_ipis") == 0 {
 		t.Fatalf("cycle recycled %d groups and sent %d device IPIs, want both > 0",
 			ctrs.Get("pg.groups_recycled"), ctrs.Get("smp.dev_ipis"))
+	}
+}
+
+// TestDeniedTouchAllocs gates the denial path under every organization:
+// a store to a mapped page the domain may only read, in a segment with no
+// fault handler, allocates its FaultError and nothing else. The cause's
+// text is formatted only when the error is printed.
+func TestDeniedTouchAllocs(t *testing.T) {
+	for _, model := range []kernel.Model{
+		kernel.ModelDomainPage, kernel.ModelPageGroup,
+		kernel.ModelConventional, kernel.ModelFlush,
+	} {
+		t.Run(model.String(), func(t *testing.T) {
+			k := kernel.New(kernel.DefaultConfig(model))
+			d := k.CreateDomain()
+			s := k.CreateSegment(2, kernel.SegmentOptions{Name: "args"})
+			k.Attach(d, s, addr.Read)
+			if err := k.Touch(d, s.Base(), addr.Load); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			deny := func() {
+				err = k.Touch(d, s.Base(), addr.Store)
+				if fe, ok := err.(*kernel.FaultError); !ok || fe.Sentinel != kernel.ErrProtection {
+					t.Fatalf("denied store returned %v, want a protection FaultError", err)
+				}
+			}
+			if avg := measureChurn(t, deny, deny); avg > 1 {
+				t.Errorf("denied store allocates %.1f objects, want at most 1 (its FaultError)", avg)
+			}
+			if want := `segment "args" has no handler`; !strings.HasSuffix(err.Error(), want) {
+				t.Errorf("denial reads %q, want it to end %q", err, want)
+			}
+		})
 	}
 }

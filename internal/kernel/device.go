@@ -221,7 +221,7 @@ func (k *Kernel) DeviceReadPage(i int, va addr.VA) ([]byte, error) {
 	if err := k.deviceCheck(i, vpn, addr.Load); err != nil {
 		return nil, err
 	}
-	data, err := k.frameData(vpn)
+	data, err := k.frameData(k.mappedPage(vpn), vpn)
 	if err != nil {
 		return nil, err
 	}
@@ -239,12 +239,11 @@ func (k *Kernel) DeviceWritePage(i int, va addr.VA, buf []byte) error {
 	if err := k.deviceCheck(i, vpn, addr.Store); err != nil {
 		return err
 	}
-	data, err := k.frameData(vpn)
+	data, err := k.frameData(k.markDirty(vpn), vpn)
 	if err != nil {
 		return err
 	}
 	copy(data, buf)
-	k.markDirty(vpn)
 	k.devs[i].ChargeDMAPage(k.topo, vpn)
 	return nil
 }

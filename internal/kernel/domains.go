@@ -1,6 +1,9 @@
 package kernel
 
-import "repro/internal/addr"
+import (
+	"repro/internal/addr"
+	"repro/internal/smp"
+)
 
 // The sharded, lazily-initialized domain index. The original flat
 // map[DomainID]*Domain worked for experiments with a handful of
@@ -18,12 +21,12 @@ import "repro/internal/addr"
 // domainTable shards the full DomainID space (uint16, so 256 shards of
 // 256 slots cover every possible ID) into lazily-allocated fixed-size
 // shards: lookup is two array indexes, insertion allocates at most one
-// 2 KB shard, and iteration is deterministic ascending-ID order without
-// sorting. Live-domain capacity is bounded by the ID type itself — the
-// architectural width of the domain/ASID field — so production scale
-// comes from recycling destroyed IDs (lifecycle.go), exactly as the
-// paper's Section 4 prescribes for the page-group model's group
-// numbers.
+// 2 KB shard, and iteration walks a live-ID bitset in ascending ID order
+// without sorting or visiting empty slots. Live-domain capacity is
+// bounded by the ID type itself — the architectural width of the
+// domain/ASID field — so production scale comes from recycling destroyed
+// IDs (lifecycle.go), exactly as the paper's Section 4 prescribes for
+// the page-group model's group numbers.
 
 const (
 	domainShardBits = 8
@@ -38,7 +41,7 @@ type domainShard [domainShardSize]*Domain
 // use.
 type domainTable struct {
 	shards [domainShards]*domainShard
-	n      int
+	live   smp.CPUSet // bit id set while id is live
 }
 
 // get returns the live domain with the given ID, or nil.
@@ -59,42 +62,22 @@ func (t *domainTable) put(d *Domain) {
 		s = new(domainShard)
 		t.shards[hi] = s
 	}
-	if s[d.ID&domainSlotMask] == nil {
-		t.n++
-	}
 	s[d.ID&domainSlotMask] = d
+	t.live.Add(int(d.ID))
 }
 
 // remove drops the domain with the given ID, if present.
 func (t *domainTable) remove(id addr.DomainID) {
-	s := t.shards[id>>domainShardBits]
-	if s == nil {
-		return
-	}
-	if s[id&domainSlotMask] != nil {
-		s[id&domainSlotMask] = nil
-		t.n--
+	if t.live.Has(int(id)) {
+		t.shards[id>>domainShardBits][id&domainSlotMask] = nil
+		t.live.Remove(int(id))
 	}
 }
 
 // len returns the number of live domains.
-func (t *domainTable) len() int { return t.n }
+func (t *domainTable) len() int { return t.live.Count() }
 
 // forEach visits every live domain in ascending ID order.
 func (t *domainTable) forEach(fn func(*Domain)) {
-	left := t.n
-	for _, s := range t.shards {
-		if left == 0 {
-			return
-		}
-		if s == nil {
-			continue
-		}
-		for _, d := range s {
-			if d != nil {
-				fn(d)
-				left--
-			}
-		}
-	}
+	t.live.ForEach(func(id int) { fn(t.get(addr.DomainID(id))) })
 }

@@ -177,18 +177,17 @@ func (e *dpEngine) onFork(*Domain, *Domain) {}
 // groups whose membership (and write-disable bits) encode the desired
 // per-domain rights vector — the group-juggling of Section 4.1.2.
 //
-// The bookkeeping is dense, so fork and destroy (the session churn path)
-// neither hash, sort nor allocate: group records are indexed by GroupID,
-// and both sides of the membership relation — a derived group's members
-// and a domain's group set — are pgroup.Memberships, bitsets walked in
-// ascending ID order.
+// Membership is held once, in each domain's group set (a
+// pgroup.Membership bitset walked in ascending ID order), so fork copies
+// one set and destroy walks it only when the domain executes somewhere.
 type pgEngine struct {
 	k      *Kernel
 	groups []pgGroup // indexed by GroupID
-	// sigIndex maps a derived group's signature (segment plus members,
-	// hashed) to the group, so pages with identical sharing reuse it.
-	// membersMatch confirms each hit: a collision costs a fresh group.
+	// sigIndex maps a signature (segment plus members, hashed) to the
+	// last derived group made under it, so pages with identical sharing
+	// reuse it. reusable confirms each hit: a miss costs a fresh group.
 	sigIndex map[uint64]addr.GroupID
+	clock    uint64 // ticks per fork and per indexed group (reusable)
 	// Scratch reused across calls (a kernel is single-threaded); members
 	// is the membership regroup wants for a page.
 	attach  []pgWant
@@ -199,22 +198,19 @@ type pgEngine struct {
 }
 
 // pgGroup is the engine's record of one group number. Only live derived
-// groups carry state; primary groups and free numbers are zero records
-// (which keep their member set's words for the number's next life).
+// groups carry state; primary groups and free numbers are zero records.
 type pgGroup struct {
 	derived bool
-	// indexed: sigIndex may name the group under sig. A membership change
-	// (a member dying, a fork joining) un-indexes it in O(1) instead of
-	// rehashing: it can never match a seeker's signature again.
-	indexed bool
 	seg     addr.SegmentID
-	sig     uint64
+	// sig is the signature the group was made under, made the clock
+	// then, holders the number of domains it was granted to.
+	sig, made uint64
+	holders   int
 	// pages counts the pages parked in the group; at zero the group is
 	// freed (freeDerived). Otherwise a long-lived shared segment leaks a
 	// group per retired sharing pattern, and every long-lived domain's
-	// group set — walked by every fork and destroy — grows without bound.
-	pages   int
-	members pgroup.Membership[addr.DomainID]
+	// group set — copied by every fork — grows without bound.
+	pages int
 }
 
 // pgWant is one attached domain's entry in a page's desired rights
@@ -247,21 +243,6 @@ func (e *pgEngine) derivedRec(g addr.GroupID) *pgGroup {
 		return &e.groups[g]
 	}
 	return nil
-}
-
-// unindex drops derived group g from the signature index. Called when
-// g's membership diverges from its creation-time signature: the stale
-// index entry could never pass membersMatch, so g just stops being a
-// reuse candidate (seekers mint a fresh group; the page-count GC
-// reclaims this one when its last page leaves).
-func (e *pgEngine) unindex(g addr.GroupID) {
-	r := &e.groups[g]
-	if r.indexed {
-		if e.sigIndex[r.sig] == g {
-			delete(e.sigIndex, r.sig)
-		}
-		r.indexed = false
-	}
 }
 
 // newGroup hands out a page-group number, preferring recycled numbers
@@ -310,18 +291,13 @@ func (e *pgEngine) grant(d *Domain, g addr.GroupID, wd bool) {
 	e.k.shootExecuting(d, smp.Request{Kind: smp.GroupLoad, Group: g, WD: wd})
 }
 
-// revoke removes g from d's group set.
+// revoke removes g from d's group set and purges it from every checker
+// holding it on d's behalf.
 func (e *pgEngine) revoke(d *Domain, g addr.GroupID) {
 	if d.groups.Delete(g) {
-		e.withdraw(d, g)
+		e.hRevokes.Inc()
+		e.k.shootExecuting(d, smp.Request{Kind: smp.GroupRevoke, Group: g})
 	}
-}
-
-// withdraw counts a revocation of g from d and purges g from every
-// checker holding it on d's behalf (d's group set is already updated).
-func (e *pgEngine) withdraw(d *Domain, g addr.GroupID) {
-	e.hRevokes.Inc()
-	e.k.shootExecuting(d, smp.Request{Kind: smp.GroupRevoke, Group: g})
 }
 
 // recomputePrimary re-derives the segment's primary group state from its
@@ -459,9 +435,7 @@ func (e *pgEngine) regroup(s *Segment, vpn addr.VPN, attach []pgWant) error {
 		if err != nil {
 			return err
 		}
-		r := &e.groups[g]
-		r.members.Clear()
-		*r = pgGroup{derived: true, seg: s.ID, members: r.members}
+		e.groups[g] = pgGroup{derived: true, seg: s.ID}
 		e.movePage(vpn, p, g, addr.None)
 		return nil
 	}
@@ -490,7 +464,7 @@ func (e *pgEngine) regroup(s *Segment, vpn addr.VPN, attach []pgWant) error {
 	}
 
 	sig := signature(s.ID, members)
-	if g, ok := e.sigIndex[sig]; ok && e.membersMatch(g, s.ID, members) {
+	if g, ok := e.sigIndex[sig]; ok && e.reusable(g, s.ID, members) {
 		e.movePage(vpn, p, g, union)
 		return nil
 	}
@@ -503,9 +477,8 @@ func (e *pgEngine) regroup(s *Segment, vpn addr.VPN, attach []pgWant) error {
 	members.ForEach(func(id addr.DomainID, wd bool) {
 		e.grant(e.k.doms.get(id), g, wd)
 	})
-	r := &e.groups[g]
-	r.members.Copy(members)
-	*r = pgGroup{derived: true, indexed: true, seg: s.ID, sig: sig, members: r.members}
+	e.clock++
+	e.groups[g] = pgGroup{derived: true, seg: s.ID, sig: sig, made: e.clock, holders: members.Count()}
 	e.sigIndex[sig] = g
 	e.movePage(vpn, p, g, union)
 	return nil
@@ -541,12 +514,26 @@ func (e *pgEngine) matchesPrimary(s *Segment, want []pgWant) bool {
 	return true
 }
 
-// membersMatch reports whether g is a live derived group of segment seg
-// with exactly the given membership — the check behind every signature
-// index hit.
-func (e *pgEngine) membersMatch(g addr.GroupID, seg addr.SegmentID, members *pgroup.Membership[addr.DomainID]) bool {
+// reusable reports whether g, a signature index hit, is a live derived
+// group of segment seg held by exactly members, write-disable bits
+// included. Holders change only by fork (the child joins) and destroy,
+// so they are still the creation members exactly when as many domains
+// as were granted g hold it and none has forked since g was made.
+func (e *pgEngine) reusable(g addr.GroupID, seg addr.SegmentID, members *pgroup.Membership[addr.DomainID]) bool {
 	r := e.derivedRec(g)
-	return r != nil && r.seg == seg && r.members.Equal(members)
+	if r == nil || r.seg != seg || r.holders != members.Count() {
+		return false
+	}
+	ok := true
+	members.ForEach(func(id addr.DomainID, wd bool) {
+		d := e.k.doms.get(id)
+		if d == nil || d.forkedAt >= r.made {
+			ok = false
+		} else if held, w := d.groups.Get(g); !held || w != wd {
+			ok = false
+		}
+	})
+	return ok
 }
 
 // signature hashes a derived group's defining vector — its segment and
@@ -604,19 +591,20 @@ func (e *pgEngine) freeDerived(g addr.GroupID) {
 	e.hGCed.Inc()
 }
 
-// retire un-indexes derived group g and revokes every remaining live
-// membership in ascending DomainID order, so the number cannot match in
-// any checker once recycled, then clears its record.
+// retire drops derived group g's index entry and revokes it from every
+// live domain in ascending DomainID order (a clamped page can leave a
+// detached domain holding g), so the number cannot match in any checker
+// once recycled, then clears its record. A memberless group has no
+// holder: forks only copy held groups.
 func (e *pgEngine) retire(g addr.GroupID) {
-	e.unindex(g)
 	r := &e.groups[g]
-	r.members.ForEach(func(id addr.DomainID, _ bool) {
-		if d := e.k.doms.get(id); d != nil {
-			e.revoke(d, g)
+	if r.holders > 0 {
+		if e.sigIndex[r.sig] == g {
+			delete(e.sigIndex, r.sig)
 		}
-	})
-	r.members.Clear()
-	*r = pgGroup{members: r.members}
+		e.k.doms.forEach(func(d *Domain) { e.revoke(d, g) })
+	}
+	*r = pgGroup{}
 }
 
 func (e *pgEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
@@ -654,40 +642,34 @@ func (e *pgEngine) onDestroySegment(s *Segment) {
 	}
 }
 
-// onDestroyDomain strips the dying domain out of the page-group world:
-// every group it holds is revoked in ascending order (local checker
-// detach plus GroupRevoke to CPUs and device seats executing on its
-// behalf), and derived-group memberships naming it are removed and their
-// signatures un-indexed — once the ID is recycled, a membership naming
-// the dead incarnation would hand the new domain someone else's
-// authority via signature reuse. DestroyDomain empties the group set.
+// onDestroyDomain revokes every group the dying domain holds. Only a
+// seat executing it holds its groups in a checker, so just then is each
+// withdrawn, in ascending order (local checker detach plus GroupRevoke to
+// CPUs and device seats executing on its behalf). DestroyDomain empties
+// the group set, the only record naming the domain.
 func (e *pgEngine) onDestroyDomain(d *Domain) {
+	e.hRevokes.Add(uint64(d.groups.Count()))
+	if !e.k.executes(d) {
+		return
+	}
 	d.groups.ForEach(func(g addr.GroupID, _ bool) {
-		if r := e.derivedRec(g); r != nil && r.members.Delete(d.ID) {
-			e.unindex(g)
-		}
-		e.withdraw(d, g)
+		e.k.shootExecuting(d, smp.Request{Kind: smp.GroupRevoke, Group: g})
 	})
 }
 
 // onFork copies the parent's group set to the child — membership is the
 // page-group model's protection state, so inheriting the parent's view
-// is a per-group bookkeeping copy, not a per-page one. No checker is
-// touched: the child executes nowhere yet, and its group set loads on
-// its first dispatch exactly like a context switch. Derived memberships
-// grow the child with the parent's write-disable bit, un-indexing each
-// grown group's creation-time signature.
+// is one set copy, not a per-page one. No checker is touched: the child
+// executes nowhere yet, and its group set loads on its first dispatch
+// exactly like a context switch. The fork stamp bars the groups that
+// just gained a holder from reuse (reusable).
 func (e *pgEngine) onFork(parent, child *Domain) {
 	n := parent.groups.Count()
 	if n == 0 {
 		return
 	}
 	child.groups.Copy(&parent.groups)
-	parent.groups.ForEach(func(g addr.GroupID, wd bool) {
-		if r := e.derivedRec(g); r != nil {
-			e.unindex(g)
-			r.members.Put(child.ID, wd)
-		}
-	})
+	e.clock++
+	parent.forkedAt, child.forkedAt = e.clock, e.clock
 	e.hForkCopies.Add(uint64(n))
 }

@@ -4,41 +4,52 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
+	"repro/internal/pgroup"
 )
 
 // CheckPageGroupBookkeeping cross-checks the page-group engine's dense
 // bookkeeping against the kernel's authoritative tables (nil under the
-// other models):
+// other models). Membership lives only in the domains' group sets, so:
 //
-//   - every derived group's member set is exactly the set of live
-//     domains whose group sets hold it, with the same write-disable bits
-//     (checked from both sides), and no other record has members;
+//   - every group a live domain holds is a live segment's primary group
+//     or a live derived group, and no pooled (destroyed) domain holds a
+//     group;
 //   - every derived group's page count equals the page records parked in
 //     it;
 //   - no number on the group free list is held by a domain, a page, a
 //     segment or a live derived record;
-//   - every signature-index entry names an indexed derived group whose
-//     members hash to that signature.
+//   - every signature-index entry names a live derived group made under
+//     that signature;
+//   - every indexed group the reuse rule would still accept — as many of
+//     its live holders as it was granted to have not forked since it was
+//     made — has no other holder, and its holders hash to its signature:
+//     the premise reusable rests on.
 func (k *Kernel) CheckPageGroupBookkeeping() error {
 	e, ok := k.engine.(*pgEngine)
 	if !ok {
 		return nil
 	}
-	held := make(map[addr.GroupID][]addr.DomainID)
+	primary := make(map[addr.GroupID]bool)
+	for _, s := range k.segOrder {
+		primary[s.group] = true
+	}
+	held := make(map[addr.GroupID][]*Domain)
 	var err error
 	k.doms.forEach(func(d *Domain) {
-		d.groups.ForEach(func(g addr.GroupID, wd bool) {
-			held[g] = append(held[g], d.ID)
-			if r := e.derivedRec(g); r != nil && err == nil {
-				if ok, w := r.members.Get(d.ID); !ok || w != wd {
-					err = fmt.Errorf("domain %d holds group %d with write-disable %v, the group's members give %v/%v",
-						d.ID, g, wd, ok, w)
-				}
+		d.groups.ForEach(func(g addr.GroupID, _ bool) {
+			held[g] = append(held[g], d)
+			if err == nil && !primary[g] && e.derivedRec(g) == nil {
+				err = fmt.Errorf("domain %d holds group %d, neither a live primary nor a live derived group", d.ID, g)
 			}
 		})
 	})
 	if err != nil {
 		return err
+	}
+	for _, d := range k.freeDomains {
+		if n := d.groups.Count(); n > 0 {
+			return fmt.Errorf("pooled domain %d still holds %d groups", d.ID, n)
+		}
 	}
 	pages := make(map[addr.GroupID]int)
 	for _, s := range k.segOrder {
@@ -47,39 +58,14 @@ func (k *Kernel) CheckPageGroupBookkeeping() error {
 		}
 	}
 	for i := range e.groups {
-		g, r := addr.GroupID(i), &e.groups[i]
-		if !r.derived {
-			if n := r.members.Count(); n > 0 {
-				return fmt.Errorf("group %d is not a live derived group but has %d members", g, n)
-			}
-			continue
+		if r := &e.groups[i]; r.derived && r.pages != pages[addr.GroupID(i)] {
+			return fmt.Errorf("group %d counts %d pages, %d records point at it", i, r.pages, pages[addr.GroupID(i)])
 		}
-		r.members.ForEach(func(id addr.DomainID, wd bool) {
-			if err != nil {
-				return
-			}
-			if d := k.doms.get(id); d == nil {
-				err = fmt.Errorf("group %d lists domain %d, which is not live", g, id)
-			} else if ok, w := d.groups.Get(g); !ok || w != wd {
-				err = fmt.Errorf("group %d lists domain %d with write-disable %v, its group set gives %v/%v",
-					g, id, wd, ok, w)
-			}
-		})
-		if err != nil {
-			return err
-		}
-		if r.pages != pages[g] {
-			return fmt.Errorf("group %d counts %d pages, %d records point at it", g, r.pages, pages[g])
-		}
-	}
-	primary := make(map[addr.GroupID]bool)
-	for _, s := range k.segOrder {
-		primary[s.group] = true
 	}
 	for _, g := range k.freeGroups {
 		switch {
 		case len(held[g]) > 0:
-			return fmt.Errorf("free group %d held by domains %v", g, held[g])
+			return fmt.Errorf("free group %d held by %d domains", g, len(held[g]))
 		case pages[g] > 0:
 			return fmt.Errorf("free group %d holds %d pages", g, pages[g])
 		case primary[g]:
@@ -90,8 +76,21 @@ func (k *Kernel) CheckPageGroupBookkeeping() error {
 	}
 	for sig, g := range e.sigIndex {
 		r := e.derivedRec(g)
-		if r == nil || !r.indexed || r.sig != sig || signature(r.seg, &r.members) != sig {
-			return fmt.Errorf("signature %#x indexes group %d, which does not match it", sig, g)
+		if r == nil || r.sig != sig || r.holders == 0 {
+			return fmt.Errorf("signature %#x indexes group %d, which was not made under it", sig, g)
+		}
+		var holders pgroup.Membership[addr.DomainID]
+		unforked := 0
+		for _, d := range held[g] {
+			_, wd := d.groups.Get(g)
+			holders.Put(d.ID, wd)
+			if d.forkedAt < r.made {
+				unforked++
+			}
+		}
+		if unforked == r.holders && (holders.Count() != r.holders || signature(r.seg, &holders) != sig) {
+			return fmt.Errorf("group %d is reusable, but its %d live holders do not hash to its signature under %d holders",
+				g, holders.Count(), r.holders)
 		}
 	}
 	return nil

@@ -236,6 +236,9 @@ type Domain struct {
 	// groups is the domain's page-group set (page-group model): the
 	// authoritative record behind the PID registers / group cache.
 	groups pgroup.Membership[addr.GroupID]
+	// forkedAt is the page-group engine's clock at the domain's last
+	// fork, as parent or child (pgEngine.reusable).
+	forkedAt uint64
 	// execSite is the domain's current execution address, for
 	// execution-keyed protection (see exec.go).
 	execSite addr.VA

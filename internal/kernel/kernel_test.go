@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/pgroup"
 )
 
 // bothModels runs a subtest against a fresh kernel of each model.
@@ -492,24 +493,60 @@ func TestPGPageMoveOnExclusiveGrant(t *testing.T) {
 	}
 }
 
+// TestPGDerivedGroupReuse pins the derived-group reuse rule: a page
+// wanting the membership of an untouched derived group reuses it, but a
+// group whose holders merely returned to its creation members (a holder
+// forked and the child died) is refused, and so is a desired membership
+// that is a proper subset of the creation members.
 func TestPGDerivedGroupReuse(t *testing.T) {
 	k := New(DefaultConfig(ModelPageGroup))
-	a := k.CreateDomain()
-	b := k.CreateDomain()
+	a, b, c := k.CreateDomain(), k.CreateDomain(), k.CreateDomain()
 	s := k.CreateSegment(8, SegmentOptions{})
-	k.Attach(a, s, addr.RW)
-	k.Attach(b, s, addr.RW)
-	// Two pages get the same "exclusive to a" treatment: the second must
-	// reuse the derived group created for the first.
-	if err := k.SetPageRights(b, s.PageVA(0), addr.None); err != nil {
+	for _, d := range []*Domain{a, b, c} {
+		k.Attach(d, s, addr.RW)
+	}
+	// minted counts new group numbers, fresh or recycled.
+	minted := func() uint64 {
+		return k.Counters().Get("pg.groups_created") + k.Counters().Get("pg.groups_recycled")
+	}
+	// exclude takes c's access to page i, parking the page in a derived
+	// group of a and b, and returns the group.
+	exclude := func(i uint64) addr.GroupID {
+		t.Helper()
+		if err := k.SetPageRights(c, s.PageVA(i), addr.None); err != nil {
+			t.Fatal(err)
+		}
+		g, _, _ := k.PageInfo(s.PageVPN(i))
+		return g
+	}
+	g0 := exclude(0)
+	n := minted()
+	if g := exclude(1); g != g0 || minted() != n {
+		t.Fatalf("identical sharing pattern got group %d (minted %d more), want reuse of %d", g, minted()-n, g0)
+	}
+	child, err := k.ForkDomain(a)
+	if err != nil {
 		t.Fatal(err)
 	}
-	created := k.Counters().Get("pg.groups_created")
-	if err := k.SetPageRights(b, s.PageVA(1), addr.None); err != nil {
+	if err := k.DestroyDomain(child); err != nil {
 		t.Fatal(err)
 	}
-	if k.Counters().Get("pg.groups_created") != created {
-		t.Fatal("identical sharing pattern did not reuse derived group")
+	// g0's holders are its creation members again, but a forked since.
+	n = minted()
+	g2 := exclude(2)
+	if g2 == g0 || minted() != n+1 {
+		t.Fatalf("after a holder forked, page 2 got group %d (minted %d), want a new group, not %d", g2, minted()-n, g0)
+	}
+	e := k.engine.(*pgEngine)
+	var want pgroup.Membership[addr.DomainID]
+	want.Put(a.ID, false)
+	want.Put(b.ID, false)
+	if !e.reusable(g2, s.ID, &want) {
+		t.Fatalf("group %d refused for its own creation membership", g2)
+	}
+	want.Delete(b.ID)
+	if e.reusable(g2, s.ID, &want) {
+		t.Fatalf("group %d accepted for a proper subset of its creation members", g2)
 	}
 }
 

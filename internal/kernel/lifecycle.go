@@ -126,20 +126,19 @@ func (k *Kernel) ForkDomain(parent *Domain) (*Domain, error) {
 }
 
 // DestroyDomain ends a protection domain: every attachment is severed,
-// page-group memberships are revoked and scrubbed from the derived-group
-// bookkeeping, the domain's hardware entries are purged locally and
-// withdrawn from every remote CPU and device seat the sharer directory
-// lists (one targeted DomainPurge scan per seat — traffic scales with
-// actual sharers, not machine size), and its ID goes onto the free list
-// for recycling. Afterwards no hardware structure, directory set or
-// kernel table holds any authority for the ID (the oracle's destroy
-// sweep verifies exactly this). Returns ErrDomainDestroyed (wrapped) on
-// a stale handle.
+// page-group memberships are revoked, the domain's hardware entries are
+// purged locally and withdrawn from every remote CPU and device seat the
+// sharer directory lists (one targeted DomainPurge scan per seat —
+// traffic scales with actual sharers, not machine size), and its ID goes
+// onto the free list for recycling. Afterwards no hardware structure,
+// directory set or kernel table holds any authority for the ID (the
+// oracle's destroy sweep verifies exactly this). Returns
+// ErrDomainDestroyed (wrapped) on a stale handle.
 func (k *Kernel) DestroyDomain(d *Domain) error {
 	if err := k.checkLive(d, "destroy"); err != nil {
 		return err
 	}
-	// Engine teardown: purge + shoot domain-keyed hardware state, scrub
+	// Engine teardown: purge + shoot domain-keyed hardware state, revoke
 	// group memberships. Runs before the bookkeeping detach below so
 	// the engines still see the attachment set.
 	k.engine.onDestroyDomain(d)

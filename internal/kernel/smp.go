@@ -97,6 +97,15 @@ func (k *Kernel) shootExecuting(d *Domain, r smp.Request) {
 	})
 }
 
+// executes reports whether some seat shootExecuting reaches runs d: the
+// local machine, or a seat in d's executing-seat set.
+func (k *Kernel) executes(d *Domain) bool {
+	if k.mach.Domain() == d.ID {
+		return true
+	}
+	return k.shoot != nil && int(d.ID) < len(k.executing) && !k.executing[d.ID].Empty()
+}
+
 // moveExecuting records that seat t switched from executing domain from
 // to executing domain to (Switch on a CPU, ProgramDevice on a device).
 // NilDomain, the state every seat starts in, has no set. Callers skip it

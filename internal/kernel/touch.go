@@ -17,8 +17,15 @@ import (
 // domain's handle fails before anything runs, with a FaultError wrapping
 // ErrDomainDestroyed.
 func (k *Kernel) Touch(d *Domain, va addr.VA, kind addr.AccessKind) error {
+	_, err := k.touch(d, va, kind)
+	return err
+}
+
+// touch is Touch returning a successful store's page record (markDirty),
+// so the store's data copy needs no second lookup.
+func (k *Kernel) touch(d *Domain, va addr.VA, kind addr.AccessKind) (*page, error) {
 	if err := k.checkLive(d, "touch"); err != nil {
-		return faultErr(d, va, kind, nil, err)
+		return nil, faultErr(d, va, kind, nil, err)
 	}
 	k.Switch(d)
 	for try := 0; try < k.cfg.MaxFaultRetries; try++ {
@@ -29,7 +36,7 @@ func (k *Kernel) Touch(d *Domain, va addr.VA, kind addr.AccessKind) error {
 			// idempotent handlers re-grant and the access retries.
 			k.cycles.Add(k.cost.Trap)
 			if err := k.handleProtFault(d, va, kind); err != nil {
-				return err
+				return nil, err
 			}
 			continue
 		}
@@ -37,31 +44,31 @@ func (k *Kernel) Touch(d *Domain, va addr.VA, kind addr.AccessKind) error {
 		switch out.Fault {
 		case cpu.FaultNone:
 			if kind == addr.Store {
-				k.markDirty(k.geo.PageNumber(va))
+				return k.markDirty(k.geo.PageNumber(va)), nil
 			}
-			return nil
+			return nil, nil
 		case cpu.FaultPageUnmapped:
 			if k.Mapped(k.geo.PageNumber(va)) {
 				// The page has a translation; the "unmapped" fault came
 				// from a per-space view with no record for this domain
 				// (ModelConventional): a protection matter, not paging.
 				if err := k.handleProtFault(d, va, kind); err != nil {
-					return err
+					return nil, err
 				}
 				break
 			}
 			if err := k.handlePageFault(va); err != nil {
-				return faultErr(d, va, kind, nil, err)
+				return nil, faultErr(d, va, kind, nil, err)
 			}
 		case cpu.FaultProtection:
 			if err := k.handleProtFault(d, va, kind); err != nil {
-				return err
+				return nil, err
 			}
 		case cpu.FaultNoAuthority:
-			return faultErr(d, va, kind, ErrNoAuthority, nil)
+			return nil, faultErr(d, va, kind, ErrNoAuthority, nil)
 		}
 	}
-	return faultErr(d, va, kind, ErrFaultLoop, nil)
+	return nil, faultErr(d, va, kind, ErrFaultLoop, nil)
 }
 
 // handlePageFault resolves a missing translation: pages that were paged
@@ -83,11 +90,14 @@ func (k *Kernel) handlePageFault(va addr.VA) error {
 	return k.mapFresh(p, vpn)
 }
 
-// markDirty sets the dirty bit of vpn's translation, if it has one.
-func (k *Kernel) markDirty(vpn addr.VPN) {
-	if p := k.mappedPage(vpn); p != nil {
+// markDirty sets the dirty bit of vpn's translation, if it has one, and
+// returns the page's record (nil when the page is unmapped).
+func (k *Kernel) markDirty(vpn addr.VPN) *page {
+	p := k.mappedPage(vpn)
+	if p != nil {
 		p.dirty = true
 	}
+	return p
 }
 
 // mapFresh allocates a zeroed frame for vpn and maps it in the page's
@@ -139,8 +149,7 @@ func (k *Kernel) handleProtFault(d *Domain, va addr.VA, kind addr.AccessKind) er
 		return faultErr(d, va, kind, ErrNoAuthority, nil)
 	}
 	if s.handler == nil {
-		return faultErr(d, va, kind, ErrProtection,
-			fmt.Errorf("segment %q has no handler", s.Name))
+		return faultErr(d, va, kind, ErrProtection, noHandler{s})
 	}
 	k.hHandlerUpcalls.Inc()
 	// Delivering the fault to a user-level handler costs a trap (the
@@ -156,14 +165,21 @@ func (k *Kernel) handleProtFault(d *Domain, va addr.VA, kind addr.AccessKind) er
 	return nil
 }
 
+// noHandler is the cause of a protection fault in a segment with no
+// handler. Pointer-shaped, it formats its text only when asked, so a
+// denial allocates nothing beyond its FaultError.
+type noHandler struct{ seg *Segment }
+
+func (e noHandler) Error() string { return fmt.Sprintf("segment %q has no handler", e.seg.Name) }
+
 // --- Functional data access ---
 // The machine approves accesses and accounts costs; actual bytes live in
 // physical memory and move here.
 
-// frameData returns the physical bytes behind vpn. The page must be
-// mapped.
-func (k *Kernel) frameData(vpn addr.VPN) ([]byte, error) {
-	p := k.mappedPage(vpn)
+// frameData returns the physical bytes behind page vpn given its record
+// p as mappedPage or markDirty return it: nil, an unmapped page, is an
+// error.
+func (k *Kernel) frameData(p *page, vpn addr.VPN) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("kernel: page %#x not mapped", uint64(vpn))
 	}
@@ -176,7 +192,8 @@ func (k *Kernel) Load(d *Domain, va addr.VA) (uint64, error) {
 	if err := k.Touch(d, va, addr.Load); err != nil {
 		return 0, err
 	}
-	data, err := k.frameData(k.geo.PageNumber(va))
+	vpn := k.geo.PageNumber(va)
+	data, err := k.frameData(k.mappedPage(vpn), vpn)
 	if err != nil {
 		return 0, err
 	}
@@ -190,10 +207,11 @@ func (k *Kernel) Load(d *Domain, va addr.VA) (uint64, error) {
 
 // Store performs a protection-checked 64-bit store at va.
 func (k *Kernel) Store(d *Domain, va addr.VA, v uint64) error {
-	if err := k.Touch(d, va, addr.Store); err != nil {
+	p, err := k.touch(d, va, addr.Store)
+	if err != nil {
 		return err
 	}
-	data, err := k.frameData(k.geo.PageNumber(va))
+	data, err := k.frameData(p, k.geo.PageNumber(va))
 	if err != nil {
 		return err
 	}
@@ -208,11 +226,11 @@ func (k *Kernel) Store(d *Domain, va addr.VA, v uint64) error {
 // protection-checked load of its first byte. Used by servers (pagers,
 // checkpointers) that process whole pages.
 func (k *Kernel) ReadPage(d *Domain, va addr.VA) ([]byte, error) {
-	base := k.geo.Base(k.geo.PageNumber(va))
-	if err := k.Touch(d, base, addr.Load); err != nil {
+	vpn := k.geo.PageNumber(va)
+	if err := k.Touch(d, k.geo.Base(vpn), addr.Load); err != nil {
 		return nil, err
 	}
-	data, err := k.frameData(k.geo.PageNumber(va))
+	data, err := k.frameData(k.mappedPage(vpn), vpn)
 	if err != nil {
 		return nil, err
 	}
@@ -223,11 +241,12 @@ func (k *Kernel) ReadPage(d *Domain, va addr.VA) ([]byte, error) {
 // WritePage overwrites the page holding va with buf after a
 // protection-checked store.
 func (k *Kernel) WritePage(d *Domain, va addr.VA, buf []byte) error {
-	base := k.geo.Base(k.geo.PageNumber(va))
-	if err := k.Touch(d, base, addr.Store); err != nil {
+	vpn := k.geo.PageNumber(va)
+	p, err := k.touch(d, k.geo.Base(vpn), addr.Store)
+	if err != nil {
 		return err
 	}
-	data, err := k.frameData(k.geo.PageNumber(va))
+	data, err := k.frameData(p, vpn)
 	if err != nil {
 		return err
 	}

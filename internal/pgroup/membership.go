@@ -7,8 +7,9 @@ import (
 
 // Membership is one side of the page-group membership relation
 // (§4.1.2): a set of small dense IDs, each carrying a write-disable bit.
-// A domain's or a device's group set is a Membership[addr.GroupID], and a
-// derived group's members a Membership[addr.DomainID].
+// A domain's or a device's group set is a Membership[addr.GroupID], and
+// the membership the page-group engine wants for a page a
+// Membership[addr.DomainID].
 //
 // It is two bitsets, the members and the write-disable bits of members,
 // so Put, Delete and Get are one bit operation each and a walk visits IDs
@@ -61,21 +62,6 @@ func (m *Membership[K]) Copy(o *Membership[K]) {
 	m.Clear()
 	m.ids.Union(&o.ids)
 	m.wd.Union(&o.wd)
-}
-
-// Equal reports whether m and o hold the same members with the same
-// write-disable bits: first the counts, then each member's two bits.
-func (m *Membership[K]) Equal(o *Membership[K]) bool {
-	if m.Count() != o.Count() {
-		return false
-	}
-	eq := true
-	m.ForEach(func(id K, wd bool) {
-		if ok, w := o.Get(id); !ok || w != wd {
-			eq = false
-		}
-	})
-	return eq
 }
 
 // ForEach calls fn for every member in ascending ID order, the order
