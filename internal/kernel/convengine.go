@@ -29,19 +29,31 @@ func newConvEngine(k *Kernel) *convEngine {
 func (e *convEngine) onCreateSegment(*Segment) error { return nil }
 
 // onAttach is pure bookkeeping: per-space entries fault in via Walk. The
-// kernel also accounts the per-space page-table slots the attachment
-// consumes (the linear-table space waste of Section 3.1).
-func (e *convEngine) onAttach(d *Domain, s *Segment, r addr.Rights) {
+// kernel also accounts the per-space page-table slots a new attachment
+// consumes (the linear-table space waste of Section 3.1). A renewed one
+// keeps its slots and invalidates the entries holding the old rights,
+// as a detach does.
+func (e *convEngine) onAttach(d *Domain, s *Segment, _ addr.Rights, renewed bool) {
+	if renewed {
+		e.invalidate(d, s)
+		return
+	}
 	e.hSlotsAllocated.Add(s.NumPages())
 }
 
-// onDetach invalidates the domain's TLB entries across the segment, one
-// (ASID, page) at a time.
+// onDetach invalidates the domain's TLB entries across the segment and
+// frees its page-table slots.
 func (e *convEngine) onDetach(d *Domain, s *Segment) {
+	e.invalidate(d, s)
+	e.hSlotsFreed.Add(s.NumPages())
+}
+
+// invalidate drops the domain's TLB entries across the segment, one
+// (ASID, page) at a time.
+func (e *convEngine) invalidate(d *Domain, s *Segment) {
 	for i := uint64(0); i < s.NumPages(); i++ {
 		e.k.shootDomain(d, smp.Request{Kind: smp.InvalRights, VPN: s.PageVPN(i)})
 	}
-	e.hSlotsFreed.Add(s.NumPages())
 }
 
 // setPageRights updates the one resident (ASID, page) entry.

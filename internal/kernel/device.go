@@ -135,20 +135,14 @@ func (k *Kernel) DeviceSeat(i int) int { return len(k.machs) + i }
 // (SeatTrusted for the device's seat).
 func (k *Kernel) DeviceTrusted(i int) bool { return k.SeatTrusted(k.DeviceSeat(i)) }
 
-// DeviceHealth returns the shootdown layer's health view of device i.
-func (k *Kernel) DeviceHealth(i int) smp.Health {
-	if k.shoot == nil {
-		return smp.Healthy
-	}
-	return k.shoot.CPUHealth(k.DeviceSeat(i))
-}
+// DeviceHealth returns the shootdown layer's health view of device i
+// (a kernel with a device always has a shootdown subsystem).
+func (k *Kernel) DeviceHealth(i int) smp.Health { return k.shoot.CPUHealth(k.DeviceSeat(i)) }
 
 // DeviceFenced reports whether device i's DMA channel is fenced
 // (quarantined or degraded): transfers abort with iommu.ErrFenced
 // until the device rejoins.
-func (k *Kernel) DeviceFenced(i int) bool {
-	return k.shoot != nil && k.shoot.Fenced(k.DeviceSeat(i))
-}
+func (k *Kernel) DeviceFenced(i int) bool { return k.shoot.Fenced(k.DeviceSeat(i)) }
 
 // ProgramDevice reprograms device i's DMA channel to act on behalf of
 // domain d: subsequent transfers are checked against d's authority.
@@ -156,8 +150,13 @@ func (k *Kernel) DeviceFenced(i int) bool {
 // d's rights reach it (withdrawn again when a removal shootdown proves
 // its IOTLB holds nothing of d, or on rejoin), and becomes one of d's
 // executing seats, so d's group loads and revocations reach its
-// membership cache.
+// membership cache. Programming a device through a destroyed domain's
+// handle is a programmer error: it panics with ErrDomainDestroyed
+// (wrapped), as Attach does.
 func (k *Kernel) ProgramDevice(i int, d *Domain) {
+	if err := k.checkLive(d, "program device"); err != nil {
+		panic(err)
+	}
 	seat := k.DeviceSeat(i)
 	k.moveExecuting(seat, k.devs[i].OnBehalf(), d.ID)
 	k.devs[i].SetOnBehalf(d.ID)
@@ -173,10 +172,8 @@ func (k *Kernel) ProgramDevice(i int, d *Domain) {
 func (k *Kernel) RejoinDevice(i int) {
 	seat := k.DeviceSeat(i)
 	k.purgeSeat(seat)
-	if k.shoot != nil {
-		k.shoot.DropPending(seat)
-		k.shoot.Rejoin(seat)
-	}
+	k.shoot.DropPending(seat)
+	k.shoot.Rejoin(seat)
 	k.hDevRejoins.Inc()
 	k.cycles.Add(k.cost.Trap)
 }
@@ -184,7 +181,9 @@ func (k *Kernel) RejoinDevice(i int) {
 // deviceCheck runs device i's translation + protection check for one
 // DMA reference, resolving IO page faults (unmapped pages are paged in
 // or demand-zeroed by the kernel — devices have no user-level fault
-// handlers, so protection denials are terminal typed errors).
+// handlers, so protection denials are terminal typed errors). A device
+// acting for no live domain, because its domain was destroyed or it was
+// never programmed, has no authority to probe with.
 func (k *Kernel) deviceCheck(i int, vpn addr.VPN, kind addr.AccessKind) error {
 	dev := k.devs[i]
 	if k.DeviceFenced(i) {
@@ -194,7 +193,13 @@ func (k *Kernel) deviceCheck(i int, vpn addr.VPN, kind addr.AccessKind) error {
 			VPN: vpn, Kind: kind, Err: iommu.ErrFenced,
 		}
 	}
-	for try := 0; try < k.cfg.MaxFaultRetries; try++ {
+	if !k.DomainLive(dev.OnBehalf()) {
+		return &iommu.AccessError{
+			Device: dev.Name(), Seat: dev.Seat(), Domain: dev.OnBehalf(),
+			VPN: vpn, Kind: kind, Err: iommu.ErrNoAuthority,
+		}
+	}
+	for try := 0; try < maxFaultRetries; try++ {
 		_, err := dev.Check(vpn, kind)
 		if err == nil {
 			return nil

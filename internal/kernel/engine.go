@@ -7,6 +7,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/machine"
 	"repro/internal/pgroup"
+	"repro/internal/ptable"
 	"repro/internal/smp"
 	"repro/internal/stats"
 )
@@ -18,7 +19,10 @@ type engine interface {
 	// onCreateSegment assigns per-segment engine state; it may fail when
 	// an architectural namespace (page-group numbers) is exhausted.
 	onCreateSegment(s *Segment) error
-	onAttach(d *Domain, s *Segment, r addr.Rights)
+	// onAttach syncs hardware after d was attached to s with rights r;
+	// renewed reports that d was attached already, with other rights,
+	// whose cached entries must go.
+	onAttach(d *Domain, s *Segment, r addr.Rights, renewed bool)
 	onDetach(d *Domain, s *Segment)
 	// setPageRights syncs hardware after domain d's rights to one page
 	// changed in the kernel tables.
@@ -43,7 +47,9 @@ type engine interface {
 
 // SetPageRights changes domain d's access rights to the single page
 // holding va (Table 1: the per-domain, per-page operation that most
-// sharply separates the two models, Section 4.1.2).
+// sharply separates the two models, Section 4.1.2). The domain must be
+// attached to the page's segment: an override refines an attachment, and
+// dies with it (Detach), so it cannot outlive the segment either.
 func (k *Kernel) SetPageRights(d *Domain, va addr.VA, r addr.Rights) error {
 	if err := k.checkLive(d, "set page rights"); err != nil {
 		return err
@@ -53,11 +59,13 @@ func (k *Kernel) SetPageRights(d *Domain, va addr.VA, r addr.Rights) error {
 	if s == nil {
 		return ErrNoAuthority
 	}
+	if _, ok := d.Attached(s); !ok {
+		return ErrNotAttached
+	}
+	prev, had := d.overrides.Get(vpn)
 	k.overridesRW(d).Set(vpn, r)
 	k.hSetPageRights.Inc()
-	err := k.engine.setPageRights(d, vpn, r)
-	k.flushIPIs()
-	return err
+	return k.syncPageRights(d, vpn, r, prev, had)
 }
 
 // ClearPageRights removes domain d's per-page override, reverting the page
@@ -71,13 +79,29 @@ func (k *Kernel) ClearPageRights(d *Domain, va addr.VA) error {
 	if s == nil {
 		return ErrNoAuthority
 	}
-	if _, ok := d.overrides.Get(vpn); !ok {
+	prev, had := d.overrides.Get(vpn)
+	if !had {
 		return nil
 	}
 	k.overridesRW(d).Clear(vpn)
 	r, _ := d.Attached(s)
 	k.hClearPageRights.Inc()
+	return k.syncPageRights(d, vpn, r, prev, had)
+}
+
+// syncPageRights runs the engine after d's override for vpn changed,
+// giving d rights r there. A change the engine refuses (page-group's
+// ErrUnrepresentable or ErrGroupIDsExhausted) leaves the hardware as it
+// was, so the previous override, prev if had, is put back.
+func (k *Kernel) syncPageRights(d *Domain, vpn addr.VPN, r, prev addr.Rights, had bool) error {
 	err := k.engine.setPageRights(d, vpn, r)
+	if err != nil {
+		if had {
+			d.overrides.Set(vpn, prev)
+		} else {
+			d.overrides.Clear(vpn)
+		}
+	}
 	k.flushIPIs()
 	return err
 }
@@ -113,9 +137,15 @@ type dpEngine struct {
 
 func (e *dpEngine) onCreateSegment(*Segment) error { return nil }
 
-// onAttach does nothing: access rights are faulted into the PLB one page
-// at a time as the domain touches them (Table 1, row 1).
-func (e *dpEngine) onAttach(*Domain, *Segment, addr.Rights) {}
+// onAttach does nothing for a new attachment: access rights are faulted
+// into the PLB one page at a time as the domain touches them (Table 1,
+// row 1). A renewed one purges the entries holding the old rights, as a
+// detach does.
+func (e *dpEngine) onAttach(d *Domain, s *Segment, _ addr.Rights, renewed bool) {
+	if renewed {
+		e.onDetach(d, s)
+	}
+}
 
 // onDetach purges the domain's PLB entries for the segment: either a
 // precise scan of every resident entry or a flash clear of the whole PLB
@@ -131,8 +161,8 @@ func (e *dpEngine) onDetach(d *Domain, s *Segment) {
 // setPageRights updates the resident PLB entry for (d, page), if any —
 // one entry, other domains untouched. For super-page segments the
 // covering entry is too coarse to update in place: it is invalidated and
-// a base-page entry installed (sibling pages re-fault their super-page
-// entry lazily).
+// a base-page entry installed (sibling pages re-fault at base
+// granularity while the override stands; see Kernel.ProtShift).
 func (e *dpEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
 	if s := e.k.segmentOf(vpn); s != nil && s.protShift != 0 {
 		e.k.shootDomain(d, smp.Request{Kind: smp.InvalRights, VPN: vpn})
@@ -362,7 +392,10 @@ func (e *pgEngine) attachments(s *Segment) []pgWant {
 	return attach
 }
 
-func (e *pgEngine) onAttach(d *Domain, s *Segment, r addr.Rights) {
+// onAttach needs no purge for a renewed attachment: the resync regrants
+// the segment's groups with the new write-disable bits, and re-derives
+// the pages on which the domain's override may no longer match them.
+func (e *pgEngine) onAttach(d *Domain, s *Segment, r addr.Rights, renewed bool) {
 	// Representability: r must be the (new) union or the union without
 	// write; otherwise the page-group model clamps the odd domain (the
 	// model's expressiveness limit, Section 4.1.2).
@@ -374,7 +407,11 @@ func (e *pgEngine) onAttach(d *Domain, s *Segment, r addr.Rights) {
 	if r != addr.None && r != union && r != union.WithoutWrite() {
 		e.hClamps.Inc()
 	}
-	e.resyncSegment(s, attach)
+	var changed *Domain
+	if renewed {
+		changed = d
+	}
+	e.resyncSegment(s, attach, changed)
 }
 
 func (e *pgEngine) onDetach(d *Domain, s *Segment) {
@@ -383,22 +420,32 @@ func (e *pgEngine) onDetach(d *Domain, s *Segment) {
 	e.revoke(d, s.group)
 	// Pages in derived groups must be re-derived: their desired vectors
 	// changed with the detaching domain's authority.
-	e.resyncSegment(s, e.attachments(s))
+	e.resyncSegment(s, e.attachments(s), nil)
 }
 
 // resyncSegment recomputes the primary group and re-derives every page
 // of the segment parked in a derived group, so group memberships track
-// the attachments (attach, the segment's snapshot) and overrides.
-func (e *pgEngine) resyncSegment(s *Segment, attach []pgWant) {
+// the attachments (attach, the segment's snapshot) and overrides. It
+// also re-derives every primary-group page on which changed, when not
+// nil, holds an override: that domain's attachment rights changed, so
+// the primary group's encoding of them may no longer match the
+// override. A resync cannot refuse, so an unrepresentable vector is
+// clamped as the primary group clamps (regroup).
+func (e *pgEngine) resyncSegment(s *Segment, attach []pgWant, changed *Domain) {
 	e.recomputePrimary(s, attach)
+	var over *ptable.ProtTable // nil reads as empty
+	if changed != nil {
+		over = changed.overrides
+	}
 	for i := range s.pages {
-		if s.pages[i].group != s.group {
-			if err := e.regroup(s, s.PageVPN(uint64(i)), attach); err != nil {
-				// Unrepresentable vector (or a group namespace drained to
-				// empty) during a void-returning resync: clamp by leaving
-				// the page where it is and counting.
-				e.hClamps.Inc()
-			}
+		vpn := s.PageVPN(uint64(i))
+		if _, ok := over.Get(vpn); !ok && s.pages[i].group == s.group {
+			continue
+		}
+		if err := e.regroup(s, vpn, attach, true); err != nil {
+			// The group namespace drained to empty: leave the page
+			// where it is and count.
+			e.hClamps.Inc()
 		}
 	}
 }
@@ -420,8 +467,11 @@ func (e *pgEngine) desiredVector(vpn addr.VPN, attach []pgWant) []pgWant {
 // regroup moves page vpn of segment s into a group realizing the
 // desired rights vector: group membership = domains with access; rights
 // field = union; write-disable for members that may not write (Section
-// 4.1.2). attach is s's attachment snapshot (attachments).
-func (e *pgEngine) regroup(s *Segment, vpn addr.VPN, attach []pgWant) error {
+// 4.1.2). attach is s's attachment snapshot (attachments). A vector the
+// encoding cannot express is refused with ErrUnrepresentable, unless
+// clamp is set: then each odd member gets the union, write-disabled when
+// it may not write, so loads and stores keep their verdicts.
+func (e *pgEngine) regroup(s *Segment, vpn addr.VPN, attach []pgWant, clamp bool) error {
 	p := s.record(vpn)
 	want := e.desiredVector(vpn, attach)
 	union := addr.None
@@ -452,8 +502,12 @@ func (e *pgEngine) regroup(s *Segment, vpn addr.VPN, attach []pgWant) error {
 		case union.WithoutWrite():
 			members.Put(w.d.ID, true)
 		default:
-			return fmt.Errorf("%w: page %#x domain %d wants %v, union %v",
-				ErrUnrepresentable, uint64(vpn), w.d.ID, w.want, union)
+			if !clamp {
+				return fmt.Errorf("%w: page %#x domain %d wants %v, union %v",
+					ErrUnrepresentable, uint64(vpn), w.d.ID, w.want, union)
+			}
+			e.hClamps.Inc()
+			members.Put(w.d.ID, union&addr.Write != 0 && w.want&addr.Write == 0)
 		}
 	}
 
@@ -612,14 +666,14 @@ func (e *pgEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
 	if s == nil {
 		return ErrNoAuthority
 	}
-	return e.regroup(s, vpn, e.attachments(s))
+	return e.regroup(s, vpn, e.attachments(s), false)
 }
 
 func (e *pgEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
 	// Pages that moved to derived groups have their own vectors; the
 	// segment-wide change alters the domain's contribution to each, so
 	// they must be re-derived individually.
-	e.resyncSegment(s, e.attachments(s))
+	e.resyncSegment(s, e.attachments(s), nil)
 	return nil
 }
 

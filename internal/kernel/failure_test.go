@@ -217,7 +217,7 @@ func TestAutoEvictSurvivesPressure(t *testing.T) {
 	}
 }
 
-// --- First-class fault injection (Config.FaultInjector) ---
+// --- First-class fault injection (SetFaultInjector) ---
 
 func TestInjectedFrameAllocFailure(t *testing.T) {
 	// The injector makes allocation fail for one specific page; the

@@ -1,12 +1,15 @@
 package kernel
 
-import "repro/internal/addr"
+import (
+	"repro/internal/addr"
+	"repro/internal/stats"
+)
 
 // FaultInjector forces failures at the kernel's decision points, making
 // the ad-hoc degradation scenarios of failure_test.go a first-class,
-// reusable mechanism: robustness workloads install one via
-// Config.FaultInjector and the kernel consults it at each hook. A nil
-// injector (or nil hook) costs nothing. Every fired injection is counted
+// reusable mechanism: robustness workloads install one with
+// SetFaultInjector and the kernel consults it at each hook. A nil hook
+// costs nothing. Every fired injection is counted
 // (kernel.injected_*) so experiments can correlate injected faults with
 // the recovery work they triggered.
 type FaultInjector struct {
@@ -37,74 +40,25 @@ type FaultInjector struct {
 	PageIn func(vpn addr.VPN) error
 }
 
-// SetFaultInjector installs (or, with nil, removes) the kernel's fault
-// injector at runtime, so tests can scope injection to one phase of a
-// workload.
-func (k *Kernel) SetFaultInjector(inj *FaultInjector) { k.cfg.FaultInjector = inj }
-
-// injectFrameAlloc runs the FrameAlloc hook, counting fired injections.
-func (k *Kernel) injectFrameAlloc(vpn addr.VPN) error {
-	inj := k.cfg.FaultInjector
-	if inj == nil || inj.FrameAlloc == nil {
-		return nil
+// SetFaultInjector installs a copy of inj as the kernel's fault injector
+// (nil removes it) at runtime, so tests can scope injection to one phase
+// of a workload.
+func (k *Kernel) SetFaultInjector(inj *FaultInjector) {
+	k.hooks = FaultInjector{}
+	if inj != nil {
+		k.hooks = *inj
 	}
-	if err := inj.FrameAlloc(vpn); err != nil {
-		k.hInjFrameFails.Inc()
-		return err
-	}
-	return nil
 }
 
-// injectHandlerError runs the HandlerError hook, counting fired
-// injections.
-func (k *Kernel) injectHandlerError(f Fault) error {
-	inj := k.cfg.FaultInjector
-	if inj == nil || inj.HandlerError == nil {
+// inject runs the injector's hook on x, if the hook is set, counting a
+// fired injection on fired.
+func inject[T any](hook func(T) error, x T, fired stats.Handle) error {
+	if hook == nil {
 		return nil
 	}
-	if err := inj.HandlerError(f); err != nil {
-		k.hInjHandlerErrs.Inc()
-		return err
+	err := hook(x)
+	if err != nil {
+		fired.Inc()
 	}
-	return nil
-}
-
-// injectSpuriousTrap runs the SpuriousTrap hook, counting fired
-// injections.
-func (k *Kernel) injectSpuriousTrap(d *Domain, va addr.VA, kind addr.AccessKind) bool {
-	inj := k.cfg.FaultInjector
-	if inj == nil || inj.SpuriousTrap == nil {
-		return false
-	}
-	if inj.SpuriousTrap(d.ID, va, kind) {
-		k.hInjSpurious.Inc()
-		return true
-	}
-	return false
-}
-
-// injectPageOut runs the PageOut hook, counting fired injections.
-func (k *Kernel) injectPageOut(vpn addr.VPN) error {
-	inj := k.cfg.FaultInjector
-	if inj == nil || inj.PageOut == nil {
-		return nil
-	}
-	if err := inj.PageOut(vpn); err != nil {
-		k.hInjPageoutFails.Inc()
-		return err
-	}
-	return nil
-}
-
-// injectPageIn runs the PageIn hook, counting fired injections.
-func (k *Kernel) injectPageIn(vpn addr.VPN) error {
-	inj := k.cfg.FaultInjector
-	if inj == nil || inj.PageIn == nil {
-		return nil
-	}
-	if err := inj.PageIn(vpn); err != nil {
-		k.hInjPageinFails.Inc()
-		return err
-	}
-	return nil
+	return err
 }

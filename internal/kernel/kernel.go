@@ -117,16 +117,6 @@ type Config struct {
 	// zero value is a single cluster — every hop count is zero, matching
 	// the flat interconnect earlier experiments were calibrated on.
 	Topology smp.Topology
-	// VABase is the first virtual address handed out to segments.
-	VABase addr.VA
-	// MaxFaultRetries bounds the access-fault-retry loop; a reference
-	// that cannot be satisfied within this many handled faults is a bug
-	// in a fault handler.
-	MaxFaultRetries int
-	// FaultInjector, when non-nil, forces failures at configured kernel
-	// hook points (frame allocation, handler dispatch, spurious traps).
-	// Production configurations leave it nil.
-	FaultInjector *FaultInjector
 	// Devices attaches device translation agents (internal/iommu): DMA
 	// engines, NICs and scanner accelerators that access memory through
 	// their own IOTLB + protection check and occupy shootdown seats
@@ -140,15 +130,22 @@ type Config struct {
 // 4096 frames (16 MB) and the default machine configurations.
 func DefaultConfig(m Model) Config {
 	return Config{
-		Model:           m,
-		Frames:          4096,
-		PLB:             machine.DefaultPLBConfig(),
-		PG:              machine.DefaultPGConfig(),
-		Conv:            machine.DefaultConvConfig(),
-		VABase:          addr.VA(1) << 32,
-		MaxFaultRetries: 8,
+		Model:  m,
+		Frames: 4096,
+		PLB:    machine.DefaultPLBConfig(),
+		PG:     machine.DefaultPGConfig(),
+		Conv:   machine.DefaultConvConfig(),
 	}
 }
+
+const (
+	// vaBase is the first virtual address handed out to segments.
+	vaBase = addr.VA(1) << 32
+	// maxFaultRetries bounds the access-fault-retry loop; a reference
+	// that cannot be satisfied within this many handled faults is a bug
+	// in a fault handler.
+	maxFaultRetries = 8
+)
 
 // Segment is a virtual segment: a fixed contiguous range of the global
 // virtual address space, allocated at creation and never overlapping any
@@ -221,7 +218,6 @@ func (s *Segment) HasAttached(id addr.DomainID) bool { return s.attached.Has(int
 type Domain struct {
 	ID addr.DomainID
 
-	kern *kernel
 	// attached, overrides and groups are lazily initialized: an empty
 	// domain is a near-zero-allocation object (the multi-tenant churn
 	// target creates and destroys millions of them). attached is kept
@@ -388,6 +384,9 @@ type kernel struct {
 	// residentFIFO orders mapped pages for the page daemon's FIFO
 	// eviction; entries may be stale (skipped when popped).
 	residentFIFO []addr.VPN
+	// hooks forces failures at the kernel's hook points
+	// (SetFaultInjector); the zero value forces none.
+	hooks FaultInjector
 
 	ctrs   stats.Counters
 	cycles stats.Cycles
@@ -505,9 +504,6 @@ func NewChecked(cfg Config) (*Kernel, error) {
 	if cfg.Frames <= 0 {
 		cfg.Frames = 4096
 	}
-	if cfg.MaxFaultRetries <= 0 {
-		cfg.MaxFaultRetries = 8
-	}
 	if cfg.CPUs < 1 {
 		cfg.CPUs = 1
 	}
@@ -545,10 +541,7 @@ func NewChecked(cfg Config) (*Kernel, error) {
 		nextDomain:  1,
 		nextSegment: 1,
 		nextGroup:   1,
-		nextVA:      cfg.VABase,
-	}
-	if k.nextVA == 0 {
-		k.nextVA = addr.VA(1) << 32
+		nextVA:      vaBase,
 	}
 	h := k.ctrs.Handle
 	k.hPageFaults, k.hZeroFills = h("kernel.page_faults"), h("kernel.zero_fills")
@@ -634,9 +627,6 @@ func (k *Kernel) Model() Model { return k.cfg.Model }
 // NumCPUs returns the number of simulated processors.
 func (k *Kernel) NumCPUs() int { return len(k.machs) }
 
-// CPU returns the current CPU index.
-func (k *Kernel) CPU() int { return k.cur }
-
 // SetTopology replaces the mesh topology at runtime (chaos scenarios
 // and sweeps re-cluster a built kernel). It returns a *ConfigError if
 // the topology cannot seat the configured CPUs.
@@ -650,9 +640,6 @@ func (k *Kernel) SetTopology(t smp.Topology) error {
 	}
 	return nil
 }
-
-// Topology returns the normalized mesh topology.
-func (k *Kernel) Topology() smp.Topology { return k.topo }
 
 // SetCPU moves the kernel's execution to CPU i: subsequent switches,
 // accesses and protection operations run against that CPU's private
@@ -803,9 +790,6 @@ func (k *Kernel) CreateSegmentChecked(npages uint64, opts SegmentOptions) (*Segm
 	k.hSegmentsCreated.Inc()
 	return s, nil
 }
-
-// SetHandler installs (or replaces) the segment's fault handler.
-func (k *Kernel) SetHandler(s *Segment, h FaultHandler) { s.handler = h }
 
 // Domains returns every live protection domain, sorted by ID.
 func (k *Kernel) Domains() []*Domain {
@@ -1005,21 +989,27 @@ func (k *Kernel) mappedPage(vpn addr.VPN) *page {
 // Attach grants domain d rights r over segment s. Under the domain-page
 // model this is pure bookkeeping — PLB entries fault in lazily. Under the
 // page-group model the segment's group is added to the domain's group set
-// (Table 1, row 1). Attaching through a destroyed domain's or segment's
-// handle is a programmer error: it panics with ErrDomainDestroyed or
-// ErrSegmentDestroyed (wrapped).
+// (Table 1, row 1). Re-attaching with other rights replaces the old ones,
+// and entries cached at the old rights are purged as on a detach;
+// re-attaching with the same rights changes nothing. Attaching through a
+// destroyed domain's or segment's handle is a programmer error: it
+// panics with ErrDomainDestroyed or ErrSegmentDestroyed (wrapped).
 func (k *Kernel) Attach(d *Domain, s *Segment, r addr.Rights) {
 	if err := cmp.Or(k.checkLive(d, "attach"), k.checkSegment(s, "attach")); err != nil {
 		panic(err)
 	}
-	i, ok := d.findAttached(s.ID)
-	if !ok {
-		d.attached = slices.Insert(d.attached, i, attachment{seg: s})
+	i, renewed := d.findAttached(s.ID)
+	switch {
+	case !renewed:
+		d.attached = slices.Insert(d.attached, i, attachment{seg: s, r: r})
+		s.attached.Add(int(d.ID))
+	case d.attached[i].r == r:
+		return
+	default:
+		d.attached[i].r = r
 	}
-	d.attached[i].r = r
-	s.attached.Add(int(d.ID))
 	k.hAttach.Inc()
-	k.engine.onAttach(d, s, r)
+	k.engine.onAttach(d, s, r, renewed)
 	k.flushIPIs()
 }
 
@@ -1136,16 +1126,27 @@ func (k *Kernel) plbSupportsShift(shift uint) bool {
 
 // ProtShift implements machine.ProtShifter: segments created with a
 // super-page protection shift install one PLB entry per 2^shift bytes,
-// except for pages where the domain holds a per-page override (those
-// must be tracked at base granularity).
+// except for pages of a super-page that runs past the segment's end (its
+// entry would cover the next segment) or holds a page the domain
+// overrides. Those are tracked at base granularity: an override's base
+// entry shadows a covering super-page entry only while it is resident,
+// and an eviction, a purge or another CPU's refill can leave the
+// super-page entry without it.
 func (k *Kernel) ProtShift(d addr.DomainID, vpn addr.VPN) uint {
 	s := k.segmentOf(vpn)
 	if s == nil || s.protShift == 0 {
 		return k.geo.Shift()
 	}
-	if dom := k.doms.get(d); dom != nil {
-		if _, ok := dom.overrides.Get(vpn); ok {
-			return k.geo.Shift()
+	if end := (uint64(k.geo.Base(vpn)) | (1<<s.protShift - 1)) + 1; end > uint64(s.Range.End()) {
+		return k.geo.Shift()
+	}
+	if dom := k.doms.get(d); dom != nil && dom.overrides.Len() > 0 {
+		n := addr.VPN(1) << (s.protShift - k.geo.Shift())
+		first := vpn &^ (n - 1)
+		for p := first; p < first+n; p++ {
+			if _, ok := dom.overrides.Get(p); ok {
+				return k.geo.Shift()
+			}
 		}
 	}
 	return s.protShift

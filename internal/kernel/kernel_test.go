@@ -38,7 +38,7 @@ func TestCreateSegmentDisjointRanges(t *testing.T) {
 		}
 	}
 	if k.FindSegment(0) != nil {
-		t.Fatal("FindSegment(0) found a segment below VABase")
+		t.Fatal("FindSegment(0) found a segment below vaBase")
 	}
 }
 
@@ -565,6 +565,18 @@ func TestPGUnrepresentableVector(t *testing.T) {
 		t.Fatal("expected ErrUnrepresentable")
 	} else if !errors.Is(err, ErrUnrepresentable) {
 		t.Fatalf("err = %v, want ErrUnrepresentable", err)
+	}
+	// The refusal leaves the tables as they were: no override, and a's
+	// attachment rights in force, stores included.
+	vpn := k.Geometry().PageNumber(s.Base())
+	if r, ok := a.PageOverride(vpn); ok {
+		t.Errorf("refused change left override %v", r)
+	}
+	if r, _, _ := k.ResolveRights(a.ID, vpn); r != addr.RWX {
+		t.Errorf("ResolveRights after the refusal = %v, want rwx", r)
+	}
+	if err := k.Touch(a, s.Base(), addr.Store); err != nil {
+		t.Errorf("store after the refusal: %v", err)
 	}
 }
 

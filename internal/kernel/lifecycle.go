@@ -60,7 +60,9 @@ func (k *Kernel) DomainLive(id addr.DomainID) bool { return k.doms.get(id) != ni
 // (wrapped) when the ID space — bounded by the hardware's domain/ASID
 // field width, or by SetIDLimits — is fully live. An empty domain is a
 // near-zero-allocation object: its attachment, override and group
-// structures materialize on first use.
+// structures materialize on first use. A device still programmed for a
+// recycled ID is reset to no domain, so the new tenant starts with no
+// device acting for it.
 func (k *Kernel) CreateDomainChecked() (*Domain, error) {
 	var d *Domain
 	if n := len(k.freeDomains); n > 0 {
@@ -68,12 +70,18 @@ func (k *Kernel) CreateDomainChecked() (*Domain, error) {
 		k.freeDomains[n-1] = nil
 		k.freeDomains = k.freeDomains[:n-1]
 		k.hDomainsRecycled.Inc()
+		for i, dev := range k.devs {
+			if dev.OnBehalf() == d.ID {
+				k.moveExecuting(k.DeviceSeat(i), d.ID, addr.NilDomain)
+				dev.SetOnBehalf(addr.NilDomain)
+			}
+		}
 	} else {
 		if k.nextDomain == 0 || (k.maxDomain != 0 && k.nextDomain > k.maxDomain) {
 			return nil, fmt.Errorf("%w: %d live, none free",
 				ErrDomainIDsExhausted, k.doms.len())
 		}
-		d = &Domain{ID: k.nextDomain, kern: &k.kernel}
+		d = &Domain{ID: k.nextDomain}
 		k.nextDomain++
 	}
 	k.doms.put(d)

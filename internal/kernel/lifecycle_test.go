@@ -97,19 +97,29 @@ func TestGroupIDExhaustion(t *testing.T) {
 // call that would write through the handle into the pooled struct.
 // Afterwards the oracle's destroy sweep must be clean, and the ID's next
 // incarnation (LIFO recycling hands it the same struct, so the old handle
-// names it again) must start with no attachment, override or execution
-// site, denied everywhere. A destroyed segment's range, and under
-// page-group its group number, go to the next segment created: a stale
-// segment handle must grant nothing in it.
+// names it again) must start with no attachment, override, execution
+// site or DMA engine acting for it, denied everywhere. A destroyed
+// segment's range, and under page-group its group number, go to the next
+// segment created: a stale segment handle must grant nothing in it.
 func TestStaleHandles(t *testing.T) {
 	for _, model := range lifecycleModels {
 		t.Run(model.String(), func(t *testing.T) {
-			k := kernel.New(kernel.DefaultConfig(model))
+			cfg := kernel.DefaultConfig(model)
+			cfg.Devices = []kernel.DeviceConfig{{Kind: iommu.DMAEngine}}
+			k := kernel.New(cfg)
 			s := k.CreateSegment(4, kernel.SegmentOptions{Name: "s"})
 			d := k.CreateDomain()
 			k.Attach(d, s, addr.RW)
 			if err := k.Touch(d, s.Base(), addr.Store); err != nil {
 				t.Fatalf("store before destroy: %v", err)
+			}
+			buf := make([]byte, k.Geometry().PageSize())
+			for i := range buf {
+				buf[i] = 0xdd
+			}
+			k.ProgramDevice(0, d)
+			if err := k.DeviceWritePage(0, s.Base(), buf); err != nil {
+				t.Fatalf("DMA before destroy: %v", err)
 			}
 			id := d.ID
 			if err := k.DestroyDomain(d); err != nil {
@@ -144,14 +154,25 @@ func TestStaleHandles(t *testing.T) {
 					t.Errorf("stale %s = %v, want ErrDomainDestroyed", c.name, err)
 				}
 			}
-			func() {
-				defer func() {
-					if err, _ := recover().(error); !errors.Is(err, kernel.ErrDomainDestroyed) {
-						t.Errorf("stale Attach panicked with %v, want ErrDomainDestroyed", err)
-					}
+			for _, c := range []struct {
+				name string
+				call func()
+			}{
+				{"Attach", func() { k.Attach(d, s, addr.RW) }},
+				{"ProgramDevice", func() { k.ProgramDevice(0, d) }},
+			} {
+				func() {
+					defer func() {
+						if err, _ := recover().(error); !errors.Is(err, kernel.ErrDomainDestroyed) {
+							t.Errorf("stale %s panicked with %v, want ErrDomainDestroyed", c.name, err)
+						}
+					}()
+					c.call()
 				}()
-				k.Attach(d, s, addr.RW)
-			}()
+			}
+			if err := k.DeviceWritePage(0, s.Base(), buf); !errors.Is(err, iommu.ErrNoAuthority) {
+				t.Errorf("DMA for the destroyed domain = %v, want ErrNoAuthority", err)
+			}
 			if err := oracle.VerifyDestroyed(k, id); err != nil {
 				t.Errorf("after the stale calls: %v", err)
 			}
@@ -184,6 +205,18 @@ func TestStaleHandles(t *testing.T) {
 						t.Errorf("recycled domain's %v of page %d = %v, want ErrProtection", kind, i, err)
 					}
 				}
+			}
+			// The engine was programmed for the dead incarnation and never
+			// reprogrammed: it must not act for the new one.
+			k.Attach(d2, s, addr.RW)
+			if err := k.Store(d2, s.Base(), 42); err != nil {
+				t.Fatalf("recycled domain's store: %v", err)
+			}
+			if err := k.DeviceWritePage(0, s.Base(), buf); !errors.Is(err, iommu.ErrNoAuthority) {
+				t.Errorf("DMA through the never-reprogrammed engine = %v, want ErrNoAuthority", err)
+			}
+			if v, err := k.Load(d2, s.Base()); err != nil || v != 42 {
+				t.Errorf("recycled domain's word = %#x, %v; want 0x2a", v, err)
 			}
 
 			old := k.CreateSegment(2, kernel.SegmentOptions{Name: "old"})

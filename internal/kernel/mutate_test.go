@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/iommu"
 	"repro/internal/kernel"
 	"repro/internal/oracle"
 )
@@ -49,13 +50,15 @@ func primeWarmPage(t *testing.T, model kernel.Model) (*kernel.Kernel, *kernel.Do
 	return k, d, s
 }
 
-// denyKinds are the sentinels a denied Touch is classified by.
+// denyKinds are the sentinels a refused call is classified by.
 var denyKinds = []error{
 	kernel.ErrProtection, kernel.ErrNoAuthority, kernel.ErrUnrepresentable,
-	kernel.ErrFaultLoop, kernel.ErrDomainDestroyed,
+	kernel.ErrFaultLoop, kernel.ErrDomainDestroyed, kernel.ErrSegmentDestroyed,
+	kernel.ErrSegmentBusy, kernel.ErrNotAttached,
+	iommu.ErrDenied, iommu.ErrNoAuthority, iommu.ErrFenced,
 }
 
-// outcome classifies a Touch result: "allow", or the deny's kind.
+// outcome classifies a call's result: "allow", or the refusal's kind.
 func outcome(err error) string {
 	if err == nil {
 		return "allow"
@@ -125,6 +128,10 @@ var mutations = []struct {
 	{name: "Attach", kind: addr.Store,
 		mutate: func(t *testing.T, k *kernel.Kernel, d *kernel.Domain, s *kernel.Segment) {
 			k.Attach(d, k.CreateSegment(2, kernel.SegmentOptions{Name: "s2"}), addr.Read)
+		}},
+	{name: "re-attach read-only", kind: addr.Store, want: kernel.ErrProtection,
+		mutate: func(t *testing.T, k *kernel.Kernel, d *kernel.Domain, s *kernel.Segment) {
+			k.Attach(d, s, addr.Read)
 		}},
 	{name: "Detach", kind: addr.Load, want: kernel.ErrProtection,
 		mutate: func(t *testing.T, k *kernel.Kernel, d *kernel.Domain, s *kernel.Segment) {

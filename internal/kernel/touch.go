@@ -28,9 +28,10 @@ func (k *Kernel) touch(d *Domain, va addr.VA, kind addr.AccessKind) (*page, erro
 		return nil, faultErr(d, va, kind, nil, err)
 	}
 	k.Switch(d)
-	for try := 0; try < k.cfg.MaxFaultRetries; try++ {
+	for try := 0; try < maxFaultRetries; try++ {
 		k.Switch(d) // a fault handler may have switched domains
-		if k.injectSpuriousTrap(d, va, kind) {
+		if trap := k.hooks.SpuriousTrap; trap != nil && trap(d.ID, va, kind) {
+			k.hInjSpurious.Inc()
 			// Injected glitch: the hardware trapped although rights are
 			// fine. Charge the trap and deliver it like a real fault;
 			// idempotent handlers re-grant and the access retries.
@@ -107,7 +108,7 @@ func (k *Kernel) mapFresh(p *page, vpn addr.VPN) error {
 	if p.mapped {
 		return fmt.Errorf("kernel: page %#x already mapped to frame %d", uint64(vpn), p.frame)
 	}
-	if err := k.injectFrameAlloc(vpn); err != nil {
+	if err := inject(k.hooks.FrameAlloc, vpn, k.hInjFrameFails); err != nil {
 		return fmt.Errorf("kernel: page fault at %#x: %w", uint64(k.geo.Base(vpn)), err)
 	}
 	pfn, err := k.memory.Alloc()
@@ -156,7 +157,7 @@ func (k *Kernel) handleProtFault(d *Domain, va addr.VA, kind addr.AccessKind) er
 	// machine already charged the hardware fault itself).
 	k.cycles.Add(k.cost.Trap)
 	f := Fault{K: k, Domain: d, VA: va, Kind: kind, Segment: s}
-	if err := k.injectHandlerError(f); err != nil {
+	if err := inject(k.hooks.HandlerError, f, k.hInjHandlerErrs); err != nil {
 		return faultErr(d, va, kind, ErrProtection, err)
 	}
 	if err := s.handler(f); err != nil {
@@ -373,7 +374,7 @@ func (k *Kernel) PageOut(vpn addr.VPN) error {
 	}
 	// Injected backing-store failures fire before any state changes: a
 	// failed page-out leaves the page resident and consistent.
-	if err := k.injectPageOut(vpn); err != nil {
+	if err := inject(k.hooks.PageOut, vpn, k.hInjPageoutFails); err != nil {
 		return fmt.Errorf("kernel: page-out of %#x: %w", uint64(vpn), err)
 	}
 	if err := k.activePager().Out(vpn, k.memory.Data(p.frame)); err != nil {
@@ -396,7 +397,7 @@ func (k *Kernel) PageIn(vpn addr.VPN) error {
 	}
 	// Injected backing-store failures fire before the frame is allocated,
 	// so the page stays on disk and a later retry can succeed.
-	if err := k.injectPageIn(vpn); err != nil {
+	if err := inject(k.hooks.PageIn, vpn, k.hInjPageinFails); err != nil {
 		return fmt.Errorf("kernel: page-in of %#x: %w", uint64(vpn), err)
 	}
 	if err := k.mapFresh(p, vpn); err != nil {

@@ -12,8 +12,8 @@
 // The oracle is the detector the chaos campaign (internal/chaos) runs
 // after each fault scenario: injected hardware corruption must surface
 // as oracle violations while armed, and RecoverHardware must leave the
-// oracle clean. It is also the engine behind the kernel's invariant
-// tests, which are thin wrappers over AuthorityFuzz and Verify.
+// oracle clean. The kernel's lockstep checker (FuzzLockstep) runs Verify
+// after every call and VerifyDestroyed after every destroy.
 //
 // All checks are read-only with respect to the kernel's protection
 // state: they use side-effect-free kernel queries (ResolveRights,
