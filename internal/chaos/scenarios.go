@@ -594,16 +594,6 @@ func directCrashWindow(seed int64) (fired, recovered uint64, err error) {
 	return fired, recovered, nil
 }
 
-// directDeviceDeathCheckpoint routes the checkpoint workload's page
-// saves through a DMA engine device agent and kills the device's IPI
-// path mid-checkpoint: revocation volleys aimed at its seat are lost
-// until the acknowledged protocol quarantines it, at which point its
-// DMA channel is fenced and the in-flight save aborts with a typed
-// iommu.ErrFenced. The scenario's save callback then performs the
-// recovery the kernel prescribes — RejoinDevice's bulk IOTLB
-// invalidation — and retries; the checkpoint must still produce a
-// byte-consistent image, and the oracle must find no stale device
-// authority afterwards.
 // directDestroyVsDMA is the lifecycle half of the device story: a
 // session domain with a warm device seat — the DMA engine holds IOTLB
 // entries and a sharer-directory listing on its behalf — is destroyed
@@ -678,6 +668,16 @@ func directDestroyVsDMA(seed int64) (fired, recovered uint64, err error) {
 	return fired, recovered, nil
 }
 
+// directDeviceDeathCheckpoint routes the checkpoint workload's page
+// saves through a DMA engine device agent and kills the device's IPI
+// path mid-checkpoint: revocation volleys aimed at its seat are lost
+// until the acknowledged protocol quarantines it, at which point its
+// DMA channel is fenced and the in-flight save aborts with a typed
+// iommu.ErrFenced. The scenario's save callback then performs the
+// recovery the kernel prescribes — RejoinDevice's bulk IOTLB
+// invalidation — and retries; the checkpoint must still produce a
+// byte-consistent image, and the oracle must find no stale device
+// authority afterwards.
 func directDeviceDeathCheckpoint(seed int64) (fired, recovered uint64, err error) {
 	cfg := kernel.DefaultConfig(kernel.ModelDomainPage)
 	cfg.CPUs = 2

@@ -33,12 +33,13 @@ func (e *convEngine) onCreateSegment(*Segment) error { return nil }
 // consumes (the linear-table space waste of Section 3.1). A renewed one
 // keeps its slots and invalidates the entries holding the old rights,
 // as a detach does.
-func (e *convEngine) onAttach(d *Domain, s *Segment, _ addr.Rights, renewed bool) {
+func (e *convEngine) onAttach(d *Domain, s *Segment, _ addr.Rights, renewed bool) error {
 	if renewed {
 		e.invalidate(d, s)
-		return
+	} else {
+		e.hSlotsAllocated.Add(s.NumPages())
 	}
-	e.hSlotsAllocated.Add(s.NumPages())
+	return nil
 }
 
 // onDetach invalidates the domain's TLB entries across the segment and

@@ -3,6 +3,7 @@ package kernel
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/machine"
@@ -21,8 +22,10 @@ type engine interface {
 	onCreateSegment(s *Segment) error
 	// onAttach syncs hardware after d was attached to s with rights r;
 	// renewed reports that d was attached already, with other rights,
-	// whose cached entries must go.
-	onAttach(d *Domain, s *Segment, r addr.Rights, renewed bool)
+	// whose cached entries must go. An error refuses the attachment
+	// before the hardware changed, and the kernel puts the previous one
+	// back.
+	onAttach(d *Domain, s *Segment, r addr.Rights, renewed bool) error
 	onDetach(d *Domain, s *Segment)
 	// setPageRights syncs hardware after domain d's rights to one page
 	// changed in the kernel tables.
@@ -109,6 +112,9 @@ func (k *Kernel) syncPageRights(d *Domain, vpn addr.VPN, r, prev addr.Rights, ha
 // SetSegmentRights changes domain d's rights over every page of segment s
 // at once (GC space flips, checkpoint restriction — the segment-wide rows
 // of Table 1). Any per-page overrides d held in the segment are cleared.
+// A change the engine refuses (page-group's ErrUnrepresentable, as
+// Attach) leaves the hardware as it was, so the previous rights and
+// overrides are put back.
 func (k *Kernel) SetSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
 	if err := cmp.Or(k.checkLive(d, "set segment rights"), k.checkSegment(s, "set segment rights")); err != nil {
 		return err
@@ -117,12 +123,27 @@ func (k *Kernel) SetSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
 	if !ok {
 		return ErrNotAttached
 	}
+	prev := d.attached[i].r
 	d.attached[i].r = r
+	cut := k.cut[:0]
 	if d.overrides.Len() > 0 {
-		k.overridesRW(d).ClearRange(k.geo.PageNumber(s.Range.Start), s.NumPages())
+		start, n := k.geo.PageNumber(s.Range.Start), s.NumPages()
+		for vpn := start; vpn < start+addr.VPN(n); vpn++ {
+			if or, ok := d.overrides.Get(vpn); ok {
+				cut = append(cut, pageRights{vpn, or})
+			}
+		}
+		k.overridesRW(d).ClearRange(start, n)
 	}
+	k.cut = cut
 	k.hSetSegmentRights.Inc()
 	err := k.engine.setSegmentRights(d, s, r)
+	if err != nil {
+		d.attached[i].r = prev
+		for _, o := range cut {
+			d.overrides.Set(o.vpn, o.r)
+		}
+	}
 	k.flushIPIs()
 	return err
 }
@@ -141,10 +162,11 @@ func (e *dpEngine) onCreateSegment(*Segment) error { return nil }
 // into the PLB one page at a time as the domain touches them (Table 1,
 // row 1). A renewed one purges the entries holding the old rights, as a
 // detach does.
-func (e *dpEngine) onAttach(d *Domain, s *Segment, _ addr.Rights, renewed bool) {
+func (e *dpEngine) onAttach(d *Domain, s *Segment, _ addr.Rights, renewed bool) error {
 	if renewed {
 		e.onDetach(d, s)
 	}
+	return nil
 }
 
 // onDetach purges the domain's PLB entries for the segment: either a
@@ -219,12 +241,15 @@ type pgEngine struct {
 	sigIndex map[uint64]addr.GroupID
 	clock    uint64 // ticks per fork and per indexed group (reusable)
 	// Scratch reused across calls (a kernel is single-threaded); members
-	// is the membership regroup wants for a page.
+	// is the membership regroup wants for a page; redo and vectors are
+	// the pages a resync re-derives and their desired vectors.
 	attach  []pgWant
 	members pgroup.Membership[addr.DomainID]
+	redo    []addr.VPN
+	vectors []pgWant
 
 	hRecycled, hCreated, hGrants, hRevokes stats.Handle
-	hClamps, hMoves, hGCed, hForkCopies    stats.Handle
+	hMoves, hGCed, hForkCopies             stats.Handle
 }
 
 // pgGroup is the engine's record of one group number. Only live derived
@@ -260,7 +285,6 @@ func newPGEngine(k *Kernel) *pgEngine {
 		hCreated:    c.Handle("pg.groups_created"),
 		hGrants:     c.Handle("pg.grants"),
 		hRevokes:    c.Handle("pg.revokes"),
-		hClamps:     c.Handle("pg.unrepresentable_clamps"),
 		hMoves:      c.Handle("pg.page_moves"),
 		hGCed:       c.Handle("pg.derived_groups_gced"),
 		hForkCopies: c.Handle("pg.fork_group_copies"),
@@ -330,42 +354,39 @@ func (e *pgEngine) revoke(d *Domain, g addr.GroupID) {
 	}
 }
 
-// recomputePrimary re-derives the segment's primary group state from its
-// attachments. The rights field is sticky — it only ever grows — so that
-// revoking one domain's write access is a pure write-disable-bit flip
-// (Table 1 "Restrict Access": "mark the page-group read-only to the
-// application") and never requires touching the per-page TLB entries.
-func (e *pgEngine) recomputePrimary(s *Segment, attach []pgWant) {
-	union := addr.None
-	for _, a := range attach {
-		union |= a.attach
+// place reports where a domain that wants rights want sits in a group
+// whose rights field is field: outside it when it wants nothing, a
+// member when it wants the field, a write-disabled member when it wants
+// the field without write. One rights field and a write-disable bit per
+// member express nothing else (Section 4.1.2): ok is then false.
+func place(field, want addr.Rights) (member, wd, ok bool) {
+	switch want {
+	case addr.None:
+		return false, false, true
+	case field:
+		return true, false, true
+	case field.WithoutWrite():
+		return true, true, true
 	}
-	field := s.groupRights | union
+	return false, false, false
+}
+
+// recomputePrimary places every attached domain in the segment's
+// primary group under rights field field, which expresses each of them
+// (resyncSegment), and moves the pages still in the group to a changed
+// field.
+func (e *pgEngine) recomputePrimary(s *Segment, attach []pgWant, field addr.Rights) {
 	for _, a := range attach {
-		r := a.attach
-		if r == addr.None {
+		if member, wd, _ := place(field, a.attach); member {
+			e.grant(a.d, s.group, wd)
+		} else {
 			e.revoke(a.d, s.group)
-			continue
 		}
-		// A domain whose rights are the field minus write gets the
-		// write-disable bit; anything else the encoding cannot express
-		// is clamped (Section 4.1.2's expressiveness limit).
-		wd := false
-		switch r {
-		case field:
-		case field.WithoutWrite():
-			wd = field&addr.Write != 0
-		default:
-			e.hClamps.Inc()
-			wd = field&addr.Write != 0 && r&addr.Write == 0
-		}
-		e.grant(a.d, s.group, wd)
 	}
 	if field == s.groupRights {
 		return
 	}
 	s.groupRights = field
-	// Pages still in the primary group pick up the grown rights field.
 	for i := range s.pages {
 		if p := &s.pages[i]; p.group == s.group && p.groupRights != field {
 			p.groupRights = field
@@ -392,62 +413,89 @@ func (e *pgEngine) attachments(s *Segment) []pgWant {
 	return attach
 }
 
-// onAttach needs no purge for a renewed attachment: the resync regrants
-// the segment's groups with the new write-disable bits, and re-derives
-// the pages on which the domain's override may no longer match them.
-func (e *pgEngine) onAttach(d *Domain, s *Segment, r addr.Rights, renewed bool) {
-	// Representability: r must be the (new) union or the union without
-	// write; otherwise the page-group model clamps the odd domain (the
-	// model's expressiveness limit, Section 4.1.2).
-	attach := e.attachments(s)
-	union := addr.None
-	for _, a := range attach {
-		union |= a.attach
-	}
-	if r != addr.None && r != union && r != union.WithoutWrite() {
-		e.hClamps.Inc()
-	}
+// onAttach resyncs the segment. A renewed attachment needs no purge: the
+// resync regrants the segment's groups with the new write-disable bits,
+// and re-derives the pages on which the domain's override may no longer
+// match them.
+func (e *pgEngine) onAttach(d *Domain, s *Segment, _ addr.Rights, renewed bool) error {
 	var changed *Domain
 	if renewed {
 		changed = d
 	}
-	e.resyncSegment(s, attach, changed)
+	return e.resyncSegment(s, changed)
 }
 
+// onDetach removes the segment's groups from the domain's set and purges
+// them from the checker: the primary group in one operation, no scan
+// (Table 1, row 2), and each derived group, so that a page a drained
+// group namespace leaves in place grants the domain nothing. The resync
+// then re-derives the derived pages, whose vectors lost the domain; it
+// cannot refuse, since every remaining want is still the union or the
+// union without write.
 func (e *pgEngine) onDetach(d *Domain, s *Segment) {
-	// Remove the primary group from the domain's set and purge it from
-	// the checker: one operation, no scan (Table 1, row 2).
 	e.revoke(d, s.group)
-	// Pages in derived groups must be re-derived: their desired vectors
-	// changed with the detaching domain's authority.
-	e.resyncSegment(s, e.attachments(s), nil)
+	d.groups.ForEach(func(g addr.GroupID, _ bool) {
+		if r := e.derivedRec(g); r != nil && r.seg == s.ID {
+			e.revoke(d, g)
+		}
+	})
+	_ = e.resyncSegment(s, nil) // cannot refuse
 }
 
-// resyncSegment recomputes the primary group and re-derives every page
-// of the segment parked in a derived group, so group memberships track
-// the attachments (attach, the segment's snapshot) and overrides. It
-// also re-derives every primary-group page on which changed, when not
-// nil, holds an override: that domain's attachment rights changed, so
-// the primary group's encoding of them may no longer match the
-// override. A resync cannot refuse, so an unrepresentable vector is
-// clamped as the primary group clamps (regroup).
-func (e *pgEngine) resyncSegment(s *Segment, attach []pgWant, changed *Domain) {
-	e.recomputePrimary(s, attach)
+// resyncSegment re-derives the segment's group state from its
+// attachments and overrides: it places every attached domain in the
+// primary group and re-derives every page parked in a derived group,
+// plus every primary-group page on which changed, when not nil, holds an
+// override: that domain's attachment rights changed, so the primary
+// group's encoding of them may no longer match the override. A vector
+// the encoding cannot express is refused with ErrUnrepresentable before
+// anything changes. A page a drained group namespace cannot re-home
+// stays where it is.
+//
+// The primary group's rights field is the union of the attachments plus
+// the write right it held, and stays as it is while no domain holds
+// rights. Write is sticky so that revoking one domain's write access is
+// a pure write-disable-bit flip (Table 1 "Restrict Access": "mark the
+// page-group read-only to the application") that never touches the
+// per-page TLB entries. No other right is sticky, so no domain gains
+// one it was not granted.
+func (e *pgEngine) resyncSegment(s *Segment, changed *Domain) error {
+	attach, union := e.attachments(s), addr.None
+	for _, a := range attach {
+		union |= a.attach
+	}
+	field := s.groupRights
+	if union != addr.None {
+		field = union | field&addr.Write
+	}
+	for _, a := range attach {
+		if _, _, ok := place(field, a.attach); !ok {
+			return fmt.Errorf("%w: segment %d domain %d attached %v, primary rights field %v",
+				ErrUnrepresentable, s.ID, a.d.ID, a.attach, field)
+		}
+	}
 	var over *ptable.ProtTable // nil reads as empty
 	if changed != nil {
 		over = changed.overrides
 	}
+	redo, vectors := e.redo[:0], e.vectors[:0]
 	for i := range s.pages {
 		vpn := s.PageVPN(uint64(i))
 		if _, ok := over.Get(vpn); !ok && s.pages[i].group == s.group {
 			continue
 		}
-		if err := e.regroup(s, vpn, attach, true); err != nil {
-			// The group namespace drained to empty: leave the page
-			// where it is and count.
-			e.hClamps.Inc()
+		if _, err := e.placeVector(vpn, e.desiredVector(vpn, attach)); err != nil {
+			return err
 		}
+		redo, vectors = append(redo, vpn), append(vectors, attach...)
 	}
+	e.redo, e.vectors = redo, vectors
+	e.recomputePrimary(s, attach, field)
+	for j, vpn := range redo {
+		// Checked above, so only a drained group namespace fails here.
+		_ = e.regroup(s, vpn, vectors[j*len(attach):(j+1)*len(attach)])
+	}
+	return nil
 }
 
 // desiredVector fills in, for every entry of the page's segment's
@@ -464,20 +512,40 @@ func (e *pgEngine) desiredVector(vpn addr.VPN, attach []pgWant) []pgWant {
 	return attach
 }
 
-// regroup moves page vpn of segment s into a group realizing the
-// desired rights vector: group membership = domains with access; rights
-// field = union; write-disable for members that may not write (Section
-// 4.1.2). attach is s's attachment snapshot (attachments). A vector the
-// encoding cannot express is refused with ErrUnrepresentable, unless
-// clamp is set: then each odd member gets the union, write-disabled when
-// it may not write, so loads and stores keep their verdicts.
-func (e *pgEngine) regroup(s *Segment, vpn addr.VPN, attach []pgWant, clamp bool) error {
-	p := s.record(vpn)
-	want := e.desiredVector(vpn, attach)
+// placeVector places every domain of page vpn's desired rights vector
+// (desiredVector) in e.members, for a group whose rights field is the
+// vector's union, and returns the union. A vector the encoding cannot
+// express is refused with ErrUnrepresentable.
+func (e *pgEngine) placeVector(vpn addr.VPN, want []pgWant) (addr.Rights, error) {
 	union := addr.None
 	for _, w := range want {
 		union |= w.want
 	}
+	e.members.Clear()
+	for _, w := range want {
+		member, wd, ok := place(union, w.want)
+		if !ok {
+			return union, fmt.Errorf("%w: page %#x domain %d wants %v, union %v",
+				ErrUnrepresentable, uint64(vpn), w.d.ID, w.want, union)
+		}
+		if member {
+			e.members.Put(w.d.ID, wd)
+		}
+	}
+	return union, nil
+}
+
+// regroup moves page vpn of segment s into a group realizing its desired
+// rights vector want: group membership = domains with access; rights
+// field = union; write-disable for members that may not write
+// (placeVector, Section 4.1.2). A vector the encoding cannot express is
+// refused before anything changes.
+func (e *pgEngine) regroup(s *Segment, vpn addr.VPN, want []pgWant) error {
+	union, err := e.placeVector(vpn, want)
+	if err != nil {
+		return err
+	}
+	p := s.record(vpn)
 
 	// No domain may access the page: park it in a fresh memberless group.
 	if union == addr.None {
@@ -490,33 +558,14 @@ func (e *pgEngine) regroup(s *Segment, vpn addr.VPN, attach []pgWant, clamp bool
 		return nil
 	}
 
-	// Representability check: every desired value must be the union or
-	// the union minus write.
-	members := &e.members
-	members.Clear()
-	for _, w := range want {
-		switch w.want {
-		case addr.None:
-		case union:
-			members.Put(w.d.ID, false)
-		case union.WithoutWrite():
-			members.Put(w.d.ID, true)
-		default:
-			if !clamp {
-				return fmt.Errorf("%w: page %#x domain %d wants %v, union %v",
-					ErrUnrepresentable, uint64(vpn), w.d.ID, w.want, union)
-			}
-			e.hClamps.Inc()
-			members.Put(w.d.ID, union&addr.Write != 0 && w.want&addr.Write == 0)
-		}
-	}
-
-	// If the desired vector is exactly the primary group's, return home.
-	if e.matchesPrimary(s, want) {
+	// If every domain wants its attachment rights, return home: every
+	// attachment sits in the primary group (resyncSegment).
+	if !slices.ContainsFunc(want, func(w pgWant) bool { return w.want != w.attach }) {
 		e.movePage(vpn, p, s.group, s.groupRights)
 		return nil
 	}
 
+	members := &e.members
 	sig := signature(s.ID, members)
 	if g, ok := e.sigIndex[sig]; ok && e.reusable(g, s.ID, members) {
 		e.movePage(vpn, p, g, union)
@@ -536,36 +585,6 @@ func (e *pgEngine) regroup(s *Segment, vpn addr.VPN, attach []pgWant, clamp bool
 	e.sigIndex[sig] = g
 	e.movePage(vpn, p, g, union)
 	return nil
-}
-
-// primaryEffective returns the rights a domain attached with r actually
-// holds through the primary group's encoding (rights field plus
-// write-disable bit).
-func (e *pgEngine) primaryEffective(s *Segment, r addr.Rights) addr.Rights {
-	field := s.groupRights
-	if r == field {
-		return field
-	}
-	if field&addr.Write != 0 && r&addr.Write == 0 {
-		return field.WithoutWrite()
-	}
-	return field
-}
-
-// matchesPrimary reports whether the desired vector equals what the
-// primary group grants its members: exactly the domains attached with
-// some rights get access, each at its primary-group effective rights.
-func (e *pgEngine) matchesPrimary(s *Segment, want []pgWant) bool {
-	for _, w := range want {
-		if w.attach == addr.None {
-			if w.want != addr.None {
-				return false
-			}
-		} else if w.want == addr.None || w.want != e.primaryEffective(s, w.attach) {
-			return false
-		}
-	}
-	return true
 }
 
 // reusable reports whether g, a signature index hit, is a live derived
@@ -646,10 +665,9 @@ func (e *pgEngine) freeDerived(g addr.GroupID) {
 }
 
 // retire drops derived group g's index entry and revokes it from every
-// live domain in ascending DomainID order (a clamped page can leave a
-// detached domain holding g), so the number cannot match in any checker
-// once recycled, then clears its record. A memberless group has no
-// holder: forks only copy held groups.
+// live domain holding it, in ascending DomainID order, so the number
+// cannot match in any checker once recycled, then clears its record. A
+// memberless group has no holder: forks only copy held groups.
 func (e *pgEngine) retire(g addr.GroupID) {
 	r := &e.groups[g]
 	if r.holders > 0 {
@@ -666,26 +684,24 @@ func (e *pgEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
 	if s == nil {
 		return ErrNoAuthority
 	}
-	return e.regroup(s, vpn, e.attachments(s), false)
+	return e.regroup(s, vpn, e.desiredVector(vpn, e.attachments(s)))
 }
 
-func (e *pgEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
-	// Pages that moved to derived groups have their own vectors; the
-	// segment-wide change alters the domain's contribution to each, so
-	// they must be re-derived individually.
-	e.resyncSegment(s, e.attachments(s), nil)
-	return nil
+// setSegmentRights resyncs the segment: pages that moved to derived
+// groups have their own vectors, and the segment-wide change alters the
+// domain's contribution to each.
+func (e *pgEngine) setSegmentRights(_ *Domain, s *Segment, _ addr.Rights) error {
+	return e.resyncSegment(s, nil)
 }
 
-// onDestroySegment tears down the segment's group world. Derived groups
-// may still sit in detached domains' group sets (detach revokes only the
-// primary group; derived memberships linger until the page re-derives),
-// so every live member is revoked first — a recycled group number must
-// never be resolvable through a stale membership. Then the primary and
-// derived group numbers (ascending) return to the free list for reuse:
-// this is the only point where a group is provably memberless and
-// pageless, which makes it the safe recycling point for the
-// architectural namespace.
+// onDestroySegment tears down the segment's group world. The segment is
+// fully detached, and detach revokes the primary group and every derived
+// one, so no live domain holds any of its groups; retire still revokes
+// any holder, so a recycled group number is never resolvable through a
+// stale membership. Then the primary and derived group numbers
+// (ascending) return to the free list for reuse: this is the only point
+// where a group is provably memberless and pageless, which makes it the
+// safe recycling point for the architectural namespace.
 func (e *pgEngine) onDestroySegment(s *Segment) {
 	e.k.freeGroups = append(e.k.freeGroups, s.group)
 	for i := range e.groups {

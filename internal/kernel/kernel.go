@@ -387,6 +387,9 @@ type kernel struct {
 	// hooks forces failures at the kernel's hook points
 	// (SetFaultInjector); the zero value forces none.
 	hooks FaultInjector
+	// cut is SetSegmentRights' scratch: the overrides it cleared, put
+	// back if the engine refuses the change.
+	cut []pageRights
 
 	ctrs   stats.Counters
 	cycles stats.Cycles
@@ -417,6 +420,12 @@ type kernel struct {
 	hSetSegmentRights, hCOWCopies, hProtShiftUnsup     stats.Handle
 	hSegmentsCreated, hSegmentsDestroyed, hVAReuse     stats.Handle
 	hExecGrants, hExecRevokes, hExecSites, hExecPurges stats.Handle
+}
+
+// pageRights is one page's rights override.
+type pageRights struct {
+	vpn addr.VPN
+	r   addr.Rights
 }
 
 // page is the kernel's per-page record; its segment holds one per page.
@@ -626,20 +635,6 @@ func (k *Kernel) Model() Model { return k.cfg.Model }
 
 // NumCPUs returns the number of simulated processors.
 func (k *Kernel) NumCPUs() int { return len(k.machs) }
-
-// SetTopology replaces the mesh topology at runtime (chaos scenarios
-// and sweeps re-cluster a built kernel). It returns a *ConfigError if
-// the topology cannot seat the configured CPUs.
-func (k *Kernel) SetTopology(t smp.Topology) error {
-	if err := t.Validate(len(k.machs)); err != nil {
-		return &ConfigError{Field: "Topology", Value: len(k.machs), Reason: err.Error()}
-	}
-	k.topo = t.Normalize(len(k.machs))
-	if k.shoot != nil {
-		k.shoot.SetTopology(t)
-	}
-	return nil
-}
 
 // SetCPU moves the kernel's execution to CPU i: subsequent switches,
 // accesses and protection operations run against that CPU's private
@@ -991,26 +986,43 @@ func (k *Kernel) mappedPage(vpn addr.VPN) *page {
 // page-group model the segment's group is added to the domain's group set
 // (Table 1, row 1). Re-attaching with other rights replaces the old ones,
 // and entries cached at the old rights are purged as on a detach;
-// re-attaching with the same rights changes nothing. Attaching through a
-// destroyed domain's or segment's handle is a programmer error: it
-// panics with ErrDomainDestroyed or ErrSegmentDestroyed (wrapped).
-func (k *Kernel) Attach(d *Domain, s *Segment, r addr.Rights) {
+// re-attaching with the same rights changes nothing.
+//
+// Page-group refuses with ErrUnrepresentable, changing nothing, an
+// attachment that would leave the segment's primary group or one of its
+// pages with a rights vector one rights field and a write-disable bit
+// per member cannot express (Section 4.1.2): say, one domain attached
+// r-x beside another attached r--. Attachments and overrides of None,
+// Read and RW only are always expressible. Attaching through a destroyed
+// domain's or segment's handle is a programmer error: it panics with
+// ErrDomainDestroyed or ErrSegmentDestroyed (wrapped).
+func (k *Kernel) Attach(d *Domain, s *Segment, r addr.Rights) error {
 	if err := cmp.Or(k.checkLive(d, "attach"), k.checkSegment(s, "attach")); err != nil {
 		panic(err)
 	}
 	i, renewed := d.findAttached(s.ID)
+	prev := r
 	switch {
 	case !renewed:
 		d.attached = slices.Insert(d.attached, i, attachment{seg: s, r: r})
 		s.attached.Add(int(d.ID))
 	case d.attached[i].r == r:
-		return
+		return nil
 	default:
-		d.attached[i].r = r
+		prev, d.attached[i].r = d.attached[i].r, r
 	}
 	k.hAttach.Inc()
-	k.engine.onAttach(d, s, r, renewed)
+	err := k.engine.onAttach(d, s, r, renewed)
+	switch {
+	case err == nil:
+	case renewed:
+		d.attached[i].r = prev
+	default:
+		d.attached = slices.Delete(d.attached, i, i+1)
+		s.attached.Remove(int(d.ID))
+	}
 	k.flushIPIs()
+	return err
 }
 
 // Detach revokes domain d's attachment to s and clears any per-page

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/addr"
@@ -577,6 +578,75 @@ func TestPGUnrepresentableVector(t *testing.T) {
 	}
 	if err := k.Touch(a, s.Base(), addr.Store); err != nil {
 		t.Errorf("store after the refusal: %v", err)
+	}
+
+	// b executes page 1 read-only: r-x is rwx without write, so b sits
+	// in the page's group write-disabled.
+	p1 := s.PageVA(1)
+	if err := k.SetPageRights(b, p1, addr.RX); err != nil {
+		t.Fatal(err)
+	}
+	c := k.CreateDomain()
+	// Each refusal below leaves every table, group set and page record
+	// as it was: c unattached, b rwx with its r-x override on page 1.
+	unchanged := func(call string) {
+		t.Helper()
+		if _, ok := c.Attached(s); ok || s.HasAttached(c.ID) {
+			t.Errorf("%s: refused attachment of c recorded", call)
+		}
+		if r, ok := b.Attached(s); r != addr.RWX || !ok {
+			t.Errorf("%s: b attached %v (%v), want rwx", call, r, ok)
+		}
+		if r, ok := b.PageOverride(k.Geometry().PageNumber(p1)); r != addr.RX || !ok {
+			t.Errorf("%s: b's page-1 override %v (%v), want r-x", call, r, ok)
+		}
+		for _, w := range []struct {
+			d      *Domain
+			va     addr.VA
+			rights addr.Rights
+		}{{a, s.Base(), addr.RWX}, {b, s.Base(), addr.RWX}, {b, p1, addr.RX}, {c, s.Base(), addr.None}} {
+			vpn := k.Geometry().PageNumber(w.va)
+			if r, _, _ := k.ResolveRights(w.d.ID, vpn); r != w.rights {
+				t.Errorf("%s: ResolveRights(%d, %#x) = %v, want %v", call, w.d.ID, uint64(vpn), r, w.rights)
+			}
+			if err := k.Touch(w.d, w.va, addr.Fetch); (err == nil) != w.rights.Allows(addr.Fetch) {
+				t.Errorf("%s: fetch by domain %d at %#x: %v, rights %v", call, w.d.ID, uint64(w.va), err, w.rights)
+			}
+		}
+		if n := c.groups.Count(); n != 0 {
+			t.Errorf("%s: c holds %d groups", call, n)
+		}
+		if err := k.CheckPageGroupBookkeeping(); err != nil {
+			t.Errorf("%s: %v", call, err)
+		}
+	}
+	groups := func() string {
+		out := fmt.Sprint(k.DomainGroups(a.ID), k.DomainGroups(b.ID))
+		for i := range s.NumPages() {
+			g, r, _ := k.PageInfo(s.PageVPN(i))
+			out += fmt.Sprintf(" %d:%v", g, r)
+		}
+		return out
+	}
+	before := groups()
+	// A read-only domain beside a rwx one: no primary rights field holds
+	// both r-- and rwx.
+	if err := k.Attach(c, s, addr.Read); !errors.Is(err, ErrUnrepresentable) {
+		t.Fatalf("Attach(c, r--) = %v, want ErrUnrepresentable", err)
+	}
+	unchanged("Attach")
+	// Narrowing b to r-- fails the same way, and clears its override
+	// only if it succeeds.
+	if err := k.SetSegmentRights(b, s, addr.Read); !errors.Is(err, ErrUnrepresentable) {
+		t.Fatalf("SetSegmentRights(b, r--) = %v, want ErrUnrepresentable", err)
+	}
+	unchanged("SetSegmentRights")
+	if err := k.Attach(b, s, addr.Read); !errors.Is(err, ErrUnrepresentable) {
+		t.Fatalf("re-Attach(b, r--) = %v, want ErrUnrepresentable", err)
+	}
+	unchanged("re-Attach")
+	if after := groups(); after != before {
+		t.Errorf("group sets and page groups moved across the refusals:\n%s\n%s", before, after)
 	}
 }
 

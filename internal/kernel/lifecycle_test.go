@@ -91,6 +91,47 @@ func TestGroupIDExhaustion(t *testing.T) {
 	}
 }
 
+// TestPGDetachUnderGroupExhaustion: a detach whose resync cannot mint a
+// group for a page it re-derives leaves that page in its old derived
+// group. The detached domain must not keep access through it: detach
+// revokes the domain's derived groups of the segment, not only the
+// primary one.
+func TestPGDetachUnderGroupExhaustion(t *testing.T) {
+	k := kernel.New(kernel.DefaultConfig(kernel.ModelPageGroup))
+	a, b := k.CreateDomain(), k.CreateDomain()
+	s := k.CreateSegment(2, kernel.SegmentOptions{})
+	k.Attach(a, s, addr.RW)
+	k.Attach(b, s, addr.RW)
+	// Page 0 moves to a derived group: a write-disabled, b a member.
+	if err := k.SetPageRights(a, s.Base(), addr.Read); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Store(b, s.Base(), 1); err != nil {
+		t.Fatal(err)
+	}
+	// No group number is left for the page's new vector {a: r--}.
+	k.SetIDLimits(0, 1)
+	if err := k.Detach(b, s); err != nil {
+		t.Fatal(err)
+	}
+	vpn := k.Geometry().PageNumber(s.Base())
+	if r, _, _ := k.ResolveRights(b.ID, vpn); r != addr.None {
+		t.Fatalf("ResolveRights of the detached domain = %v, want ---", r)
+	}
+	if _, err := k.Load(b, s.Base()); !errors.Is(err, kernel.ErrProtection) {
+		t.Errorf("load by the detached domain: %v, want ErrProtection", err)
+	}
+	if v, err := k.Load(a, s.Base()); err != nil || v != 1 {
+		t.Errorf("load by a = %d, %v; want 1", v, err)
+	}
+	if err := k.Store(a, s.Base(), 2); !errors.Is(err, kernel.ErrProtection) {
+		t.Errorf("store by read-only a: %v, want ErrProtection", err)
+	}
+	if err := errors.Join(oracle.Verify(k), k.CheckPageGroupBookkeeping()); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestStaleHandles: operations on a destroyed domain's or segment's
 // handle must fail with the typed error in every organization — double
 // destroy, fork of a corpse, a reference through a dead domain, and every

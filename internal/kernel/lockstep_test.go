@@ -28,14 +28,16 @@ import (
 // predicted one, ResolveRights must agree with the model on every live
 // domain and page, and the oracle and the bookkeeping checks must pass;
 // across kernels the outcomes and loaded values must be identical. The
-// one sanctioned divergence is page-group refusing a page-rights change
-// with ErrUnrepresentable: its model copy skips the call, and from then
-// on it is held only to its own model. A script ends with a full verdict
-// sweep, the destruction of every live domain and a last audit.
+// one sanctioned divergence is page-group refusing a rights change with
+// ErrUnrepresentable: page-group runs each call first, and a call it
+// refuses is skipped on every kernel, so all the model copies stay
+// equal. A script ends with a full verdict sweep (load, store and fetch),
+// the destruction of every live domain and a last audit.
 //
 // Byte 0 of a script picks the world. Every op after it is an op byte
 // and three argument bytes; a deferred-shootdown window is followed by
 // the 1-3 protection ops inside it, as many as its first argument says.
+// A load whose third argument byte is odd is an instruction fetch.
 // Bytes past the end read as zero. A failing script is shrunk by delta
 // debugging over its ops and logged as the hex input this target
 // replays, one line per op. The tests after the interpreter run it on
@@ -263,7 +265,10 @@ func (m *model) decode(op []byte, cpus int, device bool) (call, bool) {
 	case opSetCPU:
 		c.n = int(a) % cpus
 		c.desc += fmt.Sprint(" ", c.n)
-	case opLoad, opDevRead:
+	case opLoad:
+		c.access = [2]addr.AccessKind{addr.Load, addr.Fetch}[x%2]
+		c.desc = c.access.String() + strings.TrimPrefix(c.desc, spec.name)
+	case opDevRead:
 		c.access = addr.Load
 	case opStore, opDevWrite:
 		c.access = addr.Store
@@ -383,24 +388,20 @@ type lane struct {
 	doms []*kernel.Domain
 	segs []*kernel.Segment
 	m    model
-	// diverged is set once page-group refused a rights change the
-	// others made; the lane is then held only to its own model.
-	diverged bool
 }
+
+// refused is the outcome of a call page-group refuses and the model
+// allows: the model skips it.
+var refused = outcome(kernel.ErrUnrepresentable)
 
 // step runs c on the lane's kernel, holds the outcome to the model's
 // prediction and updates the model. It returns the outcome with any
 // value the call read, for comparison across lanes.
 func (l *lane) step(c call, op int) (string, error) {
-	if (c.kind == opUnmap || c.kind == opPageOut) && !l.m.segs[c.s].mapped[c.pg] {
-		return "skip", nil // only a diverged lane's model can disagree
-	}
 	want, apply := l.m.predict(c)
 	got, val := l.run(c, op)
 	switch {
-	case l.k.Model() == kernel.ModelPageGroup && (c.kind == opSetPage || c.kind == opClearPage) &&
-		want == outcome(nil) && got == outcome(kernel.ErrUnrepresentable):
-		l.diverged = true
+	case l.k.Model() == kernel.ModelPageGroup && want == outcome(nil) && got == refused:
 	case got != want:
 		return "", fmt.Errorf("%v: %s, model predicts %s", l.k.Model(), got, want)
 	case apply != nil:
@@ -446,7 +447,7 @@ func (l *lane) run(c call, op int) (got, val string) {
 	case opDestroySeg:
 		err = k.DestroySegment(s)
 	case opAttach:
-		k.Attach(d, s, c.r)
+		err = k.Attach(d, s, c.r)
 	case opDetach:
 		err = k.Detach(d, s)
 	case opSetPage:
@@ -456,6 +457,10 @@ func (l *lane) run(c call, op int) (got, val string) {
 	case opSetSeg:
 		err = k.SetSegmentRights(d, s, c.r)
 	case opLoad:
+		if c.access == addr.Fetch {
+			err = k.Touch(d, va, addr.Fetch)
+			break
+		}
 		var v uint64
 		if v, err = k.Load(d, va); err == nil {
 			val = fmt.Sprintf(" %#x", v)
@@ -511,7 +516,7 @@ func (l *lane) audit() error {
 func (l *lane) finish() error {
 	k := l.k
 	for _, c := range l.m.live() {
-		for _, kind := range []addr.AccessKind{addr.Load, addr.Store} {
+		for _, kind := range []addr.AccessKind{addr.Load, addr.Store, addr.Fetch} {
 			c.kind, c.access = opLoad, kind // predict rules on c.access alone
 			want, _ := l.m.predict(c)
 			if got := outcome(k.Touch(l.doms[c.d], l.segs[c.s].PageVA(uint64(c.pg)), kind)); got != want {
@@ -557,6 +562,10 @@ func lockstep(orgs []kernel.Model, script []byte) ([]string, error) {
 		return nil, nil
 	}
 	world := lockstepWorlds[int(script[0])%len(lockstepWorlds)]
+	if i := slices.Index(orgs, kernel.ModelPageGroup); i > 0 {
+		orgs = slices.Clone(orgs)
+		orgs[0], orgs[i] = orgs[i], orgs[0]
+	}
 	lanes := make([]*lane, len(orgs))
 	for i, org := range orgs {
 		cfg := kernel.DefaultConfig(org)
@@ -569,8 +578,7 @@ func lockstep(orgs []kernel.Model, script []byte) ([]string, error) {
 	}
 	log := []string{fmt.Sprintf("world: %d CPUs, device %v", world.cpus, world.device)}
 	for op, raw := range splitOps(script[1:]) {
-		// The first lane's model decodes for all: it is domain-page's,
-		// which never diverges, or the only lane's.
+		// Every lane's model is the same, so the first decodes for all.
 		c, ok := lanes[0].m.decode(raw, world.cpus, world.device)
 		if !ok {
 			continue
@@ -589,7 +597,8 @@ func lockstep(orgs []kernel.Model, script []byte) ([]string, error) {
 }
 
 // lockstepOp runs one decoded op on every lane and checks the lanes
-// against their models, the oracle and each other.
+// against their models, the oracle and each other. The first lane is
+// page-group's when it runs: a call it refuses runs on no other lane.
 func lockstepOp(lanes []*lane, c call, op int) error {
 	calls := []call{c}
 	if c.kind == opWindow {
@@ -599,15 +608,19 @@ func lockstepOp(lanes []*lane, c call, op int) error {
 		}
 	}
 	for _, in := range calls {
-		var ref string
-		for i, l := range lanes {
+		ref, err := lanes[0].step(in, op)
+		switch {
+		case err != nil:
+			return err
+		case ref == refused:
+			continue // page-group refused the call: it runs nowhere else
+		}
+		for _, l := range lanes[1:] {
 			got, err := l.step(in, op)
 			switch {
 			case err != nil:
 				return err
-			case i == 0:
-				ref = got
-			case !l.diverged && got != ref:
+			case got != ref:
 				return fmt.Errorf("%v: %s, %v: %s", l.k.Model(), got, lanes[0].k.Model(), ref)
 			}
 		}

@@ -42,7 +42,9 @@ const maxSampledPages = 64
 // and the kernel or hardware state.
 type Violation struct {
 	// Where names what disagreed: "resolve" (the kernel's own
-	// resolution), the label of the seat structure holding a bad entry
+	// resolution), "groups" (the rights a page-group kernel's page
+	// records and group sets encode), the label of the seat structure
+	// holding a bad entry
 	// (machine.Entry.Where: "plb", "trans-tlb", "pg-tlb", "checker",
 	// "asid-tlb", "iotlb", "iotlb-group"), "directory" (a cached entry
 	// the sharer directory fails to cover), "destroy" (residual
@@ -93,7 +95,9 @@ func Rights(k *kernel.Kernel, d *kernel.Domain, vpn addr.VPN) (addr.Rights, bool
 // kernel k and returns the disagreements (nil when clean):
 //
 //   - ResolveRights must agree with the oracle's independent authority
-//     reconstruction for every domain and (sampled) segment page.
+//     reconstruction for every domain and (sampled) segment page, and
+//     so must, on a page-group kernel, the rights the page's group and
+//     the domain's membership of it encode.
 //   - Every entry a trusted seat caches must match current authority
 //     (audit.authority) and be covered by the sharer directory
 //     (audit.directory).
@@ -321,13 +325,23 @@ func samplePages(s *kernel.Segment) []addr.VPN {
 }
 
 // resolveViolations cross-checks ResolveRights against the oracle's
-// independent reconstruction for every domain and sampled page.
+// independent reconstruction for every domain and sampled page, and on
+// page-group kernels what the page-group tables encode too.
 func resolveViolations(k *kernel.Kernel) []Violation {
 	var out []Violation
+	pg := k.Model() == kernel.ModelPageGroup
 	for _, d := range k.Domains() {
 		for _, s := range k.Segments() {
 			for _, vpn := range samplePages(s) {
 				want, wantRec := Rights(k, d, vpn)
+				if pg {
+					if got := groupRights(k, d.ID, vpn); got != want {
+						out = append(out, Violation{
+							Where: "groups", Domain: d.ID, VPN: vpn,
+							Detail: fmt.Sprintf("page group and membership grant %v, oracle %v", got, want),
+						})
+					}
+				}
 				got, cacheable, ok := k.ResolveRights(d.ID, vpn)
 				if !ok {
 					out = append(out, Violation{
@@ -347,6 +361,21 @@ func resolveViolations(k *kernel.Kernel) []Violation {
 		}
 	}
 	return out
+}
+
+// groupRights is what the page-group tables grant domain d on page vpn:
+// the rights field of the page's group (PageInfo) to a member, without
+// write to a write-disabled one, and nothing to a domain outside it
+// (DomainGroup).
+func groupRights(k *kernel.Kernel, d addr.DomainID, vpn addr.VPN) addr.Rights {
+	g, field, _ := k.PageInfo(vpn)
+	switch member, wd := k.DomainGroup(d, g); {
+	case !member:
+		return addr.None
+	case wd:
+		return field.WithoutWrite()
+	}
+	return field
 }
 
 // SweepVerdicts issues real accesses — every domain, every (sampled)

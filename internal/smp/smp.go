@@ -579,10 +579,6 @@ func (s *Shootdown) Stale(t int) bool { return s.stale[t] }
 // holds no stale authority).
 func (s *Shootdown) Trusted(t int) bool { return !s.stale[t] }
 
-// MarkStale records that CPU t missed an invalidation (the kernel
-// skipped it during a shootdown because it was fenced).
-func (s *Shootdown) MarkStale(t int) { s.stale[t] = true }
-
 // SkipFenced records that the kernel suppressed an invalidation to
 // fenced CPU t: the CPU is marked stale and the skip is counted
 // ("smp.fenced_skips") so overhead and convergence accounting see

@@ -232,9 +232,6 @@ func (h *Histogram) Observe(v uint64) {
 // Count returns the number of samples observed.
 func (h *Histogram) Count() uint64 { return h.n }
 
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
 // Max returns the largest sample observed (zero if none).
 func (h *Histogram) Max() uint64 { return h.max }
 
