@@ -61,13 +61,17 @@ bench:
 bench-suite:
 	$(GO) test -bench BenchmarkRunAllSerial -benchtime 3x -count 5 -run '^$$' .
 
-# bench-hot measures the simulator's access-path micro-benchmarks with
+# bench-hot measures the simulator's hot-path micro-benchmarks with
 # allocation reporting: warm accesses, and accesses that overflow the
-# 128-entry PLB or TLB so every one misses, evicts and refills. Both paths
-# must stay at 0 allocs/op (guarded by TestAccessPathZeroAllocs and the CI
-# alloc gate).
+# 128-entry PLB or TLB so every one misses, evicts and refills; a warm
+# acknowledged shootdown round to 8 CPUs and 3 device seats
+# (BenchmarkShootdownVolley); and a page-group resync re-deriving a
+# 16-page segment on that machine (BenchmarkPGResync). All must stay at
+# 0 allocs/op (guarded by TestAccessPathZeroAllocs, TestFlushZeroAllocs,
+# TestRegroupChurnAllocs and the CI alloc gate).
 bench-hot:
 	$(GO) test -bench Access -benchmem -run '^$$' .
+	$(GO) test -bench 'ShootdownVolley|PGResync' -benchmem -run '^$$' ./internal/smp ./internal/kernel
 
 # exp runs one experiment with its in-run assertions and prints its
 # tables, the quick view while working on one layer:

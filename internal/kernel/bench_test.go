@@ -1,0 +1,70 @@
+package kernel_test
+
+import (
+	"testing"
+
+	"repro/internal/addr"
+	"repro/internal/iommu"
+	"repro/internal/kernel"
+	"repro/internal/smp"
+)
+
+// BenchmarkPGResync measures a page-group resync at revoke-dma's shape:
+// 8 CPUs and a NIC, a DMA engine and a GC scanner under the acknowledged
+// shootdown protocol, 16 worker domains pinned two per CPU and a device
+// domain the devices act for, all attached rw- to one 16-page segment.
+// Every page is mapped and cached on its workers' CPUs, and worker i
+// holds page i at r--, so all 16 pages sit in derived groups. Each op
+// flips the device domain's segment rights between r-- and rw-: the
+// resync re-derives all 16 pages, minting a group for each and retiring
+// the one it left, with the group loads, updates and revocations that
+// takes delivered to the CPUs and devices.
+func BenchmarkPGResync(b *testing.B) {
+	cfg := kernel.DefaultConfig(kernel.ModelPageGroup)
+	cfg.CPUs = 8
+	cfg.Devices = []kernel.DeviceConfig{{Kind: iommu.NIC}, {Kind: iommu.DMAEngine}, {Kind: iommu.GCScanner}}
+	k, err := kernel.NewChecked(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	k.EnableShootdownProtocol(smp.DefaultProtocolConfig())
+	io := k.CreateDomain()
+	s := k.CreateSegment(16, kernel.SegmentOptions{Name: "shared"})
+	k.Attach(io, s, addr.RW)
+	var workers [16]*kernel.Domain
+	for i := range workers {
+		workers[i] = k.CreateDomain()
+		k.Attach(workers[i], s, addr.RW)
+	}
+	for i := 0; i < k.NumDevices(); i++ {
+		k.ProgramDevice(i, io)
+	}
+	for i, w := range workers {
+		k.SetCPU(i / 2)
+		for p := uint64(0); p < s.NumPages(); p++ {
+			if err := k.Touch(w, s.PageVA(p), addr.Load); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for i, w := range workers {
+		if err := k.SetPageRights(w, s.PageVA(uint64(i)), addr.Read); err != nil {
+			b.Fatal(err)
+		}
+	}
+	flip := [2]addr.Rights{addr.Read, addr.RW}
+	for i := 0; i < 8; i++ {
+		if err := k.SetSegmentRights(io, s, flip[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	requests := k.Counters().Get("smp.requests")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := k.SetSegmentRights(io, s, flip[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(k.Counters().Get("smp.requests")-requests)/float64(b.N), "requests/op")
+}

@@ -3,11 +3,9 @@ package kernel
 import (
 	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/machine"
-	"repro/internal/pgroup"
 	"repro/internal/ptable"
 	"repro/internal/smp"
 	"repro/internal/stats"
@@ -112,9 +110,9 @@ func (k *Kernel) syncPageRights(d *Domain, vpn addr.VPN, r, prev addr.Rights, ha
 // SetSegmentRights changes domain d's rights over every page of segment s
 // at once (GC space flips, checkpoint restriction — the segment-wide rows
 // of Table 1). Any per-page overrides d held in the segment are cleared.
-// A change the engine refuses (page-group's ErrUnrepresentable, as
-// Attach) leaves the hardware as it was, so the previous rights and
-// overrides are put back.
+// A change the engine refuses (page-group's ErrUnrepresentable or
+// ErrGroupIDsExhausted, as Attach) leaves the hardware as it was, so the
+// previous rights and overrides are put back.
 func (k *Kernel) SetSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
 	if err := cmp.Or(k.checkLive(d, "set segment rights"), k.checkSegment(s, "set segment rights")); err != nil {
 		return err
@@ -240,11 +238,10 @@ type pgEngine struct {
 	// reuse it. reusable confirms each hit: a miss costs a fresh group.
 	sigIndex map[uint64]addr.GroupID
 	clock    uint64 // ticks per fork and per indexed group (reusable)
-	// Scratch reused across calls (a kernel is single-threaded); members
-	// is the membership regroup wants for a page; redo and vectors are
-	// the pages a resync re-derives and their desired vectors.
+	// Scratch reused across calls (a kernel is single-threaded): a
+	// segment's attachment snapshot, and the pages a resync re-derives
+	// with their desired vectors.
 	attach  []pgWant
-	members pgroup.Membership[addr.DomainID]
 	redo    []addr.VPN
 	vectors []pgWant
 
@@ -312,7 +309,7 @@ func (e *pgEngine) newGroup() (addr.GroupID, error) {
 		e.hRecycled.Inc()
 		return g, nil
 	}
-	if e.k.nextGroup == 0 || (e.k.maxGroup != 0 && e.k.nextGroup > e.k.maxGroup) {
+	if e.freeGroupIDs() == 0 {
 		return 0, ErrGroupIDsExhausted
 	}
 	g := e.k.nextGroup
@@ -429,9 +426,10 @@ func (e *pgEngine) onAttach(d *Domain, s *Segment, _ addr.Rights, renewed bool) 
 // them from the checker: the primary group in one operation, no scan
 // (Table 1, row 2), and each derived group, so that a page a drained
 // group namespace leaves in place grants the domain nothing. The resync
-// then re-derives the derived pages, whose vectors lost the domain; it
-// cannot refuse, since every remaining want is still the union or the
-// union without write.
+// then re-derives the derived pages, whose vectors lost the domain. A
+// detach cannot be refused: every remaining want is still the union or
+// the union without write, and a page the namespace cannot re-home
+// stays where it is.
 func (e *pgEngine) onDetach(d *Domain, s *Segment) {
 	e.revoke(d, s.group)
 	d.groups.ForEach(func(g addr.GroupID, _ bool) {
@@ -439,7 +437,8 @@ func (e *pgEngine) onDetach(d *Domain, s *Segment) {
 			e.revoke(d, g)
 		}
 	})
-	_ = e.resyncSegment(s, nil) // cannot refuse
+	field, _ := e.planResync(s, nil) // a detach carries out even a refused plan
+	e.applyResync(s, field)
 }
 
 // resyncSegment re-derives the segment's group state from its
@@ -447,10 +446,8 @@ func (e *pgEngine) onDetach(d *Domain, s *Segment) {
 // primary group and re-derives every page parked in a derived group,
 // plus every primary-group page on which changed, when not nil, holds an
 // override: that domain's attachment rights changed, so the primary
-// group's encoding of them may no longer match the override. A vector
-// the encoding cannot express is refused with ErrUnrepresentable before
-// anything changes. A page a drained group namespace cannot re-home
-// stays where it is.
+// group's encoding of them may no longer match the override. A change
+// planResync refuses is refused before anything changes.
 //
 // The primary group's rights field is the union of the attachments plus
 // the write right it held, and stays as it is while no domain holds
@@ -460,6 +457,25 @@ func (e *pgEngine) onDetach(d *Domain, s *Segment) {
 // per-page TLB entries. No other right is sticky, so no domain gains
 // one it was not granted.
 func (e *pgEngine) resyncSegment(s *Segment, changed *Domain) error {
+	field, err := e.planResync(s, changed)
+	if err == nil {
+		e.applyResync(s, field)
+	}
+	return err
+}
+
+// planResync is a resync's check pass. It snapshots the segment's
+// attachments (attachments), returns the primary group's new rights
+// field, and lists the pages to re-derive in e.redo with their desired
+// vectors in e.vectors. It refuses with ErrUnrepresentable a vector the
+// encoding cannot express, and with ErrGroupIDsExhausted a resync that
+// may need more fresh group numbers than are free. That count is an
+// upper bound, one for every re-derived page not bound for the primary
+// group though regroup may reuse a group for it, so no regroup of an
+// accepted plan fails. Nothing has changed when either refusal comes, and after an
+// exhaustion refusal the plan is still complete, for a detach to carry
+// out.
+func (e *pgEngine) planResync(s *Segment, changed *Domain) (addr.Rights, error) {
 	attach, union := e.attachments(s), addr.None
 	for _, a := range attach {
 		union |= a.attach
@@ -470,7 +486,7 @@ func (e *pgEngine) resyncSegment(s *Segment, changed *Domain) error {
 	}
 	for _, a := range attach {
 		if _, _, ok := place(field, a.attach); !ok {
-			return fmt.Errorf("%w: segment %d domain %d attached %v, primary rights field %v",
+			return field, fmt.Errorf("%w: segment %d domain %d attached %v, primary rights field %v",
 				ErrUnrepresentable, s.ID, a.d.ID, a.attach, field)
 		}
 	}
@@ -478,24 +494,55 @@ func (e *pgEngine) resyncSegment(s *Segment, changed *Domain) error {
 	if changed != nil {
 		over = changed.overrides
 	}
-	redo, vectors := e.redo[:0], e.vectors[:0]
+	redo, vectors, away := e.redo[:0], e.vectors[:0], uint64(0)
 	for i := range s.pages {
 		vpn := s.PageVPN(uint64(i))
 		if _, ok := over.Get(vpn); !ok && s.pages[i].group == s.group {
 			continue
 		}
-		if _, err := e.placeVector(vpn, e.desiredVector(vpn, attach)); err != nil {
-			return err
+		want := e.desiredVector(vpn, attach)
+		_, home, err := checkVector(vpn, want)
+		if err != nil {
+			return field, err
 		}
-		redo, vectors = append(redo, vpn), append(vectors, attach...)
+		if !home {
+			away++
+		}
+		redo, vectors = append(redo, vpn), append(vectors, want...)
 	}
 	e.redo, e.vectors = redo, vectors
-	e.recomputePrimary(s, attach, field)
-	for j, vpn := range redo {
-		// Checked above, so only a drained group namespace fails here.
-		_ = e.regroup(s, vpn, vectors[j*len(attach):(j+1)*len(attach)])
+	if free := e.freeGroupIDs(); away > free {
+		return field, fmt.Errorf("%w: segment %d re-derives %d pages outside its primary group, %d group numbers free",
+			ErrGroupIDsExhausted, s.ID, away, free)
 	}
-	return nil
+	return field, nil
+}
+
+// applyResync carries out the plan planResync left: the primary group
+// under rights field field, then every listed page regrouped in page
+// order. Only a drained group namespace fails a regroup here, which a
+// detach's plan lets through: the page stays where it is.
+func (e *pgEngine) applyResync(s *Segment, field addr.Rights) {
+	attach := e.attach
+	e.recomputePrimary(s, attach, field)
+	for j, vpn := range e.redo {
+		_ = e.regroup(s, vpn, e.vectors[j*len(attach):(j+1)*len(attach)])
+	}
+}
+
+// freeGroupIDs returns how many group numbers newGroup can still hand
+// out: the recycled ones, plus those the counter has not reached below
+// its limit (SetIDLimits, else the GroupID type's bound).
+func (e *pgEngine) freeGroupIDs() uint64 {
+	free := uint64(len(e.k.freeGroups))
+	next, limit := uint64(e.k.nextGroup), uint64(^addr.GroupID(0))
+	if e.k.maxGroup != 0 {
+		limit = uint64(e.k.maxGroup)
+	}
+	if next != 0 && next <= limit {
+		free += limit - next + 1
+	}
+	return free
 }
 
 // desiredVector fills in, for every entry of the page's segment's
@@ -512,36 +559,46 @@ func (e *pgEngine) desiredVector(vpn addr.VPN, attach []pgWant) []pgWant {
 	return attach
 }
 
-// placeVector places every domain of page vpn's desired rights vector
-// (desiredVector) in e.members, for a group whose rights field is the
-// vector's union, and returns the union. A vector the encoding cannot
-// express is refused with ErrUnrepresentable.
-func (e *pgEngine) placeVector(vpn addr.VPN, want []pgWant) (addr.Rights, error) {
-	union := addr.None
+// checkVector returns the union of page vpn's desired rights vector
+// (desiredVector), the rights field of a group holding the page, and
+// whether the page goes home to the primary group: some domain wants
+// access and every domain wants its attachment rights, which the primary
+// group encodes (resyncSegment). A vector that one rights field and a
+// write-disable bit per member cannot express is refused with
+// ErrUnrepresentable: the field expresses a domain's want only when it
+// is None, the union or the union without write (place), so it
+// expresses the vector exactly when the intersection of the wants other
+// than None is one of the last two.
+func checkVector(vpn addr.VPN, want []pgWant) (union addr.Rights, home bool, err error) {
+	common := addr.RWX
+	home = true
 	for _, w := range want {
 		union |= w.want
-	}
-	e.members.Clear()
-	for _, w := range want {
-		member, wd, ok := place(union, w.want)
-		if !ok {
-			return union, fmt.Errorf("%w: page %#x domain %d wants %v, union %v",
-				ErrUnrepresentable, uint64(vpn), w.d.ID, w.want, union)
+		if w.want != addr.None {
+			common &= w.want
 		}
-		if member {
-			e.members.Put(w.d.ID, wd)
+		home = home && w.want == w.attach
+	}
+	if union != addr.None && common != union && common != union.WithoutWrite() {
+		for _, w := range want {
+			if _, _, ok := place(union, w.want); !ok {
+				return union, false, fmt.Errorf("%w: page %#x domain %d wants %v, union %v",
+					ErrUnrepresentable, uint64(vpn), w.d.ID, w.want, union)
+			}
 		}
 	}
-	return union, nil
+	return union, home && union != addr.None, nil
 }
 
 // regroup moves page vpn of segment s into a group realizing its desired
 // rights vector want: group membership = domains with access; rights
 // field = union; write-disable for members that may not write
-// (placeVector, Section 4.1.2). A vector the encoding cannot express is
-// refused before anything changes.
+// (Section 4.1.2). A vector the encoding cannot express is refused
+// before anything changes (checkVector). The members are placed straight
+// from want, which lists domains in ascending ID order, as a membership
+// set would walk them.
 func (e *pgEngine) regroup(s *Segment, vpn addr.VPN, want []pgWant) error {
-	union, err := e.placeVector(vpn, want)
+	union, home, err := checkVector(vpn, want)
 	if err != nil {
 		return err
 	}
@@ -560,14 +617,19 @@ func (e *pgEngine) regroup(s *Segment, vpn addr.VPN, want []pgWant) error {
 
 	// If every domain wants its attachment rights, return home: every
 	// attachment sits in the primary group (resyncSegment).
-	if !slices.ContainsFunc(want, func(w pgWant) bool { return w.want != w.attach }) {
+	if home {
 		e.movePage(vpn, p, s.group, s.groupRights)
 		return nil
 	}
 
-	members := &e.members
-	sig := signature(s.ID, members)
-	if g, ok := e.sigIndex[sig]; ok && e.reusable(g, s.ID, members) {
+	sig, n := sigSeed(s.ID), 0
+	for _, w := range want {
+		if member, wd, _ := place(union, w.want); member {
+			sig = sigStep(sig, w.d.ID, wd)
+			n++
+		}
+	}
+	if g, ok := e.sigIndex[sig]; ok && e.reusable(g, s.ID, union, want, n) {
 		e.movePage(vpn, p, g, union)
 		return nil
 	}
@@ -577,52 +639,54 @@ func (e *pgEngine) regroup(s *Segment, vpn addr.VPN, want []pgWant) error {
 	if err != nil {
 		return err
 	}
-	members.ForEach(func(id addr.DomainID, wd bool) {
-		e.grant(e.k.doms.get(id), g, wd)
-	})
+	for _, w := range want {
+		if member, wd, _ := place(union, w.want); member {
+			e.grant(w.d, g, wd)
+		}
+	}
 	e.clock++
-	e.groups[g] = pgGroup{derived: true, seg: s.ID, sig: sig, made: e.clock, holders: members.Count()}
+	e.groups[g] = pgGroup{derived: true, seg: s.ID, sig: sig, made: e.clock, holders: n}
 	e.sigIndex[sig] = g
 	e.movePage(vpn, p, g, union)
 	return nil
 }
 
 // reusable reports whether g, a signature index hit, is a live derived
-// group of segment seg held by exactly members, write-disable bits
-// included. Holders change only by fork (the child joins) and destroy,
-// so they are still the creation members exactly when as many domains
-// as were granted g hold it and none has forked since g was made.
-func (e *pgEngine) reusable(g addr.GroupID, seg addr.SegmentID, members *pgroup.Membership[addr.DomainID]) bool {
+// group of segment seg held by exactly the n members of vector want
+// under rights field union, write-disable bits included. Holders change
+// only by fork (the child joins) and destroy, so they are still the
+// creation members exactly when as many domains as were granted g hold
+// it and none has forked since g was made.
+func (e *pgEngine) reusable(g addr.GroupID, seg addr.SegmentID, union addr.Rights, want []pgWant, n int) bool {
 	r := e.derivedRec(g)
-	if r == nil || r.seg != seg || r.holders != members.Count() {
+	if r == nil || r.seg != seg || r.holders != n {
 		return false
 	}
-	ok := true
-	members.ForEach(func(id addr.DomainID, wd bool) {
-		d := e.k.doms.get(id)
-		if d == nil || d.forkedAt >= r.made {
-			ok = false
-		} else if held, w := d.groups.Get(g); !held || w != wd {
-			ok = false
+	for _, w := range want {
+		member, wd, _ := place(union, w.want)
+		if !member {
+			continue
 		}
-	})
-	return ok
+		if held, hw := w.d.groups.Get(g); !held || hw != wd || w.d.forkedAt >= r.made {
+			return false
+		}
+	}
+	return true
 }
 
-// signature hashes a derived group's defining vector — its segment and
-// its (member, write-disable) pairs in ascending member order — with
-// word-wise FNV-1a.
-func signature(seg addr.SegmentID, members *pgroup.Membership[addr.DomainID]) uint64 {
-	const prime = 1099511628211
-	h := (14695981039346656037 ^ uint64(seg)) * prime
-	members.ForEach(func(id addr.DomainID, wd bool) {
-		x := uint64(id) << 1
-		if wd {
-			x |= 1
-		}
-		h = (h ^ x) * prime
-	})
-	return h
+// A derived group's signature hashes its defining vector — its segment,
+// then its (member, write-disable) pairs in ascending member order — with
+// word-wise FNV-1a: sigSeed starts the hash and sigStep folds in a pair.
+const sigPrime = 1099511628211
+
+func sigSeed(seg addr.SegmentID) uint64 { return (14695981039346656037 ^ uint64(seg)) * sigPrime }
+
+func sigStep(h uint64, id addr.DomainID, wd bool) uint64 {
+	x := uint64(id) << 1
+	if wd {
+		x |= 1
+	}
+	return (h ^ x) * sigPrime
 }
 
 // movePage updates the kernel's page record and the resident TLB entry.

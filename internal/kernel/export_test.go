@@ -88,7 +88,9 @@ func (k *Kernel) CheckPageGroupBookkeeping() error {
 				unforked++
 			}
 		}
-		if unforked == r.holders && (holders.Count() != r.holders || signature(r.seg, &holders) != sig) {
+		hash := sigSeed(r.seg)
+		holders.ForEach(func(id addr.DomainID, wd bool) { hash = sigStep(hash, id, wd) })
+		if unforked == r.holders && (holders.Count() != r.holders || hash != sig) {
 			return fmt.Errorf("group %d is reusable, but its %d live holders do not hash to its signature under %d holders",
 				g, holders.Count(), r.holders)
 		}

@@ -993,9 +993,12 @@ func (k *Kernel) mappedPage(vpn addr.VPN) *page {
 // pages with a rights vector one rights field and a write-disable bit
 // per member cannot express (Section 4.1.2): say, one domain attached
 // r-x beside another attached r--. Attachments and overrides of None,
-// Read and RW only are always expressible. Attaching through a destroyed
-// domain's or segment's handle is a programmer error: it panics with
-// ErrDomainDestroyed or ErrSegmentDestroyed (wrapped).
+// Read and RW only are always expressible. It refuses with
+// ErrGroupIDsExhausted, changing nothing, an attachment whose re-derived
+// pages may need more fresh group numbers than are free. Attaching
+// through a destroyed domain's or segment's handle is a programmer
+// error: it panics with ErrDomainDestroyed or ErrSegmentDestroyed
+// (wrapped).
 func (k *Kernel) Attach(d *Domain, s *Segment, r addr.Rights) error {
 	if err := cmp.Or(k.checkLive(d, "attach"), k.checkSegment(s, "attach")); err != nil {
 		panic(err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/addr"
-	"repro/internal/pgroup"
 )
 
 // bothModels runs a subtest against a fresh kernel of each model.
@@ -539,14 +538,12 @@ func TestPGDerivedGroupReuse(t *testing.T) {
 		t.Fatalf("after a holder forked, page 2 got group %d (minted %d), want a new group, not %d", g2, minted()-n, g0)
 	}
 	e := k.engine.(*pgEngine)
-	var want pgroup.Membership[addr.DomainID]
-	want.Put(a.ID, false)
-	want.Put(b.ID, false)
-	if !e.reusable(g2, s.ID, &want) {
+	want := []pgWant{{d: a, attach: addr.RW, want: addr.RW}, {d: b, attach: addr.RW, want: addr.RW}, {d: c, attach: addr.RW}}
+	if !e.reusable(g2, s.ID, addr.RW, want, 2) {
 		t.Fatalf("group %d refused for its own creation membership", g2)
 	}
-	want.Delete(b.ID)
-	if e.reusable(g2, s.ID, &want) {
+	want[1].want = addr.None
+	if e.reusable(g2, s.ID, addr.RW, want, 1) {
 		t.Fatalf("group %d accepted for a proper subset of its creation members", g2)
 	}
 }

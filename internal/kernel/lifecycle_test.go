@@ -132,6 +132,75 @@ func TestPGDetachUnderGroupExhaustion(t *testing.T) {
 	}
 }
 
+// TestPGResyncUnderGroupExhaustion: a rights change whose resync needs a
+// fresh group number for a page it re-derives, when none is free, is
+// refused with ErrGroupIDsExhausted and changes nothing. Let through, it
+// would leave the page in its old derived group, where the domain keeps
+// the rights the change took away while ResolveRights reports the new
+// ones. SetSegmentRights and a renewed Attach both resync the segment.
+func TestPGResyncUnderGroupExhaustion(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		change func(k *kernel.Kernel, b *kernel.Domain, s *kernel.Segment) error
+		want   addr.Rights // b's rights on page 0 once the change goes through
+	}{
+		{"SetSegmentRights", func(k *kernel.Kernel, b *kernel.Domain, s *kernel.Segment) error {
+			return k.SetSegmentRights(b, s, addr.None)
+		}, addr.None},
+		{"renewed Attach", func(k *kernel.Kernel, b *kernel.Domain, s *kernel.Segment) error {
+			return k.Attach(b, s, addr.Read)
+		}, addr.Read},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := kernel.New(kernel.DefaultConfig(kernel.ModelPageGroup))
+			a, b := k.CreateDomain(), k.CreateDomain()
+			s := k.CreateSegment(2, kernel.SegmentOptions{})
+			k.Attach(a, s, addr.RW)
+			k.Attach(b, s, addr.RW)
+			if err := k.Store(b, s.Base(), 1); err != nil {
+				t.Fatal(err)
+			}
+			// Page 0 moves to a derived group: a write-disabled, b a member.
+			if err := k.SetPageRights(a, s.Base(), addr.Read); err != nil {
+				t.Fatal(err)
+			}
+			vpn := k.Geometry().PageNumber(s.Base())
+			audit := func(when string) {
+				t.Helper()
+				if err := errors.Join(oracle.Verify(k), k.CheckPageGroupBookkeeping()); err != nil {
+					t.Errorf("%s: %v", when, err)
+				}
+			}
+
+			// No group number is left for the page's new vector.
+			k.SetIDLimits(0, 1)
+			if err := tc.change(k, b, s); !errors.Is(err, kernel.ErrGroupIDsExhausted) {
+				t.Fatalf("change under a drained group namespace = %v, want ErrGroupIDsExhausted", err)
+			}
+			if r, _, _ := k.ResolveRights(b.ID, vpn); r != addr.RW {
+				t.Errorf("ResolveRights of b after the refusal = %v, want rw-", r)
+			}
+			if err := k.Store(b, s.Base(), 2); err != nil {
+				t.Errorf("store by b after the refusal: %v", err)
+			}
+			audit("after the refusal")
+
+			// Once numbers are free again the same change goes through.
+			k.SetIDLimits(0, 0)
+			if err := tc.change(k, b, s); err != nil {
+				t.Fatalf("change with the limit lifted: %v", err)
+			}
+			if r, _, _ := k.ResolveRights(b.ID, vpn); r != tc.want {
+				t.Errorf("ResolveRights of b = %v, want %v", r, tc.want)
+			}
+			if err := k.Store(b, s.Base(), 3); !errors.Is(err, kernel.ErrProtection) {
+				t.Errorf("store by b after the change: %v, want ErrProtection", err)
+			}
+			audit("after the change")
+		})
+	}
+}
+
 // TestStaleHandles: operations on a destroyed domain's or segment's
 // handle must fail with the typed error in every organization — double
 // destroy, fork of a corpse, a reference through a dead domain, and every

@@ -80,13 +80,17 @@ func (k *Kernel) enqueueShoot(i int, r smp.Request) {
 	k.shoot.Enqueue(i, r)
 }
 
-// shootExecuting applies r locally and enqueues it for every other seat
-// executing domain d, CPUs then devices in seat order. Checker state is
-// rebuilt on switch, so only a CPU with d switched in holds it; a device
-// programmed on d's behalf holds the analogous membership cache.
+// shootExecuting applies r locally when the current CPU executes domain
+// d, and enqueues it for every other seat executing d, CPUs then devices
+// in seat order. Checker state is rebuilt on switch, so only a CPU with
+// d switched in holds it, and a machine ignores a group load or
+// revocation for a domain it does not execute; a device programmed on
+// d's behalf holds the analogous membership cache.
 func (k *Kernel) shootExecuting(d *Domain, r smp.Request) {
 	r.Domain = d.ID
-	k.mach.Apply(r)
+	if k.mach.Domain() == d.ID {
+		k.mach.Apply(r)
+	}
 	if k.shoot == nil || int(d.ID) >= len(k.executing) {
 		return
 	}

@@ -10,11 +10,13 @@ import (
 )
 
 // refShootdown is the queue Shootdown had before its indexed batch
-// queues, kept as the reference FuzzShootdownMatchesReference holds
-// Shootdown to: per-target request slices mirrored as Go map sets,
-// batches handed away at every flush, and a fresh ack list per
-// acknowledged flush. Counters, health, topology and cycle charging are
-// the embedded Shootdown's, whose own queues stay empty.
+// queues and per-volley accounting, kept as the reference
+// FuzzShootdownMatchesReference holds Shootdown to: per-target request
+// slices mirrored as Go map sets, batches handed away at every flush, a
+// fresh ack list per acknowledged flush, counters bumped once per
+// request, and hop charges computed from the topology on every charge.
+// Counters, health and topology are the embedded Shootdown's, whose own
+// queues stay empty.
 type refShootdown struct {
 	*Shootdown
 	queue   [][]Request
@@ -157,9 +159,9 @@ func (s *refShootdown) flushAcked(t int) {
 		s.stale[t] = true
 		return
 	}
-	pending := make([]ackedReq, len(batch))
+	pending := make([]refAcked, len(batch))
 	for i, r := range batch {
-		pending[i] = ackedReq{req: r}
+		pending[i] = refAcked{req: r}
 	}
 	timeout, backoffCap := s.TargetTimeouts(t)
 	for attempt := 0; ; attempt++ {
@@ -175,7 +177,7 @@ func (s *refShootdown) flushAcked(t int) {
 			}
 		}
 		arrived := false
-		var keep []ackedReq
+		var keep []refAcked
 		start := s.handler.CPUCycles(t)
 		for _, p := range pending {
 			verdict := FaultNone
@@ -217,10 +219,10 @@ func (s *refShootdown) flushAcked(t int) {
 				s.nAcks.Inc()
 			case FaultDelay:
 				s.nDelayed.Inc()
-				keep = append(keep, ackedReq{req: p.req, applied: true})
+				keep = append(keep, refAcked{req: p.req, applied: true})
 			case FaultAckLoss:
 				s.nAckLost.Inc()
-				keep = append(keep, ackedReq{req: p.req, applied: true})
+				keep = append(keep, refAcked{req: p.req, applied: true})
 			}
 		}
 		s.remCycles.Add(s.handler.CPUCycles(t) - start)
@@ -250,6 +252,55 @@ func (s *refShootdown) flushAcked(t int) {
 		if timeout > backoffCap {
 			timeout = backoffCap
 		}
+	}
+}
+
+// refAcked is a request in flight under the acknowledged protocol;
+// applied means the target has performed it.
+type refAcked struct {
+	req     Request
+	applied bool
+}
+
+// cluster returns target t's mesh cluster: a CPU's through the topology,
+// a device's where it is seated, clamped into the mesh.
+func (s *refShootdown) cluster(t int) int {
+	if t < s.ncpu {
+		return s.topo.ClusterOf(t)
+	}
+	return min(max(s.devCluster[t-s.ncpu], 0), s.topo.Clusters()-1)
+}
+
+// chargeIPI charges a delivered interrupt: the base IPI cost plus IPIHop
+// per hop from the initiator's cluster to t's.
+func (s *refShootdown) chargeIPI(t int, retrans bool) {
+	s.nIPIs.Inc()
+	if s.IsDevice(t) {
+		s.nDevIPIs.Inc()
+	}
+	ipi := s.costs.IPI
+	if h := s.topo.ClusterHops(s.topo.ClusterOf(s.initiator), s.cluster(t)); h > 0 {
+		extra := uint64(h) * s.costs.IPIHop
+		ipi += extra
+		s.hopCycles.Add(extra)
+	}
+	s.cycles.Add(ipi)
+	s.ipiCycles.Add(ipi)
+	if retrans {
+		s.retransCyc.Add(ipi)
+	}
+}
+
+// chargeMemHops charges MemHop per hop from t's cluster to the home bank
+// of a page-scoped request's page.
+func (s *refShootdown) chargeMemHops(t int, r Request) {
+	if !r.Kind.PageScoped() {
+		return
+	}
+	if h := s.topo.MemHopsFrom(s.cluster(t), r.VPN); h > 0 {
+		extra := uint64(h) * s.costs.MemHop
+		s.cycles.Add(extra)
+		s.hopCycles.Add(extra)
 	}
 }
 
@@ -309,7 +360,7 @@ type side struct {
 func newSide(ncpu int, proto bool) side {
 	sd := side{h: &recorder{cycles: make([]uint64, ncpu+1)}, ctrs: &stats.Counters{}, cyc: &stats.Cycles{}}
 	sd.s = New(ncpu, sd.h, &testCosts, sd.ctrs, sd.cyc)
-	sd.s.AttachDevices([]DeviceSpec{{TimeoutScale: 2}})
+	sd.s.AttachDevices([]DeviceSpec{{Cluster: 3, TimeoutScale: 2}})
 	if proto {
 		sd.s.EnableProtocol(testProto())
 	}
@@ -366,13 +417,16 @@ func compareSides(t *testing.T, step int, got side, ref *refShootdown, want side
 // the initiator's cycles.
 //
 // The input's first byte picks the protocol (bit 0: acknowledged) and
-// 2-4 CPUs; a device seat always follows them. Each following 2-byte
-// record (op, arg) is one op, selected by op's low 3 bits:
+// 2-4 CPUs; a device seat, wired into cluster 3, always follows them.
+// Each following 2-byte record (op, arg) is one op, selected by op's low
+// 3 bits:
 //
 //   - 0-3: enqueue a run of 1-4 requests to target arg, starting at
 //     fuzzRequest(op>>3), so that runs overlap and repeat (A, B, A);
 //   - 4: Flush;
-//   - 5: DropPending(arg);
+//   - 5: DropPending(arg) when op>>3 is even; when it is odd, switch the
+//     topology to a 2x2 mesh of one-CPU clusters (arg odd) or to one
+//     cluster (arg even), and make CPU arg>>1 the initiator;
 //   - 6: Reset when arg is odd, else Rejoin(arg>>1);
 //   - 7: arm the fault verdict cycle arg (drop, delay and ack loss), or
 //     disarm it when arg is 0.
@@ -380,7 +434,8 @@ func compareSides(t *testing.T, step int, got side, ref *refShootdown, want side
 // The seed corpus in testdata names the scenarios it covers: A, B, A
 // moves, delayed redeliveries merging with new batches, ack loss,
 // quarantine, degradation, rejoin, Reset and DropPending mid-window,
-// the device seat, and index growth past 16 slots.
+// the device seat, index growth past 16 slots, and a fault-free
+// acknowledged volley on each topology.
 func FuzzShootdownMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
@@ -405,8 +460,19 @@ func FuzzShootdownMatchesReference(f *testing.F) {
 				s.Flush()
 				ref.Flush()
 			case 5:
-				s.DropPending(int(arg) % n)
-				ref.DropPending(int(arg) % n)
+				if op>>3&1 == 0 {
+					s.DropPending(int(arg) % n)
+					ref.DropPending(int(arg) % n)
+					break
+				}
+				topo := SingleCluster(ncpu)
+				if arg&1 != 0 {
+					topo = Topology{MeshWidth: 2, MeshHeight: 2, ClusterCPUs: 1}
+				}
+				for _, sd := range []*Shootdown{s, want.s} {
+					sd.SetTopology(topo)
+					sd.SetInitiator(int(arg>>1) % ncpu)
+				}
 			case 6:
 				if arg&1 != 0 {
 					s.Reset()
@@ -454,5 +520,45 @@ func TestFlushZeroAllocs(t *testing.T) {
 	round()
 	if n := testing.AllocsPerRun(20, round); n != 0 {
 		t.Fatalf("a steady-state round allocates %v times, want 0", n)
+	}
+}
+
+// BenchmarkShootdownVolley measures the shootdown queue and delivery on
+// the host: a warm round of enqueues and an acknowledged, fault-free
+// flush to 8 CPUs and 3 device seats on one cluster, revoke-dma's
+// machine. Each seat gets 8 requests, page-scoped group updates between
+// group loads and revocations, so every volley runs the per-request
+// step and the per-volley accounting. Like TestFlushZeroAllocs, a round
+// must not allocate.
+func BenchmarkShootdownVolley(b *testing.B) {
+	h := &countingHandler{cycles: make([]uint64, 11)}
+	s := New(8, h, &testCosts, &stats.Counters{}, &stats.Cycles{})
+	s.AttachDevices([]DeviceSpec{{TimeoutScale: 4}, {TimeoutScale: 4}, {TimeoutScale: 4}})
+	s.EnableProtocol(DefaultProtocolConfig())
+	round := func() {
+		for tg := 0; tg < s.NumTargets(); tg++ {
+			for i := 0; i < 8; i++ {
+				r := Request{Domain: addr.DomainID(1 + (tg+i)%16), Group: addr.GroupID(i)}
+				switch i % 3 {
+				case 0:
+					r = Request{Kind: GroupUpdate, VPN: addr.VPN(0x100 + i), Group: r.Group, Rights: addr.RW}
+				case 1:
+					r.Kind, r.WD = GroupLoad, i%2 == 0
+				default:
+					r.Kind = GroupRevoke
+				}
+				s.Enqueue(tg, r)
+			}
+		}
+		s.Flush()
+	}
+	// Two warm rounds: takeBatch alternates each queue between two
+	// arrays.
+	round()
+	round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
 	}
 }

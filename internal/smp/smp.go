@@ -332,19 +332,21 @@ type Shootdown struct {
 	cycles  *stats.Cycles // initiator-side kernel cycles (IPI cost)
 
 	// q[t] is target t's pending batch with its coalescing index, and
-	// acked is flushAcked's list of unacknowledged requests. Both keep
-	// their buffers across flushes, so a steady-state flush allocates
-	// nothing.
-	q     []batchQueue
-	acked []ackedReq
+	// done is flushAcked's record of which unacknowledged requests the
+	// target has performed. Both keep their buffers across flushes, so a
+	// steady-state flush allocates nothing.
+	q    []batchQueue
+	done []bool
 
 	fault FaultHook
 
 	// topo prices IPI delivery and remote memory-bank traffic by mesh
 	// hop count; initiator is the CPU charged for outgoing volleys
-	// (kernel.SetCPU keeps it current). The default single-cluster
-	// topology makes every hop count zero.
+	// (kernel.SetCPU keeps it current). mesh records that topo has more
+	// than one cluster: on one cluster every hop count is zero, so the
+	// charges skip the hop arithmetic.
 	topo      Topology
+	mesh      bool
 	initiator int
 
 	// Device seats: targets [ncpu, ncpu+len(devCluster)) are device
@@ -525,7 +527,10 @@ func (s *Shootdown) FaultArmed() bool { return s.fault != nil }
 // SetTopology installs the mesh topology used to price IPI delivery
 // and remote memory-bank traffic. The topology is normalized against
 // the CPU count; New starts with SingleCluster (all hop counts zero).
-func (s *Shootdown) SetTopology(t Topology) { s.topo = t.Normalize(s.ncpu) }
+func (s *Shootdown) SetTopology(t Topology) {
+	s.topo = t.Normalize(s.ncpu)
+	s.mesh = s.topo.Clusters() > 1
+}
 
 // Topology returns the active (normalized) mesh topology.
 func (s *Shootdown) Topology() Topology { return s.topo }
@@ -735,16 +740,17 @@ func (r *Request) hash() uint64 {
 
 // Flush delivers every pending batch: one IPI per target CPU that
 // receives at least one request, the batch applied in enqueue order on
-// that CPU's structures. Fire-and-forget mode redelivers requests a
-// FaultHook delayed earlier ahead of the new batch; the acknowledged
-// protocol instead retries unacknowledged requests inline with capped
-// exponential backoff and quarantines targets that exhaust the budget.
+// that CPU's structures. Fire-and-forget mode sends each batch in one
+// volley whose faults are final, and redelivers requests a FaultHook
+// delayed earlier ahead of the next batch; the acknowledged protocol
+// instead retries unacknowledged requests inline with capped exponential
+// backoff and quarantines targets that exhaust the budget.
 func (s *Shootdown) Flush() {
 	for t := range s.q {
 		if s.proto != nil {
 			s.flushAcked(t)
-		} else {
-			s.flushFireAndForget(t)
+		} else if batch := s.takeBatch(t); len(batch) > 0 {
+			s.volley(t, batch, nil, false)
 		}
 	}
 }
@@ -780,7 +786,7 @@ func (s *Shootdown) takeBatch(t int) []Request {
 
 // chargeIPI charges one delivered interrupt to the initiator: the base
 // IPI cost plus IPIHop cycles per mesh hop between the initiator's
-// cluster and target t's cluster (zero on a single-cluster topology).
+// cluster and target t's cluster (none on a single-cluster topology).
 // retrans marks it as a retransmission volley for the overhead split.
 func (s *Shootdown) chargeIPI(t int, retrans bool) {
 	s.nIPIs.Inc()
@@ -788,10 +794,12 @@ func (s *Shootdown) chargeIPI(t int, retrans bool) {
 		s.nDevIPIs.Inc()
 	}
 	ipi := s.costs.IPI
-	if h := s.topo.ClusterHops(s.topo.ClusterOf(s.initiator), s.clusterOf(t)); h > 0 {
-		extra := uint64(h) * s.costs.IPIHop
-		ipi += extra
-		s.hopCycles.Add(extra)
+	if s.mesh {
+		if h := s.topo.ClusterHops(s.topo.ClusterOf(s.initiator), s.clusterOf(t)); h > 0 {
+			extra := uint64(h) * s.costs.IPIHop
+			ipi += extra
+			s.hopCycles.Add(extra)
+		}
 	}
 	s.cycles.Add(ipi)
 	s.ipiCycles.Add(ipi)
@@ -803,8 +811,9 @@ func (s *Shootdown) chargeIPI(t int, retrans bool) {
 // chargeMemHops charges the mesh distance from target t to the home
 // memory bank of a page-scoped request it just applied: invalidation
 // and writeback traffic crosses the mesh to the page's home cluster.
-// Zero-hop (same cluster, or any single-cluster topology) is free.
-func (s *Shootdown) chargeMemHops(t int, r Request) {
+// Zero-hop (same cluster) is free. The caller checks s.mesh, since on
+// one cluster every request is zero-hop.
+func (s *Shootdown) chargeMemHops(t int, r *Request) {
 	if !r.Kind.PageScoped() {
 		return
 	}
@@ -817,62 +826,89 @@ func (s *Shootdown) chargeMemHops(t int, r Request) {
 	s.hopCycles.Add(extra)
 }
 
-// flushFireAndForget is the legacy unacknowledged delivery: faults are
-// final (a dropped request is lost, a delayed one is deferred to the
-// next flush). The IPI is charged only if the volley actually reached
-// the target — a fully dropped batch is a lost interrupt, the target
-// never traps, and a delayed-then-delivered request pays its IPI at
-// the flush that delivers it, never twice.
-func (s *Shootdown) flushFireAndForget(t int) {
-	batch := s.takeBatch(t)
-	if len(batch) == 0 {
-		return
-	}
+// volley delivers reqs to target t as one interrupt, in order. Each
+// request's step is its fault verdict, the apply and the apply's hop
+// charge; the delivered, acknowledged and remote-invalidation counts,
+// the remote cycles and the IPI are charged once for the volley, the IPI
+// only if some request arrived (a fully dropped volley is a lost
+// interrupt). retry marks a retransmission, for which done[i] says that
+// t performed reqs[i] in an earlier volley: the sequence number marks
+// the copy a duplicate, and t only resends the ack.
+//
+// Under the acknowledged protocol the requests left unacknowledged are
+// compacted to the front of reqs in order, their done flags with them,
+// and their count is returned. Fire-and-forget keeps none: a dropped
+// request is lost, a delayed one is redelivered ahead of the next
+// flush's batch, and a lost ack has nothing to lose.
+func (s *Shootdown) volley(t int, reqs []Request, done []bool, retry bool) (kept int) {
+	acked := s.proto != nil
 	arrived := false
+	var delivered, acks, affected uint64
 	start := s.handler.CPUCycles(t)
-	for _, r := range batch {
+	for i := range reqs {
+		r := &reqs[i]
+		performed := retry && done[i]
 		verdict := FaultNone
 		if s.fault != nil {
-			verdict = s.fault(t, r)
+			verdict = s.fault(t, *r)
 		}
-		switch verdict {
-		case FaultDrop:
+		switch {
+		case verdict == FaultDrop:
 			s.nDropped.Inc()
 			if s.IsDevice(t) {
 				s.nDevDropped.Inc()
 			}
+			if acked {
+				reqs[kept], done[kept] = *r, performed
+				kept++
+			}
 			continue
-		case FaultDelay:
+		case verdict == FaultDelay && !acked:
 			s.nDelayed.Inc()
-			s.q[t].delayed = append(s.q[t].delayed, r)
+			s.q[t].delayed = append(s.q[t].delayed, *r)
 			continue
-		case FaultAckLoss:
-			// No acks to lose in fire-and-forget; count the injection
-			// and deliver normally.
-			s.nAckLost.Inc()
 		}
 		arrived = true
-		affected := s.handler.ApplyShootdown(t, r)
-		s.nDelivered.Inc()
-		if s.IsDevice(t) {
-			s.nDevDelivered.Inc()
+		if performed {
+			s.nDupSup.Inc()
+		} else {
+			affected += uint64(s.handler.ApplyShootdown(t, *r))
+			delivered++
+			if s.mesh {
+				s.chargeMemHops(t, r)
+			}
 		}
-		s.nRemoteInv.Add(uint64(affected))
-		s.chargeMemHops(t, r)
+		switch verdict {
+		case FaultNone:
+			acks++
+			continue
+		case FaultDelay:
+			// Slow responder: performed, but the ack misses the timeout
+			// window and the initiator retries anyway.
+			s.nDelayed.Inc()
+		case FaultAckLoss:
+			s.nAckLost.Inc()
+		}
+		if acked {
+			reqs[kept], done[kept] = *r, true
+			kept++
+		}
 	}
 	s.remCycles.Add(s.handler.CPUCycles(t) - start)
-	if arrived {
-		s.chargeIPI(t, false)
+	if delivered > 0 {
+		s.nDelivered.Add(delivered)
+		if s.IsDevice(t) {
+			s.nDevDelivered.Add(delivered)
+		}
+		s.nRemoteInv.Add(affected)
 	}
-}
-
-// ackedReq is a request in flight under the acknowledged protocol.
-// applied means the target has performed it but the initiator has not
-// seen the ack; a retransmission of an applied request is suppressed by
-// the target's volley sequence check instead of re-applied.
-type ackedReq struct {
-	req     Request
-	applied bool
+	if acked && acks > 0 {
+		s.nAcks.Add(acks)
+	}
+	if arrived {
+		s.chargeIPI(t, retry)
+	}
+	return kept
 }
 
 // flushAcked runs the acknowledged protocol for CPU t's batch: volleys
@@ -893,17 +929,19 @@ func (s *Shootdown) flushAcked(t int) {
 		s.stale[t] = true
 		return
 	}
-	// The first volley reads the batch in place. Only the requests it
-	// leaves unacknowledged become ackedReq records in pending, the
-	// retransmission list, whose buffer is kept across flushes.
-	var pending []ackedReq
-	unacked := len(batch)
+	// Each volley compacts the requests it leaves unacknowledged to the
+	// front of pending, the batch itself: takeBatch handed out its array,
+	// which nothing reads or writes until t's next takeBatch.
+	if len(s.done) < len(batch) {
+		s.done = make([]bool, len(batch))
+	}
+	pending := batch
 	// Devices get their scaled ack timeout and backoff cap: draining
 	// in-flight DMA before acknowledging takes longer than a CPU trap.
 	timeout, backoffCap := s.TargetTimeouts(t)
 	for attempt := 0; ; attempt++ {
 		if attempt > s.proto.MaxRetries {
-			s.quarantine(t, unacked)
+			s.quarantine(t, len(pending))
 			return
 		}
 		s.seq[t]++
@@ -913,37 +951,8 @@ func (s *Shootdown) flushAcked(t int) {
 				s.nDevRetrans.Add(uint64(len(pending)))
 			}
 		}
-		arrived := false
-		start := s.handler.CPUCycles(t)
-		if attempt == 0 {
-			pending = s.acked[:0]
-			for i := range batch {
-				got, acked, applied := s.send(t, &batch[i], false)
-				arrived = arrived || got
-				if !acked {
-					pending = append(pending, ackedReq{req: batch[i], applied: applied})
-				}
-			}
-			s.acked = pending[:0]
-		} else {
-			// Unacknowledged requests are compacted in place: keep
-			// never overtakes the element the loop is reading.
-			keep := pending[:0]
-			for i := range pending {
-				got, acked, applied := s.send(t, &pending[i].req, pending[i].applied)
-				arrived = arrived || got
-				if !acked {
-					keep = append(keep, ackedReq{req: pending[i].req, applied: applied})
-				}
-			}
-			pending = keep
-		}
-		unacked = len(pending)
-		s.remCycles.Add(s.handler.CPUCycles(t) - start)
-		if arrived {
-			s.chargeIPI(t, attempt > 0)
-		}
-		if unacked == 0 {
+		pending = pending[:s.volley(t, pending, s.done, attempt > 0)]
+		if len(pending) == 0 {
 			// Whole volley acknowledged: the target answered, so any
 			// suspicion is cleared.
 			s.consecTO[t] = 0
@@ -970,51 +979,6 @@ func (s *Shootdown) flushAcked(t int) {
 			timeout = backoffCap
 		}
 	}
-}
-
-// send delivers request r to target t in one volley of the acknowledged
-// protocol; applied says t performed r in an earlier volley. It reports
-// whether r reached t, whether the initiator saw t acknowledge it, and
-// whether t has performed it by now.
-func (s *Shootdown) send(t int, r *Request, applied bool) (arrived, acked, done bool) {
-	verdict := FaultNone
-	if s.fault != nil {
-		verdict = s.fault(t, *r)
-	}
-	if verdict == FaultDrop {
-		// Lost in transit: never reached the target.
-		s.nDropped.Inc()
-		if s.IsDevice(t) {
-			s.nDevDropped.Inc()
-		}
-		return false, false, applied
-	}
-	if applied {
-		// Retransmitted copy of a request the target already performed:
-		// the volley sequence number identifies the duplicate and the
-		// target suppresses the re-apply, only resending the ack.
-		s.nDupSup.Inc()
-	} else {
-		affected := s.handler.ApplyShootdown(t, *r)
-		s.nDelivered.Inc()
-		if s.IsDevice(t) {
-			s.nDevDelivered.Inc()
-		}
-		s.nRemoteInv.Add(uint64(affected))
-		s.chargeMemHops(t, *r)
-	}
-	switch verdict {
-	case FaultNone:
-		s.nAcks.Inc()
-		return true, true, true
-	case FaultDelay:
-		// Slow responder: performed, but the ack misses the timeout
-		// window and the initiator retries anyway.
-		s.nDelayed.Inc()
-	default:
-		s.nAckLost.Inc()
-	}
-	return true, false, true
 }
 
 // quarantine fences CPU t after it exhausted the retry budget. Its
