@@ -67,11 +67,11 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 			t.Run("warm", func(t *testing.T) {
 				m.SwitchDomain(1)
 				va := addr.VA(1) << 32
-				if out := m.Access(va, addr.Load); !out.OK() {
+				if out := m.Access(va, addr.Load); out.Fault != cpu.FaultNone {
 					t.Fatal("warm-up access faulted")
 				}
 				allocs := testing.AllocsPerRun(1000, func() {
-					if out := m.Access(va, addr.Load); !out.OK() {
+					if out := m.Access(va, addr.Load); out.Fault != cpu.FaultNone {
 						t.Fatal("fault on warm access")
 					}
 				})
@@ -85,7 +85,7 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 				for run := 0; run < 2; run++ {
 					before := m.Counters().Get(tc.misses)
 					for i := 0; i < overflowCycle; i++ {
-						if out := overflowAccess(m, i); !out.OK() {
+						if out := overflowAccess(m, i); out.Fault != cpu.FaultNone {
 							t.Fatal("warm-up access faulted")
 						}
 					}
@@ -95,7 +95,7 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 				}
 				allocs := testing.AllocsPerRun(20, func() {
 					for i := 0; i < overflowCycle; i++ {
-						if out := overflowAccess(m, i); !out.OK() {
+						if out := overflowAccess(m, i); out.Fault != cpu.FaultNone {
 							t.Fatal("fault on overflowing access")
 						}
 					}

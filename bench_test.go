@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/trace"
@@ -113,7 +114,7 @@ func BenchmarkPLBMachineAccessWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := m.Access(va, addr.Load); !out.OK() {
+		if out := m.Access(va, addr.Load); out.Fault != cpu.FaultNone {
 			b.Fatal("fault on warm access")
 		}
 	}
@@ -131,7 +132,7 @@ func BenchmarkMachineAccessOverflow(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if out := overflowAccess(tc.m, i); !out.OK() {
+				if out := overflowAccess(tc.m, i); out.Fault != cpu.FaultNone {
 					b.Fatal("fault on overflowing access")
 				}
 			}
@@ -148,7 +149,7 @@ func BenchmarkPGMachineAccessWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := m.Access(va, addr.Load); !out.OK() {
+		if out := m.Access(va, addr.Load); out.Fault != cpu.FaultNone {
 			b.Fatal("fault on warm access")
 		}
 	}
@@ -284,12 +285,12 @@ func BenchmarkConventionalTouchWarm(b *testing.B) {
 
 // --- Suite-level benches: the parallel harness end to end. On multicore
 // hosts the parallel run should beat serial by roughly min(cores, 13)/13;
-// output is byte-identical either way (see core.RunAll).
+// output is byte-identical either way (see core.RunExperiments).
 
 func benchRunAll(b *testing.B, parallelism int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sum := core.RunAll(parallelism)
+		sum := core.RunExperiments(core.All(), parallelism)
 		if len(sum.Failures) > 0 {
 			b.Fatal(sum.Failures)
 		}

@@ -6,7 +6,8 @@
 // The scenario: an allocator library with a private free-list segment.
 // Any client may call into the library (and the library then manipulates
 // its free list on the client's behalf), but no client can corrupt the
-// free list directly.
+// free list directly. Unloading the library revokes the grant, and then
+// not even the library's own code reaches the state.
 package main
 
 import (
@@ -74,8 +75,23 @@ func main() {
 		log.Fatalf("protection hole: %v", err)
 	}
 
-	fmt.Printf("\nexec grants: %d, site changes: %d, purges on site change: %d\n",
+	// Unloading the library revokes the grant: from then on even a store
+	// made from inside the library's code is denied.
+	if err := k.RevokeExecutor(libState, libCode); err != nil {
+		log.Fatal(err)
+	}
+	err = libCall(clientA, func() error {
+		return k.Store(clientA, libState.Base(), 0)
+	})
+	if errors.Is(err, sasos.ErrProtection) {
+		fmt.Println("liballoc unloaded: a store from inside its code is denied")
+	} else {
+		log.Fatalf("protection hole after unload: %v", err)
+	}
+
+	fmt.Printf("\nexec grants: %d, revokes: %d, site changes: %d, purges on site change: %d\n",
 		k.Counters().Get("kernel.exec_grants"),
+		k.Counters().Get("kernel.exec_revokes"),
 		k.Counters().Get("kernel.exec_site_changes"),
 		k.Counters().Get("kernel.exec_site_purges"))
 }

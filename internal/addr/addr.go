@@ -196,9 +196,6 @@ const (
 // Allows reports whether r is sufficient for an access of kind k.
 func (r Rights) Allows(k AccessKind) bool { return r&k.Needs() != 0 }
 
-// Includes reports whether r grants at least the rights in other.
-func (r Rights) Includes(other Rights) bool { return r&other == other }
-
 // WithoutWrite returns r with the write permission cleared. It models the
 // PA-RISC PID write-disable bit, which masks writes to an entire page-group
 // regardless of the TLB rights field.
@@ -217,38 +214,6 @@ func (r Rights) String() string {
 		b[2] = 'x'
 	}
 	return string(b[:])
-}
-
-// ParseRights parses a vector in the form produced by Rights.String
-// ("rw-", "r--", "---", ...). It accepts 'r', 'w', 'x' in their positions
-// and '-' anywhere.
-func ParseRights(s string) (Rights, error) {
-	if len(s) != 3 {
-		return 0, fmt.Errorf("addr: rights %q: want 3 characters", s)
-	}
-	var r Rights
-	switch s[0] {
-	case 'r':
-		r |= Read
-	case '-':
-	default:
-		return 0, fmt.Errorf("addr: rights %q: position 0 must be 'r' or '-'", s)
-	}
-	switch s[1] {
-	case 'w':
-		r |= Write
-	case '-':
-	default:
-		return 0, fmt.Errorf("addr: rights %q: position 1 must be 'w' or '-'", s)
-	}
-	switch s[2] {
-	case 'x':
-		r |= Execute
-	case '-':
-	default:
-		return 0, fmt.Errorf("addr: rights %q: position 2 must be 'x' or '-'", s)
-	}
-	return r, nil
 }
 
 // Range is a contiguous range of virtual addresses [Start, Start+Length).

@@ -170,13 +170,6 @@ func (v *VirtualCache) Fill(space addr.ASID, va addr.VA, pfn addr.PFN, store boo
 	return false
 }
 
-// Resident reports whether the line for va is resident (no replacement
-// side effects).
-func (v *VirtualCache) Resident(space addr.ASID, va addr.VA) bool {
-	_, ok := v.c.Peek(v.key(space, va))
-	return ok
-}
-
 // FlushPage removes every resident line of the page holding va (matching
 // any space tag), as a sequence of per-line flush instructions. It returns
 // the number of lines flushed and how many were dirty (requiring
@@ -242,42 +235,6 @@ func (v *VirtualCache) SynonymLines(geo addr.Geometry) int {
 	for _, c := range byPhys {
 		if c > 1 {
 			n += c
-		}
-	}
-	return n
-}
-
-// IncoherentLines counts physical lines resident under multiple keys where
-// at least one copy is dirty: the write-coherence hazard synonyms create.
-// geo is the machine's translation page geometry (see SynonymLines).
-func (v *VirtualCache) IncoherentLines(geo addr.Geometry) int {
-	type phys struct {
-		pfn    addr.PFN
-		offset uint64
-	}
-	type info struct {
-		count int
-		dirty int
-	}
-	byPhys := make(map[phys]*info)
-	linesPerPage := v.LinesPerPage(geo)
-	v.c.ForEach(func(k lineKey, st lineState) bool {
-		p := phys{pfn: st.pfn, offset: k.line % linesPerPage}
-		i := byPhys[p]
-		if i == nil {
-			i = &info{}
-			byPhys[p] = i
-		}
-		i.count++
-		if st.dirty {
-			i.dirty++
-		}
-		return true
-	})
-	n := 0
-	for _, i := range byPhys {
-		if i.count > 1 && i.dirty > 0 {
-			n++
 		}
 	}
 	return n

@@ -91,10 +91,10 @@ func TestFlushPage(t *testing.T) {
 	if flushed != 4 || dirty != 1 {
 		t.Fatalf("FlushPage = %d,%d", flushed, dirty)
 	}
-	if v.Resident(0, 0x1000) {
+	if _, ok := v.c.Peek(v.key(0, 0x1000)); ok {
 		t.Fatal("line survives page flush")
 	}
-	if !v.Resident(0, 0x2000) {
+	if _, ok := v.c.Peek(v.key(0, 0x2000)); !ok {
 		t.Fatal("other page's line flushed")
 	}
 	if ctrs.Get("dc.flushed_lines") != 4 || ctrs.Get("dc.flush_writebacks") != 1 {
@@ -225,17 +225,13 @@ func TestASIDTagsSeparateHomonyms(t *testing.T) {
 
 func TestASIDTagsCreateSynonyms(t *testing.T) {
 	// With ASID tags, a frame shared between two spaces at the same VA
-	// occupies two lines: the synonym problem (Section 2.2). With a
-	// dirty copy it is an incoherence hazard.
+	// occupies two lines: the synonym problem (Section 2.2).
 	ctrs := &stats.Counters{}
 	v := NewVirtual(smallCfg(true), ctrs, "dc")
 	v.Fill(1, 0x1000, 10, false)
 	v.Fill(2, 0x1000, 10, true) // same frame, space 2, dirty
 	if n := v.SynonymLines(addr.BaseGeometry()); n != 2 {
 		t.Fatalf("SynonymLines = %d, want 2", n)
-	}
-	if n := v.IncoherentLines(addr.BaseGeometry()); n != 1 {
-		t.Fatalf("IncoherentLines = %d, want 1", n)
 	}
 }
 
@@ -249,9 +245,6 @@ func TestSingleSpaceNoSynonyms(t *testing.T) {
 	v.Fill(0, 0x1020, 10, false) // second line of the shared page
 	if n := v.SynonymLines(addr.BaseGeometry()); n != 0 {
 		t.Fatalf("SynonymLines = %d, want 0", n)
-	}
-	if n := v.IncoherentLines(addr.BaseGeometry()); n != 0 {
-		t.Fatalf("IncoherentLines = %d, want 0", n)
 	}
 }
 
@@ -339,19 +332,13 @@ func TestSynonymLinesSuperPageGeometry(t *testing.T) {
 	if n := v.SynonymLines(geo); n != 0 {
 		t.Fatalf("SynonymLines = %d, want 0 (distinct offsets of one super-page)", n)
 	}
-	if n := v.IncoherentLines(geo); n != 0 {
-		t.Fatalf("IncoherentLines = %d, want 0", n)
-	}
 
 	// A real synonym — the same super-page line resident under two address
-	// spaces — is still counted, dirty copies still flag incoherence.
+	// spaces — is still counted.
 	v2 := NewVirtual(smallCfg(true), &stats.Counters{}, "dc")
 	v2.Fill(1, 0x1000, 10, false)
 	v2.Fill(2, 0x1000, 10, true)
 	if n := v2.SynonymLines(geo); n != 2 {
 		t.Fatalf("SynonymLines = %d, want 2", n)
-	}
-	if n := v2.IncoherentLines(geo); n != 1 {
-		t.Fatalf("IncoherentLines = %d, want 1", n)
 	}
 }

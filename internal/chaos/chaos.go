@@ -26,19 +26,15 @@ import (
 type Config struct {
 	// Seed drives every random stream of the campaign.
 	Seed int64
-	// Experiments selects which experiments run under each kernel
-	// scenario; nil means the full suite (core.All).
-	Experiments []core.Experiment
-	// Scenarios selects the fault catalog; nil means Default().
-	Scenarios []Scenario
-	// Short trims the experiment list (when Experiments is nil) to a
-	// fast subset covering each protection structure, for CI.
+	// Short trims the experiment list from the full suite (core.All) to
+	// a fast subset covering each protection structure, for CI.
 	Short bool
-	// Keep bounds how many kernels per run are tracked for post-run
-	// oracle verification; older kernels are verified and released as
-	// the experiment constructs more. Zero means 8.
-	Keep int
 }
+
+// keep bounds how many kernels per run are tracked for post-run oracle
+// verification; older kernels are verified and released as the
+// experiment constructs more.
+const keep = 8
 
 // shortIDs is the CI subset: the experiments that construct kernels of
 // all four models and exercise every scenario's hook point (switch/RPC:
@@ -139,28 +135,18 @@ func (r *Result) Report() string {
 	return b.String()
 }
 
-// Run executes the campaign serially: every kernel scenario over every
-// experiment, then each direct scenario once.
+// Run executes the campaign serially: every scenario of Default(), each
+// kernel scenario over every experiment, and each direct scenario once.
 func Run(cfg Config) *Result {
-	exps := cfg.Experiments
-	if exps == nil {
-		for _, e := range core.All() {
-			if cfg.Short && !shortIDs[e.ID] {
-				continue
-			}
-			exps = append(exps, e)
+	var exps []core.Experiment
+	for _, e := range core.All() {
+		if cfg.Short && !shortIDs[e.ID] {
+			continue
 		}
-	}
-	scens := cfg.Scenarios
-	if scens == nil {
-		scens = Default()
-	}
-	keep := cfg.Keep
-	if keep <= 0 {
-		keep = 8
+		exps = append(exps, e)
 	}
 	res := &Result{Seed: cfg.Seed}
-	for _, sc := range scens {
+	for _, sc := range Default() {
 		if sc.Direct != nil {
 			res.Runs = append(res.Runs, runDirect(sc, subSeed(cfg.Seed, "-", sc.Name)))
 			continue
@@ -168,7 +154,7 @@ func Run(cfg Config) *Result {
 		scenarioFired := uint64(0)
 		first := len(res.Runs)
 		for _, exp := range exps {
-			rr := runOne(exp, sc, subSeed(cfg.Seed, exp.ID, sc.Name), keep)
+			rr := runOne(exp, sc, subSeed(cfg.Seed, exp.ID, sc.Name))
 			scenarioFired += rr.Fired
 			res.Runs = append(res.Runs, rr)
 		}
@@ -213,7 +199,7 @@ func runDirect(sc Scenario, seed int64) RunResult {
 // runOne executes one experiment with the scenario armed on every
 // kernel it constructs, then holds each tracked kernel to the recovery
 // contract.
-func runOne(exp core.Experiment, sc Scenario, seed int64, keep int) RunResult {
+func runOne(exp core.Experiment, sc Scenario, seed int64) RunResult {
 	rr := RunResult{Experiment: exp.ID, Scenario: sc.Name}
 	rng := rand.New(rand.NewSource(seed))
 	var kernels []*kernel.Kernel

@@ -8,7 +8,7 @@
 // between cmd/tablegen, the tests that hold every table, cycle total
 // and counter to testdata/suite.golden, and the benchmark suite. Each
 // experiment constructs its own kernels, machines, and seeded RNGs, so
-// the runner (RunAll) executes them concurrently while producing
+// the runner (RunExperiments) executes them concurrently while producing
 // byte-identical tables at any parallelism.
 package core
 

@@ -31,9 +31,6 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Fatalf("%s produced no tables", e.ID)
 			}
 			for _, tb := range r.Tables {
-				if tb.NumRows() == 0 {
-					t.Errorf("%s: empty table:\n%s", e.ID, tb)
-				}
 				// "E1" prefixes "E10" to "E18", so a digit must not follow the ID.
 				title, _, _ := strings.Cut(tb.String(), "\n")
 				rest, ok := strings.CutPrefix(title, e.ID)

@@ -55,17 +55,12 @@ type Summary struct {
 	Failures []error
 }
 
-// RunAll executes every experiment on a pool of parallelism workers and
+// RunExperiments executes exps on a pool of parallelism workers and
 // returns all results. parallelism <= 0 means GOMAXPROCS. Experiments
 // are independent — each constructs its own kernels and machines with
 // locally seeded RNGs — so results and rendered tables are byte-identical
 // for any parallelism. A failing experiment does not stop the others;
 // all failures are collected in the summary.
-func RunAll(parallelism int) Summary {
-	return RunExperiments(All(), parallelism)
-}
-
-// RunExperiments is RunAll over an explicit experiment list.
 func RunExperiments(exps []Experiment, parallelism int) Summary {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)

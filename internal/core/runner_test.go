@@ -15,7 +15,7 @@ import (
 // testdata/suite.golden, because every experiment isolates its own state.
 func TestRunAllDeterministic(t *testing.T) {
 	golden := readGolden(t)
-	sum := RunAll(8)
+	sum := RunExperiments(All(), 8)
 	if len(sum.Failures) != 0 {
 		t.Fatalf("failures: %v", sum.Failures)
 	}

@@ -160,6 +160,3 @@ type Outcome struct {
 	// could not.
 	Fault FaultKind
 }
-
-// OK reports whether the access completed.
-func (o Outcome) OK() bool { return o.Fault == FaultNone }

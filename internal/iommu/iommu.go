@@ -493,17 +493,16 @@ func (d *Device) PurgeAll() int {
 	return n
 }
 
-// HasDomainEntries reports whether the device still caches authority
-// naming domain dom: IOTLB entries keyed by it (domain-page), or — on
-// behalf of it — group memberships (page-group). The kernel's sharer
-// directory uses this for provable last-entry withdrawal.
+// HasDomainEntries reports whether the device may still cache an IOTLB
+// entry keyed by domain dom, for the kernel's provable last-entry
+// withdrawal. A page-group IOTLB's entries are domain-neutral
+// translations, and no request sent to it withdraws residency, so it
+// answers true, as the page-group machine does.
 func (d *Device) HasDomainEntries(dom addr.DomainID) bool {
 	if d.dp != nil {
 		return d.dp.HasOwner(uint32(dom))
 	}
-	// Page-group entries are domain-neutral translations; the domain's
-	// cached authority is its membership set.
-	return d.onBehalf == dom && d.groups.Count() > 0
+	return true
 }
 
 // Entries implements machine.Seat: IOTLB entries, then, under the
@@ -533,10 +532,12 @@ func (d *Device) Entries(fn func(machine.Entry) bool) {
 
 // Apply performs one shootdown request on the device's structures,
 // returning how many entries it touched — the smp.Handler contract,
-// identical in role to a CPU's remote-maintenance handler. Every kind
-// is handled for both organizations (the kernel broadcasts the same
-// request to CPU and device sharers alike), conservatively where a
-// kind's natural structure differs from the device's.
+// identical in role to a CPU's remote-maintenance handler. Each
+// organization handles only the kinds its kernel's engines raise: a
+// domain-page IOTLB serves the domain-page, conventional and flush
+// kernels, which never raise a group kind; a page-group IOTLB serves
+// the page-group kernel, which raises only GroupLoad, GroupRevoke,
+// GroupUpdate and Unmap. Any other kind touches and charges nothing.
 func (d *Device) Apply(r smp.Request) int {
 	c := d.cfg.Costs
 	affected, inspected := d.apply(r)
@@ -546,11 +547,11 @@ func (d *Device) Apply(r smp.Request) int {
 }
 
 // MaxCycles bounds what one Apply and one PurgeAll may charge from the
-// current state. An Apply at worst inspects and affects every IOTLB
-// slot and, under the page-group organization, drops every membership;
-// a queued GroupLoad can add one membership before a later request
-// drops it, so the bound counts one more than the set holds now.
-// PurgeAll charges its capacity-sized scan.
+// current state. A domain-page Apply at worst inspects and affects
+// every IOTLB slot. The page-group bound adds every membership the set
+// holds plus one a queued GroupLoad can add, which is conservative: a
+// page-group Apply touches one slot or one membership. PurgeAll charges
+// its capacity-sized scan.
 func (d *Device) MaxCycles() (apply, purge uint64) {
 	c := d.cfg.Costs
 	n := d.Capacity()
@@ -593,23 +594,8 @@ func (d *Device) apply(r smp.Request) (affected, inspected int) {
 		case smp.PurgeAllProt:
 			n := d.dp.PurgeAll()
 			return n, d.dp.Capacity()
-		case smp.PurgePage, smp.Unmap, smp.GroupUpdate:
-			// Page-keyed maintenance; GroupUpdate regroups a page, which
-			// a domain-page organization conservatively drops (the next
-			// walk re-resolves rights under the new group).
+		case smp.PurgePage, smp.Unmap:
 			return d.dp.PurgeIf(func(k dpKey, _ dpEntry) bool { return k.vpn == r.VPN })
-		case smp.GroupLoad:
-			// Pure grant: a domain-page IOTLB caches nothing negative,
-			// so there is nothing to widen in place.
-			return 0, 0
-		case smp.GroupRevoke:
-			// Group revocation for the on-behalf domain: without group
-			// bookkeeping the agent cannot tell which pages the group
-			// covers, so it conservatively drops the domain's entries.
-			if r.Domain == d.onBehalf {
-				return d.dp.PurgeOwner(uint32(r.Domain), nil)
-			}
-			return 0, 0
 		}
 		return 0, 0
 	}
@@ -625,40 +611,16 @@ func (d *Device) apply(r smp.Request) (affected, inspected int) {
 			return 1, 1
 		}
 		return 0, 1
-	case smp.DomainPurge:
-		// Domain destruction: translations are domain-neutral and stay,
-		// but the dying domain's cached authority — its membership set —
-		// is flushed when the device was acting on its behalf.
-		if r.Domain == d.onBehalf {
-			n := d.groups.Count()
-			d.groups.Clear()
-			return n, n
-		}
-		return 0, 1
 	case smp.GroupUpdate:
 		if d.pg.Update(r.VPN, pgEntry{aid: r.Group, rights: r.Rights, pfn: d.pgPFNOf(r.VPN)}) {
 			return 1, 1
 		}
 		return 0, 1
-	case smp.PurgePage, smp.Unmap:
+	case smp.Unmap:
 		if d.pg.Invalidate(r.VPN) {
 			return 1, 1
 		}
 		return 0, 1
-	case smp.PurgeAllProt:
-		n := d.pg.PurgeAll() + d.groups.Count()
-		d.groups.Clear()
-		return n, d.pg.Capacity()
-	case smp.InvalRights, smp.UpdateRights:
-		// Domain-keyed rights maintenance on a domain-neutral IOTLB:
-		// conservatively drop the page's translation so the next DMA
-		// re-walks it.
-		if d.pg.Invalidate(r.VPN) {
-			return 1, 1
-		}
-		return 0, 1
-	case smp.RangeRights, smp.RangeDetach, smp.RangePurge:
-		return d.pg.PurgeIf(func(vpn addr.VPN, _ pgEntry) bool { return inRange(vpn) })
 	}
 	return 0, 0
 }

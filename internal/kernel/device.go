@@ -28,26 +28,19 @@ type DeviceConfig struct {
 	Name string
 	// Kind is the device class (iommu.NIC, DMAEngine, GCScanner).
 	Kind iommu.Kind
-	// Entries is the IOTLB capacity; zero defaults to 64, negative is
-	// rejected by NewChecked.
-	Entries int
 	// Cluster seats the device on the mesh; must lie within the
 	// normalized topology's clusters.
 	Cluster int
-	// TimeoutScale multiplies the acknowledged protocol's ack timeout
-	// and backoff cap for this device (devices drain in-flight DMA
-	// before acking). Zero defaults to 4; NewChecked requires the
-	// effective scale be at least 1.
-	TimeoutScale int
 }
 
-// defaultDeviceEntries is the IOTLB capacity used when a DeviceConfig
-// leaves Entries zero.
-const defaultDeviceEntries = 64
-
-// defaultDeviceTimeoutScale is the ack-timeout multiplier used when a
-// DeviceConfig leaves TimeoutScale zero.
-const defaultDeviceTimeoutScale = 4
+const (
+	// deviceEntries is every device's IOTLB capacity.
+	deviceEntries = 64
+	// deviceTimeoutScale multiplies the acknowledged protocol's ack
+	// timeout and backoff cap for every device: devices drain in-flight
+	// DMA before acking.
+	deviceTimeoutScale = 4
+)
 
 // validateDevices normalizes and validates cfg.Devices against the
 // seat budget and topology, returning the filled copy.
@@ -62,20 +55,6 @@ func validateDevices(cfg Config) ([]DeviceConfig, error) {
 	topo := cfg.Topology.Normalize(cfg.CPUs)
 	out := make([]DeviceConfig, len(cfg.Devices))
 	for i, dc := range cfg.Devices {
-		if dc.Entries < 0 {
-			return nil, &ConfigError{Field: fmt.Sprintf("Devices[%d].Entries", i),
-				Value: dc.Entries, Reason: "must be positive"}
-		}
-		if dc.Entries == 0 {
-			dc.Entries = defaultDeviceEntries
-		}
-		if dc.TimeoutScale < 0 {
-			return nil, &ConfigError{Field: fmt.Sprintf("Devices[%d].TimeoutScale", i),
-				Value: dc.TimeoutScale, Reason: "must be at least 1"}
-		}
-		if dc.TimeoutScale == 0 {
-			dc.TimeoutScale = defaultDeviceTimeoutScale
-		}
 		if dc.Cluster < 0 || dc.Cluster >= topo.Clusters() {
 			return nil, &ConfigError{Field: fmt.Sprintf("Devices[%d].Cluster", i),
 				Value:  dc.Cluster,
@@ -110,13 +89,13 @@ func (k *Kernel) attachDevices(devs []DeviceConfig) {
 			Name:     dc.Name,
 			Kind:     dc.Kind,
 			Org:      deviceOrg(k.cfg.Model),
-			Entries:  dc.Entries,
+			Entries:  deviceEntries,
 			Seat:     seat,
 			Cluster:  dc.Cluster,
 			Geometry: k.geo,
 			Costs:    &k.cost,
 		}, k, &k.ctrs))
-		specs[i] = smp.DeviceSpec{Cluster: dc.Cluster, TimeoutScale: uint64(dc.TimeoutScale)}
+		specs[i] = smp.DeviceSpec{Cluster: dc.Cluster, TimeoutScale: deviceTimeoutScale}
 	}
 	k.shoot.AttachDevices(specs)
 }

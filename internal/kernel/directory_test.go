@@ -28,7 +28,7 @@ func TestPurgedCPUReceivesNoFurtherIPIs(t *testing.T) {
 	}
 
 	// Bulk-invalidate CPU 2: it provably holds nothing any more.
-	if k.RecoverCPU(2) == 0 {
+	if k.recoverCPU(2) == 0 {
 		t.Fatal("RecoverCPU(2) purged no entries; CPU 2 was not warm")
 	}
 
@@ -60,7 +60,7 @@ func TestPurgedCPUReceivesNoFurtherIPIs(t *testing.T) {
 func TestPurgedCPURejoinsAfterReinstall(t *testing.T) {
 	k, d, s := newSMPKernel(t, 2, 1)
 	kc := k.Counters()
-	k.RecoverCPU(1)
+	k.recoverCPU(1)
 
 	before := kc.Get("smp.requests")
 	if err := k.SetPageRights(d, s.Base(), addr.Read); err != nil {

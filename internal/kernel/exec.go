@@ -117,9 +117,6 @@ func (k *Kernel) SetExecutionSite(d *Domain, va addr.VA) error {
 	return nil
 }
 
-// ExecutionSite returns domain d's current execution site.
-func (k *Kernel) ExecutionSite(d *Domain) addr.VA { return d.execSite }
-
 // execRights returns the rights d derives from executor grants for vpn.
 func (k *Kernel) execRights(d *Domain, vpn addr.VPN) (addr.Rights, bool) {
 	if len(k.execGrants) == 0 {

@@ -4,8 +4,39 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
+	"repro/internal/mem"
 	"repro/internal/pgroup"
 )
+
+// SetIDLimits narrows the domain and group ID allocators to the given
+// maxima (zero keeps the ID type's natural bound), so a test reaches
+// the exhaustion boundary without minting tens of thousands of IDs; the
+// recycling free lists are unaffected.
+func (k *Kernel) SetIDLimits(maxDomain addr.DomainID, maxGroup addr.GroupID) {
+	k.maxDomain = maxDomain
+	k.maxGroup = maxGroup
+}
+
+// FreeDomainIDs returns the number of destroyed domain IDs awaiting
+// recycling.
+func (k *Kernel) FreeDomainIDs() int { return len(k.freeDomains) }
+
+// FreeGroupIDs returns the number of destroyed page-group IDs awaiting
+// recycling (page-group model only).
+func (k *Kernel) FreeGroupIDs() int { return len(k.freeGroups) }
+
+// ExecutionSite returns domain d's current execution site.
+func (k *Kernel) ExecutionSite(d *Domain) addr.VA { return d.execSite }
+
+// OnBackingStore reports whether the page was paged out and its contents
+// live in the paging backend.
+func (k *Kernel) OnBackingStore(vpn addr.VPN) bool {
+	p := k.pageRecord(vpn)
+	return p != nil && p.onDisk
+}
+
+// Disk returns the backing store.
+func (k *Kernel) Disk() *mem.Disk { return k.disk }
 
 // CheckPageGroupBookkeeping cross-checks the page-group engine's dense
 // bookkeeping against the kernel's authoritative tables (nil under the

@@ -667,9 +667,6 @@ func (k *Kernel) Geometry() addr.Geometry { return k.geo }
 // Memory returns the physical memory.
 func (k *Kernel) Memory() *mem.Memory { return k.memory }
 
-// Disk returns the backing store.
-func (k *Kernel) Disk() *mem.Disk { return k.disk }
-
 // Counters returns the kernel's own event counters (machine counters are
 // separate; see Machine().Counters()).
 func (k *Kernel) Counters() *stats.Counters { return &k.ctrs }
@@ -694,13 +691,6 @@ func (k *Kernel) TotalCycles() uint64 {
 // Charge adds kernel-side cycles (used by user-level servers and custom
 // pagers to account work the cost model does not see directly).
 func (k *Kernel) Charge(n uint64) { k.cycles.Add(n) }
-
-// OnBackingStore reports whether the page was paged out and its contents
-// live in the paging backend.
-func (k *Kernel) OnBackingStore(vpn addr.VPN) bool {
-	p := k.pageRecord(vpn)
-	return p != nil && p.onDisk
-}
 
 // SegmentOptions customize segment creation.
 type SegmentOptions struct {
@@ -856,13 +846,13 @@ func (k *Kernel) purgeSeat(t int) int {
 	return n
 }
 
-// RecoverCPU is per-CPU epoch recovery, the single-CPU generalization
+// recoverCPU is per-CPU epoch recovery, the single-CPU generalization
 // of RecoverHardware: CPU i's private structures are bulk-invalidated
 // (which withdraws it from every directory sharer set — it holds no
 // state worth invalidating until it executes again), and shootdowns
 // still queued for it are discarded as moot. Charges one trap. Returns
 // the number of entries dropped.
-func (k *Kernel) RecoverCPU(i int) int {
+func (k *Kernel) recoverCPU(i int) int {
 	n := k.purgeSeat(i)
 	if k.shoot != nil {
 		k.shoot.DropPending(i)
@@ -877,7 +867,7 @@ func (k *Kernel) RecoverCPU(i int) int {
 // shootdown layer lifts the fence. Degraded CPUs stay fenced — for them
 // this is the flush-on-switch path, paid on every entry.
 func (k *Kernel) rejoinCPU(i int) {
-	k.RecoverCPU(i)
+	k.recoverCPU(i)
 	k.shoot.Rejoin(i)
 	k.hCPURejoins.Inc()
 }

@@ -69,10 +69,10 @@ func TestBasicTouchAndDemandZero(t *testing.T) {
 		if err := k.Touch(d, s.PageVA(2), addr.Store); err != nil {
 			t.Fatalf("Touch page 2: %v", err)
 		}
-		if !k.Dirty(s.PageVPN(2)) {
+		if !k.pageRecord(s.PageVPN(2)).dirty {
 			t.Fatal("store did not set dirty bit")
 		}
-		if k.Dirty(s.PageVPN(0)) {
+		if k.pageRecord(s.PageVPN(0)).dirty {
 			t.Fatal("load set dirty bit")
 		}
 	})
@@ -396,12 +396,15 @@ func TestReadWritePage(t *testing.T) {
 		d := k.CreateDomain()
 		s := k.CreateSegment(1, SegmentOptions{})
 		k.Attach(d, s, addr.RW)
-		buf := make([]byte, k.Geometry().PageSize())
-		for i := range buf {
-			buf[i] = byte(i)
-		}
-		if err := k.WritePage(d, s.Base(), buf); err != nil {
-			t.Fatal(err)
+		// Word w holds bytes 8w..8w+7, little-endian, so byte i reads i.
+		for w := uint64(0); w < k.Geometry().PageSize()/8; w++ {
+			var v uint64
+			for i := uint64(0); i < 8; i++ {
+				v |= uint64(byte(8*w+i)) << (8 * i)
+			}
+			if err := k.Store(d, s.Base()+addr.VA(8*w), v); err != nil {
+				t.Fatal(err)
+			}
 		}
 		got, err := k.ReadPage(d, s.Base())
 		if err != nil {

@@ -32,25 +32,8 @@ var (
 	ErrDomainDestroyed = errors.New("kernel: domain destroyed")
 )
 
-// SetIDLimits narrows the domain and group ID allocators to the given
-// maxima (zero keeps the ID type's natural bound). Regression tests use
-// it to reach the exhaustion boundary without minting tens of thousands
-// of IDs; the recycling free lists are unaffected.
-func (k *Kernel) SetIDLimits(maxDomain addr.DomainID, maxGroup addr.GroupID) {
-	k.maxDomain = maxDomain
-	k.maxGroup = maxGroup
-}
-
 // LiveDomains returns the number of live protection domains.
 func (k *Kernel) LiveDomains() int { return k.doms.len() }
-
-// FreeDomainIDs returns the number of destroyed domain IDs awaiting
-// recycling.
-func (k *Kernel) FreeDomainIDs() int { return len(k.freeDomains) }
-
-// FreeGroupIDs returns the number of destroyed page-group IDs awaiting
-// recycling (page-group model only).
-func (k *Kernel) FreeGroupIDs() int { return len(k.freeGroups) }
 
 // DomainLive reports whether id names a live domain.
 func (k *Kernel) DomainLive(id addr.DomainID) bool { return k.doms.get(id) != nil }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/iommu"
 	"repro/internal/kernel"
 	"repro/internal/oracle"
+	"repro/internal/smp"
 )
 
 // FuzzLockstep is the kernel's model-based differential checker. One
@@ -388,6 +389,32 @@ type lane struct {
 	doms []*kernel.Domain
 	segs []*kernel.Segment
 	m    model
+	// misrouted is the first request the device seat was sent that its
+	// IOTLB organization does not handle (see routeDevice).
+	misrouted error
+}
+
+// deviceKinds lists, per IOTLB organization, the request kinds
+// iommu.Device applies. It ignores any other kind, so an engine that
+// sent one would leave the device holding revoked authority.
+var deviceKinds = map[iommu.Org][]smp.Kind{
+	iommu.OrgDomainPage: {smp.InvalRights, smp.UpdateRights, smp.RangeRights, smp.RangeDetach,
+		smp.DomainPurge, smp.RangePurge, smp.PurgeAllProt, smp.PurgePage, smp.Unmap},
+	iommu.OrgPageGroup: {smp.GroupLoad, smp.GroupRevoke, smp.GroupUpdate, smp.Unmap},
+}
+
+// routeDevice installs a fault hook that delivers every request and
+// records in l.misrouted the first one sent to the lane's device seat
+// outside deviceKinds of its organization. Every request reaches a
+// device through the hook: a device is never the current seat.
+func (l *lane) routeDevice() {
+	dev, seat := l.k.Device(0), l.k.DeviceSeat(0)
+	l.k.SetIPIFault(func(t int, r smp.Request) smp.Fault {
+		if t == seat && l.misrouted == nil && !slices.Contains(deviceKinds[dev.Org()], r.Kind) {
+			l.misrouted = fmt.Errorf("device seat %d was sent %v, which a %v IOTLB does not apply", t, r.Kind, dev.Org())
+		}
+		return smp.FaultNone
+	})
 }
 
 // refused is the outcome of a call page-group refuses and the model
@@ -507,7 +534,7 @@ func (l *lane) audit() error {
 				c.d, c.s, c.pg, got, cacheable, ok, want, rec)
 		}
 	}
-	return errors.Join(oracle.Verify(l.k), l.k.CheckAttachmentBookkeeping(),
+	return errors.Join(l.misrouted, oracle.Verify(l.k), l.k.CheckAttachmentBookkeeping(),
 		l.k.CheckPageGroupBookkeeping(), l.k.CheckTranslationBookkeeping())
 }
 
@@ -537,7 +564,7 @@ func (l *lane) finish() error {
 	if len(l.doms) > 0 && k.FreeDomainIDs() == 0 {
 		return errors.New("drained kernel's free list is empty")
 	}
-	return oracle.Verify(k)
+	return errors.Join(l.misrouted, oracle.Verify(k))
 }
 
 // splitOps cuts a script's body into ops, a window with the ops inside
@@ -575,6 +602,9 @@ func lockstep(orgs []kernel.Model, script []byte) ([]string, error) {
 			cfg.Devices = []kernel.DeviceConfig{{Kind: iommu.DMAEngine}}
 		}
 		lanes[i] = &lane{k: kernel.New(cfg), m: model{dev: -1}}
+		if world.device {
+			lanes[i].routeDevice()
+		}
 	}
 	log := []string{fmt.Sprintf("world: %d CPUs, device %v", world.cpus, world.device)}
 	for op, raw := range splitOps(script[1:]) {

@@ -228,11 +228,13 @@ func (k *Kernel) PendingShootdowns(i int) int {
 // touched. Removal kinds that can drop a domain's last entry on the
 // seat re-scan it afterwards and withdraw the seat from the domain's
 // residency set when nothing is left — the step that keeps residency
-// tracking live sharers instead of growing monotonically.
+// tracking live sharers instead of growing monotonically. GroupRevoke
+// is not among them: only the page-group engine raises it, and that
+// engine targets no request by residency.
 func (k *Kernel) ApplyShootdown(t int, r smp.Request) int {
 	n := k.Seat(t).Apply(r)
 	switch r.Kind {
-	case smp.InvalRights, smp.RangeDetach, smp.GroupRevoke, smp.DomainPurge:
+	case smp.InvalRights, smp.RangeDetach, smp.DomainPurge:
 		k.withdrawIfEmpty(t, r.Domain)
 	case smp.PurgeAllProt:
 		// Flash-clear: no domain has protection entries on t any more.

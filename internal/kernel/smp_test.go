@@ -414,7 +414,7 @@ func TestExecutingSeatsMatchScan(t *testing.T) {
 						k.Attach(doms[i], seg, addr.Read)
 					}
 				case 7:
-					k.RecoverCPU(rng.Intn(k.NumCPUs()))
+					k.recoverCPU(rng.Intn(k.NumCPUs()))
 				case 8:
 					k.RejoinDevice(rng.Intn(k.NumDevices()))
 				case 9:

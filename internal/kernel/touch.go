@@ -83,7 +83,7 @@ func (k *Kernel) handlePageFault(va addr.VA) error {
 	}
 	k.hPageFaults.Inc()
 	if p.onDisk {
-		return k.PageIn(vpn)
+		return k.pageIn(vpn)
 	}
 	// Demand-zero: first touch of a fresh segment page.
 	k.hZeroFills.Inc()
@@ -239,23 +239,6 @@ func (k *Kernel) ReadPage(d *Domain, va addr.VA) ([]byte, error) {
 	return append([]byte(nil), data...), nil
 }
 
-// WritePage overwrites the page holding va with buf after a
-// protection-checked store.
-func (k *Kernel) WritePage(d *Domain, va addr.VA, buf []byte) error {
-	vpn := k.geo.PageNumber(va)
-	p, err := k.touch(d, k.geo.Base(vpn), addr.Store)
-	if err != nil {
-		return err
-	}
-	data, err := k.frameData(p, vpn)
-	if err != nil {
-		return err
-	}
-	copy(data, buf)
-	k.cycles.Add(k.cost.MemCopyPage)
-	return nil
-}
-
 // KernelReadPage copies out a page's contents in kernel mode (no domain
 // protection check): the path used by coherence agents and pagers that
 // act below the protection layer. A paged-out page is paged in first,
@@ -296,7 +279,7 @@ func (k *Kernel) KernelWritePage(vpn addr.VPN, buf []byte) error {
 }
 
 // kernelPage returns the record of vpn mapped for a kernel-mode access
-// (op names it in errors): a paged-out page comes back through PageIn,
+// (op names it in errors): a paged-out page comes back through pageIn,
 // which releases its backing-store copy, and a page never mapped gets a
 // fresh zero frame.
 func (k *Kernel) kernelPage(vpn addr.VPN, op string) (*page, error) {
@@ -307,7 +290,7 @@ func (k *Kernel) kernelPage(vpn addr.VPN, op string) (*page, error) {
 	var err error
 	switch {
 	case p.onDisk:
-		err = k.PageIn(vpn)
+		err = k.pageIn(vpn)
 	case !p.mapped:
 		err = k.mapFresh(p, vpn)
 	}
@@ -316,7 +299,7 @@ func (k *Kernel) kernelPage(vpn addr.VPN, op string) (*page, error) {
 
 // --- Paging (Section 4.1.3) ---
 
-// Pager is the backing-store policy behind PageOut/PageIn. The default
+// Pager is the backing-store policy behind page-out and page-in. The default
 // pager writes pages to the simulated disk; the compression paging
 // workload (Appel & Li, Table 1 rows 13-14) substitutes a compressed
 // in-memory store.
@@ -338,7 +321,7 @@ func (p diskPager) Out(vpn addr.VPN, data []byte) error {
 }
 
 func (p diskPager) In(vpn addr.VPN) ([]byte, error) {
-	// Peek, then release the block: PageIn copies the bytes into the
+	// Peek, then release the block: pageIn copies the bytes into the
 	// frame immediately, and nothing reads them again.
 	data, err := p.k.disk.Peek(uint64(vpn))
 	if err != nil {
@@ -388,9 +371,9 @@ func (k *Kernel) PageOut(vpn addr.VPN) error {
 	return nil
 }
 
-// PageIn brings a paged-out page back: allocate a frame, map it, read the
+// pageIn brings a paged-out page back: allocate a frame, map it, read the
 // contents from the backing store.
-func (k *Kernel) PageIn(vpn addr.VPN) error {
+func (k *Kernel) pageIn(vpn addr.VPN) error {
 	p := k.pageRecord(vpn)
 	if p == nil || !p.onDisk {
 		return fmt.Errorf("kernel: page-in of %#x: not on disk", uint64(vpn))
@@ -457,12 +440,6 @@ func (k *Kernel) freeFrame(p *page) error {
 
 // Mapped reports whether the page currently has a translation.
 func (k *Kernel) Mapped(vpn addr.VPN) bool { return k.mappedPage(vpn) != nil }
-
-// Dirty reports whether the page's dirty bit is set.
-func (k *Kernel) Dirty(vpn addr.VPN) bool {
-	p := k.pageRecord(vpn)
-	return p != nil && p.dirty
-}
 
 // ClearDirty clears the page's dirty bit (incremental checkpointing and
 // pagers use it to track modifications between scans), returning the

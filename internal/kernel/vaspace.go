@@ -79,12 +79,6 @@ func (k *Kernel) freeVAInsert(r addr.Range) {
 	}
 }
 
-// FreeVARanges returns a copy of the current free list (for tests and
-// diagnostics).
-func (k *Kernel) FreeVARanges() []addr.Range {
-	return append([]addr.Range(nil), k.freeVA...)
-}
-
 // DestroySegment releases a segment: every domain must have detached
 // first. Mapped pages are unmapped (frames freed, caches flushed, TLB
 // entries invalidated), page-group state and the execution-keyed grants

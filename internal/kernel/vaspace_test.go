@@ -72,7 +72,7 @@ func TestFreeListCoalescing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	free := k.FreeVARanges()
+	free := k.freeVA
 	if len(free) != 1 {
 		t.Fatalf("free list = %v, want single coalesced range", free)
 	}
@@ -130,7 +130,7 @@ func TestVASpaceInvariants(t *testing.T) {
 				}
 			}
 			// Free list sorted, coalesced, disjoint from live segments.
-			free := k.FreeVARanges()
+			free := k.freeVA
 			for i := range free {
 				if i > 0 && free[i-1].End() >= free[i].Start {
 					return false

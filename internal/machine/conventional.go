@@ -163,10 +163,6 @@ func (m *ConventionalMachine) TLB() *tlb.ASIDTLB { return m.tlb }
 // Cache exposes the VIVT data cache for inspection (nil under VIPT).
 func (m *ConventionalMachine) Cache() *cache.VirtualCache { return m.cache }
 
-// VIPTCache exposes the VIPT data cache for inspection (nil under
-// VIVT-ASID).
-func (m *ConventionalMachine) VIPTCache() *cache.PhysicalCache { return m.vipt }
-
 // asid maps the executing domain to its address space identifier.
 func (m *ConventionalMachine) asid() addr.ASID { return addr.ASID(m.domain) }
 

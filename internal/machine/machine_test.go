@@ -111,7 +111,7 @@ func TestPLBAccessHappyPath(t *testing.T) {
 
 	// First access: PLB refill trap + TLB refill + cache fill.
 	out := m.Access(va(1), addr.Load)
-	if !out.OK() {
+	if out.Fault != cpu.FaultNone {
 		t.Fatalf("fault: %v", out.Fault)
 	}
 	c := m.Counters()
@@ -121,7 +121,7 @@ func TestPLBAccessHappyPath(t *testing.T) {
 	}
 	// Second access to same line: pure hit, no traps.
 	before := c.Snapshot()
-	if out := m.Access(va(1), addr.Load); !out.OK() {
+	if out := m.Access(va(1), addr.Load); out.Fault != cpu.FaultNone {
 		t.Fatal("second access faulted")
 	}
 	d := c.Diff(before)
@@ -143,7 +143,7 @@ func TestPLBProtectionFault(t *testing.T) {
 		t.Fatalf("fault = %v, want protection", out.Fault)
 	}
 	// Read still works.
-	if out := m.Access(va(1), addr.Load); !out.OK() {
+	if out := m.Access(va(1), addr.Load); out.Fault != cpu.FaultNone {
 		t.Fatal("read faulted")
 	}
 	// A repeated illegal store faults on the resident None-write entry
@@ -194,7 +194,7 @@ func TestPLBDomainSwitchIsOneRegister(t *testing.T) {
 		t.Fatalf("switch cost = %d, want %d", got, m.Costs().RegisterWrite)
 	}
 	// Domain 2's rights fault in independently; domain 1's entry remains.
-	if out := m.Access(va(1), addr.Load); !out.OK() {
+	if out := m.Access(va(1), addr.Load); out.Fault != cpu.FaultNone {
 		t.Fatal("domain 2 access failed")
 	}
 	if m.PLB().Len() != plbLen+1 {
@@ -245,7 +245,7 @@ func TestPLBUpdateRightsAffectsOneDomain(t *testing.T) {
 		t.Fatal("revoked write allowed")
 	}
 	m.SwitchDomain(2)
-	if out := m.Access(va(1), addr.Store); !out.OK() {
+	if out := m.Access(va(1), addr.Store); out.Fault != cpu.FaultNone {
 		t.Fatal("unrelated domain's write blocked")
 	}
 }
@@ -301,7 +301,7 @@ func TestPGAccessHappyPath(t *testing.T) {
 	m.SwitchDomain(1)
 
 	out := m.Access(va(1), addr.Load)
-	if !out.OK() {
+	if out.Fault != cpu.FaultNone {
 		t.Fatalf("fault: %v", out.Fault)
 	}
 	c := m.Counters()
@@ -322,7 +322,7 @@ func TestPGGlobalGroupAlwaysAccessible(t *testing.T) {
 	os.setPage(1, 7, addr.GlobalGroup, addr.Read)
 	m := NewPG(DefaultPGConfig(), os)
 	m.SwitchDomain(1) // domain 1 has no groups at all
-	if out := m.Access(va(1), addr.Load); !out.OK() {
+	if out := m.Access(va(1), addr.Load); out.Fault != cpu.FaultNone {
 		t.Fatalf("global group access faulted: %v", out.Fault)
 	}
 	if out := m.Access(va(1), addr.Store); out.Fault != cpu.FaultProtection {
@@ -348,14 +348,14 @@ func TestPGWriteDisableBit(t *testing.T) {
 	os.grantGroup(2, 5, false)
 	m := NewPG(DefaultPGConfig(), os)
 	m.SwitchDomain(1)
-	if out := m.Access(va(1), addr.Load); !out.OK() {
+	if out := m.Access(va(1), addr.Load); out.Fault != cpu.FaultNone {
 		t.Fatal("read blocked by write-disable")
 	}
 	if out := m.Access(va(1), addr.Store); out.Fault != cpu.FaultProtection {
 		t.Fatal("write-disable not enforced")
 	}
 	m.SwitchDomain(2)
-	if out := m.Access(va(1), addr.Store); !out.OK() {
+	if out := m.Access(va(1), addr.Store); out.Fault != cpu.FaultNone {
 		t.Fatal("write blocked for domain without write-disable")
 	}
 }
@@ -383,7 +383,7 @@ func TestPGDomainSwitchPurgesChecker(t *testing.T) {
 	}
 	// Domain 2's access re-faults the group in.
 	before := m.Counters().Snapshot()
-	if out := m.Access(va(1), addr.Load); !out.OK() {
+	if out := m.Access(va(1), addr.Load); out.Fault != cpu.FaultNone {
 		t.Fatal("domain 2 access failed")
 	}
 	if d := m.Counters().Diff(before); d.Get(CtrTrapPGRefill) != 1 {
@@ -404,7 +404,7 @@ func TestPGEagerReload(t *testing.T) {
 	}
 	// Access proceeds with no pg refill trap.
 	before := m.Counters().Snapshot()
-	if out := m.Access(va(1), addr.Load); !out.OK() {
+	if out := m.Access(va(1), addr.Load); out.Fault != cpu.FaultNone {
 		t.Fatal("access failed")
 	}
 	if d := m.Counters().Diff(before); d.Get(CtrTrapPGRefill) != 0 {
@@ -457,7 +457,7 @@ func TestPGPIDRegistersVariant(t *testing.T) {
 	// Touch 6 groups; with only 4 registers the working set thrashes.
 	for round := 0; round < 2; round++ {
 		for g := uint64(1); g <= 6; g++ {
-			if out := m.Access(va(g), addr.Load); !out.OK() {
+			if out := m.Access(va(g), addr.Load); out.Fault != cpu.FaultNone {
 				t.Fatalf("access failed: %v", out.Fault)
 			}
 		}
@@ -521,7 +521,7 @@ func TestConventionalDuplicatesSharedEntries(t *testing.T) {
 	m := NewConventional(DefaultConvConfig(), os)
 	for d := addr.DomainID(1); d <= 3; d++ {
 		m.SwitchDomain(d)
-		if out := m.Access(va(1), addr.Load); !out.OK() {
+		if out := m.Access(va(1), addr.Load); out.Fault != cpu.FaultNone {
 			t.Fatalf("access failed: %v", out.Fault)
 		}
 	}
@@ -585,7 +585,7 @@ func TestFlushMachineFlushesOnSwitch(t *testing.T) {
 	// Homonym: space 2's VA 0x1000 is different data (frame 8). With the
 	// flush, the access correctly misses and refills from space 2's table.
 	before := m.Counters().Snapshot()
-	if out := m.Access(va(1), addr.Load); !out.OK() {
+	if out := m.Access(va(1), addr.Load); out.Fault != cpu.FaultNone {
 		t.Fatal("access failed")
 	}
 	if d := m.Counters().Diff(before); d.Get("cache.miss") != 1 {
@@ -638,16 +638,16 @@ func TestVIPTConventionalNoSynonymsNoHomonyms(t *testing.T) {
 	m := NewConventional(DefaultVIPTConvConfig(), os)
 	for d := addr.DomainID(1); d <= 3; d++ {
 		m.SwitchDomain(d)
-		if out := m.Access(va(1), addr.Store); !out.OK() {
+		if out := m.Access(va(1), addr.Store); out.Fault != cpu.FaultNone {
 			t.Fatalf("shared access: %v", out.Fault)
 		}
-		if out := m.Access(va(2), addr.Load); !out.OK() {
+		if out := m.Access(va(2), addr.Load); out.Fault != cpu.FaultNone {
 			t.Fatalf("homonym access: %v", out.Fault)
 		}
 	}
 	// The shared line is resident exactly once (physical tags collapse
 	// synonyms); the three homonym lines are distinct physical lines.
-	if n := m.VIPTCache().Len(); n != 1+3 {
+	if n := m.vipt.Len(); n != 1+3 {
 		t.Fatalf("resident lines = %d, want 4", n)
 	}
 	// Domain 2's second access to the shared line must HIT (filled by
@@ -677,11 +677,11 @@ func TestVIPTUnmapFlushes(t *testing.T) {
 	m := NewConventional(DefaultVIPTConvConfig(), os)
 	m.SwitchDomain(1)
 	m.Access(va(1), addr.Store)
-	if m.VIPTCache().Len() != 1 {
+	if m.vipt.Len() != 1 {
 		t.Fatal("setup failed")
 	}
 	m.Apply(smp.Request{Kind: smp.Unmap, VPN: 1})
-	if m.VIPTCache().Len() != 0 {
+	if m.vipt.Len() != 0 {
 		t.Fatal("unmap left VIPT residue")
 	}
 }
@@ -879,7 +879,7 @@ func TestApplyContract(t *testing.T) {
 			t.Run(org.name+"/"+kind.String(), func(t *testing.T) {
 				m := org.warm()
 				m.SwitchDomain(1)
-				if out := m.Access(va(1), addr.Store); !out.OK() {
+				if out := m.Access(va(1), addr.Store); out.Fault != cpu.FaultNone {
 					t.Fatalf("warming store faulted: %v", out.Fault)
 				}
 				tc, handled := org.cases[kind]

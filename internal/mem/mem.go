@@ -60,9 +60,6 @@ func NewMemory(geo addr.Geometry, nframes int) *Memory {
 // Geometry returns the frame geometry.
 func (m *Memory) Geometry() addr.Geometry { return m.geo }
 
-// NumFrames returns the total number of frames.
-func (m *Memory) NumFrames() int { return len(m.frames) }
-
 // FramesInUse returns the number of currently allocated frames.
 func (m *Memory) FramesInUse() int { return len(m.frames) - len(m.free) }
 
@@ -133,34 +130,6 @@ func (m *Memory) Data(pfn addr.PFN) []byte {
 		f.data = make([]byte, m.geo.PageSize())
 	}
 	return f.data
-}
-
-// ReadByteAt reads one byte at a physical frame offset.
-func (m *Memory) ReadByteAt(pfn addr.PFN, offset uint64) byte {
-	return m.Data(pfn)[offset]
-}
-
-// WriteByteAt writes one byte at a physical frame offset.
-func (m *Memory) WriteByteAt(pfn addr.PFN, offset uint64, v byte) {
-	m.Data(pfn)[offset] = v
-}
-
-// ReadWord reads a 64-bit little-endian word at a frame offset.
-func (m *Memory) ReadWord(pfn addr.PFN, offset uint64) uint64 {
-	d := m.Data(pfn)
-	var v uint64
-	for i := uint64(0); i < 8; i++ {
-		v |= uint64(d[offset+i]) << (8 * i)
-	}
-	return v
-}
-
-// WriteWord writes a 64-bit little-endian word at a frame offset.
-func (m *Memory) WriteWord(pfn addr.PFN, offset uint64, v uint64) {
-	d := m.Data(pfn)
-	for i := uint64(0); i < 8; i++ {
-		d[offset+i] = byte(v >> (8 * i))
-	}
 }
 
 // Stats returns allocation/free counts.

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -11,7 +12,7 @@ import (
 
 func TestAllocFreeCycle(t *testing.T) {
 	m := NewMemory(addr.BaseGeometry(), 4)
-	if m.NumFrames() != 4 || m.FramesInUse() != 0 {
+	if len(m.frames) != 4 || m.FramesInUse() != 0 {
 		t.Fatal("fresh memory state wrong")
 	}
 	var pfns []addr.PFN
@@ -58,12 +59,12 @@ func TestAllocLowFramesFirst(t *testing.T) {
 func TestFrameDataZeroedOnRealloc(t *testing.T) {
 	m := NewMemory(addr.BaseGeometry(), 1)
 	pfn, _ := m.Alloc()
-	m.WriteByteAt(pfn, 0, 0xAB)
-	m.WriteWord(pfn, 8, 0xdeadbeefcafe)
-	if m.ReadByteAt(pfn, 0) != 0xAB {
+	m.Data(pfn)[0] = 0xAB
+	binary.LittleEndian.PutUint64(m.Data(pfn)[8:], 0xdeadbeefcafe)
+	if m.Data(pfn)[0] != 0xAB {
 		t.Fatal("byte write lost")
 	}
-	if m.ReadWord(pfn, 8) != 0xdeadbeefcafe {
+	if binary.LittleEndian.Uint64(m.Data(pfn)[8:]) != 0xdeadbeefcafe {
 		t.Fatal("word write lost")
 	}
 	if err := m.Free(pfn); err != nil {
@@ -73,7 +74,7 @@ func TestFrameDataZeroedOnRealloc(t *testing.T) {
 	if pfn2 != pfn {
 		t.Fatalf("expected frame reuse, got %d", pfn2)
 	}
-	if m.ReadByteAt(pfn2, 0) != 0 || m.ReadWord(pfn2, 8) != 0 {
+	if m.Data(pfn2)[0] != 0 || binary.LittleEndian.Uint64(m.Data(pfn2)[8:]) != 0 {
 		t.Fatal("reallocated frame not zeroed")
 	}
 }
@@ -107,8 +108,8 @@ func TestWordRoundTrip(t *testing.T) {
 	pfn, _ := m.Alloc()
 	f := func(off uint16, v uint64) bool {
 		offset := uint64(off) % (4096 - 8)
-		m.WriteWord(pfn, offset, v)
-		return m.ReadWord(pfn, offset) == v
+		binary.LittleEndian.PutUint64(m.Data(pfn)[offset:], v)
+		return binary.LittleEndian.Uint64(m.Data(pfn)[offset:]) == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

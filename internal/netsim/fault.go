@@ -208,7 +208,6 @@ func (n *Network) SendUnreliable(from, to, size int) Outcome {
 	// The sender transmits regardless of the message's fate.
 	n.msgs++
 	n.bytes += uint64(size)
-	n.perNode[from].sent++
 
 	receiverUp := n.NodeUp(to)
 	switch {
@@ -218,10 +217,8 @@ func (n *Network) SendUnreliable(from, to, size int) Outcome {
 		n.hDrops.Inc()
 	default:
 		out.Delivered = true
-		n.perNode[to].received++
 		if duplicated {
 			out.Duplicated = true
-			n.perNode[to].received++
 			n.hDups.Inc()
 			// The duplicate copy occupies the wire too.
 			n.msgs++

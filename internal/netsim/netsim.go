@@ -44,10 +44,9 @@ type Network struct {
 	cfg   Config
 	nodes int
 
-	msgs    uint64
-	bytes   uint64
-	cycles  uint64
-	perNode []nodeStats
+	msgs   uint64
+	bytes  uint64
+	cycles uint64
 
 	faults *faultState
 	ctrs   stats.Counters
@@ -60,17 +59,12 @@ type Network struct {
 	hTimeouts, hFailures                      stats.Handle
 }
 
-type nodeStats struct {
-	sent     uint64
-	received uint64
-}
-
 // New creates a network connecting n nodes.
 func New(n int, cfg Config) *Network {
 	if n < 1 {
 		panic("netsim: need at least one node")
 	}
-	net := &Network{cfg: cfg, nodes: n, perNode: make([]nodeStats, n)}
+	net := &Network{cfg: cfg, nodes: n}
 	if cfg.Faults.Enabled() {
 		net.faults = newFaultState(cfg.Faults, n)
 	}
@@ -111,17 +105,7 @@ func (n *Network) Send(from, to, size int) uint64 {
 	n.msgs++
 	n.bytes += uint64(size)
 	n.cycles += lat
-	n.perNode[from].sent++
-	n.perNode[to].received++
 	return lat
-}
-
-// RoundTrip charges a request/response pair: a request carrying reqSize
-// payload bytes (ownership-forward messages carry copysets, invalidations
-// name their page) and a response carrying respSize bytes. Returns total
-// latency.
-func (n *Network) RoundTrip(from, to, reqSize, respSize int) uint64 {
-	return n.Send(from, to, reqSize) + n.Send(to, from, respSize)
 }
 
 // Stats returns total messages, bytes, and cycles charged.
@@ -130,9 +114,3 @@ func (n *Network) Stats() (msgs, bytes, cycles uint64) { return n.msgs, n.bytes,
 // Counters returns the network's fault and reliability event counters
 // (net.drops, net.dups, reliable.retransmits, ...).
 func (n *Network) Counters() *stats.Counters { return &n.ctrs }
-
-// NodeStats returns messages sent and received by one node.
-func (n *Network) NodeStats(node int) (sent, received uint64) {
-	n.check(node)
-	return n.perNode[node].sent, n.perNode[node].received
-}

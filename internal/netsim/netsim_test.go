@@ -12,14 +12,6 @@ func TestSendAccounting(t *testing.T) {
 	if msgs != 1 || bytes != 50 || cycles != 200 {
 		t.Fatalf("stats = %d,%d,%d", msgs, bytes, cycles)
 	}
-	sent, recv := n.NodeStats(0)
-	if sent != 1 || recv != 0 {
-		t.Fatalf("node 0 stats = %d,%d", sent, recv)
-	}
-	sent, recv = n.NodeStats(1)
-	if sent != 0 || recv != 1 {
-		t.Fatalf("node 1 stats = %d,%d", sent, recv)
-	}
 }
 
 func TestSelfSendFree(t *testing.T) {
@@ -34,7 +26,7 @@ func TestSelfSendFree(t *testing.T) {
 
 func TestRoundTrip(t *testing.T) {
 	n := New(2, Config{MsgLatency: 1000, ByteCycles: 1})
-	lat := n.RoundTrip(0, 1, 16, 4096)
+	lat := n.Send(0, 1, 16) + n.Send(1, 0, 4096)
 	if lat != 1000+16+1000+4096 {
 		t.Fatalf("round trip = %d", lat)
 	}
@@ -48,7 +40,6 @@ func TestBadNodePanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { n.Send(0, 2, 0) },
 		func() { n.Send(-1, 0, 0) },
-		func() { n.NodeStats(5) },
 	} {
 		func() {
 			defer func() {

@@ -19,9 +19,6 @@ type ReliableConfig struct {
 	// cycles rather than 2^MaxRetries timeouts. Zero picks
 	// 16*TimeoutCycles.
 	BackoffLimit uint64
-	// AckSize is the acknowledgment payload size in bytes (control
-	// messages; zero is typical).
-	AckSize int
 }
 
 // DefaultReliableConfig returns a timeout of two one-way latencies of
@@ -175,7 +172,7 @@ func (r *Reliable) Send(from, to, size int, deliver func()) (uint64, error) {
 				// The wire's second copy hits the suppression cache too.
 				r.net.hDupSuppressed.Inc()
 			}
-			ack := r.net.SendUnreliable(to, from, r.cfg.AckSize)
+			ack := r.net.SendUnreliable(to, from, 0) // an ack carries no payload
 			total += ack.Latency
 			r.ackCycles += ack.Latency
 			r.net.hAcks.Inc()

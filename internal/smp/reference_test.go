@@ -26,7 +26,7 @@ type refShootdown struct {
 
 // newRefShootdown wraps s, whose device seats must already be attached.
 func newRefShootdown(s *Shootdown) *refShootdown {
-	n := s.NumTargets()
+	n := s.ncpu + len(s.devCluster)
 	return &refShootdown{
 		Shootdown: s,
 		queue:     make([][]Request, n),
@@ -391,14 +391,14 @@ func compareSides(t *testing.T, step int, got side, ref *refShootdown, want side
 	if !slices.Equal(got.h.log, want.h.log) {
 		t.Fatalf("step %d: delivered\n%v\nreference delivered\n%v", step, got.h.log, want.h.log)
 	}
-	for tg := 0; tg < got.s.NumTargets(); tg++ {
+	for tg := 0; tg < got.s.ncpu+len(got.s.devCluster); tg++ {
 		if g, w := got.s.Pending(tg), ref.Pending(tg); g != w {
 			t.Fatalf("step %d: Pending(%d) = %d, reference %d", step, tg, g, w)
 		}
 		if g, w := got.s.CPUHealth(tg), want.s.CPUHealth(tg); g != w {
 			t.Fatalf("step %d: CPUHealth(%d) = %v, reference %v", step, tg, g, w)
 		}
-		if g, w := got.s.Stale(tg), want.s.Stale(tg); g != w {
+		if g, w := got.s.stale[tg], want.s.stale[tg]; g != w {
 			t.Fatalf("step %d: Stale(%d) = %v, reference %v", step, tg, g, w)
 		}
 	}
@@ -444,7 +444,7 @@ func FuzzShootdownMatchesReference(f *testing.F) {
 		ncpu, proto := 2+int(data[0]>>1)%3, data[0]&1 != 0
 		got, want := newSide(ncpu, proto), newSide(ncpu, proto)
 		s, ref := got.s, newRefShootdown(want.s)
-		n := s.NumTargets()
+		n := s.ncpu + len(s.devCluster)
 		data = data[1:]
 		for step := 0; len(data) >= 2; step++ {
 			op, arg := data[0], data[1]
@@ -510,7 +510,7 @@ func TestFlushZeroAllocs(t *testing.T) {
 	s.AttachDevices([]DeviceSpec{{TimeoutScale: 4}})
 	s.EnableProtocol(DefaultProtocolConfig())
 	round := func() {
-		for tg := 0; tg < s.NumTargets(); tg++ {
+		for tg := 0; tg < s.ncpu+len(s.devCluster); tg++ {
 			for i := 0; i < 80; i++ {
 				s.Enqueue(tg, Request{Kind: GroupRevoke, Domain: addr.DomainID(1 + i%16), Group: addr.GroupID(i)})
 			}
@@ -536,7 +536,7 @@ func BenchmarkShootdownVolley(b *testing.B) {
 	s.AttachDevices([]DeviceSpec{{TimeoutScale: 4}, {TimeoutScale: 4}, {TimeoutScale: 4}})
 	s.EnableProtocol(DefaultProtocolConfig())
 	round := func() {
-		for tg := 0; tg < s.NumTargets(); tg++ {
+		for tg := 0; tg < s.ncpu+len(s.devCluster); tg++ {
 			for i := 0; i < 8; i++ {
 				r := Request{Domain: addr.DomainID(1 + (tg+i)%16), Group: addr.GroupID(i)}
 				switch i % 3 {

@@ -473,9 +473,6 @@ func (s *Shootdown) AttachDevices(specs []DeviceSpec) {
 // NumCPUs returns the CPU seat count; device seats start here.
 func (s *Shootdown) NumCPUs() int { return s.ncpu }
 
-// NumTargets returns the total seat count: CPUs plus attached devices.
-func (s *Shootdown) NumTargets() int { return s.ncpu + len(s.devCluster) }
-
 // IsDevice reports whether target t is a device seat.
 func (s *Shootdown) IsDevice(t int) bool { return t >= s.ncpu }
 
@@ -569,11 +566,6 @@ func (s *Shootdown) CPUHealth(t int) Health { return s.health[t] }
 func (s *Shootdown) Fenced(t int) bool {
 	return s.health[t] == Quarantined || s.health[t] == Degraded
 }
-
-// Stale reports whether CPU t may hold stale authority: it missed at
-// least one invalidation (fenced during a shootdown, or quarantined
-// with requests outstanding) and has not been rejoined since.
-func (s *Shootdown) Stale(t int) bool { return s.stale[t] }
 
 // Trusted reports whether CPU t's private structures can be believed:
 // it holds no missed invalidations. A quarantined CPU is always stale

@@ -405,8 +405,8 @@ func TestProtocolQuarantineAndRejoin(t *testing.T) {
 	if len(h.applied[1]) != 0 {
 		t.Fatal("dead CPU applied a request")
 	}
-	if s.CPUHealth(1) != Quarantined || !s.Fenced(1) || !s.Stale(1) || s.Trusted(1) {
-		t.Fatalf("health = %v fenced=%v stale=%v", s.CPUHealth(1), s.Fenced(1), s.Stale(1))
+	if s.CPUHealth(1) != Quarantined || !s.Fenced(1) || !s.stale[1] || s.Trusted(1) {
+		t.Fatalf("health = %v fenced=%v stale=%v", s.CPUHealth(1), s.Fenced(1), s.stale[1])
 	}
 	// MaxRetries+1 volleys, all dropped: no IPIs, one timeout each.
 	if ctrs.Get("smp.ipis") != 0 || ctrs.Get("smp.timeouts") != uint64(p.MaxRetries+1) ||
@@ -463,8 +463,8 @@ func TestProtocolDegradation(t *testing.T) {
 	}
 	// Degradation survives both Rejoin and Reset; staleness does not.
 	s.Rejoin(1)
-	if s.CPUHealth(1) != Degraded || s.Stale(1) {
-		t.Fatalf("rejoin changed degradation: %v stale=%v", s.CPUHealth(1), s.Stale(1))
+	if s.CPUHealth(1) != Degraded || s.stale[1] {
+		t.Fatalf("rejoin changed degradation: %v stale=%v", s.CPUHealth(1), s.stale[1])
 	}
 	// Flush-on-switch semantics: the rejoin purge makes the degraded CPU
 	// trustworthy again (it holds nothing), though it stays fenced.

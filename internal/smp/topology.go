@@ -114,23 +114,10 @@ func (t Topology) ClusterHops(a, b int) int {
 	return dx + dy
 }
 
-// Hops returns the Manhattan mesh distance between the clusters of two
-// CPUs: the hop count an IPI from a to b traverses. Zero within a
-// cluster (and always zero on a single-cluster topology).
-func (t Topology) Hops(a, b int) int {
-	return t.ClusterHops(t.ClusterOf(a), t.ClusterOf(b))
-}
-
 // HomeCluster returns the cluster whose memory bank homes page vpn
 // (round-robin by page number across the banks).
 func (t Topology) HomeCluster(vpn addr.VPN) int {
 	return int(uint64(vpn) % uint64(t.Clusters()))
-}
-
-// MemHops returns the Manhattan distance from CPU i's cluster to page
-// vpn's home memory bank.
-func (t Topology) MemHops(cpu int, vpn addr.VPN) int {
-	return t.ClusterHops(t.ClusterOf(cpu), t.HomeCluster(vpn))
 }
 
 // MemHopsFrom returns the Manhattan distance from cluster c to page

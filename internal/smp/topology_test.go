@@ -17,11 +17,11 @@ func TestTopologySingleClusterIsFree(t *testing.T) {
 		}
 		for a := 0; a < 8; a++ {
 			for b := 0; b < 8; b++ {
-				if h := topo.Hops(a, b); h != 0 {
+				if h := topo.ClusterHops(topo.ClusterOf(a), topo.ClusterOf(b)); h != 0 {
 					t.Fatalf("Hops(%d,%d) = %d on a flat topology", a, b, h)
 				}
 			}
-			if h := topo.MemHops(a, addr.VPN(17)); h != 0 {
+			if h := topo.MemHopsFrom(topo.ClusterOf(a), addr.VPN(17)); h != 0 {
 				t.Fatalf("MemHops(%d) = %d on a flat topology", a, h)
 			}
 		}
@@ -42,16 +42,16 @@ func TestTopologyMeshHops(t *testing.T) {
 	}
 	// Same cluster: free. Adjacent clusters: one hop. Opposite
 	// corners: Manhattan distance (3 across + 1 down).
-	if h := topo.Hops(0, 3); h != 0 {
+	if h := topo.ClusterHops(topo.ClusterOf(0), topo.ClusterOf(3)); h != 0 {
 		t.Fatalf("intra-cluster hops = %d, want 0", h)
 	}
-	if h := topo.Hops(0, 4); h != 1 {
+	if h := topo.ClusterHops(topo.ClusterOf(0), topo.ClusterOf(4)); h != 1 {
 		t.Fatalf("adjacent-cluster hops = %d, want 1", h)
 	}
-	if h := topo.Hops(0, 31); h != 4 {
+	if h := topo.ClusterHops(topo.ClusterOf(0), topo.ClusterOf(31)); h != 4 {
 		t.Fatalf("corner-to-corner hops = %d, want 4", h)
 	}
-	if h, g := topo.Hops(5, 26), topo.Hops(26, 5); h != g {
+	if h, g := topo.ClusterHops(topo.ClusterOf(5), topo.ClusterOf(26)), topo.ClusterHops(topo.ClusterOf(26), topo.ClusterOf(5)); h != g {
 		t.Fatalf("hops not symmetric: %d vs %d", h, g)
 	}
 	if d := topo.Diameter(); d != 4 {
@@ -63,10 +63,10 @@ func TestTopologyMeshHops(t *testing.T) {
 	if topo.HomeCluster(vpn) != 3 {
 		t.Fatalf("HomeCluster(11) = %d, want 3", topo.HomeCluster(vpn))
 	}
-	if h := topo.MemHops(12, vpn); h != 0 { // CPU 12 is in cluster 3
+	if h := topo.MemHopsFrom(topo.ClusterOf(12), vpn); h != 0 { // CPU 12 is in cluster 3
 		t.Fatalf("home-cluster MemHops = %d, want 0", h)
 	}
-	if h := topo.MemHops(0, vpn); h != 3 { // cluster 0 -> cluster 3
+	if h := topo.MemHopsFrom(topo.ClusterOf(0), vpn); h != 3 { // cluster 0 -> cluster 3
 		t.Fatalf("remote MemHops = %d, want 3", h)
 	}
 }

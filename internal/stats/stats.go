@@ -243,12 +243,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.n)
 }
 
-// Buckets returns (upper bound, count) pairs; the last pair has bound 0,
-// meaning "and above".
-func (h *Histogram) Buckets() ([]uint64, []uint64) {
-	return append([]uint64(nil), h.bounds...), append([]uint64(nil), h.counts...)
-}
-
 // String renders the histogram compactly.
 func (h *Histogram) String() string {
 	var b strings.Builder

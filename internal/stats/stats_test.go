@@ -85,9 +85,9 @@ func TestHistogram(t *testing.T) {
 	if h.Max() != 1000 {
 		t.Fatalf("Max = %d", h.Max())
 	}
-	bounds, counts := h.Buckets()
+	bounds, counts := h.bounds, h.counts
 	if len(bounds) != 2 || len(counts) != 3 {
-		t.Fatalf("Buckets: %v %v", bounds, counts)
+		t.Fatalf("buckets: %v %v", bounds, counts)
 	}
 	if counts[0] != 3 || counts[1] != 3 || counts[2] != 2 {
 		t.Fatalf("counts = %v", counts)
@@ -126,8 +126,8 @@ func TestTableRender(t *testing.T) {
 			t.Errorf("render missing %q in:\n%s", want, s)
 		}
 	}
-	if tb.NumRows() != 3 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 3 {
+		t.Errorf("table holds %d rows, want 3", len(tb.rows))
 	}
 	// Header and first row must be aligned: 'count' column starts at same
 	// offset in header and rows.

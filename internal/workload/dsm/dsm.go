@@ -94,9 +94,6 @@ type Config struct {
 	// are for raw-network experiments — crash a DSM node with CrashNode,
 	// which ties the outage to the protocol's own schedule.)
 	Net netsim.Config
-	// Reliable tunes the reliable-delivery layer used when the network is
-	// faulty; the zero value picks defaults sized to Net.
-	Reliable netsim.ReliableConfig
 	// CrashNode, when nonzero, crashes that node immediately after its
 	// access in round CrashAtOp and reboots it just before its next
 	// access, so every other node runs one full round against the outage.
@@ -357,7 +354,7 @@ func Run(cfg Config) (Report, error) {
 		rep:    &Report{},
 		down:   -1,
 	}
-	sys.rel = netsim.NewReliable(sys.net, cfg.Reliable)
+	sys.rel = netsim.NewReliable(sys.net, netsim.ReliableConfig{})
 	// Boot the nodes. Identical bootstrap order gives the shared segment
 	// the same address range on every node.
 	for i := 0; i < cfg.Nodes; i++ {
@@ -611,9 +608,9 @@ func (sys *system) transferPage(from, to int, vpn addr.VPN) error {
 	if from == to {
 		return nil
 	}
-	// Peek, not read: the destination kernel's WritePage copies the bytes
-	// into its own frame, and the two kernels never share frames, so no
-	// host-side intermediate buffer is needed.
+	// Peek, not read: the destination kernel's KernelWritePage copies
+	// the bytes into its own frame, and the two kernels never share
+	// frames, so no host-side intermediate buffer is needed.
 	data, err := sys.nodes[from].k.KernelPeekPage(vpn)
 	if err != nil {
 		return err
