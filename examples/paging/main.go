@@ -79,6 +79,6 @@ func main() {
 	fmt.Println("128-page working set in 32 frames, page daemon enabled; all data verified")
 	run("disk pager", nil)
 	run("compressed-memory pager", func(k *sasos.Kernel) sasos.Pager {
-		return &compressedPager{k: k, store: mem.NewCompressedStore(1)}
+		return &compressedPager{k: k, store: mem.NewCompressedStore()}
 	})
 }

@@ -117,9 +117,6 @@ func (g Geometry) Offset(va VA) uint64 { return uint64(va) & (g.PageSize() - 1) 
 // Base returns the first virtual address of page vpn.
 func (g Geometry) Base(vpn VPN) VA { return VA(uint64(vpn) << g.shift) }
 
-// Contains reports whether va lies on page vpn.
-func (g Geometry) Contains(vpn VPN, va VA) bool { return g.PageNumber(va) == vpn }
-
 // PagesSpanned returns how many pages of this geometry the byte range
 // [va, va+length) touches. A zero length spans no pages.
 func (g Geometry) PagesSpanned(va VA, length uint64) uint64 {

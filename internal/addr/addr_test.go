@@ -39,7 +39,7 @@ func TestGeometryRoundTrip(t *testing.T) {
 		f := func(raw uint64) bool {
 			va := VA(raw)
 			vpn := g.PageNumber(va)
-			return uint64(g.Base(vpn))+g.Offset(va) == raw && g.Contains(vpn, va)
+			return uint64(g.Base(vpn))+g.Offset(va) == raw
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Errorf("shift %d: %v", shift, err)

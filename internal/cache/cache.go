@@ -111,9 +111,6 @@ func (v *VirtualCache) key(space addr.ASID, va addr.VA) lineKey {
 	return k
 }
 
-// LineShift returns log2 of the line size.
-func (v *VirtualCache) LineShift() uint { return v.cfg.LineShift }
-
 // LinesPerPage returns the number of cache lines covering one page of the
 // given geometry.
 func (v *VirtualCache) LinesPerPage(geo addr.Geometry) uint64 {
@@ -203,9 +200,6 @@ func (v *VirtualCache) ForEachLine(fn func(va addr.VA) bool) {
 		return fn(addr.VA(k.line << v.cfg.LineShift))
 	})
 }
-
-// Len returns the number of resident lines.
-func (v *VirtualCache) Len() int { return v.c.Len() }
 
 // Capacity returns the line capacity.
 func (v *VirtualCache) Capacity() int { return v.c.Capacity() }
@@ -362,9 +356,6 @@ func (p *PhysicalCache) FlushAll() (flushed, dirty int) {
 	p.nFlushWB.Add(uint64(dirty))
 	return flushed, dirty
 }
-
-// Len returns the number of resident lines.
-func (p *PhysicalCache) Len() int { return p.c.Len() }
 
 // Capacity returns the line capacity.
 func (p *PhysicalCache) Capacity() int { return p.c.Capacity() }

@@ -191,7 +191,7 @@ func TestFlushAll(t *testing.T) {
 	if flushed != 2 || dirty != 1 {
 		t.Fatalf("FlushAll = %d,%d", flushed, dirty)
 	}
-	if v.Len() != 0 {
+	if v.c.Len() != 0 {
 		t.Fatal("cache not empty")
 	}
 }
@@ -259,8 +259,8 @@ func TestPhysicalCache(t *testing.T) {
 	if !p.Access(pa, false) {
 		t.Fatal("miss after fill")
 	}
-	if p.Len() != 1 {
-		t.Fatalf("Len = %d", p.Len())
+	if p.c.Len() != 1 {
+		t.Fatalf("Len = %d", p.c.Len())
 	}
 	flushed, dirty := p.FlushFrame(5, addr.BaseGeometry())
 	if flushed != 1 || dirty != 1 {
@@ -290,9 +290,6 @@ func TestLinesPerPage(t *testing.T) {
 	v := NewVirtual(smallCfg(false), &stats.Counters{}, "dc")
 	if n := v.LinesPerPage(addr.BaseGeometry()); n != 128 {
 		t.Fatalf("LinesPerPage = %d, want 128 (4096/32)", n)
-	}
-	if v.LineShift() != 5 {
-		t.Fatal("LineShift wrong")
 	}
 	if v.Capacity() != 32 {
 		t.Fatalf("Capacity = %d", v.Capacity())

@@ -261,14 +261,8 @@ func (d *Device) Name() string { return d.cfg.Name }
 // Kind returns the device class.
 func (d *Device) Kind() Kind { return d.cfg.Kind }
 
-// Org returns the IOTLB organization.
-func (d *Device) Org() Org { return d.cfg.Org }
-
 // Seat returns the device's smp target index.
 func (d *Device) Seat() int { return d.cfg.Seat }
-
-// Cluster returns the device's mesh cluster.
-func (d *Device) Cluster() int { return d.cfg.Cluster }
 
 // OnBehalf returns the domain whose transfers the device carries.
 func (d *Device) OnBehalf() addr.DomainID { return d.onBehalf }
@@ -282,14 +276,6 @@ func (d *Device) Capacity() int {
 		return d.dp.Capacity()
 	}
 	return d.pg.Capacity()
-}
-
-// Len returns the number of live IOTLB entries.
-func (d *Device) Len() int {
-	if d.dp != nil {
-		return d.dp.Len()
-	}
-	return d.pg.Len()
 }
 
 // Stats returns the device's own hit/miss/denial/abort counts (the

@@ -33,14 +33,8 @@ type DeviceConfig struct {
 	Cluster int
 }
 
-const (
-	// deviceEntries is every device's IOTLB capacity.
-	deviceEntries = 64
-	// deviceTimeoutScale multiplies the acknowledged protocol's ack
-	// timeout and backoff cap for every device: devices drain in-flight
-	// DMA before acking.
-	deviceTimeoutScale = 4
-)
+// deviceEntries is every device's IOTLB capacity.
+const deviceEntries = 64
 
 // validateDevices normalizes and validates cfg.Devices against the
 // seat budget and topology, returning the filled copy.
@@ -95,7 +89,7 @@ func (k *Kernel) attachDevices(devs []DeviceConfig) {
 			Geometry: k.geo,
 			Costs:    &k.cost,
 		}, k, &k.ctrs))
-		specs[i] = smp.DeviceSpec{Cluster: dc.Cluster, TimeoutScale: deviceTimeoutScale}
+		specs[i] = smp.DeviceSpec{Cluster: dc.Cluster}
 	}
 	k.shoot.AttachDevices(specs)
 }

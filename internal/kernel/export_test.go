@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
-	"repro/internal/mem"
 	"repro/internal/pgroup"
 )
 
@@ -35,8 +34,25 @@ func (k *Kernel) OnBackingStore(vpn addr.VPN) bool {
 	return p != nil && p.onDisk
 }
 
-// Disk returns the backing store.
-func (k *Kernel) Disk() *mem.Disk { return k.disk }
+// DeviceOrg is the IOTLB organization a kernel of model m gives its
+// devices.
+var DeviceOrg = deviceOrg
+
+// Group returns the segment's primary page-group (page-group model;
+// zero under domain-page).
+func (s *Segment) Group() addr.GroupID { return s.group }
+
+// DiskBlocks counts the blocks the default pager's disk holds for s's
+// pages.
+func (k *Kernel) DiskBlocks(s *Segment) int {
+	n := 0
+	for i := uint64(0); i < s.NumPages(); i++ {
+		if _, err := k.disk.Peek(uint64(s.PageVPN(i))); err == nil {
+			n++
+		}
+	}
+	return n
+}
 
 // CheckPageGroupBookkeeping cross-checks the page-group engine's dense
 // bookkeeping against the kernel's authoritative tables (nil under the

@@ -116,8 +116,8 @@ func TestDiskFullIsNotModeled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if k.disk.Len() != 4 {
-		t.Fatalf("disk blocks = %d", k.disk.Len())
+	if n := k.DiskBlocks(s); n != 4 {
+		t.Fatalf("disk blocks = %d", n)
 	}
 }
 
@@ -137,13 +137,13 @@ func TestDiskBlocksReleased(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := k.disk.Len(); n != 2 {
+	if n := k.DiskBlocks(s); n != 2 {
 		t.Fatalf("after two page-outs: disk blocks = %d, want 2", n)
 	}
 	if v, err := k.Load(d, s.PageVA(0)); err != nil || v != 1 {
 		t.Fatalf("page 0 after page-in = %d, %v; want 1", v, err)
 	}
-	if n := k.disk.Len(); n != 1 {
+	if n := k.DiskBlocks(s); n != 1 {
 		t.Fatalf("after paging page 0 in: disk blocks = %d, want 1", n)
 	}
 	if err := k.Detach(d, s); err != nil {
@@ -152,7 +152,7 @@ func TestDiskBlocksReleased(t *testing.T) {
 	if err := k.DestroySegment(s); err != nil {
 		t.Fatal(err)
 	}
-	if n := k.disk.Len(); n != 0 {
+	if n := k.DiskBlocks(s); n != 0 {
 		t.Fatalf("after destroying the segment: disk blocks = %d, want 0", n)
 	}
 }

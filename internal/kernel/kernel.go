@@ -195,18 +195,10 @@ func (s *Segment) record(vpn addr.VPN) *page {
 	return &s.pages[vpn-s.kern.geo.PageNumber(s.Range.Start)]
 }
 
-// Group returns the segment's primary page-group (page-group model;
-// zero under domain-page).
-func (s *Segment) Group() addr.GroupID { return s.group }
-
 // HasHandler reports whether the segment has a user-level fault handler
 // installed. Handlers may grant rights during fault delivery, so
 // differential verdict checks (internal/oracle) skip handled segments.
 func (s *Segment) HasHandler() bool { return s.handler != nil }
-
-// ProtShift returns the segment's super-page protection shift (zero when
-// the segment uses base-page protection entries).
-func (s *Segment) ProtShift() uint { return s.protShift }
 
 // HasAttached reports whether the segment's own attachment record lists
 // domain id (the domain's record is Domain.Attached).
@@ -593,7 +585,7 @@ func NewChecked(cfg Config) (*Kernel, error) {
 		k.machs = append(k.machs, m)
 	}
 	k.cost = k.machs[0].Costs()
-	k.disk = mem.NewDisk(k.cost.DiskRead, k.cost.DiskWrite)
+	k.disk = mem.NewDisk()
 	switch cfg.Model {
 	case ModelPageGroup:
 		k.engine = newPGEngine(k)

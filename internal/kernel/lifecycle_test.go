@@ -675,7 +675,7 @@ func TestKernelAccessPagesIn(t *testing.T) {
 				if err := k.DestroySegment(s); err != nil {
 					t.Fatal(err)
 				}
-				if n := k.Disk().Len(); n != 0 {
+				if n := k.DiskBlocks(s); n != 0 {
 					t.Errorf("after destroy: disk blocks = %d, want 0", n)
 				}
 			})

@@ -408,10 +408,10 @@ var deviceKinds = map[iommu.Org][]smp.Kind{
 // outside deviceKinds of its organization. Every request reaches a
 // device through the hook: a device is never the current seat.
 func (l *lane) routeDevice() {
-	dev, seat := l.k.Device(0), l.k.DeviceSeat(0)
+	org, seat := kernel.DeviceOrg(l.k.Model()), l.k.DeviceSeat(0)
 	l.k.SetIPIFault(func(t int, r smp.Request) smp.Fault {
-		if t == seat && l.misrouted == nil && !slices.Contains(deviceKinds[dev.Org()], r.Kind) {
-			l.misrouted = fmt.Errorf("device seat %d was sent %v, which a %v IOTLB does not apply", t, r.Kind, dev.Org())
+		if t == seat && l.misrouted == nil && !slices.Contains(deviceKinds[org], r.Kind) {
+			l.misrouted = fmt.Errorf("device seat %d was sent %v, which a %v IOTLB does not apply", t, r.Kind, org)
 		}
 		return smp.FaultNone
 	})

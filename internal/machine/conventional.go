@@ -360,7 +360,4 @@ func (m *ConventionalMachine) Entries(fn func(Entry) bool) {
 	s.cacheLines(m.cache, m.cfg.Geometry)
 }
 
-// Geometry returns the machine's translation page geometry.
-func (m *ConventionalMachine) Geometry() addr.Geometry { return m.cfg.Geometry }
-
 var _ Machine = (*ConventionalMachine)(nil)

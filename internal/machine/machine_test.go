@@ -7,6 +7,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/cache"
 	"repro/internal/cpu"
+	"repro/internal/pgroup"
 	"repro/internal/plb"
 	"repro/internal/ptable"
 	"repro/internal/smp"
@@ -96,6 +97,20 @@ func (f *fakeOS) DomainGroups(d addr.DomainID) []GroupAccess {
 
 const page = uint64(addr.BasePageSize)
 
+// lines counts c's resident lines.
+func lines(c *cache.VirtualCache) int {
+	n := 0
+	c.ForEachLine(func(addr.VA) bool { n++; return true })
+	return n
+}
+
+// groups counts c's resident groups.
+func groups(c pgroup.Checker) int {
+	n := 0
+	c.ForEach(func(addr.GroupID, bool) bool { n++; return true })
+	return n
+}
+
 func va(vpn uint64) addr.VA { return addr.VA(vpn * page) }
 
 // --- PLB machine ---
@@ -183,11 +198,11 @@ func TestPLBDomainSwitchIsOneRegister(t *testing.T) {
 	m := newPLBMachine(os)
 	m.SwitchDomain(1)
 	m.Access(va(1), addr.Load)
-	plbLen, tlbLen, cacheLen := m.PLB().Len(), m.TLB().Len(), m.Cache().Len()
+	plbLen, tlbLen, cacheLen := m.PLB().Len(), m.TLB().Len(), lines(m.Cache())
 	cyc := m.Cycles()
 	m.SwitchDomain(2)
 	// Switch must not purge anything and must cost one register write.
-	if m.PLB().Len() != plbLen || m.TLB().Len() != tlbLen || m.Cache().Len() != cacheLen {
+	if m.PLB().Len() != plbLen || m.TLB().Len() != tlbLen || lines(m.Cache()) != cacheLen {
 		t.Fatal("domain switch disturbed hardware state")
 	}
 	if got := m.Cycles() - cyc; got != m.Costs().RegisterWrite {
@@ -277,12 +292,12 @@ func TestPLBUnmapPage(t *testing.T) {
 	m := newPLBMachine(os)
 	m.SwitchDomain(1)
 	m.Access(va(1), addr.Store)
-	if m.TLB().Len() != 1 || m.Cache().Len() != 1 {
+	if m.TLB().Len() != 1 || lines(m.Cache()) != 1 {
 		t.Fatal("setup failed")
 	}
 	delete(os.trans, 1)
 	m.Apply(smp.Request{Kind: smp.Unmap, VPN: 1})
-	if m.TLB().Len() != 0 || m.Cache().Len() != 0 {
+	if m.TLB().Len() != 0 || lines(m.Cache()) != 0 {
 		t.Fatal("unmap left residue")
 	}
 	// The stale PLB entry may remain; the access faults on translation.
@@ -368,14 +383,14 @@ func TestPGDomainSwitchPurgesChecker(t *testing.T) {
 	m := NewPG(DefaultPGConfig(), os)
 	m.SwitchDomain(1)
 	m.Access(va(1), addr.Load)
-	if m.Checker().Len() != 1 {
+	if groups(m.Checker()) != 1 {
 		t.Fatal("group not loaded")
 	}
 	tlbLen := m.TLB().Len()
 	m.SwitchDomain(2)
 	// Checker purged; TLB and cache untouched (their contents are
 	// domain-independent).
-	if m.Checker().Len() != 0 {
+	if groups(m.Checker()) != 0 {
 		t.Fatal("checker not purged on switch")
 	}
 	if m.TLB().Len() != tlbLen {
@@ -399,7 +414,7 @@ func TestPGEagerReload(t *testing.T) {
 	cfg.EagerReload = true
 	m := NewPG(cfg, os)
 	m.SwitchDomain(2)
-	if m.Checker().Len() != 1 {
+	if groups(m.Checker()) != 1 {
 		t.Fatal("eager reload did not load groups")
 	}
 	// Access proceeds with no pg refill trap.
@@ -478,7 +493,7 @@ func TestPGUnmapPage(t *testing.T) {
 	delete(os.trans, 1)
 	delete(os.groups, 1)
 	m.Apply(smp.Request{Kind: smp.Unmap, VPN: 1})
-	if m.TLB().Len() != 0 || m.Cache().Len() != 0 {
+	if m.TLB().Len() != 0 || lines(m.cache) != 0 {
 		t.Fatal("unmap left residue")
 	}
 	if out := m.Access(va(1), addr.Load); out.Fault != cpu.FaultPageUnmapped {
@@ -534,7 +549,7 @@ func TestConventionalDuplicatesSharedEntries(t *testing.T) {
 	// The shared frame is resident under multiple cache tags: synonyms.
 	// (All three virtual lines index the same 2-way set, so at most two
 	// coexist — the third synonym evicted one, wasting the cache.)
-	if n := m.Cache().SynonymLines(m.Geometry()); n != 2 {
+	if n := m.Cache().SynonymLines(m.cfg.Geometry); n != 2 {
 		t.Fatalf("SynonymLines = %d, want 2", n)
 	}
 }
@@ -575,11 +590,11 @@ func TestFlushMachineFlushesOnSwitch(t *testing.T) {
 	m := NewFlush(DefaultConvConfig(), os)
 	m.SwitchDomain(1)
 	m.Access(va(1), addr.Store)
-	if m.Cache().Len() != 1 || m.TLB().Len() != 1 {
+	if lines(m.Cache()) != 1 || m.TLB().Len() != 1 {
 		t.Fatal("setup failed")
 	}
 	m.SwitchDomain(2)
-	if m.Cache().Len() != 0 || m.TLB().Len() != 0 {
+	if lines(m.Cache()) != 0 || m.TLB().Len() != 0 {
 		t.Fatal("switch did not flush")
 	}
 	// Homonym: space 2's VA 0x1000 is different data (frame 8). With the
@@ -645,11 +660,6 @@ func TestVIPTConventionalNoSynonymsNoHomonyms(t *testing.T) {
 			t.Fatalf("homonym access: %v", out.Fault)
 		}
 	}
-	// The shared line is resident exactly once (physical tags collapse
-	// synonyms); the three homonym lines are distinct physical lines.
-	if n := m.vipt.Len(); n != 1+3 {
-		t.Fatalf("resident lines = %d, want 4", n)
-	}
 	// Domain 2's second access to the shared line must HIT (filled by
 	// domain 1): physical identity is shared capacity, a VIPT advantage.
 	before := m.Counters().Snapshot()
@@ -657,6 +667,11 @@ func TestVIPTConventionalNoSynonymsNoHomonyms(t *testing.T) {
 	m.Access(va(1), addr.Load)
 	if d := m.Counters().Diff(before); d.Get("cache.miss") != 0 {
 		t.Fatal("shared physical line missed for second space")
+	}
+	// The shared line is resident exactly once (physical tags collapse
+	// synonyms); the three homonym lines are distinct physical lines.
+	if n, _ := m.vipt.FlushAll(); n != 1+3 {
+		t.Fatalf("resident lines = %d, want 4", n)
 	}
 }
 
@@ -677,11 +692,11 @@ func TestVIPTUnmapFlushes(t *testing.T) {
 	m := NewConventional(DefaultVIPTConvConfig(), os)
 	m.SwitchDomain(1)
 	m.Access(va(1), addr.Store)
-	if m.vipt.Len() != 1 {
-		t.Fatal("setup failed")
-	}
 	m.Apply(smp.Request{Kind: smp.Unmap, VPN: 1})
-	if m.vipt.Len() != 0 {
+	if d := m.Counters().Get("cache.flushed_lines"); d != 1 {
+		t.Fatalf("unmap flushed %d lines, want 1", d)
+	}
+	if n, _ := m.vipt.FlushAll(); n != 0 {
 		t.Fatal("unmap left VIPT residue")
 	}
 }
@@ -803,7 +818,7 @@ func TestApplyContract(t *testing.T) {
 		smp.DomainPurge:  {smp.Request{Kind: smp.DomainPurge, Domain: 1}, 1, plbScan, plbGone},
 		smp.Unmap: {smp.Request{Kind: smp.Unmap, VPN: 1}, 1, c.PurgeEntry + flushPage, func(m Machine) string {
 			pm := m.(*PLBMachine)
-			return wantLen("TLB", pm.TLB().Len(), 0) + wantLen("cache", pm.Cache().Len(), 0)
+			return wantLen("TLB", pm.TLB().Len(), 0) + wantLen("cache", lines(pm.Cache()), 0)
 		}},
 	}
 
@@ -815,7 +830,7 @@ func TestApplyContract(t *testing.T) {
 			return ""
 		}},
 		smp.GroupRevoke: {smp.Request{Kind: smp.GroupRevoke, Domain: 1, Group: 5}, 1, c.PurgeEntry, func(m Machine) string {
-			return wantLen("checker", m.(*PGMachine).Checker().Len(), 0)
+			return wantLen("checker", groups(m.(*PGMachine).Checker()), 0)
 		}},
 		smp.GroupUpdate: {smp.Request{Kind: smp.GroupUpdate, VPN: 1, Group: 9, Rights: addr.Read}, 1, c.Install, func(m Machine) string {
 			if e, ok := m.(*PGMachine).TLB().Lookup(1); !ok || e.AID != 9 || e.Rights != addr.Read {
@@ -825,7 +840,7 @@ func TestApplyContract(t *testing.T) {
 		}},
 		smp.Unmap: {smp.Request{Kind: smp.Unmap, VPN: 1}, 1, c.PurgeEntry + flushPage, func(m Machine) string {
 			pm := m.(*PGMachine)
-			return wantLen("TLB", pm.TLB().Len(), 0) + wantLen("cache", pm.Cache().Len(), 0)
+			return wantLen("TLB", pm.TLB().Len(), 0) + wantLen("cache", lines(pm.cache), 0)
 		}},
 	}
 
@@ -842,7 +857,7 @@ func TestApplyContract(t *testing.T) {
 		smp.DomainPurge: {smp.Request{Kind: smp.DomainPurge, Domain: 1}, 1, tlbScan, asidGone},
 		smp.Unmap: {smp.Request{Kind: smp.Unmap, VPN: 1}, 1, tlbScan + flushPage, func(m Machine) string {
 			cm := m.(*ConventionalMachine)
-			return wantLen("TLB", cm.TLB().Len(), 0) + wantLen("cache", cm.Cache().Len(), 0)
+			return wantLen("TLB", cm.TLB().Len(), 0) + wantLen("cache", lines(cm.Cache()), 0)
 		}},
 	}
 

@@ -125,12 +125,6 @@ func (m *PGMachine) TLB() *tlb.PGTLB { return m.tlb }
 // Checker exposes the page-group check structure for inspection.
 func (m *PGMachine) Checker() pgroup.Checker { return m.checker }
 
-// Cache exposes the data cache for inspection.
-func (m *PGMachine) Cache() *cache.VirtualCache { return m.cache }
-
-// Geometry returns the machine's translation page geometry.
-func (m *PGMachine) Geometry() addr.Geometry { return m.cfg.Geometry }
-
 // SwitchDomain implements Machine. The page-group set is per-domain state:
 // the checker is purged and, under EagerReload, refilled from the new
 // domain's group list (Section 4.1.4).

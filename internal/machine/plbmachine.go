@@ -333,7 +333,4 @@ func (m *PLBMachine) InstallRights(d addr.DomainID, va addr.VA, shift uint, r ad
 	}
 }
 
-// Geometry returns the machine's translation page geometry.
-func (m *PLBMachine) Geometry() addr.Geometry { return m.cfg.Geometry }
-
 var _ Machine = (*PLBMachine)(nil)

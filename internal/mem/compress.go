@@ -12,13 +12,9 @@ import (
 // page-out the server compresses the page and keeps it in a (cheaper)
 // compressed pool instead of (or before) writing it to disk.
 type CompressedStore struct {
-	pages         map[uint64][]byte
-	rawBytes      uint64
-	storedBytes   uint64
-	compressions  uint64
-	expansions    uint64
-	cyclesPerByte uint64
-	cycles        uint64
+	pages       map[uint64][]byte
+	rawBytes    uint64
+	storedBytes uint64
 
 	// Reused flate state: a flate.Writer is ~600 KB of window and huffman
 	// tables, so allocating one per page-out dominated whole-suite
@@ -30,10 +26,10 @@ type CompressedStore struct {
 	rbuf bytes.Buffer
 }
 
-// NewCompressedStore creates a store charging cyclesPerByte of CPU cost
-// for each byte compressed or decompressed.
-func NewCompressedStore(cyclesPerByte uint64) *CompressedStore {
-	return &CompressedStore{pages: make(map[uint64][]byte), cyclesPerByte: cyclesPerByte}
+// NewCompressedStore creates an empty store. It charges no cycles: its
+// user charges the compression work to a kernel.
+func NewCompressedStore() *CompressedStore {
+	return &CompressedStore{pages: make(map[uint64][]byte)}
 }
 
 // Put compresses data and stores it under key.
@@ -61,8 +57,6 @@ func (s *CompressedStore) Put(key uint64, data []byte) error {
 	s.pages[key] = append([]byte(nil), s.wbuf.Bytes()...)
 	s.rawBytes += uint64(len(data))
 	s.storedBytes += uint64(s.wbuf.Len())
-	s.compressions++
-	s.cycles += uint64(len(data)) * s.cyclesPerByte
 	return nil
 }
 
@@ -91,19 +85,8 @@ func (s *CompressedStore) Get(key uint64) ([]byte, error) {
 	delete(s.pages, key)
 	s.storedBytes -= uint64(len(c))
 	s.rawBytes -= uint64(len(data))
-	s.expansions++
-	s.cycles += uint64(len(data)) * s.cyclesPerByte
 	return data, nil
 }
-
-// Has reports whether a compressed page exists under key.
-func (s *CompressedStore) Has(key uint64) bool {
-	_, ok := s.pages[key]
-	return ok
-}
-
-// Len returns the number of compressed pages held.
-func (s *CompressedStore) Len() int { return len(s.pages) }
 
 // Ratio returns stored/raw bytes for pages currently held (1.0 when empty).
 func (s *CompressedStore) Ratio() float64 {
@@ -111,9 +94,4 @@ func (s *CompressedStore) Ratio() float64 {
 		return 1.0
 	}
 	return float64(s.storedBytes) / float64(s.rawBytes)
-}
-
-// Stats returns compression/expansion counts and CPU cycles charged.
-func (s *CompressedStore) Stats() (compressions, expansions, cycles uint64) {
-	return s.compressions, s.expansions, s.cycles
 }

@@ -36,8 +36,6 @@ type Memory struct {
 	geo     addr.Geometry
 	frames  []frame
 	free    []addr.PFN
-	allocs  uint64
-	frees   uint64
 	maxUsed int
 }
 
@@ -57,9 +55,6 @@ func NewMemory(geo addr.Geometry, nframes int) *Memory {
 	return m
 }
 
-// Geometry returns the frame geometry.
-func (m *Memory) Geometry() addr.Geometry { return m.geo }
-
 // FramesInUse returns the number of currently allocated frames.
 func (m *Memory) FramesInUse() int { return len(m.frames) - len(m.free) }
 
@@ -78,7 +73,6 @@ func (m *Memory) Alloc() (addr.PFN, error) {
 	if f.data != nil {
 		clear(f.data)
 	}
-	m.allocs++
 	if used := m.FramesInUse(); used > m.maxUsed {
 		m.maxUsed = used
 	}
@@ -99,7 +93,6 @@ func (m *Memory) Free(pfn addr.PFN) error {
 	}
 	f.inUse = false
 	m.free = append(m.free, pfn)
-	m.frees++
 	return nil
 }
 
@@ -131,6 +124,3 @@ func (m *Memory) Data(pfn addr.PFN) []byte {
 	}
 	return f.data
 }
-
-// Stats returns allocation/free counts.
-func (m *Memory) Stats() (allocs, frees uint64) { return m.allocs, m.frees }

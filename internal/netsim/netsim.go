@@ -83,9 +83,6 @@ func New(n int, cfg Config) *Network {
 	return net
 }
 
-// Nodes returns the node count.
-func (n *Network) Nodes() int { return n.nodes }
-
 func (n *Network) check(node int) {
 	if node < 0 || node >= n.nodes {
 		panic(fmt.Sprintf("netsim: node %d out of range (%d nodes)", node, n.nodes))

@@ -7,29 +7,12 @@ import (
 
 // ReliableConfig parameterizes the reliable-delivery layer.
 type ReliableConfig struct {
-	// TimeoutCycles is the sender's initial retransmission timeout. It
-	// doubles on every retry (exponential backoff).
-	TimeoutCycles uint64
 	// MaxRetries caps retransmissions of one message; the attempt budget
 	// is MaxRetries+1. Exceeding it surfaces ErrDeliveryFailed — the
-	// layer never loses a message silently.
+	// layer never loses a message silently. Zero picks a generous 16: at
+	// a 20% drop rate the chance of 17 consecutive losses is negligible,
+	// so experiments fail only when a node is genuinely unreachable.
 	MaxRetries int
-	// BackoffLimit caps the exponentially growing per-attempt timeout, so
-	// a full failed volley against a dead node costs a bounded number of
-	// cycles rather than 2^MaxRetries timeouts. Zero picks
-	// 16*TimeoutCycles.
-	BackoffLimit uint64
-}
-
-// DefaultReliableConfig returns a timeout of two one-way latencies of
-// the given network configuration and a generous retry budget (16: at a
-// 20% drop rate the chance of 17 consecutive losses is negligible, so
-// experiments fail only when a node is genuinely unreachable).
-func DefaultReliableConfig(net Config) ReliableConfig {
-	return ReliableConfig{
-		TimeoutCycles: 2 * net.MsgLatency,
-		MaxRetries:    16,
-	}
 }
 
 // ErrDeliveryFailed is returned when a message exhausts its retry budget
@@ -61,19 +44,14 @@ type Reliable struct {
 	ackCycles     uint64
 }
 
-// NewReliable wraps the network in a reliable-delivery layer. A zero
-// TimeoutCycles or MaxRetries picks the defaults for the network's
-// configuration.
+// NewReliable wraps the network in a reliable-delivery layer. The
+// sender's first retransmission timeout is two of the network's one-way
+// latencies; it doubles on every retry up to 16 times that, so a failed
+// volley against a dead node costs a bounded number of cycles rather
+// than 2^MaxRetries timeouts.
 func NewReliable(n *Network, cfg ReliableConfig) *Reliable {
-	def := DefaultReliableConfig(n.cfg)
-	if cfg.TimeoutCycles == 0 {
-		cfg.TimeoutCycles = def.TimeoutCycles
-	}
 	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = def.MaxRetries
-	}
-	if cfg.BackoffLimit == 0 {
-		cfg.BackoffLimit = 16 * cfg.TimeoutCycles
+		cfg.MaxRetries = 16
 	}
 	return &Reliable{
 		net:       n,
@@ -82,9 +60,6 @@ func NewReliable(n *Network, cfg ReliableConfig) *Reliable {
 		delivered: make(map[link]map[uint64]bool),
 	}
 }
-
-// Network returns the underlying network.
-func (r *Reliable) Network() *Network { return r.net }
 
 // OverheadCycles returns the cycles the layer spent on reliability
 // alone: retransmitted copies, timeout waits, and acknowledgments.
@@ -150,7 +125,8 @@ func (r *Reliable) Send(from, to, size int, deliver func()) (uint64, error) {
 	r.nextSeq[l] = seq + 1
 
 	var total uint64
-	timeout := r.cfg.TimeoutCycles
+	first := 2 * r.net.cfg.MsgLatency
+	timeout := first
 	for attempt := 0; attempt <= r.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			r.net.hRetransmits.Inc()
@@ -186,8 +162,8 @@ func (r *Reliable) Send(from, to, size int, deliver func()) (uint64, error) {
 		r.net.cycles += timeout
 		r.timeoutCycles += timeout
 		total += timeout
-		if timeout *= 2; timeout > r.cfg.BackoffLimit {
-			timeout = r.cfg.BackoffLimit
+		if timeout *= 2; timeout > 16*first {
+			timeout = 16 * first
 		}
 	}
 	r.net.hFailures.Inc()

@@ -42,8 +42,6 @@ type Checker interface {
 	// PurgeAll empties the structure (domain switch), returning how many
 	// entries were resident.
 	PurgeAll() int
-	// Len returns the number of resident groups.
-	Len() int
 	// Capacity returns the maximum number of resident groups.
 	Capacity() int
 	// ForEach visits all resident groups until fn returns false.
@@ -171,17 +169,6 @@ func (p *PIDRegisters) PurgeAll() int {
 	return n
 }
 
-// Len implements Checker.
-func (p *PIDRegisters) Len() int {
-	n := 0
-	for _, r := range p.regs {
-		if r.valid {
-			n++
-		}
-	}
-	return n
-}
-
 // Capacity implements Checker.
 func (p *PIDRegisters) Capacity() int { return len(p.regs) }
 
@@ -266,9 +253,6 @@ func (g *GroupCache) PurgeAll() int {
 	g.nPurged.Add(uint64(n))
 	return n
 }
-
-// Len implements Checker.
-func (g *GroupCache) Len() int { return g.c.Len() }
 
 // Capacity implements Checker.
 func (g *GroupCache) Capacity() int { return g.c.Capacity() }

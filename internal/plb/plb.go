@@ -161,9 +161,6 @@ func MustNew(cfg Config, ctrs *stats.Counters, prefix string) *PLB {
 // SetCorruptor installs (or, with nil, removes) the corruption hook.
 func (p *PLB) SetCorruptor(fn Corruptor) { p.corrupt = fn }
 
-// Shifts returns the supported protection page shifts, ascending.
-func (p *PLB) Shifts() []uint { return append([]uint(nil), p.shifts...) }
-
 // Capacity returns the total entry capacity.
 func (p *PLB) Capacity() int { return p.c.Capacity() }
 

@@ -299,7 +299,7 @@ func TestDefaultConfig(t *testing.T) {
 	if p.Capacity() != 128 {
 		t.Fatalf("capacity = %d", p.Capacity())
 	}
-	if shifts := p.Shifts(); len(shifts) != 1 || shifts[0] != addr.BasePageShift {
+	if shifts := p.shifts; len(shifts) != 1 || shifts[0] != addr.BasePageShift {
 		t.Fatalf("shifts = %v", shifts)
 	}
 }

@@ -39,8 +39,8 @@ func TestQuickDeviceInvalidationExactlyOnce(t *testing.T) {
 		per := 1 + int(p.PerBatch%4)
 
 		s, h, ctrs, _ := newTestShootdown(2)
-		s.AttachDevices([]DeviceSpec{{TimeoutScale: 2}})
-		seat := s.NumCPUs()
+		s.AttachDevices([]DeviceSpec{{}})
+		seat := s.ncpu
 		h.cycles = append(h.cycles, 0) // the handler also covers the device seat
 		s.EnableProtocol(testProto())
 		rng := rand.New(rand.NewSource(p.Seed))

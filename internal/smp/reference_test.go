@@ -360,7 +360,7 @@ type side struct {
 func newSide(ncpu int, proto bool) side {
 	sd := side{h: &recorder{cycles: make([]uint64, ncpu+1)}, ctrs: &stats.Counters{}, cyc: &stats.Cycles{}}
 	sd.s = New(ncpu, sd.h, &testCosts, sd.ctrs, sd.cyc)
-	sd.s.AttachDevices([]DeviceSpec{{Cluster: 3, TimeoutScale: 2}})
+	sd.s.AttachDevices([]DeviceSpec{{Cluster: 3}})
 	if proto {
 		sd.s.EnableProtocol(testProto())
 	}
@@ -507,7 +507,7 @@ func (h *countingHandler) CPUCycles(t int) uint64 { return h.cycles[t] }
 func TestFlushZeroAllocs(t *testing.T) {
 	h := &countingHandler{cycles: make([]uint64, 5)}
 	s := New(4, h, &testCosts, &stats.Counters{}, &stats.Cycles{})
-	s.AttachDevices([]DeviceSpec{{TimeoutScale: 4}})
+	s.AttachDevices([]DeviceSpec{{}})
 	s.EnableProtocol(DefaultProtocolConfig())
 	round := func() {
 		for tg := 0; tg < s.ncpu+len(s.devCluster); tg++ {
@@ -533,7 +533,7 @@ func TestFlushZeroAllocs(t *testing.T) {
 func BenchmarkShootdownVolley(b *testing.B) {
 	h := &countingHandler{cycles: make([]uint64, 11)}
 	s := New(8, h, &testCosts, &stats.Counters{}, &stats.Cycles{})
-	s.AttachDevices([]DeviceSpec{{TimeoutScale: 4}, {TimeoutScale: 4}, {TimeoutScale: 4}})
+	s.AttachDevices([]DeviceSpec{{}, {}, {}})
 	s.EnableProtocol(DefaultProtocolConfig())
 	round := func() {
 		for tg := 0; tg < s.ncpu+len(s.devCluster); tg++ {

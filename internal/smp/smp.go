@@ -314,13 +314,13 @@ type DeviceSpec struct {
 	// Cluster is the mesh cluster the device is wired into; its IPIs
 	// and DMA traffic are hop-priced from there.
 	Cluster int
-	// TimeoutScale multiplies the protocol's ack timeout and backoff
-	// cap for this device: devices must drain in-flight DMA before
-	// acknowledging an invalidation, so they are granted a longer
-	// window before the initiator retransmits or quarantines. Zero
-	// means 1 (CPU-equivalent timing).
-	TimeoutScale uint64
 }
+
+// deviceTimeoutScale multiplies the protocol's ack timeout and backoff
+// cap for every device seat: devices must drain in-flight DMA before
+// acknowledging an invalidation, so they are granted a longer window
+// before the initiator retransmits or quarantines.
+const deviceTimeoutScale = 4
 
 // Shootdown queues targeted invalidations and delivers them in batches
 // via simulated IPIs. It is not safe for concurrent use; the simulator
@@ -350,9 +350,8 @@ type Shootdown struct {
 	initiator int
 
 	// Device seats: targets [ncpu, ncpu+len(devCluster)) are device
-	// translation agents with their own mesh cluster and timeout scale.
+	// translation agents, each with its own mesh cluster.
 	devCluster []int
-	devScale   []uint64
 
 	// Acknowledged-protocol state; proto == nil means fire-and-forget.
 	proto     *ProtocolConfig
@@ -455,12 +454,7 @@ func New(ncpu int, h Handler, costs *cpu.CostModel, ctrs *stats.Counters, cycles
 // sequence state grows to cover the new seats.
 func (s *Shootdown) AttachDevices(specs []DeviceSpec) {
 	for _, sp := range specs {
-		scale := sp.TimeoutScale
-		if scale == 0 {
-			scale = 1
-		}
 		s.devCluster = append(s.devCluster, sp.Cluster)
-		s.devScale = append(s.devScale, scale)
 		s.q = append(s.q, batchQueue{})
 		s.seq = append(s.seq, 0)
 		s.health = append(s.health, Healthy)
@@ -469,9 +463,6 @@ func (s *Shootdown) AttachDevices(specs []DeviceSpec) {
 		s.stale = append(s.stale, false)
 	}
 }
-
-// NumCPUs returns the CPU seat count; device seats start here.
-func (s *Shootdown) NumCPUs() int { return s.ncpu }
 
 // IsDevice reports whether target t is a device seat.
 func (s *Shootdown) IsDevice(t int) bool { return t >= s.ncpu }
@@ -505,9 +496,8 @@ func (s *Shootdown) TargetTimeouts(t int) (ack, backoff uint64) {
 	}
 	ack, backoff = s.proto.AckTimeout, s.proto.BackoffLimit
 	if t >= s.ncpu {
-		scale := s.devScale[t-s.ncpu]
-		ack *= scale
-		backoff *= scale
+		ack *= deviceTimeoutScale
+		backoff *= deviceTimeoutScale
 	}
 	return ack, backoff
 }
@@ -528,9 +518,6 @@ func (s *Shootdown) SetTopology(t Topology) {
 	s.topo = t.Normalize(s.ncpu)
 	s.mesh = s.topo.Clusters() > 1
 }
-
-// Topology returns the active (normalized) mesh topology.
-func (s *Shootdown) Topology() Topology { return s.topo }
 
 // SetInitiator records the CPU that originates subsequent volleys, so
 // hop-priced IPI costs measure the right mesh distance. The kernel

@@ -80,9 +80,6 @@ func (h Handle) Add(n uint64) {
 // Get returns the counter's current value.
 func (h Handle) Get() uint64 { return h.c.vals[h.slot] }
 
-// Name returns the counter's name.
-func (h Handle) Name() string { return h.c.names[h.slot] }
-
 // present reports whether slot i has been incremented (or zero-Added).
 func (c *Counters) present(i int) bool { return c.vals[i] != 0 || c.touched[i] }
 
@@ -93,24 +90,12 @@ func (c *Counters) Add(name string, n uint64) {
 	c.touched[i] = true
 }
 
-// Inc increments the named counter by one.
-func (c *Counters) Inc(name string) { c.vals[c.slot(name)]++ }
-
 // Get returns the value of the named counter (zero if never incremented).
 func (c *Counters) Get(name string) uint64 {
 	if i, ok := c.idx[name]; ok {
 		return c.vals[i]
 	}
 	return 0
-}
-
-// Reset zeroes all counters. The registry survives, so handles resolved
-// before a Reset remain valid afterwards.
-func (c *Counters) Reset() {
-	for i := range c.vals {
-		c.vals[i] = 0
-		c.touched[i] = false
-	}
 }
 
 // Names returns all incremented counter names in sorted order.
@@ -190,9 +175,6 @@ func (c *Cycles) Add(n uint64) { c.total += n }
 // Total returns the cycles charged so far.
 func (c *Cycles) Total() uint64 { return c.total }
 
-// Reset zeroes the accumulator.
-func (c *Cycles) Reset() { c.total = 0 }
-
 // Histogram is a fixed-bucket histogram of uint64 samples. Bucket i counts
 // samples in [bounds[i-1], bounds[i]); the final bucket is unbounded.
 type Histogram struct {
@@ -228,9 +210,6 @@ func (h *Histogram) Observe(v uint64) {
 		h.max = v
 	}
 }
-
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.n }
 
 // Max returns the largest sample observed (zero if none).
 func (h *Histogram) Max() uint64 { return h.max }

@@ -101,9 +101,6 @@ func (t *TransTLB) PurgeAll() int { return t.c.PurgeAll() }
 // Len returns the number of resident entries.
 func (t *TransTLB) Len() int { return t.c.Len() }
 
-// Capacity returns the entry capacity.
-func (t *TransTLB) Capacity() int { return t.c.Capacity() }
-
 // ForEach visits all resident entries until fn returns false.
 func (t *TransTLB) ForEach(fn func(addr.VPN, TransEntry) bool) { t.c.ForEach(fn) }
 
@@ -329,9 +326,6 @@ func (t *PGTLB) PurgeAll() int { return t.c.PurgeAll() }
 
 // Len returns the number of resident entries.
 func (t *PGTLB) Len() int { return t.c.Len() }
-
-// Capacity returns the entry capacity.
-func (t *PGTLB) Capacity() int { return t.c.Capacity() }
 
 // ForEach visits all resident entries until fn returns false.
 func (t *PGTLB) ForEach(fn func(addr.VPN, PGEntry) bool) { t.c.ForEach(fn) }

@@ -30,7 +30,7 @@ func TestTransTLB(t *testing.T) {
 		ctrs.Get("tlb.install") != 1 || ctrs.Get("tlb.invalidated") != 1 {
 		t.Fatalf("counters: %v", ctrs.Snapshot())
 	}
-	if tt.Capacity() != 4 {
+	if tt.c.Capacity() != 4 {
 		t.Fatal("capacity wrong")
 	}
 }

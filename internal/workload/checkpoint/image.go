@@ -27,7 +27,7 @@ type Image struct {
 // given per-operation latencies in cycles (typically the cost model's
 // DiskRead/DiskWrite).
 func NewImage(readLat, writeLat uint64) *Image {
-	return &Image{disk: mem.NewDisk(readLat, writeLat), readLat: readLat, writeLat: writeLat}
+	return &Image{disk: mem.NewDisk(), readLat: readLat, writeLat: writeLat}
 }
 
 // NewImageFor creates an image with the stable-store latencies of the
@@ -70,17 +70,7 @@ func (im *Image) RestorePage(k *kernel.Kernel, vpn addr.VPN) error {
 }
 
 // Read returns the saved bytes for a page without charging any kernel
-// (callers serving remote fetches charge the transfer themselves; the
-// store's own latency accounting still advances).
+// (callers serving remote fetches charge the transfer themselves).
 func (im *Image) Read(vpn addr.VPN) ([]byte, error) {
 	return im.disk.Read(uint64(vpn))
 }
-
-// Has reports whether the image holds a copy of the page.
-func (im *Image) Has(vpn addr.VPN) bool { return im.disk.Has(uint64(vpn)) }
-
-// Len returns the number of pages in the image.
-func (im *Image) Len() int { return im.disk.Len() }
-
-// Stats returns stable-store operation counts and latency cycles.
-func (im *Image) Stats() (reads, writes, cycles uint64) { return im.disk.Stats() }

@@ -101,7 +101,7 @@ func Run(k *kernel.Kernel, cfg Config) (Report, error) {
 	}
 	rep := Report{}
 	client := k.CreateDomain()
-	store := mem.NewCompressedStore(cfg.CompressCyclesPerByte)
+	store := mem.NewCompressedStore()
 	pager := &compressPager{k: k, store: store, perByte: cfg.CompressCyclesPerByte}
 	k.SetPager(pager)
 	defer k.SetPager(nil)
