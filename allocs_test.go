@@ -122,7 +122,7 @@ func TestDomainPurgeZeroAllocs(t *testing.T) {
 		for i := range pages {
 			vpn := addr.VPN(1<<20 + i)
 			p.Insert(addr.DomainID(d), geo.Base(vpn), geo.Shift(), addr.RW)
-			as.Insert(addr.ASID(d), vpn, tlb.ASIDEntry{PFN: addr.PFN(i), Rights: addr.RW})
+			as.Insert(tlb.ASIDKey{AS: addr.ASID(d), VPN: vpn}, tlb.ASIDEntry{PFN: addr.PFN(i), Rights: addr.RW})
 		}
 	}
 	for d := 1; d <= domains; d++ {
@@ -133,8 +133,8 @@ func TestDomainPurgeZeroAllocs(t *testing.T) {
 			if n := p.PurgeDomain(addr.DomainID(d)); n != pages {
 				t.Fatalf("PLB PurgeDomain(%d) removed %d, want %d", d, n, pages)
 			}
-			if n := as.PurgeAS(addr.ASID(d)); n != pages {
-				t.Fatalf("PurgeAS(%d) removed %d, want %d", d, n, pages)
+			if n := as.PurgeOwner(uint32(addr.ASID(d))); n != pages {
+				t.Fatalf("ASID TLB PurgeOwner(%d) removed %d, want %d", d, n, pages)
 			}
 			fill(d)
 		}

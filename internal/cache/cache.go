@@ -1,22 +1,26 @@
-// Package cache models the first-level data caches whose interaction with
-// addressing motivates much of the paper (Section 2.2):
+// Package cache models the first-level data cache whose interaction with
+// addressing motivates much of the paper (Section 2.2). It is virtually
+// indexed, and it is tagged by whichever address the machine names a
+// line with:
 //
-//   - VirtualCache: a virtually indexed, virtually tagged (VIVT) cache.
-//     The fastest organization — no translation before the access — but on
-//     multiple-address-space systems it suffers homonyms (same VA, different
-//     data per space) and synonyms (same data under different VAs). A single
-//     address space eliminates both by construction. The cache optionally
-//     extends its tags with an address-space identifier (the conventional
-//     homonym fix, which reintroduces synonyms for shared pages) or is
-//     flushed on every context switch (the i860 fix).
+//   - VIVT: the virtual address. The fastest organization — no
+//     translation before the access — but on multiple-address-space
+//     systems it suffers homonyms (same VA, different data per space) and
+//     synonyms (same data under different VAs). A single address space
+//     eliminates both by construction. The cache optionally extends its
+//     tags with an address-space identifier (the conventional homonym
+//     fix, which reintroduces synonyms for shared pages) or is flushed on
+//     every context switch (the i860 fix).
 //
-//   - PhysicalCache: a physically indexed, physically tagged (PIPT) cache,
-//     immune to both problems but requiring translation before every
-//     access.
+//   - VIPT: the physical address, with no space tag. With a geometry
+//     ValidVIPT accepts, the set-index bits lie inside the page offset,
+//     where the virtual and physical addresses agree, so indexing starts
+//     before translation and the physical tag comes from the TLB: no
+//     synonyms, no homonyms (footnote 3).
 //
-// Caches track line presence, dirtiness, and (at fill time) the physical
-// frame behind each line, so experiments can count writebacks, flush costs
-// and resident synonym/homonym duplicates.
+// The cache tracks line presence, dirtiness, and (at fill time) the
+// physical frame behind each line, so experiments can count writebacks,
+// flush costs and resident synonym/homonym duplicates.
 package cache
 
 import (
@@ -34,8 +38,8 @@ type Config struct {
 	// Assoc is the geometry of the underlying structure: Sets × Ways
 	// lines in total.
 	Assoc assoc.Config
-	// ASIDTags, for VirtualCache only, extends every virtual tag with the
-	// referencing address space's identifier so homonyms can coexist.
+	// ASIDTags extends every virtual tag with the referencing address
+	// space's identifier so homonyms can coexist (VIVT only).
 	ASIDTags bool
 }
 
@@ -47,22 +51,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// lineKey identifies a resident line: the line number in whichever address
-// space the cache is indexed by, plus the tag-extension space (ASID) when
-// enabled.
+// lineKey identifies a resident line: the line number of the address the
+// line is named by, plus the tag-extension space (ASID) when enabled.
 type lineKey struct {
 	line  uint64
 	space addr.ASID
 }
 
-// lineOf is the VIVT cache's index function. Virtually indexed: the set
-// is chosen by VA line-number bits only, regardless of ASID tag extension
-// — this is why ASID tags do not prevent synonym duplication across sets.
+// lineOf is the cache's index function: the set is chosen by line-number
+// bits only, regardless of ASID tag extension — this is why ASID tags do
+// not prevent synonym duplication across sets.
 func lineOf(k lineKey) uint64 { return k.line }
-
-// physLine is the PIPT cache's index function: its keys are physical line
-// numbers.
-func physLine(line uint64) uint64 { return line }
 
 // lineState records what the cache knows about a resident line.
 type lineState struct {
@@ -72,8 +71,11 @@ type lineState struct {
 	pfn addr.PFN
 }
 
-// VirtualCache is the VIVT data cache.
-type VirtualCache struct {
+// Cache is every machine's data cache. The PLB, page-group and flush
+// machines and the ASID-tagged conventional machine address it by
+// virtual address (VIVT); the VIPT conventional machine addresses it by
+// the physical address its TLB entry yields.
+type Cache struct {
 	cfg Config
 	c   *assoc.Cache[lineKey, lineState]
 	// nDirty tracks resident dirty lines so FlushAll reports its
@@ -88,11 +90,10 @@ type VirtualCache struct {
 	nFlushWB   stats.Handle
 }
 
-// NewVirtual creates a VIVT cache counting under prefix. Counter names
-// resolve to handles once here, keeping the per-access path free of name
-// hashing.
-func NewVirtual(cfg Config, ctrs *stats.Counters, prefix string) *VirtualCache {
-	v := &VirtualCache{cfg: cfg}
+// New creates a data cache counting under prefix. Counter names resolve
+// to handles once here, keeping the per-access path free of name hashing.
+func New(cfg Config, ctrs *stats.Counters, prefix string) *Cache {
+	v := &Cache{cfg: cfg}
 	v.c = assoc.New[lineKey, lineState](cfg.Assoc, lineOf)
 	v.nHit = ctrs.Handle(prefix + ".hit")
 	v.nMiss = ctrs.Handle(prefix + ".miss")
@@ -103,7 +104,7 @@ func NewVirtual(cfg Config, ctrs *stats.Counters, prefix string) *VirtualCache {
 	return v
 }
 
-func (v *VirtualCache) key(space addr.ASID, va addr.VA) lineKey {
+func (v *Cache) key(space addr.ASID, va addr.VA) lineKey {
 	k := lineKey{line: uint64(va) >> v.cfg.LineShift}
 	if v.cfg.ASIDTags {
 		k.space = space
@@ -113,7 +114,7 @@ func (v *VirtualCache) key(space addr.ASID, va addr.VA) lineKey {
 
 // LinesPerPage returns the number of cache lines covering one page of the
 // given geometry.
-func (v *VirtualCache) LinesPerPage(geo addr.Geometry) uint64 {
+func (v *Cache) LinesPerPage(geo addr.Geometry) uint64 {
 	return geo.PageSize() >> v.cfg.LineShift
 }
 
@@ -121,7 +122,7 @@ func (v *VirtualCache) LinesPerPage(geo addr.Geometry) uint64 {
 // at once: each line of the page once or, with ASID tags, one copy per
 // way of every set the page's lines index (each space may cache its
 // own).
-func (v *VirtualCache) PageLinesBound(geo addr.Geometry) uint64 {
+func (v *Cache) PageLinesBound(geo addr.Geometry) uint64 {
 	lines := v.LinesPerPage(geo)
 	if v.cfg.ASIDTags {
 		lines = min(lines, uint64(v.cfg.Assoc.Sets)) * uint64(v.cfg.Assoc.Ways)
@@ -130,9 +131,10 @@ func (v *VirtualCache) PageLinesBound(geo addr.Geometry) uint64 {
 }
 
 // Access probes the cache for va in space (space is ignored unless the
-// cache was built with ASIDTags). On a store hit the line is marked dirty.
-// A miss returns false; the caller translates and calls Fill.
-func (v *VirtualCache) Access(space addr.ASID, va addr.VA, store bool) bool {
+// cache was built with ASIDTags). A VIPT cache is given the physical
+// address as va. On a store hit the line is marked dirty. A miss returns
+// false; the caller translates and calls Fill.
+func (v *Cache) Access(space addr.ASID, va addr.VA, store bool) bool {
 	k := v.key(space, va)
 	st, ok := v.c.Lookup(k)
 	if !ok {
@@ -152,7 +154,7 @@ func (v *VirtualCache) Access(space addr.ASID, va addr.VA, store bool) bool {
 // it came from. It returns true if a dirty victim had to be written back —
 // on the PLB machine, a writeback needs a translation, so the machine
 // charges an off-chip TLB probe for it (Section 3.2.1).
-func (v *VirtualCache) Fill(space addr.ASID, va addr.VA, pfn addr.PFN, store bool) (wroteBack bool) {
+func (v *Cache) Fill(space addr.ASID, va addr.VA, pfn addr.PFN, store bool) (wroteBack bool) {
 	k := v.key(space, va)
 	_, victim, evicted := v.c.Insert(k, lineState{dirty: store, pfn: pfn})
 	v.nFill.Inc()
@@ -168,12 +170,30 @@ func (v *VirtualCache) Fill(space addr.ASID, va addr.VA, pfn addr.PFN, store boo
 }
 
 // FlushPage removes every resident line of the page holding va (matching
-// any space tag), as a sequence of per-line flush instructions. It returns
-// the number of lines flushed and how many were dirty (requiring
-// writeback). Used when unmapping pages (Section 4.1.3).
-func (v *VirtualCache) FlushPage(va addr.VA, geo addr.Geometry) (flushed, dirty int) {
-	firstLine := uint64(geo.Base(geo.PageNumber(va))) >> v.cfg.LineShift
-	flushed, dirty = flushLines(v.c, firstLine, v.LinesPerPage(geo), lineOf)
+// any space tag; a VIPT cache is given the frame's address), as a
+// sequence of per-line flush instructions. It returns the number of lines
+// flushed and how many were dirty (requiring writeback). Used when
+// unmapping pages (Section 4.1.3).
+//
+// Every copy of a line, whatever its space tag, lives in the set its line
+// number selects, so only the sets the page's lines index are visited: n
+// consecutive lines index min(n, Sets) consecutive sets.
+func (v *Cache) FlushPage(va addr.VA, geo addr.Geometry) (flushed, dirty int) {
+	first := uint64(geo.Base(geo.PageNumber(va))) >> v.cfg.LineShift
+	n := v.LinesPerPage(geo)
+	inPage := func(k lineKey, st lineState) bool {
+		if k.line >= first && k.line < first+n {
+			if st.dirty {
+				dirty++
+			}
+			return true
+		}
+		return false
+	}
+	for l, end := first, first+min(n, uint64(v.c.Config().Sets)); l < end; l++ {
+		removed, _ := v.c.PurgeSetIf(l, inPage)
+		flushed += removed
+	}
 	v.nDirty -= dirty
 	v.nFlushLine.Add(uint64(flushed))
 	v.nFlushWB.Add(uint64(dirty))
@@ -183,7 +203,7 @@ func (v *VirtualCache) FlushPage(va addr.VA, geo addr.Geometry) (flushed, dirty 
 // FlushAll empties the cache (the context-switch flush of systems without
 // ASID tags), returning lines flushed and dirty writebacks. Both counts
 // are tracked incrementally, so the flush itself is O(1).
-func (v *VirtualCache) FlushAll() (flushed, dirty int) {
+func (v *Cache) FlushAll() (flushed, dirty int) {
 	dirty = v.nDirty
 	v.nDirty = 0
 	flushed = v.c.PurgeAll()
@@ -192,17 +212,17 @@ func (v *VirtualCache) FlushAll() (flushed, dirty int) {
 	return flushed, dirty
 }
 
-// ForEachLine visits the first virtual address of every resident line
-// in unspecified order; return false from fn to stop early. Oracle
-// inspection hook.
-func (v *VirtualCache) ForEachLine(fn func(va addr.VA) bool) {
+// ForEachLine visits the first address of every resident line (virtual,
+// or physical under VIPT) in unspecified order; return false from fn to
+// stop early. Oracle inspection hook.
+func (v *Cache) ForEachLine(fn func(va addr.VA) bool) {
 	v.c.ForEach(func(k lineKey, _ lineState) bool {
 		return fn(addr.VA(k.line << v.cfg.LineShift))
 	})
 }
 
 // Capacity returns the line capacity.
-func (v *VirtualCache) Capacity() int { return v.c.Capacity() }
+func (v *Cache) Capacity() int { return v.c.Capacity() }
 
 // SynonymLines counts resident lines whose physical data is simultaneously
 // resident under another key — the synonym duplication of Section 2.2.
@@ -211,7 +231,7 @@ func (v *VirtualCache) Capacity() int { return v.c.Capacity() }
 // the page size, so a super-page machine must not be counted with
 // base-page arithmetic (offsets in the upper parts of a large page would
 // alias and be miscounted as synonyms).
-func (v *VirtualCache) SynonymLines(geo addr.Geometry) int {
+func (v *Cache) SynonymLines(geo addr.Geometry) int {
 	type phys struct {
 		pfn    addr.PFN
 		offset uint64
@@ -234,29 +254,6 @@ func (v *VirtualCache) SynonymLines(geo addr.Geometry) int {
 	return n
 }
 
-// flushLines removes every resident copy of lines [first, first+n) from
-// c, whose index function is line, and returns how many it removed and
-// how many of those were dirty. Every copy of a line, whatever its space
-// tag, lives in the set its line number selects, so only the sets the
-// lines index are visited: n consecutive lines index min(n, Sets)
-// consecutive sets.
-func flushLines[K comparable](c *assoc.Cache[K, lineState], first, n uint64, line func(K) uint64) (flushed, dirty int) {
-	inRange := func(k K, st lineState) bool {
-		if l := line(k); l >= first && l < first+n {
-			if st.dirty {
-				dirty++
-			}
-			return true
-		}
-		return false
-	}
-	for l, end := first, first+min(n, uint64(c.Config().Sets)); l < end; l++ {
-		removed, _ := c.PurgeSetIf(l, inRange)
-		flushed += removed
-	}
-	return flushed, dirty
-}
-
 // ValidVIPT reports whether the configuration can be used virtually
 // indexed, physically tagged: the set-index and line-offset bits must fit
 // inside the page offset, so indexing needs no translation and a physical
@@ -273,89 +270,3 @@ func ValidVIPT(cfg Config, geo addr.Geometry) bool {
 	}
 	return cfg.LineShift+indexBits <= geo.Shift()
 }
-
-// PhysicalCache is the PIPT data cache: translation must precede every
-// access, so the machine charges a TLB lookup on the critical path.
-// With a VIPT-valid geometry (ValidVIPT) it equally models a virtually
-// indexed, physically tagged cache, whose indexing starts before
-// translation completes.
-type PhysicalCache struct {
-	cfg Config
-	c   *assoc.Cache[uint64, lineState]
-
-	nHit       stats.Handle
-	nMiss      stats.Handle
-	nFill      stats.Handle
-	nWriteback stats.Handle
-	nFlushLine stats.Handle
-	nFlushWB   stats.Handle
-}
-
-// NewPhysical creates a PIPT cache counting under prefix.
-func NewPhysical(cfg Config, ctrs *stats.Counters, prefix string) *PhysicalCache {
-	p := &PhysicalCache{cfg: cfg}
-	p.c = assoc.New[uint64, lineState](cfg.Assoc, physLine)
-	p.nHit = ctrs.Handle(prefix + ".hit")
-	p.nMiss = ctrs.Handle(prefix + ".miss")
-	p.nFill = ctrs.Handle(prefix + ".fill")
-	p.nWriteback = ctrs.Handle(prefix + ".writeback")
-	p.nFlushLine = ctrs.Handle(prefix + ".flushed_lines")
-	p.nFlushWB = ctrs.Handle(prefix + ".flush_writebacks")
-	return p
-}
-
-// Access probes the cache by physical address.
-func (p *PhysicalCache) Access(pa addr.PA, store bool) bool {
-	line := uint64(pa) >> p.cfg.LineShift
-	st, ok := p.c.Lookup(line)
-	if !ok {
-		p.nMiss.Inc()
-		return false
-	}
-	if store && !st.dirty {
-		st.dirty = true
-		p.c.Update(line, st)
-	}
-	p.nHit.Inc()
-	return true
-}
-
-// Fill installs the line for pa after a miss.
-func (p *PhysicalCache) Fill(pa addr.PA, store bool) (wroteBack bool) {
-	line := uint64(pa) >> p.cfg.LineShift
-	_, victim, evicted := p.c.Insert(line, lineState{dirty: store})
-	p.nFill.Inc()
-	if evicted && victim.dirty {
-		p.nWriteback.Inc()
-		return true
-	}
-	return false
-}
-
-// FlushFrame removes every resident line of the physical frame, returning
-// lines flushed and dirty writebacks.
-func (p *PhysicalCache) FlushFrame(pfn addr.PFN, geo addr.Geometry) (flushed, dirty int) {
-	first := (uint64(pfn) << geo.Shift()) >> p.cfg.LineShift
-	flushed, dirty = flushLines(p.c, first, geo.PageSize()>>p.cfg.LineShift, physLine)
-	p.nFlushLine.Add(uint64(flushed))
-	p.nFlushWB.Add(uint64(dirty))
-	return flushed, dirty
-}
-
-// FlushAll empties the physical cache, returning lines flushed and
-// dirty writebacks.
-func (p *PhysicalCache) FlushAll() (flushed, dirty int) {
-	removed, _ := p.c.PurgeIf(func(_ uint64, st lineState) bool {
-		if st.dirty {
-			dirty++
-		}
-		return true
-	})
-	flushed = removed
-	p.nFlushLine.Add(uint64(flushed))
-	p.nFlushWB.Add(uint64(dirty))
-	return flushed, dirty
-}
-
-// Capacity returns the line capacity.
-func (p *PhysicalCache) Capacity() int { return p.c.Capacity() }

@@ -21,7 +21,7 @@ func smallCfg(asidTags bool) Config {
 
 func TestVirtualAccessMissFillHit(t *testing.T) {
 	ctrs := &stats.Counters{}
-	v := NewVirtual(smallCfg(false), ctrs, "dc")
+	v := New(smallCfg(false), ctrs, "dc")
 	if v.Access(0, 0x1000, false) {
 		t.Fatal("hit on empty cache")
 	}
@@ -45,7 +45,7 @@ func TestVirtualAccessMissFillHit(t *testing.T) {
 func TestVirtualDirtyWriteback(t *testing.T) {
 	ctrs := &stats.Counters{}
 	// Direct-mapped, single set: any two distinct lines conflict.
-	v := NewVirtual(Config{
+	v := New(Config{
 		LineShift: 5,
 		Assoc:     assoc.Config{Sets: 1, Ways: 1, Policy: assoc.LRU},
 	}, ctrs, "dc")
@@ -63,7 +63,7 @@ func TestVirtualDirtyWriteback(t *testing.T) {
 
 func TestStoreHitMarksDirty(t *testing.T) {
 	ctrs := &stats.Counters{}
-	v := NewVirtual(Config{
+	v := New(Config{
 		LineShift: 5,
 		Assoc:     assoc.Config{Sets: 1, Ways: 1, Policy: assoc.LRU},
 	}, ctrs, "dc")
@@ -76,7 +76,7 @@ func TestStoreHitMarksDirty(t *testing.T) {
 
 func TestFlushPage(t *testing.T) {
 	ctrs := &stats.Counters{}
-	v := NewVirtual(Config{
+	v := New(Config{
 		LineShift: 5,
 		Assoc:     assoc.Config{Sets: 256, Ways: 2, Policy: assoc.LRU},
 	}, ctrs, "dc")
@@ -107,61 +107,52 @@ func TestFlushPage(t *testing.T) {
 // purge of the whole cache would: the same lines and dirty counts, and
 // the same survivors in the same places. The ASID-tagged cache holds the
 // page's lines under several spaces (synonyms of one frame in one set)
-// beside lines of other pages that share those sets.
+// beside lines of other pages that share those sets; the tag-less cache
+// (the VIPT organization's, named by physical address) holds each line
+// once.
 func TestFlushPageMatchesWholeCachePurge(t *testing.T) {
 	geo := addr.BaseGeometry()
 	for _, sets := range []int{16, 256, 1024} {
-		cfg := Config{LineShift: 5, Assoc: assoc.Config{Sets: sets, Ways: 4, Policy: assoc.LRU}, ASIDTags: true}
-		// The page at 0x10000 and the pages that alias its sets: one set
-		// span below and above it, and the next page.
-		span := addr.VA(sets) << cfg.LineShift
-		vas := []addr.VA{0x10000, 0x10000 - span, 0x10000 + span, 0x11000}
-		fill := func(v *VirtualCache, p *PhysicalCache) {
-			rng := rand.New(rand.NewSource(int64(sets)))
-			for i := 0; i < 3*sets; i++ {
-				page := vas[rng.Intn(len(vas))]
-				va := page + addr.VA(rng.Intn(128))<<cfg.LineShift
-				store := rng.Intn(3) == 0
-				v.Fill(addr.ASID(rng.Intn(3)), va, addr.PFN(page>>12), store)
-				p.Fill(addr.PA(va), store)
+		for _, tags := range []bool{true, false} {
+			cfg := Config{LineShift: 5, Assoc: assoc.Config{Sets: sets, Ways: 4, Policy: assoc.LRU}, ASIDTags: tags}
+			// The page at 0x10000 and the pages that alias its sets: one
+			// set span below and above it, and the next page.
+			span := addr.VA(sets) << cfg.LineShift
+			vas := []addr.VA{0x10000, 0x10000 - span, 0x10000 + span, 0x11000}
+			fill := func(v *Cache) {
+				rng := rand.New(rand.NewSource(int64(sets)))
+				for i := 0; i < 3*sets; i++ {
+					page := vas[rng.Intn(len(vas))]
+					va := page + addr.VA(rng.Intn(128))<<cfg.LineShift
+					v.Fill(addr.ASID(rng.Intn(3)), va, addr.PFN(page>>12), rng.Intn(3) == 0)
+				}
 			}
-		}
-		flushed := NewVirtual(cfg, &stats.Counters{}, "dc")
-		purged := NewVirtual(cfg, &stats.Counters{}, "dc")
-		pFlushed := NewPhysical(cfg, &stats.Counters{}, "pc")
-		pPurged := NewPhysical(cfg, &stats.Counters{}, "pc")
-		fill(flushed, pFlushed)
-		fill(purged, pPurged)
+			flushed := New(cfg, &stats.Counters{}, "dc")
+			purged := New(cfg, &stats.Counters{}, "dc")
+			fill(flushed)
+			fill(purged)
 
-		n, dirty := flushed.FlushPage(0x10008, geo)
-		wantN, wantDirty := purgeRange(purged.c, 0x10000>>cfg.LineShift, 128, lineOf)
-		purged.nDirty -= wantDirty
-		if n != wantN || dirty != wantDirty || n == 0 || dirty == 0 {
-			t.Fatalf("sets=%d: FlushPage = %d,%d, whole-cache purge %d,%d", sets, n, dirty, wantN, wantDirty)
-		}
-		if flushed.nDirty != purged.nDirty {
-			t.Fatalf("sets=%d: dirty lines left %d, whole-cache purge %d", sets, flushed.nDirty, purged.nDirty)
-		}
-		if got, want := residents(flushed.c), residents(purged.c); !slices.Equal(got, want) {
-			t.Fatalf("sets=%d: FlushPage left %v, whole-cache purge %v", sets, got, want)
-		}
-
-		n, dirty = pFlushed.FlushFrame(0x10, geo)
-		wantN, wantDirty = purgeRange(pPurged.c, 0x10000>>cfg.LineShift, 128, physLine)
-		if n != wantN || dirty != wantDirty || n == 0 {
-			t.Fatalf("sets=%d: FlushFrame = %d,%d, whole-cache purge %d,%d", sets, n, dirty, wantN, wantDirty)
-		}
-		if got, want := residents(pFlushed.c), residents(pPurged.c); !slices.Equal(got, want) {
-			t.Fatalf("sets=%d: FlushFrame left %v, whole-cache purge %v", sets, got, want)
+			n, dirty := flushed.FlushPage(0x10008, geo)
+			wantN, wantDirty := purgeRange(purged.c, 0x10000>>cfg.LineShift, 128)
+			purged.nDirty -= wantDirty
+			if n != wantN || dirty != wantDirty || n == 0 || dirty == 0 {
+				t.Fatalf("sets=%d tags=%v: FlushPage = %d,%d, whole-cache purge %d,%d", sets, tags, n, dirty, wantN, wantDirty)
+			}
+			if flushed.nDirty != purged.nDirty {
+				t.Fatalf("sets=%d tags=%v: dirty lines left %d, whole-cache purge %d", sets, tags, flushed.nDirty, purged.nDirty)
+			}
+			if got, want := residents(flushed.c), residents(purged.c); !slices.Equal(got, want) {
+				t.Fatalf("sets=%d tags=%v: FlushPage left %v, whole-cache purge %v", sets, tags, got, want)
+			}
 		}
 	}
 }
 
 // purgeRange purges lines [first, first+n) from the whole of c, the
 // reference for the per-set flushes.
-func purgeRange[K comparable](c *assoc.Cache[K, lineState], first, n uint64, line func(K) uint64) (removed, dirty int) {
-	removed, _ = c.PurgeIf(func(k K, st lineState) bool {
-		if l := line(k); l >= first && l < first+n {
+func purgeRange(c *assoc.Cache[lineKey, lineState], first, n uint64) (removed, dirty int) {
+	removed, _ = c.PurgeIf(func(k lineKey, st lineState) bool {
+		if k.line >= first && k.line < first+n {
 			if st.dirty {
 				dirty++
 			}
@@ -173,9 +164,9 @@ func purgeRange[K comparable](c *assoc.Cache[K, lineState], first, n uint64, lin
 }
 
 // residents lists c's resident lines in ForEach order.
-func residents[K comparable](c *assoc.Cache[K, lineState]) []string {
+func residents(c *assoc.Cache[lineKey, lineState]) []string {
 	var out []string
-	c.ForEach(func(k K, st lineState) bool {
+	c.ForEach(func(k lineKey, st lineState) bool {
 		out = append(out, fmt.Sprintf("%v:%v", k, st))
 		return true
 	})
@@ -184,7 +175,7 @@ func residents[K comparable](c *assoc.Cache[K, lineState]) []string {
 
 func TestFlushAll(t *testing.T) {
 	ctrs := &stats.Counters{}
-	v := NewVirtual(smallCfg(false), ctrs, "dc")
+	v := New(smallCfg(false), ctrs, "dc")
 	v.Fill(0, 0x1000, 1, true)
 	v.Fill(0, 0x2000, 2, false)
 	flushed, dirty := v.FlushAll()
@@ -203,7 +194,7 @@ func TestHomonymsWithoutASIDTags(t *testing.T) {
 	// first space's line (stale data). This is why such systems must
 	// flush on switch.
 	ctrs := &stats.Counters{}
-	v := NewVirtual(smallCfg(false), ctrs, "dc")
+	v := New(smallCfg(false), ctrs, "dc")
 	v.Fill(1, 0x1000, 10, false) // space 1, frame 10
 	if !v.Access(2, 0x1000, false) {
 		t.Fatal("homonym did not alias (expected false hit)")
@@ -212,7 +203,7 @@ func TestHomonymsWithoutASIDTags(t *testing.T) {
 
 func TestASIDTagsSeparateHomonyms(t *testing.T) {
 	ctrs := &stats.Counters{}
-	v := NewVirtual(smallCfg(true), ctrs, "dc")
+	v := New(smallCfg(true), ctrs, "dc")
 	v.Fill(1, 0x1000, 10, false)
 	if v.Access(2, 0x1000, false) {
 		t.Fatal("ASID tags failed to separate homonyms")
@@ -227,7 +218,7 @@ func TestASIDTagsCreateSynonyms(t *testing.T) {
 	// With ASID tags, a frame shared between two spaces at the same VA
 	// occupies two lines: the synonym problem (Section 2.2).
 	ctrs := &stats.Counters{}
-	v := NewVirtual(smallCfg(true), ctrs, "dc")
+	v := New(smallCfg(true), ctrs, "dc")
 	v.Fill(1, 0x1000, 10, false)
 	v.Fill(2, 0x1000, 10, true) // same frame, space 2, dirty
 	if n := v.SynonymLines(addr.BaseGeometry()); n != 2 {
@@ -239,7 +230,7 @@ func TestSingleSpaceNoSynonyms(t *testing.T) {
 	// A single address space maps each frame at exactly one VA, so no
 	// synonyms can arise regardless of how many domains share the data.
 	ctrs := &stats.Counters{}
-	v := NewVirtual(smallCfg(false), ctrs, "dc")
+	v := New(smallCfg(false), ctrs, "dc")
 	v.Fill(0, 0x1000, 10, true)
 	v.Fill(0, 0x2000, 20, false)
 	v.Fill(0, 0x1020, 10, false) // second line of the shared page
@@ -248,46 +239,8 @@ func TestSingleSpaceNoSynonyms(t *testing.T) {
 	}
 }
 
-func TestPhysicalCache(t *testing.T) {
-	ctrs := &stats.Counters{}
-	p := NewPhysical(smallCfg(false), ctrs, "pc")
-	pa := addr.PA(0x5000)
-	if p.Access(pa, false) {
-		t.Fatal("hit on empty cache")
-	}
-	p.Fill(pa, true)
-	if !p.Access(pa, false) {
-		t.Fatal("miss after fill")
-	}
-	if p.c.Len() != 1 {
-		t.Fatalf("Len = %d", p.c.Len())
-	}
-	flushed, dirty := p.FlushFrame(5, addr.BaseGeometry())
-	if flushed != 1 || dirty != 1 {
-		t.Fatalf("FlushFrame = %d,%d", flushed, dirty)
-	}
-	if p.Access(pa, false) {
-		t.Fatal("hit after frame flush")
-	}
-}
-
-func TestPhysicalCacheWriteback(t *testing.T) {
-	ctrs := &stats.Counters{}
-	p := NewPhysical(Config{
-		LineShift: 5,
-		Assoc:     assoc.Config{Sets: 1, Ways: 1, Policy: assoc.LRU},
-	}, ctrs, "pc")
-	p.Fill(0x1000, true)
-	if wb := p.Fill(0x2000, false); !wb {
-		t.Fatal("dirty victim not written back")
-	}
-	if ctrs.Get("pc.writeback") != 1 {
-		t.Fatal("writeback not counted")
-	}
-}
-
 func TestLinesPerPage(t *testing.T) {
-	v := NewVirtual(smallCfg(false), &stats.Counters{}, "dc")
+	v := New(smallCfg(false), &stats.Counters{}, "dc")
 	if n := v.LinesPerPage(addr.BaseGeometry()); n != 128 {
 		t.Fatalf("LinesPerPage = %d, want 128 (4096/32)", n)
 	}
@@ -323,7 +276,7 @@ func TestSynonymLinesSuperPageGeometry(t *testing.T) {
 	// frame but are NOT synonyms: with base-page (4 KB) arithmetic their
 	// line-in-page offsets alias mod 128 and were miscounted as such.
 	geo := addr.NewGeometry(13)
-	v := NewVirtual(smallCfg(true), &stats.Counters{}, "dc")
+	v := New(smallCfg(true), &stats.Counters{}, "dc")
 	v.Fill(1, 0x0000, 10, false)
 	v.Fill(1, 0x1000, 10, false) // same super-page frame, 4 KB deeper
 	if n := v.SynonymLines(geo); n != 0 {
@@ -332,7 +285,7 @@ func TestSynonymLinesSuperPageGeometry(t *testing.T) {
 
 	// A real synonym — the same super-page line resident under two address
 	// spaces — is still counted.
-	v2 := NewVirtual(smallCfg(true), &stats.Counters{}, "dc")
+	v2 := New(smallCfg(true), &stats.Counters{}, "dc")
 	v2.Fill(1, 0x1000, 10, false)
 	v2.Fill(2, 0x1000, 10, true)
 	if n := v2.SynonymLines(geo); n != 2 {

@@ -5,6 +5,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/stats"
+	"repro/internal/tlb"
 	"repro/internal/workload/checkpoint"
 	"repro/internal/workload/rpc"
 	"repro/internal/workload/txn"
@@ -50,7 +51,7 @@ func E11Conventional(p *Probe) ([]*stats.Table, error) {
 				trans = prot // combined entries
 			case *machine.ConventionalMachine:
 				for p := uint64(0); p < 16; p++ {
-					prot += mm.TLB().ResidentFor(seg.PageVPN(p))
+					prot += tlb.ResidentFor(mm.TLB(), seg.PageVPN(p))
 				}
 				trans = mm.TLB().Len()
 			}

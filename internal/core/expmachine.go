@@ -358,7 +358,7 @@ func E5TLBDup(p *Probe) ([]*stats.Table, error) {
 		asidShared, sasShared := 0, 0
 		for p := uint64(0); p < cfg.SharedPages; p++ {
 			vpn := geo.PageNumber(cfg.SharedBase + addr.VA(p*geo.PageSize()))
-			asidShared += conv.TLB().ResidentFor(vpn)
+			asidShared += tlb.ResidentFor(conv.TLB(), vpn)
 			if _, ok := pg.TLB().Lookup(vpn); ok {
 				sasShared++
 			}

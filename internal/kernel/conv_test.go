@@ -7,6 +7,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/machine"
 	"repro/internal/ptable"
+	"repro/internal/tlb"
 )
 
 func TestConventionalModelBasics(t *testing.T) {
@@ -32,7 +33,7 @@ func TestConventionalModelBasics(t *testing.T) {
 	}
 	// The hallmark of §3.1: the shared page occupies one TLB entry per
 	// address space.
-	if n := k.Machine().(*machine.ConventionalMachine).TLB().ResidentFor(s.PageVPN(0)); n != 2 {
+	if n := tlb.ResidentFor(k.Machine().(*machine.ConventionalMachine).TLB(), s.PageVPN(0)); n != 2 {
 		t.Fatalf("TLB entries for shared page = %d, want 2", n)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
-	"repro/internal/machine"
 	"repro/internal/ptable"
 	"repro/internal/smp"
 	"repro/internal/stats"
@@ -180,16 +179,12 @@ func (e *dpEngine) onDetach(d *Domain, s *Segment) {
 
 // setPageRights updates the resident PLB entry for (d, page), if any —
 // one entry, other domains untouched. For super-page segments the
-// covering entry is too coarse to update in place: it is invalidated and
-// a base-page entry installed (sibling pages re-fault at base
-// granularity while the override stands; see Kernel.ProtShift).
+// covering entry is too coarse to update in place: it is invalidated at
+// every size class, and the page (like its siblings) re-faults at base
+// granularity while the override stands (see Kernel.ProtShift).
 func (e *dpEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
 	if s := e.k.segmentOf(vpn); s != nil && s.protShift != 0 {
 		e.k.shootDomain(d, smp.Request{Kind: smp.InvalRights, VPN: vpn})
-		// The eager install makes this CPU a holder of d's entries;
-		// remote CPUs just invalidate and re-fault at the new rights.
-		e.k.mach.(*machine.PLBMachine).InstallRights(d.ID, e.k.geo.Base(vpn), e.k.geo.Shift(), r)
-		e.k.markInstalled(d)
 		return nil
 	}
 	e.k.shootDomain(d, smp.Request{Kind: smp.UpdateRights, VPN: vpn, Rights: r})

@@ -127,11 +127,6 @@ func (k *Kernel) moveExecuting(t int, from, to addr.DomainID) {
 	}
 }
 
-// markInstalled records that domain d's rights were installed on the
-// current CPU outside a switch (eager installs), so future shootdowns
-// reach this CPU too.
-func (k *Kernel) markInstalled(d *Domain) { d.cpus.Add(k.cur) }
-
 // flushIPIs delivers all pending shootdown batches: one IPI per target
 // CPU. Called at the end of every kernel operation that enqueued
 // remote maintenance; a no-op while shootdowns are deferred.
@@ -214,8 +209,8 @@ func (k *Kernel) IPIFaultArmed() bool {
 	return k.shoot != nil && k.shoot.FaultArmed()
 }
 
-// PendingShootdowns returns the number of requests queued (including
-// chaos-delayed ones) for CPU i; zero on a uniprocessor.
+// PendingShootdowns returns the number of requests queued for CPU i;
+// zero on a uniprocessor.
 func (k *Kernel) PendingShootdowns(i int) int {
 	if k.shoot == nil {
 		return 0

@@ -33,7 +33,8 @@ type ConvConfig struct {
 	TLB assoc.Config
 	// Cache configures the data cache. For the ASID machine the cache is
 	// VIVT with ASID-extended tags; for the flush machine it is plain
-	// VIVT, flushed on every switch.
+	// VIVT, flushed on every switch; under VIPT it is named by physical
+	// address, with no space tag.
 	Cache cache.Config
 	// CacheOrg selects VIVT-with-ASID-tags or VIPT.
 	CacheOrg ConvCacheOrg
@@ -71,9 +72,11 @@ type ConventionalMachine struct {
 	// cache are flushed on every switch.
 	flush bool
 
-	tlb   *tlb.ASIDTLB
-	cache *cache.VirtualCache  // VIVT-ASID organization
-	vipt  *cache.PhysicalCache // VIPT organization
+	tlb   *tlb.TLB[tlb.ASIDKey, tlb.ASIDEntry]
+	cache *cache.Cache
+	// vipt marks the VIPT organization: the cache is addressed by the
+	// physical address the TLB entry yields.
+	vipt bool
 
 	ctrs   stats.Counters
 	cycles stats.Cycles
@@ -81,23 +84,25 @@ type ConventionalMachine struct {
 	// Pre-resolved handles for the counters bumped on the reference path.
 	hAccesses, hStores, hSwitches, hSwitchCycles stats.Handle
 	hTrapTLB, hFaultProt, hFaultUnmapped         stats.Handle
+	// hTLBPurged counts the entries a whole-TLB purge drops.
+	hTLBPurged stats.Handle
 }
 
 // NewConventional builds a conventional machine over per-space tables.
 // It panics if a VIPT organization is requested with a geometry whose
 // index does not fit the page offset (the architectural constraint).
 func NewConventional(cfg ConvConfig, os MultiOS) *ConventionalMachine {
-	m := &ConventionalMachine{cfg: cfg, os: os}
+	m := &ConventionalMachine{cfg: cfg, os: os, vipt: cfg.CacheOrg == ConvCacheVIPT}
 	m.obs, _ = os.(ResidencyObserver)
 	m.tlb = tlb.NewASID(cfg.TLB, &m.ctrs, "tlb")
-	if cfg.CacheOrg == ConvCacheVIPT {
+	if m.vipt {
 		if !cache.ValidVIPT(cfg.Cache, cfg.Geometry) {
 			panic("machine: VIPT cache index does not fit the page offset")
 		}
-		m.vipt = cache.NewPhysical(cfg.Cache, &m.ctrs, "cache")
-	} else {
-		m.cache = cache.NewVirtual(cfg.Cache, &m.ctrs, "cache")
+		// Physical tags name each line once, whatever space touches it.
+		m.cfg.Cache.ASIDTags = false
 	}
+	m.cache = cache.New(m.cfg.Cache, &m.ctrs, "cache")
 	m.hAccesses = m.ctrs.Handle(CtrAccesses)
 	m.hStores = m.ctrs.Handle(CtrStores)
 	m.hSwitches = m.ctrs.Handle(CtrSwitches)
@@ -105,6 +110,7 @@ func NewConventional(cfg ConvConfig, os MultiOS) *ConventionalMachine {
 	m.hTrapTLB = m.ctrs.Handle(CtrTrapTLBRefill)
 	m.hFaultProt = m.ctrs.Handle(CtrFaultProt)
 	m.hFaultUnmapped = m.ctrs.Handle(CtrFaultUnmapped)
+	m.hTLBPurged = m.ctrs.Handle("tlb.purged")
 	return m
 }
 
@@ -158,10 +164,10 @@ func (m *ConventionalMachine) Cycles() uint64 { return m.cycles.Total() }
 func (m *ConventionalMachine) Costs() cpu.CostModel { return m.cfg.Costs }
 
 // TLB exposes the combined TLB for inspection.
-func (m *ConventionalMachine) TLB() *tlb.ASIDTLB { return m.tlb }
+func (m *ConventionalMachine) TLB() *tlb.TLB[tlb.ASIDKey, tlb.ASIDEntry] { return m.tlb }
 
-// Cache exposes the VIVT data cache for inspection (nil under VIPT).
-func (m *ConventionalMachine) Cache() *cache.VirtualCache { return m.cache }
+// Cache exposes the data cache for inspection.
+func (m *ConventionalMachine) Cache() *cache.Cache { return m.cache }
 
 // asid maps the executing domain to its address space identifier.
 func (m *ConventionalMachine) asid() addr.ASID { return addr.ASID(m.domain) }
@@ -177,7 +183,7 @@ func (m *ConventionalMachine) SwitchDomain(d addr.DomainID) {
 		if d == m.domain {
 			return
 		}
-		purged := m.tlb.PurgeAll()
+		purged := m.purgeTLB()
 		flushed, dirty := m.cache.FlushAll()
 		cost += uint64(purged)*c.PurgeEntry + uint64(flushed)*c.CacheLineFlush + uint64(dirty)*c.Writeback
 	}
@@ -197,23 +203,23 @@ func (m *ConventionalMachine) Access(va addr.VA, kind addr.AccessKind) cpu.Outco
 	}
 	m.cycles.Add(c.CacheHit)
 
-	vpn := m.cfg.Geometry.PageNumber(va)
-	entry, hit := m.tlb.Lookup(m.asid(), vpn)
+	key := tlb.ASIDKey{AS: m.asid(), VPN: m.cfg.Geometry.PageNumber(va)}
+	entry, hit := m.tlb.Lookup(key)
 	if !hit {
 		m.hTrapTLB.Inc()
 		m.cycles.Add(c.Trap + c.PTWalk)
-		pte, ok := m.os.Walk(m.asid(), vpn)
+		pte, ok := m.os.Walk(key.AS, key.VPN)
 		if !ok {
 			m.hFaultUnmapped.Inc()
 			return cpu.Outcome{Fault: cpu.FaultPageUnmapped}
 		}
 		entry = tlb.ASIDEntry{PFN: pte.PFN, Rights: pte.Rights}
-		m.tlb.Insert(m.asid(), vpn, entry)
+		m.tlb.Insert(key, entry)
 		m.cycles.Add(c.Install)
 		if m.obs != nil {
 			// A combined-TLB entry carries both the domain's rights and
 			// the translation; NoteProtInstall notes both.
-			m.obs.NoteProtInstall(m.domain, vpn)
+			m.obs.NoteProtInstall(m.domain, key.VPN)
 		}
 	}
 	if !entry.Rights.Allows(kind) {
@@ -222,24 +228,17 @@ func (m *ConventionalMachine) Access(va addr.VA, kind addr.AccessKind) cpu.Outco
 		return cpu.Outcome{Fault: cpu.FaultProtection}
 	}
 
-	if m.vipt != nil {
+	line := va
+	if m.vipt {
 		// VIPT: indexing begins from untranslated bits; the physical tag
 		// comes from the TLB entry already in hand.
-		pa := addr.PA(uint64(entry.PFN)<<m.cfg.Geometry.Shift() | m.cfg.Geometry.Offset(va))
-		if m.vipt.Access(pa, kind == addr.Store) {
-			return cpu.Outcome{}
-		}
-		m.cycles.Add(c.CacheFill)
-		if wroteBack := m.vipt.Fill(pa, kind == addr.Store); wroteBack {
-			m.cycles.Add(c.Writeback)
-		}
-		return cpu.Outcome{}
+		line = addr.VA(uint64(entry.PFN)<<m.cfg.Geometry.Shift() | m.cfg.Geometry.Offset(va))
 	}
-	if m.cache.Access(m.asid(), va, kind == addr.Store) {
+	if m.cache.Access(key.AS, line, kind == addr.Store) {
 		return cpu.Outcome{}
 	}
 	m.cycles.Add(c.CacheFill)
-	if wroteBack := m.cache.Fill(m.asid(), va, entry.PFN, kind == addr.Store); wroteBack {
+	if wroteBack := m.cache.Fill(key.AS, line, entry.PFN, kind == addr.Store); wroteBack {
 		m.cycles.Add(c.Writeback)
 	}
 	return cpu.Outcome{}
@@ -255,42 +254,58 @@ func (m *ConventionalMachine) Apply(r smp.Request) int {
 	switch r.Kind {
 	case smp.InvalRights:
 		// Detach and per-space protection revocation.
-		if m.tlb.Invalidate(as, r.VPN) {
+		if m.tlb.Invalidate(tlb.ASIDKey{AS: as, VPN: r.VPN}) {
 			m.cycles.Add(c.PurgeEntry)
 			return 1
 		}
 	case smp.UpdateRights:
 		// A resident entry is rewritten; absent entries refill from the
 		// page tables on next touch.
-		if e, ok := m.tlb.Lookup(as, r.VPN); ok {
+		k := tlb.ASIDKey{AS: as, VPN: r.VPN}
+		if e, ok := m.tlb.Lookup(k); ok {
 			e.Rights = r.Rights
-			m.tlb.Insert(as, r.VPN, e)
+			m.tlb.Insert(k, e)
 			m.cycles.Add(c.Install)
 			return 1
 		}
 	case smp.DomainPurge:
 		// Address-space teardown: one full-TLB scan replaces the
 		// per-page invalidation storm a destroy would otherwise issue.
-		return m.scan(m.tlb.PurgeAS(as))
+		return m.scan(m.tlb.PurgeOwner(uint32(as)))
 	case smp.PurgePage:
 		// What a mapping change to a shared page costs on this
 		// architecture.
-		return m.scan(m.tlb.PurgePage(r.VPN))
+		return m.scan(m.purgePage(r.VPN))
 	case smp.Unmap:
-		// The page's lines are flushed (a VIPT flush needs the frame
-		// while the mapping still exists), and every space's TLB entry
-		// must be found and purged: the duplicated-purge cost of
-		// Section 3.1.
-		dirty := 0
-		if m.vipt == nil {
-			_, dirty = m.cache.FlushPage(m.cfg.Geometry.Base(r.VPN), m.cfg.Geometry)
-		} else if pte, ok := m.os.Walk(m.asid(), r.VPN); ok {
-			_, dirty = m.vipt.FlushFrame(pte.PFN, m.cfg.Geometry)
+		// The page's lines are flushed (a VIPT cache names them by the
+		// frame, found while the mapping still exists), and every space's
+		// TLB entry must be found and purged: the duplicated-purge cost
+		// of Section 3.1.
+		page, ok := r.VPN, true
+		if m.vipt {
+			pte, mapped := m.os.Walk(m.asid(), r.VPN)
+			page, ok = addr.VPN(pte.PFN), mapped
 		}
-		m.cycles.Add(m.pageLines()*c.CacheLineFlush + uint64(dirty)*c.Writeback)
-		return m.scan(m.tlb.PurgePage(r.VPN))
+		dirty := 0
+		if ok {
+			_, dirty = m.cache.FlushPage(m.cfg.Geometry.Base(page), m.cfg.Geometry)
+		}
+		m.cycles.Add(m.cache.LinesPerPage(m.cfg.Geometry)*c.CacheLineFlush + uint64(dirty)*c.Writeback)
+		return m.scan(m.purgePage(r.VPN))
 	}
 	return 0
+}
+
+// purgePage removes every address space's entry for vpn.
+func (m *ConventionalMachine) purgePage(vpn addr.VPN) int {
+	return m.tlb.PurgeIf(func(k tlb.ASIDKey, _ tlb.ASIDEntry) bool { return k.VPN == vpn })
+}
+
+// purgeTLB empties the TLB, counting the entries it drops.
+func (m *ConventionalMachine) purgeTLB() int {
+	n := m.tlb.PurgeAll()
+	m.hTLBPurged.Add(uint64(n))
+	return n
 }
 
 // scan charges an entry-by-entry TLB scan, which inspects every slot
@@ -301,11 +316,6 @@ func (m *ConventionalMachine) scan(n int) int {
 	return n
 }
 
-// pageLines returns the number of cache lines covering one page.
-func (m *ConventionalMachine) pageLines() uint64 {
-	return m.cfg.Geometry.PageSize() >> m.cfg.Cache.LineShift
-}
-
 // PurgeAll implements Seat: the TLB is purged and every data-cache line
 // (virtual or VIPT) flushed. Lines left by mappings the CPU no longer
 // holds would otherwise survive: unmap shootdowns flush them when
@@ -313,13 +323,8 @@ func (m *ConventionalMachine) pageLines() uint64 {
 // receiving those.
 func (m *ConventionalMachine) PurgeAll() int {
 	c := &m.cfg.Costs
-	n := m.tlb.PurgeAll()
-	var flushed, dirty int
-	if m.vipt != nil {
-		flushed, dirty = m.vipt.FlushAll()
-	} else {
-		flushed, dirty = m.cache.FlushAll()
-	}
+	n := m.purgeTLB()
+	flushed, dirty := m.cache.FlushAll()
 	m.cycles.Add(uint64(flushed)*c.CacheLineFlush + uint64(dirty)*c.Writeback)
 	return n
 }
@@ -330,26 +335,20 @@ func (m *ConventionalMachine) PurgeAll() int {
 // a cache full of dirty lines.
 func (m *ConventionalMachine) MaxCycles() (apply, purge uint64) {
 	c := &m.cfg.Costs
-	var pageDirty, cacheLines uint64
-	if m.vipt != nil {
-		cacheLines = uint64(m.vipt.Capacity())
-		pageDirty = min(m.pageLines(), cacheLines)
-	} else {
-		cacheLines = uint64(m.cache.Capacity())
-		pageDirty = m.cache.PageLinesBound(m.cfg.Geometry)
-	}
-	unmap := uint64(m.tlb.Capacity())*c.PurgeEntry + m.pageLines()*c.CacheLineFlush + pageDirty*c.Writeback
-	return max(c.Install, unmap), cacheLines * (c.CacheLineFlush + c.Writeback)
+	geo := m.cfg.Geometry
+	unmap := uint64(m.tlb.Capacity())*c.PurgeEntry + m.cache.LinesPerPage(geo)*c.CacheLineFlush + m.cache.PageLinesBound(geo)*c.Writeback
+	return max(c.Install, unmap), uint64(m.cache.Capacity()) * (c.CacheLineFlush + c.Writeback)
 }
 
 // HasDomainEntries implements Seat: whether the TLB chain of domain d's
 // address space is non-empty.
 func (m *ConventionalMachine) HasDomainEntries(d addr.DomainID) bool {
-	return m.tlb.HasAS(addr.ASID(d))
+	return m.tlb.HasOwner(uint32(addr.ASID(d)))
 }
 
 // Entries implements Seat: ASID-TLB entries, each tagged with its
-// domain's address space, then virtually tagged data-cache lines.
+// domain's address space, then virtually tagged data-cache lines. VIPT
+// lines are left out: physically tagged, they hit only through the TLB.
 func (m *ConventionalMachine) Entries(fn func(Entry) bool) {
 	s := entrySink{fn: fn}
 	shift := m.cfg.Geometry.Shift()
@@ -357,7 +356,9 @@ func (m *ConventionalMachine) Entries(fn func(Entry) bool) {
 		return s.put(Entry{Kind: DomainPage, Where: "asid-tlb", Domain: addr.DomainID(k.AS), Page: uint64(k.VPN),
 			Shift: shift, Rights: e.Rights, Frame: e.PFN, HasFrame: true})
 	})
-	s.cacheLines(m.cache, m.cfg.Geometry)
+	if !m.vipt {
+		s.cacheLines(m.cache, m.cfg.Geometry)
+	}
 }
 
 var _ Machine = (*ConventionalMachine)(nil)

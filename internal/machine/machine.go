@@ -197,13 +197,8 @@ func (s *entrySink) put(e Entry) bool {
 	return !s.done
 }
 
-// cacheLines puts every resident line of a virtually tagged data cache
-// (nil for a VIPT organization, whose lines are keyed by frame and
-// gated by the TLB).
-func (s *entrySink) cacheLines(c *cache.VirtualCache, geo addr.Geometry) {
-	if c == nil {
-		return
-	}
+// cacheLines puts every resident line of a virtually tagged data cache.
+func (s *entrySink) cacheLines(c *cache.Cache, geo addr.Geometry) {
 	c.ForEachLine(func(va addr.VA) bool {
 		return s.put(Entry{Kind: CacheLine, Where: "cache", Page: uint64(geo.PageNumber(va)), Shift: geo.Shift()})
 	})

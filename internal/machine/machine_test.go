@@ -98,7 +98,7 @@ func (f *fakeOS) DomainGroups(d addr.DomainID) []GroupAccess {
 const page = uint64(addr.BasePageSize)
 
 // lines counts c's resident lines.
-func lines(c *cache.VirtualCache) int {
+func lines(c *cache.Cache) int {
 	n := 0
 	c.ForEachLine(func(addr.VA) bool { n++; return true })
 	return n
@@ -543,7 +543,7 @@ func TestConventionalDuplicatesSharedEntries(t *testing.T) {
 	if m.TLB().Len() != 3 {
 		t.Fatalf("TLB entries = %d, want 3 (per-AS duplication)", m.TLB().Len())
 	}
-	if m.TLB().ResidentFor(1) != 3 {
+	if tlb.ResidentFor(m.TLB(), 1) != 3 {
 		t.Fatal("ResidentFor wrong")
 	}
 	// The shared frame is resident under multiple cache tags: synonyms.
@@ -670,7 +670,7 @@ func TestVIPTConventionalNoSynonymsNoHomonyms(t *testing.T) {
 	}
 	// The shared line is resident exactly once (physical tags collapse
 	// synonyms); the three homonym lines are distinct physical lines.
-	if n, _ := m.vipt.FlushAll(); n != 1+3 {
+	if n, _ := m.cache.FlushAll(); n != 1+3 {
 		t.Fatalf("resident lines = %d, want 4", n)
 	}
 }
@@ -696,7 +696,7 @@ func TestVIPTUnmapFlushes(t *testing.T) {
 	if d := m.Counters().Get("cache.flushed_lines"); d != 1 {
 		t.Fatalf("unmap flushed %d lines, want 1", d)
 	}
-	if n, _ := m.vipt.FlushAll(); n != 0 {
+	if n, _ := m.cache.FlushAll(); n != 0 {
 		t.Fatal("unmap left VIPT residue")
 	}
 }
@@ -888,6 +888,11 @@ func TestApplyContract(t *testing.T) {
 			os.mapPage(1, 1, 7, addr.RW)
 			return NewFlush(DefaultConvConfig(), os)
 		}, convCases},
+		{"vipt", func() Machine {
+			os := newFakeMultiOS()
+			os.mapPage(1, 1, 7, addr.RW)
+			return NewConventional(DefaultVIPTConvConfig(), os)
+		}, convCases},
 	}
 	for _, org := range orgs {
 		for kind := smp.InvalRights; kind <= smp.DomainPurge; kind++ {
@@ -937,6 +942,7 @@ func TestPurgeAllLeavesNothing(t *testing.T) {
 		NewPG(DefaultPGConfig(), sos),
 		NewConventional(DefaultConvConfig(), mos),
 		NewFlush(DefaultConvConfig(), mos),
+		NewConventional(DefaultVIPTConvConfig(), mos),
 	} {
 		m.SwitchDomain(1)
 		m.Access(va(1), addr.Store)

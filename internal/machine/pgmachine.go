@@ -65,9 +65,9 @@ type PGMachine struct {
 	obs    ResidencyObserver // non-nil when the OS tracks sharers
 	domain addr.DomainID
 
-	tlb     *tlb.PGTLB
+	tlb     *tlb.TLB[addr.VPN, tlb.PGEntry]
 	checker pgroup.Checker
-	cache   *cache.VirtualCache
+	cache   *cache.Cache
 
 	ctrs   stats.Counters
 	cycles stats.Cycles
@@ -91,7 +91,7 @@ func NewPG(cfg PGConfig, os OS) *PGMachine {
 			assoc.Config{Sets: 1, Ways: cfg.CheckerEntries, Policy: assoc.LRU},
 			&m.ctrs, "pgc")
 	}
-	m.cache = cache.NewVirtual(cfg.Cache, &m.ctrs, "cache")
+	m.cache = cache.New(cfg.Cache, &m.ctrs, "cache")
 	m.hAccesses = m.ctrs.Handle(CtrAccesses)
 	m.hStores = m.ctrs.Handle(CtrStores)
 	m.hSwitches = m.ctrs.Handle(CtrSwitches)
@@ -120,7 +120,7 @@ func (m *PGMachine) Cycles() uint64 { return m.cycles.Total() }
 func (m *PGMachine) Costs() cpu.CostModel { return m.cfg.Costs }
 
 // TLB exposes the page-group TLB for inspection.
-func (m *PGMachine) TLB() *tlb.PGTLB { return m.tlb }
+func (m *PGMachine) TLB() *tlb.TLB[addr.VPN, tlb.PGEntry] { return m.tlb }
 
 // Checker exposes the page-group check structure for inspection.
 func (m *PGMachine) Checker() pgroup.Checker { return m.checker }

@@ -46,8 +46,8 @@ type PLBMachine struct {
 	domain addr.DomainID     // the PD-ID register
 
 	plb   *plb.PLB
-	tlb   *tlb.TransTLB
-	cache *cache.VirtualCache
+	tlb   *tlb.TLB[addr.VPN, tlb.TransEntry]
+	cache *cache.Cache
 
 	ctrs   stats.Counters
 	cycles stats.Cycles
@@ -72,7 +72,7 @@ func NewPLB(cfg PLBConfig, os OS) (*PLBMachine, error) {
 	}
 	m.plb = p
 	m.tlb = tlb.NewTrans(cfg.TLB, &m.ctrs, "tlb")
-	m.cache = cache.NewVirtual(cfg.Cache, &m.ctrs, "cache")
+	m.cache = cache.New(cfg.Cache, &m.ctrs, "cache")
 	m.hAccesses = m.ctrs.Handle(CtrAccesses)
 	m.hStores = m.ctrs.Handle(CtrStores)
 	m.hSwitches = m.ctrs.Handle(CtrSwitches)
@@ -115,10 +115,10 @@ func (m *PLBMachine) Costs() cpu.CostModel { return m.cfg.Costs }
 func (m *PLBMachine) PLB() *plb.PLB { return m.plb }
 
 // TLB exposes the second-level TLB for inspection.
-func (m *PLBMachine) TLB() *tlb.TransTLB { return m.tlb }
+func (m *PLBMachine) TLB() *tlb.TLB[addr.VPN, tlb.TransEntry] { return m.tlb }
 
 // Cache exposes the data cache for inspection.
-func (m *PLBMachine) Cache() *cache.VirtualCache { return m.cache }
+func (m *PLBMachine) Cache() *cache.Cache { return m.cache }
 
 // SwitchDomain implements Machine. On the PLB machine a protection domain
 // switch writes one control register — the PD-ID — and nothing else: no
@@ -320,17 +320,6 @@ func (m *PLBMachine) Entries(fn func(Entry) bool) {
 		return s.put(Entry{Kind: Translation, Where: "trans-tlb", Page: uint64(vpn), Shift: shift, Frame: e.PFN, HasFrame: true})
 	})
 	s.cacheLines(m.cache, m.cfg.Geometry)
-}
-
-// InstallRights eagerly inserts a PLB entry (used when the kernel chooses
-// to pre-load rather than fault-in, and by sub-page experiments that
-// install at non-default shifts).
-func (m *PLBMachine) InstallRights(d addr.DomainID, va addr.VA, shift uint, r addr.Rights) {
-	m.plb.Insert(d, va, shift, r)
-	m.cycles.Add(m.cfg.Costs.Install)
-	if m.obs != nil {
-		m.obs.NoteProtInstall(d, m.cfg.Geometry.PageNumber(va))
-	}
 }
 
 var _ Machine = (*PLBMachine)(nil)

@@ -19,9 +19,8 @@ import (
 // queues stay empty.
 type refShootdown struct {
 	*Shootdown
-	queue   [][]Request
-	pend    []map[Request]struct{}
-	delayed [][]Request
+	queue [][]Request
+	pend  []map[Request]struct{}
 }
 
 // newRefShootdown wraps s, whose device seats must already be attached.
@@ -31,13 +30,11 @@ func newRefShootdown(s *Shootdown) *refShootdown {
 		Shootdown: s,
 		queue:     make([][]Request, n),
 		pend:      make([]map[Request]struct{}, n),
-		delayed:   make([][]Request, n),
 	}
 }
 
 func (s *refShootdown) DropPending(t int) {
 	s.queue[t] = nil
-	s.delayed[t] = nil
 	for k := range s.pend[t] {
 		delete(s.pend[t], k)
 	}
@@ -67,9 +64,7 @@ func (s *refShootdown) enqueue(target int, r Request) bool {
 	return false
 }
 
-func (s *refShootdown) Pending(target int) int {
-	return len(s.queue[target]) + len(s.delayed[target])
-}
+func (s *refShootdown) Pending(target int) int { return len(s.queue[target]) }
 
 func (s *refShootdown) Flush() {
 	for t := 0; t < len(s.queue); t++ {
@@ -82,21 +77,6 @@ func (s *refShootdown) Flush() {
 }
 
 func (s *refShootdown) takeBatch(t int) []Request {
-	if len(s.delayed[t]) > 0 {
-		late := s.delayed[t]
-		s.delayed[t] = nil
-		pending := s.queue[t]
-		s.queue[t] = nil
-		for k := range s.pend[t] {
-			delete(s.pend[t], k)
-		}
-		for _, r := range late {
-			s.enqueue(t, r)
-		}
-		for _, r := range pending {
-			s.enqueue(t, r)
-		}
-	}
 	batch := s.queue[t]
 	if len(batch) == 0 {
 		return nil
@@ -129,8 +109,6 @@ func (s *refShootdown) flushFireAndForget(t int) {
 			continue
 		case FaultDelay:
 			s.nDelayed.Inc()
-			s.delayed[t] = append(s.delayed[t], r)
-			continue
 		case FaultAckLoss:
 			s.nAckLost.Inc()
 		}
@@ -432,7 +410,7 @@ func compareSides(t *testing.T, step int, got side, ref *refShootdown, want side
 //     disarm it when arg is 0.
 //
 // The seed corpus in testdata names the scenarios it covers: A, B, A
-// moves, delayed redeliveries merging with new batches, ack loss,
+// moves, delays (applied at once under fire-and-forget), ack loss,
 // quarantine, degradation, rejoin, Reset and DropPending mid-window,
 // the device seat, index growth past 16 slots, and a fault-free
 // acknowledged volley on each topology.

@@ -187,9 +187,9 @@ const (
 	FaultDrop
 	// FaultDelay models a slow responder: the request is applied, but
 	// the acknowledgement arrives after the initiator's timeout, so the
-	// initiator retransmits anyway. Under fire-and-forget the request
-	// is simply deferred to the next flush (a late IPI), leaving the
-	// remote CPU stale in the window between the two flushes.
+	// initiator retransmits anyway. Like FaultAckLoss it faults only an
+	// ack: fire-and-forget has none, so there the request is applied at
+	// once (the delay is still counted).
 	FaultDelay
 	// FaultAckLoss delivers and applies the request but loses the
 	// acknowledgement on the way back. Only meaningful under the
@@ -627,11 +627,8 @@ func (s *Shootdown) enqueue(target int, r Request) bool {
 	return true
 }
 
-// Pending returns the number of requests queued for CPU target
-// (including delayed redeliveries).
-func (s *Shootdown) Pending(target int) int {
-	return len(s.q[target].items) + len(s.q[target].delayed)
-}
+// Pending returns the number of requests queued for CPU target.
+func (s *Shootdown) Pending(target int) int { return len(s.q[target].items) }
 
 // batchQueue is one target's pending requests in enqueue order, indexed
 // for coalescing by an open-addressed table of positions in items. A
@@ -641,12 +638,11 @@ func (s *Shootdown) Pending(target int) int {
 // now) rather than giving the array away, so enqueues during or after a
 // flush never write into a batch being read.
 type batchQueue struct {
-	items   []Request
-	spare   []Request
-	delayed []Request // fire-and-forget redeliveries for the next flush
-	slots   []slot    // power-of-two length, at most half live
-	shift   uint8     // 64 - log2(len(slots)): a hash's top bits pick its slot
-	gen     uint32
+	items []Request
+	spare []Request
+	slots []slot // power-of-two length, at most half live
+	shift uint8  // 64 - log2(len(slots)): a hash's top bits pick its slot
+	gen   uint32
 }
 
 type slot struct {
@@ -699,7 +695,7 @@ func (q *batchQueue) forget() {
 
 // discard drops everything pending, keeping the buffers.
 func (q *batchQueue) discard() {
-	q.items, q.delayed = q.items[:0], q.delayed[:0]
+	q.items = q.items[:0]
 	q.forget()
 }
 
@@ -720,10 +716,9 @@ func (r *Request) hash() uint64 {
 // Flush delivers every pending batch: one IPI per target CPU that
 // receives at least one request, the batch applied in enqueue order on
 // that CPU's structures. Fire-and-forget mode sends each batch in one
-// volley whose faults are final, and redelivers requests a FaultHook
-// delayed earlier ahead of the next batch; the acknowledged protocol
-// instead retries unacknowledged requests inline with capped exponential
-// backoff and quarantines targets that exhaust the budget.
+// volley whose faults are final; the acknowledged protocol instead
+// retries unacknowledged requests inline with capped exponential backoff
+// and quarantines targets that exhaust the budget.
 func (s *Shootdown) Flush() {
 	for t := range s.q {
 		if s.proto != nil {
@@ -734,26 +729,10 @@ func (s *Shootdown) Flush() {
 	}
 }
 
-// takeBatch claims CPU t's queued batch (merging in any delayed
-// redeliveries first, preserving coalescing) and empties the queue. The
+// takeBatch claims CPU t's queued batch and empties the queue. The
 // batch stays valid until the next takeBatch for t.
 func (s *Shootdown) takeBatch(t int) []Request {
 	q := &s.q[t]
-	if len(q.delayed) > 0 {
-		// Redeliver late IPIs ahead of this flush's batch, preserving
-		// coalescing against it. Redeliveries are not new requests. The
-		// merge fills the spare array, never the one it reads from.
-		late, pending := q.delayed, q.items
-		q.items, q.spare = q.spare[:0], pending
-		q.forget()
-		for _, r := range late {
-			s.enqueue(t, r)
-		}
-		for _, r := range pending {
-			s.enqueue(t, r)
-		}
-		q.delayed = late[:0]
-	}
 	batch := q.items
 	if len(batch) == 0 {
 		return nil
@@ -817,8 +796,7 @@ func (s *Shootdown) chargeMemHops(t int, r *Request) {
 // Under the acknowledged protocol the requests left unacknowledged are
 // compacted to the front of reqs in order, their done flags with them,
 // and their count is returned. Fire-and-forget keeps none: a dropped
-// request is lost, a delayed one is redelivered ahead of the next
-// flush's batch, and a lost ack has nothing to lose.
+// request is lost, and a delay or an ack loss has no ack to fault.
 func (s *Shootdown) volley(t int, reqs []Request, done []bool, retry bool) (kept int) {
 	acked := s.proto != nil
 	arrived := false
@@ -831,8 +809,7 @@ func (s *Shootdown) volley(t int, reqs []Request, done []bool, retry bool) (kept
 		if s.fault != nil {
 			verdict = s.fault(t, *r)
 		}
-		switch {
-		case verdict == FaultDrop:
+		if verdict == FaultDrop {
 			s.nDropped.Inc()
 			if s.IsDevice(t) {
 				s.nDevDropped.Inc()
@@ -841,10 +818,6 @@ func (s *Shootdown) volley(t int, reqs []Request, done []bool, retry bool) (kept
 				reqs[kept], done[kept] = *r, performed
 				kept++
 			}
-			continue
-		case verdict == FaultDelay && !acked:
-			s.nDelayed.Inc()
-			s.q[t].delayed = append(s.q[t].delayed, *r)
 			continue
 		}
 		arrived = true
@@ -979,7 +952,7 @@ func (s *Shootdown) quarantine(t, dropped int) {
 	}
 }
 
-// Reset discards all pending and delayed requests and clears transient
+// Reset discards all pending requests and clears transient
 // health state (hardware recovery: the kernel is about to rebuild every
 // CPU's structures from scratch, so in-flight invalidations are moot
 // and nothing is stale afterwards). Degradation is sticky — a CPU that

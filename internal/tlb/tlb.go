@@ -1,17 +1,19 @@
-// Package tlb implements the three translation lookaside buffer
-// organizations the paper contrasts:
+// Package tlb implements the translation lookaside buffers the paper
+// contrasts. They differ only in what an entry is keyed by and what it
+// holds, so one set-associative TLB serves all three, built by a
+// constructor that picks the key, the entry and the index:
 //
-//   - TransTLB: a translation-only TLB holding one entry per virtual page
+//   - NewTrans: a translation-only TLB holding one entry per virtual page
 //     with no protection information. In the PLB machine (Figure 1) it
 //     sits at the second level, off the critical path, consulted only on
 //     data cache misses and writebacks. Domain switches never purge it.
 //
-//   - ASIDTLB: a conventional combined TLB tagged with an address space
+//   - NewASID: a conventional combined TLB tagged with an address space
 //     identifier, as on MIPS or Alpha (Section 3.1). Shared pages consume
 //     one entry per domain even though the translation is identical —
 //     the duplication the paper criticizes.
 //
-//   - PGTLB: a PA-RISC style TLB whose entries carry the physical
+//   - NewPG: a PA-RISC style TLB whose entries carry the physical
 //     translation, the page's access identifier (AID, its page-group
 //     number) and a rights field shared by all domains (Figure 2). It is
 //     on-chip and consulted on every reference.
@@ -23,86 +25,48 @@ import (
 	"repro/internal/stats"
 )
 
+// TLB is a set-associative TLB mapping keys K to entries E. Every
+// counter it bumps is named prefix+"."+event; the counts a TLB's users
+// never trigger (an update on the translation-only TLB, say) never
+// appear in output.
+type TLB[K comparable, E any] struct {
+	c *assoc.Cache[K, E]
+
+	nHit, nMiss, nInstall, nUpdate stats.Handle
+	nInvalidated, nPurged          stats.Handle
+	nInspected, nCorrupted         stats.Handle
+
+	corrupt func(k K, e E) (E, bool)
+}
+
+// newTLB wraps c, counting under prefix. Counter names resolve to
+// handles once here, keeping the per-access path free of name hashing.
+func newTLB[K comparable, E any](c *assoc.Cache[K, E], ctrs *stats.Counters, prefix string) *TLB[K, E] {
+	return &TLB[K, E]{
+		c:            c,
+		nHit:         ctrs.Handle(prefix + ".hit"),
+		nMiss:        ctrs.Handle(prefix + ".miss"),
+		nInstall:     ctrs.Handle(prefix + ".install"),
+		nUpdate:      ctrs.Handle(prefix + ".update"),
+		nInvalidated: ctrs.Handle(prefix + ".invalidated"),
+		nPurged:      ctrs.Handle(prefix + ".purged"),
+		nInspected:   ctrs.Handle(prefix + ".inspected"),
+		nCorrupted:   ctrs.Handle(prefix + ".corrupted"),
+	}
+}
+
+func vpnIndex(v addr.VPN) uint64 { return uint64(v) }
+
 // TransEntry is a translation-only TLB entry: VPN → PFN. The dirty bit
 // stays with the kernel's translation (Section 3.2.1 footnote 6).
 type TransEntry struct {
 	PFN addr.PFN
 }
 
-// TransTLB is the translation-only TLB of the PLB machine.
-type TransTLB struct {
-	c *assoc.Cache[addr.VPN, TransEntry]
-
-	nHit, nMiss, nInstall, nInvalidated stats.Handle
-	nCorrupted                          stats.Handle
-
-	corrupt func(vpn addr.VPN, e TransEntry) (TransEntry, bool)
+// NewTrans creates the translation-only TLB of the PLB machine.
+func NewTrans(cfg assoc.Config, ctrs *stats.Counters, prefix string) *TLB[addr.VPN, TransEntry] {
+	return newTLB(assoc.New[addr.VPN, TransEntry](cfg, vpnIndex), ctrs, prefix)
 }
-
-// NewTrans creates a translation-only TLB counting under prefix. Counter
-// names resolve to handles once here, keeping the per-access path free of
-// name hashing.
-func NewTrans(cfg assoc.Config, ctrs *stats.Counters, prefix string) *TransTLB {
-	t := &TransTLB{}
-	t.c = assoc.New[addr.VPN, TransEntry](cfg, func(v addr.VPN) uint64 { return uint64(v) })
-	t.nHit = ctrs.Handle(prefix + ".hit")
-	t.nMiss = ctrs.Handle(prefix + ".miss")
-	t.nInstall = ctrs.Handle(prefix + ".install")
-	t.nInvalidated = ctrs.Handle(prefix + ".invalidated")
-	t.nCorrupted = ctrs.Handle(prefix + ".corrupted")
-	return t
-}
-
-// SetCorruptor installs (or, with nil, removes) a chaos-testing hook
-// consulted on every Insert; returning a replacement entry with true
-// corrupts the installed translation in place (a stale or flipped PFN).
-// Corrupted installs are counted under prefix+".corrupted".
-func (t *TransTLB) SetCorruptor(fn func(vpn addr.VPN, e TransEntry) (TransEntry, bool)) {
-	t.corrupt = fn
-}
-
-// Lookup probes for vpn.
-func (t *TransTLB) Lookup(vpn addr.VPN) (TransEntry, bool) {
-	e, ok := t.c.Lookup(vpn)
-	if ok {
-		t.nHit.Inc()
-	} else {
-		t.nMiss.Inc()
-	}
-	return e, ok
-}
-
-// Insert installs a translation.
-func (t *TransTLB) Insert(vpn addr.VPN, e TransEntry) {
-	t.c.Insert(vpn, e)
-	t.nInstall.Inc()
-	if t.corrupt != nil {
-		if bad, ok := t.corrupt(vpn, e); ok {
-			t.c.Update(vpn, bad)
-			t.nCorrupted.Inc()
-		}
-	}
-}
-
-// Invalidate removes the entry for vpn; required only when a
-// virtual-to-physical translation is destroyed.
-func (t *TransTLB) Invalidate(vpn addr.VPN) bool {
-	ok := t.c.Invalidate(vpn)
-	if ok {
-		t.nInvalidated.Inc()
-	}
-	return ok
-}
-
-// PurgeAll empties the TLB (never required by domain switches on the PLB
-// machine; present for completeness and failure-injection tests).
-func (t *TransTLB) PurgeAll() int { return t.c.PurgeAll() }
-
-// Len returns the number of resident entries.
-func (t *TransTLB) Len() int { return t.c.Len() }
-
-// ForEach visits all resident entries until fn returns false.
-func (t *TransTLB) ForEach(fn func(addr.VPN, TransEntry) bool) { t.c.ForEach(fn) }
 
 // ASIDKey tags a combined-TLB entry with its address space.
 type ASIDKey struct {
@@ -116,117 +80,18 @@ type ASIDEntry struct {
 	Rights addr.Rights
 }
 
-// ASIDTLB is the conventional, address-space-tagged combined TLB.
-type ASIDTLB struct {
-	c *assoc.Cache[ASIDKey, ASIDEntry]
-
-	nHit, nMiss, nInstall, nPurged stats.Handle
-	nInvalidated                   stats.Handle
-	nInspected                     stats.Handle
-	nCorrupted                     stats.Handle
-
-	corrupt func(k ASIDKey, e ASIDEntry) (ASIDEntry, bool)
-}
-
-// NewASID creates an ASID-tagged TLB counting under prefix.
-func NewASID(cfg assoc.Config, ctrs *stats.Counters, prefix string) *ASIDTLB {
-	t := &ASIDTLB{}
-	t.c = assoc.NewOwned[ASIDKey, ASIDEntry](cfg, func(k ASIDKey) uint64 {
+// NewASID creates the conventional, address-space-tagged combined TLB.
+// Each entry's owner is its address space, so PurgeOwner and HasOwner
+// take an addr.ASID as a uint32.
+func NewASID(cfg assoc.Config, ctrs *stats.Counters, prefix string) *TLB[ASIDKey, ASIDEntry] {
+	return newTLB(assoc.NewOwned[ASIDKey, ASIDEntry](cfg, func(k ASIDKey) uint64 {
 		return uint64(k.VPN) ^ uint64(k.AS)<<17
-	}, func(k ASIDKey) uint32 { return uint32(k.AS) })
-	t.nHit = ctrs.Handle(prefix + ".hit")
-	t.nMiss = ctrs.Handle(prefix + ".miss")
-	t.nInstall = ctrs.Handle(prefix + ".install")
-	t.nPurged = ctrs.Handle(prefix + ".purged")
-	t.nInvalidated = ctrs.Handle(prefix + ".invalidated")
-	t.nInspected = ctrs.Handle(prefix + ".inspected")
-	t.nCorrupted = ctrs.Handle(prefix + ".corrupted")
-	return t
+	}, func(k ASIDKey) uint32 { return uint32(k.AS) }), ctrs, prefix)
 }
-
-// SetCorruptor installs (or, with nil, removes) a chaos-testing hook
-// consulted on every Insert; returning a replacement entry with true
-// corrupts the installed entry in place (stale or flipped rights/PFN).
-// Corrupted installs are counted under prefix+".corrupted".
-func (t *ASIDTLB) SetCorruptor(fn func(k ASIDKey, e ASIDEntry) (ASIDEntry, bool)) {
-	t.corrupt = fn
-}
-
-// Lookup probes for (as, vpn).
-func (t *ASIDTLB) Lookup(as addr.ASID, vpn addr.VPN) (ASIDEntry, bool) {
-	e, ok := t.c.Lookup(ASIDKey{AS: as, VPN: vpn})
-	if ok {
-		t.nHit.Inc()
-	} else {
-		t.nMiss.Inc()
-	}
-	return e, ok
-}
-
-// Insert installs an entry for (as, vpn).
-func (t *ASIDTLB) Insert(as addr.ASID, vpn addr.VPN, e ASIDEntry) {
-	k := ASIDKey{AS: as, VPN: vpn}
-	t.c.Insert(k, e)
-	t.nInstall.Inc()
-	if t.corrupt != nil {
-		if bad, ok := t.corrupt(k, e); ok {
-			t.c.Update(k, bad)
-			t.nCorrupted.Inc()
-		}
-	}
-}
-
-// Invalidate removes the entry for (as, vpn).
-func (t *ASIDTLB) Invalidate(as addr.ASID, vpn addr.VPN) bool {
-	ok := t.c.Invalidate(ASIDKey{AS: as, VPN: vpn})
-	if ok {
-		t.nInvalidated.Inc()
-	}
-	return ok
-}
-
-// PurgePage removes every address space's entry for vpn. On a conventional
-// architecture a mapping change for a shared page must find and purge each
-// duplicate; the inspection cost is the scan the paper warns about.
-func (t *ASIDTLB) PurgePage(vpn addr.VPN) int {
-	removed, inspected := t.c.PurgeIf(func(k ASIDKey, _ ASIDEntry) bool { return k.VPN == vpn })
-	t.nPurged.Add(uint64(removed))
-	t.nInspected.Add(uint64(inspected))
-	return removed
-}
-
-// PurgeAS removes all entries of one address space. It is priced as a
-// scan of every entry, but the host visits only the space's own.
-func (t *ASIDTLB) PurgeAS(as addr.ASID) int {
-	removed, inspected := t.c.PurgeOwner(uint32(as), nil)
-	t.nPurged.Add(uint64(removed))
-	t.nInspected.Add(uint64(inspected))
-	return removed
-}
-
-// PurgeAll empties the TLB (the no-ASID "flush machine" does this on
-// every context switch).
-func (t *ASIDTLB) PurgeAll() int {
-	n := t.c.PurgeAll()
-	t.nPurged.Add(uint64(n))
-	return n
-}
-
-// Len returns the number of resident entries.
-func (t *ASIDTLB) Len() int { return t.c.Len() }
-
-// Capacity returns the entry capacity.
-func (t *ASIDTLB) Capacity() int { return t.c.Capacity() }
-
-// HasAS reports whether any entry of address space as is resident.
-func (t *ASIDTLB) HasAS(as addr.ASID) bool { return t.c.HasOwner(uint32(as)) }
-
-// ForEach visits all resident entries until fn returns false.
-func (t *ASIDTLB) ForEach(fn func(ASIDKey, ASIDEntry) bool) { t.c.ForEach(fn) }
 
 // ResidentFor counts resident entries for vpn across all address spaces —
 // the duplication measure of experiment E5.
-func (t *ASIDTLB) ResidentFor(vpn addr.VPN) int {
+func ResidentFor(t *TLB[ASIDKey, ASIDEntry], vpn addr.VPN) int {
 	n := 0
 	t.c.ForEach(func(k ASIDKey, _ ASIDEntry) bool {
 		if k.VPN == vpn {
@@ -246,40 +111,21 @@ type PGEntry struct {
 	Rights addr.Rights
 }
 
-// PGTLB is the page-group TLB. One entry per page serves all domains.
-type PGTLB struct {
-	c *assoc.Cache[addr.VPN, PGEntry]
-
-	nHit, nMiss, nInstall, nUpdate, nInvalidated stats.Handle
-	nCorrupted                                   stats.Handle
-
-	corrupt func(vpn addr.VPN, e PGEntry) (PGEntry, bool)
-}
-
-// NewPG creates a page-group TLB counting under prefix.
-func NewPG(cfg assoc.Config, ctrs *stats.Counters, prefix string) *PGTLB {
-	t := &PGTLB{}
-	t.c = assoc.New[addr.VPN, PGEntry](cfg, func(v addr.VPN) uint64 { return uint64(v) })
-	t.nHit = ctrs.Handle(prefix + ".hit")
-	t.nMiss = ctrs.Handle(prefix + ".miss")
-	t.nInstall = ctrs.Handle(prefix + ".install")
-	t.nUpdate = ctrs.Handle(prefix + ".update")
-	t.nInvalidated = ctrs.Handle(prefix + ".invalidated")
-	t.nCorrupted = ctrs.Handle(prefix + ".corrupted")
-	return t
+// NewPG creates the page-group TLB. One entry per page serves all
+// domains.
+func NewPG(cfg assoc.Config, ctrs *stats.Counters, prefix string) *TLB[addr.VPN, PGEntry] {
+	return newTLB(assoc.New[addr.VPN, PGEntry](cfg, vpnIndex), ctrs, prefix)
 }
 
 // SetCorruptor installs (or, with nil, removes) a chaos-testing hook
 // consulted on every Insert; returning a replacement entry with true
-// corrupts the installed entry in place (stale AID, flipped rights, bad
-// PFN). Corrupted installs are counted under prefix+".corrupted".
-func (t *PGTLB) SetCorruptor(fn func(vpn addr.VPN, e PGEntry) (PGEntry, bool)) {
-	t.corrupt = fn
-}
+// corrupts the installed entry in place (a stale or flipped PFN, AID or
+// rights). Corrupted installs are counted under prefix+".corrupted".
+func (t *TLB[K, E]) SetCorruptor(fn func(k K, e E) (E, bool)) { t.corrupt = fn }
 
-// Lookup probes for vpn.
-func (t *PGTLB) Lookup(vpn addr.VPN) (PGEntry, bool) {
-	e, ok := t.c.Lookup(vpn)
+// Lookup probes for k.
+func (t *TLB[K, E]) Lookup(k K) (E, bool) {
+	e, ok := t.c.Lookup(k)
 	if ok {
 		t.nHit.Inc()
 	} else {
@@ -288,47 +134,76 @@ func (t *PGTLB) Lookup(vpn addr.VPN) (PGEntry, bool) {
 	return e, ok
 }
 
-// Insert installs an entry for vpn.
-func (t *PGTLB) Insert(vpn addr.VPN, e PGEntry) {
-	t.c.Insert(vpn, e)
+// Insert installs an entry for k.
+func (t *TLB[K, E]) Insert(k K, e E) {
+	t.c.Insert(k, e)
 	t.nInstall.Inc()
 	if t.corrupt != nil {
-		if bad, ok := t.corrupt(vpn, e); ok {
-			t.c.Update(vpn, bad)
+		if bad, ok := t.corrupt(k, e); ok {
+			t.c.Update(k, bad)
 			t.nCorrupted.Inc()
 		}
 	}
 }
 
-// Update rewrites the resident entry for vpn (changing its rights or
+// Update rewrites the resident entry for k (changing its rights or
 // moving it to another page-group) without disturbing replacement state,
 // reporting whether it was resident. This is the "single TLB entry"
 // update of Section 4.1.2.
-func (t *PGTLB) Update(vpn addr.VPN, e PGEntry) bool {
-	ok := t.c.Update(vpn, e)
+func (t *TLB[K, E]) Update(k K, e E) bool {
+	ok := t.c.Update(k, e)
 	if ok {
 		t.nUpdate.Inc()
 	}
 	return ok
 }
 
-// Invalidate removes the entry for vpn.
-func (t *PGTLB) Invalidate(vpn addr.VPN) bool {
-	ok := t.c.Invalidate(vpn)
+// Invalidate removes the entry for k.
+func (t *TLB[K, E]) Invalidate(k K) bool {
+	ok := t.c.Invalidate(k)
 	if ok {
 		t.nInvalidated.Inc()
 	}
 	return ok
 }
 
-// PurgeAll empties the TLB.
-func (t *PGTLB) PurgeAll() int { return t.c.PurgeAll() }
+// PurgeIf removes every entry pred selects, inspecting every resident
+// one: on a conventional architecture a mapping change for a shared page
+// must find and purge each address space's duplicate, the scan the paper
+// warns about.
+func (t *TLB[K, E]) PurgeIf(pred func(K, E) bool) int {
+	removed, inspected := t.c.PurgeIf(pred)
+	t.nPurged.Add(uint64(removed))
+	t.nInspected.Add(uint64(inspected))
+	return removed
+}
+
+// PurgeOwner removes all entries of owner o (an address space). It is
+// priced as a scan of every entry, but the host visits only the owner's
+// own.
+func (t *TLB[K, E]) PurgeOwner(o uint32) int {
+	removed, inspected := t.c.PurgeOwner(o, nil)
+	t.nPurged.Add(uint64(removed))
+	t.nInspected.Add(uint64(inspected))
+	return removed
+}
+
+// PurgeAll empties the TLB, returning how many entries were resident.
+// It bumps no counter: a machine that reports its whole-TLB purges
+// counts them itself (the conventional machine, under tlb.purged).
+func (t *TLB[K, E]) PurgeAll() int { return t.c.PurgeAll() }
 
 // Len returns the number of resident entries.
-func (t *PGTLB) Len() int { return t.c.Len() }
+func (t *TLB[K, E]) Len() int { return t.c.Len() }
+
+// Capacity returns the entry capacity.
+func (t *TLB[K, E]) Capacity() int { return t.c.Capacity() }
+
+// HasOwner reports whether any entry of owner o is resident.
+func (t *TLB[K, E]) HasOwner(o uint32) bool { return t.c.HasOwner(o) }
 
 // ForEach visits all resident entries until fn returns false.
-func (t *PGTLB) ForEach(fn func(addr.VPN, PGEntry) bool) { t.c.ForEach(fn) }
+func (t *TLB[K, E]) ForEach(fn func(K, E) bool) { t.c.ForEach(fn) }
 
 // EntryBits returns the architectural width in bits of a combined
 // (translation + protection) TLB entry for the equal-silicon comparison

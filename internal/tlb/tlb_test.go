@@ -53,18 +53,18 @@ func TestASIDTLBDuplication(t *testing.T) {
 	at := NewASID(fullCfg(16), ctrs, "tlb")
 	// The same shared page mapped by 4 address spaces occupies 4 entries.
 	for as := addr.ASID(1); as <= 4; as++ {
-		at.Insert(as, 0x10, ASIDEntry{PFN: 5, Rights: addr.Read})
+		at.Insert(ASIDKey{AS: as, VPN: 0x10}, ASIDEntry{PFN: 5, Rights: addr.Read})
 	}
 	if at.Len() != 4 {
 		t.Fatalf("Len = %d, want 4 (per-AS duplication)", at.Len())
 	}
-	if at.ResidentFor(0x10) != 4 {
-		t.Fatalf("ResidentFor = %d", at.ResidentFor(0x10))
+	if n := ResidentFor(at, 0x10); n != 4 {
+		t.Fatalf("ResidentFor = %d", n)
 	}
-	if _, ok := at.Lookup(2, 0x10); !ok {
+	if _, ok := at.Lookup(ASIDKey{AS: 2, VPN: 0x10}); !ok {
 		t.Fatal("AS 2 entry missing")
 	}
-	if _, ok := at.Lookup(9, 0x10); ok {
+	if _, ok := at.Lookup(ASIDKey{AS: 9, VPN: 0x10}); ok {
 		t.Fatal("phantom AS hit")
 	}
 }
@@ -73,12 +73,12 @@ func TestASIDTLBPurgePage(t *testing.T) {
 	ctrs := &stats.Counters{}
 	at := NewASID(fullCfg(16), ctrs, "tlb")
 	for as := addr.ASID(1); as <= 3; as++ {
-		at.Insert(as, 0x10, ASIDEntry{PFN: 5})
-		at.Insert(as, 0x20, ASIDEntry{PFN: addr.PFN(6 + as)})
+		at.Insert(ASIDKey{AS: as, VPN: 0x10}, ASIDEntry{PFN: 5})
+		at.Insert(ASIDKey{AS: as, VPN: 0x20}, ASIDEntry{PFN: addr.PFN(6 + as)})
 	}
 	// A mapping change to the shared page must purge all 3 duplicates.
-	if n := at.PurgePage(0x10); n != 3 {
-		t.Fatalf("PurgePage = %d", n)
+	if n := at.PurgeIf(func(k ASIDKey, _ ASIDEntry) bool { return k.VPN == 0x10 }); n != 3 {
+		t.Fatalf("PurgeIf(page) = %d", n)
 	}
 	if at.Len() != 3 {
 		t.Fatalf("Len = %d", at.Len())
@@ -91,11 +91,11 @@ func TestASIDTLBPurgePage(t *testing.T) {
 func TestASIDTLBPurgeASAndAll(t *testing.T) {
 	ctrs := &stats.Counters{}
 	at := NewASID(fullCfg(16), ctrs, "tlb")
-	at.Insert(1, 1, ASIDEntry{})
-	at.Insert(1, 2, ASIDEntry{})
-	at.Insert(2, 1, ASIDEntry{})
-	if n := at.PurgeAS(1); n != 2 {
-		t.Fatalf("PurgeAS = %d", n)
+	at.Insert(ASIDKey{AS: 1, VPN: 1}, ASIDEntry{})
+	at.Insert(ASIDKey{AS: 1, VPN: 2}, ASIDEntry{})
+	at.Insert(ASIDKey{AS: 2, VPN: 1}, ASIDEntry{})
+	if n := at.PurgeOwner(1); n != 2 {
+		t.Fatalf("PurgeOwner = %d", n)
 	}
 	if n := at.PurgeAll(); n != 1 {
 		t.Fatalf("PurgeAll = %d", n)
@@ -103,12 +103,12 @@ func TestASIDTLBPurgeASAndAll(t *testing.T) {
 	if !atEmpty(at) {
 		t.Fatal("TLB not empty")
 	}
-	if at.Invalidate(2, 1) {
+	if at.Invalidate(ASIDKey{AS: 2, VPN: 1}) {
 		t.Fatal("Invalidate after purge returned true")
 	}
 }
 
-func atEmpty(at *ASIDTLB) bool { return at.Len() == 0 }
+func atEmpty(at *TLB[ASIDKey, ASIDEntry]) bool { return at.Len() == 0 }
 
 func TestPGTLBSingleEntryServesAllDomains(t *testing.T) {
 	ctrs := &stats.Counters{}
@@ -159,7 +159,7 @@ func TestPGTLBInvalidatePurge(t *testing.T) {
 }
 
 // TestInvalidateCounterParity pins the accounting contract shared by all
-// three TLB flavours: a successful Invalidate increments the structure's
+// three TLB instantiations: a successful Invalidate increments the structure's
 // ".invalidated" counter, a failed one does not. The ASID TLB used to
 // skip the counter entirely, hiding conventional-machine shootdown
 // traffic from E11/E14.
@@ -169,15 +169,15 @@ func TestInvalidateCounterParity(t *testing.T) {
 	at := NewASID(fullCfg(4), ctrs, "asid")
 	pt := NewPG(fullCfg(4), ctrs, "pg")
 	tt.Insert(1, TransEntry{PFN: 1})
-	at.Insert(1, 1, ASIDEntry{PFN: 1})
+	at.Insert(ASIDKey{AS: 1, VPN: 1}, ASIDEntry{PFN: 1})
 	pt.Insert(1, PGEntry{PFN: 1})
-	if !tt.Invalidate(1) || !at.Invalidate(1, 1) || !pt.Invalidate(1) {
+	if !tt.Invalidate(1) || !at.Invalidate(ASIDKey{AS: 1, VPN: 1}) || !pt.Invalidate(1) {
 		t.Fatal("resident entries must invalidate")
 	}
 	// Misses must not count.
 	tt.Invalidate(1)
-	at.Invalidate(1, 1)
-	at.Invalidate(2, 9)
+	at.Invalidate(ASIDKey{AS: 1, VPN: 1})
+	at.Invalidate(ASIDKey{AS: 2, VPN: 9})
 	pt.Invalidate(1)
 	for _, prefix := range []string{"trans", "asid", "pg"} {
 		if got := ctrs.Get(prefix + ".invalidated"); got != 1 {
