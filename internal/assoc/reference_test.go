@@ -196,9 +196,10 @@ func (c *refCache[K, V]) ForEach(fn func(K, V) bool) {
 }
 
 // fuzzGeometries are the (sets, ways) shapes a fuzz input picks from: the
-// degenerate, small and large fully associative structures (the 128-way
-// PLB and TLBs, and the 4096-way PLB of the granularity sweep), and the
-// set-associative TLB and data cache shapes.
+// fully associative structures, every one tag-indexed, from the
+// degenerate one way through the PID registers and the group cache to
+// the 128-way PLB and TLBs and the 4096-way PLB of the granularity
+// sweep, and the set-associative TLB and data cache shapes.
 var fuzzGeometries = []struct{ sets, ways int }{
 	{1, 1}, {1, 4}, {1, 16}, {1, 64}, {1, 128}, {1, 4096},
 	{4, 2}, {256, 4}, {1024, 2},

@@ -14,11 +14,15 @@ import (
 // shootdown protocol, 16 worker domains pinned two per CPU and a device
 // domain the devices act for, all attached rw- to one 16-page segment.
 // Every page is mapped and cached on its workers' CPUs, and worker i
-// holds page i at r--, so all 16 pages sit in derived groups. Each op
+// holds overrides on four pages spread over the segment, i, i+4, i+8
+// and i+12 (mod 16), at r-- and --- in turn, about as many as a
+// revoke-dma worker holds in a segment between re-attaches; so all 16
+// pages sit in derived groups, each overridden by four workers. Each op
 // flips the device domain's segment rights between r-- and rw-: the
-// resync re-derives all 16 pages, minting a group for each and retiring
-// the one it left, with the group loads, updates and revocations that
-// takes delivered to the CPUs and devices.
+// resync reads every domain's overrides, re-derives all 16 pages,
+// minting a group for each and retiring the one it left, with the group
+// loads, updates and revocations that takes delivered to the CPUs and
+// devices.
 func BenchmarkPGResync(b *testing.B) {
 	cfg := kernel.DefaultConfig(kernel.ModelPageGroup)
 	cfg.CPUs = 8
@@ -48,8 +52,10 @@ func BenchmarkPGResync(b *testing.B) {
 		}
 	}
 	for i, w := range workers {
-		if err := k.SetPageRights(w, s.PageVA(uint64(i)), addr.Read); err != nil {
-			b.Fatal(err)
+		for j, r := range []addr.Rights{addr.Read, addr.None, addr.Read, addr.None} {
+			if err := k.SetPageRights(w, s.PageVA(uint64(i+4*j)%s.NumPages()), r); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	flip := [2]addr.Rights{addr.Read, addr.RW}

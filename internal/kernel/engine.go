@@ -3,6 +3,7 @@ package kernel
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/ptable"
@@ -125,11 +126,10 @@ func (k *Kernel) SetSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
 	cut := k.cut[:0]
 	if d.overrides.Len() > 0 {
 		start, n := k.geo.PageNumber(s.Range.Start), s.NumPages()
-		for vpn := start; vpn < start+addr.VPN(n); vpn++ {
-			if or, ok := d.overrides.Get(vpn); ok {
-				cut = append(cut, pageRights{vpn, or})
-			}
-		}
+		d.overrides.Range(start, n, func(vpn addr.VPN, or addr.Rights) bool {
+			cut = append(cut, pageRights{vpn, or})
+			return true
+		})
 		k.overridesRW(d).ClearRange(start, n)
 	}
 	k.cut = cut
@@ -462,14 +462,14 @@ func (e *pgEngine) resyncSegment(s *Segment, changed *Domain) error {
 // planResync is a resync's check pass. It snapshots the segment's
 // attachments (attachments), returns the primary group's new rights
 // field, and lists the pages to re-derive in e.redo with their desired
-// vectors in e.vectors. It refuses with ErrUnrepresentable a vector the
-// encoding cannot express, and with ErrGroupIDsExhausted a resync that
-// may need more fresh group numbers than are free. That count is an
-// upper bound, one for every re-derived page not bound for the primary
-// group though regroup may reuse a group for it, so no regroup of an
-// accepted plan fails. Nothing has changed when either refusal comes, and after an
-// exhaustion refusal the plan is still complete, for a detach to carry
-// out.
+// vectors in e.vectors (wants). It refuses with ErrUnrepresentable a
+// vector the encoding cannot express, naming the first such page and
+// its first such domain, and with ErrGroupIDsExhausted a resync that may
+// need more fresh group numbers than are free. That count is an upper
+// bound, one for every re-derived page not bound for the primary group
+// though regroup may reuse a group for it, so no regroup of an accepted
+// plan fails. Nothing has changed when either refusal comes, and the
+// plan is complete, for a detach to carry out.
 func (e *pgEngine) planResync(s *Segment, changed *Domain) (addr.Rights, error) {
 	attach, union := e.attachments(s), addr.None
 	for _, a := range attach {
@@ -489,28 +489,67 @@ func (e *pgEngine) planResync(s *Segment, changed *Domain) (addr.Rights, error) 
 	if changed != nil {
 		over = changed.overrides
 	}
-	redo, vectors, away := e.redo[:0], e.vectors[:0], uint64(0)
+	start, redo := s.PageVPN(0), e.redo[:0]
 	for i := range s.pages {
-		vpn := s.PageVPN(uint64(i))
-		if _, ok := over.Get(vpn); !ok && s.pages[i].group == s.group {
-			continue
+		vpn := start + addr.VPN(i)
+		if _, ok := over.Get(vpn); ok || s.pages[i].group != s.group {
+			redo = append(redo, vpn)
 		}
-		want := e.desiredVector(vpn, attach)
-		_, home, err := checkVector(vpn, want)
+	}
+	e.redo = redo
+	vectors, away := e.wants(s, attach), uint64(0)
+	for j, vpn := range redo {
+		_, home, err := checkVector(vpn, vectors[j*len(attach):(j+1)*len(attach)])
 		if err != nil {
 			return field, err
 		}
 		if !home {
 			away++
 		}
-		redo, vectors = append(redo, vpn), append(vectors, want...)
 	}
-	e.redo, e.vectors = redo, vectors
 	if free := e.freeGroupIDs(); away > free {
 		return field, fmt.Errorf("%w: segment %d re-derives %d pages outside its primary group, %d group numbers free",
 			ErrGroupIDsExhausted, s.ID, away, free)
 	}
 	return field, nil
+}
+
+// wants fills e.vectors with the desired rights vector of every page of
+// s listed in e.redo, one after another, each with attach's entries in
+// attach's order, and returns it. It reads each attached domain's
+// overrides in the segment with one Range, merged with e.redo (both
+// ascend), instead of probing every listed page's override in every
+// domain's table: most of those probes miss.
+func (e *pgEngine) wants(s *Segment, attach []pgWant) []pgWant {
+	redo, n := e.redo, len(attach)
+	vectors := slices.Grow(e.vectors[:0], len(redo)*n)[:len(redo)*n]
+	e.vectors = vectors
+	if len(redo) == 0 {
+		return vectors
+	}
+	for i := range attach {
+		attach[i].want = attach[i].attach
+	}
+	for j := range redo {
+		copy(vectors[j*n:(j+1)*n], attach)
+	}
+	start, npages := s.PageVPN(0), uint64(len(s.pages))
+	for i, a := range attach {
+		j := 0
+		a.d.overrides.Range(start, npages, func(vpn addr.VPN, r addr.Rights) bool {
+			for j < len(redo) && redo[j] < vpn {
+				j++
+			}
+			if j == len(redo) {
+				return false
+			}
+			if redo[j] == vpn {
+				vectors[j*n+i].want = r
+			}
+			return true
+		})
+	}
+	return vectors
 }
 
 // applyResync carries out the plan planResync left: the primary group
@@ -542,7 +581,8 @@ func (e *pgEngine) freeGroupIDs() uint64 {
 
 // desiredVector fills in, for every entry of the page's segment's
 // attachment snapshot, the rights the kernel wants that domain to have
-// on the page, and returns the snapshot.
+// on the page, and returns the snapshot: the one-page form of wants,
+// for setPageRights.
 func (e *pgEngine) desiredVector(vpn addr.VPN, attach []pgWant) []pgWant {
 	for i := range attach {
 		w := &attach[i]

@@ -1137,13 +1137,15 @@ func (k *Kernel) ProtShift(d addr.DomainID, vpn addr.VPN) uint {
 	if end := (uint64(k.geo.Base(vpn)) | (1<<s.protShift - 1)) + 1; end > uint64(s.Range.End()) {
 		return k.geo.Shift()
 	}
-	if dom := k.doms.get(d); dom != nil && dom.overrides.Len() > 0 {
-		n := addr.VPN(1) << (s.protShift - k.geo.Shift())
-		first := vpn &^ (n - 1)
-		for p := first; p < first+n; p++ {
-			if _, ok := dom.overrides.Get(p); ok {
-				return k.geo.Shift()
-			}
+	if dom := k.doms.get(d); dom != nil {
+		n := uint64(1) << (s.protShift - k.geo.Shift())
+		overridden := false
+		dom.overrides.Range(vpn&^addr.VPN(n-1), n, func(addr.VPN, addr.Rights) bool {
+			overridden = true
+			return false
+		})
+		if overridden {
+			return k.geo.Shift()
 		}
 	}
 	return s.protShift

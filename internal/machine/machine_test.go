@@ -105,7 +105,7 @@ func lines(c *cache.Cache) int {
 }
 
 // groups counts c's resident groups.
-func groups(c pgroup.Checker) int {
+func groups(c *pgroup.GroupCache) int {
 	n := 0
 	c.ForEach(func(addr.GroupID, bool) bool { n++; return true })
 	return n

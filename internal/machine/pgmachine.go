@@ -18,7 +18,8 @@ const (
 	// PGCheckerLRUCache is the Wilkes-Sears LRU cache of page-groups, the
 	// variant the paper assumes for its comparison (Section 3.2.2).
 	PGCheckerLRUCache PGCheckerKind = iota
-	// PGCheckerPIDRegisters is the real PA-RISC's four-register file.
+	// PGCheckerPIDRegisters is the real PA-RISC's four-register file,
+	// reloaded round-robin by the OS: a FIFO group cache.
 	PGCheckerPIDRegisters
 )
 
@@ -66,7 +67,7 @@ type PGMachine struct {
 	domain addr.DomainID
 
 	tlb     *tlb.TLB[addr.VPN, tlb.PGEntry]
-	checker pgroup.Checker
+	checker *pgroup.GroupCache
 	cache   *cache.Cache
 
 	ctrs   stats.Counters
@@ -83,14 +84,11 @@ func NewPG(cfg PGConfig, os OS) *PGMachine {
 	m := &PGMachine{cfg: cfg, os: os}
 	m.obs, _ = os.(ResidencyObserver)
 	m.tlb = tlb.NewPG(cfg.TLB, &m.ctrs, "pgtlb")
-	switch cfg.Checker {
-	case PGCheckerPIDRegisters:
-		m.checker = pgroup.NewPIDRegisters(cfg.CheckerEntries, &m.ctrs, "pgc")
-	default:
-		m.checker = pgroup.NewGroupCache(
-			assoc.Config{Sets: 1, Ways: cfg.CheckerEntries, Policy: assoc.LRU},
-			&m.ctrs, "pgc")
+	policy := assoc.LRU
+	if cfg.Checker == PGCheckerPIDRegisters {
+		policy = assoc.FIFO
 	}
+	m.checker = pgroup.NewGroupCache(assoc.Config{Sets: 1, Ways: cfg.CheckerEntries, Policy: policy}, &m.ctrs, "pgc")
 	m.cache = cache.New(cfg.Cache, &m.ctrs, "cache")
 	m.hAccesses = m.ctrs.Handle(CtrAccesses)
 	m.hStores = m.ctrs.Handle(CtrStores)
@@ -123,7 +121,7 @@ func (m *PGMachine) Costs() cpu.CostModel { return m.cfg.Costs }
 func (m *PGMachine) TLB() *tlb.TLB[addr.VPN, tlb.PGEntry] { return m.tlb }
 
 // Checker exposes the page-group check structure for inspection.
-func (m *PGMachine) Checker() pgroup.Checker { return m.checker }
+func (m *PGMachine) Checker() *pgroup.GroupCache { return m.checker }
 
 // SwitchDomain implements Machine. The page-group set is per-domain state:
 // the checker is purged and, under EagerReload, refilled from the new

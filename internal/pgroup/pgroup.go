@@ -2,17 +2,22 @@
 // PA-RISC protection architecture (Figure 2): the structure holding the
 // set of page-groups the currently executing protection domain may access.
 //
-// Two implementations are provided:
+// One structure, GroupCache, serves both variants the paper discusses,
+// told apart by replacement policy:
 //
-//   - PIDRegisters: the real PA-RISC's four PID registers. The hardware
-//     gives the OS no replacement information, so the OS reloads them
-//     round-robin on misses.
+//   - the paper's assumed variant (after Wilkes & Sears), an LRU cache of
+//     permitted page-groups;
 //
-//   - GroupCache: the paper's assumed variant (after Wilkes & Sears), an
-//     LRU cache of permitted page-groups.
+//   - the real PA-RISC's four PID registers. The hardware gives the OS no
+//     replacement information, so the OS reloads them round-robin on
+//     misses: a fully associative FIFO cache of one way per register,
+//     which evicts the oldest load just as the round-robin pointer does
+//     until a Remove frees a register.
 //
 // Both honour the write-disable bit attached to a domain's access to a
-// group, and both treat AID 0 (the global group) as always accessible.
+// group, and both treat AID 0 (the global group) as always accessible. A
+// GroupCache holds state for the currently executing domain only; domain
+// switches purge it (Section 4.1.4).
 //
 // Membership is the set type behind the membership relation those
 // structures cache: the kernel's domain group sets and derived-group
@@ -25,164 +30,13 @@ import (
 	"repro/internal/stats"
 )
 
-// Checker is the common interface of the two page-group check structures.
-// A Checker holds state for the currently executing domain only; domain
-// switches purge it (Section 4.1.4).
-type Checker interface {
-	// Check reports whether the current domain may access group g, and
-	// whether writes to the group are disabled. Check(GlobalGroup) is
-	// always (true, false).
-	Check(g addr.GroupID) (ok bool, writeDisabled bool)
-	// Load installs group g (after the kernel validates access on a
-	// miss trap).
-	Load(g addr.GroupID, writeDisabled bool)
-	// Remove drops group g, reporting whether it was resident (used on
-	// segment detach).
-	Remove(g addr.GroupID) bool
-	// PurgeAll empties the structure (domain switch), returning how many
-	// entries were resident.
-	PurgeAll() int
-	// Capacity returns the maximum number of resident groups.
-	Capacity() int
-	// ForEach visits all resident groups until fn returns false.
-	ForEach(fn func(g addr.GroupID, writeDisabled bool) bool)
-	// SetCorruptor installs (or, with nil, removes) a chaos-testing hook
-	// consulted on every Load; returning a replacement (group,
-	// write-disable) with true corrupts the loaded entry in place —
-	// modeling a stale PID register or a flipped AID bit, which grants
-	// the current domain access to the wrong page-group. Corrupted loads
-	// are counted under prefix+".corrupted".
-	SetCorruptor(fn Corruptor)
-}
-
-// Corruptor is the chaos-testing hook shared by the Checker
-// implementations; see Checker.SetCorruptor.
+// Corruptor is GroupCache's chaos-testing hook; see
+// GroupCache.SetCorruptor.
 type Corruptor func(g addr.GroupID, writeDisabled bool) (addr.GroupID, bool, bool)
 
-// PIDRegisters is the PA-RISC register-file implementation: a fixed set
-// of page-group registers with round-robin replacement by the OS.
-type PIDRegisters struct {
-	regs []pidReg
-	next int // round-robin pointer
-
-	nHit, nMiss, nLoad stats.Handle
-	nPurged, nRemoved  stats.Handle
-	nCorrupted         stats.Handle
-
-	corrupt Corruptor
-}
-
-type pidReg struct {
-	group        addr.GroupID
-	writeDisable bool
-	valid        bool
-}
-
-// NewPIDRegisters creates a register file with n registers (PA-RISC 1.1
-// has four), counting under prefix.
-func NewPIDRegisters(n int, ctrs *stats.Counters, prefix string) *PIDRegisters {
-	if n < 1 {
-		panic("pgroup: need at least one PID register")
-	}
-	p := &PIDRegisters{regs: make([]pidReg, n)}
-	p.nHit = ctrs.Handle(prefix + ".hit")
-	p.nMiss = ctrs.Handle(prefix + ".miss")
-	p.nLoad = ctrs.Handle(prefix + ".load")
-	p.nPurged = ctrs.Handle(prefix + ".purged")
-	p.nRemoved = ctrs.Handle(prefix + ".removed")
-	p.nCorrupted = ctrs.Handle(prefix + ".corrupted")
-	return p
-}
-
-// SetCorruptor implements Checker.
-func (p *PIDRegisters) SetCorruptor(fn Corruptor) { p.corrupt = fn }
-
-// Check implements Checker.
-func (p *PIDRegisters) Check(g addr.GroupID) (bool, bool) {
-	if g == addr.GlobalGroup {
-		p.nHit.Inc()
-		return true, false
-	}
-	for _, r := range p.regs {
-		if r.valid && r.group == g {
-			p.nHit.Inc()
-			return true, r.writeDisable
-		}
-	}
-	p.nMiss.Inc()
-	return false, false
-}
-
-// Load implements Checker: round-robin replacement, since the hardware
-// offers the OS no usage information (Section 3.2.2).
-func (p *PIDRegisters) Load(g addr.GroupID, writeDisabled bool) {
-	if p.corrupt != nil {
-		if g2, wd2, ok := p.corrupt(g, writeDisabled); ok {
-			g, writeDisabled = g2, wd2
-			p.nCorrupted.Inc()
-		}
-	}
-	// Reuse an existing slot for the same group, or an invalid slot.
-	for i, r := range p.regs {
-		if r.valid && r.group == g {
-			p.regs[i].writeDisable = writeDisabled
-			p.nLoad.Inc()
-			return
-		}
-	}
-	for i, r := range p.regs {
-		if !r.valid {
-			p.regs[i] = pidReg{group: g, writeDisable: writeDisabled, valid: true}
-			p.nLoad.Inc()
-			return
-		}
-	}
-	p.regs[p.next] = pidReg{group: g, writeDisable: writeDisabled, valid: true}
-	p.next = (p.next + 1) % len(p.regs)
-	p.nLoad.Inc()
-}
-
-// Remove implements Checker. Removals are the group-revocation traffic
-// of Section 4.1.1 and are counted under prefix+".removed".
-func (p *PIDRegisters) Remove(g addr.GroupID) bool {
-	for i, r := range p.regs {
-		if r.valid && r.group == g {
-			p.regs[i].valid = false
-			p.nRemoved.Inc()
-			return true
-		}
-	}
-	return false
-}
-
-// PurgeAll implements Checker.
-func (p *PIDRegisters) PurgeAll() int {
-	n := 0
-	for i := range p.regs {
-		if p.regs[i].valid {
-			p.regs[i].valid = false
-			n++
-		}
-	}
-	p.next = 0
-	p.nPurged.Add(uint64(n))
-	return n
-}
-
-// Capacity implements Checker.
-func (p *PIDRegisters) Capacity() int { return len(p.regs) }
-
-// ForEach implements Checker.
-func (p *PIDRegisters) ForEach(fn func(addr.GroupID, bool) bool) {
-	for _, r := range p.regs {
-		if r.valid && !fn(r.group, r.writeDisable) {
-			return
-		}
-	}
-}
-
-// GroupCache is the Wilkes-Sears variant: an associative cache of
-// permitted page-groups with LRU replacement.
+// GroupCache is an associative cache of the page-groups the executing
+// domain may access, keyed by group with the write-disable bit as value:
+// LRU for the Wilkes-Sears variant, FIFO for PID registers.
 type GroupCache struct {
 	c *assoc.Cache[addr.GroupID, bool] // value: write-disable bit
 
@@ -194,7 +48,7 @@ type GroupCache struct {
 }
 
 // NewGroupCache creates a group cache with the given geometry, counting
-// under prefix.
+// under prefix. It panics on an invalid geometry, as assoc.New does.
 func NewGroupCache(cfg assoc.Config, ctrs *stats.Counters, prefix string) *GroupCache {
 	g := &GroupCache{}
 	g.c = assoc.New[addr.GroupID, bool](cfg, func(k addr.GroupID) uint64 { return uint64(k) })
@@ -207,10 +61,17 @@ func NewGroupCache(cfg assoc.Config, ctrs *stats.Counters, prefix string) *Group
 	return g
 }
 
-// SetCorruptor implements Checker.
+// SetCorruptor installs (or, with nil, removes) a chaos-testing hook
+// consulted on every Load; returning a replacement (group,
+// write-disable) with true corrupts the loaded entry in place — modeling
+// a stale PID register or a flipped AID bit, which grants the current
+// domain access to the wrong page-group. Corrupted loads are counted
+// under prefix+".corrupted".
 func (g *GroupCache) SetCorruptor(fn Corruptor) { g.corrupt = fn }
 
-// Check implements Checker.
+// Check reports whether the current domain may access group gid, and
+// whether writes to the group are disabled. Check(GlobalGroup) is always
+// (true, false).
 func (g *GroupCache) Check(gid addr.GroupID) (bool, bool) {
 	if gid == addr.GlobalGroup {
 		g.nHit.Inc()
@@ -225,7 +86,10 @@ func (g *GroupCache) Check(gid addr.GroupID) (bool, bool) {
 	return false, false
 }
 
-// Load implements Checker.
+// Load installs group gid (after the kernel validates access on a miss
+// trap). Reloading a resident group rewrites its write-disable bit; under
+// FIFO it keeps its age, as a reloaded PID register keeps its place in
+// the round-robin order.
 func (g *GroupCache) Load(gid addr.GroupID, writeDisabled bool) {
 	if g.corrupt != nil {
 		if gid2, wd2, ok := g.corrupt(gid, writeDisabled); ok {
@@ -237,8 +101,9 @@ func (g *GroupCache) Load(gid addr.GroupID, writeDisabled bool) {
 	g.nLoad.Inc()
 }
 
-// Remove implements Checker. Removals are the group-revocation traffic
-// of Section 4.1.1 and are counted under prefix+".removed".
+// Remove drops group gid, reporting whether it was resident. Removals
+// are the group-revocation traffic of Section 4.1.1 and are counted
+// under prefix+".removed".
 func (g *GroupCache) Remove(gid addr.GroupID) bool {
 	ok := g.c.Invalidate(gid)
 	if ok {
@@ -247,15 +112,16 @@ func (g *GroupCache) Remove(gid addr.GroupID) bool {
 	return ok
 }
 
-// PurgeAll implements Checker.
+// PurgeAll empties the structure (domain switch), returning how many
+// entries were resident.
 func (g *GroupCache) PurgeAll() int {
 	n := g.c.PurgeAll()
 	g.nPurged.Add(uint64(n))
 	return n
 }
 
-// Capacity implements Checker.
+// Capacity returns the maximum number of resident groups.
 func (g *GroupCache) Capacity() int { return g.c.Capacity() }
 
-// ForEach implements Checker.
+// ForEach visits all resident groups until fn returns false.
 func (g *GroupCache) ForEach(fn func(addr.GroupID, bool) bool) { g.c.ForEach(fn) }

@@ -8,16 +8,22 @@ import (
 	"repro/internal/stats"
 )
 
-func checkers(ctrs *stats.Counters) map[string]Checker {
-	return map[string]Checker{
-		"pid-registers": NewPIDRegisters(4, ctrs, "pid"),
+// pidRegisters builds n PID registers as machine.NewPG does: a FIFO group
+// cache of one set and n ways.
+func pidRegisters(n int, ctrs *stats.Counters) *GroupCache {
+	return NewGroupCache(assoc.Config{Sets: 1, Ways: n, Policy: assoc.FIFO}, ctrs, "pid")
+}
+
+func checkers(ctrs *stats.Counters) map[string]*GroupCache {
+	return map[string]*GroupCache{
+		"pid-registers": pidRegisters(4, ctrs),
 		"group-cache": NewGroupCache(assoc.Config{Sets: 1, Ways: 4, Policy: assoc.LRU},
 			ctrs, "pgc"),
 	}
 }
 
 // resident counts c's resident groups.
-func resident(c Checker) int {
+func resident(c *GroupCache) int {
 	n := 0
 	c.ForEach(func(addr.GroupID, bool) bool { n++; return true })
 	return n
@@ -87,7 +93,7 @@ func TestCheckerCapacityEviction(t *testing.T) {
 
 func TestPIDRoundRobinReplacement(t *testing.T) {
 	ctrs := &stats.Counters{}
-	p := NewPIDRegisters(2, ctrs, "pid")
+	p := pidRegisters(2, ctrs)
 	p.Load(1, false)
 	p.Load(2, false)
 	p.Load(3, false) // displaces slot 0 (group 1)
@@ -120,7 +126,7 @@ func TestGroupCacheLRUReplacement(t *testing.T) {
 
 func TestPIDLoadExistingUpdatesWriteDisable(t *testing.T) {
 	ctrs := &stats.Counters{}
-	p := NewPIDRegisters(4, ctrs, "pid")
+	p := pidRegisters(4, ctrs)
 	p.Load(5, false)
 	p.Load(5, true)
 	if resident(p) != 1 {
@@ -133,7 +139,7 @@ func TestPIDLoadExistingUpdatesWriteDisable(t *testing.T) {
 
 func TestPIDInvalidSlotReuse(t *testing.T) {
 	ctrs := &stats.Counters{}
-	p := NewPIDRegisters(2, ctrs, "pid")
+	p := pidRegisters(2, ctrs)
 	p.Load(1, false)
 	p.Load(2, false)
 	p.Remove(1)
@@ -160,8 +166,8 @@ func TestCounters(t *testing.T) {
 }
 
 // TestRemoveCounted pins the revocation-accounting contract for both
-// checker implementations: a successful Remove increments ".removed", a
-// failed one does not. GroupCache.Remove used to bypass accounting,
+// checker variants: a successful Remove increments ".removed", a failed
+// one does not. GroupCache.Remove used to bypass accounting,
 // hiding E3/E14 group-revocation traffic.
 func TestRemoveCounted(t *testing.T) {
 	for _, tc := range []struct {
@@ -193,5 +199,25 @@ func TestNewPIDRegistersPanics(t *testing.T) {
 			t.Error("expected panic for 0 registers")
 		}
 	}()
-	NewPIDRegisters(0, &stats.Counters{}, "pid")
+	pidRegisters(0, &stats.Counters{})
+}
+
+// TestPIDFIFOAfterRemove pins the one case where FIFO PID registers part
+// from the round-robin register file they replaced: a load into a slot a
+// Remove freed. With 3 registers, load 1-4, remove 2, then load 5 and 6:
+// the round-robin pointer, left at the freed slot, evicted 5; FIFO evicts
+// the oldest load, 3.
+func TestPIDFIFOAfterRemove(t *testing.T) {
+	p := pidRegisters(3, &stats.Counters{})
+	for g := addr.GroupID(1); g <= 4; g++ {
+		p.Load(g, false)
+	}
+	p.Remove(2)
+	p.Load(5, false)
+	p.Load(6, false)
+	for g, want := range map[addr.GroupID]bool{3: false, 4: true, 5: true, 6: true} {
+		if ok, _ := p.Check(g); ok != want {
+			t.Errorf("group %d resident = %v, want %v", g, ok, want)
+		}
+	}
 }
