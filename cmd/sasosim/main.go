@@ -391,7 +391,7 @@ func printDevices(k *kernel.Kernel) {
 			rate = 100 * float64(hits) / float64(hits+misses)
 		}
 		fmt.Printf("  %s (%s, seat %d): iotlb hits=%d misses=%d hit-rate=%.1f%% denied=%d aborted=%d health=%v cycles=%d\n",
-			d.Name(), d.Kind(), k.DeviceSeat(i), hits, misses, rate, denied, aborted, k.DeviceHealth(i), d.Cycles())
+			d.Name(), d.Kind(), k.DeviceSeat(i), hits, misses, rate, denied, aborted, k.SeatHealth(k.DeviceSeat(i)), d.Cycles())
 	}
 	c := k.Counters()
 	fmt.Printf("device shootdowns: ipis=%d applied=%d retransmits=%d timeouts=%d quarantines=%d fenced_skips=%d rejoins=%d\n",

@@ -347,11 +347,6 @@ func Default() []Scenario {
 			Fired: kernelFired("smp.quarantines"),
 		},
 		{
-			Name:        "cluster-rejoin-mid-revoke",
-			Description: "group revocation across mesh clusters: the target CPU is partitioned until quarantined mid-revoke, heals, and rejoins",
-			Direct:      directClusterRejoin,
-		},
-		{
 			Name:        "dev-ack-drop",
 			Description: "device-seat invalidation volleys dropped under the acknowledged protocol: scaled timeouts, retries and device quarantine must converge",
 			Corrupts:    true,
@@ -386,19 +381,9 @@ func Default() []Scenario {
 			Fired: kernelFired("smp.dev_dropped"),
 		},
 		{
-			Name:        "destroy-vs-dma",
-			Description: "DestroyDomain races in-flight DMA while the device seat drops invalidations: withdrawal must quarantine the seat, fence the dead domain's transfers, and leave zero residual authority after rejoin",
-			Direct:      directDestroyVsDMA,
-		},
-		{
 			Name:        "dev-death-mid-checkpoint",
 			Description: "the checkpoint DMA engine dies mid-checkpoint: typed abort, quarantine, rejoin-by-bulk-invalidation, then the retried saves complete a consistent image",
 			Direct:      directDeviceDeathCheckpoint,
-		},
-		{
-			Name:        "nic-cluster-partition",
-			Description: "mesh partition isolates the NIC's cluster mid-revocation: the NIC is quarantined, fenced DMA aborts, skipped maintenance is accounted, and rejoin leaves no stale device authority",
-			Direct:      directNICPartition,
 		},
 		{
 			Name:        "net-lossy",
@@ -416,88 +401,6 @@ func Default() []Scenario {
 			Direct:      directCrashWindow,
 		},
 	}
-}
-
-// directClusterRejoin drives a page-group kernel on a 2x2 mesh of
-// 2-CPU clusters: a domain executes in the far-corner cluster while
-// its group membership is revoked from cluster 0. The mesh link to the
-// executing CPU is partitioned, so the cross-cluster GroupRevoke is
-// lost, retried through the acknowledged protocol's budget, and the
-// CPU is quarantined mid-revoke. Further group maintenance aimed at it
-// is skipped-but-accounted while it is fenced; the partition then
-// heals and the next SetCPU rejoins it with a bulk invalidation, after
-// which the oracle must find no stale group authority anywhere.
-func directClusterRejoin(seed int64) (fired, recovered uint64, err error) {
-	cfg := kernel.DefaultConfig(kernel.ModelPageGroup)
-	cfg.CPUs = 8
-	cfg.Topology = smp.Topology{MeshWidth: 2, MeshHeight: 2, ClusterCPUs: 2}
-	k, err := kernel.NewChecked(cfg)
-	if err != nil {
-		return 0, 0, fmt.Errorf("chaos: cluster-rejoin-mid-revoke: %w", err)
-	}
-	k.EnableShootdownProtocol(smp.DefaultProtocolConfig())
-	victim := k.NumCPUs() - 1 // far corner of the mesh
-
-	home := k.CreateDomain()
-	far := k.CreateDomain()
-	seg := k.CreateSegment(4, kernel.SegmentOptions{Name: "revoked"})
-	k.Attach(home, seg, addr.RW)
-	k.Attach(far, seg, addr.RW)
-	if _, err := k.Load(home, seg.Base()); err != nil {
-		return 0, 0, fmt.Errorf("chaos: cluster-rejoin-mid-revoke: home touch: %w", err)
-	}
-	k.SetCPU(victim)
-	if _, err := k.Load(far, seg.Base()); err != nil {
-		return 0, 0, fmt.Errorf("chaos: cluster-rejoin-mid-revoke: far touch: %w", err)
-	}
-
-	// Partition: every IPI into the victim's cluster is lost until the
-	// kernel gives up on the CPU; the link heals the moment it is
-	// quarantined.
-	k.SetIPIFault(func(target int, _ smp.Request) smp.Fault {
-		if target == victim && k.CPUHealth(victim) != smp.Quarantined {
-			return smp.FaultDrop
-		}
-		return smp.FaultNone
-	})
-
-	// The revocation: far is executing on the victim, so detaching it
-	// sends GroupRevoke across the mesh — into the partition.
-	k.SetCPU(0)
-	if err := k.Detach(far, seg); err != nil {
-		return 0, 0, fmt.Errorf("chaos: cluster-rejoin-mid-revoke: detach: %w", err)
-	}
-	if k.CPUHealth(victim) != smp.Quarantined {
-		return 0, 0, errors.New("chaos: cluster-rejoin-mid-revoke: victim never quarantined mid-revoke")
-	}
-	kc := k.Counters()
-	fired = kc.Get("smp.quarantines") + kc.Get("smp.ipi_dropped")
-
-	// Group maintenance while fenced is suppressed but stays on the
-	// ledger: re-attaching sends GroupLoad at the executing victim,
-	// which must be skipped-and-counted, not queued.
-	k.Attach(far, seg, addr.RW)
-	if kc.Get("smp.fenced_skips") == 0 {
-		return fired, 0, errors.New("chaos: cluster-rejoin-mid-revoke: fenced group maintenance was not accounted")
-	}
-	if k.PendingShootdowns(victim) != 0 {
-		return fired, 0, errors.New("chaos: cluster-rejoin-mid-revoke: fenced CPU accumulated queued work")
-	}
-
-	// Healed: executing on the victim rejoins it (epoch recovery plus
-	// bulk invalidation) and its group state refaults consistently.
-	k.SetCPU(victim)
-	if !k.SeatTrusted(victim) {
-		return fired, 0, errors.New("chaos: cluster-rejoin-mid-revoke: victim untrusted after rejoin")
-	}
-	if _, err := k.Load(far, seg.Base()); err != nil {
-		return fired, 0, fmt.Errorf("chaos: cluster-rejoin-mid-revoke: post-rejoin access: %w", err)
-	}
-	recovered = kc.Get("kernel.cpu_rejoins") + kc.Get("smp.retransmits") + kc.Get("smp.fenced_skips")
-	if verr := oracle.Verify(k); verr != nil {
-		return fired, recovered, fmt.Errorf("chaos: cluster-rejoin-mid-revoke: stale authority survived rejoin: %w", verr)
-	}
-	return fired, recovered, nil
 }
 
 // directNetLossy runs the DSM workload on all three models over a lossy
@@ -594,80 +497,6 @@ func directCrashWindow(seed int64) (fired, recovered uint64, err error) {
 	return fired, recovered, nil
 }
 
-// directDestroyVsDMA is the lifecycle half of the device story: a
-// session domain with a warm device seat — the DMA engine holds IOTLB
-// entries and a sharer-directory listing on its behalf — is destroyed
-// while the seat drops every invalidation. The destroy-time withdrawal
-// volley must ride the acknowledged protocol into quarantine rather
-// than silently leave stale device authority; while fenced, DMA for the
-// dead domain aborts with the typed fence error; after rejoin-by-bulk-
-// invalidation the oracle's destroy sweep must find nothing, and a
-// further DMA attempt on the dead ID must be denied outright — the
-// recycled ID can never inherit the dead incarnation's device access.
-func directDestroyVsDMA(seed int64) (fired, recovered uint64, err error) {
-	cfg := kernel.DefaultConfig(kernel.ModelDomainPage)
-	cfg.CPUs = 2
-	cfg.Devices = []kernel.DeviceConfig{{Name: "sess-dma", Kind: iommu.DMAEngine}}
-	k, kerr := kernel.NewChecked(cfg)
-	if kerr != nil {
-		return 0, 0, fmt.Errorf("chaos: destroy-vs-dma: %w", kerr)
-	}
-	k.EnableShootdownProtocol(smp.DefaultProtocolConfig())
-	kc := k.Counters()
-
-	sess := k.CreateDomain()
-	id := sess.ID
-	seg := k.CreateSegment(4, kernel.SegmentOptions{Name: "sess-buf"})
-	k.Attach(sess, seg, addr.RW)
-	k.ProgramDevice(0, sess)
-	buf := make([]byte, k.Geometry().PageSize())
-	for i := range buf {
-		buf[i] = byte(seed) + byte(i)
-	}
-	// Prime the seat: the transfer warms the IOTLB and registers the
-	// device in the session's sharer directory entry.
-	if derr := k.DeviceWritePage(0, seg.Base(), buf); derr != nil {
-		return 0, 0, fmt.Errorf("chaos: destroy-vs-dma: priming DMA: %w", derr)
-	}
-
-	// The seat goes dark exactly when the destroy needs it: every
-	// device-bound invalidation is lost until quarantine trips, then the
-	// link heals.
-	ncpu := k.NumCPUs()
-	k.SetIPIFault(func(target int, _ smp.Request) smp.Fault {
-		if target >= ncpu && kc.Get("smp.dev_quarantines") == 0 {
-			return smp.FaultDrop
-		}
-		return smp.FaultNone
-	})
-
-	if derr := k.DestroyDomain(sess); derr != nil {
-		return 0, 0, fmt.Errorf("chaos: destroy-vs-dma: destroy: %w", derr)
-	}
-	if kc.Get("smp.dev_quarantines") == 0 {
-		return 0, 0, errors.New("chaos: destroy-vs-dma: destroy withdrawal never quarantined the dark seat")
-	}
-	fired = kc.Get("smp.dev_dropped") + kc.Get("smp.dev_quarantines")
-
-	// Fenced means fenced: the racing DMA aborts with the typed error
-	// instead of completing on stale IOTLB authority.
-	if _, derr := k.DeviceReadPage(0, seg.Base()); !errors.Is(derr, iommu.ErrFenced) {
-		return fired, 0, fmt.Errorf("chaos: destroy-vs-dma: racing DMA on the fenced seat returned %v, want ErrFenced", derr)
-	}
-
-	k.RejoinDevice(0)
-	recovered = kc.Get("kernel.dev_rejoins") + kc.Get("iommu.aborted")
-	if verr := oracle.VerifyDestroyed(k, id); verr != nil {
-		return fired, recovered, fmt.Errorf("chaos: destroy-vs-dma: residual authority after rejoin: %w", verr)
-	}
-	// The rejoined engine is healthy but its programmed principal is
-	// dead: DMA must be denied by the protection check, not replayed.
-	if _, derr := k.DeviceReadPage(0, seg.Base()); derr == nil {
-		return fired, recovered, errors.New("chaos: destroy-vs-dma: rejoined device still has authority for the destroyed domain")
-	}
-	return fired, recovered, nil
-}
-
 // directDeviceDeathCheckpoint routes the checkpoint workload's page
 // saves through a DMA engine device agent and kills the device's IPI
 // path mid-checkpoint: revocation volleys aimed at its seat are lost
@@ -750,90 +579,6 @@ func directDeviceDeathCheckpoint(seed int64) (fired, recovered uint64, err error
 	if conv, cerr := oracle.CheckConvergence(k); cerr != nil {
 		return fired, recovered, fmt.Errorf("chaos: dev-death-mid-checkpoint: convergence (spent %d of bound %d): %w",
 			conv.Cycles, conv.Bound, cerr)
-	}
-	return fired, recovered, nil
-}
-
-// directNICPartition isolates a NIC device agent's mesh cluster
-// mid-revocation on the page-group machine: the NIC sits alone in the
-// far corner of a 2x2 mesh, holds AID-tagged IOTLB state and group
-// membership for its programmed domain, and the partition swallows the
-// revocation volleys until the scaled device timeout budget quarantines
-// it. While fenced, its DMA aborts with typed errors and further group
-// maintenance aimed at its seat is skipped-but-accounted; after the
-// partition heals, rejoin-by-bulk-invalidation must leave no stale
-// device authority for the oracle to find.
-func directNICPartition(seed int64) (fired, recovered uint64, err error) {
-	cfg := kernel.DefaultConfig(kernel.ModelPageGroup)
-	cfg.CPUs = 4
-	cfg.Topology = smp.Topology{MeshWidth: 2, MeshHeight: 2, ClusterCPUs: 1}
-	cfg.Devices = []kernel.DeviceConfig{{Name: "nic0", Kind: iommu.NIC, Cluster: 3}}
-	k, kerr := kernel.NewChecked(cfg)
-	if kerr != nil {
-		return 0, 0, fmt.Errorf("chaos: nic-cluster-partition: %w", kerr)
-	}
-	k.EnableShootdownProtocol(smp.DefaultProtocolConfig())
-	kc := k.Counters()
-	seat := k.DeviceSeat(0)
-
-	dom := k.CreateDomain()
-	seg := k.CreateSegment(4, kernel.SegmentOptions{Name: "rx-ring"})
-	k.Attach(dom, seg, addr.RW)
-	k.ProgramDevice(0, dom)
-	pkt := make([]byte, k.Geometry().PageSize())
-	for i := range pkt {
-		pkt[i] = byte(seed) + byte(i)
-	}
-	if derr := k.DeviceWritePage(0, seg.Base(), pkt); derr != nil {
-		return 0, 0, fmt.Errorf("chaos: nic-cluster-partition: priming DMA: %w", derr)
-	}
-
-	// Partition: the mesh link into cluster 3 is down until the NIC is
-	// quarantined, then heals.
-	k.SetIPIFault(func(target int, _ smp.Request) smp.Fault {
-		if target == seat && k.DeviceHealth(0) != smp.Quarantined {
-			return smp.FaultDrop
-		}
-		return smp.FaultNone
-	})
-
-	// The revocation races the partition: the group-rights downgrade
-	// must reach the NIC's IOTLB, and cannot.
-	if rerr := k.SetSegmentRights(dom, seg, addr.Read); rerr != nil {
-		return 0, 0, fmt.Errorf("chaos: nic-cluster-partition: revoke: %w", rerr)
-	}
-	if k.DeviceHealth(0) != smp.Quarantined {
-		return 0, 0, errors.New("chaos: nic-cluster-partition: NIC never quarantined mid-revoke")
-	}
-	fired = kc.Get("smp.dev_dropped") + kc.Get("smp.dev_quarantines")
-
-	// Fenced: the DMA channel aborts transfers with a typed error.
-	if _, derr := k.DeviceReadPage(0, seg.Base()); !errors.Is(derr, iommu.ErrFenced) {
-		return fired, 0, fmt.Errorf("chaos: nic-cluster-partition: fenced DMA returned %v, want ErrFenced", derr)
-	}
-	// Maintenance aimed at the fenced seat is suppressed but accounted.
-	if rerr := k.SetSegmentRights(dom, seg, addr.RW); rerr != nil {
-		return fired, 0, fmt.Errorf("chaos: nic-cluster-partition: restore: %w", rerr)
-	}
-	if kc.Get("smp.dev_fenced_skips") == 0 {
-		return fired, 0, errors.New("chaos: nic-cluster-partition: fenced device maintenance was not accounted")
-	}
-	if k.PendingShootdowns(seat) != 0 {
-		return fired, 0, errors.New("chaos: nic-cluster-partition: fenced device accumulated queued work")
-	}
-
-	// Healed: rejoin by bulk IOTLB invalidation; the NIC re-faults its
-	// authority and the audit must come back clean.
-	k.RejoinDevice(0)
-	if !k.DeviceTrusted(0) {
-		return fired, 0, errors.New("chaos: nic-cluster-partition: NIC untrusted after rejoin")
-	}
-	if _, derr := k.DeviceReadPage(0, seg.Base()); derr != nil {
-		return fired, 0, fmt.Errorf("chaos: nic-cluster-partition: post-rejoin DMA: %w", derr)
-	}
-	recovered = kc.Get("kernel.dev_rejoins") + kc.Get("iommu.purged") + kc.Get("smp.dev_fenced_skips")
-	if verr := oracle.Verify(k); verr != nil {
-		return fired, recovered, fmt.Errorf("chaos: nic-cluster-partition: stale device authority survived rejoin: %w", verr)
 	}
 	return fired, recovered, nil
 }

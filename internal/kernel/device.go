@@ -104,14 +104,6 @@ func (k *Kernel) Device(i int) *iommu.Device { return k.devs[i] }
 // (device seats start at NumCPUs).
 func (k *Kernel) DeviceSeat(i int) int { return len(k.machs) + i }
 
-// DeviceTrusted reports whether device i holds no missed invalidations
-// (SeatTrusted for the device's seat).
-func (k *Kernel) DeviceTrusted(i int) bool { return k.SeatTrusted(k.DeviceSeat(i)) }
-
-// DeviceHealth returns the shootdown layer's health view of device i
-// (a kernel with a device always has a shootdown subsystem).
-func (k *Kernel) DeviceHealth(i int) smp.Health { return k.shoot.CPUHealth(k.DeviceSeat(i)) }
-
 // DeviceFenced reports whether device i's DMA channel is fenced
 // (quarantined or degraded): transfers abort with iommu.ErrFenced
 // until the device rejoins.

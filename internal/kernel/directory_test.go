@@ -149,8 +149,8 @@ func TestFencedSkipCounterParity(t *testing.T) {
 	if err := k.SetPageRights(d, s.Base(), addr.Read); err != nil {
 		t.Fatalf("SetPageRights: %v", err)
 	}
-	if k.CPUHealth(1) != smp.Quarantined {
-		t.Fatalf("health = %v, want quarantined", k.CPUHealth(1))
+	if k.SeatHealth(1) != smp.Quarantined {
+		t.Fatalf("health = %v, want quarantined", k.SeatHealth(1))
 	}
 	if got := kc.Get("smp.fenced_skips"); got != 0 {
 		t.Fatalf("fenced_skips before any fenced op = %d, want 0", got)

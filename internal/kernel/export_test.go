@@ -34,6 +34,15 @@ func (k *Kernel) OnBackingStore(vpn addr.VPN) bool {
 	return p != nil && p.onDisk
 }
 
+// PendingShootdowns returns the number of requests queued for seat t;
+// zero on a uniprocessor.
+func (k *Kernel) PendingShootdowns(t int) int {
+	if k.shoot == nil {
+		return 0
+	}
+	return k.shoot.Pending(t)
+}
+
 // DeviceOrg is the IOTLB organization a kernel of model m gives its
 // devices.
 var DeviceOrg = deviceOrg

@@ -84,7 +84,9 @@ const (
 
 // Config configures a kernel and its machine.
 type Config struct {
-	// Model selects domain-page (PLB) or page-group (PA-RISC).
+	// Model selects the protection model and its machine: domain-page
+	// (PLB), page-group (PA-RISC), conventional (ASID-tagged TLB) or
+	// flush (untagged TLB, flushed on every switch).
 	Model Model
 	// PLBDetach selects the detach implementation under ModelDomainPage.
 	PLBDetach DetachPolicy
@@ -120,9 +122,8 @@ type Config struct {
 	// Devices attaches device translation agents (internal/iommu): DMA
 	// engines, NICs and scanner accelerators that access memory through
 	// their own IOTLB + protection check and occupy shootdown seats
-	// above the CPU range. NewChecked validates each entry (seat
-	// budget, IOTLB capacity, cluster, timeout scale) with a
-	// *ConfigError.
+	// above the CPU range. NewChecked validates the seat budget and each
+	// entry's cluster with a *ConfigError.
 	Devices []DeviceConfig
 }
 
@@ -886,7 +887,7 @@ func (k *Kernel) ConvergeProtection() uint64 {
 		}
 	}
 	for i := range k.devs {
-		if !k.DeviceTrusted(i) {
+		if !k.SeatTrusted(k.DeviceSeat(i)) {
 			k.RejoinDevice(i)
 		}
 	}

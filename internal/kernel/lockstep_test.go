@@ -7,7 +7,10 @@ import (
 	"hash/fnv"
 	"maps"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -27,13 +30,23 @@ import (
 // parent, a recycled ID starts with nothing — which predicts each call's
 // outcome. After every call, on each kernel, the outcome must be the
 // predicted one, ResolveRights must agree with the model on every live
-// domain and page, and the oracle and the bookkeeping checks must pass;
-// across kernels the outcomes and loaded values must be identical. The
-// one sanctioned divergence is page-group refusing a rights change with
-// ErrUnrepresentable: page-group runs each call first, and a call it
-// refuses is skipped on every kernel, so all the model copies stay
-// equal. A script ends with a full verdict sweep (load, store and fetch),
-// the destruction of every live domain and a last audit.
+// domain and page, and the oracle, the bookkeeping checks and the seat
+// checks must pass; across kernels the outcomes and loaded values must
+// be identical. The one sanctioned divergence is page-group refusing a
+// rights change with ErrUnrepresentable: page-group runs each call
+// first, and a call it refuses is skipped on every kernel, so all the
+// model copies stay equal.
+//
+// A partition op arms a fault plan: every delivery to one seat is
+// dropped until the acknowledged protocol quarantines it. Whether a
+// revocation reaches that seat, and so whether it is fenced, depends on
+// the organization, so from a script's first partition on the lanes are
+// no longer compared with each other: each kernel is held to its own
+// model, in which a DMA by a device its kernel reports fenced fails with
+// iommu.ErrFenced. A script that partitioned heals and converges
+// (oracle.CheckConvergence) before its end. A script ends with a full
+// verdict sweep (load, store and fetch), the destruction of every live
+// domain and a last audit.
 //
 // Byte 0 of a script picks the world. Every op after it is an op byte
 // and three argument bytes; a deferred-shootdown window is followed by
@@ -61,12 +74,27 @@ const (
 	maxLockstepOps                 = 64
 )
 
-// lockstepWorlds are the configurations a script's first byte picks
-// from. Only the first has no shootdown subsystem.
-var lockstepWorlds = []struct {
-	cpus   int
-	device bool
-}{{1, false}, {2, true}, {4, true}}
+// world is a kernel configuration a script's first byte picks: its CPU
+// count, whether a DMA engine is seated above the CPUs, and whether the
+// CPUs are a 2×2 mesh of one-CPU clusters with the engine in cluster 3,
+// the far corner.
+type world struct {
+	cpus         int
+	device, mesh bool
+}
+
+// lockstepWorlds are the worlds scripts run in. Only the first has no
+// shootdown subsystem; the others run the acknowledged protocol, under
+// which a partitioned seat is quarantined rather than left stale.
+var lockstepWorlds = []world{{1, false, false}, {2, true, false}, {4, true, false}, {4, true, true}}
+
+// seats is the world's interconnect seat count: CPUs, then the device.
+func (w world) seats() int {
+	if w.device {
+		return w.cpus + 1
+	}
+	return w.cpus
+}
 
 type opKind uint8
 
@@ -91,12 +119,20 @@ const (
 	opDevRead
 	opDevWrite
 	opDevTouch
+	opPartition
+	opRejoinDevice
+	opConverge
+	opRecover
+	opKernelRead
+	opKernelWrite
+	opClearDirty
 	numOpKinds
 )
 
 // opSpecs gives each op's name, its arguments — d a domain handle, s a
 // segment handle, p a live page, m a page known to be mapped, r rights,
-// v the DMA engine — and its weight in generated scripts.
+// v the DMA engine — and its weight in generated scripts. A partition
+// names a seat, CPU or device, and needs a shootdown subsystem.
 var opSpecs = [numOpKinds]struct {
 	name, args string
 	weight     int
@@ -106,7 +142,12 @@ var opSpecs = [numOpKinds]struct {
 	{"clear-page", "dp", 1}, {"set-seg", "dsr", 1}, {"load", "dp", 3}, {"store", "dp", 3},
 	{"set-cpu", "", 1}, {"unmap", "m", 1}, {"page-out", "m", 1}, {"window", "", 1},
 	{"program", "dv", 1}, {"dev-read", "pv", 1}, {"dev-write", "pv", 1}, {"dev-touch", "pv", 1},
+	{"partition", "", 1}, {"rejoin-device", "v", 1}, {"converge", "", 1}, {"recover", "", 1},
+	{"kernel-read", "p", 1}, {"kernel-write", "p", 1}, {"clear-dirty", "p", 1},
 }
+
+// dma reports whether kind is one of the three DMA calls.
+func dma(kind opKind) bool { return kind == opDevRead || kind == opDevWrite || kind == opDevTouch }
 
 // windowOps are the protection ops a deferred-shootdown window holds.
 var windowOps = []opKind{opAttach, opDetach, opSetPage, opClearPage, opSetSeg}
@@ -126,7 +167,7 @@ type call struct {
 	d, s   int
 	pg     int
 	r      addr.Rights
-	n      int // the CPU of set-cpu, the page count of create-seg
+	n      int // the CPU of set-cpu, the seat of partition, the page count of create-seg
 	super  bool
 	access addr.AccessKind
 	inner  []call // a window's ops
@@ -139,6 +180,7 @@ type model struct {
 	free []int // destroyed domain handles; a create revives the last
 	segs []mseg
 	dev  int // the handle the DMA engine was programmed for, or -1
+	cpu  int // the current CPU
 }
 
 type mdom struct {
@@ -216,10 +258,11 @@ func (m *model) live() []call {
 	return out
 }
 
-// decode turns one op's bytes into a call, picking handles among live
-// and destroyed ones alike and pages among the live segments'; false
-// means the op cannot be formed yet (nothing to name, no device).
-func (m *model) decode(op []byte, cpus int, device bool) (call, bool) {
+// decode turns one op's bytes into a call in world w, picking handles
+// among live and destroyed ones alike and pages among the live
+// segments'; false means the op cannot be formed yet (nothing to name,
+// no device, no seat to partition).
+func (m *model) decode(op []byte, w world) (call, bool) {
 	at := func(i int) byte {
 		if i < len(op) {
 			return op[i]
@@ -231,7 +274,7 @@ func (m *model) decode(op []byte, cpus int, device bool) (call, bool) {
 	spec := opSpecs[c.kind]
 	has := func(arg string) bool { return strings.Contains(spec.args, arg) }
 	pages := m.pages(has("m"))
-	if has("v") && !device || has("d") && len(m.doms) == 0 || has("s") && len(m.segs) == 0 ||
+	if has("v") && !w.device || has("d") && len(m.doms) == 0 || has("s") && len(m.segs) == 0 ||
 		(has("p") || has("m")) && len(pages) == 0 {
 		return c, false
 	}
@@ -264,8 +307,15 @@ func (m *model) decode(op []byte, cpus int, device bool) (call, bool) {
 		}
 		c.desc += fmt.Sprintf(" %d pages super=%v", c.n, c.super)
 	case opSetCPU:
-		c.n = int(a) % cpus
+		c.n = int(a) % w.cpus
 		c.desc += fmt.Sprint(" ", c.n)
+	case opPartition:
+		// Any seat but the current CPU, which is sent nothing.
+		if w.cpus < 2 {
+			return c, false
+		}
+		c.n = (m.cpu + 1 + int(a)%(w.seats()-1)) % w.seats()
+		c.desc += fmt.Sprint(" seat ", c.n)
 	case opLoad:
 		c.access = [2]addr.AccessKind{addr.Load, addr.Fetch}[x%2]
 		c.desc = c.access.String() + strings.TrimPrefix(c.desc, spec.name)
@@ -279,7 +329,7 @@ func (m *model) decode(op []byte, cpus int, device bool) (call, bool) {
 	case opWindow:
 		for i := 4; i < 8+4*(int(a)%3); i += 4 {
 			in := []byte{byte(windowOps[int(at(i))%len(windowOps)]), at(i + 1), at(i + 2), at(i + 3)}
-			if ic, ok := m.decode(in, cpus, device); ok {
+			if ic, ok := m.decode(in, w); ok {
 				c.inner = append(c.inner, ic)
 				c.desc += " [" + ic.desc + "]"
 			}
@@ -367,10 +417,14 @@ func (m *model) predict(c call) (string, func()) {
 			return outcome(kernel.ErrProtection), nil
 		}
 		return allow, mapped
+	case opKernelRead, opKernelWrite:
+		return allow, mapped // kernel mode: no domain check
 	case opUnmap, opPageOut:
 		return allow, func() { m.segs[c.s].mapped[c.pg] = false }
 	case opProgram:
 		return allow, func() { m.dev = c.d }
+	case opSetCPU:
+		return allow, func() { m.cpu = c.n }
 	case opDevRead, opDevWrite, opDevTouch:
 		if m.dev < 0 || !m.doms[m.dev].live {
 			return outcome(iommu.ErrNoAuthority), nil
@@ -389,9 +443,37 @@ type lane struct {
 	doms []*kernel.Domain
 	segs []*kernel.Segment
 	m    model
+	// part is the partitioned seat, -1 when none, and partAt the
+	// kernel's quarantine count when the partition went up; parted marks
+	// every seat the script partitioned.
+	part   int
+	partAt uint64
+	parted []bool
 	// misrouted is the first request the device seat was sent that its
-	// IOTLB organization does not handle (see routeDevice).
+	// IOTLB organization does not handle (see hook).
 	misrouted error
+}
+
+// newLane builds org's kernel for world w. A kernel with a shootdown
+// subsystem runs the acknowledged protocol under the lane's fault hook.
+func newLane(org kernel.Model, w world) *lane {
+	cfg := kernel.DefaultConfig(org)
+	cfg.CPUs = w.cpus
+	cfg.PLB.PLB.Shifts = []uint{addr.BasePageShift, 16}
+	dev := kernel.DeviceConfig{Kind: iommu.DMAEngine}
+	if w.mesh {
+		cfg.Topology = smp.Topology{MeshWidth: 2, MeshHeight: 2, ClusterCPUs: 1}
+		dev.Cluster = 3
+	}
+	if w.device {
+		cfg.Devices = []kernel.DeviceConfig{dev}
+	}
+	l := &lane{k: kernel.New(cfg), m: model{dev: -1}, part: -1, parted: make([]bool, w.seats())}
+	if w.cpus > 1 {
+		l.k.EnableShootdownProtocol(smp.DefaultProtocolConfig())
+		l.hook()
+	}
+	return l
 }
 
 // deviceKinds lists, per IOTLB organization, the request kinds
@@ -403,29 +485,45 @@ var deviceKinds = map[iommu.Org][]smp.Kind{
 	iommu.OrgPageGroup: {smp.GroupLoad, smp.GroupRevoke, smp.GroupUpdate, smp.Unmap},
 }
 
-// routeDevice installs a fault hook that delivers every request and
-// records in l.misrouted the first one sent to the lane's device seat
-// outside deviceKinds of its organization. Every request reaches a
-// device through the hook: a device is never the current seat.
-func (l *lane) routeDevice() {
-	org, seat := kernel.DeviceOrg(l.k.Model()), l.k.DeviceSeat(0)
+// hook installs the lane's one fault hook. It records in l.misrouted
+// the first request sent to the device seat outside deviceKinds of its
+// organization; every request reaches a device through the hook, since
+// a device is never the current seat. And it drops every delivery to
+// the partitioned seat until the kernel has quarantined a seat since
+// the partition went up (only that seat's deliveries fail), when the
+// partition heals.
+func (l *lane) hook() {
+	org, dev := kernel.DeviceOrg(l.k.Model()), l.k.DeviceSeat(0)
 	l.k.SetIPIFault(func(t int, r smp.Request) smp.Fault {
-		if t == seat && l.misrouted == nil && !slices.Contains(deviceKinds[org], r.Kind) {
+		if t == dev && l.misrouted == nil && !slices.Contains(deviceKinds[org], r.Kind) {
 			l.misrouted = fmt.Errorf("device seat %d was sent %v, which a %v IOTLB does not apply", t, r.Kind, org)
+		}
+		if t == l.part {
+			if l.quarantines() == l.partAt {
+				return smp.FaultDrop
+			}
+			l.part = -1
 		}
 		return smp.FaultNone
 	})
 }
+
+// quarantines is how many times the lane's kernel quarantined a seat.
+func (l *lane) quarantines() uint64 { return l.k.Counters().Get("smp.quarantines") }
 
 // refused is the outcome of a call page-group refuses and the model
 // allows: the model skips it.
 var refused = outcome(kernel.ErrUnrepresentable)
 
 // step runs c on the lane's kernel, holds the outcome to the model's
-// prediction and updates the model. It returns the outcome with any
-// value the call read, for comparison across lanes.
+// prediction and updates the model. A DMA by a device the kernel reports
+// fenced must abort with iommu.ErrFenced instead. It returns the outcome
+// with any value the call read, for comparison across lanes.
 func (l *lane) step(c call, op int) (string, error) {
 	want, apply := l.m.predict(c)
+	if dma(c.kind) && l.k.DeviceFenced(0) {
+		want, apply = outcome(iommu.ErrFenced), nil
+	}
 	got, val := l.run(c, op)
 	switch {
 	case l.k.Model() == kernel.ModelPageGroup && want == outcome(nil) && got == refused:
@@ -457,6 +555,8 @@ func (l *lane) run(c call, op int) (got, val string) {
 		s = l.segs[c.s]
 		va = s.PageVA(uint64(c.pg))
 	}
+	vpn := k.Geometry().PageNumber(va)
+	fill := func() []byte { return bytes.Repeat([]byte{byte(op)}, int(k.Geometry().PageSize())) }
 	var err error
 	switch c.kind {
 	case opCreate:
@@ -497,22 +597,39 @@ func (l *lane) run(c call, op int) (got, val string) {
 	case opSetCPU:
 		k.SetCPU(c.n)
 	case opUnmap:
-		err = k.Unmap(k.Geometry().PageNumber(va))
+		err = k.Unmap(vpn)
 	case opPageOut:
-		err = k.PageOut(k.Geometry().PageNumber(va))
+		err = k.PageOut(vpn)
 	case opProgram:
 		k.ProgramDevice(0, d)
-	case opDevRead:
+	case opDevRead, opKernelRead:
 		var data []byte
-		if data, err = k.DeviceReadPage(0, va); err == nil {
+		if c.kind == opDevRead {
+			data, err = k.DeviceReadPage(0, va)
+		} else {
+			data, err = k.KernelReadPage(vpn)
+		}
+		if err == nil {
 			h := fnv.New64a()
 			h.Write(data)
 			val = fmt.Sprintf(" %#x", h.Sum64())
 		}
 	case opDevWrite:
-		err = k.DeviceWritePage(0, va, bytes.Repeat([]byte{byte(op)}, int(k.Geometry().PageSize())))
+		err = k.DeviceWritePage(0, va, fill())
 	case opDevTouch:
 		err = k.DeviceTouch(0, va, c.access)
+	case opPartition:
+		l.part, l.partAt, l.parted[c.n] = c.n, l.quarantines(), true
+	case opRejoinDevice:
+		k.RejoinDevice(0)
+	case opConverge:
+		_, err = oracle.CheckConvergence(k)
+	case opRecover:
+		k.RecoverHardware()
+	case opKernelWrite:
+		err = k.KernelWritePage(vpn, fill())
+	case opClearDirty:
+		val = fmt.Sprint(" ", k.ClearDirty(vpn))
 	}
 	if err == nil && (c.kind == opCreate || c.kind == opFork) {
 		i := slices.Index(l.doms, d)
@@ -524,7 +641,28 @@ func (l *lane) run(c call, op int) (got, val string) {
 	return outcome(err), val
 }
 
-// audit holds the lane's kernel to its model and to the oracle.
+// seatAudit holds the lane's kernel to its fault plan: the current CPU
+// is trusted, no fenced seat has a request queued, and no seat the
+// script never partitioned is fenced.
+func (l *lane) seatAudit() error {
+	k := l.k
+	if !k.SeatTrusted(l.m.cpu) {
+		return fmt.Errorf("current CPU %d is untrusted (%v)", l.m.cpu, k.SeatHealth(l.m.cpu))
+	}
+	for t := range k.NumSeats() {
+		switch h := k.SeatHealth(t); {
+		case h != smp.Quarantined && h != smp.Degraded:
+		case k.PendingShootdowns(t) > 0:
+			return fmt.Errorf("%s is %v with %d requests queued", k.SeatName(t), h, k.PendingShootdowns(t))
+		case !l.parted[t]:
+			return fmt.Errorf("%s is %v, never partitioned", k.SeatName(t), h)
+		}
+	}
+	return nil
+}
+
+// audit holds the lane's kernel to its model, its fault plan and the
+// oracle.
 func (l *lane) audit() error {
 	for _, c := range l.m.live() {
 		want, rec := l.m.rights(c.d, mpage{c.s, c.pg})
@@ -534,8 +672,18 @@ func (l *lane) audit() error {
 				c.d, c.s, c.pg, got, cacheable, ok, want, rec)
 		}
 	}
-	return errors.Join(l.misrouted, oracle.Verify(l.k), l.k.CheckAttachmentBookkeeping(),
+	return errors.Join(l.misrouted, l.seatAudit(), oracle.Verify(l.k), l.k.CheckAttachmentBookkeeping(),
 		l.k.CheckPageGroupBookkeeping(), l.k.CheckTranslationBookkeeping())
+}
+
+// verifyDestroyed holds every destroyed domain whose ID no create has
+// revived to the oracle's destroy sweep.
+func (l *lane) verifyDestroyed() error {
+	var err error
+	for _, h := range l.m.free {
+		err = errors.Join(err, oracle.VerifyDestroyed(l.k, l.doms[h].ID))
+	}
+	return err
 }
 
 // finish sweeps every live domain, page and access against the model,
@@ -564,7 +712,7 @@ func (l *lane) finish() error {
 	if len(l.doms) > 0 && k.FreeDomainIDs() == 0 {
 		return errors.New("drained kernel's free list is empty")
 	}
-	return errors.Join(l.misrouted, oracle.Verify(k))
+	return errors.Join(l.misrouted, l.seatAudit(), oracle.Verify(k))
 }
 
 // splitOps cuts a script's body into ops, a window with the ops inside
@@ -583,39 +731,57 @@ func splitOps(b []byte) [][]byte {
 }
 
 // lockstep runs script on the organizations orgs, returning one line
-// per op run and the first failure.
-func lockstep(orgs []kernel.Model, script []byte) ([]string, error) {
+// per op run and the first failure. after, when not nil, sees every
+// lane after each op has run and been audited on all of them.
+func lockstep(orgs []kernel.Model, script []byte, after func(call, *lane)) ([]string, error) {
 	if len(script) == 0 {
 		return nil, nil
 	}
-	world := lockstepWorlds[int(script[0])%len(lockstepWorlds)]
+	w := lockstepWorlds[int(script[0])%len(lockstepWorlds)]
 	if i := slices.Index(orgs, kernel.ModelPageGroup); i > 0 {
 		orgs = slices.Clone(orgs)
 		orgs[0], orgs[i] = orgs[i], orgs[0]
 	}
 	lanes := make([]*lane, len(orgs))
 	for i, org := range orgs {
-		cfg := kernel.DefaultConfig(org)
-		cfg.CPUs = world.cpus
-		cfg.PLB.PLB.Shifts = []uint{addr.BasePageShift, 16}
-		if world.device {
-			cfg.Devices = []kernel.DeviceConfig{{Kind: iommu.DMAEngine}}
-		}
-		lanes[i] = &lane{k: kernel.New(cfg), m: model{dev: -1}}
-		if world.device {
-			lanes[i].routeDevice()
-		}
+		lanes[i] = newLane(org, w)
 	}
-	log := []string{fmt.Sprintf("world: %d CPUs, device %v", world.cpus, world.device)}
-	for op, raw := range splitOps(script[1:]) {
+	log := []string{fmt.Sprintf("world: %d CPUs, device %v, mesh %v", w.cpus, w.device, w.mesh)}
+	faulted := false
+	run := func(c call, op int) error {
+		faulted = faulted || c.kind == opPartition
+		if err := lockstepOp(lanes, c, op, faulted); err != nil {
+			return fmt.Errorf("op %d (%s): %w", op, c.desc, err)
+		}
+		if after != nil {
+			for _, l := range lanes {
+				after(c, l)
+			}
+		}
+		return nil
+	}
+	ops := splitOps(script[1:])
+	for op, raw := range ops {
 		// Every lane's model is the same, so the first decodes for all.
-		c, ok := lanes[0].m.decode(raw, world.cpus, world.device)
+		c, ok := lanes[0].m.decode(raw, w)
 		if !ok {
 			continue
 		}
 		log = append(log, fmt.Sprintf("%d: %s", op, c.desc))
-		if err := lockstepOp(lanes, c, op); err != nil {
-			return log, fmt.Errorf("op %d (%s): %w", op, c.desc, err)
+		if err := run(c, op); err != nil {
+			return log, err
+		}
+	}
+	if faulted {
+		// The partition heals, and protection maintenance must converge
+		// before the sweep.
+		for _, l := range lanes {
+			l.part = -1
+		}
+		c := call{kind: opConverge, d: -1, s: -1, desc: "converge"}
+		log = append(log, fmt.Sprintf("%d: %s", len(ops), c.desc))
+		if err := run(c, len(ops)); err != nil {
+			return log, err
 		}
 	}
 	for _, l := range lanes {
@@ -627,9 +793,10 @@ func lockstep(orgs []kernel.Model, script []byte) ([]string, error) {
 }
 
 // lockstepOp runs one decoded op on every lane and checks the lanes
-// against their models, the oracle and each other. The first lane is
-// page-group's when it runs: a call it refuses runs on no other lane.
-func lockstepOp(lanes []*lane, c call, op int) error {
+// against their models, the oracle and, until the script has faulted,
+// each other. The first lane is page-group's when it runs: a call it
+// refuses runs on no other lane.
+func lockstepOp(lanes []*lane, c call, op int, faulted bool) error {
 	calls := []call{c}
 	if c.kind == opWindow {
 		calls = c.inner
@@ -650,18 +817,37 @@ func lockstepOp(lanes []*lane, c call, op int) error {
 			switch {
 			case err != nil:
 				return err
-			case got != ref:
+			case got != ref && !faulted:
 				return fmt.Errorf("%v: %s, %v: %s", l.k.Model(), got, lanes[0].k.Model(), ref)
+			}
+		}
+		if dma(in.kind) {
+			// A DMA the fence aborted on some lanes mapped the page on the
+			// others only. A page stays known to be mapped where every
+			// lane mapped it, so the models, which decode the next op,
+			// stay equal.
+			mapped := true
+			for _, l := range lanes {
+				mapped = mapped && l.m.segs[in.s].mapped[in.pg]
+			}
+			for _, l := range lanes {
+				l.m.segs[in.s].mapped[in.pg] = mapped
 			}
 		}
 	}
 	for _, l := range lanes {
+		var err error
 		if c.kind == opWindow {
+			err = l.seatAudit() // requests for fenced seats were never queued
 			l.k.FlushShootdowns()
 		}
-		err := l.audit()
-		if c.kind == opDestroy && !l.m.doms[c.d].live && err == nil {
+		err = errors.Join(err, l.audit())
+		switch {
+		case err != nil:
+		case c.kind == opDestroy && !l.m.doms[c.d].live:
 			err = oracle.VerifyDestroyed(l.k, l.doms[c.d].ID)
+		case c.kind == opRejoinDevice || c.kind == opConverge || c.kind == opRecover:
+			err = l.verifyDestroyed()
 		}
 		if err != nil {
 			return fmt.Errorf("%v: %w", l.k.Model(), err)
@@ -673,12 +859,12 @@ func lockstepOp(lanes []*lane, c call, op int) error {
 // lockstepFailure runs script on orgs and, if a check fails, reports the
 // failure with the script shrunk, its error and its ops.
 func lockstepFailure(orgs []kernel.Model, script []byte) error {
-	_, err := lockstep(orgs, script)
+	_, err := lockstep(orgs, script, nil)
 	if err == nil {
 		return nil
 	}
 	min := shrinkLockstep(orgs, script)
-	log, minErr := lockstep(orgs, min)
+	log, minErr := lockstep(orgs, min, nil)
 	return fmt.Errorf("%v\nshrunk script %x fails with: %v\n  %s", err, min, minErr, strings.Join(log, "\n  "))
 }
 
@@ -691,7 +877,7 @@ func shrinkLockstep(orgs []kernel.Model, script []byte) []byte {
 		size, reduced := max(1, len(ops)/n), false
 		for start := 0; start < len(ops) && !reduced; start += size {
 			cand := slices.Concat(ops[:start], ops[min(start+size, len(ops)):])
-			if _, err := lockstep(orgs, join(cand)); err != nil {
+			if _, err := lockstep(orgs, join(cand), nil); err != nil {
 				ops, n, reduced = cand, max(n-1, 2), true
 			}
 		}
@@ -844,4 +1030,130 @@ func TestLifecycleQuick(t *testing.T) {
 			}
 		})
 	}
+}
+
+// faultOps arm partitions among accesses spread over every CPU and the
+// DMA engine, and the revocations that send those seats requests.
+var faultOps = []opKind{opPartition, opSetCPU, opSetCPU, opSetCPU, opLoad, opLoad, opLoad, opStore, opStore,
+	opAttach, opDetach, opSetPage, opSetPage, opSetSeg, opDestroy, opCreate, opFork, opProgram, opDevRead,
+	opDevRead, opDevWrite, opDevTouch, opRejoinDevice, opConverge, opWindow}
+
+// TestFaultPlans runs scripts of faultOps on all four organizations in
+// lockstep, in the three worlds with a DMA engine. The prologue attaches
+// both domains to both segments and programs the engine, so remote seats
+// hold authority a partition can strand.
+func TestFaultPlans(t *testing.T) {
+	pro := append(prologue(0, 1), byte(opAttach), 0, 0, 2, byte(opAttach), 1, 0, 2,
+		byte(opAttach), 0, 1, 2, byte(opAttach), 1, 1, 1, byte(opProgram), 0, 0, 0)
+	for seed := range int64(48) {
+		if err := lockstepFailure(lifecycleModels, genScript(seed, byte(1+seed%3), pro, faultOps, lockstepSeedOps)); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// retiredScenarios are the committed corpus scripts that replaced three
+// chaos scenarios, each with the organization the scenario ran on and
+// the events it checked for. FuzzLockstep replays them on all four
+// organizations.
+var retiredScenarios = []struct {
+	name string
+	org  kernel.Model
+	want []string
+}{
+	// Page-group on a 2×2 mesh: a domain executing on CPU 3, in the far
+	// corner, loses its attachment into the partition.
+	{"cluster-rejoin-mid-revoke", kernel.ModelPageGroup,
+		[]string{"cpu 3 quarantined", "skipped while cpu 3 fenced", "cpu 3 trusted again"}},
+	// Domain-page: a domain is destroyed while the engine acting for it
+	// is partitioned.
+	{"destroy-vs-dma", kernel.ModelDomainPage,
+		[]string{"dma0 quarantined", "fenced DMA aborted", "dma0 trusted again", "dead domain's DMA denied"}},
+	// Page-group on a 2×2 mesh: the engine, seated in the far corner,
+	// loses a segment-rights downgrade into the partition.
+	{"nic-cluster-partition", kernel.ModelPageGroup,
+		[]string{"dma0 quarantined", "fenced DMA aborted", "skipped while dma0 fenced", "dma0 trusted again"}},
+}
+
+// TestRetiredChaosScenarios replays each retired scenario's script on
+// the organization the scenario ran on and requires every event it
+// checked: the partitioned seat was quarantined; a DMA while the engine
+// was fenced (which the lockstep holds to iommu.ErrFenced); a request
+// for a fenced seat skipped and counted; the seat trusted after its
+// rejoin; and a rejoined engine denied DMA for its destroyed domain.
+// The lockstep's audits hold the rest after every op: no request queued
+// for a fenced seat, oracle.Verify, and VerifyDestroyed after each
+// rejoin.
+func TestRetiredChaosScenarios(t *testing.T) {
+	for _, sc := range retiredScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			var seen []string
+			note := func(e string) {
+				if !slices.Contains(seen, e) {
+					seen = append(seen, e)
+				}
+			}
+			// fenced and trusted are every seat's state, and skips the
+			// fenced-skip count, after the previous op.
+			var fenced, trusted []bool
+			var skips uint64
+			_, err := lockstep([]kernel.Model{sc.org}, corpusEntry(t, sc.name), func(c call, l *lane) {
+				k := l.k
+				if fenced == nil {
+					fenced, trusted = make([]bool, k.NumSeats()), make([]bool, k.NumSeats())
+					for seat := range trusted {
+						trusted[seat] = true
+					}
+				}
+				dev := k.DeviceSeat(0)
+				switch {
+				case dma(c.kind) && fenced[dev]:
+					note("fenced DMA aborted")
+				case dma(c.kind) && slices.Contains(seen, k.SeatName(dev)+" trusted again") &&
+					l.m.dev >= 0 && !l.m.doms[l.m.dev].live:
+					note("dead domain's DMA denied")
+				}
+				n := k.Counters().Get("smp.fenced_skips")
+				for seat := range fenced {
+					name, h := k.SeatName(seat), k.SeatHealth(seat)
+					now := h == smp.Quarantined || h == smp.Degraded
+					switch {
+					case now && !fenced[seat]:
+						note(name + " quarantined")
+					case now && n > skips:
+						note("skipped while " + name + " fenced")
+					}
+					if k.SeatTrusted(seat) && !trusted[seat] {
+						note(name + " trusted again")
+					}
+					fenced[seat], trusted[seat] = now, k.SeatTrusted(seat)
+				}
+				skips = n
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range sc.want {
+				if !slices.Contains(seen, e) {
+					t.Errorf("%v never saw %q; saw %q", sc.org, e, seen)
+				}
+			}
+		})
+	}
+}
+
+// corpusEntry reads the script of FuzzLockstep's committed corpus entry
+// name.
+func corpusEntry(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLockstep", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	script, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if !ok || err != nil {
+		t.Fatalf("corpus entry %s is not one []byte: %v", name, err)
+	}
+	return []byte(script)
 }

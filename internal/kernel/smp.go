@@ -186,13 +186,13 @@ func (k *Kernel) SeatTrusted(t int) bool {
 	return k.shoot == nil || k.shoot.Trusted(t)
 }
 
-// CPUHealth returns the shootdown layer's health view of seat i: CPU
-// i, or the device seated there (Healthy on a uniprocessor).
-func (k *Kernel) CPUHealth(i int) smp.Health {
+// SeatHealth returns the shootdown layer's health view of seat t: CPU
+// t, or the device seated there (Healthy on a uniprocessor).
+func (k *Kernel) SeatHealth(t int) smp.Health {
 	if k.shoot == nil {
 		return smp.Healthy
 	}
-	return k.shoot.CPUHealth(i)
+	return k.shoot.SeatHealth(t)
 }
 
 // SetIPIFault installs (or with nil removes) a chaos hook that drops or
@@ -207,15 +207,6 @@ func (k *Kernel) SetIPIFault(fn smp.FaultHook) {
 // always false on a uniprocessor.
 func (k *Kernel) IPIFaultArmed() bool {
 	return k.shoot != nil && k.shoot.FaultArmed()
-}
-
-// PendingShootdowns returns the number of requests queued for CPU i;
-// zero on a uniprocessor.
-func (k *Kernel) PendingShootdowns(i int) int {
-	if k.shoot == nil {
-		return 0
-	}
-	return k.shoot.Pending(i)
 }
 
 // ApplyShootdown implements smp.Handler: perform r on seat t (a CPU's

@@ -188,8 +188,8 @@ func TestQuarantineFencesAndSetCPURejoins(t *testing.T) {
 	if err := k.SetPageRights(d, s.Base(), addr.Read); err != nil {
 		t.Fatalf("SetPageRights: %v", err)
 	}
-	if k.CPUHealth(1) != smp.Quarantined || k.SeatTrusted(1) {
-		t.Fatalf("health = %v trusted=%v, want quarantined/untrusted", k.CPUHealth(1), k.SeatTrusted(1))
+	if k.SeatHealth(1) != smp.Quarantined || k.SeatTrusted(1) {
+		t.Fatalf("health = %v trusted=%v, want quarantined/untrusted", k.SeatHealth(1), k.SeatTrusted(1))
 	}
 	if k.Counters().Get("smp.quarantines") != 1 {
 		t.Fatalf("quarantines = %d", k.Counters().Get("smp.quarantines"))
@@ -206,8 +206,8 @@ func TestQuarantineFencesAndSetCPURejoins(t *testing.T) {
 	// readmission. The interconnect is healed first.
 	k.SetIPIFault(nil)
 	k.SetCPU(1)
-	if !k.SeatTrusted(1) || k.CPUHealth(1) != smp.Healthy {
-		t.Fatalf("after rejoin: health=%v trusted=%v", k.CPUHealth(1), k.SeatTrusted(1))
+	if !k.SeatTrusted(1) || k.SeatHealth(1) != smp.Healthy {
+		t.Fatalf("after rejoin: health=%v trusted=%v", k.SeatHealth(1), k.SeatTrusted(1))
 	}
 	if got := k.Counters().Get("kernel.cpu_rejoins"); got != 1 {
 		t.Fatalf("cpu_rejoins = %d, want 1", got)
@@ -251,7 +251,7 @@ func TestConvergeProtectionWithinBound(t *testing.T) {
 	}
 	for i := 0; i < k.NumCPUs(); i++ {
 		if !k.SeatTrusted(i) {
-			t.Fatalf("CPU %d untrusted after convergence (health %v)", i, k.CPUHealth(i))
+			t.Fatalf("CPU %d untrusted after convergence (health %v)", i, k.SeatHealth(i))
 		}
 		if k.PendingShootdowns(i) != 0 {
 			t.Fatalf("CPU %d still has pending shootdowns", i)

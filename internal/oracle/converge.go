@@ -37,7 +37,7 @@ func CheckConvergence(k *kernel.Kernel) (Convergence, error) {
 	}
 	for t := range k.NumSeats() {
 		if !k.SeatTrusted(t) {
-			return c, fmt.Errorf("oracle: %s still untrusted (health %v) after convergence", k.SeatName(t), k.CPUHealth(t))
+			return c, fmt.Errorf("oracle: %s still untrusted (health %v) after convergence", k.SeatName(t), k.SeatHealth(t))
 		}
 	}
 	c.Violations = Violations(k)

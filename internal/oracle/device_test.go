@@ -130,19 +130,19 @@ func TestDeviceConvergence(t *testing.T) {
 	if err := k.SetSegmentRights(d, seg, addr.Read); err != nil {
 		t.Fatalf("revoke: %v", err)
 	}
-	if k.DeviceHealth(0) == smp.Healthy {
+	if k.SeatHealth(k.DeviceSeat(0)) == smp.Healthy {
 		t.Fatalf("dead device still healthy after revocation volleys")
 	}
-	if !k.DeviceFenced(0) && !k.DeviceTrusted(0) {
+	if !k.DeviceFenced(0) && !k.SeatTrusted(k.DeviceSeat(0)) {
 		// Either outcome (fenced, or merely stale pre-quarantine) is
 		// acceptable mid-run; convergence must fix both.
-		t.Logf("device health mid-run: %v", k.DeviceHealth(0))
+		t.Logf("device health mid-run: %v", k.SeatHealth(k.DeviceSeat(0)))
 	}
 	dead = false // the device comes back before convergence
 	if _, err := CheckConvergence(k); err != nil {
 		t.Fatalf("convergence with device seat: %v", err)
 	}
-	if !k.DeviceTrusted(0) {
+	if !k.SeatTrusted(k.DeviceSeat(0)) {
 		t.Fatalf("device untrusted after convergence")
 	}
 }

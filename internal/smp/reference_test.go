@@ -373,8 +373,8 @@ func compareSides(t *testing.T, step int, got side, ref *refShootdown, want side
 		if g, w := got.s.Pending(tg), ref.Pending(tg); g != w {
 			t.Fatalf("step %d: Pending(%d) = %d, reference %d", step, tg, g, w)
 		}
-		if g, w := got.s.CPUHealth(tg), want.s.CPUHealth(tg); g != w {
-			t.Fatalf("step %d: CPUHealth(%d) = %v, reference %v", step, tg, g, w)
+		if g, w := got.s.SeatHealth(tg), want.s.SeatHealth(tg); g != w {
+			t.Fatalf("step %d: SeatHealth(%d) = %v, reference %v", step, tg, g, w)
 		}
 		if g, w := got.s.stale[tg], want.s.stale[tg]; g != w {
 			t.Fatalf("step %d: Stale(%d) = %v, reference %v", step, tg, g, w)

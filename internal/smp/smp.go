@@ -240,17 +240,19 @@ func (h Health) String() string {
 }
 
 // ProtocolConfig tunes the acknowledged shootdown protocol. Zero
-// fields take the defaults of DefaultProtocolConfig.
+// fields take the defaults of DefaultProtocolConfig; zero timeouts are
+// derived from the IPI cost of the shootdown's own cost model.
 type ProtocolConfig struct {
 	// AckTimeout is the cycle cost the initiator pays waiting out one
-	// unacknowledged volley before retransmitting.
+	// unacknowledged volley before retransmitting; zero means two IPI
+	// flight times.
 	AckTimeout uint64
 	// MaxRetries bounds retransmission volleys per batch; when a target
 	// still has unacknowledged requests after MaxRetries retransmits it
 	// is quarantined.
 	MaxRetries int
 	// BackoffLimit caps the doubling timeout (the netsim transport's
-	// backoff discipline).
+	// backoff discipline); zero means sixteen IPI flight times.
 	BackoffLimit uint64
 	// SuspectAfter is the number of consecutive timed-out volleys after
 	// which a healthy target is marked suspect.
@@ -261,31 +263,27 @@ type ProtocolConfig struct {
 }
 
 // DefaultProtocolConfig returns the protocol tuning used by the
-// experiments: a timeout of two IPI flight times, four retransmissions,
-// backoff capped at 8× the base timeout, suspicion after two
-// consecutive timeouts, degradation after three quarantines.
+// experiments: four retransmissions, suspicion after two consecutive
+// timeouts, degradation after three quarantines. Its timeouts are left
+// zero, so EnableProtocol derives them from the shootdown's IPI cost: a
+// timeout of two IPI flight times, backoff capped at 8× the base
+// timeout.
 func DefaultProtocolConfig() ProtocolConfig {
-	ipi := cpu.DefaultCosts().IPI
-	return ProtocolConfig{
-		AckTimeout:   2 * ipi,
-		MaxRetries:   4,
-		BackoffLimit: 16 * ipi,
-		SuspectAfter: 2,
-		DegradeAfter: 3,
-	}
+	return ProtocolConfig{MaxRetries: 4, SuspectAfter: 2, DegradeAfter: 3}
 }
 
-// fill replaces zero fields with defaults.
-func (c *ProtocolConfig) fill() {
+// fill replaces zero fields with defaults, pricing the timeouts at ipi
+// cycles per IPI flight.
+func (c *ProtocolConfig) fill(ipi uint64) {
 	d := DefaultProtocolConfig()
 	if c.AckTimeout == 0 {
-		c.AckTimeout = d.AckTimeout
+		c.AckTimeout = 2 * ipi
 	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = d.MaxRetries
 	}
 	if c.BackoffLimit == 0 {
-		c.BackoffLimit = d.BackoffLimit
+		c.BackoffLimit = 16 * ipi
 	}
 	if c.SuspectAfter == 0 {
 		c.SuspectAfter = d.SuspectAfter
@@ -525,9 +523,10 @@ func (s *Shootdown) SetTopology(t Topology) {
 func (s *Shootdown) SetInitiator(cpu int) { s.initiator = cpu }
 
 // EnableProtocol switches delivery from fire-and-forget to the
-// acknowledged protocol with the given tuning (zero fields default).
+// acknowledged protocol with the given tuning (zero fields default, the
+// timeouts priced by the cost model's IPI as it stands now).
 func (s *Shootdown) EnableProtocol(cfg ProtocolConfig) {
-	cfg.fill()
+	cfg.fill(s.costs.IPI)
 	s.proto = &cfg
 }
 
@@ -543,8 +542,9 @@ func (s *Shootdown) Protocol() ProtocolConfig {
 	return *s.proto
 }
 
-// CPUHealth returns the initiator's health view of CPU t.
-func (s *Shootdown) CPUHealth(t int) Health { return s.health[t] }
+// SeatHealth returns the initiator's health view of seat t: a CPU, or
+// a device seated above the CPU range.
+func (s *Shootdown) SeatHealth(t int) Health { return s.health[t] }
 
 // Fenced reports whether CPU t is excluded from delivery (quarantined
 // or degraded). The kernel must not rely on shootdowns reaching a

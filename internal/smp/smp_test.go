@@ -266,6 +266,21 @@ func testProto() ProtocolConfig {
 	}
 }
 
+// TestDefaultTimeoutsFollowIPICost: the default ack timeout and backoff
+// cap are two and sixteen IPI flight times of the shootdown's own cost
+// model, so a machine whose IPI costs twice the default waits twice as
+// long before retransmitting.
+func TestDefaultTimeoutsFollowIPICost(t *testing.T) {
+	costs := cpu.DefaultCosts()
+	costs.IPI *= 2
+	s := New(2, newFakeHandler(2), &costs, &stats.Counters{}, &stats.Cycles{})
+	s.EnableProtocol(DefaultProtocolConfig())
+	if ack, backoff := s.TargetTimeouts(1); ack != 2*costs.IPI || backoff != 16*costs.IPI {
+		t.Fatalf("IPI %d: ack timeout %d, backoff cap %d; want %d and %d",
+			costs.IPI, ack, backoff, 2*costs.IPI, 16*costs.IPI)
+	}
+}
+
 // TestProtocolFaultFreeParity: on a lossless interconnect the
 // acknowledged protocol must cost exactly the same as fire-and-forget —
 // same IPIs, same cycles, no timeouts, no retransmissions.
@@ -334,8 +349,8 @@ func TestProtocolRetryAfterDrop(t *testing.T) {
 	if cyc.Total() != wantCyc {
 		t.Fatalf("cycles = %d, want %d (one delivered IPI + one timeout)", cyc.Total(), wantCyc)
 	}
-	if s.CPUHealth(1) != Healthy {
-		t.Fatalf("health = %v, want healthy after successful retry", s.CPUHealth(1))
+	if s.SeatHealth(1) != Healthy {
+		t.Fatalf("health = %v, want healthy after successful retry", s.SeatHealth(1))
 	}
 }
 
@@ -386,8 +401,8 @@ func TestProtocolQuarantineAndRejoin(t *testing.T) {
 	if len(h.applied[1]) != 0 {
 		t.Fatal("dead CPU applied a request")
 	}
-	if s.CPUHealth(1) != Quarantined || !s.Fenced(1) || !s.stale[1] || s.Trusted(1) {
-		t.Fatalf("health = %v fenced=%v stale=%v", s.CPUHealth(1), s.Fenced(1), s.stale[1])
+	if s.SeatHealth(1) != Quarantined || !s.Fenced(1) || !s.stale[1] || s.Trusted(1) {
+		t.Fatalf("health = %v fenced=%v stale=%v", s.SeatHealth(1), s.Fenced(1), s.stale[1])
 	}
 	// MaxRetries+1 volleys, all dropped: no IPIs, one timeout each.
 	if ctrs.Get("smp.ipis") != 0 || ctrs.Get("smp.timeouts") != uint64(p.MaxRetries+1) ||
@@ -410,8 +425,8 @@ func TestProtocolQuarantineAndRejoin(t *testing.T) {
 	// Rejoin readmits it; with the fault cleared delivery works again.
 	s.SetFault(nil)
 	s.Rejoin(1)
-	if !s.Trusted(1) || s.CPUHealth(1) != Healthy {
-		t.Fatalf("after rejoin: health = %v trusted=%v", s.CPUHealth(1), s.Trusted(1))
+	if !s.Trusted(1) || s.SeatHealth(1) != Healthy {
+		t.Fatalf("after rejoin: health = %v trusted=%v", s.SeatHealth(1), s.Trusted(1))
 	}
 	s.Enqueue(1, req(Unmap, 0, 0x30))
 	s.Flush()
@@ -433,19 +448,19 @@ func TestProtocolDegradation(t *testing.T) {
 	})
 	s.Enqueue(1, req(InvalRights, 1, 0x10))
 	s.Flush() // quarantine #1
-	if s.CPUHealth(1) != Quarantined {
-		t.Fatalf("health = %v, want quarantined", s.CPUHealth(1))
+	if s.SeatHealth(1) != Quarantined {
+		t.Fatalf("health = %v, want quarantined", s.SeatHealth(1))
 	}
 	s.Rejoin(1)
 	s.Enqueue(1, req(InvalRights, 1, 0x11))
 	s.Flush() // quarantine #2 -> degraded
-	if s.CPUHealth(1) != Degraded || ctrs.Get("smp.degraded") != 1 {
-		t.Fatalf("health = %v degraded=%d, want degraded/1", s.CPUHealth(1), ctrs.Get("smp.degraded"))
+	if s.SeatHealth(1) != Degraded || ctrs.Get("smp.degraded") != 1 {
+		t.Fatalf("health = %v degraded=%d, want degraded/1", s.SeatHealth(1), ctrs.Get("smp.degraded"))
 	}
 	// Degradation survives both Rejoin and Reset; staleness does not.
 	s.Rejoin(1)
-	if s.CPUHealth(1) != Degraded || s.stale[1] {
-		t.Fatalf("rejoin changed degradation: %v stale=%v", s.CPUHealth(1), s.stale[1])
+	if s.SeatHealth(1) != Degraded || s.stale[1] {
+		t.Fatalf("rejoin changed degradation: %v stale=%v", s.SeatHealth(1), s.stale[1])
 	}
 	// Flush-on-switch semantics: the rejoin purge makes the degraded CPU
 	// trustworthy again (it holds nothing), though it stays fenced.
@@ -453,8 +468,8 @@ func TestProtocolDegradation(t *testing.T) {
 		t.Fatal("degraded CPU untrusted right after its rejoin purge")
 	}
 	s.Reset()
-	if s.CPUHealth(1) != Degraded {
-		t.Fatalf("Reset cleared degradation: %v", s.CPUHealth(1))
+	if s.SeatHealth(1) != Degraded {
+		t.Fatalf("Reset cleared degradation: %v", s.SeatHealth(1))
 	}
 	if !s.Fenced(1) {
 		t.Fatal("degraded CPU not fenced")
