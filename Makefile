@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race check fmt vet lint loc bench bench-suite bench-hot exp tables golden chaos chaos-short traffic
+.PHONY: all build test race check fmt vet lint loc bench bench-suite bench-hot pairs exp tables golden chaos chaos-short traffic
 
 all: check
 
@@ -72,6 +72,17 @@ bench-suite:
 bench-hot:
 	$(GO) test -bench Access -benchmem -run '^$$' .
 	$(GO) test -bench 'ShootdownVolley|PGResync' -benchmem -run '^$$' ./internal/smp ./internal/kernel
+
+# pairs runs N alternating pairs of bench/run.sh ARGS, the parent commit
+# PARENT against the working tree, flipping which side runs first in
+# each pair, then prints bench's compare of the two sides (with CLAIM
+# judged as a claimed gain when set):
+#   make pairs PARENT=HEAD~1 N=10 ARGS='--workload revoke-dma --seconds 24' CLAIM=ops_per_s.pg@revoke-dma
+# Both trees and every run go under one mktemp -d directory.
+PARENT ?= HEAD~1
+N ?= 10
+pairs:
+	bash scripts/pairs.sh '$(PARENT)' '$(N)' '$(ARGS)' '$(CLAIM)'
 
 # exp runs one experiment with its in-run assertions and prints its
 # tables, the quick view while working on one layer:

@@ -353,14 +353,16 @@ func (c *Cache[K, V]) Lookup(k K) (V, bool) {
 	return c.slab[si*c.ways+i].val, true
 }
 
-// Peek finds k without disturbing replacement state.
-func (c *Cache[K, V]) Peek(k K) (V, bool) {
+// Ref finds k without disturbing replacement state, returning a pointer
+// to its resident value, or nil when k is not resident. Writing through
+// the pointer rewrites the value in place; the pointer is valid until
+// the next Insert, removal or purge.
+func (c *Cache[K, V]) Ref(k K) *V {
 	si := c.setIndex(k)
 	if i := c.find(si, k); i >= 0 {
-		return c.slab[si*c.ways+i].val, true
+		return &c.slab[si*c.ways+i].val
 	}
-	var zero V
-	return zero, false
+	return nil
 }
 
 // Insert adds or replaces the mapping for k. If an unrelated valid entry
@@ -568,12 +570,11 @@ func (c *Cache[K, V]) remove(si, i int) {
 // Update modifies the value for k in place if present, preserving its
 // replacement state, and reports whether it was present.
 func (c *Cache[K, V]) Update(k K, v V) bool {
-	si := c.setIndex(k)
-	if i := c.find(si, k); i >= 0 {
-		c.slab[si*c.ways+i].val = v
-		return true
+	p := c.Ref(k)
+	if p != nil {
+		*p = v
 	}
-	return false
+	return p != nil
 }
 
 // Invalidate removes k and reports whether it was present.

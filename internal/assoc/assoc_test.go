@@ -8,6 +8,15 @@ import (
 
 func identity(k uint64) uint64 { return k }
 
+// Peek reads k's value through Ref.
+func (c *Cache[K, V]) Peek(k K) (V, bool) {
+	if p := c.Ref(k); p != nil {
+		return *p, true
+	}
+	var zero V
+	return zero, false
+}
+
 func fullAssoc(ways int, p Policy) *Cache[uint64, string] {
 	return New[uint64, string](Config{Sets: 1, Ways: ways, Policy: p}, identity)
 }
@@ -159,14 +168,19 @@ func TestUpdatePreservesLRU(t *testing.T) {
 	}
 }
 
+// TestPeekDoesNotRefresh: Ref rewrites a resident value in place
+// without refreshing its LRU position, and finds no absent key.
 func TestPeekDoesNotRefresh(t *testing.T) {
 	c := fullAssoc(2, LRU)
 	c.Insert(1, "a")
 	c.Insert(2, "b")
-	c.Peek(1)
-	k, _, _ := c.Insert(3, "c")
-	if k != 1 {
-		t.Fatalf("evicted %d, want 1 (Peek must not refresh)", k)
+	*c.Ref(1) = "a2"
+	if c.Ref(9) != nil {
+		t.Fatal("Ref found an absent key")
+	}
+	k, v, _ := c.Insert(3, "c")
+	if k != 1 || v != "a2" {
+		t.Fatalf("evicted %d=%q, want 1=\"a2\" (Ref must rewrite in place and not refresh)", k, v)
 	}
 }
 

@@ -91,10 +91,10 @@ func TestFlushPage(t *testing.T) {
 	if flushed != 4 || dirty != 1 {
 		t.Fatalf("FlushPage = %d,%d", flushed, dirty)
 	}
-	if _, ok := v.c.Peek(v.key(0, 0x1000)); ok {
+	if v.c.Ref(v.key(0, 0x1000)) != nil {
 		t.Fatal("line survives page flush")
 	}
-	if _, ok := v.c.Peek(v.key(0, 0x2000)); !ok {
+	if v.c.Ref(v.key(0, 0x2000)) == nil {
 		t.Fatal("other page's line flushed")
 	}
 	if ctrs.Get("dc.flushed_lines") != 4 || ctrs.Get("dc.flush_writebacks") != 1 {

@@ -526,7 +526,12 @@ func (d *Device) Entries(fn func(machine.Entry) bool) {
 // GroupUpdate and Unmap. Any other kind touches and charges nothing.
 func (d *Device) Apply(r smp.Request) int {
 	c := d.cfg.Costs
-	affected, inspected := d.apply(r)
+	var affected, inspected int
+	if d.dp != nil {
+		affected, inspected = d.applyDomainPage(&r)
+	} else {
+		affected, inspected = d.applyPageGroup(&r)
+	}
 	d.nApplied.Inc()
 	d.cycles.Add(uint64(inspected)*c.PurgeEntry + uint64(affected)*c.Install)
 	return affected
@@ -547,44 +552,57 @@ func (d *Device) MaxCycles() (apply, purge uint64) {
 	return uint64(n) * (c.PurgeEntry + c.Install), uint64(d.Capacity()) * c.PurgeEntry
 }
 
-func (d *Device) apply(r smp.Request) (affected, inspected int) {
-	inRange := func(vpn addr.VPN) bool {
-		return r.Range.Contains(d.cfg.Geometry.Base(vpn))
-	}
-	if d.dp != nil {
-		switch r.Kind {
-		case smp.InvalRights:
-			if d.dp.Invalidate(dpKey{d: r.Domain, vpn: r.VPN}) {
-				return 1, 1
-			}
-			return 0, 1
-		case smp.UpdateRights:
-			if d.dp.Update(dpKey{d: r.Domain, vpn: r.VPN}, dpEntry{rights: r.Rights, pfn: d.pfnOf(r.Domain, r.VPN)}) {
-				return 1, 1
-			}
-			return 0, 1
-		// The domain-keyed kinds are charged a scan of every valid entry
-		// (the inspected count), but walk only the domain's own.
-		case smp.RangeRights:
-			return d.dp.UpdateOwner(uint32(r.Domain),
-				func(k dpKey, _ dpEntry) bool { return inRange(k.vpn) },
-				func(_ dpKey, e dpEntry) dpEntry { e.rights = r.Rights; return e })
-		case smp.RangeDetach:
-			return d.dp.PurgeOwner(uint32(r.Domain), func(k dpKey, _ dpEntry) bool { return inRange(k.vpn) })
-		case smp.DomainPurge:
-			// Domain destruction: drop every IOTLB entry keyed by the dying
-			// domain (one scan, the device-side analog of PurgeDomain).
-			return d.dp.PurgeOwner(uint32(r.Domain), nil)
-		case smp.RangePurge:
-			return d.dp.PurgeIf(func(k dpKey, _ dpEntry) bool { return inRange(k.vpn) })
-		case smp.PurgeAllProt:
-			n := d.dp.PurgeAll()
-			return n, d.dp.Capacity()
-		case smp.PurgePage, smp.Unmap:
-			return d.dp.PurgeIf(func(k dpKey, _ dpEntry) bool { return k.vpn == r.VPN })
+// applyDomainPage is Apply on the domain-page IOTLB.
+func (d *Device) applyDomainPage(r *smp.Request) (affected, inspected int) {
+	switch r.Kind {
+	case smp.InvalRights:
+		if d.dp.Invalidate(dpKey{d: r.Domain, vpn: r.VPN}) {
+			return 1, 1
 		}
-		return 0, 0
+		return 0, 1
+	case smp.UpdateRights:
+		// In place: the entry keeps its frame.
+		if e := d.dp.Ref(dpKey{d: r.Domain, vpn: r.VPN}); e != nil {
+			e.rights = r.Rights
+			return 1, 1
+		}
+		return 0, 1
+	case smp.DomainPurge:
+		// Domain destruction: drop every IOTLB entry keyed by the dying
+		// domain (one scan, the device-side analog of PurgeDomain).
+		return d.dp.PurgeOwner(uint32(r.Domain), nil)
+	case smp.PurgeAllProt:
+		n := d.dp.PurgeAll()
+		return n, d.dp.Capacity()
+	case smp.PurgePage, smp.Unmap:
+		return d.dp.PurgeIf(func(k dpKey, _ dpEntry) bool { return k.vpn == r.VPN })
+	case smp.RangeRights, smp.RangeDetach, smp.RangePurge:
+		return d.applyRange(r)
 	}
+	return 0, 0
+}
+
+// applyRange is Apply of a range kind on the domain-page IOTLB. The
+// domain-keyed kinds are charged a scan of every valid entry (the
+// inspected count), but walk only the domain's own.
+func (d *Device) applyRange(r *smp.Request) (affected, inspected int) {
+	inRange := func(k dpKey, _ dpEntry) bool {
+		return r.Range.Contains(d.cfg.Geometry.Base(k.vpn))
+	}
+	switch r.Kind {
+	case smp.RangeRights:
+		return d.dp.UpdateOwner(uint32(r.Domain), inRange,
+			func(_ dpKey, e dpEntry) dpEntry { e.rights = r.Rights; return e })
+	case smp.RangeDetach:
+		return d.dp.PurgeOwner(uint32(r.Domain), inRange)
+	default:
+		return d.dp.PurgeIf(inRange)
+	}
+}
+
+// applyPageGroup is Apply on the page-group IOTLB and its membership
+// set.
+func (d *Device) applyPageGroup(r *smp.Request) (affected, inspected int) {
 	switch r.Kind {
 	case smp.GroupLoad:
 		if r.Domain == d.onBehalf {
@@ -598,7 +616,9 @@ func (d *Device) apply(r smp.Request) (affected, inspected int) {
 		}
 		return 0, 1
 	case smp.GroupUpdate:
-		if d.pg.Update(r.VPN, pgEntry{aid: r.Group, rights: r.Rights, pfn: d.pgPFNOf(r.VPN)}) {
+		// In place: the entry keeps its frame.
+		if e := d.pg.Ref(r.VPN); e != nil {
+			e.aid, e.rights = r.Group, r.Rights
 			return 1, 1
 		}
 		return 0, 1
@@ -609,21 +629,4 @@ func (d *Device) apply(r smp.Request) (affected, inspected int) {
 		return 0, 1
 	}
 	return 0, 0
-}
-
-// pfnOf preserves an existing entry's translation across an in-place
-// rights rewrite (zero if absent; Update then misses anyway).
-func (d *Device) pfnOf(dom addr.DomainID, vpn addr.VPN) addr.PFN {
-	if e, ok := d.dp.Peek(dpKey{d: dom, vpn: vpn}); ok {
-		return e.pfn
-	}
-	return 0
-}
-
-// pgPFNOf is pfnOf for the page-group organization.
-func (d *Device) pgPFNOf(vpn addr.VPN) addr.PFN {
-	if e, ok := d.pg.Peek(vpn); ok {
-		return e.pfn
-	}
-	return 0
 }

@@ -59,3 +59,65 @@ func TestGroupSetListsAscending(t *testing.T) {
 		t.Fatalf("groups listed %v, want %v", got, want)
 	}
 }
+
+// unmappedOS is groupOS with page vpn in frame vpn+100, until the test
+// unmaps every page: from then on a Translate fails the test.
+type unmappedOS struct {
+	groupOS
+	t        *testing.T
+	unmapped bool
+}
+
+func (o *unmappedOS) Translate(vpn addr.VPN) (addr.PFN, bool) {
+	if o.unmapped {
+		o.t.Errorf("Translate(%#x) of an unmapped page", uint64(vpn))
+		return 0, false
+	}
+	return addr.PFN(vpn + 100), true
+}
+
+// TestApplyRewritesInPlace: the page-group IOTLB's GroupUpdate and the
+// domain-page IOTLB's UpdateRights rewrite a resident entry in place.
+// The entry keeps its frame without a call to the OS, even when the OS
+// has unmapped the page since, as it has when an update queued in a
+// deferred window is delivered before the window's Unmap. Each apply is
+// charged one inspected entry and one Install.
+func TestApplyRewritesInPlace(t *testing.T) {
+	for _, c := range []struct {
+		org Org
+		r   smp.Request
+	}{
+		{OrgPageGroup, smp.Request{Kind: smp.GroupUpdate, VPN: 3, Group: 9, Rights: addr.Read}},
+		{OrgDomainPage, smp.Request{Kind: smp.UpdateRights, Domain: 1, VPN: 3, Rights: addr.Read}},
+	} {
+		os := &unmappedOS{t: t}
+		costs := cpu.DefaultCosts()
+		d := New(Config{
+			Name: "dma0", Kind: DMAEngine, Org: c.org, Entries: 8,
+			Geometry: addr.BaseGeometry(), Costs: &costs,
+		}, os, &stats.Counters{})
+		d.SetOnBehalf(1)
+		if _, err := d.Check(3, addr.Load); err != nil {
+			t.Fatalf("%v: Check: %v", c.org, err)
+		}
+		os.unmapped = true
+		before := d.Cycles()
+		if n := d.Apply(c.r); n != 1 {
+			t.Errorf("%v: %v touched %d entries, want 1", c.org, c.r.Kind, n)
+		}
+		if got, want := d.Cycles()-before, costs.PurgeEntry+costs.Install; got != want {
+			t.Errorf("%v: %v charged %d cycles, want %d", c.org, c.r.Kind, got, want)
+		}
+		var got []machine.Entry
+		d.Entries(func(e machine.Entry) bool {
+			if e.Kind != machine.Membership {
+				got = append(got, e)
+			}
+			return true
+		})
+		if len(got) != 1 || got[0].Frame != 103 || got[0].Rights != addr.Read || got[0].Group != c.r.Group {
+			t.Errorf("%v: entries after %v = %+v, want one in frame 103 with %v, group %d",
+				c.org, c.r.Kind, got, addr.Read, c.r.Group)
+		}
+	}
+}

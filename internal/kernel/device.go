@@ -78,17 +78,18 @@ func deviceOrg(m Model) iommu.Org {
 func (k *Kernel) attachDevices(devs []DeviceConfig) {
 	specs := make([]smp.DeviceSpec, len(devs))
 	for i, dc := range devs {
-		seat := len(k.machs) + i
-		k.devs = append(k.devs, iommu.New(iommu.Config{
+		dev := iommu.New(iommu.Config{
 			Name:     dc.Name,
 			Kind:     dc.Kind,
 			Org:      deviceOrg(k.cfg.Model),
 			Entries:  deviceEntries,
-			Seat:     seat,
+			Seat:     len(k.seats),
 			Cluster:  dc.Cluster,
 			Geometry: k.geo,
 			Costs:    &k.cost,
-		}, k, &k.ctrs))
+		}, k, &k.ctrs)
+		k.devs = append(k.devs, dev)
+		k.seats = append(k.seats, dev)
 		specs[i] = smp.DeviceSpec{Cluster: dc.Cluster}
 	}
 	k.shoot.AttachDevices(specs)

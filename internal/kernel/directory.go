@@ -75,7 +75,7 @@ func (k *Kernel) withdrawSeat(i int) {
 // (machine.Seat.HasDomainEntries; called after removal-kind shootdown
 // applies).
 func (k *Kernel) withdrawIfEmpty(t int, d addr.DomainID) {
-	if k.Seat(t).HasDomainEntries(d) {
+	if k.seats[t].HasDomainEntries(d) {
 		return
 	}
 	if dom := k.doms.get(d); dom != nil {
@@ -90,14 +90,9 @@ func (k *Kernel) withdrawIfEmpty(t int, d addr.DomainID) {
 // hold an entry that was never installed).
 func (k *Kernel) shootPage(p *page, r smp.Request) {
 	k.mach.Apply(r)
-	if k.shoot == nil {
-		return
+	if k.shoot != nil {
+		k.shoot.EnqueueSet(&p.sharers, k.cur, &r)
 	}
-	p.sharers.ForEach(func(i int) {
-		if i != k.cur {
-			k.enqueueShoot(i, r)
-		}
-	})
 }
 
 // shootRange applies r locally and enqueues it to the union of the
@@ -112,11 +107,7 @@ func (k *Kernel) shootRange(s *Segment, r smp.Request) {
 	for i := range s.pages {
 		union.Union(&s.pages[i].sharers)
 	}
-	union.ForEach(func(i int) {
-		if i != k.cur {
-			k.enqueueShoot(i, r)
-		}
-	})
+	k.shoot.EnqueueSet(&union, k.cur, &r)
 }
 
 // DomainResident reports whether the directory lists seat t in domain

@@ -456,10 +456,13 @@ type Kernel struct {
 	pager      Pager
 	execGrants []execGrant
 
-	// machs holds every CPU's machine (index = CPU number). Organization
-	// specifics stay behind the machine.Seat contract: the kernel applies
-	// smp.Requests to CPU and device seats alike.
+	// machs holds every CPU's machine (index = CPU number).
 	machs []machine.Machine
+	// seats is the interconnect's seat table: the CPUs' machines, then
+	// the devices. Organization and seat kind stay behind the
+	// machine.Seat contract: the kernel applies smp.Requests to CPU and
+	// device seats alike, by seat number.
+	seats []machine.Seat
 
 	// cur is the current CPU.
 	cur int
@@ -584,6 +587,7 @@ func NewChecked(cfg Config) (*Kernel, error) {
 			m = pm
 		}
 		k.machs = append(k.machs, m)
+		k.seats = append(k.seats, m)
 	}
 	k.cost = k.machs[0].Costs()
 	k.disk = mem.NewDisk()
@@ -668,15 +672,12 @@ func (k *Kernel) Counters() *stats.Counters { return &k.ctrs }
 // machine cycles are separate.
 func (k *Kernel) Cycles() uint64 { return k.cycles.Total() }
 
-// TotalCycles returns kernel cycles plus every CPU's machine cycles
-// plus every device agent's cycles.
+// TotalCycles returns kernel cycles plus every seat's: each CPU's
+// machine cycles and each device agent's.
 func (k *Kernel) TotalCycles() uint64 {
 	total := k.cycles.Total()
-	for _, m := range k.machs {
-		total += m.Cycles()
-	}
-	for _, dev := range k.devs {
-		total += dev.Cycles()
+	for _, st := range k.seats {
+		total += st.Cycles()
 	}
 	return total
 }
@@ -810,15 +811,10 @@ func (k *Kernel) RecoverHardware() int {
 
 // Seat returns interconnect seat t's hardware: CPU t's machine, or a
 // device agent for seats at and above NumCPUs.
-func (k *Kernel) Seat(t int) machine.Seat {
-	if t < len(k.machs) {
-		return k.machs[t]
-	}
-	return k.devs[t-len(k.machs)]
-}
+func (k *Kernel) Seat(t int) machine.Seat { return k.seats[t] }
 
 // NumSeats returns the interconnect seat count: CPUs, then devices.
-func (k *Kernel) NumSeats() int { return len(k.machs) + len(k.devs) }
+func (k *Kernel) NumSeats() int { return len(k.seats) }
 
 // SeatName names seat t in reports: "cpu N" for a CPU, the device's
 // name for a device.
@@ -834,7 +830,7 @@ func (k *Kernel) SeatName(t int) string {
 // afterwards, so it is withdrawn from the sharer directory: no further
 // shootdowns target it until it reinstalls.
 func (k *Kernel) purgeSeat(t int) int {
-	n := k.Seat(t).PurgeAll()
+	n := k.seats[t].PurgeAll()
 	k.withdrawSeat(t)
 	return n
 }

@@ -140,7 +140,7 @@ var opSpecs = [numOpKinds]struct {
 	{"create", "", 2}, {"fork", "d", 1}, {"destroy", "d", 1}, {"create-seg", "", 1},
 	{"destroy-seg", "s", 1}, {"attach", "dsr", 3}, {"detach", "ds", 1}, {"set-page", "dpr", 2},
 	{"clear-page", "dp", 1}, {"set-seg", "dsr", 1}, {"load", "dp", 3}, {"store", "dp", 3},
-	{"set-cpu", "", 1}, {"unmap", "m", 1}, {"page-out", "m", 1}, {"window", "", 1},
+	{"set-cpu", "", 4}, {"unmap", "m", 1}, {"page-out", "m", 1}, {"window", "", 1},
 	{"program", "dv", 1}, {"dev-read", "pv", 1}, {"dev-write", "pv", 1}, {"dev-touch", "pv", 1},
 	{"partition", "", 1}, {"rejoin-device", "v", 1}, {"converge", "", 1}, {"recover", "", 1},
 	{"kernel-read", "p", 1}, {"kernel-write", "p", 1}, {"clear-dirty", "p", 1},
@@ -892,7 +892,8 @@ func shrinkLockstep(orgs []kernel.Model, script []byte) []byte {
 }
 
 // genLockstep generates seed script seed: its world is byte(seed), its
-// segments super-page, its ops drawn by opSpecs weight.
+// segments super-page and attached to both domains, so remote seats hold
+// authority from the first op on, its ops drawn by opSpecs weight.
 func genLockstep(seed int64) []byte {
 	var mix []opKind
 	for kind, spec := range opSpecs {
@@ -900,7 +901,7 @@ func genLockstep(seed int64) []byte {
 			mix = append(mix, opKind(kind))
 		}
 	}
-	return genScript(seed, byte(seed), prologue(0, 0), mix, lockstepSeedOps)
+	return genScript(seed, byte(seed), attachBoth(prologue(0, 0)), mix, lockstepSeedOps)
 }
 
 // prologue opens a script with two domains and two segments, made by
@@ -910,6 +911,13 @@ func genLockstep(seed int64) []byte {
 func prologue(a, x byte) []byte {
 	return []byte{byte(opCreate), 0, 0, 0, byte(opCreate), 0, 0, 0,
 		byte(opCreateSeg), a | 3, 0, x, byte(opCreateSeg), a | 7, 0, x}
+}
+
+// attachBoth appends to a prologue the attaches of both its domains to
+// both its segments, rw- but for domain 1's r-- on segment 1.
+func attachBoth(prologue []byte) []byte {
+	return append(prologue, byte(opAttach), 0, 0, 2, byte(opAttach), 1, 0, 2,
+		byte(opAttach), 0, 1, 2, byte(opAttach), 1, 1, 1)
 }
 
 // genScript generates a script in world from seed: the prologue ops,
@@ -1043,8 +1051,7 @@ var faultOps = []opKind{opPartition, opSetCPU, opSetCPU, opSetCPU, opLoad, opLoa
 // both domains to both segments and programs the engine, so remote seats
 // hold authority a partition can strand.
 func TestFaultPlans(t *testing.T) {
-	pro := append(prologue(0, 1), byte(opAttach), 0, 0, 2, byte(opAttach), 1, 0, 2,
-		byte(opAttach), 0, 1, 2, byte(opAttach), 1, 1, 1, byte(opProgram), 0, 0, 0)
+	pro := append(attachBoth(prologue(0, 1)), byte(opProgram), 0, 0, 0)
 	for seed := range int64(48) {
 		if err := lockstepFailure(lifecycleModels, genScript(seed, byte(1+seed%3), pro, faultOps, lockstepSeedOps)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -1156,4 +1163,33 @@ func corpusEntry(t *testing.T, name string) []byte {
 		t.Fatalf("corpus entry %s is not one []byte: %v", name, err)
 	}
 	return []byte(script)
+}
+
+// TestKernelWriteMarksDirty: on every organization, a kernel-mode write
+// dirties its page as a store does, so the lockstep's kernel-write then
+// clear-dirty reads true, and a second clear-dirty false. An incremental
+// checkpoint must save a page that txn's rollback, a DSM page install or
+// an image restore rewrote.
+func TestKernelWriteMarksDirty(t *testing.T) {
+	script := append(prologue(0, 1), byte(opKernelWrite), 0, 0, 0,
+		byte(opClearDirty), 0, 0, 0, byte(opClearDirty), 0, 0, 0)
+	w := lockstepWorlds[0]
+	for _, org := range lifecycleModels {
+		l := newLane(org, w)
+		var got []string
+		for op, raw := range splitOps(script) {
+			c, ok := l.m.decode(raw, w)
+			if !ok {
+				t.Fatalf("%v: op %d does not decode", org, op)
+			}
+			out, err := l.step(c, op)
+			if err != nil {
+				t.Fatalf("%v: op %d (%s): %v", org, op, c.desc, err)
+			}
+			got = append(got, out)
+		}
+		if want := []string{"allow", "allow true", "allow false"}; !slices.Equal(got[len(got)-3:], want) {
+			t.Errorf("%v: kernel-write, clear-dirty, clear-dirty = %q, want %q", org, got[len(got)-3:], want)
+		}
+	}
 }

@@ -27,9 +27,15 @@ import (
 // Each protection change is one smp.Request: the shoot* helpers apply
 // it to the current CPU's machine and enqueue the same request for the
 // remote sharers, so local and remote maintenance cannot drift apart.
+// A helper enqueues in one smp.Shootdown.EnqueueSet pass over its target
+// set, which skips the current CPU and owns the fenced-skip rule: a
+// fenced (quarantined or degraded) seat is marked stale instead of
+// queued, and the bulk invalidation of its rejoin subsumes the request.
 // Every kernel-level protection operation then flushes once, so all
 // requests raised by one operation share one IPI per target CPU
-// (batching), with identical requests coalesced.
+// (batching), with identical requests coalesced. Delivery applies a
+// request to seat t through the kernel's one seat table (CPUs, then
+// devices), whatever the seat's kind.
 
 // shootDomain applies r locally and enqueues it for every remote CPU
 // that may cache domain d's protection entries.
@@ -41,14 +47,9 @@ func (k *Kernel) shootDomain(d *Domain, r smp.Request) {
 
 // queueDomain enqueues r for every remote seat in d's residency set.
 func (k *Kernel) queueDomain(d *Domain, r smp.Request) {
-	if k.shoot == nil {
-		return
+	if k.shoot != nil {
+		k.shoot.EnqueueSet(&d.cpus, k.cur, &r)
 	}
-	d.cpus.ForEach(func(i int) {
-		if i != k.cur {
-			k.enqueueShoot(i, r)
-		}
-	})
 }
 
 // purgeDomain drops every protection entry naming the dying domain d:
@@ -63,23 +64,6 @@ func (k *Kernel) purgeDomain(d *Domain) {
 	k.queueDomain(d, r)
 }
 
-// enqueueShoot routes one request to CPU i unless i is fenced
-// (quarantined or degraded): a fenced CPU cannot be reached by IPI, so
-// instead of queueing, the kernel records the skip — the CPU is marked
-// stale and the suppressed invalidation is counted
-// ("smp.fenced_skips") so overhead accounting stays complete — and the
-// CPU will be bulk-invalidated before it executes anything (SetCPU
-// rejoin), which subsumes the skipped invalidation. Removal kinds that
-// do get applied withdraw the target from the domain's residency set
-// when the scan proves its last entry is gone.
-func (k *Kernel) enqueueShoot(i int, r smp.Request) {
-	if k.shoot.Fenced(i) {
-		k.shoot.SkipFenced(i)
-		return
-	}
-	k.shoot.Enqueue(i, r)
-}
-
 // shootExecuting applies r locally when the current CPU executes domain
 // d, and enqueues it for every other seat executing d, CPUs then devices
 // in seat order. Checker state is rebuilt on switch, so only a CPU with
@@ -91,14 +75,9 @@ func (k *Kernel) shootExecuting(d *Domain, r smp.Request) {
 	if k.mach.Domain() == d.ID {
 		k.mach.Apply(r)
 	}
-	if k.shoot == nil || int(d.ID) >= len(k.executing) {
-		return
+	if k.shoot != nil && int(d.ID) < len(k.executing) {
+		k.shoot.EnqueueSet(&k.executing[d.ID], k.cur, &r)
 	}
-	k.executing[d.ID].ForEach(func(t int) {
-		if t != k.cur {
-			k.enqueueShoot(t, r)
-		}
-	})
 }
 
 // executes reports whether some seat shootExecuting reaches runs d: the
@@ -218,7 +197,7 @@ func (k *Kernel) IPIFaultArmed() bool {
 // is not among them: only the page-group engine raises it, and that
 // engine targets no request by residency.
 func (k *Kernel) ApplyShootdown(t int, r smp.Request) int {
-	n := k.Seat(t).Apply(r)
+	n := k.seats[t].Apply(r)
 	switch r.Kind {
 	case smp.InvalRights, smp.RangeDetach, smp.DomainPurge:
 		k.withdrawIfEmpty(t, r.Domain)
@@ -230,4 +209,4 @@ func (k *Kernel) ApplyShootdown(t int, r smp.Request) int {
 }
 
 // CPUCycles implements smp.Handler: seat t's clock.
-func (k *Kernel) CPUCycles(t int) uint64 { return k.Seat(t).Cycles() }
+func (k *Kernel) CPUCycles(t int) uint64 { return k.seats[t].Cycles() }

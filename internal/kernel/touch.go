@@ -267,12 +267,14 @@ func (k *Kernel) KernelPeekPage(vpn addr.VPN) ([]byte, error) {
 }
 
 // KernelWritePage overwrites a page's contents in kernel mode, paging
-// it in or demand-zeroing it first as KernelReadPage does.
+// it in or demand-zeroing it first as KernelReadPage does, and marks
+// the page dirty as a store would.
 func (k *Kernel) KernelWritePage(vpn addr.VPN, buf []byte) error {
 	p, err := k.kernelPage(vpn, "write")
 	if err != nil {
 		return err
 	}
+	p.dirty = true
 	copy(k.memory.Data(p.frame), buf)
 	k.cycles.Add(k.cost.MemCopyPage)
 	return nil

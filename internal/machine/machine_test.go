@@ -457,6 +457,58 @@ func TestPGUpdatePageMovesGroup(t *testing.T) {
 	}
 }
 
+// unmappedOS is fakeOS once the test has unmapped every page: a
+// Translate then fails the test.
+type unmappedOS struct {
+	*fakeOS
+	t        *testing.T
+	unmapped bool
+}
+
+func (o *unmappedOS) Translate(vpn addr.VPN) (addr.PFN, bool) {
+	if o.unmapped {
+		o.t.Errorf("Translate(%#x) of an unmapped page", uint64(vpn))
+		return 0, false
+	}
+	return o.fakeOS.Translate(vpn)
+}
+
+// TestPGGroupUpdateRewritesInPlace: a GroupUpdate rewrites a resident
+// TLB entry's group and rights in place and charges one Install. The
+// entry keeps its frame without a call to the OS, even when the OS has
+// unmapped the page since, as it has when an update queued in a
+// deferred window is delivered before the window's Unmap. An update for
+// a page with no entry touches and charges nothing.
+func TestPGGroupUpdateRewritesInPlace(t *testing.T) {
+	os := &unmappedOS{fakeOS: newFakeOS(), t: t}
+	os.setPage(1, 7, 5, addr.RW)
+	os.grantGroup(1, 5, false)
+	m := NewPG(DefaultPGConfig(), os)
+	m.SwitchDomain(1)
+	m.Access(va(1), addr.Load)
+	os.unmapped = true
+	before := m.Cycles()
+	if n := m.Apply(smp.Request{Kind: smp.GroupUpdate, VPN: 1, Group: 9, Rights: addr.Read}); n != 1 {
+		t.Errorf("GroupUpdate touched %d entries, want 1", n)
+	}
+	if got, want := m.Cycles()-before, m.Costs().Install; got != want {
+		t.Errorf("GroupUpdate charged %d cycles, want %d", got, want)
+	}
+	if n := m.Apply(smp.Request{Kind: smp.GroupUpdate, VPN: 2, Group: 9, Rights: addr.Read}); n != 0 {
+		t.Errorf("GroupUpdate of a page with no entry touched %d entries", n)
+	}
+	if got, want := m.Cycles()-before, m.Costs().Install; got != want {
+		t.Errorf("after a GroupUpdate that missed, charged %d cycles, want %d", got, want)
+	}
+	want := tlb.PGEntry{PFN: 7, AID: 9, Rights: addr.Read}
+	m.TLB().ForEach(func(vpn addr.VPN, e tlb.PGEntry) bool {
+		if vpn != 1 || e != want {
+			t.Errorf("TLB holds %#x -> %+v, want 1 -> %+v", uint64(vpn), e, want)
+		}
+		return true
+	})
+}
+
 func TestPGPIDRegistersVariant(t *testing.T) {
 	os := newFakeOS()
 	for g := addr.GroupID(1); g <= 6; g++ {

@@ -247,9 +247,10 @@ func (m *PGMachine) Apply(r smp.Request) int {
 		}
 	case smp.GroupUpdate:
 		// Rewrite the page's rights field or move it to another group
-		// (Section 4.1.2). Without a translation nothing can be resident.
-		pfn, ok := m.os.Translate(r.VPN)
-		if ok && m.tlb.Update(r.VPN, tlb.PGEntry{PFN: pfn, AID: r.Group, Rights: r.Rights}) {
+		// (Section 4.1.2) in place. A resident entry keeps its frame:
+		// hardware rewriting an entry consults no page table.
+		if e := m.tlb.Rewrite(r.VPN); e != nil {
+			e.AID, e.Rights = r.Group, r.Rights
 			m.cycles.Add(c.Install)
 			return 1
 		}

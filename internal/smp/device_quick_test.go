@@ -41,6 +41,8 @@ func TestQuickDeviceInvalidationExactlyOnce(t *testing.T) {
 		s, h, ctrs, _ := newTestShootdown(2)
 		s.AttachDevices([]DeviceSpec{{}})
 		seat := s.ncpu
+		var only CPUSet
+		only.Add(seat)
 		h.cycles = append(h.cycles, 0) // the handler also covers the device seat
 		s.EnableProtocol(testProto())
 		rng := rand.New(rand.NewSource(p.Seed))
@@ -67,13 +69,9 @@ func TestQuickDeviceInvalidationExactlyOnce(t *testing.T) {
 				r := req(InvalRights, 7, vpn)
 				vpn++
 				want[r] = true
-				// The kernel never enqueues to a fenced seat: it records
-				// the suppressed invalidation and marks the seat stale.
-				if s.Fenced(seat) {
-					s.SkipFenced(seat)
-					continue
-				}
-				s.Enqueue(seat, r)
+				// A fenced seat is never queued: EnqueueSet records the
+				// suppressed invalidation and marks the seat stale.
+				s.EnqueueSet(&only, -1, &r)
 			}
 			s.Flush()
 		}

@@ -47,6 +47,21 @@ func (s *refShootdown) Enqueue(target int, r Request) {
 	}
 }
 
+// EnqueueSet keeps the rule the kernel applied before Shootdown owned
+// it: loop over the targets; skip is passed over, a fenced seat gets
+// skipFenced, and any other seat gets Enqueue.
+func (s *refShootdown) EnqueueSet(targets *CPUSet, skip int, r *Request) {
+	targets.ForEach(func(t int) {
+		switch {
+		case t == skip:
+		case s.Fenced(t):
+			s.skipFenced(t)
+		default:
+			s.Enqueue(t, *r)
+		}
+	})
+}
+
 func (s *refShootdown) enqueue(target int, r Request) bool {
 	if s.pend[target] == nil {
 		s.pend[target] = make(map[Request]struct{})
@@ -399,8 +414,11 @@ func compareSides(t *testing.T, step int, got side, ref *refShootdown, want side
 // Each following 2-byte record (op, arg) is one op, selected by op's low
 // 3 bits:
 //
-//   - 0-3: enqueue a run of 1-4 requests to target arg, starting at
+//   - 0-2: enqueue a run of 1-3 requests to target arg, starting at
 //     fuzzRequest(op>>3), so that runs overlap and repeat (A, B, A);
+//   - 3: EnqueueSet fuzzRequest(op>>3) for the targets whose bits are
+//     set in arg's low 5 bits, skipping seat arg>>5 (none when it is
+//     past the last seat); seats the fault ops quarantined are fenced;
 //   - 4: Flush;
 //   - 5: DropPending(arg) when op>>3 is even; when it is odd, switch the
 //     topology to a 2x2 mesh of one-CPU clusters (arg odd) or to one
@@ -412,8 +430,9 @@ func compareSides(t *testing.T, step int, got side, ref *refShootdown, want side
 // The seed corpus in testdata names the scenarios it covers: A, B, A
 // moves, delays (applied at once under fire-and-forget), ack loss,
 // quarantine, degradation, rejoin, Reset and DropPending mid-window,
-// the device seat, index growth past 16 slots, and a fault-free
-// acknowledged volley on each topology.
+// the device seat, index growth past 16 slots, a fault-free
+// acknowledged volley on each topology, and EnqueueSet passes that skip
+// the initiator and a quarantined seat, then reach it after its rejoin.
 func FuzzShootdownMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
@@ -428,12 +447,22 @@ func FuzzShootdownMatchesReference(f *testing.F) {
 			op, arg := data[0], data[1]
 			data = data[2:]
 			switch op % 8 {
-			case 0, 1, 2, 3:
+			case 0, 1, 2:
 				for j := 0; j <= int(op%8); j++ {
 					r := fuzzRequest(int(op>>3) + j)
 					s.Enqueue(int(arg)%n, r)
 					ref.Enqueue(int(arg)%n, r)
 				}
+			case 3:
+				var targets CPUSet
+				for tg := range n {
+					if arg>>tg&1 != 0 {
+						targets.Add(tg)
+					}
+				}
+				r := fuzzRequest(int(op >> 3))
+				s.EnqueueSet(&targets, int(arg>>5), &r)
+				ref.EnqueueSet(&targets, int(arg>>5), &r)
 			case 4:
 				s.Flush()
 				ref.Flush()
@@ -481,17 +510,26 @@ func (h *countingHandler) CPUCycles(t int) uint64 { return h.cycles[t] }
 
 // TestFlushZeroAllocs: once a Shootdown's buffers are warm, a round of
 // enqueues and an acknowledged flush allocates nothing. The round sends
-// 80 requests to each of 4 CPUs and a device seat.
+// 80 requests to each of 4 CPUs and a device seat, then 16 more through
+// one EnqueueSet each to every seat but CPU 0.
 func TestFlushZeroAllocs(t *testing.T) {
 	h := &countingHandler{cycles: make([]uint64, 5)}
 	s := New(4, h, &testCosts, &stats.Counters{}, &stats.Cycles{})
 	s.AttachDevices([]DeviceSpec{{}})
 	s.EnableProtocol(DefaultProtocolConfig())
+	var all CPUSet
+	for tg := 0; tg < s.ncpu+len(s.devCluster); tg++ {
+		all.Add(tg)
+	}
 	round := func() {
 		for tg := 0; tg < s.ncpu+len(s.devCluster); tg++ {
 			for i := 0; i < 80; i++ {
 				s.Enqueue(tg, Request{Kind: GroupRevoke, Domain: addr.DomainID(1 + i%16), Group: addr.GroupID(i)})
 			}
+		}
+		for i := 0; i < 16; i++ {
+			r := Request{Kind: GroupUpdate, VPN: addr.VPN(0x100 + i), Group: addr.GroupID(i), Rights: addr.RW}
+			s.EnqueueSet(&all, 0, &r)
 		}
 		s.Flush()
 	}

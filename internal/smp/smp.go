@@ -548,8 +548,8 @@ func (s *Shootdown) SeatHealth(t int) Health { return s.health[t] }
 
 // Fenced reports whether CPU t is excluded from delivery (quarantined
 // or degraded). The kernel must not rely on shootdowns reaching a
-// fenced CPU; it marks the CPU stale instead and bulk-invalidates on
-// rejoin.
+// fenced CPU: EnqueueSet marks it stale instead of queueing, and the
+// kernel bulk-invalidates it on rejoin.
 func (s *Shootdown) Fenced(t int) bool {
 	return s.health[t] == Quarantined || s.health[t] == Degraded
 }
@@ -563,11 +563,11 @@ func (s *Shootdown) Fenced(t int) bool {
 // holds no stale authority).
 func (s *Shootdown) Trusted(t int) bool { return !s.stale[t] }
 
-// SkipFenced records that the kernel suppressed an invalidation to
-// fenced CPU t: the CPU is marked stale and the skip is counted
+// skipFenced records that EnqueueSet suppressed an invalidation to
+// fenced seat t: the seat is marked stale and the skip is counted
 // ("smp.fenced_skips") so overhead and convergence accounting see
 // every invalidation the fence swallowed, not only the delivered ones.
-func (s *Shootdown) SkipFenced(t int) {
+func (s *Shootdown) skipFenced(t int) {
 	s.nFencedSkips.Inc()
 	if s.IsDevice(t) {
 		s.nDevFencedSkips.Inc()
@@ -593,35 +593,57 @@ func (s *Shootdown) Rejoin(t int) {
 // for it are moot).
 func (s *Shootdown) DropPending(t int) { s.q[t].discard() }
 
-// Enqueue queues r for delivery to CPU target at the next Flush.
-// Identical requests already pending for the target coalesce away.
-func (s *Shootdown) Enqueue(target int, r Request) {
-	s.nRequests.Inc()
-	if s.enqueue(target, r) {
-		s.nCoalesced.Inc()
+// EnqueueSet queues r for delivery at the next Flush to every seat in
+// targets but skip, in ascending seat order; the kernel passes the
+// current CPU as skip, since it applied r itself. A fenced seat cannot
+// be reached by IPI, so it is not queued: skipFenced marks it stale
+// instead, and its rejoin purge will subsume r. Identical requests
+// already pending for a seat coalesce away. r is hashed once, at its
+// first queued seat, for every queue it joins.
+func (s *Shootdown) EnqueueSet(targets *CPUSet, skip int, r *Request) {
+	var h uint64
+	hashed := false
+	for wi, w := range targets.words {
+		for ; w != 0; w &= w - 1 {
+			t := wi<<6 | bits.TrailingZeros64(w)
+			switch {
+			case t == skip:
+			case s.Fenced(t):
+				s.skipFenced(t)
+			default:
+				if !hashed {
+					h, hashed = r.hash(), true
+				}
+				s.nRequests.Inc()
+				if s.enqueue(t, r, h) {
+					s.nCoalesced.Inc()
+				}
+			}
+		}
 	}
 }
 
-// enqueue adds r to target's batch; reports whether it coalesced into
-// an already-pending identical request. The coalesced request takes the
-// newest copy's position: when other requests were queued since the
-// earlier copy (A, B, A — say a group revoked, re-minted and revoked
-// again in one deferred window), the earlier copy is dropped and r
-// appended, so the target ends in the state the last request leaves.
-func (s *Shootdown) enqueue(target int, r Request) bool {
+// enqueue adds r, whose hash is h, to target's batch; reports whether it
+// coalesced into an already-pending identical request. The coalesced
+// request takes the newest copy's position: when other requests were
+// queued since the earlier copy (A, B, A — say a group revoked,
+// re-minted and revoked again in one deferred window), the earlier copy
+// is dropped and r appended, so the target ends in the state the last
+// request leaves.
+func (s *Shootdown) enqueue(target int, r *Request, h uint64) bool {
 	q := &s.q[target]
 	if 2*(len(q.items)+1) > len(q.slots) {
 		q.grow()
 	}
-	i, dup := q.lookup(&r)
+	i, dup := q.lookup(r, h)
 	if !dup {
 		q.slots[i] = slot{gen: q.gen, pos: uint32(len(q.items))}
-		q.items = append(q.items, r)
+		q.items = append(q.items, *r)
 		return false
 	}
 	if pos := int(q.slots[i].pos); pos != len(q.items)-1 {
 		copy(q.items[pos:], q.items[pos+1:])
-		q.items[len(q.items)-1] = r
+		q.items[len(q.items)-1] = *r
 		q.reindex()
 	}
 	return true
@@ -650,11 +672,11 @@ type slot struct {
 	pos uint32 // index into items
 }
 
-// lookup returns the slot indexing r and true, or the free slot r would
-// take and false.
-func (q *batchQueue) lookup(r *Request) (int, bool) {
+// lookup returns the slot indexing r, whose hash is h, and true, or the
+// free slot r would take and false.
+func (q *batchQueue) lookup(r *Request, h uint64) (int, bool) {
 	mask := len(q.slots) - 1
-	for i := int(r.hash() >> q.shift); ; i = (i + 1) & mask {
+	for i := int(h >> q.shift); ; i = (i + 1) & mask {
 		sl := q.slots[i]
 		if sl.gen != q.gen {
 			return i, false
@@ -678,7 +700,7 @@ func (q *batchQueue) grow() {
 func (q *batchQueue) reindex() {
 	q.forget()
 	for j := range q.items {
-		i, _ := q.lookup(&q.items[j])
+		i, _ := q.lookup(&q.items[j], q.items[j].hash())
 		q.slots[i] = slot{gen: q.gen, pos: uint32(j)}
 	}
 }

@@ -28,6 +28,15 @@ func (h *fakeHandler) ApplyShootdown(c int, r Request) int {
 
 func (h *fakeHandler) CPUCycles(c int) uint64 { return h.cycles[c] }
 
+// Enqueue queues r for target alone: one seat of an EnqueueSet pass,
+// with no fence check.
+func (s *Shootdown) Enqueue(target int, r Request) {
+	s.nRequests.Inc()
+	if s.enqueue(target, &r, r.hash()) {
+		s.nCoalesced.Inc()
+	}
+}
+
 // testCosts is the cost model every test shootdown charges.
 var testCosts = cpu.DefaultCosts()
 

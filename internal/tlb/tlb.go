@@ -151,11 +151,23 @@ func (t *TLB[K, E]) Insert(k K, e E) {
 // reporting whether it was resident. This is the "single TLB entry"
 // update of Section 4.1.2.
 func (t *TLB[K, E]) Update(k K, e E) bool {
-	ok := t.c.Update(k, e)
-	if ok {
+	p := t.Rewrite(k)
+	if p != nil {
+		*p = e
+	}
+	return p != nil
+}
+
+// Rewrite returns k's resident entry for the caller to rewrite in place,
+// counting an update, or nil when k is not resident. Replacement state
+// is not disturbed, and the pointer is valid until the next Insert,
+// Invalidate or purge.
+func (t *TLB[K, E]) Rewrite(k K) *E {
+	p := t.c.Ref(k)
+	if p != nil {
 		t.nUpdate.Inc()
 	}
-	return ok
+	return p
 }
 
 // Invalidate removes the entry for k.
